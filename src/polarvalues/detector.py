@@ -1,7 +1,8 @@
 """Detection of candidate asymptotic non-regular values of a polynomial map.
 
 Both methods trap the candidate values as non-properness values of the map
-restricted to auxiliary curves:
+restricted to auxiliary curves, and differ only in how they sample those
+curves:
 
 * the combined-curve method intersects n-1 random hypersurfaces of the form
   sum_j a_ij df/dx_j + sum_{j,k} b_ijk x_k df/dx_j, away from the singular
@@ -9,13 +10,18 @@ restricted to auxiliary curves:
 * the sliced method walks generic hyperplane slices of f and uses the
   classical polar curve of each slice with respect to its first coordinate.
 
+One driver, `_detect`, runs both: it validates the input, derives the run
+seeds, resamples attempts whose curves fail the dimension guard, computes
+the non-properness values of each accepted curve, intersects the runs and
+assembles the report.  Each method contributes only its sampler, which
+draws one attempt's coefficients and builds its curves.
+
 Each run reports a finite value set; runs with independent coefficients are
 intersected (gcd of the defining polynomials), shrinking coefficient-
 dependent artifacts while keeping the true values.  Everything is driven by
 a documented 64-bit seed derivation, so reports are reproducible bit for
 bit across platforms.
 """
-
 from __future__ import annotations
 
 import random
@@ -23,20 +29,17 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import SingularComponentData, bound_kinf, bound_nk, bound_superpolar
-from .groebner import Ideal, affine_dimension, eliminate, with_rabinowitsch
+from .fields import QQ
+from .groebner import Ideal, affine_dimension, with_rabinowitsch
 from .nonproper import (
     EMPTY_CURVE,
     VERTICAL_COMPONENT,
     ValueSet,
+    graph_ideal,
     nonproperness_values,
+    value_line,
 )
-from .polynomials import (
-    Polynomial,
-    extend_ring,
-    fresh_variable_name,
-    lift_polynomial,
-)
-from .fields import QQ
+from .polynomials import Polynomial, _invertible, lift_polynomial
 from .univar import UnivariatePolynomial, gcd_univar, squarefree_part
 
 MASK64 = (1 << 64) - 1
@@ -126,27 +129,9 @@ def sample_invertible_matrix(rng: random.Random, n: int, bound: int = MATRIX_ENT
         rows = tuple(
             tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
         )
-        if _det_nonzero(rows):
+        if _invertible([[QQ(x) for x in row] for row in rows], QQ):
             return rows
     raise InternalInvariantError("could not sample an invertible matrix")
-
-
-def _det_nonzero(rows) -> bool:
-    n = len(rows)
-    a = [[x for x in row] for row in rows]
-    from fractions import Fraction
-
-    a = [[Fraction(x) for x in row] for row in a]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return False
-        a[col], a[pivot] = a[pivot], a[col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] / a[col][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return True
 
 
 def super_polar_ideal(f: Polynomial, coeffs: SuperPolarCoefficients) -> Ideal:
@@ -185,35 +170,13 @@ def is_singular_locus_finite(f: Polynomial) -> bool:
     return affine_dimension(gradient_ideal(f)) <= 0
 
 
-def _line_polynomial(p: Polynomial) -> UnivariatePolynomial:
-    """A polynomial supported on the last ring variable, as univariate."""
-    coeffs = {}
-    for m, c in p.terms.items():
-        coeffs[m[-1]] = c
-    top = max(coeffs) if coeffs else 0
-    return UnivariatePolynomial([coeffs.get(i, 0) for i in range(top + 1)])
-
-
 def critical_values(f: Polynomial, tolerance: float = 1e-10) -> ValueSet:
     """The set f(Sing f), computed by eliminating down to the value line."""
-    ring = f.ring
-    z_name = fresh_variable_name(ring.variables, "z")
-    ring_z = extend_ring(ring, z_name, front=False)
-    z = ring_z.variable(z_name)
-    gens = [
-        lift_polynomial(f.partial_derivative(j), ring_z)
-        for j in range(ring.nvars)
-    ]
-    gens.append(lift_polynomial(f, ring_z) - z)
-    line = eliminate(Ideal(ring_z, gens), {ring_z.nvars - 1})
-    if not line:
+    rho = value_line(graph_ideal(gradient_ideal(f), f))
+    if rho is None:
         raise InternalInvariantError(
             "critical value projection came out dominant"
         )
-    # the value-line intersection is principal: fold down to its generator
-    rho = _line_polynomial(line[0])
-    for e in line[1:]:
-        rho = gcd_univar(rho, _line_polynomial(e))
     if rho.degree() < 1:
         return ValueSet.empty()
     return ValueSet.from_rho(rho, (), tolerance)
@@ -276,18 +239,6 @@ class DetectionReport:
     warnings: tuple
     total_millis: float = field(default=0.0, compare=False)
 
-    def approx_values_minus_critical(self, tolerance: float = 1e-8):
-        """Approximate difference s_final minus critical values.
-
-        Numeric matching at the given tolerance; results are approximate
-        and intended for display, not for downstream exact computation.
-        """
-        out = []
-        for v in self.s_final.approx_roots:
-            if all(abs(v - c) > tolerance for c in self.critical.approx_roots):
-                out.append(v)
-        return tuple(out)
-
 
 def _bounds_for(degree: int, n: int) -> BoundsSummary:
     sing = SingularComponentData.empty()
@@ -336,6 +287,106 @@ def _final_warnings(report_runs, s_final: ValueSet, bounds: BoundsSummary):
     return warnings
 
 
+def _detect(f, method, seed, runs, coeff_bound, tolerance, prepare):
+    """The detection driver shared by both methods.
+
+    `prepare()` runs once the input is validated and returns the report's
+    case and the method's sampler.  The sampler is called as
+    `sample(rng, run_seed)` once per attempt and returns either the
+    failing dimension of that attempt (None when the localizing h
+    vanished) or the run's coefficients and its curve pieces.  A piece is
+    `(curve, f_on_curve, escape_vars, dim)`, or a ready value set for a
+    slice without a curve.  Each run gets its own generator, from which
+    failed attempts are resampled up to RETRY_BUDGET times; the values
+    are computed only once an attempt has passed the dimension guard.
+    """
+    _validate_input(f, runs, coeff_bound)
+    n = f.ring.nvars
+    degree = int(f.total_degree())
+    t_total = time.perf_counter()
+    case, sample = prepare()
+
+    records = []
+    for k in range(runs):
+        run_seed = derive_run_seed(seed, k)
+        rng = random.Random(run_seed)
+        t_run = time.perf_counter()
+        attempt_dims = []
+        for attempt in range(1, RETRY_BUDGET + 2):
+            drawn = sample(rng, run_seed)
+            if isinstance(drawn, tuple):
+                break
+            attempt_dims.append(drawn)
+        else:
+            raise DimensionGuardError(
+                "run %d: the polar curves stayed higher-dimensional after %d "
+                "attempts" % (k, RETRY_BUDGET + 1),
+                attempt_dims,
+            )
+        coefficients, pieces = drawn
+        curves = [p for p in pieces if not isinstance(p, ValueSet)]
+        piece_values = [
+            p
+            if isinstance(p, ValueSet)
+            else nonproperness_values(
+                p[0], p[1], escape_vars=p[2], dim=p[3], tolerance=tolerance
+            )
+            for p in pieces
+        ]
+        if len(piece_values) == 1:
+            values = piece_values[0]
+        else:
+            # a run's value set is the union over its slices
+            rho = UnivariatePolynomial.one()
+            for v in piece_values:
+                rho = rho * v.rho
+            flags = frozenset().union(*(v.flags for v in piece_values))
+            values = ValueSet.from_rho(rho, flags, tolerance)
+        if method == "iterated_polar":
+            steps = tuple(
+                StepRecord(index=i, values=v)
+                for i, v in enumerate(piece_values, 1)
+            )
+        else:
+            steps = ()
+        records.append(
+            RunRecord(
+                seed=run_seed,
+                coefficients=coefficients,
+                values=values,
+                dim_w=max((p[3] for p in curves), default=-1),
+                attempts=attempt,
+                steps=steps,
+                millis=(time.perf_counter() - t_run) * 1000.0,
+            )
+        )
+
+    s_rho = intersect_runs([rec.values.rho for rec in records])
+    flag_union = frozenset().union(*(rec.values.flags for rec in records))
+    s_final = ValueSet.from_rho(s_rho, flag_union, tolerance)
+    critical = critical_values(f, tolerance)
+    bounds = _bounds_for(degree, n)
+    warnings = _final_warnings(records, s_final, bounds)
+
+    return DetectionReport(
+        input_text=str(f),
+        variables=f.ring.variables,
+        degree=degree,
+        method=method,
+        case=case,
+        seed=seed,
+        runs_requested=runs,
+        coeff_bound=coeff_bound,
+        tolerance=tolerance,
+        runs=tuple(records),
+        s_final=s_final,
+        critical=critical,
+        bounds=bounds,
+        warnings=tuple(warnings),
+        total_millis=(time.perf_counter() - t_total) * 1000.0,
+    )
+
+
 def run_super_polar(
     f: Polynomial,
     seed: int,
@@ -353,89 +404,37 @@ def run_super_polar(
     combination.  Each run must produce a set of dimension at most one,
     with up to five resamples before giving up.
     """
-    _validate_input(f, runs, coeff_bound)
-    ring = f.ring
-    n = ring.nvars
-    degree = int(f.total_degree())
-    t_total = time.perf_counter()
 
-    special = (not force_general) and is_singular_locus_finite(f)
-    case = "special" if special else "general"
-    partials = [f.partial_derivative(j) for j in range(n)]
+    def prepare():
+        n = f.ring.nvars
+        special = (not force_general) and is_singular_locus_finite(f)
+        partials = [f.partial_derivative(j) for j in range(n)]
 
-    records = []
-    for k in range(runs):
-        run_seed = derive_run_seed(seed, k)
-        rng = random.Random(run_seed)
-        t_run = time.perf_counter()
-        attempt_dims = []
-        accepted = None
-        for attempt in range(1, RETRY_BUDGET + 2):
-            coeffs = sample_super_polar_coefficients(rng, n, coeff_bound, run_seed)
-            curve_base = super_polar_ideal(f, coeffs)
-            if special:
-                curve = curve_base
-                escape = range(n)
-                f_on_curve = f
-            else:
-                h = ring.zero()
+        def sample(rng, run_seed):
+            coeffs = sample_super_polar_coefficients(
+                rng, n, coeff_bound, run_seed
+            )
+            curve = super_polar_ideal(f, coeffs)
+            escape = range(n)
+            f_on_curve = f
+            if not special:
+                h = f.ring.zero()
                 for j in range(n):
                     h = h + coeffs.beta[j] * partials[j]
                 if h.is_zero():
-                    attempt_dims.append(None)
-                    continue
-                curve = with_rabinowitsch(curve_base, h)
+                    return None
+                curve = with_rabinowitsch(curve, h)
                 escape = range(1, n + 1)
                 f_on_curve = lift_polynomial(f, curve.ring)
             dim = affine_dimension(curve)
-            if dim <= 1:
-                accepted = (coeffs, curve, escape, f_on_curve, dim, attempt)
-                break
-            attempt_dims.append(dim)
-        if accepted is None:
-            raise DimensionGuardError(
-                "run %d: curve stayed higher-dimensional after %d attempts"
-                % (k, RETRY_BUDGET + 1),
-                attempt_dims,
-            )
-        coeffs, curve, escape, f_on_curve, dim, attempts = accepted
-        values = nonproperness_values(
-            curve, f_on_curve, escape_vars=escape, tolerance=tolerance
-        )
-        records.append(
-            RunRecord(
-                seed=run_seed,
-                coefficients=coeffs,
-                values=values,
-                dim_w=dim,
-                attempts=attempts,
-                millis=(time.perf_counter() - t_run) * 1000.0,
-            )
-        )
+            if dim > 1:
+                return dim
+            return coeffs, [(curve, f_on_curve, escape, dim)]
 
-    s_rho = intersect_runs([rec.values.rho for rec in records])
-    flag_union = frozenset().union(*(rec.values.flags for rec in records))
-    s_final = ValueSet.from_rho(s_rho, flag_union, tolerance)
-    critical = critical_values(f, tolerance)
-    bounds = _bounds_for(degree, n)
-    warnings = _final_warnings(records, s_final, bounds)
+        return ("special" if special else "general"), sample
 
-    return DetectionReport(
-        input_text=str(f),
-        variables=ring.variables,
-        degree=degree,
-        method="super_polar",
-        case=case,
-        seed=seed,
-        runs_requested=runs,
-        coeff_bound=coeff_bound,
-        tolerance=tolerance,
-        runs=tuple(records),
-        s_final=s_final,
-        critical=critical,
-        bounds=bounds,
-        warnings=tuple(warnings),
-        total_millis=(time.perf_counter() - t_total) * 1000.0,
+    return _detect(
+        f, "super_polar", seed, runs, coeff_bound, tolerance, prepare
     )
 
 
@@ -452,120 +451,44 @@ def run_iterated_polar(
     slice's singular locus.  Per-run value sets are unions over slices;
     runs are intersected as usual.
     """
-    _validate_input(f, runs, coeff_bound)
-    ring = f.ring
-    n = ring.nvars
-    degree = int(f.total_degree())
-    t_total = time.perf_counter()
 
-    records = []
-    for k in range(runs):
-        run_seed = derive_run_seed(seed, k)
-        rng = random.Random(run_seed)
-        t_run = time.perf_counter()
-        attempt_dims = []
-        accepted = None
-        for attempt in range(1, RETRY_BUDGET + 2):
-            matrix = sample_invertible_matrix(rng, n)
-            transformed = f.substitute_linear(matrix)
-            betas = []
-            steps = []
-            max_dim = -1
-            failed_dim = None
-            slice_poly = transformed
-            for i in range(1, n):
-                if i > 1:
-                    slice_poly = slice_poly.restrict_hyperplane(0)
-                slice_ring = slice_poly.ring
-                m = slice_ring.nvars
-                beta = tuple(_nonzero_int(rng, coeff_bound) for _ in range(m))
-                betas.append(beta)
-                if slice_poly.is_constant():
-                    steps.append(
-                        StepRecord(index=i, values=ValueSet.empty({EMPTY_CURVE}))
-                    )
-                    continue
-                polar_gens = [
-                    slice_poly.partial_derivative(j) for j in range(1, m)
-                ]
-                h = slice_ring.zero()
-                for j in range(m):
-                    h = h + beta[j] * slice_poly.partial_derivative(j)
-                if h.is_zero():
-                    steps.append(
-                        StepRecord(index=i, values=ValueSet.empty({EMPTY_CURVE}))
-                    )
-                    continue
-                curve = with_rabinowitsch(Ideal(slice_ring, polar_gens), h)
-                dim = affine_dimension(curve)
-                if dim > 1:
-                    failed_dim = dim
-                    break
-                max_dim = max(max_dim, dim)
-                if dim < 0:
-                    steps.append(
-                        StepRecord(index=i, values=ValueSet.empty({EMPTY_CURVE}))
-                    )
-                    continue
-                values = nonproperness_values(
-                    curve,
-                    lift_polynomial(slice_poly, curve.ring),
-                    escape_vars=range(1, m + 1),
-                    tolerance=tolerance,
-                )
-                steps.append(StepRecord(index=i, values=values))
-            if failed_dim is None:
-                accepted = (matrix, tuple(betas), tuple(steps), max_dim, attempt)
-                break
-            attempt_dims.append(failed_dim)
-        if accepted is None:
-            raise DimensionGuardError(
-                "run %d: slice polar curves stayed higher-dimensional after "
-                "%d attempts" % (k, RETRY_BUDGET + 1),
-                attempt_dims,
-            )
-        matrix, betas, steps, max_dim, attempts = accepted
-        union_rho = UnivariatePolynomial.one()
-        union_flags = set()
-        for step in steps:
-            union_rho = union_rho * step.values.rho
-            union_flags |= step.values.flags
-        values = ValueSet.from_rho(union_rho, union_flags, tolerance)
-        records.append(
-            RunRecord(
-                seed=run_seed,
-                coefficients=IteratedPolarCoefficients(
-                    seed=run_seed, matrix=matrix, betas=betas
-                ),
-                values=values,
-                dim_w=max_dim,
-                attempts=attempts,
-                steps=steps,
-                millis=(time.perf_counter() - t_run) * 1000.0,
-            )
+    def sample(rng, run_seed):
+        matrix = sample_invertible_matrix(rng, f.ring.nvars)
+        slice_poly = f.substitute_linear(matrix)
+        betas = []
+        pieces = []
+        for i in range(1, f.ring.nvars):
+            if i > 1:
+                slice_poly = slice_poly.restrict_hyperplane(0)
+            slice_ring = slice_poly.ring
+            m = slice_ring.nvars
+            beta = tuple(_nonzero_int(rng, coeff_bound) for _ in range(m))
+            betas.append(beta)
+            partials = [slice_poly.partial_derivative(j) for j in range(m)]
+            h = slice_ring.zero()
+            for j in range(m):
+                h = h + beta[j] * partials[j]
+            if h.is_zero():
+                # a constant slice lands here too: all its partials vanish
+                pieces.append(ValueSet.empty({EMPTY_CURVE}))
+                continue
+            curve = with_rabinowitsch(Ideal(slice_ring, partials[1:]), h)
+            dim = affine_dimension(curve)
+            if dim > 1:
+                return dim
+            f_on_curve = lift_polynomial(slice_poly, curve.ring)
+            pieces.append((curve, f_on_curve, range(1, m + 1), dim))
+        coeffs = IteratedPolarCoefficients(
+            seed=run_seed, matrix=matrix, betas=tuple(betas)
         )
+        return coeffs, pieces
 
-    s_rho = intersect_runs([rec.values.rho for rec in records])
-    flag_union = frozenset().union(*(rec.values.flags for rec in records))
-    s_final = ValueSet.from_rho(s_rho, flag_union, tolerance)
-    critical = critical_values(f, tolerance)
-    bounds = _bounds_for(degree, n)
-    warnings = _final_warnings(records, s_final, bounds)
-
-    return DetectionReport(
-        input_text=str(f),
-        variables=ring.variables,
-        degree=degree,
-        method="iterated_polar",
-        case="sliced",
-        seed=seed,
-        runs_requested=runs,
-        coeff_bound=coeff_bound,
-        tolerance=tolerance,
-        runs=tuple(records),
-        s_final=s_final,
-        critical=critical,
-        bounds=bounds,
-        warnings=tuple(warnings),
-        total_millis=(time.perf_counter() - t_total) * 1000.0,
+    return _detect(
+        f,
+        "iterated_polar",
+        seed,
+        runs,
+        coeff_bound,
+        tolerance,
+        lambda: ("sliced", sample),
     )

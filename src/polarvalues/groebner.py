@@ -81,9 +81,6 @@ class GroebnerBasis:
     def contains_one(self) -> bool:
         return any(e.is_constant() and not e.is_zero() for e in self.elements)
 
-    def leading_monomials(self):
-        return tuple(e.leading_monomial(self.order) for e in self.elements)
-
 
 # ---------------------------------------------------------------------------
 # packed monomials
@@ -151,7 +148,7 @@ class _LexCodec:
         for i in self.permutation:
             e = exps[i]
             if e > _MAX_EXPONENT:
-                raise OverflowError("exponent %d exceeds the engine limit" % e)
+                raise ValueError("exponent %d exceeds the engine limit" % e)
             packed = (packed << _SLOT_BITS) | e
         return packed
 
@@ -198,7 +195,7 @@ class _BlockCodec:
         for i in block:
             e = exps[i]
             if e > _MAX_EXPONENT:
-                raise OverflowError("exponent %d exceeds the engine limit" % e)
+                raise ValueError("exponent %d exceeds the engine limit" % e)
             degree += e
         packed = (packed << _SLOT_BITS) | degree
         for i in reversed(block[1:]):

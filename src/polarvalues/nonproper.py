@@ -17,13 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import (
-    GroebnerBasis,
     Ideal,
     affine_dimension,
     buchberger,
     eliminate,
     graded_basis,
-    ideal_dimension,
 )
 from .polynomials import (
     Polynomial,
@@ -210,32 +208,43 @@ def _univariate_in(p: Polynomial, var_index: int) -> UnivariatePolynomial:
     )
 
 
+def value_line(graph: GraphIdeal, seed_basis=None):
+    """The defining polynomial of the graph ideal's intersection with the
+    value line, or None when that intersection is zero."""
+    line = eliminate(graph.ideal, {graph.z_index}, seed_basis=seed_basis)
+    if not line:
+        return None
+    # the intersection with the z-line is principal: fold the generators
+    # down to the single defining polynomial
+    rho = _univariate_in(line[0], graph.z_index)
+    for e in line[1:]:
+        rho = gcd_univar(rho, _univariate_in(e, graph.z_index))
+    return rho
+
+
 def nonproperness_values(
     curve: Ideal,
     f: Polynomial,
     escape_vars=None,
-    gb: GroebnerBasis = None,
+    dim: int = None,
     tolerance: float = 1e-10,
 ) -> ValueSet:
     """Values over which f restricted to the curve V(curve) is not proper.
 
     escape_vars selects which coordinates count as escape directions
     (default: all of them); auxiliary localization variables should be
-    excluded by the caller.  Components where f is constant contribute
-    their value and raise the vertical_component flag; the result is a
-    superset of the exact non-properness set whenever such components are
-    present.
+    excluded by the caller.  dim is the curve's affine dimension when the
+    caller already has it; it is computed otherwise.  Components where f is
+    constant contribute their value and raise the vertical_component flag;
+    the result is a superset of the exact non-properness set whenever such
+    components are present.
     """
     if f.ring != curve.ring:
         raise ValueError("f must live in the curve ideal's ring")
-    if gb is not None:
-        if gb.contains_one():
-            return ValueSet.empty(flags={EMPTY_CURVE})
-        dim = ideal_dimension(gb)
-    else:
+    if dim is None:
         dim = affine_dimension(curve)
-        if dim < 0:
-            return ValueSet.empty(flags={EMPTY_CURVE})
+    if dim < 0:
+        return ValueSet.empty(flags={EMPTY_CURVE})
     if dim > 1:
         raise NotACurveError("ideal has dimension %d, expected at most 1" % dim)
 
@@ -261,15 +270,9 @@ def nonproperness_values(
         elif piece.degree() >= 1:
             rho = rho * piece
 
-    fiber_line = eliminate(graph.ideal, {graph.z_index}, seed_basis=seed)
-    if fiber_line:
-        # the intersection with the z-line is principal: fold the
-        # generators down to the single defining polynomial
-        vertical = _univariate_in(fiber_line[0], graph.z_index)
-        for e in fiber_line[1:]:
-            vertical = gcd_univar(vertical, _univariate_in(e, graph.z_index))
-        if vertical.degree() >= 1:
-            flags.add(VERTICAL_COMPONENT)
-            rho = rho * vertical
+    vertical = value_line(graph, seed_basis=seed)
+    if vertical is not None and vertical.degree() >= 1:
+        flags.add(VERTICAL_COMPONENT)
+        rho = rho * vertical
 
     return ValueSet.from_rho(rho, flags, tolerance)

@@ -149,10 +149,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
 
-    def constant_value(self):
-        """The coefficient of the constant monomial (field zero if absent)."""
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
     def total_degree(self):
         """Largest exponent sum, or -inf for the zero polynomial."""
         if not self.terms:
@@ -405,10 +401,6 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s)" % self
-
-    def to_text(self) -> str:
-        """Canonical text form; reparsing it reproduces the polynomial."""
-        return str(self)
 
 
 def _coeff_text(coeff, factors) -> str:

@@ -250,63 +250,68 @@ def shift(p: UnivariatePolynomial, c) -> UnivariatePolynomial:
     return result
 
 
-def _divisors(n: int):
-    """Positive divisors of |n|, via trial division.
-
-    Factors are located below 10**6; a larger leftover cofactor is kept as a
-    single block, which can only miss divisors of astronomically large inputs.
-    """
-    n = abs(n)
-    assert n >= 1
-    factors = {}
-    for p in _small_factor_candidates(n):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        if n == 1:
-            break
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime**k for d in divs for k in range(mult + 1)]
-    return sorted(set(divs))
-
-
-def _small_factor_candidates(n: int):
-    yield 2
-    p = 3
-    bound = min(math.isqrt(n) + 1, 10**6)
-    while p <= bound:
-        yield p
-        p += 2
-
-
 def rational_roots(p: UnivariatePolynomial):
-    """All exact rational roots, each verified by exact evaluation."""
+    """All exact rational roots, each verified by exact evaluation.
+
+    The rational roots of a squarefree integer polynomial of degree d with
+    leading coefficient lc are y/lc for the integer roots y of its monic
+    transform q(y) = lc^(d-1) * p(y/lc).  Those are found p-adically (Loos,
+    SIAM J. Comput. 12, 1983): the roots of q modulo a small prime at which
+    they are all simple are Hensel-lifted past twice the Cauchy bound of q,
+    and each lifted candidate is checked exactly.
+    """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
-    coeffs = list(p.canonical().coefficients)
+    coeffs = squarefree_part(p).integer_coefficients()
     roots = []
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
-    if low > 0:
+    if coeffs[0] == 0:  # a simple root at zero
         roots.append(Fraction(0))
-        coeffs = coeffs[low:]
+        coeffs = coeffs[1:]
     if len(coeffs) <= 1:
-        return sorted(roots)
-    a0 = int(coeffs[0])
-    ad = int(coeffs[-1])
-    trimmed = UnivariatePolynomial(coeffs)
-    for num in _divisors(a0):
-        for den in _divisors(ad):
-            if math.gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if trimmed(cand) == 0 and cand not in roots:
-                    roots.append(cand)
+        return roots
+    d = len(coeffs) - 1
+    lc = coeffs[-1]
+    q = [c * lc ** (d - 1 - i) for i, c in enumerate(coeffs[:-1])] + [1]
+    dq = [i * c for i, c in enumerate(q)][1:]
+    bound = 1 + max(abs(c) for c in q[:-1])
+    prime, residues = _simple_roots_mod_prime(q, dq)
+    for r in residues:
+        y = _hensel_lift(q, dq, r, prime, 2 * bound)
+        if _horner(q, y) == 0:
+            roots.append(Fraction(y, lc))
     return sorted(roots)
+
+
+def _horner(coeffs, x, modulus=None):
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
+        if modulus is not None:
+            total %= modulus
+    return total
+
+
+def _simple_roots_mod_prime(q, dq):
+    """The first odd prime at which every root of q is simple, with those
+    roots; such a prime exists because q is squarefree."""
+    prime = 3
+    while True:
+        if all(prime % k for k in range(3, math.isqrt(prime) + 1, 2)):
+            residues = [r for r in range(prime) if not _horner(q, r, prime)]
+            if all(_horner(dq, r, prime) for r in residues):
+                return prime, residues
+        prime += 2
+
+
+def _hensel_lift(q, dq, r, prime, bound):
+    """Newton-lift the simple root r of q modulo prime until the modulus
+    exceeds bound; returns the symmetric residue."""
+    modulus = prime
+    while modulus <= bound:
+        modulus *= modulus
+        inverse = pow(_horner(dq, r, modulus), -1, modulus)
+        r = (r - _horner(q, r, modulus) * inverse) % modulus
+    return r - modulus if 2 * r > modulus else r
 
 
 def approx_roots(p: UnivariatePolynomial, tolerance: float = 1e-10):

@@ -225,6 +225,31 @@ class TestMainExitCodes:
         assert main(["x + y", "--vars", "x,y"]) == 4
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["x^40000*y + x", "x^32767*y + x"])
+    def test_exponent_limit_is_2(self, capsys, text):
+        # the engine packs exponents below 2**15; going past it is an
+        # input limit, not an internal error
+        assert main([text, "--vars", "x,y", "--json"]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the engine limit" in err
+        assert "internal error" not in err
+
+    def test_large_rational_critical_values_listed(self, capsys):
+        # (x^3 - 3*x + y^2)(x + 2*y, 2*y) + c has critical values c - 2 and
+        # c + 2, whose numerators are far beyond trial division
+        text = (
+            "x^3 + 6*x^2*y + 12*x*y^2 + 8*y^3 + 4*y^2 - 3*x - 6*y"
+            " + 638828141659/776"
+        )
+        argv = [text, "--vars", "x,y", "--method", "both", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        c = Fraction(638828141659, 776)
+        for report in payload["reports"]:
+            roots = report["critical_values"]["roots"]["rational"]
+            assert [Fraction(r) for r in roots] == [c - 2, c + 2]
+            assert report["s_final"]["roots"]["rational"] == []
+
     def test_method_both_text(self, capsys):
         assert main(
             ["x + x^2*y", "--vars", "x,y", "--method", "both", "--runs", "1"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polarvalues.fields import QQ
-from polarvalues.groebner import Ideal, buchberger
+from polarvalues.groebner import Ideal
 from polarvalues.nonproper import (
     EMPTY_CURVE,
     VERTICAL_COMPONENT,
@@ -146,11 +146,19 @@ class TestNonProperness:
         assert vs.exact_rational_roots == (Fraction(3),)
         assert VERTICAL_COMPONENT in vs.flags
 
-    def test_explicit_gb_accepted(self):
+    def test_explicit_dim_accepted(self):
         ideal = Ideal(R2, [X * Y - 1])
-        gb = buchberger(ideal)
-        vs = nonproperness_values(ideal, X, gb=gb)
+        vs = nonproperness_values(ideal, X, dim=1)
         assert vs.exact_rational_roots == (Fraction(0),)
+
+    def test_explicit_dim_is_trusted(self):
+        # a caller-supplied dimension replaces the count: -1 means empty,
+        # above 1 is rejected, without looking at the ideal again
+        ideal = Ideal(R2, [X * Y - 1])
+        vs = nonproperness_values(ideal, X, dim=-1)
+        assert vs.is_empty() and EMPTY_CURVE in vs.flags
+        with pytest.raises(NotACurveError):
+            nonproperness_values(ideal, X, dim=2)
 
     def test_escape_vars_subset(self):
         # only watch the y direction: x cannot escape along it without

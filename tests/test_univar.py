@@ -94,6 +94,49 @@ class TestRoots:
         assert set(rational_roots(P(0, 1))) == {Fraction(0)}
         assert set(rational_roots(P(0, 0, 5))) == {Fraction(0)}
 
+    def test_rational_roots_beyond_trial_division(self):
+        # two roots above 10**6 whose product is no small-factor composite
+        p = P(-1000003, 1) * P(-1000033, 1)
+        assert rational_roots(p) == [Fraction(1000003), Fraction(1000033)]
+
+    def test_rational_roots_huge_fractions(self):
+        a, b = Fraction(10**40 + 1, 7), Fraction(-(5 * 10**20 + 1), 3)
+        p = P(-a.numerator, a.denominator) * P(-b.numerator, b.denominator)
+        assert rational_roots(p * P(1, 1, 1)) == [b, a]
+
+    def test_rational_roots_colliding_mod_small_primes(self):
+        # the roots agree modulo every prime below 50, so each of those
+        # primes sees a multiple root and a larger prime must be used
+        m = 1
+        for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            m *= q
+        p = P(-m, 1) * P(-2 * m, 1) * P(3 * m, 1) * P(-7, 2)
+        expected = [Fraction(-3 * m), Fraction(7, 2), Fraction(m), Fraction(2 * m)]
+        assert rational_roots(p) == expected
+
+    def test_rational_roots_repeated(self):
+        p = P(-2, 1) * P(-2, 1) * P(-2, 1) * P(1, 3) * P(1, 3)
+        assert rational_roots(p) == [Fraction(-1, 3), Fraction(2)]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-10**15, max_value=10**15),
+                st.integers(min_value=1, max_value=10**6),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rational_roots_from_known_factors(self, pairs, c):
+        # linear factors with known roots times z^2 + c, which has none
+        p = P(c, 0, 1)
+        for num, den in pairs:
+            p = p * P(-num, den)
+        assert rational_roots(p) == sorted({Fraction(a, b) for a, b in pairs})
+
     def test_approx_roots_cover_all(self):
         p = P(-1, 0, 1) * P(1, 0, 1)  # +-1, +-i
         roots, converged = approx_roots_with_status(p, 1e-10)
