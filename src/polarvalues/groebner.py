@@ -968,9 +968,13 @@ def eliminate(ideal: Ideal, keep, seed_basis=None) -> list:
     whole chain starts from a graded basis of the input.  One-at-a-time
     elimination keeps the intermediate staircases far smaller than a single
     lex-style computation while producing generators of the same
-    elimination ideal.  `seed_basis`, when given, must generate the same
-    ideal and replaces the initial graded-basis computation.  Returns [1]
-    when 1 is in the ideal.
+    elimination ideal.  `seed_basis`, when given, replaces the initial
+    graded-basis computation: it must be a reduced graded basis (as
+    `graded_basis` and `eliminate` return) of the ideal's intersection with
+    any subring that contains the kept variables.  A variable that no
+    current generator involves has already been eliminated, so its stage is
+    skipped; chains that share a prefix of dropped variables can thus
+    continue from that prefix's result.  Returns [1] when 1 is in the ideal.
     """
     ring = ideal.ring
     n = ring.nvars
@@ -986,6 +990,8 @@ def eliminate(ideal: Ideal, keep, seed_basis=None) -> list:
             elems = _groebner_elems(ideal, codec)
             current = [_from_engine(t, codec, ring) for t in elems]
         for i in drop:
+            if not any(i in p.support_variables() for p in current):
+                continue
             codec = _BlockCodec(
                 (i,), tuple(j for j in range(n) if j != i)
             )

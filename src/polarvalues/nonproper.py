@@ -137,9 +137,10 @@ def fiber_relation(
     The graph ideal is intersected with the (x_i, z)-subring; the reduced
     lex basis (x_i > z) of that intersection is computed in two variables
     and its element of minimal x_i-degree is returned, living in a fresh
-    two-variable ring (x_i, z).  `seed_elements` may supply an alternative
-    generating set of the graph ideal (typically a precomputed graded
-    basis) to share work across several projections.  Raises NotACurveError
+    two-variable ring (x_i, z).  `seed_elements` may supply a precomputed
+    reduced graded basis of the graph ideal's intersection with any subring
+    containing x_i and z (as `graded_basis` and `eliminate` return), to
+    share work across several projections.  Raises NotACurveError
     when the intersection is zero, which cannot happen for the graph of a
     map on a curve.
     """
@@ -222,6 +223,28 @@ def value_line(graph: GraphIdeal, seed_basis=None):
     return rho
 
 
+def _stage_basis(graph: GraphIdeal, drop, stages) -> list:
+    """Reduced graded basis of the graph ideal with the variables in `drop`
+    eliminated.
+
+    The variables are dropped one stage at a time in ascending index order,
+    the order `eliminate` uses.  `stages` maps every set of dropped
+    variables computed so far to its basis (the empty set to the graded
+    seed), so a chain continues from its longest computed prefix and no
+    stage is computed twice.
+    """
+    everything = frozenset(range(graph.ring.nvars))
+    done = frozenset()
+    for i in sorted(drop):
+        step = done | {i}
+        if step not in stages:
+            stages[step] = eliminate(
+                graph.ideal, everything - step, seed_basis=stages[done]
+            )
+        done = step
+    return stages[done]
+
+
 def nonproperness_values(
     curve: Ideal,
     f: Polynomial,
@@ -238,6 +261,13 @@ def nonproperness_values(
     constant contribute their value and raise the vertical_component flag;
     the result is a superset of the exact non-properness set whenever such
     components are present.
+
+    The fiber relations come from elimination chains that start at one
+    graded basis of the graph ideal and share every stage they have in
+    common.  The value line (the graph ideal's intersection with the
+    z-line) needs no chain of its own: it is nonzero exactly when a fiber
+    relation is free of its x_i, and that relation is its generator.  Only
+    with no escape variables is the value line eliminated directly.
     """
     if f.ring != curve.ring:
         raise ValueError("f must live in the curve ideal's ring")
@@ -249,8 +279,7 @@ def nonproperness_values(
         raise NotACurveError("ideal has dimension %d, expected at most 1" % dim)
 
     graph = graph_ideal(curve, f)
-    # one compact graded basis of the graph ideal seeds every projection
-    seed = graded_basis(graph.ideal)
+    stages = {frozenset(): graded_basis(graph.ideal)}
 
     if escape_vars is None:
         escape_vars = range(curve.ring.nvars)
@@ -258,21 +287,25 @@ def nonproperness_values(
 
     flags = set()
     rho = UnivariatePolynomial.one()
+    line = None
     for i in escape_vars:
-        rel = fiber_relation(graph, i, seed_elements=seed)
-        coeff = leading_coeff_in(rel, 0)
-        piece = _univariate_in(coeff, 1) if rel.degree_in(0) else _univariate_in(
-            rel, 1
+        others = [j for j in range(curve.ring.nvars) if j != i]
+        rel = fiber_relation(
+            graph, i, seed_elements=_stage_basis(graph, others, stages)
         )
-        if rel.degree_in(0) == 0:
+        if rel.degree_in(0):
+            piece = _univariate_in(leading_coeff_in(rel, 0), 1)
+            if piece.degree() >= 1:
+                rho = rho * piece
+        else:
+            line = _univariate_in(rel, 1)
             flags.add(VERTICAL_COMPONENT)
-            rho = rho * piece
-        elif piece.degree() >= 1:
-            rho = rho * piece
+            rho = rho * line
 
-    vertical = value_line(graph, seed_basis=seed)
-    if vertical is not None and vertical.degree() >= 1:
+    if not escape_vars:
+        line = value_line(graph, seed_basis=stages[frozenset()])
+    if line is not None and line.degree() >= 1:
         flags.add(VERTICAL_COMPONENT)
-        rho = rho * vertical
+        rho = rho * line
 
     return ValueSet.from_rho(rho, flags, tolerance)

@@ -14,6 +14,9 @@ from fractions import Fraction
 
 ABERTH_ITERATION_CAP = 200
 ABERTH_ANGLE_OFFSET = 0.4
+# past this binary exponent a coefficient, or a root's power z**deg, may
+# leave the float range
+FLOAT_EXPONENT_CAP = 960
 
 
 class UnivariatePolynomial:
@@ -324,14 +327,65 @@ def approx_roots(p: UnivariatePolynomial, tolerance: float = 1e-10):
     return roots
 
 
+def _exponent_bound(c: Fraction) -> int:
+    """An integer e with |c| < 2**e, for nonzero c."""
+    return c.numerator.bit_length() - c.denominator.bit_length() + 1
+
+
+def _float_shift(coefficients):
+    """None when plain float arithmetic can hold the polynomial and its
+    roots; otherwise the exponent s for which every coefficient of the
+    monic polynomial in w = z / 2**s is below 1 in absolute value, so that
+    every root has |w| < 2 (Fujiwara's bound)."""
+    deg = len(coefficients) - 1
+    lead = coefficients[-1]
+    shift = max(
+        (
+            -(-_exponent_bound(c / lead) // (deg - i))
+            for i, c in enumerate(coefficients[:-1])
+            if c
+        ),
+        default=0,
+    )
+    if shift * deg <= FLOAT_EXPONENT_CAP and all(
+        abs(_exponent_bound(c)) <= FLOAT_EXPONENT_CAP for c in coefficients if c
+    ):
+        return None
+    return shift
+
+
+def _ldexp_or_inf(x: float, shift: int):
+    """(x * 2**shift, True), or a signed infinity and False on overflow."""
+    try:
+        return math.ldexp(x, shift), True
+    except OverflowError:
+        return math.copysign(math.inf, x), False
+
+
 def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
-    """(roots, converged): converged means every residual met the tolerance."""
+    """(roots, converged): converged means every residual met the tolerance.
+
+    A polynomial whose coefficients or roots would leave the float range is
+    solved for w = z / 2**s instead, its monic coefficients scaled exactly
+    before they are rounded to floats and its residuals judged relative to
+    the polynomial's size at each root.  A root 2**s * w that still does
+    not fit a float comes back with infinite parts and counts as
+    unconverged.
+    """
     deg = p.degree()
     if deg < 1:
         raise ValueError("need degree >= 1 to approximate roots")
-    coeffs = [complex(c) for c in p.coefficients]
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
+    shift = _float_shift(p.coefficients)
+    if shift is None:
+        coeffs = [complex(c) for c in p.coefficients]
+        lead = coeffs[-1]
+        monic = [c / lead for c in coeffs]
+    else:
+        lead = p.coefficients[-1]
+        monic = [
+            complex(c / lead * Fraction(2) ** (shift * (i - deg)))
+            for i, c in enumerate(p.coefficients)
+        ]
     dp = [c * i for i, c in enumerate(monic)][1:]
     radius = 1.0 + max(abs(c) for c in monic[:-1]) if deg >= 1 else 1.0
     points = [
@@ -340,6 +394,9 @@ def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
         for k in range(deg)
     ]
     scale_coeffs = [abs(c) for c in monic]
+    # after scaling, the largest roots sit near 1: an absolute floor would
+    # pass any approximation of a root far below them
+    floor = 1.0 if shift is None else 0.0
 
     def _eval(cs, x):
         total = 0j
@@ -354,7 +411,7 @@ def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
         for c in scale_coeffs:
             scale += c * powv
             powv *= ax
-        return abs(_eval(monic, x)) <= tolerance * max(scale, 1.0)
+        return abs(_eval(monic, x)) <= tolerance * max(scale, floor)
 
     converged = False
     for _ in range(ABERTH_ITERATION_CAP):
@@ -389,5 +446,11 @@ def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
             break
     if not converged:
         converged = all(_residual_ok(z) for z in points)
+    if shift:
+        for k, w in enumerate(points):
+            re, re_fits = _ldexp_or_inf(w.real, shift)
+            im, im_fits = _ldexp_or_inf(w.imag, shift)
+            points[k] = complex(re, im)
+            converged = converged and re_fits and im_fits
     ordered = sorted(points, key=lambda z: (z.real, z.imag))
     return ordered, converged

@@ -250,6 +250,16 @@ class TestMainExitCodes:
             assert [Fraction(r) for r in roots] == [c - 2, c + 2]
             assert report["s_final"]["roots"]["rational"] == []
 
+    def test_critical_value_beyond_float_range(self, capsys):
+        # the critical value 10^400 does not fit a float: the report still
+        # succeeds and lists it exactly
+        big = 10**400
+        argv = ["x^2 + y^2 + %d" % big, "--vars", "x,y", "--runs", "1"]
+        assert main(argv + ["--json"]) == 0
+        critical = json.loads(capsys.readouterr().out)["critical_values"]
+        assert critical["roots"]["rational"] == [str(big)]
+        assert len(critical["roots"]["approx"]) == 1
+
     def test_method_both_text(self, capsys):
         assert main(
             ["x + x^2*y", "--vars", "x,y", "--method", "both", "--runs", "1"]

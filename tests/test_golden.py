@@ -27,6 +27,13 @@ FIXTURES = {
         "x + x^2*y", "--vars", "x,y,u", "--method", "iterated_polar",
         "--runs", "1", "--coeff-bound", "5",
     ],
+    # one fiber-relation chain per variable of a three-variable curve
+    "x_plus_x2y_xyu_super_polar": [
+        "x + x^2*y", "--vars", "x,y,u", "--method", "super_polar",
+        "--runs", "1", "--coeff-bound", "5",
+    ],
+    # non-finite singular locus: the localized curve shares its t stage
+    "x2y_both": ["x^2*y", "--vars", "x,y", "--method", "both"],
 }
 
 

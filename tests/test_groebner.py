@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarvalues.fields import QQ, PrimeField
 from polarvalues.groebner import (
@@ -187,6 +188,21 @@ class TestElimination:
     def test_eliminate_unit_ideal(self):
         out = eliminate(Ideal(R2, [X, X - R2.one()]), {1})
         assert len(out) == 1 and out[0].is_constant()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sets(st.integers(min_value=0, max_value=2), min_size=1),
+        st.sets(st.integers(min_value=0, max_value=2)),
+    )
+    def test_seed_from_a_larger_subring(self, seed, keep, extra):
+        # continuing from the elimination onto keep + extra skips the stages
+        # already done and ends where the whole chain ends
+        rng = random.Random(seed)
+        gens = [rand_poly(rng, R3, max_deg=2) for _ in range(rng.randint(1, 3))]
+        ideal = Ideal(R3, gens)
+        prefix = eliminate(ideal, keep | extra)
+        assert eliminate(ideal, keep, seed_basis=prefix) == eliminate(ideal, keep)
 
     def test_roots_contained_in_resultant_roots(self):
         """Elimination-based projection against the Sylvester oracle."""

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from polarvalues import groebner
 from polarvalues.fields import QQ
-from polarvalues.groebner import Ideal
+from polarvalues.groebner import Ideal, with_rabinowitsch
 from polarvalues.nonproper import (
     EMPTY_CURVE,
     VERTICAL_COMPONENT,
@@ -15,12 +17,15 @@ from polarvalues.nonproper import (
     graph_ideal,
     leading_coeff_in,
     nonproperness_values,
+    value_line,
 )
-from polarvalues.polynomials import PolynomialRing
+from polarvalues.polynomials import Polynomial, PolynomialRing
 from polarvalues.univar import UnivariatePolynomial
 
 R2 = PolynomialRing(("x", "y"), QQ)
 X, Y = R2.variable("x"), R2.variable("y")
+R3 = PolynomialRing(("x", "y", "u"), QQ)
+X3, Y3, U3 = (R3.variable(v) for v in ("x", "y", "u"))
 
 
 def U(*coeffs):
@@ -177,3 +182,134 @@ class TestNonProperness:
         # bounded-away values stay proper: no finite non-properness values
         vs = nonproperness_values(Ideal(R2, [Y - X**2]), X)
         assert vs.is_empty()
+
+
+def _in_z(p):
+    """A polynomial of the (x_i, z) ring that involves z only, as a
+    univariate polynomial."""
+    coeffs = {m[1]: c for m, c in p.terms.items()}
+    return UnivariatePolynomial([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+
+
+def unshared_values(curve, f, escape_vars=None):
+    """Reference: one full elimination chain per escape variable from the
+    graph ideal itself, and one more for the value line."""
+    graph = graph_ideal(curve, f)
+    if escape_vars is None:
+        escape_vars = range(curve.ring.nvars)
+    flags, rho = set(), U(1)
+    for i in escape_vars:
+        rel = fiber_relation(graph, i)
+        if rel.degree_in(0):
+            rho = rho * _in_z(leading_coeff_in(rel, 0))
+        else:
+            flags.add(VERTICAL_COMPONENT)
+            rho = rho * _in_z(rel)
+    line = value_line(graph)
+    if line is not None and line.degree() >= 1:
+        flags.add(VERTICAL_COMPONENT)
+        rho = rho * line
+    return ValueSet.from_rho(rho, flags)
+
+
+@st.composite
+def plane_polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        exps = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        terms[exps] = Fraction(draw(st.integers(-3, 3)))
+    return Polynomial(R2, {m: c for m, c in terms.items() if c})
+
+
+class TestSharedStages:
+    """The value line read off the fiber relations, and stages shared
+    between the chains, give the values of unshared chains."""
+
+    CASES = {
+        "hyperbola": (Ideal(R2, [X * Y - 1]), X + Y),
+        "two_points": (Ideal(R2, [X**2 - 1, Y - X]), Y),
+        "constant_map": (Ideal(R2, [X * Y - 1]), X * Y),
+        # the y-axis maps properly, the line y = 1 is vertical
+        "vertical_and_not": (Ideal(R2, [X * (Y - 1)]), Y),
+        "space_curve": (Ideal(R3, [X3 * Y3 - 1, U3 - X3**2]), X3 + U3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_unshared_chains(self, name):
+        curve, f = self.CASES[name]
+        assert nonproperness_values(curve, f) == unshared_values(curve, f)
+
+    def test_value_line_read_off(self):
+        # f is constant on each of the two points: every fiber relation is
+        # free of its x_i and generates the value line z^2 - 1
+        vs = nonproperness_values(Ideal(R2, [X**2 - 1, Y - X]), Y)
+        assert vs.rho == U(-1, 0, 1)
+        assert vs.flags == frozenset({VERTICAL_COMPONENT})
+
+    def test_vertical_line_beside_a_dominant_one(self):
+        # the y-axis maps onto the whole value line, so the value line of
+        # the graph is zero; x escapes along y = 1, which the x relation
+        # x*(z - 1) records through its leading coefficient
+        vs = nonproperness_values(Ideal(R2, [X * (Y - 1)]), Y)
+        assert vs.rho == U(-1, 1)
+        assert vs.flags == frozenset()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_no_escape_vars_keeps_value_line(self, name):
+        curve, f = self.CASES[name]
+        vs = nonproperness_values(curve, f, escape_vars=[])
+        assert vs == unshared_values(curve, f, escape_vars=[])
+
+    def test_no_escape_vars_values(self):
+        # only the value line is left to report
+        points = nonproperness_values(
+            Ideal(R2, [X**2 - 1, Y - X]), Y, escape_vars=[]
+        )
+        assert points.rho == U(-1, 0, 1)
+        assert points.flags == frozenset({VERTICAL_COMPONENT})
+        assert nonproperness_values(
+            Ideal(R2, [X * (Y - 1)]), Y, escape_vars=[]
+        ) == ValueSet.empty()
+
+    @settings(max_examples=25, deadline=None)
+    @given(plane_polys(), plane_polys(), st.sampled_from([None, [0], [1]]))
+    def test_random_plane_curves(self, g, f, escape_vars):
+        assume(not g.is_constant())
+        curve = Ideal(R2, [g])
+        assert nonproperness_values(curve, f, escape_vars) == unshared_values(
+            curve, f, escape_vars
+        )
+
+
+@pytest.fixture
+def stage_count(monkeypatch):
+    """Counts the one-variable elimination stages: Groebner computations
+    under a block order whose leading block is a single variable."""
+    count = [0]
+    inner = groebner._groebner_elems
+
+    def counting(ideal, codec):
+        if isinstance(codec, groebner._BlockCodec) and len(codec.leading) == 1:
+            count[0] += 1
+        return inner(ideal, codec)
+
+    monkeypatch.setattr(groebner, "_groebner_elems", counting)
+    return count
+
+
+class TestStageCount:
+    def test_three_variable_curve(self, stage_count):
+        # chains keep {x}, {y}, {u}: the stages dropping {y}, {y, u}, {x},
+        # {x, u} and {x, y}; the value line needs none of its own
+        curve = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2])
+        vs = nonproperness_values(curve, X3 + U3, dim=1)
+        assert vs.rho == U(0, 1)
+        assert stage_count[0] == 5
+
+    def test_localized_curve_drops_t_once(self, stage_count):
+        # in (t, x, y) the chains for x and y share the stage dropping t
+        curve = with_rabinowitsch(Ideal(R2, [X * Y - 1]), X)
+        f = curve.ring.variable("x")
+        vs = nonproperness_values(curve, f, escape_vars=[1, 2], dim=1)
+        assert vs.rho == U(0, 1)
+        assert stage_count[0] == 3

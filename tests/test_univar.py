@@ -150,6 +150,31 @@ class TestRoots:
         roots = approx_roots(P(-4, 0, 1))
         assert sorted(round(r.real) for r in roots) == [-2, 2]
 
+    def test_approx_root_beyond_float_range(self):
+        # z - 10^400: its coefficients and root do not fit a float; the
+        # root is still listed, as an infinity, and marked unconverged
+        roots, converged = approx_roots_with_status(P(-(10**400), 1))
+        assert roots == [complex(float("inf"), 0.0)]
+        assert not converged
+
+    def test_approx_roots_of_huge_coefficients(self):
+        # z^3 - 2^3000 has roots of modulus 2^1000, which floats hold,
+        # though its constant term does not
+        roots, converged = approx_roots_with_status(P(-(2**3000), 0, 0, 1))
+        assert converged
+        assert len(roots) == 3
+        for r in roots:
+            assert abs(abs(r) / 2.0**1000 - 1) < 1e-9
+        assert max(r.real for r in roots) == pytest.approx(2.0**1000)
+
+    def test_approx_roots_far_apart(self):
+        # (z - 1)(z - 10^200): z^2 leaves the float range near the large
+        # root, and the small one must not be lost beside it
+        roots, converged = approx_roots_with_status(P(-1, 1) * P(-(10**200), 1))
+        assert converged
+        assert roots[0] == pytest.approx(1, rel=1e-9)
+        assert roots[1] == pytest.approx(1e200, rel=1e-9)
+
 
 class TestShift:
     def test_shift_moves_roots_forward(self):
