@@ -261,7 +261,9 @@ def _validate_input(f: Polynomial, runs: int, coeff_bound: int):
         raise ValueError("coefficient bound must be at least 2")
 
 
-def _final_warnings(report_runs, s_final: ValueSet, bounds: BoundsSummary):
+def _final_warnings(
+    report_runs, s_final: ValueSet, critical: ValueSet, bounds: BoundsSummary
+):
     warnings = []
     for k, rec in enumerate(report_runs):
         if rec.attempts > 1:
@@ -273,6 +275,12 @@ def _final_warnings(report_runs, s_final: ValueSet, bounds: BoundsSummary):
             warnings.append(
                 "run %d: numeric root refinement did not meet tolerance"
                 % k
+            )
+    for name, values in (("final", s_final), ("critical", critical)):
+        if not values.approx_converged:
+            warnings.append(
+                "%s values: numeric root refinement did not meet tolerance"
+                % name
             )
     if any(VERTICAL_COMPONENT in rec.values.flags for rec in report_runs):
         warnings.append(
@@ -366,7 +374,7 @@ def _detect(f, method, seed, runs, coeff_bound, tolerance, prepare):
     s_final = ValueSet.from_rho(s_rho, flag_union, tolerance)
     critical = critical_values(f, tolerance)
     bounds = _bounds_for(degree, n)
-    warnings = _final_warnings(records, s_final, bounds)
+    warnings = _final_warnings(records, s_final, critical, bounds)
 
     return DetectionReport(
         input_text=str(f),

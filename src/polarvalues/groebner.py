@@ -1,15 +1,16 @@
 """Groebner bases via Buchberger's algorithm, with elimination, dimension,
 and localization helpers.
 
-Engine internals: monomials are encoded as single integers whose slot
-layout realizes the active monomial order, so comparison is native integer
-comparison; divisibility is tested on a companion plain packing with a
-two-operation guard-bit trick.  Two order families are provided: pure
-lexicographic orders (the public interface) and internal block orders that
-are degree-graded inside each block.  A block order with the eliminated
-variables in the leading block yields the same elimination ideal as a pure
-lex order but with far smaller intermediate bases, which is what makes the
-curve projections in this package tractable.
+Engine internals: monomials are encoded as single integers whose high
+slots realize the active monomial order, so comparison is native integer
+comparison, and whose low slots are a plain packing of the exponents, on
+which divisibility is tested with a two-operation guard-bit trick.  One
+family of orders covers every use: blocks of variables compared in
+sequence, each degree-graded and reverse-lex inside.  Singleton blocks give
+the pure lexicographic orders of the public interface; a leading block
+holding just the eliminated variable yields the same elimination ideal as
+a pure lex order but with far smaller intermediate bases, which is what
+makes the curve projections in this package tractable.
 
 Pair management uses the standard update procedure with the coprime and
 chain pruning criteria; pairs are selected by phantom-homogeneous degree
@@ -85,11 +86,11 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 # packed monomials
 #
-# plain packing: 16 bits per variable, most significant slot first; the top
-# bit of each slot is a guard used by the divisibility test, so exponents
-# stay below 2**15.  Key packing realizes the monomial order: integer
-# comparison of keys must equal the order comparison, and keys must be
-# affine-linear in the exponents so the engine can move monomials around
+# plain packing: 16 bits per variable, variable 0 in the most significant
+# slot; the top bit of each slot is a guard used by the divisibility test,
+# so exponents stay below 2**15.  Key packing realizes the monomial order:
+# integer comparison of keys must equal the order comparison, and keys must
+# be affine-linear in the exponents so the engine can move monomials around
 # with plain integer additions of key differences.
 
 
@@ -112,7 +113,12 @@ def _guard_mask(n: int) -> int:
 
 
 def _pdivides(a: int, b: int, guard: int) -> bool:
-    """Slot-wise a <= b on plain packings: monomial a divides monomial b."""
+    """Slot-wise a <= b on plain packings: monomial a divides monomial b.
+
+    No borrow leaves a slot, and the low bits of a difference depend only
+    on the low bits of its operands, so keys (whose low slots are their
+    plain packing) may stand for either argument.
+    """
     return ((b | guard) - a) & guard == guard
 
 
@@ -134,130 +140,59 @@ def _pdegree(m: int) -> int:
     return total
 
 
-class _LexCodec:
-    """Pure lex order given by a permutation (biggest variable first)."""
+class _Codec:
+    """Block order: blocks compare in sequence, each by its degree and then
+    reverse-lex inside it.
 
-    def __init__(self, permutation):
-        self.permutation = tuple(permutation)
-        self.nvars = len(self.permutation)
+    Singleton blocks give a lex order, one block the graded reverse-lex
+    order.  With ((i,), rest), any monomial involving variable i beats
+    every monomial free of it, so the basis elements free of i form a basis
+    of the elimination ideal, exactly as with lex.
+
+    A key is the order slots (per block: its degree, then the complements
+    of its last variable down to its second) shifted above the plain
+    packing.  Its low slots are thus the plain packing itself.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = tuple(tuple(b) for b in blocks)
+        self.nvars = sum(len(b) for b in self.blocks)
+        if sorted(i for b in self.blocks for i in b) != list(range(self.nvars)):
+            raise ValueError("blocks must partition the variables")
         self.guard = _guard_mask(self.nvars)
-        self.one_key = 0
+        self.plain_bits = _SLOT_BITS * self.nvars
+        self.mask = (1 << self.plain_bits) - 1
+        self.one_key = self.pack((0,) * self.nvars)
 
     def pack(self, exps) -> int:
-        packed = 0
-        for i in self.permutation:
-            e = exps[i]
+        plain = 0
+        for e in exps:
             if e > _MAX_EXPONENT:
                 raise ValueError("exponent %d exceeds the engine limit" % e)
-            packed = (packed << _SLOT_BITS) | e
-        return packed
+            plain = (plain << _SLOT_BITS) | e
+        order = 0
+        for block in self.blocks:
+            order = (order << _SLOT_BITS) | sum(exps[i] for i in block)
+            for i in reversed(block[1:]):
+                order = (order << _SLOT_BITS) | (_COMPLEMENT - exps[i])
+        return (order << self.plain_bits) | plain
 
     def unpack(self, key: int):
+        """Exponents read off the low slots; a plain packing works too."""
         exps = [0] * self.nvars
-        for i in reversed(self.permutation):
+        for i in range(self.nvars - 1, -1, -1):
             exps[i] = key & _SLOT_MASK
             key >>= _SLOT_BITS
         return tuple(exps)
 
-    @staticmethod
-    def plain(key: int) -> int:
-        return key
-
-    @staticmethod
-    def key_from_plain(plain: int) -> int:
-        return plain
-
-    @staticmethod
-    def degree(key: int) -> int:
-        return _pdegree(key)
-
-
-class _BlockCodec:
-    """Two-block order, degree-graded and reverse-lex inside each block.
-
-    Any monomial touching the leading block beats every monomial supported
-    on the trailing block alone, so basis elements supported on the trailing
-    block form a basis of the elimination ideal, exactly as with lex.
-    """
-
-    def __init__(self, leading, trailing):
-        self.leading = tuple(leading)
-        self.trailing = tuple(trailing)
-        self.sequence = self.leading + self.trailing
-        self.nvars = len(self.sequence)
-        if len(set(self.sequence)) != self.nvars:
-            raise ValueError("blocks must partition the variables")
-        self.guard = _guard_mask(self.nvars)
-        self.one_key = self.pack((0,) * self.nvars)
-
-    def _pack_block(self, exps, block, packed):
-        degree = 0
-        for i in block:
-            e = exps[i]
-            if e > _MAX_EXPONENT:
-                raise ValueError("exponent %d exceeds the engine limit" % e)
-            degree += e
-        packed = (packed << _SLOT_BITS) | degree
-        for i in reversed(block[1:]):
-            packed = (packed << _SLOT_BITS) | (_COMPLEMENT - exps[i])
-        return packed
-
-    def pack(self, exps) -> int:
-        packed = 0
-        if self.leading:
-            packed = self._pack_block(exps, self.leading, packed)
-        if self.trailing:
-            packed = self._pack_block(exps, self.trailing, packed)
-        return packed
-
-    def _unpack_block(self, slots, block, exps):
-        # slots follow pack order: degree first, then complements of the
-        # block's last variable down to its second variable
-        degree = slots[0]
-        rest = 0
-        for pos, i in enumerate(reversed(block[1:])):
-            e = _COMPLEMENT - slots[1 + pos]
-            exps[i] = e
-            rest += e
-        exps[block[0]] = degree - rest
-
-    def unpack(self, key: int):
-        nslots = self.nvars
-        slots = [0] * nslots
-        for k in range(nslots - 1, -1, -1):
-            slots[k] = key & _SLOT_MASK
-            key >>= _SLOT_BITS
-        exps = [0] * self.nvars
-        pos = 0
-        for block in (self.leading, self.trailing):
-            if not block:
-                continue
-            width = len(block)
-            self._unpack_block(slots[pos : pos + width], block, exps)
-            pos += width
-        return tuple(exps)
-
     def plain(self, key: int) -> int:
-        exps = self.unpack(key)
-        packed = 0
-        for i in self.sequence:
-            packed = (packed << _SLOT_BITS) | exps[i]
-        return packed
+        return key & self.mask
 
     def key_from_plain(self, plain: int) -> int:
-        exps = [0] * self.nvars
-        for i in reversed(self.sequence):
-            exps[i] = plain & _SLOT_MASK
-            plain >>= _SLOT_BITS
-        return self.pack(exps)
+        return self.pack(self.unpack(plain))
 
     def degree(self, key: int) -> int:
-        top = (self.nvars - 1) * _SLOT_BITS
-        total = (key >> top) & _SLOT_MASK
-        if self.leading and self.trailing:
-            pos = (self.nvars - 1 - len(self.leading)) * _SLOT_BITS
-            total += (key >> pos) & _SLOT_MASK
-        return total
+        return _pdegree(key & self.mask)
 
 
 def _to_engine(p: Polynomial, codec):
@@ -325,13 +260,7 @@ class _IntegerArith:
         """Reducer record with a cheapness key (term count, coefficient size)."""
         lt = max(terms)
         lc = terms[lt]
-        return (
-            lt,
-            self.codec.plain(lt),
-            lc,
-            terms,
-            (len(terms), abs(lc).bit_length()),
-        )
+        return (lt, lc, terms, (len(terms), abs(lc).bit_length()))
 
     def spoly(self, f, g):
         """S-polynomial of term dicts, integer-scaled to avoid fractions."""
@@ -364,9 +293,7 @@ class _IntegerArith:
         multiplier keeps emitted head terms exact, so reduction chains never
         accumulate spurious integer factors.
         """
-        codec = self.codec
-        guard = codec.guard
-        plain = codec.plain
+        guard = self.codec.guard
         work = dict(target)
         result = {}
         multiplier = Fraction(1)
@@ -382,17 +309,16 @@ class _IntegerArith:
                 multiplier /= g
             m = max(work)
             c = work[m]
-            pm = plain(m)
             hit = None
             for red in reducers:
-                if _pdivides(red[1], pm, guard):
+                if _pdivides(red[0], m, guard):
                     hit = red
                     break
             if hit is None:
                 del work[m]
                 result[m] = c / multiplier
                 continue
-            lt, _, lc, terms, _ = hit
+            lt, lc, terms, _ = hit
             shift = m - lt
             gamma = math.gcd(c, lc)
             scale = lc // gamma
@@ -447,7 +373,7 @@ class _ModularArith:
         """Reducer record; the inverse leading coefficient is cached."""
         lt = max(terms)
         inv = pow(terms[lt], self.p - 2, self.p)
-        return (lt, self.codec.plain(lt), inv, terms, (len(terms), 0))
+        return (lt, inv, terms, (len(terms), 0))
 
     def spoly(self, f, g):
         p = self.p
@@ -474,9 +400,7 @@ class _ModularArith:
     def reduce(self, target, reducers):
         """Full normal form; the tail is walked through a lazy max-heap."""
         p = self.p
-        codec = self.codec
-        guard = codec.guard
-        plain = codec.plain
+        guard = self.codec.guard
         coeff = dict(target)
         heap = [-m for m in coeff]
         heapq.heapify(heap)
@@ -489,10 +413,9 @@ class _ModularArith:
             if not c:
                 pop(heap)
                 continue
-            pm = plain(m)
             hit = None
             for red in reducers:
-                if _pdivides(red[1], pm, guard):
+                if _pdivides(red[0], m, guard):
                     hit = red
                     break
             if hit is None:
@@ -500,7 +423,7 @@ class _ModularArith:
                 result[m] = c
                 del coeff[m]
                 continue
-            lt, _, lc_inv, terms, _ = hit
+            lt, lc_inv, terms, _ = hit
             shift = m - lt
             factor = c * lc_inv % p
             for mg, cg in terms.items():
@@ -614,10 +537,12 @@ def _core_buchberger(gens, engine):
 
     def install(terms, sugar):
         entry = engine.reducer_entry(terms)
-        _update_pairs(plain_lts, sugars, pairs, entry[1], sugar, codec)
+        _update_pairs(
+            plain_lts, sugars, pairs, codec.plain(entry[0]), sugar, codec
+        )
         basis.append(terms)
         reducers.append(entry)
-        reducers.sort(key=lambda red: red[4])
+        reducers.sort(key=lambda red: red[3])
 
     for t in gens:
         if not t:
@@ -643,37 +568,25 @@ def _core_buchberger(gens, engine):
             raise _UnitIdeal()
         install(r, sugar)
 
-    if not basis:
-        return []
-
     # minimal set: drop elements whose leading monomial another one divides
     guard = codec.guard
-    by_lt = sorted(range(len(basis)), key=lambda k: basis[k] and max(basis[k]))
+    by_lt = sorted(range(len(basis)), key=lambda k: max(basis[k]))
     kept = []
     for k in by_lt:
         if not any(
             _pdivides(plain_lts[j], plain_lts[k], guard) for j in kept
         ):
             kept.append(k)
-    elems = [basis[k] for k in kept]
 
-    # inter-reduce to the unique reduced basis
-    for _ in range(len(elems) + 1):
-        changed = False
-        for idx in range(len(elems)):
-            others = [
-                engine.reducer_entry(t)
-                for pos, t in enumerate(elems)
-                if pos != idx and t
-            ]
-            r = engine.reduce(elems[idx], others)
-            if r != elems[idx]:
-                changed = True
-                elems[idx] = r
-        if not changed:
-            break
-    elems = [t for t in elems if t]
-    elems.sort(key=max)
+    # inter-reduce to the unique reduced basis in one ascending pass: a
+    # leading monomial dividing a tail monomial of g is smaller than LT(g),
+    # so g needs only the already reduced elements before it
+    elems = []
+    reduced = []
+    for k in kept:
+        t = engine.reduce(basis[k], reduced)
+        elems.append(t)
+        reduced.append(engine.reducer_entry(t))
     return elems
 
 
@@ -836,7 +749,7 @@ def _exact_basis_check(gens_int, candidate_int, codec) -> bool:
     arith = _IntegerArith(codec)
     reducers = sorted(
         (arith.reducer_entry(t) for t in candidate_int),
-        key=lambda red: red[4],
+        key=lambda red: red[3],
     )
     plain_lts = []
     sugars = []
@@ -935,7 +848,7 @@ def buchberger(ideal: Ideal, order: LexOrder = None) -> GroebnerBasis:
         order = LexOrder.default(n)
     if len(order.permutation) != n:
         raise ValueError("order permutation length does not match the ring")
-    codec = _LexCodec(order.permutation)
+    codec = _Codec((i,) for i in order.permutation)
     try:
         elems = _groebner_elems(ideal, codec)
     except _UnitIdeal:
@@ -951,7 +864,7 @@ def graded_basis(ideal: Ideal) -> list:
     to seed several eliminations of the same ideal.
     """
     ring = ideal.ring
-    codec = _BlockCodec(tuple(range(ring.nvars)), ())
+    codec = _Codec((range(ring.nvars),))
     try:
         elems = _groebner_elems(ideal, codec)
     except _UnitIdeal:
@@ -986,15 +899,13 @@ def eliminate(ideal: Ideal, keep, seed_basis=None) -> list:
         if seed_basis is not None:
             current = list(seed_basis)
         else:
-            codec = _BlockCodec(tuple(range(n)), ())
+            codec = _Codec((range(n),))
             elems = _groebner_elems(ideal, codec)
             current = [_from_engine(t, codec, ring) for t in elems]
         for i in drop:
             if not any(i in p.support_variables() for p in current):
                 continue
-            codec = _BlockCodec(
-                (i,), tuple(j for j in range(n) if j != i)
-            )
+            codec = _Codec(((i,), [j for j in range(n) if j != i]))
             elems = _groebner_elems(Ideal(ring, current), codec)
             polys = [_from_engine(t, codec, ring) for t in elems]
             current = [p for p in polys if i not in p.support_variables()]
@@ -1011,7 +922,7 @@ def affine_dimension(ideal: Ideal) -> int:
     meets the support of no leading monomial.
     """
     n = ideal.ring.nvars
-    codec = _BlockCodec(tuple(range(n)), ())
+    codec = _Codec((range(n),))
     try:
         elems = _groebner_elems(ideal, codec)
     except _UnitIdeal:

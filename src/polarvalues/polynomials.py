@@ -432,35 +432,6 @@ def _invertible(rows, field) -> bool:
     return True
 
 
-def make_primitive(p: Polynomial):
-    """Split a nonzero rational polynomial into content times primitive part.
-
-    The primitive part has coprime integer coefficients and a positive
-    leading coefficient under the ring's default lex order.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial has no primitive part")
-    if p.ring.field != QQ:
-        raise ValueError("make_primitive expects rational coefficients")
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = {m: int(c * denom_lcm) for m, c in p.terms.items()}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            break
-    lead = max(ints, key=LexOrder.default(p.ring.nvars).key)
-    if ints[lead] < 0:
-        g = -g
-    content = Fraction(g, denom_lcm)
-    primitive = Polynomial(
-        p.ring, {m: Fraction(v // g) for m, v in ints.items()}
-    )
-    return content, primitive
-
-
 def fresh_variable_name(taken, base: str) -> str:
     """`base` if unused, else base2, base3, ..."""
     taken = set(taken)

@@ -365,12 +365,13 @@ def _ldexp_or_inf(x: float, shift: int):
 def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
     """(roots, converged): converged means every residual met the tolerance.
 
-    A polynomial whose coefficients or roots would leave the float range is
-    solved for w = z / 2**s instead, its monic coefficients scaled exactly
-    before they are rounded to floats and its residuals judged relative to
-    the polynomial's size at each root.  A root 2**s * w that still does
-    not fit a float comes back with infinite parts and counts as
-    unconverged.
+    A residual is judged relative to the polynomial's size at the root (the
+    sum of |c_i| |z|^i of the monic polynomial), so small roots are held to
+    the same relative accuracy as large ones.  A polynomial whose
+    coefficients or roots would leave the float range is solved for
+    w = z / 2**s instead, its monic coefficients scaled exactly before they
+    are rounded to floats.  A root 2**s * w that still does not fit a float
+    comes back with infinite parts and counts as unconverged.
     """
     deg = p.degree()
     if deg < 1:
@@ -394,9 +395,6 @@ def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
         for k in range(deg)
     ]
     scale_coeffs = [abs(c) for c in monic]
-    # after scaling, the largest roots sit near 1: an absolute floor would
-    # pass any approximation of a root far below them
-    floor = 1.0 if shift is None else 0.0
 
     def _eval(cs, x):
         total = 0j
@@ -411,7 +409,7 @@ def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
         for c in scale_coeffs:
             scale += c * powv
             powv *= ax
-        return abs(_eval(monic, x)) <= tolerance * max(scale, floor)
+        return abs(_eval(monic, x)) <= tolerance * scale
 
     converged = False
     for _ in range(ABERTH_ITERATION_CAP):

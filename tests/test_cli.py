@@ -260,6 +260,17 @@ class TestMainExitCodes:
         assert critical["roots"]["rational"] == [str(big)]
         assert len(critical["roots"]["approx"]) == 1
 
+    def test_unconverged_critical_value_warned(self, capsys):
+        # the approximate critical root 10^400 comes back as an infinity,
+        # unconverged, and the report must say so
+        argv = ["x^2 + y^2 + %d" % 10**400, "--vars", "x,y", "--runs", "1"]
+        assert main(argv + ["--json"]) == 0
+        warnings = json.loads(capsys.readouterr().out)["warnings"]
+        assert (
+            "critical values: numeric root refinement did not meet tolerance"
+            in warnings
+        )
+
     def test_method_both_text(self, capsys):
         assert main(
             ["x + x^2*y", "--vars", "x,y", "--method", "both", "--runs", "1"]

@@ -1,11 +1,13 @@
 """Basis computation, elimination, dimension, and localization."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polarvalues import groebner
 from polarvalues.fields import QQ, PrimeField
 from polarvalues.groebner import (
     GroebnerBasis,
@@ -20,7 +22,13 @@ from polarvalues.groebner import (
     s_polynomial,
     with_rabinowitsch,
 )
-from polarvalues.polynomials import LexOrder, Polynomial, PolynomialRing
+from polarvalues.polynomials import (
+    LexOrder,
+    Polynomial,
+    PolynomialRing,
+    monomial_add,
+    monomial_divides,
+)
 
 import oracles
 
@@ -38,6 +46,69 @@ def rand_poly(rng, ring, max_deg=3, max_terms=4, bound=5):
         if c:
             terms[exps] = Fraction(c)
     return Polynomial(ring, terms)
+
+
+@st.composite
+def codec_cases(draw):
+    """Blocks (singletons, one block or two blocks over a random variable
+    sequence) and two exponent vectors small enough that their sum keeps
+    every slot, block degrees included, in range.  Exponents are often
+    tiny, so that block degrees tie and the reverse-lex slots decide."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    seq = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["singletons", "one_block", "two_blocks"]))
+    if kind == "singletons":
+        blocks = [(i,) for i in seq]
+    elif kind == "one_block" or n == 1:
+        blocks = [tuple(seq)]
+    else:
+        cut = draw(st.integers(min_value=1, max_value=n - 1))
+        blocks = [tuple(seq[:cut]), tuple(seq[cut:])]
+    exponent = st.integers(min_value=0, max_value=2) | st.integers(
+        min_value=0, max_value=0x1FFF
+    )
+    exps = st.tuples(*[exponent] * n)
+    return blocks, draw(exps), draw(exps)
+
+
+def block_order_key(blocks, e):
+    """The block order as a tuple: per block its degree, then the negated
+    exponents of its last variable down to its second."""
+    out = []
+    for block in blocks:
+        out.append(sum(e[i] for i in block))
+        out.extend(-e[i] for i in reversed(block[1:]))
+    return tuple(out)
+
+
+class TestCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(codec_cases())
+    def test_against_tuple_reference(self, case):
+        blocks, a, b = case
+        # c rotates a's exponents inside each block: same block degrees, so
+        # only the reverse-lex slots tell a and c apart
+        c = list(a)
+        for block in blocks:
+            for i, j in zip(block, block[1:] + block[:1]):
+                c[i] = a[j]
+        codec = groebner._Codec(blocks)
+        vectors = [a, b, tuple(c)]
+        keys = [codec.pack(e) for e in vectors]
+        refs = [block_order_key(blocks, e) for e in vectors]
+        for (u, ku, ru), (v, kv, rv) in itertools.product(
+            zip(vectors, keys, refs), repeat=2
+        ):
+            assert (ku < kv) == (ru < rv) and (ku == kv) == (ru == rv)
+            divides = monomial_divides(u, v)
+            assert groebner._pdivides(ku, kv, codec.guard) == divides
+            plain_u, plain_v = codec.plain(ku), codec.plain(kv)
+            assert groebner._pdivides(plain_u, plain_v, codec.guard) == divides
+        ka, kb = keys[0], keys[1]
+        assert ka + kb - codec.one_key == codec.pack(monomial_add(a, b))
+        assert codec.unpack(ka) == a
+        assert codec.key_from_plain(codec.plain(ka)) == ka
+        assert codec.degree(ka) == sum(a)
 
 
 class TestSPolynomial:
@@ -310,23 +381,26 @@ class TestRabinowitsch:
 
 class TestOutputBasisProperties:
     def test_spairs_and_generators_reduce_to_zero(self):
-        """Random ideals: S-pairs of the result and the inputs vanish.
+        """Random ideals under random lex orders: S-pairs of the result
+        and the inputs vanish.
 
         The checks run through the field-exact tuple-monomial path, which
         is independent of the packed modular engine that produced the
         basis.
         """
         rng = random.Random(101)
+        order_rng = random.Random(202)
         rings = [R2, R3]
         trials = 200
         for trial in range(trials):
             ring = rings[trial % 2]
-            order = LexOrder.default(ring.nvars)
+            n = ring.nvars
+            order = LexOrder(tuple(order_rng.sample(range(n), n)))
             gens = [
                 rand_poly(rng, ring, max_deg=3, max_terms=3, bound=4)
                 for _ in range(rng.randint(1, 3))
             ]
-            gb = buchberger(Ideal(ring, gens))
+            gb = buchberger(Ideal(ring, gens), order)
             elems = [e for e in gb.elements if not e.is_zero()]
             for i in range(len(elems)):
                 for j in range(i + 1, len(elems)):

@@ -283,13 +283,16 @@ class TestSharedStages:
 
 @pytest.fixture
 def stage_count(monkeypatch):
-    """Counts the one-variable elimination stages: Groebner computations
-    under a block order whose leading block is a single variable."""
+    """Counts the one-variable elimination stages: Groebner computations in
+    the graph's ring under two blocks whose leading block is a single
+    variable.  The lex pair basis of a fiber relation (two singleton blocks
+    in a two-variable ring) is not a stage."""
     count = [0]
     inner = groebner._groebner_elems
 
     def counting(ideal, codec):
-        if isinstance(codec, groebner._BlockCodec) and len(codec.leading) == 1:
+        blocks = codec.blocks
+        if codec.nvars > 2 and len(blocks) == 2 and len(blocks[0]) == 1:
             count[0] += 1
         return inner(ideal, codec)
 

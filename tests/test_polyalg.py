@@ -13,7 +13,6 @@ from polarvalues.polynomials import (
     extend_ring,
     fresh_variable_name,
     lift_polynomial,
-    make_primitive,
     monomial_add,
     monomial_divides,
     monomial_lcm,
@@ -186,22 +185,6 @@ class TestFieldAgreement:
                 )
 
             assert mod_image(a * b + a) == mod_image(a) * mod_image(b) + mod_image(a)
-
-
-class TestNormalization:
-    def test_make_primitive_strips_content(self):
-        f = Fraction(6, 4) * X + Fraction(9, 4) * Y
-        content, prim = make_primitive(f)
-        assert prim == 2 * X + 3 * Y
-        assert content == Fraction(3, 4)
-        assert prim * content == f
-
-    def test_make_primitive_sign_convention(self):
-        f = -2 * X - 4 * Y
-        content, prim = make_primitive(f)
-        order = LexOrder.default(2)
-        assert prim.leading_coefficient(order) > 0
-        assert prim * content == f
 
 
 class TestRingExtension:

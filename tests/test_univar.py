@@ -175,6 +175,16 @@ class TestRoots:
         assert roots[0] == pytest.approx(1, rel=1e-9)
         assert roots[1] == pytest.approx(1e200, rel=1e-9)
 
+    def test_approx_roots_below_one_judged_relatively(self):
+        # (z - 10^-12)(z - 2*10^-12): an absolute residual test passes
+        # approximations about 10^6 times too large as converged
+        small = Fraction(1, 10**12)
+        p = P(-small, 1) * P(-2 * small, 1)
+        roots, converged = approx_roots_with_status(p)
+        assert converged
+        assert roots[0] == pytest.approx(1e-12, rel=1e-6, abs=0)
+        assert roots[1] == pytest.approx(2e-12, rel=1e-6, abs=0)
+
 
 class TestShift:
     def test_shift_moves_roots_forward(self):
