@@ -26,7 +26,12 @@ fresh prime (and, when small enough, passes an exact check over the
 rationals that all S-polynomials and generators reduce to zero).  The
 reduced Groebner basis is uniquely determined by the ideal and the order,
 so the modular route returns the same object a direct rational computation
-would.
+would.  Each prime after the first costs one modular basis plus rational
+reconstruction of the coefficients that changed: a coefficient keeps its
+last reconstruction while that still matches the new residue (bounded
+rational reconstruction is unique, so Euclid would return it again), and
+an attempt stops at once while the coefficient that failed last still
+fails.
 """
 
 from __future__ import annotations
@@ -172,7 +177,12 @@ class _Codec:
             plain = (plain << _SLOT_BITS) | e
         order = 0
         for block in self.blocks:
-            order = (order << _SLOT_BITS) | sum(exps[i] for i in block)
+            degree = sum(exps[i] for i in block)
+            if degree > _SLOT_MASK:
+                raise ValueError(
+                    "degree %d exceeds the engine limit" % degree
+                )
+            order = (order << _SLOT_BITS) | degree
             for i in reversed(block[1:]):
                 order = (order << _SLOT_BITS) | (_COMPLEMENT - exps[i])
         return (order << self.plain_bits) | plain
@@ -413,12 +423,12 @@ class _ModularArith:
             if not c:
                 pop(heap)
                 continue
-            hit = None
-            for red in reducers:
-                if _pdivides(red[0], m, guard):
-                    hit = red
+            # _pdivides(red[0], m, guard), inlined: this is the hot loop
+            mg = m | guard
+            for hit in reducers:
+                if (mg - hit[0]) & guard == guard:
                     break
-            if hit is None:
+            else:
                 pop(heap)
                 result[m] = c
                 del coeff[m]
@@ -670,17 +680,37 @@ def _rational_reconstruct(residue: int, modulus: int):
 
 
 class _CrtState:
-    """Accumulated residues for one staircase across agreeing primes."""
+    """Accumulated residues for one staircase across agreeing primes.
+
+    `reconstruct` returns what a fresh `_rational_reconstruct` of every
+    coefficient would give, but re-runs Euclid only where that can differ:
+
+    - Reuse.  Each coefficient keeps the last value n/d it reconstructed
+      to.  After a further prime, the value is kept without Euclid when
+      n - residue*d vanishes modulo the new modulus M.  That is exact: the
+      bound B = isqrt(M // 2) only grows with M, so n/d is still within it,
+      and M is odd, so 2*B**2 < M.  By the uniqueness of bounded rational
+      reconstruction (Wang, Guy & Davenport 1982) n/d is then the one
+      fraction within B congruent to the residue, which Euclid at M would
+      return.  If the new prime divides d, the congruence fails (gcd(n, d)
+      is 1) and Euclid runs as before.
+    - Early stop.  The coefficient that failed last is tried first; while
+      it still fails, the whole basis would fail, so `reconstruct` returns
+      None at once.
+    """
 
     def __init__(self):
         self.modulus = 1
         self.elements = None  # list of dicts: packed key -> residue
+        self.values = None  # list of dicts: packed key -> last n/d
+        self.failed = None  # (element index, key) that failed last
         self.last_candidate = None
 
     def add(self, p, modgb):
         if self.elements is None:
             self.modulus = p
             self.elements = [dict(t) for t in modgb]
+            self.values = [{} for _ in modgb]
             return
         m0 = self.modulus
         inv = pow(m0 % p, p - 2, p)
@@ -692,14 +722,31 @@ class _CrtState:
                 accum[mono] = (a + (b - a) * inv % p * m0) % new_mod
         self.modulus = new_mod
 
+    def _value(self, k, mono):
+        """Coefficient `mono` of element k as n/d, or None if there is none."""
+        residue = self.elements[k][mono]
+        known = self.values[k].get(mono)
+        if known is not None and (
+            known.numerator - residue * known.denominator
+        ) % self.modulus == 0:
+            return known
+        value = _rational_reconstruct(residue, self.modulus)
+        if value is not None:
+            self.values[k][mono] = value
+        return value
+
     def reconstruct(self):
         """All coefficients as exact rationals, or None if not yet stable."""
+        if self.failed is not None and self._value(*self.failed) is None:
+            return None
+        self.failed = None
         out = []
-        for accum in self.elements:
+        for k, accum in enumerate(self.elements):
             elem = {}
-            for mono, residue in accum.items():
-                value = _rational_reconstruct(residue, self.modulus)
+            for mono in accum:
+                value = self._value(k, mono)
                 if value is None:
+                    self.failed = (k, mono)
                     return None
                 if value:
                     elem[mono] = value

@@ -1,6 +1,7 @@
 """Basis computation, elimination, dimension, and localization."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -109,6 +110,15 @@ class TestCodec:
         assert codec.unpack(ka) == a
         assert codec.key_from_plain(codec.plain(ka)) == ka
         assert codec.degree(ka) == sum(a)
+
+    def test_block_degree_limit(self):
+        # every exponent is in range, but x1..x3 form one block of degree
+        # 65537, past its 16-bit slot: packed with |, it spilled into the
+        # slot above and ordered x0^2*x1^32767*x2^32767*x3^3 above x0^3
+        codec = groebner._Codec(((0,), (1, 2, 3)))
+        assert codec.pack((3, 0, 0, 0)) > codec.pack((2, 32767, 32767, 1))
+        with pytest.raises(ValueError, match="degree 65537 exceeds the engine"):
+            codec.pack((2, 32767, 32767, 3))
 
 
 class TestSPolynomial:
@@ -410,3 +420,167 @@ class TestOutputBasisProperties:
             for g in gens:
                 if not g.is_zero():
                     assert normal_form(g, elems, order).is_zero()
+
+
+def _image(value, modulus):
+    return value.numerator * pow(value.denominator, -1, modulus) % modulus
+
+
+def _fresh_reconstruction(state):
+    """Every coefficient reconstructed anew, as each prime once did."""
+    out = []
+    for accum in state.elements:
+        elem = {}
+        for mono, residue in accum.items():
+            value = groebner._rational_reconstruct(residue, state.modulus)
+            if value is None:
+                return None
+            if value:
+                elem[mono] = value
+        if not elem:
+            return None
+        out.append(elem)
+    return out
+
+
+@st.composite
+def mixed_height_fractions(draw):
+    nbits = draw(st.integers(min_value=0, max_value=400))
+    dbits = draw(st.integers(min_value=0, max_value=400))
+    n = draw(st.integers(min_value=-(2**nbits), max_value=2**nbits))
+    d = draw(st.integers(min_value=1, max_value=2**dbits))
+    return Fraction(n, d)
+
+
+class TestRationalReconstruction:
+    @pytest.mark.parametrize("modulus", [3, 101, 105, 1001, 7 * 11 * 13 * 17])
+    def test_exhaustive_small_moduli(self, modulus):
+        """Each residue gives the one fraction within isqrt(M/2) that maps
+        to it, or None when no such fraction exists."""
+        bound = math.isqrt(modulus // 2)
+        within = {}
+        for d in range(1, bound + 1):
+            if math.gcd(d, modulus) != 1:
+                continue
+            for n in range(-bound, bound + 1):
+                if math.gcd(n, d) == 1:
+                    value = Fraction(n, d)
+                    within.setdefault(_image(value, modulus), set()).add(value)
+        for residue in range(modulus):
+            got = groebner._rational_reconstruct(residue, modulus)
+            if residue in within:
+                assert {got} == within[residue]
+            else:
+                assert got is None
+
+    def test_round_trip_within_bound_only(self):
+        rng = random.Random(7)
+        modulus = math.prod(groebner._agenda_prime(i) for i in range(5))
+        bound = math.isqrt(modulus // 2)
+        for _ in range(300):
+            value = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+            got = groebner._rational_reconstruct(_image(value, modulus), modulus)
+            assert got == value
+        nones = 0
+        for _ in range(300):
+            n, d = rng.randint(bound + 1, 8 * bound), rng.randint(1, bound)
+            if math.gcd(n, d) != 1:
+                continue
+            value = Fraction(rng.choice((-1, 1)) * n, d)
+            got = groebner._rational_reconstruct(_image(value, modulus), modulus)
+            if got is None:
+                nones += 1
+                continue
+            # another fraction within the bound shares the residue
+            assert got != value
+            assert abs(got.numerator) <= bound and got.denominator <= bound
+            assert _image(got, modulus) == _image(value, modulus)
+        assert nones > 0
+
+
+class TestCrtState:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(mixed_height_fractions(), min_size=1, max_size=4),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(min_value=1, max_value=14),
+    )
+    def test_matches_fresh_reconstruction(self, drawn, nprimes):
+        """After every prime, the reused reconstructions equal a fresh one.
+
+        The first element is planted: 1 + p0*(p0 // 3) is 1 modulo the
+        first prime p0, so it reconstructs to the wrong value 1 before it
+        reconstructs to itself; 7*p0/5 vanishes modulo p0, so its key is
+        missing from the first image.
+        """
+        p0 = groebner._agenda_prime(0)
+        planted = Fraction(1 + p0 * (p0 // 3))
+        elements = [[planted, Fraction(7 * p0, 5)]] + drawn
+        state = groebner._CrtState()
+        for i in range(nprimes):
+            p = groebner._agenda_prime(i)
+            image = []
+            for elem in elements:
+                residues = {k: _image(v, p) for k, v in enumerate(elem)}
+                image.append({k: r for k, r in residues.items() if r})
+            state.add(p, image)
+            assert state.reconstruct() == _fresh_reconstruction(state)
+            planted_now = groebner._rational_reconstruct(
+                state.elements[0][0], state.modulus
+            )
+            if i == 0:
+                assert planted_now == 1
+            elif i >= 4:
+                assert planted_now == planted
+
+
+class TestLiftCost:
+    def test_reconstructions_linear_in_primes(self, monkeypatch):
+        """One lift of coefficients of mixed heights reconstructs each about
+        once, plus a few Euclid runs per prime: the coefficient that failed
+        last, and those after it that reconstruct to some wrong fraction
+        (about 61% of residues have a fraction within the bound), until one
+        fails again.  Reconstructing every coefficient after every prime is
+        quadratic: here it takes about 15 calls per prime."""
+        rng = random.Random(5)
+        nvars = 12
+        codec = groebner._Codec((i,) for i in range(nvars))
+        expected = []
+        for i in reversed(range(nvars)):
+            # ascending leading monomials meet ever taller constants
+            n = rng.getrandbits(120 * (nvars - i) + rng.randint(0, 120)) | 1
+            d = rng.getrandbits(rng.randint(1, 200)) | 1
+            g = math.gcd(n, d)
+            lead = [0] * nvars
+            lead[i] = 1
+            expected.append(
+                {codec.pack(lead): d // g, codec.one_key: -n // g}
+            )
+        calls = {"reconstruct": 0}
+        primes = []
+        reconstruct = groebner._rational_reconstruct
+        core = groebner._core_buchberger
+
+        def counting_reconstruct(residue, modulus):
+            calls["reconstruct"] += 1
+            return reconstruct(residue, modulus)
+
+        def recording_core(gens, engine):
+            primes.append(engine.p)
+            return core(gens, engine)
+
+        monkeypatch.setattr(
+            groebner, "_rational_reconstruct", counting_reconstruct
+        )
+        monkeypatch.setattr(groebner, "_core_buchberger", recording_core)
+        result = groebner._modular_groebner(
+            [dict(t) for t in reversed(expected)], codec
+        )
+        assert result == expected
+        assert primes == [groebner._agenda_prime(i) for i in range(len(primes))]
+        assert len(primes) >= 10
+        coefficients = sum(len(t) for t in expected)
+        assert calls["reconstruct"] <= coefficients + 3 * len(primes)
