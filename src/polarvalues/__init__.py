@@ -36,18 +36,14 @@ from .detector import (
     sample_super_polar_coefficients,
     super_polar_ideal,
 )
-from .fields import QQ, PrimeField, RationalField
+from .fields import QQ, RationalField
 from .groebner import (
     GroebnerBasis,
     Ideal,
     affine_dimension,
     buchberger,
     eliminate,
-    elimination_ideal,
     graded_basis,
-    ideal_dimension,
-    normal_form,
-    s_polynomial,
     with_rabinowitsch,
 )
 from .nonproper import (
@@ -70,7 +66,6 @@ from .polynomials import (
 )
 from .univar import (
     UnivariatePolynomial,
-    approx_roots,
     approx_roots_with_status,
     gcd_univar,
     rational_roots,
@@ -94,7 +89,6 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "PolynomialRing",
-    "PrimeField",
     "QQ",
     "RationalField",
     "RunConfig",
@@ -105,7 +99,6 @@ __all__ = [
     "UnivariatePolynomial",
     "ValueSet",
     "affine_dimension",
-    "approx_roots",
     "approx_roots_with_status",
     "bound_kinf",
     "bound_nk",
@@ -114,25 +107,21 @@ __all__ = [
     "critical_values",
     "derive_run_seed",
     "eliminate",
-    "elimination_ideal",
     "extend_ring",
     "fiber_relation",
     "gcd_univar",
     "graded_basis",
     "gradient_ideal",
     "graph_ideal",
-    "ideal_dimension",
     "intersect_runs",
     "is_singular_locus_finite",
     "leading_coeff_in",
     "lift_polynomial",
     "nonproperness_values",
-    "normal_form",
     "parse_polynomial",
     "rational_roots",
     "run_iterated_polar",
     "run_super_polar",
-    "s_polynomial",
     "sample_invertible_matrix",
     "sample_super_polar_coefficients",
     "squarefree_part",

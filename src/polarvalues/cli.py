@@ -25,7 +25,6 @@ from .detector import (
     run_iterated_polar,
     run_super_polar,
 )
-from .fields import QQ
 from .polynomials import Polynomial, PolynomialRing
 
 
@@ -77,9 +76,9 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_polynomial(text: str, variables, field=QQ) -> Polynomial:
+def parse_polynomial(text: str, variables) -> Polynomial:
     """Parse the sum-of-terms grammar over the declared variables."""
-    ring = PolynomialRing(tuple(variables), field)
+    ring = PolynomialRing(tuple(variables))
     tokens = _tokenize(text)
     pos = 0
 

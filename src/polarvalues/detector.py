@@ -129,7 +129,7 @@ def sample_invertible_matrix(rng: random.Random, n: int, bound: int = MATRIX_ENT
         rows = tuple(
             tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
         )
-        if _invertible([[QQ(x) for x in row] for row in rows], QQ):
+        if _invertible([[QQ(x) for x in row] for row in rows]):
             return rows
     raise InternalInvariantError("could not sample an invertible matrix")
 
@@ -249,8 +249,6 @@ def _bounds_for(degree: int, n: int) -> BoundsSummary:
 
 
 def _validate_input(f: Polynomial, runs: int, coeff_bound: int):
-    if f.ring.field != QQ:
-        raise ValueError("detection runs over rational coefficients")
     if f.ring.nvars < 2:
         raise ValueError("need a map on at least two variables")
     if f.is_constant():

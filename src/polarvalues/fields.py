@@ -1,8 +1,8 @@
-"""Exact coefficient fields: the rationals and prime fields.
+"""The coefficient field of the package, the rationals, and the primality
+test behind the Groebner engine's modular primes.
 
 Rational arithmetic is delegated to :class:`fractions.Fraction`, which already
-keeps values in lowest terms with a positive denominator.  Prime fields are
-represented by residues with cached modular inversion.
+keeps values in lowest terms with a positive denominator.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ def is_probable_prime(n: int) -> bool:
 class RationalField:
     """The field of exact rationals; elements are fractions.Fraction."""
 
-    characteristic = 0
-
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -64,135 +62,3 @@ class RationalField:
 
 QQ = RationalField()
 
-
-class PrimeFieldElement:
-    """A residue modulo an odd prime, supporting field arithmetic."""
-
-    __slots__ = ("residue", "field")
-
-    def __init__(self, residue: int, field: "PrimeField"):
-        self.residue = residue % field.modulus
-        self.field = field
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.field.modulus != self.field.modulus:
-                raise ValueError("mixed prime-field moduli")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.residue + other.residue, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.residue - other.residue, self.field)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(other.residue - self.residue, self.field)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.residue * other.residue, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.residue, self.field)
-
-    def inverse(self) -> "PrimeFieldElement":
-        if self.residue == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return PrimeFieldElement(
-            pow(self.residue, self.field.modulus - 2, self.field.modulus), self.field
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return (
-                self.field.modulus == other.field.modulus
-                and self.residue == other.residue
-            )
-        if isinstance(other, int):
-            return self.residue == other % self.field.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.modulus, self.residue))
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __repr__(self):
-        return "%d" % self.residue
-
-
-class PrimeField:
-    """GF(p) for a fixed odd prime p below 2**62."""
-
-    def __init__(self, modulus: int):
-        if not isinstance(modulus, int) or modulus < 3 or modulus % 2 == 0:
-            raise ValueError("modulus must be an odd prime")
-        if modulus >= 1 << 62:
-            raise ValueError("modulus must be below 2**62")
-        if not is_probable_prime(modulus):
-            raise ValueError("modulus %d is not prime" % modulus)
-        self.modulus = modulus
-        self.zero = PrimeFieldElement(0, self)
-        self.one = PrimeFieldElement(1, self)
-
-    @property
-    def characteristic(self) -> int:
-        return self.modulus
-
-    def __call__(self, value):
-        if isinstance(value, PrimeFieldElement):
-            if value.field.modulus != self.modulus:
-                raise ValueError("mixed prime-field moduli")
-            return value
-        if isinstance(value, int):
-            return PrimeFieldElement(value, self)
-        if isinstance(value, Fraction):
-            if value.denominator % self.modulus == 0:
-                raise ZeroDivisionError(
-                    "denominator divisible by the field characteristic"
-                )
-            num = PrimeFieldElement(value.numerator, self)
-            den = PrimeFieldElement(value.denominator, self)
-            return num / den
-        raise TypeError("cannot coerce %r into GF(%d)" % (value, self.modulus))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash(("PrimeField", self.modulus))
-
-    def __repr__(self):
-        return "GF(%d)" % self.modulus

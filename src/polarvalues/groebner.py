@@ -17,8 +17,7 @@ chain pruning criteria; pairs are selected by phantom-homogeneous degree
 (sugar) first.  Reduction walks the working tail through a lazy max-heap so
 each step costs proportional to the reducer's support, not the tail size.
 
-Over a prime field the basis is computed directly with monic arithmetic.
-Over the rationals the reduced basis is computed by a multi-modular method:
+The reduced basis over the rationals is computed by a multi-modular method:
 bases modulo a fixed descending sequence of 62-bit primes are combined by
 Chinese remaindering and rational reconstruction, and a candidate is
 accepted only after it reproduces the independently computed basis modulo a
@@ -41,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import QQ, PrimeField, is_probable_prime
+from .fields import is_probable_prime
 from .polynomials import (
     LexOrder,
     Polynomial,
@@ -49,10 +48,6 @@ from .polynomials import (
     extend_ring,
     fresh_variable_name,
     lift_polynomial,
-    monomial_add,
-    monomial_divides,
-    monomial_lcm,
-    monomial_sub,
 )
 
 
@@ -206,34 +201,16 @@ class _Codec:
 
 
 def _to_engine(p: Polynomial, codec):
-    """Key-packed coefficient dict; rational input is scaled to primitive
-    integers, prime-field input keeps its residues."""
-    field = p.ring.field
-    pack = codec.pack
-    if field == QQ:
-        denom_lcm = 1
-        for c in p.terms.values():
-            denom_lcm = denom_lcm * c.denominator // math.gcd(
-                denom_lcm, c.denominator
-            )
-        out = {pack(m): int(c * denom_lcm) for m, c in p.terms.items()}
-        g = 0
-        for v in out.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                return out
-        return {m: v // g for m, v in out.items()} if g > 1 else out
-    out = {}
-    for m, c in p.terms.items():
-        if c.residue:
-            out[pack(m)] = c.residue
-    return out
+    """Key-packed coefficient dict, scaled to primitive integers with a
+    positive leading coefficient."""
+    return _IntegerArith.normalize_fractions(
+        {codec.pack(m): c for m, c in p.terms.items()}
+    )
 
 
 def _from_engine(terms, codec, ring: PolynomialRing) -> Polynomial:
-    field = ring.field
     return Polynomial(
-        ring, {codec.unpack(m): field(v) for m, v in terms.items()}
+        ring, {codec.unpack(m): Fraction(v) for m, v in terms.items()}
     )
 
 
@@ -447,80 +424,6 @@ class _ModularArith:
                 elif old:
                     del coeff[k]
         return self.normalize(result)
-
-
-# ---------------------------------------------------------------------------
-# public field-exact operations (tuple monomials, no engine involvement)
-
-
-def s_polynomial(p: Polynomial, q: Polynomial, order: LexOrder) -> Polynomial:
-    """The classical S-polynomial, with exact coefficient division."""
-    if p.ring != q.ring:
-        raise ValueError("polynomials live in different rings")
-    if p.is_zero() or q.is_zero():
-        raise ValueError("S-polynomial requires nonzero inputs")
-    ltp, cp = p.leading_term(order)
-    ltq, cq = q.leading_term(order)
-    big = monomial_lcm(ltp, ltq)
-    mp = monomial_sub(big, ltp)
-    mq = monomial_sub(big, ltq)
-    one = p.ring.field.one
-    inv_cp = one / cp
-    inv_cq = one / cq
-    out = {}
-    for m, c in p.terms.items():
-        out[monomial_add(m, mp)] = c * inv_cp
-    for m, c in q.terms.items():
-        k = monomial_add(m, mq)
-        v = out.get(k, p.ring.field.zero) - c * inv_cq
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return Polynomial(p.ring, out)
-
-
-def normal_form(p: Polynomial, basis, order: LexOrder) -> Polynomial:
-    """Remainder of p under multivariate division by `basis`.
-
-    The difference p - normal_form(p) lies in the ideal generated by the
-    basis, and no remainder term is divisible by any basis leading monomial.
-    """
-    ring = p.ring
-    reducers = []
-    for b in basis:
-        if b.ring != ring:
-            raise ValueError("basis element outside p's ring")
-        if not b.is_zero():
-            lt, lc = b.leading_term(order)
-            reducers.append((lt, lc, b.terms))
-    key = order.key
-    work = dict(p.terms)
-    result = {}
-    zero = ring.field.zero
-    while work:
-        m = max(work, key=key)
-        c = work[m]
-        hit = None
-        for lt, lc, terms in reducers:
-            if monomial_divides(lt, m):
-                hit = (lt, lc, terms)
-                break
-        if hit is None:
-            del work[m]
-            result[m] = c
-            continue
-        lt, lc, terms = hit
-        factor = c / lc
-        shiftm = monomial_sub(m, lt)
-        for mg, cg in terms.items():
-            k = monomial_add(mg, shiftm)
-            v = work.get(k, zero) - factor * cg
-            if v:
-                work[k] = v
-            elif k in work:
-                del work[k]
-    return Polynomial(ring, result)
 
 
 # ---------------------------------------------------------------------------
@@ -776,15 +679,6 @@ def _candidate_mod_p(candidate, p):
     return out
 
 
-def _clear_denominators(elem):
-    denom = 1
-    for v in elem.values():
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return _IntegerArith.normalize(
-        {m: int(v * denom) for m, v in elem.items()}
-    )
-
-
 def _exact_size(candidate_int) -> int:
     return sum(
         abs(c).bit_length() for t in candidate_int for c in t.values()
@@ -848,7 +742,8 @@ def _modular_groebner(gens_int, codec):
         elif state.last_candidate is not None:
             if _candidate_mod_p(state.last_candidate, p) == modgb:
                 candidate_int = [
-                    _clear_denominators(e) for e in state.last_candidate
+                    _IntegerArith.normalize_fractions(e)
+                    for e in state.last_candidate
                 ]
                 if _exact_size(candidate_int) > _EXACT_CHECK_BIT_CAP or (
                     _exact_basis_check(gens_int, candidate_int, codec)
@@ -873,21 +768,14 @@ def _groebner_elems(ideal: Ideal, codec):
     gens = [t for t in gens if t]
     if not gens:
         return []
-    field = ideal.ring.field
-    if field == QQ:
-        return _modular_groebner(gens, codec)
-    if isinstance(field, PrimeField):
-        engine = _ModularArith(field.modulus, codec)
-        return _core_buchberger(gens, engine)
-    raise TypeError("unsupported coefficient field %r" % (field,))
+    return _modular_groebner(gens, codec)
 
 
 def buchberger(ideal: Ideal, order: LexOrder = None) -> GroebnerBasis:
     """Reduced Groebner basis of `ideal` under `order` (default lex).
 
     Basis elements come out normalized (primitive integer coefficients with
-    positive leading coefficient over the rationals, monic over a prime
-    field) and sorted by ascending leading monomial.
+    positive leading coefficient) and sorted by ascending leading monomial.
     """
     ring = ideal.ring
     n = ring.nvars
@@ -974,15 +862,10 @@ def affine_dimension(ideal: Ideal) -> int:
         elems = _groebner_elems(ideal, codec)
     except _UnitIdeal:
         return -1
-    lts = [codec.unpack(max(t)) for t in elems]
-    return _dimension_from_lts(lts, n)
-
-
-def _dimension_from_lts(lts, n: int) -> int:
     masks = []
-    for lt in lts:
+    for t in elems:
         mask = 0
-        for i, exp in enumerate(lt):
+        for i, exp in enumerate(codec.unpack(max(t))):
             if exp:
                 mask |= 1 << i
         masks.append(mask)
@@ -998,39 +881,6 @@ def _dimension_from_lts(lts, n: int) -> int:
             if size > best:
                 best = size
     return best
-
-
-def elimination_ideal(gb: GroebnerBasis, keep) -> list:
-    """Basis elements supported on the kept variables.
-
-    Requires the basis order to end with exactly the kept variables; the
-    selected elements then generate (and are a reduced basis of) the
-    intersection with that subring.
-    """
-    keep = frozenset(keep)
-    n = gb.ring.nvars
-    if not keep or not all(isinstance(i, int) and 0 <= i < n for i in keep):
-        raise ValueError("keep must be a nonempty set of variable indices")
-    tail = gb.order.permutation[n - len(keep) :]
-    if set(tail) != keep:
-        raise ValueError(
-            "basis order does not place the kept variables in its tail"
-        )
-    out = []
-    for e in gb.elements:
-        if e.support_variables() <= keep:
-            out.append(e)
-    return out
-
-
-def ideal_dimension(gb: GroebnerBasis) -> int:
-    """Combinatorial Krull dimension from leading monomials; -1 when 1 is in
-    the ideal (empty zero set)."""
-    if gb.contains_one():
-        return -1
-    return _dimension_from_lts(
-        [e.leading_monomial(gb.order) for e in gb.elements], gb.ring.nvars
-    )
 
 
 def with_rabinowitsch(ideal: Ideal, h: Polynomial) -> Ideal:

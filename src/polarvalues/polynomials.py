@@ -1,9 +1,9 @@
-"""Sparse multivariate polynomial arithmetic over an exact field.
+"""Sparse multivariate polynomial arithmetic over the rationals.
 
-Polynomials are immutable maps from exponent tuples to nonzero field
-coefficients, tagged with a ring descriptor (variable names plus field).
-Monomial comparisons go through lexicographic orders given by a variable
-permutation, so elimination orders are just permuted lex.
+Polynomials are immutable maps from exponent tuples to nonzero Fraction
+coefficients, tagged with a ring descriptor (variable names plus the field
+QQ).  Display and leading terms go through lexicographic orders given by a
+variable permutation; the Groebner engine packs its own monomial orders.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ NEG_INF = -math.inf
 
 @dataclass(frozen=True)
 class PolynomialRing:
-    """Ring descriptor: an ordered tuple of variable names over a field."""
+    """Ring descriptor: an ordered tuple of variable names over QQ."""
 
     variables: tuple
     field: object = QQ
 
     def __post_init__(self):
+        if self.field != QQ:
+            raise ValueError("polynomial rings are over QQ only")
         object.__setattr__(self, "variables", tuple(self.variables))
         names = self.variables
         if len(set(names)) != len(names):
@@ -79,8 +81,7 @@ class PolynomialRing:
 class LexOrder:
     """Lexicographic monomial order reading variables in `permutation` order.
 
-    permutation[0] is the most significant variable index.  Elimination
-    orders place the variables to keep at the tail of the permutation.
+    permutation[0] is the most significant variable index.
     """
 
     permutation: tuple
@@ -95,32 +96,9 @@ class LexOrder:
     def default(cls, nvars: int) -> "LexOrder":
         return cls(tuple(range(nvars)))
 
-    @classmethod
-    def eliminating(cls, nvars: int, tail) -> "LexOrder":
-        """Lex order whose least significant block is `tail` (in given order)."""
-        tail = tuple(tail)
-        head = [i for i in range(nvars) if i not in set(tail)]
-        return cls(tuple(head) + tail)
-
     def key(self, exps: tuple) -> tuple:
         perm = self.permutation
         return tuple(exps[i] for i in perm)
-
-    def greater(self, a: tuple, b: tuple) -> bool:
-        return self.key(a) > self.key(b)
-
-
-def monomial_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def monomial_divides(a: tuple, b: tuple) -> bool:
-    """True when the monomial with exponents `a` divides the one with `b`."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def monomial_add(a: tuple, b: tuple) -> tuple:
@@ -183,9 +161,6 @@ class Polynomial:
     def leading_monomial(self, order: LexOrder) -> tuple:
         return self.leading_term(order)[0]
 
-    def leading_coefficient(self, order: LexOrder):
-        return self.leading_term(order)[1]
-
     # -- arithmetic ---------------------------------------------------
 
     def _check_ring(self, other: "Polynomial"):
@@ -196,13 +171,8 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._check_ring(other)
             return other
-        if isinstance(other, (int, Fraction)) or type(other) is type(
-            self.ring.field.zero
-        ):
-            try:
-                return self.ring.constant(other)
-            except (TypeError, ValueError):
-                return None
+        if isinstance(other, (int, Fraction)):
+            return self.ring.constant(other)
         return None
 
     def __add__(self, other):
@@ -331,7 +301,7 @@ class Polynomial:
         rows = [[field(entry) for entry in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix shape must be %d x %d" % (n, n))
-        if not _invertible(rows, field):
+        if not _invertible(rows):
             raise ValueError("substitution matrix is singular")
         images = []
         for i in range(n):
@@ -351,21 +321,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def evaluate(self, point):
-        """Evaluate at a sequence of field elements (or ints/Fractions)."""
-        field = self.ring.field
-        values = [field(v) for v in point]
-        if len(values) != self.ring.nvars:
-            raise ValueError("point length mismatch")
-        total = field.zero
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(values, m):
-                for _ in range(e):
-                    v = v * x
-            total = total + v
-        return total
-
     # -- display ------------------------------------------------------
 
     def sorted_terms(self, order: LexOrder = None):
@@ -377,7 +332,6 @@ class Polynomial:
         if not self.terms:
             return "0"
         names = self.ring.variables
-        signed = self.ring.field.characteristic == 0
         parts = []
         for m, c in self.sorted_terms():
             factors = []
@@ -386,13 +340,8 @@ class Polynomial:
                     factors.append(name)
                 elif e > 1:
                     factors.append("%s^%d" % (name, e))
-            if signed:
-                negative = c < 0
-                mag = -c if negative else c
-                body = _coeff_text(mag, factors)
-            else:
-                negative = False
-                body = _coeff_text(c, factors)
+            negative = c < 0
+            body = _coeff_text(-c if negative else c, factors)
             if not parts:
                 parts.append("-" + body if negative else body)
             else:
@@ -411,8 +360,8 @@ def _coeff_text(coeff, factors) -> str:
     return str(coeff) + "*" + "*".join(factors)
 
 
-def _invertible(rows, field) -> bool:
-    """Gaussian elimination rank check with exact field arithmetic."""
+def _invertible(rows) -> bool:
+    """Gaussian elimination rank check with exact rational arithmetic."""
     n = len(rows)
     a = [list(r) for r in rows]
     for col in range(n):
@@ -424,7 +373,7 @@ def _invertible(rows, field) -> bool:
         if pivot is None:
             return False
         a[col], a[pivot] = a[pivot], a[col]
-        inv_head = field.one / a[col][col]
+        inv_head = 1 / a[col][col]
         for r in range(col + 1, n):
             if a[r][col]:
                 factor = a[r][col] * inv_head
@@ -456,8 +405,6 @@ def extend_ring(ring: PolynomialRing, name: str, front: bool = False):
 
 def lift_polynomial(p: Polynomial, new_ring: PolynomialRing) -> Polynomial:
     """Reinterpret p inside a ring containing all of its variables (by name)."""
-    if p.ring.field != new_ring.field:
-        raise ValueError("field mismatch in lift")
     positions = []
     for name in p.ring.variables:
         if name not in new_ring.variables:

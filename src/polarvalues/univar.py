@@ -317,16 +317,6 @@ def _hensel_lift(q, dq, r, prime, bound):
     return r - modulus if 2 * r > modulus else r
 
 
-def approx_roots(p: UnivariatePolynomial, tolerance: float = 1e-10):
-    """Deterministic simultaneous (Aberth-style) root approximation.
-
-    Returns the roots sorted by (real, imaginary).  Raises ValueError on
-    degree < 1.  See approx_roots_with_status for the convergence flag.
-    """
-    roots, _ = approx_roots_with_status(p, tolerance)
-    return roots
-
-
 def _exponent_bound(c: Fraction) -> int:
     """An integer e with |c| < 2**e, for nonzero c."""
     return c.numerator.bit_length() - c.denominator.bit_length() + 1
@@ -365,6 +355,8 @@ def _ldexp_or_inf(x: float, shift: int):
 def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
     """(roots, converged): converged means every residual met the tolerance.
 
+    Deterministic simultaneous (Aberth-style) root approximation; the roots
+    come sorted by (real, imaginary), and degree < 1 raises ValueError.
     A residual is judged relative to the polynomial's size at the root (the
     sum of |c_i| |z|^i of the monic polynomial), so small roots are held to
     the same relative accuracy as large ones.  A polynomial whose

@@ -1,15 +1,18 @@
 """Self-contained reference implementations used to cross-check the package.
 
 Everything here is deliberately independent of the package internals: dense
-list-based univariate arithmetic over Fraction, and a Sylvester-determinant
-resultant for bivariate integer polynomials.  Keeping these paths separate
-from the package's sparse representation and its basis-driven elimination
-makes agreement between the two a meaningful check.
+list-based univariate arithmetic over Fraction, a Sylvester-determinant
+resultant for bivariate integer polynomials, and S-polynomials and
+multivariate division on tuple monomials.  Keeping these paths separate
+from the Groebner engine's packed monomials and modular arithmetic makes
+agreement between the two a meaningful check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from polarvalues.polynomials import LexOrder, Polynomial, monomial_add
 
 
 # ---------------------------------------------------------------------------
@@ -193,3 +196,85 @@ def sylvester_resultant_x(p, q):
         return total
 
     return det(0, (1 << size) - 1)
+
+
+# ---------------------------------------------------------------------------
+# S-polynomials and multivariate division on tuple monomials
+
+
+def monomial_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def monomial_divides(a: tuple, b: tuple) -> bool:
+    """True when the monomial with exponents `a` divides the one with `b`."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def monomial_sub(a: tuple, b: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def s_polynomial(p: Polynomial, q: Polynomial, order: LexOrder) -> Polynomial:
+    """The classical S-polynomial, with exact coefficient division."""
+    if p.ring != q.ring:
+        raise ValueError("polynomials live in different rings")
+    if p.is_zero() or q.is_zero():
+        raise ValueError("S-polynomial requires nonzero inputs")
+    ltp, cp = p.leading_term(order)
+    ltq, cq = q.leading_term(order)
+    big = monomial_lcm(ltp, ltq)
+    mp = monomial_sub(big, ltp)
+    mq = monomial_sub(big, ltq)
+    out = {}
+    for m, c in p.terms.items():
+        out[monomial_add(m, mp)] = c / cp
+    for m, c in q.terms.items():
+        k = monomial_add(m, mq)
+        v = out.get(k, 0) - c / cq
+        if v:
+            out[k] = v
+        elif k in out:
+            del out[k]
+    return Polynomial(p.ring, out)
+
+
+def normal_form(p: Polynomial, basis, order: LexOrder) -> Polynomial:
+    """Remainder of p under multivariate division by `basis`.
+
+    The difference p - normal_form(p) lies in the ideal generated by the
+    basis, and no remainder term is divisible by any basis leading monomial.
+    """
+    ring = p.ring
+    reducers = []
+    for b in basis:
+        if b.ring != ring:
+            raise ValueError("basis element outside p's ring")
+        if not b.is_zero():
+            lt, lc = b.leading_term(order)
+            reducers.append((lt, lc, b.terms))
+    work = dict(p.terms)
+    result = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work[m]
+        hit = None
+        for lt, lc, terms in reducers:
+            if monomial_divides(lt, m):
+                hit = (lt, lc, terms)
+                break
+        if hit is None:
+            del work[m]
+            result[m] = c
+            continue
+        lt, lc, terms = hit
+        factor = c / lc
+        shiftm = monomial_sub(m, lt)
+        for mg, cg in terms.items():
+            k = monomial_add(mg, shiftm)
+            v = work.get(k, 0) - factor * cg
+            if v:
+                work[k] = v
+            elif k in work:
+                del work[k]
+    return Polynomial(ring, result)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from polarvalues.univar import (
     UnivariatePolynomial,
-    approx_roots,
     approx_roots_with_status,
     gcd_univar,
     rational_roots,
@@ -147,7 +146,7 @@ class TestRoots:
             assert min(abs(r - e) for r in roots) < 1e-8
 
     def test_approx_roots_simple(self):
-        roots = approx_roots(P(-4, 0, 1))
+        roots, _ = approx_roots_with_status(P(-4, 0, 1))
         assert sorted(round(r.real) for r in roots) == [-2, 2]
 
     def test_approx_root_beyond_float_range(self):
