@@ -24,13 +24,20 @@ bit across platforms.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
+import warnings
 from dataclasses import dataclass, field
 
 from .bounds import SingularComponentData, bound_kinf, bound_nk, bound_superpolar
 from .fields import QQ
-from .groebner import Ideal, affine_dimension, with_rabinowitsch
+from .groebner import (
+    Ideal,
+    UncertifiedResult,
+    affine_dimension,
+    with_rabinowitsch,
+)
 from .nonproper import (
     EMPTY_CURVE,
     VERTICAL_COMPONENT,
@@ -294,6 +301,28 @@ def _final_warnings(
 
 
 def _detect(f, method, seed, runs, coeff_bound, tolerance, prepare):
+    """`_detect_values` with the UncertifiedResult warnings it raises moved
+    into the report's warnings, each message once."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UncertifiedResult)
+        report = _detect_values(
+            f, method, seed, runs, coeff_bound, tolerance, prepare
+        )
+    uncertified = []
+    for w in caught:
+        if issubclass(w.category, UncertifiedResult):
+            uncertified.append(str(w.message))
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if not uncertified:
+        return report
+    return dataclasses.replace(
+        report,
+        warnings=report.warnings + tuple(dict.fromkeys(uncertified)),
+    )
+
+
+def _detect_values(f, method, seed, runs, coeff_bound, tolerance, prepare):
     """The detection driver shared by both methods.
 
     `prepare()` runs once the input is validated and returns the report's

@@ -17,26 +17,45 @@ chain pruning criteria; pairs are selected by phantom-homogeneous degree
 (sugar) first.  Reduction walks the working tail through a lazy max-heap so
 each step costs proportional to the reducer's support, not the tail size.
 
-The reduced basis over the rationals is computed by a multi-modular method:
-bases modulo a fixed descending sequence of 62-bit primes are combined by
-Chinese remaindering and rational reconstruction, and a candidate is
-accepted only after it reproduces the independently computed basis modulo a
-fresh prime (and, when small enough, passes an exact check over the
-rationals that all S-polynomials and generators reduce to zero).  The
-reduced Groebner basis is uniquely determined by the ideal and the order,
-so the modular route returns the same object a direct rational computation
-would.  Each prime after the first costs one modular basis plus rational
-reconstruction of the coefficients that changed: a coefficient keeps its
-last reconstruction while that still matches the new residue (bounded
-rational reconstruction is unique, so Euclid would return it again), and
-an attempt stops at once while the coefficient that failed last still
-fails.
+Rational results come from one multi-modular driver, `_modular_chain`.
+For each of a fixed descending sequence of 62-bit primes it runs a whole
+chain of bases modulo p: a basis of the generators, then a tree of
+one-variable elimination stages, each fed the elements of its parent that
+are free of the parent's eliminated variable.  Only the chain's outputs
+are combined by Chinese remaindering and rational reconstruction (a
+coefficient keeps its last reconstruction while that still matches the
+new residue, and an attempt stops at once while the coefficient that
+failed last still fails); intermediate stages never leave the modular
+engine, and a stage stops running once every output below it is lifted.
+A reduced Groebner basis is determined by the ideal and the order, so the
+modular route returns the object a direct rational computation would.
+Primes are grouped by the staircases of every stage on an output's path,
+and an output is accepted once a fresh prime of its group reproduces the
+reconstruction and it passes an exact check over the integers:
+
+- an elimination output is certified to lie in the ideal.  The
+  certificate (`_Certificate`) is a graded basis of the homogenized
+  generators, proved exact by Arnold's Hilbert-function argument and
+  dehomogenized to a Groebner basis of the ideal, by which every lifted
+  generator must reduce to zero.  A candidate that fails takes more primes.
+- a whole basis of the generators (`buchberger`, `graded_basis`,
+  `affine_dimension`) must be a Groebner basis by which every generator
+  reduces to zero.
+
+Neither check runs on a basis above _EXACT_CHECK_BIT_CAP bits; the
+fresh-prime verdict then stands, and an elimination accepted that way
+raises an UncertifiedResult warning.  A prime that finds the unit ideal is
+believed only when the certificate's basis holds a power of the
+homogenizing variable, and is skipped as unlucky otherwise (homogeneous
+generators need no certificate; above the cap two such primes decide, with
+a warning).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -708,67 +727,287 @@ def _exact_basis_check(gens_int, candidate_int, codec) -> bool:
     return True
 
 
-def _modular_groebner(gens_int, codec):
-    """Reduced rational basis of primitive-integer packed generators.
+class UncertifiedResult(UserWarning):
+    """A result stands without its exact certificate: the certificate's
+    basis is above _EXACT_CHECK_BIT_CAP, so only fresh-prime agreement
+    backs it, or the result failed the certificate."""
 
-    Raises _UnitIdeal when 1 is in the ideal, InternalInvariantError when
-    the prime agenda is exhausted without a verified reconstruction.
+
+class _Certificate:
+    """Exact membership in the ideal I of integer generators, packed under
+    any codec of the ring named `names`.
+
+    The proof runs through the homogenized generators g^h, with a new
+    variable h placed last.  `graded_basis` lifts their reduced graded
+    basis G, whose S-polynomials and generators the driver reduces to zero
+    over the integers, and whose staircase matches a basis modulo a prime
+    of the same generators.  For homogeneous ideals that proves
+    <G> = <g^h> (Arnold, "Modular algorithms for computing Groebner
+    bases", JSC 35, 2003): <G> contains <g^h>, and Hilbert functions can
+    only grow modulo p, so HF(<G>) <= HF(<g^h>) <= HF(<g^h> mod p) =
+    HF(<G>).  Under graded reverse-lex with h last, h divides the leading
+    monomial of a homogeneous polynomial only when it divides the whole
+    polynomial, so setting h = 1 maps G onto a Groebner basis of I under
+    the graded order.  A polynomial lies in I exactly when it reduces to
+    zero by that basis, and I is the unit ideal exactly when G holds a
+    power of h.
+
+    The basis is computed on first use.  Above _EXACT_CHECK_BIT_CAP the
+    driver accepts it without the exact check, so nothing is certified:
+    `member` and `unit` then return None.
     """
-    states = {}
+
+    def __init__(self, gens_int, names):
+        self.gens = gens_int
+        self.names = tuple(names)
+        self.codec = _Codec((range(len(self.names)),))
+        self.bits = None
+        self._unit = None
+        self._reducers = None
+        self._known = {}
+
+    def _build(self):
+        n = self.codec.nvars
+        ring = PolynomialRing(
+            self.names + (fresh_variable_name(self.names, "h"),)
+        )
+        homogenized = []
+        for t in self.gens:
+            exps = [self.codec.unpack(m) for m in t]
+            top = max(sum(e) for e in exps)
+            homogenized.append(
+                Polynomial(
+                    ring,
+                    {
+                        e + (top - sum(e),): Fraction(c)
+                        for e, c in zip(exps, t.values())
+                    },
+                )
+            )
+        basis = [
+            _IntegerArith.normalize_fractions(
+                {self.codec.pack(m[:n]): c for m, c in g.terms.items()}
+            )
+            for g in graded_basis(Ideal(ring, homogenized))
+        ]
+        # the same size the driver compared with the cap: dehomogenizing
+        # keeps every coefficient and the leading term
+        self.bits = _exact_size(basis)
+        self._unit = any(max(t) == self.codec.one_key for t in basis)
+        arith = _IntegerArith(self.codec)
+        self._reducers = sorted(
+            (arith.reducer_entry(t) for t in basis), key=lambda red: red[3]
+        )
+
+    def exact(self) -> bool:
+        if self._reducers is None:
+            self._build()
+        return self.bits <= _EXACT_CHECK_BIT_CAP
+
+    def unit(self):
+        """Whether 1 lies in I; None when that cannot be certified."""
+        return self._unit if self.exact() else None
+
+    def member(self, terms):
+        """Whether the polynomial (packed under the graded codec) lies in I;
+        None when that cannot be certified."""
+        if not self.exact():
+            return None
+        terms = _IntegerArith.normalize_fractions(terms)
+        key = frozenset(terms.items())
+        known = self._known.get(key)
+        if known is None:
+            arith = _IntegerArith(self.codec)
+            known = self._known[key] = not arith.reduce(terms, self._reducers)
+        return known
+
+    def contains(self, p: Polynomial):
+        """`member` for a polynomial of the generators' ring."""
+        return self.member({self.codec.pack(m): c for m, c in p.terms.items()})
+
+    def covers(self, elems):
+        """Whether every element (packed under any codec of the ring) lies
+        in I; None when that cannot be certified."""
+        if not self.exact():
+            return None
+        codec = self.codec
+        return all(
+            self.member({codec.pack(codec.unpack(m)): c for m, c in t.items()})
+            for t in elems
+        )
+
+    def uncertified(self, what):
+        """Warn that `what` stands unproved, and why."""
+        warnings.warn(
+            UncertifiedResult(
+                "%s; its certificate in (%s), a graded basis of %d bits, "
+                "is above the exact-check cap of %d bits"
+                % (what, ", ".join(self.names), self.bits,
+                   _EXACT_CHECK_BIT_CAP)
+            )
+        )
+
+
+def _involves(terms, var_mask) -> bool:
+    return any(m & var_mask for m in terms)
+
+
+def _chain_mod_p(p, gens_int, codecs, stages, masks, needed):
+    """Every needed node's reduced basis modulo p; raises _UnitIdeal.
+
+    Node 0 is the basis of the generators under codecs[0]; node k >= 1
+    applies stage (parent, var): the parent's elements free of the
+    parent's own variable, re-keyed under codecs[k], which puts var in a
+    leading block of its own.  Every codec orders polynomials free of the
+    variables dropped so far by graded reverse-lex on the rest, so a stage
+    whose input does not involve var already has its reduced basis.
+    """
+    bases = {
+        0: _core_buchberger(
+            [{m: c % p for m, c in t.items()} for t in gens_int],
+            _ModularArith(p, codecs[0]),
+        )
+    }
+    for node, (parent, var) in enumerate(stages, 1):
+        if node not in needed:
+            continue
+        source = codecs[parent]
+        codec = codecs[node]
+        elems = [
+            {codec.pack(source.unpack(m)): c for m, c in t.items()}
+            for t in bases[parent]
+            if not (parent and _involves(t, masks[parent]))
+        ]
+        if any(_involves(t, masks[node]) for t in elems):
+            elems = _core_buchberger(elems, _ModularArith(p, codec))
+        bases[node] = elems
+    return bases
+
+
+def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
+    """Reduced rational bases of the outputs of a chain of eliminations.
+
+    `gens_int` are primitive-integer generators packed under `seed_codec`,
+    in variables named `names`.  Node 0 is their reduced basis under
+    `seed_codec`; each stage (parent, var) makes a new node that eliminates
+    var from its parent's elimination ideal (see `_chain_mod_p`).  Only the
+    listed output nodes are lifted: node 0 as its whole basis, any other
+    node as its elements free of its variable, which form the reduced
+    graded basis of the ideal's intersection with the subring free of every
+    variable dropped along its path.
+
+    Each prime runs the nodes that some output still lifting needs.  The
+    primes of an output are grouped by the staircases of every node on its
+    path, and a reconstruction is accepted once a fresh prime of its group
+    reproduces it and it is verified: node 0 by the exact basis check
+    (skipped above _EXACT_CHECK_BIT_CAP), every other output by the
+    membership certificate of the ideal; a candidate that fails takes more
+    primes.  A prime that finds the unit ideal is believed when the
+    generators are homogeneous (the ideal holds a constant) or the
+    certificate proves 1 in the ideal, and skipped as unlucky when the
+    certificate proves otherwise; without a certificate two votes decide.
+
+    Returns the lifted outputs (node -> integer dicts, keyed under the
+    node's codec) and the certificate.  Raises _UnitIdeal(certificate)
+    when 1 is in the ideal, InternalInvariantError when the prime agenda
+    is exhausted.
+    """
+    n = seed_codec.nvars
+    codecs = [seed_codec]
+    masks = [0]
+    paths = [(0,)]
+    dropped = [frozenset()]
+    for parent, var in stages:
+        codecs.append(_Codec(((var,), [j for j in range(n) if j != var])))
+        masks.append(_SLOT_MASK << (_SLOT_BITS * (n - 1 - var)))
+        paths.append(paths[parent] + (len(paths),))
+        dropped.append(dropped[parent] | {var})
+    certificate = _Certificate(gens_int, names)
+    pending = sorted(set(outputs))
+    if not gens_int:
+        return {o: [] for o in pending}, certificate
+    homogeneous = all(
+        len({seed_codec.degree(m) for m in t}) == 1 for t in gens_int
+    )
+    states = {o: {} for o in pending}
+    lifted = {}
     unit_votes = 0
     index = 0
     used = 0
-    while used < _MAX_MODULAR_PRIMES:
+    while pending and used < _MAX_MODULAR_PRIMES:
         p = _agenda_prime(index)
         index += 1
         if any(c % p == 0 for t in gens_int for c in t.values()):
             continue
         used += 1
-        engine = _ModularArith(p, codec)
+        needed = {k for o in pending for k in paths[o]}
         try:
-            modgb = _core_buchberger(
-                [{m: c % p for m, c in t.items()} for t in gens_int], engine
-            )
+            bases = _chain_mod_p(p, gens_int, codecs, stages, masks, needed)
         except _UnitIdeal:
-            # the whole ring mod p; trust it only when a second prime agrees
-            unit_votes += 1
-            if unit_votes >= 2:
-                raise
+            verdict = True if homogeneous else certificate.unit()
+            if verdict is None:
+                unit_votes += 1
+                if unit_votes >= 2:
+                    certificate.uncertified(
+                        "the unit ideal rests on two prime votes"
+                    )
+                    verdict = True
+            if verdict:
+                raise _UnitIdeal(certificate)
             continue
-        staircase = tuple(max(t) for t in modgb)
-        state = states.get(staircase)
-        if state is None:
-            state = states[staircase] = _CrtState()
-        elif state.last_candidate is not None:
-            if _candidate_mod_p(state.last_candidate, p) == modgb:
-                candidate_int = [
+        for o in list(pending):
+            out = bases[o]
+            if o:
+                out = [t for t in out if not _involves(t, masks[o])]
+            staircase = tuple(
+                tuple(max(t) for t in bases[k]) for k in paths[o]
+            )
+            state = states[o].get(staircase)
+            if state is None:
+                state = states[o][staircase] = _CrtState()
+            elif state.last_candidate is not None and (
+                _candidate_mod_p(state.last_candidate, p) == out
+            ):
+                candidate = [
                     _IntegerArith.normalize_fractions(e)
                     for e in state.last_candidate
                 ]
-                if _exact_size(candidate_int) > _EXACT_CHECK_BIT_CAP or (
-                    _exact_basis_check(gens_int, candidate_int, codec)
-                ):
-                    return candidate_int
-        state.add(p, modgb)
-        state.last_candidate = state.reconstruct()
-    from .detector import InternalInvariantError
+                if o == 0:
+                    verdict = _exact_size(candidate) > _EXACT_CHECK_BIT_CAP or (
+                        _exact_basis_check(gens_int, candidate, seed_codec)
+                    )
+                else:
+                    verdict = certificate.covers(candidate)
+                    if verdict is None:
+                        certificate.uncertified(
+                            "the elimination onto (%s) rests on fresh-prime "
+                            "agreement"
+                            % ", ".join(names[j] for j in range(n)
+                                        if j not in dropped[o])
+                        )
+                if verdict is not False:
+                    lifted[o] = candidate
+                    pending.remove(o)
+                    continue
+            state.add(p, out)
+            state.last_candidate = state.reconstruct()
+    if pending:
+        from .detector import InternalInvariantError
 
-    raise InternalInvariantError(
-        "modular basis reconstruction did not stabilize"
-    )
+        raise InternalInvariantError(
+            "modular basis reconstruction did not stabilize"
+        )
+    return lifted, certificate
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 
-def _groebner_elems(ideal: Ideal, codec):
+def _basis_elems(ideal: Ideal, codec):
     """Reduced basis as packed dicts under `codec`; raises _UnitIdeal."""
     gens = [_to_engine(g, codec) for g in ideal.generators]
-    gens = [t for t in gens if t]
-    if not gens:
-        return []
-    return _modular_groebner(gens, codec)
+    return _modular_chain(gens, codec, ideal.ring.variables)[0][0]
 
 
 def buchberger(ideal: Ideal, order: LexOrder = None) -> GroebnerBasis:
@@ -785,7 +1024,7 @@ def buchberger(ideal: Ideal, order: LexOrder = None) -> GroebnerBasis:
         raise ValueError("order permutation length does not match the ring")
     codec = _Codec((i,) for i in order.permutation)
     try:
-        elems = _groebner_elems(ideal, codec)
+        elems = _basis_elems(ideal, codec)
     except _UnitIdeal:
         return GroebnerBasis(ring, order, (ring.one(),))
     final = tuple(_from_engine(t, codec, ring) for t in elems)
@@ -795,58 +1034,91 @@ def buchberger(ideal: Ideal, order: LexOrder = None) -> GroebnerBasis:
 def graded_basis(ideal: Ideal) -> list:
     """Reduced basis under the graded order used for dimension counts.
 
-    Returns [1] when 1 is in the ideal.  Useful as a compact generating set
-    to seed several eliminations of the same ideal.
+    Returns [1] when 1 is in the ideal.  On homogeneous generators the
+    result is exact whenever it is at most _EXACT_CHECK_BIT_CAP bits (see
+    `_Certificate`), which is how membership certificates are built.
     """
     ring = ideal.ring
     codec = _Codec((range(ring.nvars),))
     try:
-        elems = _groebner_elems(ideal, codec)
+        elems = _basis_elems(ideal, codec)
     except _UnitIdeal:
         return [ring.one()]
     return [_from_engine(t, codec, ring) for t in elems]
 
 
-def eliminate(ideal: Ideal, keep, seed_basis=None) -> list:
-    """Generators of the intersection with the subring on the kept variables.
+def _eliminations(ideal: Ideal, drops):
+    """Reduced graded bases of the ideal's intersections with the subrings
+    free of each set of variables in `drops`, from one modular chain.
 
-    The eliminated variables are removed one at a time with a block order
-    whose leading block is the single variable being dropped (degree-graded
-    elsewhere); each stage starts from the previous stage's basis, and the
-    whole chain starts from a graded basis of the input.  One-at-a-time
-    elimination keeps the intermediate staircases far smaller than a single
-    lex-style computation while producing generators of the same
-    elimination ideal.  `seed_basis`, when given, replaces the initial
-    graded-basis computation: it must be a reduced graded basis (as
-    `graded_basis` and `eliminate` return) of the ideal's intersection with
-    any subring that contains the kept variables.  A variable that no
-    current generator involves has already been eliminated, so its stage is
-    skipped; chains that share a prefix of dropped variables can thus
-    continue from that prefix's result.  Returns [1] when 1 is in the ideal.
+    The variables of a set are dropped one stage at a time in ascending
+    index order, and sets that share a prefix share its stages.  Returns
+    {drop: list of polynomials} ([1] for every set when 1 is in the ideal)
+    and the membership certificate that proved the results.
+    """
+    ring = ideal.ring
+    n = ring.nvars
+    nodes = {frozenset(): 0}
+    stages = []
+    for drop in drops:
+        done = frozenset()
+        for i in sorted(drop):
+            step = done | {i}
+            if step not in nodes:
+                nodes[step] = len(stages) + 1
+                stages.append((nodes[done], i))
+            done = step
+    codec = _Codec((range(n),))
+    gens = [_to_engine(g, codec) for g in ideal.generators]
+    outputs = [nodes[frozenset(d)] for d in drops]
+    try:
+        lifted, certificate = _modular_chain(
+            gens, codec, ring.variables, stages, outputs
+        )
+    except _UnitIdeal as unit:
+        return {frozenset(d): [ring.one()] for d in drops}, unit.args[0]
+    # every codec of the ring keeps the plain packing in a key's low slots
+    return {
+        frozenset(d): [
+            _from_engine(t, codec, ring) for t in lifted[nodes[frozenset(d)]]
+        ]
+        for d in drops
+    }, certificate
+
+
+def eliminate(ideal: Ideal, keep, seed_basis=None) -> list:
+    """Reduced graded basis of the intersection with the subring on the
+    kept variables.
+
+    One modular chain computes it (see `_modular_chain`): for each prime,
+    a graded basis of the input and then one stage per eliminated
+    variable, whose block order puts that variable alone in the leading
+    block, so the elements free of it generate the stage's elimination
+    ideal.  Only the final intersection is lifted to the rationals, and it
+    is certified to lie in the ideal by an exact membership test (a
+    warning of category UncertifiedResult says when the test is too large
+    to run).  `seed_basis`, when given, replaces the input: it must be a
+    reduced graded basis (as `graded_basis` and `eliminate` return) of the
+    ideal's intersection with any subring that contains the kept
+    variables.  A variable no element of it involves is already
+    eliminated, so a seed free of every dropped variable is only filtered.
+    Returns [1] when 1 is in the ideal.
     """
     ring = ideal.ring
     n = ring.nvars
     keep = frozenset(keep)
     if not keep or not all(isinstance(i, int) and 0 <= i < n for i in keep):
         raise ValueError("keep must be a nonempty set of variable indices")
-    drop = [i for i in range(n) if i not in keep]
-    try:
-        if seed_basis is not None:
-            current = list(seed_basis)
-        else:
-            codec = _Codec((range(n),))
-            elems = _groebner_elems(ideal, codec)
-            current = [_from_engine(t, codec, ring) for t in elems]
-        for i in drop:
-            if not any(i in p.support_variables() for p in current):
-                continue
-            codec = _Codec(((i,), [j for j in range(n) if j != i]))
-            elems = _groebner_elems(Ideal(ring, current), codec)
-            polys = [_from_engine(t, codec, ring) for t in elems]
-            current = [p for p in polys if i not in p.support_variables()]
-    except _UnitIdeal:
-        return [ring.one()]
-    return [p for p in current if p.support_variables() <= keep]
+    drop = frozenset(i for i in range(n) if i not in keep)
+    if seed_basis is not None:
+        seed_basis = list(seed_basis)
+        drop = frozenset(
+            i for i in drop if any(i in p.support_variables() for p in seed_basis)
+        )
+        if not drop:
+            return [p for p in seed_basis if p.support_variables() <= keep]
+        ideal = Ideal(ring, seed_basis)
+    return _eliminations(ideal, [drop])[0][drop]
 
 
 def affine_dimension(ideal: Ideal) -> int:
@@ -859,7 +1131,7 @@ def affine_dimension(ideal: Ideal) -> int:
     n = ideal.ring.nvars
     codec = _Codec((range(n),))
     try:
-        elems = _groebner_elems(ideal, codec)
+        elems = _basis_elems(ideal, codec)
     except _UnitIdeal:
         return -1
     masks = []

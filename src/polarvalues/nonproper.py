@@ -13,15 +13,17 @@ rather than excised.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import (
     Ideal,
+    UncertifiedResult,
+    _eliminations,
     affine_dimension,
     buchberger,
     eliminate,
-    graded_basis,
 )
 from .polynomials import (
     Polynomial,
@@ -134,15 +136,17 @@ def fiber_relation(
 ) -> Polynomial:
     """A nonzero relation r(x_i, z) of minimal x_i-degree in the graph ideal.
 
-    The graph ideal is intersected with the (x_i, z)-subring; the reduced
-    lex basis (x_i > z) of that intersection is computed in two variables
-    and its element of minimal x_i-degree is returned, living in a fresh
-    two-variable ring (x_i, z).  `seed_elements` may supply a precomputed
-    reduced graded basis of the graph ideal's intersection with any subring
-    containing x_i and z (as `graded_basis` and `eliminate` return), to
-    share work across several projections.  Raises NotACurveError
-    when the intersection is zero, which cannot happen for the graph of a
-    map on a curve.
+    The graph ideal is intersected with the (x_i, z)-subring by
+    `eliminate`, whose result is certified to lie in the graph ideal; the
+    reduced lex basis (x_i > z) of that intersection is computed in two
+    variables and its element of minimal x_i-degree is returned, living in
+    a fresh two-variable ring (x_i, z).  `seed_elements` may supply a
+    precomputed reduced graded basis of the graph ideal's intersection with
+    any subring containing x_i and z (as `graded_basis` and `eliminate`
+    return).  `nonproperness_values` hands it the (x_i, z) intersection
+    itself, so `eliminate` only filters it.  Raises NotACurveError when
+    the intersection is zero, which cannot happen for the graph of a map
+    on a curve.
     """
     ring = graph.ring
     if not 0 <= var_index < ring.nvars or var_index == graph.z_index:
@@ -223,28 +227,6 @@ def value_line(graph: GraphIdeal, seed_basis=None):
     return rho
 
 
-def _stage_basis(graph: GraphIdeal, drop, stages) -> list:
-    """Reduced graded basis of the graph ideal with the variables in `drop`
-    eliminated.
-
-    The variables are dropped one stage at a time in ascending index order,
-    the order `eliminate` uses.  `stages` maps every set of dropped
-    variables computed so far to its basis (the empty set to the graded
-    seed), so a chain continues from its longest computed prefix and no
-    stage is computed twice.
-    """
-    everything = frozenset(range(graph.ring.nvars))
-    done = frozenset()
-    for i in sorted(drop):
-        step = done | {i}
-        if step not in stages:
-            stages[step] = eliminate(
-                graph.ideal, everything - step, seed_basis=stages[done]
-            )
-        done = step
-    return stages[done]
-
-
 def nonproperness_values(
     curve: Ideal,
     f: Polynomial,
@@ -262,12 +244,18 @@ def nonproperness_values(
     the result is a superset of the exact non-properness set whenever such
     components are present.
 
-    The fiber relations come from elimination chains that start at one
-    graded basis of the graph ideal and share every stage they have in
-    common.  The value line (the graph ideal's intersection with the
-    z-line) needs no chain of its own: it is nonzero exactly when a fiber
-    relation is free of its x_i, and that relation is its generator.  Only
-    with no escape variables is the value line eliminated directly.
+    One modular elimination chain (`groebner._eliminations`) lifts, for
+    each escape variable x_i, the graph ideal's intersection with the
+    (x_i, z)-plane; its stages start at one graded basis per prime and are
+    shared between the variables.  `fiber_relation` reads the relation off
+    that intersection, and the chain's exact membership certificate checks
+    that the relation lies in the graph ideal.  A relation outside it
+    raises an UncertifiedResult warning; when the certificate is too large
+    to run, the chain has already warned about the intersection.  The
+    value line (the graph ideal's intersection with the z-line) needs no
+    chain of its own: it is nonzero exactly when a fiber relation is free
+    of its x_i, and that relation is its generator.  Only with no escape
+    variables is the value line lifted directly.
     """
     if f.ring != curve.ring:
         raise ValueError("f must live in the curve ideal's ring")
@@ -279,20 +267,31 @@ def nonproperness_values(
         raise NotACurveError("ideal has dimension %d, expected at most 1" % dim)
 
     graph = graph_ideal(curve, f)
-    stages = {frozenset(): graded_basis(graph.ideal)}
-
+    n = curve.ring.nvars
     if escape_vars is None:
-        escape_vars = range(curve.ring.nvars)
+        escape_vars = range(n)
     escape_vars = list(escape_vars)
+    drops = {
+        i: frozenset(j for j in range(n) if j != i) for i in escape_vars
+    }
+    line_drop = frozenset(range(n))
+    eliminated, certificate = _eliminations(
+        graph.ideal, list(drops.values()) or [line_drop]
+    )
 
     flags = set()
     rho = UnivariatePolynomial.one()
     line = None
     for i in escape_vars:
-        others = [j for j in range(curve.ring.nvars) if j != i]
-        rel = fiber_relation(
-            graph, i, seed_elements=_stage_basis(graph, others, stages)
-        )
+        rel = fiber_relation(graph, i, seed_elements=eliminated[drops[i]])
+        if certificate.contains(lift_polynomial(rel, graph.ring)) is False:
+            warnings.warn(
+                UncertifiedResult(
+                    "the fiber relation in (%s) is not in the graph ideal; "
+                    "values read off it may be incomplete"
+                    % ", ".join(rel.ring.variables)
+                )
+            )
         if rel.degree_in(0):
             piece = _univariate_in(leading_coeff_in(rel, 0), 1)
             if piece.degree() >= 1:
@@ -303,7 +302,7 @@ def nonproperness_values(
             rho = rho * line
 
     if not escape_vars:
-        line = value_line(graph, seed_basis=stages[frozenset()])
+        line = value_line(graph, seed_basis=eliminated[line_drop])
     if line is not None and line.degree() >= 1:
         flags.add(VERTICAL_COMPONENT)
         rho = rho * line

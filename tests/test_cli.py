@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polarvalues import groebner
 from polarvalues.cli import (
     CLIError,
     ParseError,
@@ -269,6 +270,43 @@ class TestMainExitCodes:
         assert (
             "critical values: numeric root refinement did not meet tolerance"
             in warnings
+        )
+
+    def test_critical_value_hidden_from_two_agenda_primes(self, capsys):
+        # the gradient x + y + 1, x + N*y + 2 with N = 1 + p0*p1 is the unit
+        # ideal modulo the first two agenda primes, yet it has the one
+        # critical point y = -1/(p0*p1), of value -N/(2*(N - 1))
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        assert (p0, p1) == (2**62 - 57, 2**62 - 87)
+        big = 1 + p0 * p1
+        text = "1/2*x^2 + x*y + x + %d/2*y^2 + 2*y" % big
+        argv = [text, "--vars", "x,y", "--runs", "1", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        roots = payload["critical_values"]["roots"]["rational"]
+        assert [Fraction(r) for r in roots] == [Fraction(-big, 2 * (big - 1))]
+        assert payload["warnings"] == []
+
+    def test_uncertified_results_are_warned(self, monkeypatch, capsys):
+        # with no room for exact checks every certificate is too large to
+        # run: the fresh-prime verdicts stand and the report names them
+        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", 0)
+        argv = ["x + x^2*y", "--vars", "x,y", "--runs", "1", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["s_final"]["rho"] == ["0", "1"]
+        warnings = payload["warnings"]
+        for kept in ("x, z", "y, z"):
+            assert any(
+                w.startswith("the elimination onto (%s) rests on fresh-prime "
+                             "agreement" % kept)
+                for w in warnings
+            )
+        # the gradient (1 + 2*x*y, x^2) is the unit ideal
+        assert any(
+            w.startswith("the unit ideal rests on two prime votes; its "
+                         "certificate in (x, y),")
+            for w in warnings
         )
 
     def test_method_both_text(self, capsys):

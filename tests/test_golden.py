@@ -32,6 +32,11 @@ FIXTURES = {
         "x + x^2*y", "--vars", "x,y,u", "--method", "super_polar",
         "--runs", "1", "--coeff-bound", "5",
     ],
+    # the same chain at the default bound: stage bases of hundreds of kbit
+    "x_plus_x2y_xyu_super_polar_bound9999": [
+        "x + x^2*y", "--vars", "x,y,u", "--method", "super_polar",
+        "--runs", "1", "--seed", "0",
+    ],
     # non-finite singular locus: the localized curve shares its t stage
     "x2y_both": ["x^2*y", "--vars", "x,y", "--method", "both"],
 }

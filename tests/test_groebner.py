@@ -364,6 +364,123 @@ class TestDimension:
             ]
 
 
+class TestChain:
+    def test_stages_stop_with_their_outputs(self, monkeypatch):
+        # x - y^2 needs one prime and a fresh one; the (x, u) relation
+        # (u - 1)^2 - B^2*x needs as many as B^2 has 62-bit words, and
+        # only the seed and its own stage keep running for it
+        big = 3**400
+        ideal = Ideal(R3, [X3 - Y3**2, U3 - big * Y3 - 1])
+        runs = {}
+        core = groebner._core_buchberger
+
+        def counting(gens, engine):
+            if engine.codec.nvars == 3:
+                runs[engine.codec.blocks] = runs.get(engine.codec.blocks, 0) + 1
+            return core(gens, engine)
+
+        monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        drop_u, drop_y = frozenset({2}), frozenset({1})
+        lifted, _ = groebner._eliminations(ideal, [drop_u, drop_y])
+        assert lifted[drop_u] == [Y3**2 - X3]
+        assert lifted[drop_y] == [(U3 - 1) ** 2 - big**2 * X3]
+        seed = ((0, 1, 2),)
+        stage_u, stage_y = ((2,), (0, 1)), ((1,), (0, 2))
+        assert runs[stage_u] == 2
+        assert runs[stage_y] == runs[seed] > 20
+
+
+def _certificate(ideal):
+    codec = groebner._Codec((range(ideal.ring.nvars),))
+    gens = [groebner._to_engine(g, codec) for g in ideal.generators]
+    return groebner._Certificate(gens, ideal.ring.variables)
+
+
+class TestCertificate:
+    def test_unit_votes_of_two_agenda_primes_overruled(self):
+        # N = 1 + p0*p1 is 1 modulo the first two agenda primes, where the
+        # ideal becomes <x + y + 1, x + y + 2>, the unit ideal; over the
+        # rationals it is the point y = -1/(p0*p1), x = -1 - y
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        assert (p0, p1) == (2**62 - 57, 2**62 - 87)
+        big = 1 + p0 * p1
+        ideal = Ideal(R2, [X + Y + 1, X + big * Y + 2])
+        assert affine_dimension(ideal) == 0
+        gb = buchberger(ideal)
+        assert not gb.contains_one()
+        assert gb.elements == (
+            (big - 1) * Y + 1,
+            (big - 1) * X + big - 2,
+        )
+        assert not graded_basis(ideal)[0].is_constant()
+        assert _certificate(ideal).unit() is False
+
+    def test_rejects_the_unit_candidate_of_a_proper_ideal(self):
+        # 3y - 1 lies in the ideal: it is the unit ideal modulo 3, yet
+        # y = 1/3, x^2 = -5/3 is a point over the rationals
+        ideal = Ideal(R2, [X**2 + 2 * Y + 1, X**2 - Y + 2])
+        codec = groebner._Codec((range(2),))
+        gens = [groebner._to_engine(g, codec) for g in ideal.generators]
+        with pytest.raises(groebner._UnitIdeal):
+            groebner._core_buchberger(
+                [{m: c % 3 for m, c in t.items()} for t in gens],
+                groebner._ModularArith(3, codec),
+            )
+        one = {codec.one_key: 1}
+        # the exact basis check proves only that the ideal lies in <1>
+        assert groebner._exact_basis_check(gens, [one], codec)
+        certificate = _certificate(ideal)
+        assert certificate.unit() is False
+        assert certificate.member(one) is False
+        assert certificate.covers([one]) is False
+        assert affine_dimension(ideal) == 0
+
+    def test_perturbed_relation_fails(self):
+        # the (x, u) relation of x*y = 1, u = x^2 + 3*y lies in the ideal;
+        # moving any one of its coefficients by one takes it out
+        ideal = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2 - 3 * Y3])
+        lifted, certificate = groebner._eliminations(ideal, [frozenset({1})])
+        (relation,) = lifted[frozenset({1})]
+        assert relation.support_variables() == {0, 2}
+        assert certificate.contains(relation) is True
+        for mono, c in relation.terms.items():
+            terms = dict(relation.terms)
+            terms[mono] = c + 1
+            wrong = Polynomial(R3, terms)
+            assert certificate.contains(wrong) is False
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_lifted_eliminations_are_members(self, seed):
+        rng = random.Random(seed)
+        gens = [rand_poly(rng, R3, max_deg=2) for _ in range(rng.randint(1, 3))]
+        ideal = Ideal(R3, gens)
+        drops = [frozenset({0}), frozenset({0, 1}), frozenset({1, 2})]
+        lifted, certificate = groebner._eliminations(ideal, drops)
+        for drop in drops:
+            for p in lifted[drop]:
+                assert certificate.contains(p) is True
+                assert not p.support_variables() & drop
+            keep = set(range(3)) - drop
+            assert lifted[drop] == eliminate(ideal, keep)
+        for g in ideal.generators:
+            assert certificate.contains(g) is True
+
+    def test_above_the_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", 0)
+        ideal = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2 - 3 * Y3])
+        with pytest.warns(
+            groebner.UncertifiedResult,
+            match=r"the elimination onto \(x, u\) rests on fresh-prime",
+        ):
+            out = eliminate(ideal, {0, 2})
+        assert [str(p) for p in out] == ["x^3 - x*u + 3"]
+        with pytest.warns(
+            groebner.UncertifiedResult, match="the unit ideal rests on two"
+        ):
+            assert affine_dimension(Ideal(R2, [X * Y - 1, X])) == -1
+
+
 class TestRabinowitsch:
     def test_fresh_variable_prepended(self):
         loc = with_rabinowitsch(Ideal(R2, [X * Y]), X)
@@ -570,9 +687,11 @@ class TestLiftCost:
             groebner, "_rational_reconstruct", counting_reconstruct
         )
         monkeypatch.setattr(groebner, "_core_buchberger", recording_core)
-        result = groebner._modular_groebner(
-            [dict(t) for t in reversed(expected)], codec
+        names = tuple("x%d" % i for i in range(nvars))
+        lifted, _ = groebner._modular_chain(
+            [dict(t) for t in reversed(expected)], codec, names
         )
+        result = lifted[0]
         assert result == expected
         assert primes == [groebner._agenda_prime(i) for i in range(len(primes))]
         assert len(primes) >= 10

@@ -1,11 +1,15 @@
 """Non-properness values of curve-to-line projections."""
 
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polarvalues import groebner
+from polarvalues import nonproper as nonproper_module
 from polarvalues.fields import QQ
 from polarvalues.groebner import Ideal, with_rabinowitsch
 from polarvalues.nonproper import (
@@ -281,22 +285,219 @@ class TestSharedStages:
         )
 
 
+def exact_relations(curve, f):
+    """Reference: the fiber relations of an exact integer chain.
+
+    `_core_buchberger` runs with `_IntegerArith`, stage by stage and with
+    no modular step: the graded basis of the graph ideal, then one
+    elimination stage per dropped variable in ascending order, then the
+    lex basis of the (x_i, z) intersection, whose element of least x_i
+    degree is the relation.  Returns {i: relation in the pair ring} for
+    every variable of the curve, None where the intersection is zero.
+    """
+    graph = graph_ideal(curve, f)
+    ring = graph.ring
+    n = ring.nvars
+
+    def exact_basis(polys, codec, target):
+        gens = [groebner._to_engine(p, codec) for p in polys]
+        try:
+            elems = groebner._core_buchberger(gens, groebner._IntegerArith(codec))
+        except groebner._UnitIdeal:
+            return [target.one()]
+        return [groebner._from_engine(t, codec, target) for t in elems]
+
+    seed = exact_basis(graph.ideal.generators, groebner._Codec((range(n),)), ring)
+    relations = {}
+    for i in range(curve.ring.nvars):
+        current = seed
+        for j in range(n - 1):
+            if j == i or not any(j in p.support_variables() for p in current):
+                continue
+            codec = groebner._Codec(((j,), [k for k in range(n) if k != j]))
+            current = [
+                p for p in exact_basis(current, codec, ring)
+                if j not in p.support_variables()
+            ]
+        if not current:
+            relations[i] = None
+            continue
+        pair_ring = PolynomialRing((ring.variables[i], ring.variables[-1]), QQ)
+        pairs = [
+            Polynomial(
+                pair_ring, {(m[i], m[-1]): c for m, c in p.terms.items()}
+            )
+            for p in current
+        ]
+        lex = exact_basis(pairs, groebner._Codec(((0,), (1,))), pair_ring)
+        relations[i] = min(lex, key=lambda p: p.degree_in(0))
+    return relations
+
+
+def values_of(relations):
+    """rho and flags read off fiber relations as nonproperness_values
+    does."""
+    flags, rho = set(), U(1)
+    for rel in relations.values():
+        if rel.degree_in(0):
+            rho = rho * _in_z(leading_coeff_in(rel, 0))
+        else:
+            flags.add(VERTICAL_COMPONENT)
+            rho = rho * _in_z(rel)
+    return ValueSet.from_rho(rho, flags)
+
+
+QUADRATIC_MONOMIALS = [
+    e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2
+]
+
+
+@st.composite
+def space_polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        exps = draw(st.sampled_from(QUADRATIC_MONOMIALS))
+        terms[exps] = Fraction(draw(st.integers(-9, 9)))
+    return Polynomial(R3, {m: c for m, c in terms.items() if c})
+
+
+@st.composite
+def curves(draw):
+    """A plane curve g = 0 or a space curve g1 = g2 = 0, with a map."""
+    if draw(st.booleans()):
+        gens = [draw(plane_polys())]
+        f = draw(plane_polys())
+    else:
+        gens = [draw(space_polys()), draw(space_polys())]
+        f = draw(space_polys())
+    return Ideal(gens[0].ring, gens), f
+
+
+class TestExactReference:
+    """The modular chain gives the fiber relations and values of an exact
+    integer chain."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(curves())
+    def test_matches_exact_chain(self, case):
+        curve, f = case
+        assume(all(not g.is_constant() for g in curve.generators))
+        dim = groebner.affine_dimension(curve)
+        assume(0 <= dim <= 1)
+        expected = exact_relations(curve, f)
+        if None in expected.values():
+            with pytest.raises(NotACurveError):
+                nonproperness_values(curve, f, dim=dim)
+            return
+        seen = {}
+        inner = nonproper_module.fiber_relation
+
+        def recording(graph, i, seed_elements=None):
+            seen[i] = inner(graph, i, seed_elements=seed_elements)
+            return seen[i]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nonproper_module, "fiber_relation", recording)
+            vs = nonproperness_values(curve, f, dim=dim)
+        assert seen == expected
+        assert vs == values_of(expected)
+
+
+def test_relation_outside_the_graph_ideal_warns(monkeypatch):
+    # a fiber relation that fails its membership certificate is named in
+    # a warning, not dropped
+    inner = nonproper_module.fiber_relation
+
+    def perturbed(graph, i, seed_elements=None):
+        rel = inner(graph, i, seed_elements=seed_elements)
+        return rel + rel.ring.one()
+
+    monkeypatch.setattr(nonproper_module, "fiber_relation", perturbed)
+    with pytest.warns(
+        groebner.UncertifiedResult,
+        match=r"the fiber relation in \(y, z\) is not in the graph ideal",
+    ):
+        vs = nonproperness_values(Ideal(R2, [X * Y - 1]), X, escape_vars=[1])
+    assert vs.exact_rational_roots == (Fraction(0),)
+
+
+class TestLiftCost:
+    def test_only_outputs_are_lifted(self, monkeypatch):
+        """One nonproperness_values call on a super-polar curve at bound 5
+        reconstructs the coefficients of its outputs only: the (x_i, z)
+        intersections, the lex relations read off them and the
+        certificate's graded basis.  Every stage of the chain runs at most
+        once per prime."""
+        from polarvalues.detector import (
+            sample_super_polar_coefficients,
+            super_polar_ideal,
+        )
+
+        f = X3 + X3**2 * Y3
+        coeffs = sample_super_polar_coefficients(random.Random(3), 3, 5, 3)
+        curve = super_polar_ideal(f, coeffs)
+        assert groebner.affine_dimension(curve) == 1
+        graph = graph_ideal(curve, f)
+        z = graph.z_index
+        outputs = [groebner.eliminate(graph.ideal, {i, z}) for i in range(3)]
+        relations = [fiber_relation(graph, i) for i in range(3)]
+        h_ring = PolynomialRing(graph.ring.variables + ("h",), QQ)
+        homogenized = [
+            Polynomial(
+                h_ring,
+                {m + (g.total_degree() - sum(m),): c for m, c in g.terms.items()},
+            )
+            for g in graph.ideal.generators
+        ]
+        certificate = groebner.graded_basis(Ideal(h_ring, homogenized))
+        expected = sum(
+            len(p.terms) for p in certificate + relations + sum(outputs, [])
+        )
+
+        states = []
+        runs = Counter()
+        init = groebner._CrtState.__init__
+        core = groebner._core_buchberger
+
+        def registering(self):
+            init(self)
+            states.append(self)
+
+        def counting(gens, engine):
+            codec = engine.codec
+            if codec.nvars == graph.ring.nvars:
+                # a stage is its codec and the variables left in its input
+                left = frozenset(
+                    i for t in gens for m in t
+                    for i, e in enumerate(codec.unpack(m)) if e
+                )
+                runs[(codec.blocks, left, engine.p)] += 1
+            return core(gens, engine)
+
+        monkeypatch.setattr(groebner._CrtState, "__init__", registering)
+        monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        nonproperness_values(curve, f, dim=1)
+        lifted = sum(len(e) for s in states for e in s.elements or ())
+        assert lifted == expected
+        assert max(runs.values()) == 1
+        # the graded seed and five stages, each at every prime it ran at
+        assert len({(blocks, left) for blocks, left, _ in runs}) == 6
+
+
 @pytest.fixture
 def stage_count(monkeypatch):
-    """Counts the one-variable elimination stages: Groebner computations in
-    the graph's ring under two blocks whose leading block is a single
-    variable.  The lex pair basis of a fiber relation (two singleton blocks
-    in a two-variable ring) is not a stage."""
+    """Counts the one-variable elimination stages of the modular chains:
+    each chain lists its stages once and runs each at most once per prime.
+    Single-basis chains (the lex pair basis of a fiber relation, the graded
+    basis of a certificate) have none."""
     count = [0]
-    inner = groebner._groebner_elems
+    inner = groebner._modular_chain
 
-    def counting(ideal, codec):
-        blocks = codec.blocks
-        if codec.nvars > 2 and len(blocks) == 2 and len(blocks[0]) == 1:
-            count[0] += 1
-        return inner(ideal, codec)
+    def counting(gens_int, seed_codec, names, stages=(), outputs=(0,)):
+        count[0] += len(stages)
+        return inner(gens_int, seed_codec, names, stages, outputs)
 
-    monkeypatch.setattr(groebner, "_groebner_elems", counting)
+    monkeypatch.setattr(groebner, "_modular_chain", counting)
     return count
 
 
