@@ -255,7 +255,9 @@ def _bounds_for(degree: int, n: int) -> BoundsSummary:
     return BoundsSummary(nk=nk, superpolar=sp, kinf=ki)
 
 
-def _validate_input(f: Polynomial, runs: int, coeff_bound: int):
+def _validate_input(
+    f: Polynomial, runs: int, coeff_bound: int, tolerance: float
+):
     if f.ring.nvars < 2:
         raise ValueError("need a map on at least two variables")
     if f.is_constant():
@@ -264,6 +266,9 @@ def _validate_input(f: Polynomial, runs: int, coeff_bound: int):
         raise ValueError("need at least one run")
     if coeff_bound < 2:
         raise ValueError("coefficient bound must be at least 2")
+    # a relative residual bound; NaN fails the comparison too
+    if not 0 < tolerance < 1:
+        raise ValueError("tolerance must be a number in (0, 1)")
 
 
 def _final_warnings(
@@ -335,7 +340,7 @@ def _detect_values(f, method, seed, runs, coeff_bound, tolerance, prepare):
     failed attempts are resampled up to RETRY_BUDGET times; the values
     are computed only once an attempt has passed the dimension guard.
     """
-    _validate_input(f, runs, coeff_bound)
+    _validate_input(f, runs, coeff_bound, tolerance)
     n = f.ring.nvars
     degree = int(f.total_degree())
     t_total = time.perf_counter()

@@ -14,8 +14,12 @@ makes the curve projections in this package tractable.
 
 Pair management uses the standard update procedure with the coprime and
 chain pruning criteria; pairs are selected by phantom-homogeneous degree
-(sugar) first.  Reduction walks the working tail through a lazy max-heap so
-each step costs proportional to the reducer's support, not the tail size.
+(sugar) first.  Modulo p, reduction keeps the working terms in a max-heap
+of keys, so each step costs proportional to the reducer's support, not the
+tail size; a coefficient is reduced modulo p only when its key reaches the
+top (Monagan & Pearce, "Sparse polynomial division using a heap", JSC 46,
+2011), and the top term is reduced by the first basis element, in install
+order, whose leading monomial divides it.
 
 Rational results come from one multi-modular driver, `_modular_chain`.
 For each of a fixed descending sequence of 62-bit primes it runs a whole
@@ -359,7 +363,12 @@ class _IntegerArith:
 
 
 class _ModularArith:
-    """Monic-normalizing arithmetic modulo a prime."""
+    """Monic-normalizing arithmetic modulo a prime.
+
+    Every element the engine hands out comes from `normalize`, so it is
+    monic: a reducer is its leading key and its tail, and an S-polynomial
+    needs no scaling.
+    """
 
     def __init__(self, p: int, codec):
         self.p = p
@@ -375,11 +384,14 @@ class _ModularArith:
         inv = pow(lc, p - 2, p)
         return {m: v * inv % p for m, v in terms.items()}
 
-    def reducer_entry(self, terms):
-        """Reducer record; the inverse leading coefficient is cached."""
+    @staticmethod
+    def reducer_entry(terms):
+        """Reducer record of a monic element: its leading key and its tail,
+        which shares the element's coefficients."""
         lt = max(terms)
-        inv = pow(terms[lt], self.p - 2, self.p)
-        return (lt, inv, terms, (len(terms), 0))
+        tail = dict(terms)
+        del tail[lt]
+        return (lt, tail)
 
     def spoly(self, f, g):
         p = self.p
@@ -390,13 +402,12 @@ class _ModularArith:
         )
         df = big - ltf
         dg = big - ltg
-        factor = f[ltf] * pow(g[ltg], p - 2, p) % p
         out = {}
         for m, c in f.items():
             out[m + df] = c
         for m, c in g.items():
             k = m + dg
-            v = (out.get(k, 0) - factor * c) % p
+            v = (out.get(k, 0) - c) % p
             if v:
                 out[k] = v
             elif k in out:
@@ -404,7 +415,13 @@ class _ModularArith:
         return out
 
     def reduce(self, target, reducers):
-        """Full normal form; the tail is walked through a lazy max-heap."""
+        """Full normal form by the first reducer whose leading key divides.
+
+        The working terms sit in a max-heap of keys, one entry per key.  A
+        coefficient is reduced modulo p once, when its key reaches the top;
+        a reduction step adds (p - c) times the reducer's tail to keys that
+        all lie below the top, so none of them has left the heap yet.
+        """
         p = self.p
         guard = self.codec.guard
         coeff = dict(target)
@@ -414,34 +431,28 @@ class _ModularArith:
         pop = heapq.heappop
         result = {}
         while heap:
-            m = -heap[0]
-            c = coeff.get(m)
+            m = -pop(heap)
+            c = coeff.pop(m) % p
             if not c:
-                pop(heap)
                 continue
-            # _pdivides(red[0], m, guard), inlined: this is the hot loop
+            # _pdivides(lt, m, guard), inlined: this is the hot loop
             mg = m | guard
-            for hit in reducers:
-                if (mg - hit[0]) & guard == guard:
+            for lt, tail in reducers:
+                if (mg - lt) & guard == guard:
                     break
             else:
-                pop(heap)
                 result[m] = c
-                del coeff[m]
                 continue
-            lt, lc_inv, terms, _ = hit
             shift = m - lt
-            factor = c * lc_inv % p
-            for mg, cg in terms.items():
-                k = mg + shift
+            factor = p - c
+            for mt, ct in tail.items():
+                k = mt + shift
                 old = coeff.get(k)
-                v = ((old or 0) - factor * cg) % p
-                if v:
-                    coeff[k] = v
-                    if not old:
-                        push(heap, -k)
-                elif old:
-                    del coeff[k]
+                if old is None:
+                    coeff[k] = factor * ct
+                    push(heap, -k)
+                else:
+                    coeff[k] = old + factor * ct
         return self.normalize(result)
 
 
@@ -456,6 +467,8 @@ class _UnitIdeal(Exception):
 def _core_buchberger(gens, engine):
     """Reduced basis of key-packed generators; raises _UnitIdeal for 1.
 
+    Reducers are kept in install order, so a reduction step uses the
+    earliest installed element whose leading monomial divides the top term.
     Returns the unique reduced basis as a list of normalized packed dicts
     sorted by ascending leading key.
     """
@@ -474,7 +487,6 @@ def _core_buchberger(gens, engine):
         )
         basis.append(terms)
         reducers.append(entry)
-        reducers.sort(key=lambda red: red[3])
 
     for t in gens:
         if not t:

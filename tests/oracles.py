@@ -1,15 +1,18 @@
 """Self-contained reference implementations used to cross-check the package.
 
-Everything here is deliberately independent of the package internals: dense
-list-based univariate arithmetic over Fraction, a Sylvester-determinant
-resultant for bivariate integer polynomials, and S-polynomials and
-multivariate division on tuple monomials.  Keeping these paths separate
-from the Groebner engine's packed monomials and modular arithmetic makes
-agreement between the two a meaningful check.
+Everything here but the last section is deliberately independent of the
+package internals: dense list-based univariate arithmetic over Fraction, a
+Sylvester-determinant resultant for bivariate integer polynomials, and
+S-polynomials and multivariate division on tuple monomials.  Keeping these
+paths separate from the Groebner engine's packed monomials and modular
+arithmetic makes agreement between the two a meaningful check.  The last
+section is a second division kernel on the engine's packed keys, the eager
+one, so the engine's own reducer can be compared with it term for term.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from polarvalues.polynomials import LexOrder, Polynomial, monomial_add
@@ -278,3 +281,57 @@ def normal_form(p: Polynomial, basis, order: LexOrder) -> Polynomial:
             elif k in work:
                 del work[k]
     return Polynomial(ring, result)
+
+
+# ---------------------------------------------------------------------------
+# eager division modulo a prime on the engine's packed keys
+
+
+def mod_p_normal_form(target, basis, p, guard):
+    """Monic normal form modulo p of a packed dict by packed `basis` dicts.
+
+    The first basis element whose leading key divides the top term reduces
+    it (a divides b when ((b | guard) - a) & guard == guard), and every
+    updated coefficient is reduced modulo p at once, a zero one deleted.
+    The working terms sit in a max-heap that may hold a key twice or a key
+    whose coefficient is gone; such entries are popped and skipped.
+    """
+    reducers = []
+    for t in basis:
+        lt = max(t)
+        reducers.append((lt, pow(t[lt], p - 2, p), t))
+    coeff = {m: c % p for m, c in target.items() if c % p}
+    heap = [-m for m in coeff]
+    heapq.heapify(heap)
+    result = {}
+    while heap:
+        m = -heap[0]
+        c = coeff.get(m)
+        if not c:
+            heapq.heappop(heap)
+            continue
+        for hit in reducers:
+            if ((m | guard) - hit[0]) & guard == guard:
+                break
+        else:
+            heapq.heappop(heap)
+            result[m] = c
+            del coeff[m]
+            continue
+        lt, lc_inv, terms = hit
+        shift = m - lt
+        factor = c * lc_inv % p
+        for mg, cg in terms.items():
+            k = mg + shift
+            old = coeff.get(k)
+            v = ((old or 0) - factor * cg) % p
+            if v:
+                coeff[k] = v
+                if not old:
+                    heapq.heappush(heap, -k)
+            elif old:
+                del coeff[k]
+    if not result:
+        return result
+    inv = pow(result[max(result)], p - 2, p)
+    return {m: c * inv % p for m, c in result.items()}

@@ -226,6 +226,16 @@ class TestMainExitCodes:
         assert main(["x + y", "--vars", "x,y"]) == 4
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "1", "nan", "inf"])
+    def test_tolerance_out_of_range_is_2(self, capsys, tolerance):
+        # a tolerance outside (0, 1) used to run and mark far-off roots
+        # converged (inf) or warn about a tolerance nobody could meet (nan)
+        argv = ["x^3 - 3*x + y^2", "--vars", "x,y", "--runs", "1"]
+        assert main(argv + ["--tolerance=" + tolerance, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "tolerance must be a number in (0, 1)" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("text", ["x^40000*y + x", "x^32767*y + x"])
     def test_exponent_limit_is_2(self, capsys, text):
         # the engine packs exponents below 2**15; going past it is an

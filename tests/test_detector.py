@@ -188,6 +188,14 @@ class TestSuperPolarRuns:
         with pytest.raises(ValueError):
             run_super_polar(one_var.variable("x"), seed=0)
 
+    @pytest.mark.parametrize(
+        "tolerance", [0.0, -1.0, 1.0, float("nan"), float("inf")]
+    )
+    def test_tolerance_validation(self, tolerance):
+        for runner in (run_super_polar, run_iterated_polar):
+            with pytest.raises(ValueError, match="tolerance"):
+                runner(X + X**2 * Y, seed=0, runs=1, tolerance=tolerance)
+
     def test_dimension_guard_raises_after_budget(self, monkeypatch):
         import polarvalues.detector as detector
 
