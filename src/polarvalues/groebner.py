@@ -52,7 +52,22 @@ raises an UncertifiedResult warning.  A prime that finds the unit ideal is
 believed only when the certificate's basis holds a power of the
 homogenizing variable, and is skipped as unlucky otherwise (homogeneous
 generators need no certificate; above the cap two such primes decide, with
-a warning).
+a warning).  A chain with stages also skips, as unlucky, a prime whose
+seed basis has other leading monomials than the certificate's basis.
+
+Later primes replay a trace (Traverso, "Groebner trace algorithms", ISSAC
+1988).  Once two full primes agree on the staircase of every node they
+ran, each later prime reduces, node by node, only the generators and
+S-pairs that installed an element at the second of them, and skips the
+reductions to zero and all pair bookkeeping; a step with another leading
+monomial sends that node back to a full run.  One prime is not enough: a
+generator that vanishes there is never reduced again, so the replay
+repeats a wrong staircase, and a missing relation is invisible to a
+membership test.  A candidate that fails its exact check drops the trace,
+and full primes resume.  The certificates stay exact: a replayed ideal
+lies inside <g^h> mod p, and its elements have the leading monomials of the
+lifted basis G, so Arnold's chain still closes, HF(<G>) <= HF(<g^h>) <=
+HF(<g^h> mod p) <= HF(replayed ideal) <= HF(<LM(G)>) = HF(<G>).
 """
 
 from __future__ import annotations
@@ -464,16 +479,52 @@ class _UnitIdeal(Exception):
     """Internal signal: a constant appeared, the basis is {1}."""
 
 
-def _core_buchberger(gens, engine):
+class _TraceMismatch(Exception):
+    """Internal signal: a replayed step left its recorded trace."""
+
+
+class _Trace:
+    """What one full run of `_core_buchberger` did, for replay at another
+    prime: the generator count, the generators (index, leading key) and
+    S-pairs (i, j, leading key) that installed an element, in install
+    order, and the install indices of the minimal basis (None until the
+    run is recorded)."""
+
+    def __init__(self):
+        self.ngens = None
+        self.gens = []
+        self.pairs = []
+        self.kept = None
+
+
+def _core_buchberger(gens, engine, trace=None):
     """Reduced basis of key-packed generators; raises _UnitIdeal for 1.
 
     Reducers are kept in install order, so a reduction step uses the
     earliest installed element whose leading monomial divides the top term.
     Returns the unique reduced basis as a list of normalized packed dicts
     sorted by ascending leading key.
+
+    A fresh `_Trace` records the run.  A recorded one is replayed
+    (Traverso, "Groebner trace algorithms", ISSAC 1988): only the recorded
+    generators and S-pairs are reduced, in their install order, so each
+    step takes the same first divisor; no pair is built or selected, no
+    reduction to zero is repeated, and the same inter-reduction pass ends
+    the run.  A step whose leading key differs from the record (a constant,
+    a vanished remainder, another generator count) raises _TraceMismatch,
+    so a replay never raises _UnitIdeal.  The replayed elements generate an
+    ideal J inside the ideal I of the generators, with the recorded leading
+    monomials; a step that reduced to zero at the recording prime is not
+    retried, so J may be smaller.  When I has the recorded staircase too,
+    LT(I) lies in LT(J), so J = I and the result is I's reduced basis; the
+    caller replays only traces that two primes agree on, and its exact
+    checks refute the rest (for homogeneous generators g, Arnold's chain
+    HF(<G>) <= HF(<g>) <= HF(<g> mod p) <= HF(J) <= HF(<LM(G)>) = HF(<G>)
+    proves a lifted basis G with the replayed staircase exact).
     """
     codec = engine.codec
     one_key = codec.one_key
+    replay = trace is not None and trace.kept is not None
     basis = []
     plain_lts = []
     sugars = []
@@ -482,45 +533,74 @@ def _core_buchberger(gens, engine):
 
     def install(terms, sugar):
         entry = engine.reducer_entry(terms)
-        _update_pairs(
-            plain_lts, sugars, pairs, codec.plain(entry[0]), sugar, codec
-        )
+        if not replay:
+            _update_pairs(
+                plain_lts, sugars, pairs, codec.plain(entry[0]), sugar, codec
+            )
         basis.append(terms)
         reducers.append(entry)
 
-    for t in gens:
-        if not t:
-            continue
-        t = engine.reduce(t, reducers)
-        if not t:
-            continue
-        if max(t) == one_key:
-            raise _UnitIdeal()
-        install(t, max(codec.degree(m) for m in t))
+    if replay:
+        if len(gens) != trace.ngens:
+            raise _TraceMismatch()
 
-    while pairs:
-        (i, j), pair_data = min(pairs.items(), key=lambda kv: (kv[1], kv[0]))
-        sugar = pair_data[0]
-        del pairs[(i, j)]
-        s = engine.spoly(basis[i], basis[j])
-        if not s:
-            continue
-        r = engine.reduce(s, reducers)
-        if not r:
-            continue
-        if max(r) == one_key:
-            raise _UnitIdeal()
-        install(r, sugar)
+        def replayed(r, lt):
+            if not r or max(r) != lt:
+                raise _TraceMismatch()
+            install(r, None)
 
-    # minimal set: drop elements whose leading monomial another one divides
-    guard = codec.guard
-    by_lt = sorted(range(len(basis)), key=lambda k: max(basis[k]))
-    kept = []
-    for k in by_lt:
-        if not any(
-            _pdivides(plain_lts[j], plain_lts[k], guard) for j in kept
-        ):
-            kept.append(k)
+        for k, lt in trace.gens:
+            replayed(engine.reduce(gens[k], reducers), lt)
+        for i, j, lt in trace.pairs:
+            s = engine.spoly(basis[i], basis[j])
+            replayed(engine.reduce(s, reducers), lt)
+        kept = trace.kept
+    else:
+        for k, t in enumerate(gens):
+            if not t:
+                continue
+            t = engine.reduce(t, reducers)
+            if not t:
+                continue
+            lt = max(t)
+            if lt == one_key:
+                raise _UnitIdeal()
+            install(t, max(codec.degree(m) for m in t))
+            if trace is not None:
+                trace.gens.append((k, lt))
+
+        while pairs:
+            (i, j), pair_data = min(
+                pairs.items(), key=lambda kv: (kv[1], kv[0])
+            )
+            sugar = pair_data[0]
+            del pairs[(i, j)]
+            s = engine.spoly(basis[i], basis[j])
+            if not s:
+                continue
+            r = engine.reduce(s, reducers)
+            if not r:
+                continue
+            lt = max(r)
+            if lt == one_key:
+                raise _UnitIdeal()
+            install(r, sugar)
+            if trace is not None:
+                trace.pairs.append((i, j, lt))
+
+        # minimal set: drop elements whose leading monomial another one
+        # divides
+        guard = codec.guard
+        by_lt = sorted(range(len(basis)), key=lambda k: max(basis[k]))
+        kept = []
+        for k in by_lt:
+            if not any(
+                _pdivides(plain_lts[j], plain_lts[k], guard) for j in kept
+            ):
+                kept.append(k)
+        if trace is not None:
+            trace.ngens = len(gens)
+            trace.kept = kept
 
     # inter-reduce to the unique reduced basis in one ascending pass: a
     # leading monomial dividing a tail monomial of g is smaller than LT(g),
@@ -775,6 +855,7 @@ class _Certificate:
         self.codec = _Codec((range(len(self.names)),))
         self.bits = None
         self._unit = None
+        self._leading = None
         self._reducers = None
         self._known = {}
 
@@ -806,6 +887,13 @@ class _Certificate:
         # keeps every coefficient and the leading term
         self.bits = _exact_size(basis)
         self._unit = any(max(t) == self.codec.one_key for t in basis)
+        # a divisor of a monomial precedes it in every monomial order
+        guard = self.codec.guard
+        lts = sorted({max(t) for t in basis})
+        self._leading = tuple(
+            m for k, m in enumerate(lts)
+            if not any(_pdivides(d, m, guard) for d in lts[:k])
+        )
         arith = _IntegerArith(self.codec)
         self._reducers = sorted(
             (arith.reducer_entry(t) for t in basis), key=lambda red: red[3]
@@ -819,6 +907,11 @@ class _Certificate:
     def unit(self):
         """Whether 1 lies in I; None when that cannot be certified."""
         return self._unit if self.exact() else None
+
+    def leading(self):
+        """The leading keys of I's reduced graded basis, ascending; None
+        when they cannot be certified."""
+        return self._leading if self.exact() else None
 
     def member(self, terms):
         """Whether the polynomial (packed under the graded codec) lies in I;
@@ -864,22 +957,33 @@ def _involves(terms, var_mask) -> bool:
     return any(m & var_mask for m in terms)
 
 
-def _chain_mod_p(p, gens_int, codecs, stages, masks, needed):
-    """Every needed node's reduced basis modulo p; raises _UnitIdeal.
+def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay):
+    """Every needed node's reduced basis modulo p, and the trace of every
+    node run in full; raises _UnitIdeal.
 
     Node 0 is the basis of the generators under codecs[0]; node k >= 1
     applies stage (parent, var): the parent's elements free of the
     parent's own variable, re-keyed under codecs[k], which puts var in a
     leading block of its own.  Every codec orders polynomials free of the
     variables dropped so far by graded reverse-lex on the rest, so a stage
-    whose input does not involve var already has its reduced basis.
+    whose input does not involve var already has its reduced basis.  A node
+    with a trace in `replay` replays it, and runs in full only when this
+    prime leaves the trace.
     """
-    bases = {
-        0: _core_buchberger(
-            [{m: c % p for m, c in t.items()} for t in gens_int],
-            _ModularArith(p, codecs[0]),
-        )
-    }
+    traces = {}
+
+    def run(node, elems):
+        engine = _ModularArith(p, codecs[node])
+        trace = replay.get(node)
+        if trace is not None:
+            try:
+                return _core_buchberger(elems, engine, trace)
+            except _TraceMismatch:
+                pass
+        trace = traces[node] = _Trace()
+        return _core_buchberger(elems, engine, trace)
+
+    bases = {0: run(0, [{m: c % p for m, c in t.items()} for t in gens_int])}
     for node, (parent, var) in enumerate(stages, 1):
         if node not in needed:
             continue
@@ -891,9 +995,9 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed):
             if not (parent and _involves(t, masks[parent]))
         ]
         if any(_involves(t, masks[node]) for t in elems):
-            elems = _core_buchberger(elems, _ModularArith(p, codec))
+            elems = run(node, elems)
         bases[node] = elems
-    return bases
+    return bases, traces
 
 
 def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
@@ -918,6 +1022,14 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
     generators are homogeneous (the ideal holds a constant) or the
     certificate proves 1 in the ideal, and skipped as unlucky when the
     certificate proves otherwise; without a certificate two votes decide.
+    With stages (whose seed codec is graded, like the certificate's), a
+    prime whose seed basis has other leading keys than the certificate's
+    reduced basis is skipped as unlucky too.
+
+    After two full primes with the same staircase at every node they ran,
+    later primes replay the traces of the second (see `_core_buchberger`);
+    a candidate that fails its check drops them, and full primes resume
+    until two agree again.
 
     Returns the lifted outputs (node -> integer dicts, keyed under the
     node's codec) and the certificate.  Raises _UnitIdeal(certificate)
@@ -941,11 +1053,14 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
     homogeneous = all(
         len({seed_codec.degree(m) for m in t}) == 1 for t in gens_int
     )
+    lucky = certificate.leading() if stages else None
     states = {o: {} for o in pending}
     lifted = {}
     unit_votes = 0
     index = 0
     used = 0
+    traces = {}  # node -> trace replayed at every prime; empty: full runs
+    last = None  # node -> staircase at the last full prime
     while pending and used < _MAX_MODULAR_PRIMES:
         p = _agenda_prime(index)
         index += 1
@@ -954,7 +1069,9 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
         used += 1
         needed = {k for o in pending for k in paths[o]}
         try:
-            bases = _chain_mod_p(p, gens_int, codecs, stages, masks, needed)
+            bases, recorded = _chain_mod_p(
+                p, gens_int, codecs, stages, masks, needed, traces
+            )
         except _UnitIdeal:
             verdict = True if homogeneous else certificate.unit()
             if verdict is None:
@@ -967,13 +1084,20 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
             if verdict:
                 raise _UnitIdeal(certificate)
             continue
+        staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
+        if lucky is not None and staircases[0] != lucky:
+            continue
+        if not traces:
+            if last is not None and all(
+                last.get(k) == s for k, s in staircases.items()
+            ):
+                traces = recorded
+            last = staircases
         for o in list(pending):
             out = bases[o]
             if o:
                 out = [t for t in out if not _involves(t, masks[o])]
-            staircase = tuple(
-                tuple(max(t) for t in bases[k]) for k in paths[o]
-            )
+            staircase = tuple(staircases[k] for k in paths[o])
             state = states[o].get(staircase)
             if state is None:
                 state = states[o][staircase] = _CrtState()
@@ -1001,6 +1125,8 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
                     lifted[o] = candidate
                     pending.remove(o)
                     continue
+                traces = {}
+                last = None
             state.add(p, out)
             state.last_candidate = state.reconstruct()
     if pending:

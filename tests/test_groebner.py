@@ -372,6 +372,24 @@ _small_polys = st.dictionaries(
 ).map(lambda terms: Polynomial(R3, terms))
 
 
+def _fixed_graph_ideal():
+    """The graph ideal of x + x^2*y over fixed super-polar coefficients."""
+    from polarvalues.detector import SuperPolarCoefficients, super_polar_ideal
+    from polarvalues.nonproper import graph_ideal
+
+    coeffs = SuperPolarCoefficients(
+        seed=0,
+        a=((1, 1, -5), (-1, 3, 2)),
+        b=(
+            ((1, -1, 2), (4, -2, 3), (-3, -1, -3)),
+            ((-4, 4, -1), (3, 4, -3), (-1, -4, -4)),
+        ),
+        beta=(5, 2, 3),
+    )
+    f = X3 + X3**2 * Y3
+    return graph_ideal(super_polar_ideal(f, coeffs), f)
+
+
 class TestModularKernel:
     @pytest.mark.parametrize("p", [3, 32003, groebner._agenda_prime(0)])
     @settings(max_examples=40, deadline=None)
@@ -422,23 +440,7 @@ class TestModularKernel:
         agenda prime: with the shortest reducer first they took 78
         S-polynomials and 32,622 reducer-term updates; with the first
         installed divisor and monic tails, 70 and 26,495."""
-        from polarvalues.detector import (
-            SuperPolarCoefficients,
-            super_polar_ideal,
-        )
-        from polarvalues.nonproper import graph_ideal
-
-        coeffs = SuperPolarCoefficients(
-            seed=0,
-            a=((1, 1, -5), (-1, 3, 2)),
-            b=(
-                ((1, -1, 2), (4, -2, 3), (-3, -1, -3)),
-                ((-4, 4, -1), (3, 4, -3), (-1, -4, -4)),
-            ),
-            beta=(5, 2, 3),
-        )
-        f = X3 + X3**2 * Y3
-        graph = graph_ideal(super_polar_ideal(f, coeffs), f)
+        graph = _fixed_graph_ideal()
         p = groebner._agenda_prime(0)
         counts = {"spoly": 0, "updates": 0}
 
@@ -492,10 +494,10 @@ class TestChain:
         runs = {}
         core = groebner._core_buchberger
 
-        def counting(gens, engine):
+        def counting(gens, engine, trace=None):
             if engine.codec.nvars == 3:
                 runs[engine.codec.blocks] = runs.get(engine.codec.blocks, 0) + 1
-            return core(gens, engine)
+            return core(gens, engine, trace)
 
         monkeypatch.setattr(groebner, "_core_buchberger", counting)
         drop_u, drop_y = frozenset({2}), frozenset({1})
@@ -506,6 +508,161 @@ class TestChain:
         stage_u, stage_y = ((2,), (0, 1)), ((1,), (0, 2))
         assert runs[stage_u] == 2
         assert runs[stage_y] == runs[seed] > 20
+
+
+class TestTraceReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.sampled_from(
+            [((0, 1, 2),), ((0,), (1,), (2,)), ((0,), (1, 2))]
+        ),
+        gens=st.lists(_small_polys, min_size=1, max_size=3),
+    )
+    def test_replay_equals_full_run(self, blocks, gens):
+        # a trace recorded at one prime, replayed at another with the
+        # chain's fallback, gives that prime's own reduced basis whenever
+        # the two primes share a staircase: the replayed ideal lies inside
+        # the ideal modulo p and has its leading monomials
+        codec = groebner._Codec(blocks)
+        gens_int = [groebner._to_engine(g, codec) for g in gens]
+        primes = [32003] + [groebner._agenda_prime(i) for i in range(2)]
+        full = {}
+        traces = {}
+        for p in primes:
+            trace = groebner._Trace()
+            try:
+                full[p] = groebner._core_buchberger(
+                    [{m: c % p for m, c in t.items()} for t in gens_int],
+                    groebner._ModularArith(p, codec),
+                    trace,
+                )
+            except groebner._UnitIdeal:
+                continue
+            traces[p] = trace
+        for recorded, p in itertools.permutations(traces, 2):
+            bases, _ = groebner._chain_mod_p(
+                p, gens_int, [codec], (), [0], {0}, {0: traces[recorded]}
+            )
+            if list(map(max, full[recorded])) == list(map(max, full[p])):
+                assert bases[0] == full[p]
+
+    def test_mismatch_falls_back_to_full_run(self):
+        # modulo 3 the generator 3xy + x + 1 loses its leading term: its
+        # trace installs it with leading monomial x, which no step at 32003
+        # reproduces, so that prime runs in full and records its own trace
+        codec = groebner._Codec((range(2),))
+        gens = [
+            groebner._to_engine(g, codec) for g in (X**2 + Y, 3 * X * Y + X + 1)
+        ]
+        trace = groebner._Trace()
+        groebner._core_buchberger(
+            [{m: c % 3 for m, c in t.items()} for t in gens],
+            groebner._ModularArith(3, codec),
+            trace,
+        )
+        engine = groebner._ModularArith(32003, codec)
+        image = [{m: c % 32003 for m, c in t.items()} for t in gens]
+        with pytest.raises(groebner._TraceMismatch):
+            groebner._core_buchberger(image, engine, trace)
+        full = groebner._core_buchberger(image, engine)
+        bases, recorded = groebner._chain_mod_p(
+            32003, gens, [codec], (), [0], {0}, {0: trace}
+        )
+        assert bases[0] == full
+        assert recorded[0].kept is not None
+
+    @pytest.mark.parametrize("cap", [groebner._EXACT_CHECK_BIT_CAP, 0])
+    def test_one_prime_is_not_trusted(self, monkeypatch, cap):
+        # modulo p0 both generators are x + y + u, whose y-elimination is
+        # empty; replayed at later primes, a trace of p0 skips the second
+        # generator and repeats that empty answer, which a membership
+        # certificate cannot refute.  The certificate's leading monomials
+        # unmask p0; above the cap only the two-prime rule does
+        p0 = groebner._agenda_prime(0)
+        ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0) * Y3 + U3])
+        drop = frozenset({1})
+        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", cap)
+        if cap:
+            lifted, _ = groebner._eliminations(ideal, [drop])
+        else:
+            with pytest.warns(groebner.UncertifiedResult):
+                lifted, _ = groebner._eliminations(ideal, [drop])
+        assert lifted[drop] == [X3 + U3]
+
+    def test_failed_check_drops_the_trusted_trace(self):
+        # the first two agenda primes agree on the basis x + y + u, so their
+        # trace is trusted; the exact check refutes it, and full primes
+        # must resume or the replay repeats that basis for ever
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0 * p1) * Y3 + U3])
+        assert graded_basis(ideal) == [Y3, X3 + U3]
+
+    def test_unlucky_seed_primes_are_skipped(self):
+        # modulo p0 and p1 the ideal is <x + y + u>, with no relation free
+        # of y; the two primes agreed on that empty elimination, and the
+        # empty set is trivially certified.  The graded basis of the
+        # certificate has leading monomials y and x, and a prime whose seed
+        # basis has others is unlucky
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0 * p1) * Y3 + U3])
+        assert eliminate(ideal, {0, 2}) == [X3 + U3]
+
+    def test_later_primes_only_replay(self, monkeypatch):
+        # the chain of nonproperness_values on the fixed graph ideal and the
+        # chain of its certificate, each held to six primes before it lifts
+        # (as taller coefficients would hold it): after the two primes that
+        # record a trace, no prime installs a pair or reduces anything to 0
+        graph = _fixed_graph_ideal()
+        work = {}
+        current = [None]
+        chain = groebner._chain_mod_p
+        update = groebner._update_pairs
+        reduce = groebner._ModularArith.reduce
+        reconstruct = groebner._CrtState.reconstruct
+
+        def held_reconstruct(self):
+            if self.modulus.bit_length() <= 5 * 62:
+                return None
+            return reconstruct(self)
+
+        def tracked_chain(p, gens_int, codecs, *rest):
+            current[0] = key = (codecs[0].nvars, p)
+            work[key] = {"updates": 0, "zeros": 0}
+            try:
+                return chain(p, gens_int, codecs, *rest)
+            finally:
+                current[0] = None
+
+        def counting_update(*args):
+            if current[0] is not None:
+                work[current[0]]["updates"] += 1
+            return update(*args)
+
+        def counting_reduce(self, target, reducers):
+            out = reduce(self, target, reducers)
+            if current[0] is not None and not out:
+                work[current[0]]["zeros"] += 1
+            return out
+
+        monkeypatch.setattr(groebner, "_chain_mod_p", tracked_chain)
+        monkeypatch.setattr(groebner, "_update_pairs", counting_update)
+        monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
+        monkeypatch.setattr(groebner._CrtState, "reconstruct", held_reconstruct)
+        z = graph.z_index
+        drops = [
+            frozenset(j for j in range(3) if j != i) for i in range(3)
+        ]
+        groebner._eliminations(graph.ideal, drops)
+        chains = {}
+        for (nvars, _), w in work.items():
+            chains.setdefault(nvars, []).append(w)
+        assert sorted(chains) == [z + 1, z + 2]
+        for primes in chains.values():
+            assert len(primes) >= 7
+            assert all(w["updates"] for w in primes[:2])
+            assert primes[2:] == [{"updates": 0, "zeros": 0}] * (
+                len(primes) - 2
+            )
 
 
 def _certificate(ideal):
@@ -797,9 +954,9 @@ class TestLiftCost:
             calls["reconstruct"] += 1
             return reconstruct(residue, modulus)
 
-        def recording_core(gens, engine):
+        def recording_core(gens, engine, trace=None):
             primes.append(engine.p)
-            return core(gens, engine)
+            return core(gens, engine, trace)
 
         monkeypatch.setattr(
             groebner, "_rational_reconstruct", counting_reconstruct

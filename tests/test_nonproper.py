@@ -463,7 +463,7 @@ class TestLiftCost:
             init(self)
             states.append(self)
 
-        def counting(gens, engine):
+        def counting(gens, engine, trace=None):
             codec = engine.codec
             if codec.nvars == graph.ring.nvars:
                 # a stage is its codec and the variables left in its input
@@ -472,7 +472,7 @@ class TestLiftCost:
                     for i, e in enumerate(codec.unpack(m)) if e
                 )
                 runs[(codec.blocks, left, engine.p)] += 1
-            return core(gens, engine)
+            return core(gens, engine, trace)
 
         monkeypatch.setattr(groebner._CrtState, "__init__", registering)
         monkeypatch.setattr(groebner, "_core_buchberger", counting)
