@@ -46,14 +46,16 @@ reconstruction and it passes an exact check over the integers:
   `affine_dimension`) must be a Groebner basis by which every generator
   reduces to zero.
 
-Neither check runs on a basis above _EXACT_CHECK_BIT_CAP bits; the
-fresh-prime verdict then stands, and an elimination accepted that way
-raises an UncertifiedResult warning.  A prime that finds the unit ideal is
-believed only when the certificate's basis holds a power of the
-homogenizing variable, and is skipped as unlucky otherwise (homogeneous
-generators need no certificate; above the cap two such primes decide, with
-a warning).  A chain with stages also skips, as unlucky, a prime whose
-seed basis has other leading monomials than the certificate's basis.
+The unit ideal is no exception: its reduced basis is [1], its staircase
+{1}, and it is lifted and reproduced like any output.  The basis check
+proves only that the ideal lies in <1>, so a whole basis [1] of
+inhomogeneous generators must pass the certificate as well (homogeneous
+generators hold 1 only through a constant generator).  Neither check runs
+on a basis above _EXACT_CHECK_BIT_CAP bits; the fresh-prime verdict then
+stands, and an elimination or unit ideal accepted that way raises an
+UncertifiedResult warning.  A chain with stages skips, as unlucky, a prime
+whose seed basis has other leading monomials than the certificate's
+basis.
 
 Later primes replay a trace (Traverso, "Groebner trace algorithms", ISSAC
 1988).  Once two full primes agree on the staircase of every node they
@@ -475,10 +477,6 @@ class _ModularArith:
 # core basis search (shared by the modular and exact engines)
 
 
-class _UnitIdeal(Exception):
-    """Internal signal: a constant appeared, the basis is {1}."""
-
-
 class _TraceMismatch(Exception):
     """Internal signal: a replayed step left its recorded trace."""
 
@@ -498,29 +496,31 @@ class _Trace:
 
 
 def _core_buchberger(gens, engine, trace=None):
-    """Reduced basis of key-packed generators; raises _UnitIdeal for 1.
+    """Reduced basis of key-packed generators.
 
     Reducers are kept in install order, so a reduction step uses the
     earliest installed element whose leading monomial divides the top term.
     Returns the unique reduced basis as a list of normalized packed dicts
-    sorted by ascending leading key.
+    sorted by ascending leading key.  A constant is installed like any
+    element and ends the run, since it divides every monomial: the basis
+    of the unit ideal is [{one_key: 1}].
 
     A fresh `_Trace` records the run.  A recorded one is replayed
     (Traverso, "Groebner trace algorithms", ISSAC 1988): only the recorded
     generators and S-pairs are reduced, in their install order, so each
     step takes the same first divisor; no pair is built or selected, no
     reduction to zero is repeated, and the same inter-reduction pass ends
-    the run.  A step whose leading key differs from the record (a constant,
-    a vanished remainder, another generator count) raises _TraceMismatch,
-    so a replay never raises _UnitIdeal.  The replayed elements generate an
-    ideal J inside the ideal I of the generators, with the recorded leading
-    monomials; a step that reduced to zero at the recording prime is not
-    retried, so J may be smaller.  When I has the recorded staircase too,
-    LT(I) lies in LT(J), so J = I and the result is I's reduced basis; the
-    caller replays only traces that two primes agree on, and its exact
-    checks refute the rest (for homogeneous generators g, Arnold's chain
-    HF(<G>) <= HF(<g>) <= HF(<g> mod p) <= HF(J) <= HF(<LM(G)>) = HF(<G>)
-    proves a lifted basis G with the replayed staircase exact).
+    the run.  A step whose leading key differs from the record (a vanished
+    remainder, another generator count) raises _TraceMismatch.  The
+    replayed elements generate an ideal J inside the ideal I of the
+    generators, with the recorded leading monomials; a step that reduced
+    to zero at the recording prime is not retried, so J may be smaller.
+    When I has the recorded staircase too, LT(I) lies in LT(J), so J = I
+    and the result is I's reduced basis; the caller replays only traces
+    that two primes agree on, and its exact checks refute the rest (for
+    homogeneous generators g, Arnold's chain HF(<G>) <= HF(<g>) <=
+    HF(<g> mod p) <= HF(J) <= HF(<LM(G)>) = HF(<G>) proves a lifted basis
+    G with the replayed staircase exact).
     """
     codec = engine.codec
     one_key = codec.one_key
@@ -537,6 +537,8 @@ def _core_buchberger(gens, engine, trace=None):
             _update_pairs(
                 plain_lts, sugars, pairs, codec.plain(entry[0]), sugar, codec
             )
+            if entry[0] == one_key:
+                pairs.clear()  # 1 divides every S-polynomial
         basis.append(terms)
         reducers.append(entry)
 
@@ -563,11 +565,11 @@ def _core_buchberger(gens, engine, trace=None):
             if not t:
                 continue
             lt = max(t)
-            if lt == one_key:
-                raise _UnitIdeal()
             install(t, max(codec.degree(m) for m in t))
             if trace is not None:
                 trace.gens.append((k, lt))
+            if lt == one_key:
+                break
 
         while pairs:
             (i, j), pair_data = min(
@@ -582,8 +584,6 @@ def _core_buchberger(gens, engine, trace=None):
             if not r:
                 continue
             lt = max(r)
-            if lt == one_key:
-                raise _UnitIdeal()
             install(r, sugar)
             if trace is not None:
                 trace.pairs.append((i, j, lt))
@@ -841,12 +841,11 @@ class _Certificate:
     monomial of a homogeneous polynomial only when it divides the whole
     polynomial, so setting h = 1 maps G onto a Groebner basis of I under
     the graded order.  A polynomial lies in I exactly when it reduces to
-    zero by that basis, and I is the unit ideal exactly when G holds a
-    power of h.
+    zero by that basis; 1 does exactly when G holds a power of h.
 
     The basis is computed on first use.  Above _EXACT_CHECK_BIT_CAP the
     driver accepts it without the exact check, so nothing is certified:
-    `member` and `unit` then return None.
+    `leading`, `member` and `covers` then return None.
     """
 
     def __init__(self, gens_int, names):
@@ -854,7 +853,6 @@ class _Certificate:
         self.names = tuple(names)
         self.codec = _Codec((range(len(self.names)),))
         self.bits = None
-        self._unit = None
         self._leading = None
         self._reducers = None
         self._known = {}
@@ -886,7 +884,6 @@ class _Certificate:
         # the same size the driver compared with the cap: dehomogenizing
         # keeps every coefficient and the leading term
         self.bits = _exact_size(basis)
-        self._unit = any(max(t) == self.codec.one_key for t in basis)
         # a divisor of a monomial precedes it in every monomial order
         guard = self.codec.guard
         lts = sorted({max(t) for t in basis})
@@ -903,10 +900,6 @@ class _Certificate:
         if self._reducers is None:
             self._build()
         return self.bits <= _EXACT_CHECK_BIT_CAP
-
-    def unit(self):
-        """Whether 1 lies in I; None when that cannot be certified."""
-        return self._unit if self.exact() else None
 
     def leading(self):
         """The leading keys of I's reduced graded basis, ascending; None
@@ -959,16 +952,17 @@ def _involves(terms, var_mask) -> bool:
 
 def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay):
     """Every needed node's reduced basis modulo p, and the trace of every
-    node run in full; raises _UnitIdeal.
+    node run in full.
 
     Node 0 is the basis of the generators under codecs[0]; node k >= 1
     applies stage (parent, var): the parent's elements free of the
     parent's own variable, re-keyed under codecs[k], which puts var in a
     leading block of its own.  Every codec orders polynomials free of the
     variables dropped so far by graded reverse-lex on the rest, so a stage
-    whose input does not involve var already has its reduced basis.  A node
-    with a trace in `replay` replays it, and runs in full only when this
-    prime leaves the trace.
+    whose input does not involve var already has its reduced basis; the
+    unit ideal's [1] passes every stage so.  A node with a trace in
+    `replay` replays it, and runs in full only when this prime leaves the
+    trace.
     """
     traces = {}
 
@@ -1018,13 +1012,13 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
     reproduces it and it is verified: node 0 by the exact basis check
     (skipped above _EXACT_CHECK_BIT_CAP), every other output by the
     membership certificate of the ideal; a candidate that fails takes more
-    primes.  A prime that finds the unit ideal is believed when the
-    generators are homogeneous (the ideal holds a constant) or the
-    certificate proves 1 in the ideal, and skipped as unlucky when the
-    certificate proves otherwise; without a certificate two votes decide.
-    With stages (whose seed codec is graded, like the certificate's), a
-    prime whose seed basis has other leading keys than the certificate's
-    reduced basis is skipped as unlucky too.
+    primes.  The unit ideal is the candidate [1] with staircase {1}; the
+    basis check proves only that the ideal lies in <1>, so it is verified
+    by the certificate at every node, except that homogeneous generators
+    hold 1 only through a constant generator and need no proof.  With
+    stages (whose seed codec is graded, like the certificate's), a prime
+    whose seed basis has other leading keys than the certificate's reduced
+    basis is skipped as unlucky.
 
     After two full primes with the same staircase at every node they ran,
     later primes replay the traces of the second (see `_core_buchberger`);
@@ -1032,9 +1026,8 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
     until two agree again.
 
     Returns the lifted outputs (node -> integer dicts, keyed under the
-    node's codec) and the certificate.  Raises _UnitIdeal(certificate)
-    when 1 is in the ideal, InternalInvariantError when the prime agenda
-    is exhausted.
+    node's codec) and the certificate.  Raises InternalInvariantError when
+    the prime agenda is exhausted.
     """
     n = seed_codec.nvars
     codecs = [seed_codec]
@@ -1056,7 +1049,6 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
     lucky = certificate.leading() if stages else None
     states = {o: {} for o in pending}
     lifted = {}
-    unit_votes = 0
     index = 0
     used = 0
     traces = {}  # node -> trace replayed at every prime; empty: full runs
@@ -1068,22 +1060,9 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
             continue
         used += 1
         needed = {k for o in pending for k in paths[o]}
-        try:
-            bases, recorded = _chain_mod_p(
-                p, gens_int, codecs, stages, masks, needed, traces
-            )
-        except _UnitIdeal:
-            verdict = True if homogeneous else certificate.unit()
-            if verdict is None:
-                unit_votes += 1
-                if unit_votes >= 2:
-                    certificate.uncertified(
-                        "the unit ideal rests on two prime votes"
-                    )
-                    verdict = True
-            if verdict:
-                raise _UnitIdeal(certificate)
-            continue
+        bases, recorded = _chain_mod_p(
+            p, gens_int, codecs, stages, masks, needed, traces
+        )
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
         if lucky is not None and staircases[0] != lucky:
             continue
@@ -1108,7 +1087,12 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
                     _IntegerArith.normalize_fractions(e)
                     for e in state.last_candidate
                 ]
-                if o == 0:
+                unit = candidate == [{codecs[o].one_key: 1}]
+                if unit and homogeneous:
+                    # 1 lies in a homogeneous ideal modulo p only when a
+                    # generator is constant
+                    verdict = True
+                elif o == 0 and not unit:
                     verdict = _exact_size(candidate) > _EXACT_CHECK_BIT_CAP or (
                         _exact_basis_check(gens_int, candidate, seed_codec)
                     )
@@ -1116,8 +1100,9 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
                     verdict = certificate.covers(candidate)
                     if verdict is None:
                         certificate.uncertified(
-                            "the elimination onto (%s) rests on fresh-prime "
-                            "agreement"
+                            "the unit ideal rests on two prime votes" if unit
+                            else "the elimination onto (%s) rests on "
+                            "fresh-prime agreement"
                             % ", ".join(names[j] for j in range(n)
                                         if j not in dropped[o])
                         )
@@ -1143,7 +1128,7 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
 
 
 def _basis_elems(ideal: Ideal, codec):
-    """Reduced basis as packed dicts under `codec`; raises _UnitIdeal."""
+    """Reduced basis as packed dicts under `codec`."""
     gens = [_to_engine(g, codec) for g in ideal.generators]
     return _modular_chain(gens, codec, ideal.ring.variables)[0][0]
 
@@ -1161,11 +1146,9 @@ def buchberger(ideal: Ideal, order: LexOrder = None) -> GroebnerBasis:
     if len(order.permutation) != n:
         raise ValueError("order permutation length does not match the ring")
     codec = _Codec((i,) for i in order.permutation)
-    try:
-        elems = _basis_elems(ideal, codec)
-    except _UnitIdeal:
-        return GroebnerBasis(ring, order, (ring.one(),))
-    final = tuple(_from_engine(t, codec, ring) for t in elems)
+    final = tuple(
+        _from_engine(t, codec, ring) for t in _basis_elems(ideal, codec)
+    )
     return GroebnerBasis(ring, order, final)
 
 
@@ -1178,11 +1161,7 @@ def graded_basis(ideal: Ideal) -> list:
     """
     ring = ideal.ring
     codec = _Codec((range(ring.nvars),))
-    try:
-        elems = _basis_elems(ideal, codec)
-    except _UnitIdeal:
-        return [ring.one()]
-    return [_from_engine(t, codec, ring) for t in elems]
+    return [_from_engine(t, codec, ring) for t in _basis_elems(ideal, codec)]
 
 
 def _eliminations(ideal: Ideal, drops):
@@ -1209,12 +1188,9 @@ def _eliminations(ideal: Ideal, drops):
     codec = _Codec((range(n),))
     gens = [_to_engine(g, codec) for g in ideal.generators]
     outputs = [nodes[frozenset(d)] for d in drops]
-    try:
-        lifted, certificate = _modular_chain(
-            gens, codec, ring.variables, stages, outputs
-        )
-    except _UnitIdeal as unit:
-        return {frozenset(d): [ring.one()] for d in drops}, unit.args[0]
+    lifted, certificate = _modular_chain(
+        gens, codec, ring.variables, stages, outputs
+    )
     # every codec of the ring keeps the plain packing in a key's low slots
     return {
         frozenset(d): [
@@ -1224,7 +1200,7 @@ def _eliminations(ideal: Ideal, drops):
     }, certificate
 
 
-def eliminate(ideal: Ideal, keep, seed_basis=None) -> list:
+def eliminate(ideal: Ideal, keep) -> list:
     """Reduced graded basis of the intersection with the subring on the
     kept variables.
 
@@ -1235,12 +1211,7 @@ def eliminate(ideal: Ideal, keep, seed_basis=None) -> list:
     ideal.  Only the final intersection is lifted to the rationals, and it
     is certified to lie in the ideal by an exact membership test (a
     warning of category UncertifiedResult says when the test is too large
-    to run).  `seed_basis`, when given, replaces the input: it must be a
-    reduced graded basis (as `graded_basis` and `eliminate` return) of the
-    ideal's intersection with any subring that contains the kept
-    variables.  A variable no element of it involves is already
-    eliminated, so a seed free of every dropped variable is only filtered.
-    Returns [1] when 1 is in the ideal.
+    to run).  Returns [1] when 1 is in the ideal.
     """
     ring = ideal.ring
     n = ring.nvars
@@ -1248,14 +1219,6 @@ def eliminate(ideal: Ideal, keep, seed_basis=None) -> list:
     if not keep or not all(isinstance(i, int) and 0 <= i < n for i in keep):
         raise ValueError("keep must be a nonempty set of variable indices")
     drop = frozenset(i for i in range(n) if i not in keep)
-    if seed_basis is not None:
-        seed_basis = list(seed_basis)
-        drop = frozenset(
-            i for i in drop if any(i in p.support_variables() for p in seed_basis)
-        )
-        if not drop:
-            return [p for p in seed_basis if p.support_variables() <= keep]
-        ideal = Ideal(ring, seed_basis)
     return _eliminations(ideal, [drop])[0][drop]
 
 
@@ -1268,12 +1231,8 @@ def affine_dimension(ideal: Ideal) -> int:
     """
     n = ideal.ring.nvars
     codec = _Codec((range(n),))
-    try:
-        elems = _basis_elems(ideal, codec)
-    except _UnitIdeal:
-        return -1
     masks = []
-    for t in elems:
+    for t in _basis_elems(ideal, codec):
         mask = 0
         for i, exp in enumerate(codec.unpack(max(t))):
             if exp:

@@ -140,11 +140,9 @@ def fiber_relation(
     `eliminate`, whose result is certified to lie in the graph ideal; the
     reduced lex basis (x_i > z) of that intersection is computed in two
     variables and its element of minimal x_i-degree is returned, living in
-    a fresh two-variable ring (x_i, z).  `seed_elements` may supply a
-    precomputed reduced graded basis of the graph ideal's intersection with
-    any subring containing x_i and z (as `graded_basis` and `eliminate`
-    return).  `nonproperness_values` hands it the (x_i, z) intersection
-    itself, so `eliminate` only filters it.  Raises NotACurveError when
+    a fresh two-variable ring (x_i, z).  `seed_elements` may supply that
+    intersection instead, as `nonproperness_values` does from its chain;
+    it is then taken as it is.  Raises NotACurveError when
     the intersection is zero, which cannot happen for the graph of a map
     on a curve.
     """
@@ -152,7 +150,10 @@ def fiber_relation(
     if not 0 <= var_index < ring.nvars or var_index == graph.z_index:
         raise ValueError("var_index must name a non-value variable")
     keep = {var_index, graph.z_index}
-    candidates = eliminate(graph.ideal, keep, seed_basis=seed_elements)
+    if seed_elements is None:
+        candidates = eliminate(graph.ideal, keep)
+    else:
+        candidates = list(seed_elements)
     if not candidates:
         raise NotACurveError(
             "graph projects dominantly to a coordinate plane; not a curve"
@@ -213,10 +214,10 @@ def _univariate_in(p: Polynomial, var_index: int) -> UnivariatePolynomial:
     )
 
 
-def value_line(graph: GraphIdeal, seed_basis=None):
+def value_line(graph: GraphIdeal):
     """The defining polynomial of the graph ideal's intersection with the
     value line, or None when that intersection is zero."""
-    line = eliminate(graph.ideal, {graph.z_index}, seed_basis=seed_basis)
+    line = eliminate(graph.ideal, {graph.z_index})
     if not line:
         return None
     # the intersection with the z-line is principal: fold the generators
@@ -255,7 +256,8 @@ def nonproperness_values(
     value line (the graph ideal's intersection with the z-line) needs no
     chain of its own: it is nonzero exactly when a fiber relation is free
     of its x_i, and that relation is its generator.  Only with no escape
-    variables is the value line lifted directly.
+    variables is the value line lifted directly, by `value_line`'s own
+    chain.
     """
     if f.ring != curve.ring:
         raise ValueError("f must live in the curve ideal's ring")
@@ -274,14 +276,15 @@ def nonproperness_values(
     drops = {
         i: frozenset(j for j in range(n) if j != i) for i in escape_vars
     }
-    line_drop = frozenset(range(n))
-    eliminated, certificate = _eliminations(
-        graph.ideal, list(drops.values()) or [line_drop]
-    )
-
     flags = set()
     rho = UnivariatePolynomial.one()
     line = None
+    if escape_vars:
+        eliminated, certificate = _eliminations(
+            graph.ideal, list(drops.values())
+        )
+    else:
+        line = value_line(graph)
     for i in escape_vars:
         rel = fiber_relation(graph, i, seed_elements=eliminated[drops[i]])
         if certificate.contains(lift_polynomial(rel, graph.ring)) is False:
@@ -301,8 +304,6 @@ def nonproperness_values(
             flags.add(VERTICAL_COMPONENT)
             rho = rho * line
 
-    if not escape_vars:
-        line = value_line(graph, seed_basis=eliminated[line_drop])
     if line is not None and line.degree() >= 1:
         flags.add(VERTICAL_COMPONENT)
         rho = rho * line

@@ -41,10 +41,6 @@ class UnivariatePolynomial:
     def one(cls) -> "UnivariatePolynomial":
         return cls((1,))
 
-    @classmethod
-    def variable(cls) -> "UnivariatePolynomial":
-        return cls((0, 1))
-
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -55,11 +51,6 @@ class UnivariatePolynomial:
         if not self.coefficients:
             return -math.inf
         return len(self.coefficients) - 1
-
-    def leading_coefficient(self) -> Fraction:
-        if not self.coefficients:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction and complex arguments."""

@@ -39,6 +39,13 @@ FIXTURES = {
     ],
     # non-finite singular locus: the localized curve shares its t stage
     "x2y_both": ["x^2*y", "--vars", "x,y", "--method", "both"],
+    # unit ideals: 11 of the 26 modular chains end in <1>
+    "x_both": ["x", "--vars", "x,y", "--method", "both"],
+    # a linear map on three variables: 9 of its 15 chains end in <1>
+    "x_plus_y_xyu_both": [
+        "x + y", "--vars", "x,y,u", "--method", "both",
+        "--runs", "1", "--coeff-bound", "5",
+    ],
 }
 
 

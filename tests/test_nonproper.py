@@ -301,10 +301,7 @@ def exact_relations(curve, f):
 
     def exact_basis(polys, codec, target):
         gens = [groebner._to_engine(p, codec) for p in polys]
-        try:
-            elems = groebner._core_buchberger(gens, groebner._IntegerArith(codec))
-        except groebner._UnitIdeal:
-            return [target.one()]
+        elems = groebner._core_buchberger(gens, groebner._IntegerArith(codec))
         return [groebner._from_engine(t, codec, target) for t in elems]
 
     seed = exact_basis(graph.ideal.generators, groebner._Codec((range(n),)), ring)

@@ -3,7 +3,9 @@
 Every name in ``polarvalues.__all__`` must resolve, and every function the
 README's "Main entry points" list names must be exported: a call written
 as `name(...)` in any bullet, and every backticked name in a "... layer:"
-bullet.  Deleting a function without updating the README fails here.
+bullet.  Deleting a function without updating the README fails here.  The
+README's Library example runs, and each value its comments show is the
+value its line computes.
 """
 
 import re
@@ -42,3 +44,22 @@ def test_readme_entry_points_are_exported():
     # the parse must keep finding both kinds of entry
     assert {"run_super_polar", "bound_nk", "buchberger", "eliminate"} <= names
     assert sorted(names - set(polarvalues.__all__)) == []
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    _, found, rest = text.partition("## Library\n\n```python\n")
+    assert found, "README lost its Library example"
+    namespace = {}
+    shown = []
+    for line in rest.split("```", 1)[0].splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment:
+            shown.append((comment.strip(), repr(eval(code, namespace))))
+        else:
+            exec(line, namespace)
+    assert shown == [
+        ("(Fraction(0, 1),)", "(Fraction(0, 1),)"),
+        ("True", "True"),
+        ("3", "3"),
+    ]

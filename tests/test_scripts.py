@@ -38,3 +38,18 @@ def test_run_examples_help():
     proc = run_script("run_examples.py", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "--coeff-bound" in proc.stdout
+
+
+def test_run_examples_end_to_end():
+    # every example at the script's defaults, the unit-ideal-heavy x (n=2)
+    # included; x + x^2*y detects the value 0 with both methods
+    proc = run_script("run_examples.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = {}
+    for line in proc.stdout.splitlines()[2:]:
+        rows[line[:18].strip(), line[19:34].strip()] = line[35:63].strip()
+    assert len(rows) == 12
+    for n in (2, 3):
+        for method in ("super_polar", "iterated_polar"):
+            assert rows["x + x^2*y (n=%d)" % n, method].startswith("{0}")
+    assert rows["x (n=2)", "super_polar"] == "empty"
