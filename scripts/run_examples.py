@@ -15,14 +15,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from polarvalues.detector import run_iterated_polar, run_super_polar
-from polarvalues.fields import QQ
 from polarvalues.polynomials import PolynomialRing
 
 
 def examples():
-    r2 = PolynomialRing(("x", "y"), QQ)
+    r2 = PolynomialRing(("x", "y"))
     x, y = r2.variable("x"), r2.variable("y")
-    r3 = PolynomialRing(("x", "y", "u"), QQ)
+    r3 = PolynomialRing(("x", "y", "u"))
     x3, y3 = r3.variable("x"), r3.variable("y")
     return [
         ("x + x^2*y (n=2)", x + x**2 * y),

@@ -36,7 +36,6 @@ from .detector import (
     sample_super_polar_coefficients,
     super_polar_ideal,
 )
-from .fields import QQ, RationalField
 from .groebner import (
     GroebnerBasis,
     Ideal,
@@ -58,7 +57,6 @@ from .nonproper import (
     nonproperness_values,
 )
 from .polynomials import (
-    LexOrder,
     Polynomial,
     PolynomialRing,
     extend_ring,
@@ -84,13 +82,10 @@ __all__ = [
     "Ideal",
     "InternalInvariantError",
     "IteratedPolarCoefficients",
-    "LexOrder",
     "NotACurveError",
     "ParseError",
     "Polynomial",
     "PolynomialRing",
-    "QQ",
-    "RationalField",
     "RunConfig",
     "RunRecord",
     "SingularComponentData",

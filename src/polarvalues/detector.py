@@ -29,9 +29,9 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .bounds import SingularComponentData, bound_kinf, bound_nk, bound_superpolar
-from .fields import QQ
 from .groebner import (
     Ideal,
     UncertifiedResult,
@@ -136,7 +136,7 @@ def sample_invertible_matrix(rng: random.Random, n: int, bound: int = MATRIX_ENT
         rows = tuple(
             tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
         )
-        if _invertible([[QQ(x) for x in row] for row in rows]):
+        if _invertible([[Fraction(x) for x in row] for row in rows]):
             return rows
     raise InternalInvariantError("could not sample an invertible matrix")
 

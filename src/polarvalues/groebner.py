@@ -6,11 +6,12 @@ slots realize the active monomial order, so comparison is native integer
 comparison, and whose low slots are a plain packing of the exponents, on
 which divisibility is tested with a two-operation guard-bit trick.  One
 family of orders covers every use: blocks of variables compared in
-sequence, each degree-graded and reverse-lex inside.  Singleton blocks give
-the pure lexicographic orders of the public interface; a leading block
-holding just the eliminated variable yields the same elimination ideal as
-a pure lex order but with far smaller intermediate bases, which is what
-makes the curve projections in this package tractable.
+sequence, each degree-graded and reverse-lex inside.  Singleton blocks in
+ring order give `buchberger`'s lex order, the only lex order of the
+package; a leading block holding just the eliminated variable yields the
+same elimination ideal as a pure lex order but with far smaller
+intermediate bases, which is what makes the curve projections in this
+package tractable.
 
 Pair management uses the standard update procedure with the coprime and
 chain pruning criteria; pairs are selected by phantom-homogeneous degree
@@ -80,9 +81,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import is_probable_prime
 from .polynomials import (
-    LexOrder,
     Polynomial,
     PolynomialRing,
     extend_ring,
@@ -116,7 +115,6 @@ class GroebnerBasis:
     """A reduced basis, sorted by ascending leading monomial."""
 
     ring: PolynomialRing
-    order: LexOrder
     elements: tuple
 
     def contains_one(self) -> bool:
@@ -653,6 +651,34 @@ def _update_pairs(plain_lts, sugars, pairs, new_plain, new_sugar, codec):
 # multi-modular driver over the rationals
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for moduli below 2**64."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 _PRIME_CEILING = (1 << 62) - 1
 _PRIME_AGENDA = []
 # Safety valve only: reconstruction is accepted solely after agreement with a
@@ -1133,23 +1159,19 @@ def _basis_elems(ideal: Ideal, codec):
     return _modular_chain(gens, codec, ideal.ring.variables)[0][0]
 
 
-def buchberger(ideal: Ideal, order: LexOrder = None) -> GroebnerBasis:
-    """Reduced Groebner basis of `ideal` under `order` (default lex).
+def buchberger(ideal: Ideal) -> GroebnerBasis:
+    """Reduced Groebner basis of `ideal` under lex with the variables in ring
+    order.
 
     Basis elements come out normalized (primitive integer coefficients with
     positive leading coefficient) and sorted by ascending leading monomial.
     """
     ring = ideal.ring
-    n = ring.nvars
-    if order is None:
-        order = LexOrder.default(n)
-    if len(order.permutation) != n:
-        raise ValueError("order permutation length does not match the ring")
-    codec = _Codec((i,) for i in order.permutation)
+    codec = _Codec((i,) for i in range(ring.nvars))
     final = tuple(
         _from_engine(t, codec, ring) for t in _basis_elems(ideal, codec)
     )
-    return GroebnerBasis(ring, order, final)
+    return GroebnerBasis(ring, final)
 
 
 def graded_basis(ideal: Ideal) -> list:
@@ -1256,7 +1278,7 @@ def with_rabinowitsch(ideal: Ideal, h: Polynomial) -> Ideal:
     """Adjoin t*h - 1 in a ring with a fresh variable t prepended.
 
     The zero set of the result is the part of V(ideal) outside V(h); the
-    fresh variable sits first so the default lex order eliminates it.
+    fresh variable sits first so the lex order of `buchberger` eliminates it.
     """
     if h.ring != ideal.ring:
         raise ValueError("h lives outside the ideal's ring")

@@ -106,8 +106,6 @@ class ValueSet:
 class GraphIdeal:
     """The ideal of the graph of f over V(base): (base, f - z)."""
 
-    base: Ideal
-    map_poly: Polynomial
     ring: PolynomialRing
     z_index: int
     ideal: Ideal
@@ -123,8 +121,6 @@ def graph_ideal(base: Ideal, f: Polynomial) -> GraphIdeal:
     gens = [lift_polynomial(g, ring_z) for g in base.generators]
     gens.append(lift_polynomial(f, ring_z) - z)
     return GraphIdeal(
-        base=base,
-        map_poly=f,
         ring=ring_z,
         z_index=ring_z.nvars - 1,
         ideal=Ideal(ring_z, gens),
@@ -159,8 +155,7 @@ def fiber_relation(
             "graph projects dominantly to a coordinate plane; not a curve"
         )
     pair_ring = PolynomialRing(
-        (ring.variables[var_index], ring.variables[graph.z_index]),
-        ring.field,
+        (ring.variables[var_index], ring.variables[graph.z_index])
     )
 
     def to_pair(p):
@@ -301,8 +296,6 @@ def nonproperness_values(
                 rho = rho * piece
         else:
             line = _univariate_in(rel, 1)
-            flags.add(VERTICAL_COMPONENT)
-            rho = rho * line
 
     if line is not None and line.degree() >= 1:
         flags.add(VERTICAL_COMPONENT)

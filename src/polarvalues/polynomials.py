@@ -1,9 +1,10 @@
 """Sparse multivariate polynomial arithmetic over the rationals.
 
 Polynomials are immutable maps from exponent tuples to nonzero Fraction
-coefficients, tagged with a ring descriptor (variable names plus the field
-QQ).  Display and leading terms go through lexicographic orders given by a
-variable permutation; the Groebner engine packs its own monomial orders.
+coefficients, tagged with a ring descriptor (the variable names).  The
+coefficients are always rationals: ints and Fractions are accepted, anything
+else raises TypeError.  Display lists terms in lex order with the variables
+in ring order; the Groebner engine packs its own monomial orders.
 """
 
 from __future__ import annotations
@@ -12,21 +13,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import QQ
-
 NEG_INF = -math.inf
+
+
+def _rational(value) -> Fraction:
+    """`value` as a Fraction; only ints and Fractions are rationals."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError("cannot coerce %r into the rational field" % (value,))
 
 
 @dataclass(frozen=True)
 class PolynomialRing:
-    """Ring descriptor: an ordered tuple of variable names over QQ."""
+    """Ring descriptor: an ordered tuple of variable names over the rationals."""
 
     variables: tuple
-    field: object = QQ
 
     def __post_init__(self):
-        if self.field != QQ:
-            raise ValueError("polynomial rings are over QQ only")
         object.__setattr__(self, "variables", tuple(self.variables))
         names = self.variables
         if len(set(names)) != len(names):
@@ -49,7 +54,7 @@ class PolynomialRing:
         return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
-        c = self.field(value)
+        c = _rational(value)
         if not c:
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -57,7 +62,7 @@ class PolynomialRing:
     def variable(self, name: str) -> "Polynomial":
         exps = [0] * self.nvars
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): self.field.one})
+        return Polynomial(self, {tuple(exps): Fraction(1)})
 
     def gens(self) -> tuple:
         return tuple(self.variable(v) for v in self.variables)
@@ -71,34 +76,10 @@ class PolynomialRing:
                 e < 0 or not isinstance(e, int) for e in exps
             ):
                 raise ValueError("bad exponent tuple %r" % (exps,))
-            c = self.field(coeff)
+            c = _rational(coeff)
             if c:
                 clean[exps] = c
         return Polynomial(self, clean)
-
-
-@dataclass(frozen=True)
-class LexOrder:
-    """Lexicographic monomial order reading variables in `permutation` order.
-
-    permutation[0] is the most significant variable index.
-    """
-
-    permutation: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "permutation", tuple(self.permutation))
-        n = len(self.permutation)
-        if sorted(self.permutation) != list(range(n)):
-            raise ValueError("permutation must be a bijection on 0..n-1")
-
-    @classmethod
-    def default(cls, nvars: int) -> "LexOrder":
-        return cls(tuple(range(nvars)))
-
-    def key(self, exps: tuple) -> tuple:
-        perm = self.permutation
-        return tuple(exps[i] for i in perm)
 
 
 def monomial_add(a: tuple, b: tuple) -> tuple:
@@ -147,19 +128,6 @@ class Polynomial:
                 if e:
                     seen.add(i)
         return seen
-
-    def coefficient_of(self, exps: tuple):
-        return self.terms.get(tuple(exps), self.ring.field.zero)
-
-    def leading_term(self, order: LexOrder):
-        """(exponents, coefficient) of the largest monomial under `order`."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
-
-    def leading_monomial(self, order: LexOrder) -> tuple:
-        return self.leading_term(order)[0]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -285,7 +253,7 @@ class Polynomial:
         new_vars = (
             self.ring.variables[:var_index] + self.ring.variables[var_index + 1 :]
         )
-        new_ring = PolynomialRing(new_vars, self.ring.field)
+        new_ring = PolynomialRing(new_vars)
         terms = {}
         for m, c in self.terms.items():
             if m[var_index]:
@@ -297,8 +265,7 @@ class Polynomial:
         """Replace variable i by sum_j matrix[i][j] * x_j; matrix must be invertible."""
         ring = self.ring
         n = ring.nvars
-        field = ring.field
-        rows = [[field(entry) for entry in row] for row in matrix]
+        rows = [[_rational(entry) for entry in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix shape must be %d x %d" % (n, n))
         if not _invertible(rows):
@@ -323,17 +290,12 @@ class Polynomial:
 
     # -- display ------------------------------------------------------
 
-    def sorted_terms(self, order: LexOrder = None):
-        if order is None:
-            order = LexOrder.default(self.ring.nvars)
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-
     def __str__(self):
         if not self.terms:
             return "0"
         names = self.ring.variables
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), reverse=True):
             factors = []
             for name, e in zip(names, m):
                 if e == 1:
@@ -400,7 +362,7 @@ def extend_ring(ring: PolynomialRing, name: str, front: bool = False):
         variables = (name,) + ring.variables
     else:
         variables = ring.variables + (name,)
-    return PolynomialRing(variables, ring.field)
+    return PolynomialRing(variables)
 
 
 def lift_polynomial(p: Polynomial, new_ring: PolynomialRing) -> Polynomial:

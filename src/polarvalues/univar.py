@@ -144,11 +144,6 @@ class UnivariatePolynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other: "UnivariatePolynomial") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return divmod(other, self)[1].is_zero()
-
     def derivative(self) -> "UnivariatePolynomial":
         return UnivariatePolynomial(
             [c * i for i, c in enumerate(self.coefficients)][1:]
@@ -232,16 +227,6 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     quo, rem = divmod(p, g)
     assert rem.is_zero()
     return quo.canonical()
-
-
-def shift(p: UnivariatePolynomial, c) -> UnivariatePolynomial:
-    """Return q with q(z) = p(z - c); roots move by +c."""
-    c = Fraction(c)
-    x_minus_c = UnivariatePolynomial((-c, 1))
-    result = UnivariatePolynomial(())
-    for coeff in reversed(p.coefficients):
-        result = result * x_minus_c + coeff
-    return result
 
 
 def rational_roots(p: UnivariatePolynomial):

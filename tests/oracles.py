@@ -2,12 +2,14 @@
 
 Everything here but the last section is deliberately independent of the
 package internals: dense list-based univariate arithmetic over Fraction, a
-Sylvester-determinant resultant for bivariate integer polynomials, and
-S-polynomials and multivariate division on tuple monomials.  Keeping these
-paths separate from the Groebner engine's packed monomials and modular
-arithmetic makes agreement between the two a meaningful check.  The last
-section is a second division kernel on the engine's packed keys, the eager
-one, so the engine's own reducer can be compared with it term for term.
+Sylvester-determinant resultant for bivariate integer polynomials,
+S-polynomials and multivariate division on tuple monomials under lex with
+the variables in ring order, and the value shift of the metamorphic tests.
+Keeping these paths separate from the Groebner engine's packed monomials
+and modular arithmetic makes agreement between the two a meaningful check.
+The last section is a second division kernel on the engine's packed keys,
+the eager one, so the engine's own reducer can be compared with it term
+for term.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from polarvalues.polynomials import LexOrder, Polynomial, monomial_add
+from polarvalues.polynomials import Polynomial, monomial_add
+from polarvalues.univar import UnivariatePolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +221,20 @@ def monomial_sub(a: tuple, b: tuple) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def s_polynomial(p: Polynomial, q: Polynomial, order: LexOrder) -> Polynomial:
-    """The classical S-polynomial, with exact coefficient division."""
+def _leading_term(p: Polynomial):
+    """(exponents, coefficient) of p's largest monomial under lex."""
+    m = max(p.terms)
+    return m, p.terms[m]
+
+
+def s_polynomial(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The classical S-polynomial under lex, with exact coefficient division."""
     if p.ring != q.ring:
         raise ValueError("polynomials live in different rings")
     if p.is_zero() or q.is_zero():
         raise ValueError("S-polynomial requires nonzero inputs")
-    ltp, cp = p.leading_term(order)
-    ltq, cq = q.leading_term(order)
+    ltp, cp = _leading_term(p)
+    ltq, cq = _leading_term(q)
     big = monomial_lcm(ltp, ltq)
     mp = monomial_sub(big, ltp)
     mq = monomial_sub(big, ltq)
@@ -242,8 +251,8 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: LexOrder) -> Polynomial:
     return Polynomial(p.ring, out)
 
 
-def normal_form(p: Polynomial, basis, order: LexOrder) -> Polynomial:
-    """Remainder of p under multivariate division by `basis`.
+def normal_form(p: Polynomial, basis) -> Polynomial:
+    """Remainder of p under multivariate division by `basis` under lex.
 
     The difference p - normal_form(p) lies in the ideal generated by the
     basis, and no remainder term is divisible by any basis leading monomial.
@@ -254,12 +263,12 @@ def normal_form(p: Polynomial, basis, order: LexOrder) -> Polynomial:
         if b.ring != ring:
             raise ValueError("basis element outside p's ring")
         if not b.is_zero():
-            lt, lc = b.leading_term(order)
+            lt, lc = _leading_term(b)
             reducers.append((lt, lc, b.terms))
     work = dict(p.terms)
     result = {}
     while work:
-        m = max(work, key=order.key)
+        m = max(work)
         c = work[m]
         hit = None
         for lt, lc, terms in reducers:
@@ -281,6 +290,16 @@ def normal_form(p: Polynomial, basis, order: LexOrder) -> Polynomial:
             elif k in work:
                 del work[k]
     return Polynomial(ring, result)
+
+
+def shift(p: UnivariatePolynomial, c) -> UnivariatePolynomial:
+    """Return q with q(z) = p(z - c); roots move by +c."""
+    c = Fraction(c)
+    x_minus_c = UnivariatePolynomial((-c, 1))
+    result = UnivariatePolynomial(())
+    for coeff in reversed(p.coefficients):
+        result = result * x_minus_c + coeff
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,16 @@ from polarvalues.detector import (
     run_super_polar,
     sample_invertible_matrix,
 )
-from polarvalues.fields import QQ
 from polarvalues.groebner import Ideal, buchberger, eliminate
 from polarvalues.nonproper import EMPTY_CURVE
-from polarvalues.polynomials import LexOrder, Polynomial, PolynomialRing
-from polarvalues.univar import UnivariatePolynomial, gcd_univar, shift
+from polarvalues.polynomials import Polynomial, PolynomialRing
+from polarvalues.univar import UnivariatePolynomial, gcd_univar
 
 import oracles
 
-R2 = PolynomialRing(("x", "y"), QQ)
+R2 = PolynomialRing(("x", "y"))
 X, Y = R2.variable("x"), R2.variable("y")
-R3 = PolynomialRing(("x", "y", "u"), QQ)
+R3 = PolynomialRing(("x", "y", "u"))
 X3, Y3 = R3.variable("x"), R3.variable("y")
 
 F2 = X + X**2 * Y
@@ -146,7 +145,7 @@ def test_criterion_5(record_acceptance):
             def to_univar(e):
                 return UnivariatePolynomial(
                     [
-                        e.coefficient_of((0, j))
+                        e.terms.get((0, j), Fraction(0))
                         for j in range(e.degree_in(1) + 1)
                     ]
                 )
@@ -180,7 +179,6 @@ def test_criterion_6(record_acceptance):
         rings = [R2, R3]
         for trial in range(200):
             ring = rings[trial % 2]
-            order = LexOrder.default(ring.nvars)
             gens = [
                 rand_poly(rng, ring, max_deg=3, max_terms=3, bound=4)
                 for _ in range(rng.randint(1, 3))
@@ -189,12 +187,12 @@ def test_criterion_6(record_acceptance):
             elems = [e for e in gb.elements if not e.is_zero()]
             for i in range(len(elems)):
                 for j in range(i + 1, len(elems)):
-                    s = oracles.s_polynomial(elems[i], elems[j], order)
+                    s = oracles.s_polynomial(elems[i], elems[j])
                     if not s.is_zero():
-                        assert oracles.normal_form(s, elems, order).is_zero()
+                        assert oracles.normal_form(s, elems).is_zero()
             for g in gens:
                 if not g.is_zero():
-                    assert oracles.normal_form(g, elems, order).is_zero()
+                    assert oracles.normal_form(g, elems).is_zero()
 
     _verdict(record_acceptance, 6, body)
 
@@ -240,7 +238,7 @@ def test_criterion_8(record_acceptance):
                     == base.s_final.exact_rational_roots
                 )
             shifted = run_super_polar(f + 5, seed=0, **params)
-            assert shifted.s_final.rho == shift(
+            assert shifted.s_final.rho == oracles.shift(
                 base.s_final.rho, 5
             ).canonical()
         assert time.perf_counter() - began < 120

@@ -17,11 +17,10 @@ from polarvalues.cli import (
     run,
 )
 from polarvalues.detector import DimensionGuardError
-from polarvalues.fields import QQ
 from polarvalues.polynomials import PolynomialRing
 
 VARS = ("x", "y")
-R2 = PolynomialRing(VARS, QQ)
+R2 = PolynomialRing(VARS)
 X, Y = R2.variable("x"), R2.variable("y")
 
 

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from polarvalues import groebner
 from polarvalues import nonproper as nonproper_module
-from polarvalues.fields import QQ
 from polarvalues.groebner import Ideal, with_rabinowitsch
 from polarvalues.nonproper import (
     EMPTY_CURVE,
@@ -26,9 +25,9 @@ from polarvalues.nonproper import (
 from polarvalues.polynomials import Polynomial, PolynomialRing
 from polarvalues.univar import UnivariatePolynomial
 
-R2 = PolynomialRing(("x", "y"), QQ)
+R2 = PolynomialRing(("x", "y"))
 X, Y = R2.variable("x"), R2.variable("y")
-R3 = PolynomialRing(("x", "y", "u"), QQ)
+R3 = PolynomialRing(("x", "y", "u"))
 X3, Y3, U3 = (R3.variable(v) for v in ("x", "y", "u"))
 
 
@@ -72,14 +71,14 @@ class TestGraphIdeal:
         assert len(g.ideal.generators) == 2
 
     def test_name_clash_gets_fresh_name(self):
-        ring = PolynomialRing(("x", "z"), QQ)
+        ring = PolynomialRing(("x", "z"))
         xx = ring.variable("x")
         g = graph_ideal(Ideal(ring, [xx]), xx)
         assert g.ring.nvars == 3
         assert g.ring.variables[2] not in ("x", "z")
 
     def test_rejects_foreign_polynomial(self):
-        other = PolynomialRing(("a", "b"), QQ)
+        other = PolynomialRing(("a", "b"))
         with pytest.raises(ValueError):
             graph_ideal(Ideal(R2, [X]), other.variable("a"))
 
@@ -319,7 +318,7 @@ def exact_relations(curve, f):
         if not current:
             relations[i] = None
             continue
-        pair_ring = PolynomialRing((ring.variables[i], ring.variables[-1]), QQ)
+        pair_ring = PolynomialRing((ring.variables[i], ring.variables[-1]))
         pairs = [
             Polynomial(
                 pair_ring, {(m[i], m[-1]): c for m, c in p.terms.items()}
@@ -438,7 +437,7 @@ class TestLiftCost:
         z = graph.z_index
         outputs = [groebner.eliminate(graph.ideal, {i, z}) for i in range(3)]
         relations = [fiber_relation(graph, i) for i in range(3)]
-        h_ring = PolynomialRing(graph.ring.variables + ("h",), QQ)
+        h_ring = PolynomialRing(graph.ring.variables + ("h",))
         homogenized = [
             Polynomial(
                 h_ring,
