@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from .bounds import SingularComponentData, bound_kinf, bound_nk, bound_superpolar
 from .groebner import (
+    _MAX_EXPONENT,
     Ideal,
     UncertifiedResult,
     affine_dimension,
@@ -262,6 +263,14 @@ def _validate_input(
         raise ValueError("need a map on at least two variables")
     if f.is_constant():
         raise ValueError("f must be non-constant")
+    # a generic coordinate change turns the total degree into an exponent,
+    # and expanding such a power before the engine sees it outlasts any run
+    degree = f.total_degree()
+    if degree > _MAX_EXPONENT:
+        raise ValueError(
+            "total degree %d exceeds the engine limit of %d"
+            % (degree, _MAX_EXPONENT)
+        )
     if runs < 1:
         raise ValueError("need at least one run")
     if coeff_bound < 2:

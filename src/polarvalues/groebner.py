@@ -41,8 +41,10 @@ reconstruction and it passes an exact check over the integers:
 - an elimination output is certified to lie in the ideal.  The
   certificate (`_Certificate`) is a graded basis of the homogenized
   generators, proved exact by Arnold's Hilbert-function argument and
-  dehomogenized to a Groebner basis of the ideal, by which every lifted
+  dehomogenized to a Groebner basis G of the ideal, by which every lifted
   generator must reduce to zero.  A candidate that fails takes more primes.
+  G also seeds each elimination chain: modulo a prime that divides none
+  of its coefficients it stays a Groebner basis of the ideal.
 - a whole basis of the generators (`buchberger`, `graded_basis`,
   `affine_dimension`) must be a Groebner basis by which every generator
   reduces to zero.
@@ -54,9 +56,7 @@ inhomogeneous generators must pass the certificate as well (homogeneous
 generators hold 1 only through a constant generator).  Neither check runs
 on a basis above _EXACT_CHECK_BIT_CAP bits; the fresh-prime verdict then
 stands, and an elimination or unit ideal accepted that way raises an
-UncertifiedResult warning.  A chain with stages skips, as unlucky, a prime
-whose seed basis has other leading monomials than the certificate's
-basis.
+UncertifiedResult warning.
 
 Later primes replay a trace (Traverso, "Groebner trace algorithms", ISSAC
 1988).  Once two full primes agree on the staircase of every node they
@@ -797,22 +797,20 @@ class _CrtState:
 
 
 def _candidate_mod_p(candidate, p):
-    """Candidate (Fraction dicts) reduced mod p as monic dicts, or None."""
+    """Candidate (primitive integer dicts) reduced mod p as monic dicts, or
+    None when p divides a leading coefficient."""
     out = []
     for elem in candidate:
+        lc = elem[max(elem)] % p
+        if not lc:
+            return None
+        inv = pow(lc, p - 2, p)
         target = {}
-        for mono, value in elem.items():
-            den = value.denominator % p
-            if den == 0:
-                return None
-            v = value.numerator % p * pow(den, p - 2, p) % p
+        for mono, c in elem.items():
+            v = c * inv % p
             if v:
                 target[mono] = v
-        if not target:
-            return None
-        lt = max(target)
-        inv = pow(target[lt], p - 2, p)
-        out.append({m: c * inv % p for m, c in target.items()})
+        out.append(target)
     return out
 
 
@@ -866,12 +864,14 @@ class _Certificate:
     HF(<G>).  Under graded reverse-lex with h last, h divides the leading
     monomial of a homogeneous polynomial only when it divides the whole
     polynomial, so setting h = 1 maps G onto a Groebner basis of I under
-    the graded order.  A polynomial lies in I exactly when it reduces to
-    zero by that basis; 1 does exactly when G holds a power of h.
+    the graded order, `basis`.  A polynomial lies in I exactly when it
+    reduces to zero by that basis; 1 does exactly when G holds a power of
+    h.  The elimination chains start from it (see `_eliminations`).
 
     The basis is computed on first use.  Above _EXACT_CHECK_BIT_CAP the
     driver accepts it without the exact check, so nothing is certified:
-    `leading`, `member` and `covers` then return None.
+    `member` and `covers` then return None, and `basis` rests on
+    fresh-prime agreement.
     """
 
     def __init__(self, gens_int, names):
@@ -879,7 +879,7 @@ class _Certificate:
         self.names = tuple(names)
         self.codec = _Codec((range(len(self.names)),))
         self.bits = None
-        self._leading = None
+        self._basis = None
         self._reducers = None
         self._known = {}
 
@@ -901,7 +901,7 @@ class _Certificate:
                     },
                 )
             )
-        basis = [
+        basis = self._basis = [
             _IntegerArith.normalize_fractions(
                 {self.codec.pack(m[:n]): c for m, c in g.terms.items()}
             )
@@ -910,27 +910,21 @@ class _Certificate:
         # the same size the driver compared with the cap: dehomogenizing
         # keeps every coefficient and the leading term
         self.bits = _exact_size(basis)
-        # a divisor of a monomial precedes it in every monomial order
-        guard = self.codec.guard
-        lts = sorted({max(t) for t in basis})
-        self._leading = tuple(
-            m for k, m in enumerate(lts)
-            if not any(_pdivides(d, m, guard) for d in lts[:k])
-        )
         arith = _IntegerArith(self.codec)
         self._reducers = sorted(
             (arith.reducer_entry(t) for t in basis), key=lambda red: red[3]
         )
 
-    def exact(self) -> bool:
-        if self._reducers is None:
+    def basis(self):
+        """G with h = 1: a Groebner basis of I under the graded codec, not
+        necessarily reduced, as primitive integer dicts."""
+        if self._basis is None:
             self._build()
-        return self.bits <= _EXACT_CHECK_BIT_CAP
+        return self._basis
 
-    def leading(self):
-        """The leading keys of I's reduced graded basis, ascending; None
-        when they cannot be certified."""
-        return self._leading if self.exact() else None
+    def exact(self) -> bool:
+        self.basis()
+        return self.bits <= _EXACT_CHECK_BIT_CAP
 
     def member(self, terms):
         """Whether the polynomial (packed under the graded codec) lies in I;
@@ -1020,13 +1014,15 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay):
     return bases, traces
 
 
-def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
+def _modular_chain(gens_int, seed_codec, certificate, stages=(), outputs=(0,)):
     """Reduced rational bases of the outputs of a chain of eliminations.
 
-    `gens_int` are primitive-integer generators packed under `seed_codec`,
-    in variables named `names`.  Node 0 is their reduced basis under
-    `seed_codec`; each stage (parent, var) makes a new node that eliminates
-    var from its parent's elimination ideal (see `_chain_mod_p`).  Only the
+    `gens_int` are primitive-integer generators packed under `seed_codec`
+    and `certificate` is the `_Certificate` of the ideal they generate; a
+    chain with stages is seeded with the certificate's basis (see
+    `_eliminations`).  Node 0 is the reduced basis under `seed_codec`;
+    each stage (parent, var) makes a new node that eliminates var from its
+    parent's elimination ideal (see `_chain_mod_p`).  Only the
     listed output nodes are lifted: node 0 as its whole basis, any other
     node as its elements free of its variable, which form the reduced
     graded basis of the ideal's intersection with the subring free of every
@@ -1040,11 +1036,10 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
     membership certificate of the ideal; a candidate that fails takes more
     primes.  The unit ideal is the candidate [1] with staircase {1}; the
     basis check proves only that the ideal lies in <1>, so it is verified
-    by the certificate at every node, except that homogeneous generators
-    hold 1 only through a constant generator and need no proof.  With
-    stages (whose seed codec is graded, like the certificate's), a prime
-    whose seed basis has other leading keys than the certificate's reduced
-    basis is skipped as unlucky.
+    by the certificate at every node, except that when the certificate's
+    generators are homogeneous the ideal holds 1 only through a constant
+    generator, which needs no proof.  A prime that divides a coefficient of
+    `gens_int` is skipped.
 
     After two full primes with the same staircase at every node they ran,
     later primes replay the traces of the second (see `_core_buchberger`);
@@ -1052,8 +1047,8 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
     until two agree again.
 
     Returns the lifted outputs (node -> integer dicts, keyed under the
-    node's codec) and the certificate.  Raises InternalInvariantError when
-    the prime agenda is exhausted.
+    node's codec).  Raises InternalInvariantError when the prime agenda is
+    exhausted.
     """
     n = seed_codec.nvars
     codecs = [seed_codec]
@@ -1065,14 +1060,12 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
         masks.append(_SLOT_MASK << (_SLOT_BITS * (n - 1 - var)))
         paths.append(paths[parent] + (len(paths),))
         dropped.append(dropped[parent] | {var})
-    certificate = _Certificate(gens_int, names)
     pending = sorted(set(outputs))
     if not gens_int:
-        return {o: [] for o in pending}, certificate
+        return {o: [] for o in pending}
     homogeneous = all(
-        len({seed_codec.degree(m) for m in t}) == 1 for t in gens_int
+        len({seed_codec.degree(m) for m in t}) == 1 for t in certificate.gens
     )
-    lucky = certificate.leading() if stages else None
     states = {o: {} for o in pending}
     lifted = {}
     index = 0
@@ -1090,8 +1083,6 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
             p, gens_int, codecs, stages, masks, needed, traces
         )
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
-        if lucky is not None and staircases[0] != lucky:
-            continue
         if not traces:
             if last is not None and all(
                 last.get(k) == s for k, s in staircases.items()
@@ -1109,10 +1100,7 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
             elif state.last_candidate is not None and (
                 _candidate_mod_p(state.last_candidate, p) == out
             ):
-                candidate = [
-                    _IntegerArith.normalize_fractions(e)
-                    for e in state.last_candidate
-                ]
+                candidate = state.last_candidate
                 unit = candidate == [{codecs[o].one_key: 1}]
                 if unit and homogeneous:
                     # 1 lies in a homogeneous ideal modulo p only when a
@@ -1129,7 +1117,7 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
                             "the unit ideal rests on two prime votes" if unit
                             else "the elimination onto (%s) rests on "
                             "fresh-prime agreement"
-                            % ", ".join(names[j] for j in range(n)
+                            % ", ".join(certificate.names[j] for j in range(n)
                                         if j not in dropped[o])
                         )
                 if verdict is not False:
@@ -1139,14 +1127,17 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
                 traces = {}
                 last = None
             state.add(p, out)
-            state.last_candidate = state.reconstruct()
+            candidate = state.reconstruct()
+            state.last_candidate = candidate and [
+                _IntegerArith.normalize_fractions(e) for e in candidate
+            ]
     if pending:
         from .detector import InternalInvariantError
 
         raise InternalInvariantError(
             "modular basis reconstruction did not stabilize"
         )
-    return lifted, certificate
+    return lifted
 
 
 # ---------------------------------------------------------------------------
@@ -1156,7 +1147,9 @@ def _modular_chain(gens_int, seed_codec, names, stages=(), outputs=(0,)):
 def _basis_elems(ideal: Ideal, codec):
     """Reduced basis as packed dicts under `codec`."""
     gens = [_to_engine(g, codec) for g in ideal.generators]
-    return _modular_chain(gens, codec, ideal.ring.variables)[0][0]
+    return _modular_chain(
+        gens, codec, _Certificate(gens, ideal.ring.variables)
+    )[0]
 
 
 def buchberger(ideal: Ideal) -> GroebnerBasis:
@@ -1191,7 +1184,9 @@ def _eliminations(ideal: Ideal, drops):
     free of each set of variables in `drops`, from one modular chain.
 
     The variables of a set are dropped one stage at a time in ascending
-    index order, and sets that share a prefix share its stages.  Returns
+    index order, and sets that share a prefix share its stages.  The chain
+    starts from the certificate's basis, not the generators: it keeps its
+    staircase modulo every prime used, so no stage loses a relation.  Returns
     {drop: list of polynomials} ([1] for every set when 1 is in the ideal)
     and the membership certificate that proved the results.
     """
@@ -1208,10 +1203,12 @@ def _eliminations(ideal: Ideal, drops):
                 stages.append((nodes[done], i))
             done = step
     codec = _Codec((range(n),))
-    gens = [_to_engine(g, codec) for g in ideal.generators]
+    certificate = _Certificate(
+        [_to_engine(g, codec) for g in ideal.generators], ring.variables
+    )
     outputs = [nodes[frozenset(d)] for d in drops]
-    lifted, certificate = _modular_chain(
-        gens, codec, ring.variables, stages, outputs
+    lifted = _modular_chain(
+        certificate.basis(), codec, certificate, stages, outputs
     )
     # every codec of the ring keeps the plain packing in a key's low slots
     return {

@@ -17,7 +17,7 @@ from polarvalues.cli import (
     run,
 )
 from polarvalues.detector import DimensionGuardError
-from polarvalues.polynomials import PolynomialRing
+from polarvalues.polynomials import Polynomial, PolynomialRing
 
 VARS = ("x", "y")
 R2 = PolynomialRing(VARS)
@@ -243,6 +243,20 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "exceeds the engine limit" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("text", ["x^40000 + y", "x^32767*y + x"])
+    def test_over_limit_degree_is_2_before_any_work(
+        self, capsys, monkeypatch, text
+    ):
+        # the iterated polar method used to expand (a*x + b*y)^40000, which
+        # outlasts any run, before the engine's exponent check could fire
+        def expand(self, matrix):
+            raise AssertionError("expanded a power above the engine limit")
+
+        monkeypatch.setattr(Polynomial, "substitute_linear", expand)
+        argv = [text, "--vars", "x,y", "--method", "iterated_polar", "--json"]
+        assert main(argv) == 2
+        assert "exceeds the engine limit" in capsys.readouterr().err
 
     def test_large_rational_critical_values_listed(self, capsys):
         # (x^3 - 3*x + y^2)(x + 2*y, 2*y) + c has critical values c - 2 and

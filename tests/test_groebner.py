@@ -568,8 +568,9 @@ class TestTraceReplay:
         # modulo p0 both generators are x + y + u, whose y-elimination is
         # empty; replayed at later primes, a trace of p0 skips the second
         # generator and repeats that empty answer, which a membership
-        # certificate cannot refute.  The certificate's leading monomials
-        # unmask p0; above the cap only the two-prime rule does
+        # certificate cannot refute.  The exact basis check of the
+        # certificate's chain unmasks p0; above the cap only the two-prime
+        # rule does
         p0 = groebner._agenda_prime(0)
         ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0) * Y3 + U3])
         drop = frozenset({1})
@@ -590,14 +591,33 @@ class TestTraceReplay:
         assert graded_basis(ideal) == [Y3, X3 + U3]
 
     def test_unlucky_seed_primes_are_skipped(self):
-        # modulo p0 and p1 the ideal is <x + y + u>, with no relation free
-        # of y; the two primes agreed on that empty elimination, and the
-        # empty set is trivially certified.  The graded basis of the
-        # certificate has leading monomials y and x, and a prime whose seed
-        # basis has others is unlucky
+        # modulo p0 and p1 the generators span <x + y + u>, with no relation
+        # free of y; a chain seeded with them agreed on that empty
+        # elimination at both primes, and the empty set is trivially
+        # certified.  The chain starts from the certificate's basis y,
+        # x + u instead, which keeps the relation modulo every prime
         p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
         ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0 * p1) * Y3 + U3])
         assert eliminate(ideal, {0, 2}) == [X3 + U3]
+
+    def test_stages_start_from_the_certificate_basis(self, monkeypatch):
+        # the ideal above: p0 and p1, where its generators collapse, seed
+        # the staged chain with both elements of the certificate's basis
+        # and lift x + u, so neither prime is wasted
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0 * p1) * Y3 + U3])
+        seeds = {}
+        chain = groebner._chain_mod_p
+
+        def recording_chain(p, gens_int, codecs, stages, *rest):
+            bases, traces = chain(p, gens_int, codecs, stages, *rest)
+            if stages:
+                seeds[p] = len(bases[0])
+            return bases, traces
+
+        monkeypatch.setattr(groebner, "_chain_mod_p", recording_chain)
+        assert eliminate(ideal, {0, 2}) == [X3 + U3]
+        assert seeds == {p0: 2, p1: 2}
 
     def test_later_primes_only_replay(self, monkeypatch):
         # the chain of nonproperness_values on the fixed graph ideal and the
@@ -955,6 +975,20 @@ class TestCrtState:
             elif i >= 4:
                 assert planted_now == planted
 
+    def test_candidate_mod_p(self):
+        # a lifted candidate is primitive integers: p = 3 divides the
+        # leading coefficient of 3x - 7y + 21, and modulo 7 the element
+        # loses its tail
+        codec = groebner._Codec((range(2),))
+        elem = groebner._to_engine(3 * X - 7 * Y + 21, codec)
+        assert groebner._candidate_mod_p([elem], 3) is None
+        for p in (7, 11, groebner._agenda_prime(0)):
+            monic = groebner._ModularArith(p, codec).normalize(
+                {m: c % p for m, c in elem.items() if c % p}
+            )
+            assert groebner._candidate_mod_p([elem], p) == [monic]
+        assert groebner._candidate_mod_p([elem], 7) == [{max(elem): 1}]
+
 
 class TestLiftCost:
     def test_reconstructions_linear_in_primes(self, monkeypatch):
@@ -996,8 +1030,9 @@ class TestLiftCost:
         )
         monkeypatch.setattr(groebner, "_core_buchberger", recording_core)
         names = tuple("x%d" % i for i in range(nvars))
-        lifted, _ = groebner._modular_chain(
-            [dict(t) for t in reversed(expected)], codec, names
+        gens = [dict(t) for t in reversed(expected)]
+        lifted = groebner._modular_chain(
+            gens, codec, groebner._Certificate(gens, names)
         )
         result = lifted[0]
         assert result == expected

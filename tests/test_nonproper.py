@@ -489,9 +489,9 @@ def stage_count(monkeypatch):
     count = [0]
     inner = groebner._modular_chain
 
-    def counting(gens_int, seed_codec, names, stages=(), outputs=(0,)):
+    def counting(gens_int, seed_codec, certificate, stages=(), outputs=(0,)):
         count[0] += len(stages)
-        return inner(gens_int, seed_codec, names, stages, outputs)
+        return inner(gens_int, seed_codec, certificate, stages, outputs)
 
     monkeypatch.setattr(groebner, "_modular_chain", counting)
     return count
