@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark and write BENCH_<pr>.json.
+
+    python3 scripts/bench_json.py --parent ../base --change . --pr 14 \\
+        --seeds 1401-1410
+
+For each workload of the change's `BENCHMARK.json` and each seed, the
+benchmark command runs once in each checkout at the benchmark's own run
+length, one run after the other, the first side alternating from pair to
+pair so that slow drift of the host falls on both sides alike.  Each run's
+last line of output is its JSON result; the end-to-end metrics it reports
+are summarized per workload and metric as each side's median and
+quartiles, the number of pairs, and the pairs the change won (its value
+better than the parent's in the direction `BENCHMARK.json` gives).  The
+file goes to the root of the repository holding this script.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def parse_result(stdout: str) -> dict:
+    """The JSON result of one `perfbench/run.py` run (its last line), with
+    the host it ran on (its `environment` line) as "environment"."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("run.py printed nothing")
+    result = json.loads(lines[-1])
+    for key in ("correct", "attempted", "failed", "metrics"):
+        if key not in result:
+            raise ValueError("run.py result has no %r" % key)
+    for line in lines:
+        if line.startswith("environment "):
+            result["environment"] = json.loads(line[len("environment "):])
+    return result
+
+
+def parse_seeds(text: str) -> list:
+    """'1401-1410' or '3,5,8' as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
+
+
+def spread(values) -> dict:
+    """Median and quartiles (exclusive method) of one side's runs, which
+    are kept in pair order."""
+    median = statistics.median(values)
+    if len(values) < 2:
+        q1 = q3 = median
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(pairs, better) -> dict:
+    """Per metric: both sides' spreads, the pair count and the change's
+    wins.  `pairs` holds (parent result, change result) per pair;
+    `better` maps a metric name to "lower" or "higher"."""
+    out = {}
+    for name, direction in better.items():
+        values = {side: [] for side in SIDES}
+        wins = 0
+        for parent, change in pairs:
+            a = parent["metrics"][name]["value"]
+            b = change["metrics"][name]["value"]
+            values["parent"].append(a)
+            values["change"].append(b)
+            wins += b < a if direction == "lower" else b > a
+        unit = pairs[0][0]["metrics"][name]["unit"]
+        out[name] = {
+            "unit": unit,
+            "better": direction,
+            "parent": spread(values["parent"]),
+            "change": spread(values["change"]),
+            "pairs": len(pairs),
+            "wins": wins,
+        }
+    return out
+
+
+def revision(checkout: Path) -> str:
+    proc = subprocess.run(
+        ["git", "-C", str(checkout), "describe", "--always", "--dirty"],
+        capture_output=True,
+        text=True,
+    )
+    return proc.stdout.strip() or "unknown"
+
+
+def run_once(checkout: Path, command, workload: str, seed: int, seconds):
+    proc = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return parse_result(proc.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--seeds", required=True, help="e.g. 1401-1410")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    command, seconds = spec["command"], spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seeds = parse_seeds(args.seeds)
+    checkouts = {"parent": args.parent.resolve(),
+                 "change": args.change.resolve()}
+    report = {
+        "pr": args.pr,
+        "command": " ".join(command) + " --seconds %g --trace 0" % seconds,
+        "seeds": seeds,
+        "revisions": {side: revision(checkouts[side]) for side in SIDES},
+        "environment": None,
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in spec["workloads"]):
+        pairs = []
+        failed = {side: 0 for side in SIDES}
+        correct = {side: True for side in SIDES}
+        for k, seed in enumerate(seeds):
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            results = {}
+            for side in order:
+                results[side] = run_once(
+                    checkouts[side], command, workload, seed, seconds
+                )
+                report["environment"] = results[side].pop("environment", None)
+                failed[side] += results[side]["failed"]
+                correct[side] &= results[side]["correct"]
+                print("%s seed %d %s report_s %.4f" % (
+                    workload, seed, side,
+                    results[side]["metrics"]["report_s"]["value"]),
+                    flush=True)
+            pairs.append((results["parent"], results["change"]))
+        report["workloads"][workload] = {
+            "correct": correct,
+            "failed": failed,
+            "metrics": summarize(pairs, better),
+        }
+    out = ROOT / ("BENCH_%d.json" % args.pr)
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print("wrote %s" % out)
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,10 @@ ring order give `buchberger`'s lex order, the only lex order of the
 package; a leading block holding just the eliminated variable yields the
 same elimination ideal as a pure lex order but with far smaller
 intermediate bases, which is what makes the curve projections in this
-package tractable.
+package tractable.  Moving a monomial to another order (an S-pair's lcm,
+a stage's input) goes through its plain packing, and each codec memoizes
+the key of every plain packing it has seen; the memo is per codec, so it
+lives as long as the chain or certificate that built the codec.
 
 Pair management uses the standard update procedure with the coprime and
 chain pruning criteria; pairs are selected by phantom-homogeneous degree
@@ -190,6 +193,10 @@ class _Codec:
     A key is the order slots (per block: its degree, then the complements
     of its last variable down to its second) shifted above the plain
     packing.  Its low slots are thus the plain packing itself.
+
+    `key_from_plain` memoizes the key of each plain packing it meets.  The
+    memo belongs to the instance, and codecs are built per call, so it
+    lives only as long as one chain or one certificate.
     """
 
     def __init__(self, blocks):
@@ -201,6 +208,7 @@ class _Codec:
         self.plain_bits = _SLOT_BITS * self.nvars
         self.mask = (1 << self.plain_bits) - 1
         self.one_key = self.pack((0,) * self.nvars)
+        self._keys = {}
 
     def pack(self, exps) -> int:
         plain = 0
@@ -232,7 +240,10 @@ class _Codec:
         return key & self.mask
 
     def key_from_plain(self, plain: int) -> int:
-        return self.pack(self.unpack(plain))
+        key = self._keys.get(plain)
+        if key is None:
+            key = self._keys[plain] = self.pack(self.unpack(plain))
+        return key
 
     def degree(self, key: int) -> int:
         return _pdegree(key & self.mask)
@@ -373,7 +384,8 @@ class _IntegerArith:
             d = v.denominator
             denom = denom * d // math.gcd(denom, d)
         return _IntegerArith.normalize(
-            {m: int(v * denom) for m, v in result.items()}
+            {m: v.numerator * (denom // v.denominator)
+             for m, v in result.items()}
         )
 
 
@@ -396,7 +408,7 @@ class _ModularArith:
         lc = terms[max(terms)]
         if lc == 1:
             return terms
-        inv = pow(lc, p - 2, p)
+        inv = pow(lc, -1, p)
         return {m: v * inv % p for m, v in terms.items()}
 
     @staticmethod
@@ -753,7 +765,7 @@ class _CrtState:
             self.values = [{} for _ in modgb]
             return
         m0 = self.modulus
-        inv = pow(m0 % p, p - 2, p)
+        inv = pow(m0, -1, p)
         new_mod = m0 * p
         for accum, fresh in zip(self.elements, modgb):
             for mono in set(accum) | set(fresh):
@@ -804,7 +816,7 @@ def _candidate_mod_p(candidate, p):
         lc = elem[max(elem)] % p
         if not lc:
             return None
-        inv = pow(lc, p - 2, p)
+        inv = pow(lc, -1, p)
         target = {}
         for mono, c in elem.items():
             v = c * inv % p
@@ -949,8 +961,10 @@ class _Certificate:
         if not self.exact():
             return None
         codec = self.codec
+        mask = codec.mask
         return all(
-            self.member({codec.pack(codec.unpack(m)): c for m, c in t.items()})
+            self.member({codec.key_from_plain(m & mask): c
+                         for m, c in t.items()})
             for t in elems
         )
 
@@ -1001,10 +1015,10 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay):
     for node, (parent, var) in enumerate(stages, 1):
         if node not in needed:
             continue
-        source = codecs[parent]
         codec = codecs[node]
+        mask = codecs[parent].mask
         elems = [
-            {codec.pack(source.unpack(m)): c for m, c in t.items()}
+            {codec.key_from_plain(m & mask): c for m, c in t.items()}
             for t in bases[parent]
             if not (parent and _involves(t, masks[parent]))
         ]

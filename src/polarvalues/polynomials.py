@@ -262,7 +262,12 @@ class Polynomial:
         return Polynomial(new_ring, terms)
 
     def substitute_linear(self, matrix) -> "Polynomial":
-        """Replace variable i by sum_j matrix[i][j] * x_j; matrix must be invertible."""
+        """Replace variable i by sum_j matrix[i][j] * x_j; matrix must be invertible.
+
+        Each power of a row's linear form is expanded by the multinomial
+        theorem, once per (variable, exponent) that occurs in the
+        polynomial, and the powers of one term are multiplied together.
+        """
         ring = self.ring
         n = ring.nvars
         rows = [[_rational(entry) for entry in row] for row in matrix]
@@ -270,21 +275,18 @@ class Polynomial:
             raise ValueError("matrix shape must be %d x %d" % (n, n))
         if not _invertible(rows):
             raise ValueError("substitution matrix is singular")
-        images = []
-        for i in range(n):
-            terms = {}
-            for j, entry in enumerate(rows[i]):
-                if entry:
-                    exps = [0] * n
-                    exps[j] = 1
-                    terms[tuple(exps)] = entry
-            images.append(Polynomial(ring, terms))
+        powers = {}
         result = ring.zero()
         for m, c in self.terms.items():
             term = ring.constant(c)
             for i, e in enumerate(m):
                 if e:
-                    term = term * images[i] ** e
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = Polynomial(
+                            ring, _linear_power(rows[i], e)
+                        )
+                    term = term * power
             result = result + term
         return result
 
@@ -320,6 +322,33 @@ def _coeff_text(coeff, factors) -> str:
     if coeff == 1:
         return "*".join(factors)
     return str(coeff) + "*" + "*".join(factors)
+
+
+def _linear_power(row, e: int) -> dict:
+    """Terms of (sum_j row[j] * x_j)^e by the multinomial theorem."""
+    n = len(row)
+    support = [j for j in range(n) if row[j]]
+    last = support[-1]
+    terms = {}
+    exps = [0] * n
+
+    def expand(k, left, coeff):
+        # distribute the remaining degree over support[k:]
+        j = support[k]
+        if j == last:
+            exps[j] = left
+            terms[tuple(exps)] = coeff * row[j] ** left
+            return
+        a = row[j]
+        scale = Fraction(1)
+        for t in range(left + 1):
+            exps[j] = t
+            expand(k + 1, left - t, coeff * math.comb(left, t) * scale)
+            scale *= a
+        exps[j] = 0
+
+    expand(0, e, Fraction(1))
+    return terms
 
 
 def _invertible(rows) -> bool:

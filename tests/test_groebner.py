@@ -114,6 +114,40 @@ class TestCodec:
         with pytest.raises(ValueError, match="degree 65537 exceeds the engine"):
             codec.pack((2, 32767, 32767, 3))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    *[st.integers(min_value=0, max_value=2)
+                      | st.integers(min_value=0, max_value=0x1FFF)] * n
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_key_memo_is_per_codec(self, vectors):
+        # graded, lex and every stage codec of one ring meet the same plain
+        # packings; each must key them under its own order, on the call
+        # that fills its memo and on the repeat that reads it
+        n = len(vectors[0])
+        codecs = [
+            groebner._Codec((range(n),)),
+            groebner._Codec((i,) for i in range(n)),
+        ] + [
+            groebner._Codec(((var,), [j for j in range(n) if j != var]))
+            for var in range(n)
+            if n > 1
+        ]
+        plains = [codecs[0].plain(codecs[0].pack(e)) for e in vectors]
+        for _ in range(2):
+            for codec in codecs:
+                for plain in plains:
+                    got = codec.key_from_plain(plain)
+                    assert got == codec.pack(codec.unpack(plain))
+                    assert codec.plain(got) == plain
+
 
 class TestSPolynomial:
     def test_classic_example(self):
@@ -860,6 +894,51 @@ class TestPrimes:
         assert groebner._agenda_prime(0) == 2**62 - 57
         assert groebner.is_probable_prime(2**62 - 57)
 
+    def test_stage_inputs_are_rekeyed_through_plain_packings(
+        self, monkeypatch
+    ):
+        # every stage's input is its parent's basis moved term by term to
+        # the stage's order, exactly as codec.pack(parent.unpack(m)) moves
+        # it, at a full prime and at a replayed one
+        graph = _fixed_graph_ideal()
+        n = graph.ideal.ring.nvars
+        seed = groebner._Codec((range(n),))
+        gens_int = [groebner._to_engine(g, seed) for g in graph.ideal.generators]
+        stages = [(0, 0), (1, 1), (0, 2)]
+        codecs = [seed] + [
+            groebner._Codec(((var,), [j for j in range(n) if j != var]))
+            for _, var in stages
+        ]
+        masks = [0] + [
+            groebner._SLOT_MASK << (groebner._SLOT_BITS * (n - 1 - var))
+            for _, var in stages
+        ]
+        inputs = {}
+        core = groebner._core_buchberger
+
+        def recording(gens, engine, trace=None):
+            inputs[engine.codec] = [dict(t) for t in gens]
+            return core(gens, engine, trace)
+
+        monkeypatch.setattr(groebner, "_core_buchberger", recording)
+        replay = {}
+        for index in range(3):
+            p = groebner._agenda_prime(index)
+            inputs.clear()
+            bases, recorded = groebner._chain_mod_p(
+                p, gens_int, codecs, stages, masks, {0, 1, 2, 3}, replay
+            )
+            replay = recorded if index == 1 else replay
+            for node, (parent, _) in enumerate(stages, 1):
+                source, codec = codecs[parent], codecs[node]
+                old = [
+                    {codec.pack(source.unpack(m)): c for m, c in t.items()}
+                    for t in bases[parent]
+                    if not (parent and groebner._involves(t, masks[parent]))
+                ]
+                assert inputs.get(codec, bases[node]) == old
+        assert replay and set(inputs) == set(codecs)
+
 
 def _image(value, modulus):
     return value.numerator * pow(value.denominator, -1, modulus) % modulus
@@ -988,6 +1067,106 @@ class TestCrtState:
             )
             assert groebner._candidate_mod_p([elem], p) == [monic]
         assert groebner._candidate_mod_p([elem], 7) == [{max(elem): 1}]
+
+
+def _fermat_inverse(x, p):
+    return pow(x % p, p - 2, p)
+
+
+class TestModularInverses:
+    PRIMES = (3, 32003, groebner._agenda_prime(0))
+
+    def _residues(self, p):
+        rng = random.Random(p)
+        return [1, p - 1] + [rng.randrange(1, p) for _ in range(20)]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_normalize(self, p):
+        codec = groebner._Codec((range(2),))
+        engine = groebner._ModularArith(p, codec)
+        top, mid, low = (codec.pack(e) for e in ((2, 0), (1, 1), (0, 0)))
+        for lc in self._residues(p):
+            terms = {top: lc, mid: p - 1, low: 1}
+            inv = _fermat_inverse(lc, p)
+            want = {m: v * inv % p for m, v in terms.items()}
+            assert engine.normalize(terms) == want
+            assert want[top] == 1
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_candidate_mod_p(self, p):
+        codec = groebner._Codec((range(2),))
+        top, low = codec.pack((1, 0)), codec.one_key
+        for r in self._residues(p):
+            # leading coefficients congruent to r, beyond p and negative
+            for lc in (r, r + 5 * p, r - 7 * p, r + p * 3**80):
+                elem = {top: lc, low: -(p - 1)}
+                inv = _fermat_inverse(lc, p)
+                want = {m: c * inv % p for m, c in elem.items()}
+                want = {m: c for m, c in want.items() if c}
+                assert groebner._candidate_mod_p([elem], p) == [want]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_crt_add_after_a_large_modulus(self, p):
+        rng = random.Random(p + 1)
+        earlier = [groebner._agenda_prime(i) for i in range(1, 9)]
+        keys = range(24)
+        state = groebner._CrtState()
+        for q in earlier:
+            state.add(q, [{k: rng.randrange(1, q) for k in keys}])
+        m0 = state.modulus
+        assert m0 > p**7
+        before = dict(state.elements[0])
+        residues = self._residues(p)
+        fresh = {k: residues[k % len(residues)] for k in keys}
+        state.add(p, [fresh])
+        inv = _fermat_inverse(m0, p)
+        assert state.modulus == m0 * p
+        for k in keys:
+            a, b = before[k], fresh[k]
+            got = state.elements[0][k]
+            assert got == (a + (b - a) * inv % p * m0) % (m0 * p)
+            assert got % m0 == a and got % p == b
+
+
+class TestNormalizeFractions:
+    @staticmethod
+    def _multiplied(result):
+        # the Fraction path: scale by the common denominator, then divide
+        # out the content
+        denom = math.lcm(*(Fraction(v).denominator for v in result.values()))
+        return groebner._IntegerArith.normalize(
+            {m: int(v * denom) for m, v in result.items()}
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.integers(min_value=-(2**200), max_value=2**200)
+            | mixed_height_fractions(),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matches_fraction_products(self, values):
+        result = {k: v for k, v in enumerate(values) if v}
+        got = groebner._IntegerArith.normalize_fractions(result)
+        assert got == self._multiplied(result)
+        assert all(type(v) is int for v in got.values())
+
+    def test_fixed_cases(self):
+        big = 2**127 - 1
+        for result in (
+            {0: 6, 1: -4},
+            {0: -3, 1: 9},
+            {2: Fraction(-1, big), 1: Fraction(2, 3), 0: 5},
+            {3: Fraction(1, big * 3**40), 1: Fraction(-7, 2**90)},
+        ):
+            assert groebner._IntegerArith.normalize_fractions(result) == (
+                self._multiplied(result)
+            )
+        assert groebner._IntegerArith.normalize_fractions(
+            {1: Fraction(-1, 2), 0: Fraction(1, 3)}
+        ) == {1: 3, 0: -2}
 
 
 class TestLiftCost:

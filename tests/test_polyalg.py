@@ -135,6 +135,41 @@ class TestSubstitutions:
         )
         assert once == f.substitute_linear(prod)
 
+    def test_substitute_linear_matches_repeated_products(self):
+        # the multinomial expansion against images multiplied out by `*`,
+        # zero and rational entries included
+        import random
+
+        rng = random.Random(11)
+        entries = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+        for nvars in (1, 2, 3):
+            ring = PolynomialRing(tuple("abc"[:nvars]))
+            gens = ring.gens()
+            checked = 0
+            while checked < 12:
+                matrix = [
+                    [rng.choice(entries) for _ in range(nvars)]
+                    for _ in range(nvars)
+                ]
+                f = rand_poly(rng, ring, max_deg=4, max_terms=5)
+                try:
+                    got = f.substitute_linear(matrix)
+                except ValueError:
+                    continue  # singular
+                images = [
+                    sum((c * g for c, g in zip(row, gens)), ring.zero())
+                    for row in matrix
+                ]
+                want = ring.zero()
+                for m, c in f.terms.items():
+                    term = ring.constant(c)
+                    for image, e in zip(images, m):
+                        for _ in range(e):
+                            term = term * image
+                    want = want + term
+                assert got == want
+                checked += 1
+
     def test_restrict_hyperplane(self):
         f = X + X**2 * Y
         g = f.restrict_hyperplane(0)

@@ -53,3 +53,70 @@ def test_run_examples_end_to_end():
         for method in ("super_polar", "iterated_polar"):
             assert rows["x + x^2*y (n=%d)" % n, method].startswith("{0}")
     assert rows["x (n=2)", "super_polar"] == "empty"
+
+
+def _load_bench_json():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_json", SCRIPTS / "bench_json.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_json_parses_a_run_result():
+    # canned run.py output: summary lines, then the JSON result line
+    bench = _load_bench_json()
+
+    def canned(report_s, rss):
+        return "\n".join([
+            "workload maps2_shifted seed 1 seconds 10 trace 0",
+            'environment {"python": "3.11.7", "cpus": 2}',
+            "failed_ratio 0.0000 (0 of 48)",
+            "report_s                                         %g s" % report_s,
+            '{"correct": true, "attempted": 48, "failed": 0, "metrics": '
+            '{"report_s": {"value": %r, "unit": "s"}, '
+            '"peak_rss_mb": {"value": %r, "unit": "MB"}}}' % (report_s, rss),
+            "",
+        ])
+
+    result = bench.parse_result(canned(0.138, 20.5))
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["metrics"]["report_s"] == {"value": 0.138, "unit": "s"}
+    assert result["environment"] == {"python": "3.11.7", "cpus": 2}
+
+    pairs = [
+        (bench.parse_result(canned(a, 20.5)), bench.parse_result(canned(b, r)))
+        for a, b, r in [(0.17, 0.14, 20.4), (0.18, 0.13, 20.6),
+                        (0.16, 0.17, 20.5), (0.19, 0.12, 20.4)]
+    ]
+    summary = bench.summarize(
+        pairs, {"report_s": "lower", "peak_rss_mb": "lower"}
+    )
+    report = summary["report_s"]
+    assert report["pairs"] == 4 and report["wins"] == 3
+    assert report["unit"] == "s" and report["better"] == "lower"
+    assert report["parent"]["median"] == 0.175
+    assert report["change"]["runs"] == [0.14, 0.13, 0.17, 0.12]
+    assert report["change"]["q1"] <= 0.135 <= report["change"]["q3"]
+    assert summary["peak_rss_mb"]["wins"] == 2
+    assert bench.parse_seeds("1401-1403,7") == [1401, 1402, 1403, 7]
+
+
+def test_readme_timing_table_quotes_the_latest_bench_file():
+    import json
+    import re
+
+    root = SCRIPTS.parent
+    latest = max(
+        root.glob("BENCH_*.json"),
+        key=lambda path: int(re.search(r"\d+", path.name).group()),
+    )
+    bench = json.loads(latest.read_text())
+    readme = (root / "README.md").read_text()
+    assert "quoted from `%s`" % latest.name in readme
+    for name, workload in bench["workloads"].items():
+        median = workload["metrics"]["report_s"]["change"]["median"]
+        assert "| `%s` | %.3f s |" % (name, median) in readme
