@@ -29,7 +29,12 @@ Rational results come from one multi-modular driver, `_modular_chain`.
 For each of a fixed descending sequence of 62-bit primes it runs a whole
 chain of bases modulo p: a basis of the generators, then a tree of
 one-variable elimination stages, each fed the elements of its parent that
-are free of the parent's eliminated variable.  Only the chain's outputs
+are free of the parent's eliminated variable.  The chain plans its tree
+at its first prime: at each node it drops next the variable that the
+most pending sets of variables to drop contain, so that the stage serves
+as many sets as it can, and where a tie at the root between variables
+that several sets contain changes the tree, the one whose one-variable
+stage has the fewest terms modulo that prime.  Only the chain's outputs
 are combined by Chinese remaindering and rational reconstruction (a
 coefficient keeps its last reconstruction while that still matches the
 new residue, and an attempt stops at once while the coefficient that
@@ -984,7 +989,8 @@ def _involves(terms, var_mask) -> bool:
     return any(m & var_mask for m in terms)
 
 
-def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay):
+def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
+                 bases=None):
     """Every needed node's reduced basis modulo p, and the trace of every
     node run in full.
 
@@ -996,7 +1002,8 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay):
     whose input does not involve var already has its reduced basis; the
     unit ideal's [1] passes every stage so.  A node with a trace in
     `replay` replays it, and runs in full only when this prime leaves the
-    trace.
+    trace.  `bases` holds nodes already run at p, which are kept and
+    extended in place; node 0 runs unless it is there.
     """
     traces = {}
 
@@ -1011,9 +1018,12 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay):
         trace = traces[node] = _Trace()
         return _core_buchberger(elems, engine, trace)
 
-    bases = {0: run(0, [{m: c % p for m, c in t.items()} for t in gens_int])}
+    if bases is None:
+        bases = {
+            0: run(0, [{m: c % p for m, c in t.items()} for t in gens_int])
+        }
     for node, (parent, var) in enumerate(stages, 1):
-        if node not in needed:
+        if node in bases or node not in needed:
             continue
         codec = codecs[node]
         mask = codecs[parent].mask
@@ -1028,19 +1038,79 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay):
     return bases, traces
 
 
-def _modular_chain(gens_int, seed_codec, certificate, stages=(), outputs=(0,)):
-    """Reduced rational bases of the outputs of a chain of eliminations.
+def _plan(drops, price):
+    """The tree of one-variable stages that drops every set in `drops`, as
+    stages (parent, var), node k being made by the k-th stage and every
+    parent coming before its children.
+
+    At each node the variable that the most sets pending there contain is
+    dropped next, so that its stage serves as many sets as it can; a
+    localized chain thus drops t, which every set holds, once.  Only a tie
+    at the root is priced, since price(var) runs the root's stage for var:
+    one between variables that two or more pending sets contain, two of
+    them in one set, so that the order changes the tree, and after such a
+    tie every later tie at the root between variables that share a set.
+    A priced tie goes to the lowest price(var), then to the lowest index;
+    any other tie goes to the lowest index, and no price is asked for.
+    """
+    stages = []
+    prices = {}
+
+    def cost(var):
+        if var not in prices:
+            prices[var] = price(var)
+        return prices[var], var
+
+    def grow(node, done, sets):
+        while sets:
+            rests = [s - done for s in sets]
+            counts = {}
+            for rest in rests:
+                for v in rest:
+                    counts[v] = counts.get(v, 0) + 1
+            top = max(counts.values())
+            tied = {v for v, c in counts.items() if c == top}
+            contested = {
+                v for rest in rests if len(rest & tied) > 1
+                for v in rest & tied
+            }
+            if node == 0 and contested and (top > 1 or prices):
+                var = min(contested, key=cost)
+            else:
+                var = min(tied)
+            stages.append((node, var))
+            step = done | {var}
+            grow(len(stages), step,
+                 [s for s in sets if var in s and s != step])
+            sets = [s for s in sets if var not in s]
+
+    grow(0, frozenset(), [d for d in drops if d])
+    return stages
+
+
+def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
+    """Reduced rational bases of the ideal's intersections with the subrings
+    free of each set of variables in `drops`, from one chain of
+    eliminations.
 
     `gens_int` are primitive-integer generators packed under `seed_codec`
     and `certificate` is the `_Certificate` of the ideal they generate; a
     chain with stages is seeded with the certificate's basis (see
     `_eliminations`).  Node 0 is the reduced basis under `seed_codec`;
     each stage (parent, var) makes a new node that eliminates var from its
-    parent's elimination ideal (see `_chain_mod_p`).  Only the
-    listed output nodes are lifted: node 0 as its whole basis, any other
-    node as its elements free of its variable, which form the reduced
-    graded basis of the ideal's intersection with the subring free of every
-    variable dropped along its path.
+    parent's elimination ideal (see `_chain_mod_p`).  A node is named by
+    the set of variables dropped along its path.  The empty set is lifted
+    as node 0's whole basis, any other set as its node's elements free of
+    its variable, which form the reduced graded basis of the ideal's
+    intersection with the subring free of that set.
+
+    The chain plans its tree of stages at its first prime (see `_plan`):
+    it runs node 0, prices a variable, where `_plan` asks, by the term
+    count of its one-variable stage's basis modulo that prime, and then
+    runs the rest of the planned tree.  A priced stage that the tree does
+    not use runs at that prime only.  The tree depends only on the input,
+    and every output is a unique reduced basis, so the order of the
+    stages is unobservable.
 
     Each prime runs the nodes that some output still lifting needs.  The
     primes of an output are grouped by the staircases of every node on its
@@ -1060,7 +1130,7 @@ def _modular_chain(gens_int, seed_codec, certificate, stages=(), outputs=(0,)):
     a candidate that fails its check drops them, and full primes resume
     until two agree again.
 
-    Returns the lifted outputs (node -> integer dicts, keyed under the
+    Returns the lifted outputs (drop set -> integer dicts, keyed under its
     node's codec).  Raises InternalInvariantError when the prime agenda is
     exhausted.
     """
@@ -1069,18 +1139,28 @@ def _modular_chain(gens_int, seed_codec, certificate, stages=(), outputs=(0,)):
     masks = [0]
     paths = [(0,)]
     dropped = [frozenset()]
-    for parent, var in stages:
-        codecs.append(_Codec(((var,), [j for j in range(n) if j != var])))
-        masks.append(_SLOT_MASK << (_SLOT_BITS * (n - 1 - var)))
-        paths.append(paths[parent] + (len(paths),))
-        dropped.append(dropped[parent] | {var})
-    pending = sorted(set(outputs))
+    nodes = {frozenset(): 0}
+    stages = []
+
+    def add(parent, var):
+        """The node dropping var below parent, made on first use."""
+        step = dropped[parent] | {var}
+        if step not in nodes:
+            nodes[step] = len(dropped)
+            stages.append((parent, var))
+            codecs.append(_Codec(((var,), [j for j in range(n) if j != var])))
+            masks.append(_SLOT_MASK << (_SLOT_BITS * (n - 1 - var)))
+            paths.append(paths[parent] + (nodes[step],))
+            dropped.append(step)
+        return nodes[step]
+
+    pending = list(dict.fromkeys(frozenset(d) for d in drops))
     if not gens_int:
-        return {o: [] for o in pending}
+        return {d: [] for d in pending}
     homogeneous = all(
         len({seed_codec.degree(m) for m in t}) == 1 for t in certificate.gens
     )
-    states = {o: {} for o in pending}
+    states = {d: {} for d in pending}
     lifted = {}
     index = 0
     used = 0
@@ -1092,9 +1172,28 @@ def _modular_chain(gens_int, seed_codec, certificate, stages=(), outputs=(0,)):
         if any(c % p == 0 for t in gens_int for c in t.values()):
             continue
         used += 1
-        needed = {k for o in pending for k in paths[o]}
+        bases = None
+        if used == 1:
+            # the first prime runs node 0 and the stages that _plan prices
+            # ahead of the rest of the tree; a first prime's traces are
+            # never replayed, so the pricing runs keep none
+            bases, _ = _chain_mod_p(
+                p, gens_int, codecs, stages, masks, {0}, {}
+            )
+
+            def price(var):
+                node = add(0, var)
+                _chain_mod_p(
+                    p, gens_int, codecs, stages, masks, {node}, {}, bases
+                )
+                return sum(len(t) for t in bases[node])
+
+            ids = [0]
+            for parent, var in _plan(pending, price):
+                ids.append(add(ids[parent], var))
+        needed = {k for d in pending for k in paths[nodes[d]]}
         bases, recorded = _chain_mod_p(
-            p, gens_int, codecs, stages, masks, needed, traces
+            p, gens_int, codecs, stages, masks, needed, traces, bases
         )
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
         if not traces:
@@ -1103,14 +1202,15 @@ def _modular_chain(gens_int, seed_codec, certificate, stages=(), outputs=(0,)):
             ):
                 traces = recorded
             last = staircases
-        for o in list(pending):
+        for d in list(pending):
+            o = nodes[d]
             out = bases[o]
             if o:
                 out = [t for t in out if not _involves(t, masks[o])]
             staircase = tuple(staircases[k] for k in paths[o])
-            state = states[o].get(staircase)
+            state = states[d].get(staircase)
             if state is None:
-                state = states[o][staircase] = _CrtState()
+                state = states[d][staircase] = _CrtState()
             elif state.last_candidate is not None and (
                 _candidate_mod_p(state.last_candidate, p) == out
             ):
@@ -1132,11 +1232,11 @@ def _modular_chain(gens_int, seed_codec, certificate, stages=(), outputs=(0,)):
                             else "the elimination onto (%s) rests on "
                             "fresh-prime agreement"
                             % ", ".join(certificate.names[j] for j in range(n)
-                                        if j not in dropped[o])
+                                        if j not in d)
                         )
                 if verdict is not False:
-                    lifted[o] = candidate
-                    pending.remove(o)
+                    lifted[d] = candidate
+                    pending.remove(d)
                     continue
                 traces = {}
                 last = None
@@ -1163,7 +1263,7 @@ def _basis_elems(ideal: Ideal, codec):
     gens = [_to_engine(g, codec) for g in ideal.generators]
     return _modular_chain(
         gens, codec, _Certificate(gens, ideal.ring.variables)
-    )[0]
+    )[frozenset()]
 
 
 def buchberger(ideal: Ideal) -> GroebnerBasis:
@@ -1197,39 +1297,27 @@ def _eliminations(ideal: Ideal, drops):
     """Reduced graded bases of the ideal's intersections with the subrings
     free of each set of variables in `drops`, from one modular chain.
 
-    The variables of a set are dropped one stage at a time in ascending
-    index order, and sets that share a prefix share its stages.  The chain
-    starts from the certificate's basis, not the generators: it keeps its
-    staircase modulo every prime used, so no stage loses a relation.  Returns
-    {drop: list of polynomials} ([1] for every set when 1 is in the ideal)
-    and the membership certificate that proved the results.
+    The variables of a set are dropped one stage at a time, and sets share
+    the stages of the variables they have in common: the chain plans its
+    tree at its first prime, the variable that the most sets contain
+    first, and at a root tie that changes the tree the variable whose
+    one-variable stage has the fewest terms there (see `_plan`).  The
+    chain starts from the certificate's basis, not the generators: it
+    keeps its staircase modulo every prime used, so no stage loses a
+    relation.  Returns {drop: list of polynomials} ([1] for every set when
+    1 is in the ideal) and the membership certificate that proved the
+    results.
     """
     ring = ideal.ring
-    n = ring.nvars
-    nodes = {frozenset(): 0}
-    stages = []
-    for drop in drops:
-        done = frozenset()
-        for i in sorted(drop):
-            step = done | {i}
-            if step not in nodes:
-                nodes[step] = len(stages) + 1
-                stages.append((nodes[done], i))
-            done = step
-    codec = _Codec((range(n),))
+    codec = _Codec((range(ring.nvars),))
     certificate = _Certificate(
         [_to_engine(g, codec) for g in ideal.generators], ring.variables
     )
-    outputs = [nodes[frozenset(d)] for d in drops]
-    lifted = _modular_chain(
-        certificate.basis(), codec, certificate, stages, outputs
-    )
+    lifted = _modular_chain(certificate.basis(), codec, certificate, drops)
     # every codec of the ring keeps the plain packing in a key's low slots
     return {
-        frozenset(d): [
-            _from_engine(t, codec, ring) for t in lifted[nodes[frozenset(d)]]
-        ]
-        for d in drops
+        d: [_from_engine(t, codec, ring) for t in elems]
+        for d, elems in lifted.items()
     }, certificate
 
 

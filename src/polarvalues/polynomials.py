@@ -87,13 +87,16 @@ def monomial_add(a: tuple, b: tuple) -> tuple:
 
 
 class Polynomial:
-    """An immutable sparse polynomial attached to a PolynomialRing."""
+    """An immutable sparse polynomial attached to a PolynomialRing.
+
+    The constructor keeps `terms` as given, so every coefficient must be a
+    nonzero Fraction; `PolynomialRing.polynomial` builds one from arbitrary
+    rational coefficients, dropping zeros.
+    """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolynomialRing, terms: dict):
-        if any(not c for c in terms.values()):
-            terms = {m: c for m, c in terms.items() if c}
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
 

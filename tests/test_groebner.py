@@ -376,7 +376,7 @@ _small_polys = st.dictionaries(
     st.integers(min_value=-7, max_value=7).map(Fraction),
     min_size=1,
     max_size=4,
-).map(lambda terms: Polynomial(R3, terms))
+).map(R3.polynomial)
 
 
 def _fixed_graph_ideal():
@@ -512,6 +512,159 @@ class TestChain:
         stage_u, stage_y = ((2,), (0, 1)), ((1,), (0, 2))
         assert runs[stage_u] == 2
         assert runs[stage_y] == runs[seed] > 20
+
+
+def _ascending_tree(drops):
+    """Stages dropping each set's variables in ascending index order, sets
+    that share a prefix sharing its stages."""
+    nodes = {frozenset(): 0}
+    tree = []
+    for drop in drops:
+        done = frozenset()
+        for i in sorted(drop):
+            step = done | {i}
+            if step not in nodes:
+                tree.append((nodes[done], i))
+                nodes[step] = len(tree)
+            done = step
+    return tree
+
+
+_chain_ideals = st.integers(min_value=3, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(PolynomialRing(tuple("xyuv"[:n]))),
+        st.lists(
+            st.dictionaries(
+                st.tuples(*[st.integers(min_value=0, max_value=2)] * n),
+                st.integers(min_value=-5, max_value=5)
+                .filter(bool)
+                .map(Fraction),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(
+            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1,
+                    max_size=n - 1).map(frozenset),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+    )
+)
+
+
+class TestPlannedTree:
+    def test_plan_prices_only_ties_that_change_the_tree(self):
+        asked = []
+        prices = {0: 270, 1: 190, 2: 80}
+
+        def price(var):
+            asked.append(var)
+            return prices[var]
+
+        # every variable lies in two sets: u is the cheapest, then y
+        drops = [frozenset({1, 2}), frozenset({0, 2}), frozenset({0, 1})]
+        assert groebner._plan(drops, price) == [
+            (0, 2), (1, 0), (1, 1), (0, 1), (4, 0)
+        ]
+        assert set(asked) == {0, 1, 2}
+        # equal prices fall back to the index
+        assert groebner._plan(drops, lambda var: 1) == [
+            (0, 0), (1, 1), (1, 2), (0, 1), (4, 2)
+        ]
+        # t lies in both sets and goes first; x and y, and the two
+        # variables of single-variable sets, never share a set, so their
+        # order leaves the tree alone and nothing is priced
+        asked.clear()
+        assert groebner._plan(
+            [frozenset({0, 2}), frozenset({0, 1})], price
+        ) == [(0, 0), (1, 1), (1, 2)]
+        assert groebner._plan(
+            [frozenset({1}), frozenset({0})], price
+        ) == [(0, 0), (0, 1)]
+        assert groebner._plan([frozenset()], price) == []
+        # a tie that only one set holds, or one below the root, goes to
+        # the index unpriced
+        assert groebner._plan([frozenset({0, 1, 2})], price) == [
+            (0, 0), (1, 1), (2, 2)
+        ]
+        assert groebner._plan(
+            [frozenset({3, 1, 2}), frozenset({3, 0, 2}), frozenset({3, 0, 1})],
+            price,
+        ) == [(0, 3), (1, 0), (2, 1), (2, 2), (1, 1), (5, 2)]
+        assert asked == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_chain_ideals)
+    def test_priced_tree_lifts_the_ascending_outputs(self, case):
+        # the tree decides only which stages run, never what is lifted:
+        # each output is the unique reduced basis of its elimination ideal
+        ring, gens, drops = case
+        ideal = Ideal(ring, [ring.polynomial(t) for t in gens])
+        codec = groebner._Codec((range(ring.nvars),))
+        certificate = _certificate(ideal)
+        seed = certificate.basis()
+        priced = groebner._modular_chain(seed, codec, certificate, drops)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                groebner, "_plan", lambda drops, price: _ascending_tree(drops)
+            )
+            ascending = groebner._modular_chain(
+                seed, codec, certificate, drops
+            )
+
+        def polys(lifted):
+            return {
+                d: [groebner._from_engine(t, codec, ring) for t in elems]
+                for d, elems in lifted.items()
+            }
+
+        assert polys(priced) == polys(ascending)
+        assert set(priced) == set(drops)
+
+    def test_graph_ideal_drops_u_first(self, monkeypatch):
+        # on the graph ideal of x + x^2*y the stage dropping u has the
+        # fewest terms at the first prime, then y, then x: from the second
+        # prime on the chain runs {u} -> {u, y}, {u} -> {u, x} and
+        # {y} -> {y, x}, and the stage that priced x runs at the first
+        # prime only
+        graph = _fixed_graph_ideal()
+        x, y, u = 0, 1, 2
+        n = graph.ideal.ring.nvars
+        runs = {}
+        chain = groebner._chain_mod_p
+
+        def tracked(p, gens_int, codecs, stages, masks, needed, *rest):
+            bases, traces = chain(
+                p, gens_int, codecs, stages, masks, needed, *rest
+            )
+            if codecs[0].nvars == n:
+                dropped = [frozenset()]
+                for parent, var in stages:
+                    dropped.append(dropped[parent] | {var})
+                runs.setdefault(p, set()).update(
+                    (dropped[parent], var)
+                    for node, (parent, var) in enumerate(stages, 1)
+                    if node in bases
+                )
+            return bases, traces
+
+        monkeypatch.setattr(groebner, "_chain_mod_p", tracked)
+        drops = [
+            frozenset(j for j in range(3) if j != i) for i in range(3)
+        ]
+        groebner._eliminations(graph.ideal, drops)
+        tree = {
+            (frozenset(), u), (frozenset({u}), y), (frozenset({u}), x),
+            (frozenset(), y), (frozenset({y}), x),
+        }
+        first, second, *later = runs.values()
+        assert first == tree | {(frozenset(), x)}
+        assert second == tree
+        assert all(run <= tree for run in later)
 
 
 class TestTraceReplay:
@@ -673,7 +826,7 @@ class TestTraceReplay:
 
         def tracked_chain(p, gens_int, codecs, *rest):
             current[0] = key = (codecs[0].nvars, p)
-            work[key] = {"updates": 0, "zeros": 0}
+            work.setdefault(key, {"updates": 0, "zeros": 0})
             try:
                 return chain(p, gens_int, codecs, *rest)
             finally:
@@ -766,7 +919,7 @@ class TestCertificate:
         for mono, c in relation.terms.items():
             terms = dict(relation.terms)
             terms[mono] = c + 1
-            wrong = Polynomial(R3, terms)
+            wrong = R3.polynomial(terms)
             assert certificate.contains(wrong) is False
 
     @settings(max_examples=30, deadline=None)
@@ -1213,7 +1366,7 @@ class TestLiftCost:
         lifted = groebner._modular_chain(
             gens, codec, groebner._Certificate(gens, names)
         )
-        result = lifted[0]
+        result = lifted[frozenset()]
         assert result == expected
         assert primes == [groebner._agenda_prime(i) for i in range(len(primes))]
         assert len(primes) >= 10

@@ -476,31 +476,36 @@ class TestLiftCost:
         lifted = sum(len(e) for s in states for e in s.elements or ())
         assert lifted == expected
         assert max(runs.values()) == 1
-        # the graded seed and five stages, each at every prime it ran at
-        assert len({(blocks, left) for blocks, left, _ in runs}) == 6
+        # the graded seed and the five stages of the tree, each at every
+        # prime it ran at, and the stage that priced x at the first prime
+        primes = Counter((blocks, left) for blocks, left, _ in runs)
+        assert len(primes) == 7
+        assert list(primes.values()).count(1) == 1
 
 
 @pytest.fixture
 def stage_count(monkeypatch):
     """Counts the one-variable elimination stages of the modular chains:
-    each chain lists its stages once and runs each at most once per prime.
-    Single-basis chains (the lex pair basis of a fiber relation, the graded
-    basis of a certificate) have none."""
+    each chain plans its tree of stages once and runs each at most once
+    per prime.  Single-basis chains (the lex pair basis of a fiber
+    relation, the graded basis of a certificate) have none."""
     count = [0]
-    inner = groebner._modular_chain
+    inner = groebner._plan
 
-    def counting(gens_int, seed_codec, certificate, stages=(), outputs=(0,)):
-        count[0] += len(stages)
-        return inner(gens_int, seed_codec, certificate, stages, outputs)
+    def counting(drops, price):
+        tree = inner(drops, price)
+        count[0] += len(tree)
+        return tree
 
-    monkeypatch.setattr(groebner, "_modular_chain", counting)
+    monkeypatch.setattr(groebner, "_plan", counting)
     return count
 
 
 class TestStageCount:
     def test_three_variable_curve(self, stage_count):
-        # chains keep {x}, {y}, {u}: the stages dropping {y}, {y, u}, {x},
-        # {x, u} and {x, y}; the value line needs none of its own
+        # chains keep {x}, {y}, {u}: u's stage has the fewest terms at the
+        # first prime and x and y tie, so the stages drop {u}, {u, x},
+        # {u, y}, {x} and {x, y}; the value line needs none of its own
         curve = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2])
         vs = nonproperness_values(curve, X3 + U3, dim=1)
         assert vs.rho == U(0, 1)
@@ -513,3 +518,43 @@ class TestStageCount:
         vs = nonproperness_values(curve, f, escape_vars=[1, 2], dim=1)
         assert vs.rho == U(0, 1)
         assert stage_count[0] == 3
+
+    @pytest.mark.parametrize("localized", [False, True])
+    def test_single_fewest_stage_tree_is_not_priced(
+        self, monkeypatch, localized
+    ):
+        # (x, y, z) drops {y} and {x}; (t, x, y, z) drops {t, y} and
+        # {t, x}, t first.  Either tree is the only one with the fewest
+        # stages, so the first prime runs no pricing stage: it runs as
+        # many bases as the second, the seed and one per stage
+        curve = Ideal(R2, [X * Y - 1])
+        escape = [0, 1]
+        if localized:
+            curve = with_rabinowitsch(curve, X)
+            escape = [1, 2]
+        f = curve.ring.variable("x")
+        nvars = curve.ring.nvars + 1
+        asked = []
+        calls = Counter()
+        plan = groebner._plan
+        core = groebner._core_buchberger
+
+        def asking(drops, price):
+            def priced(var):
+                asked.append(var)
+                return price(var)
+
+            return plan(drops, priced)
+
+        def counting(gens, engine, trace=None):
+            if engine.codec.nvars == nvars:
+                calls[engine.p] += 1
+            return core(gens, engine, trace)
+
+        monkeypatch.setattr(groebner, "_plan", asking)
+        monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        vs = nonproperness_values(curve, f, escape_vars=escape, dim=1)
+        assert vs.rho == U(0, 1)
+        assert asked == []
+        first, second = (calls[groebner._agenda_prime(k)] for k in (0, 1))
+        assert first == second == (4 if localized else 3)

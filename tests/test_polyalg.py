@@ -69,7 +69,7 @@ class TestRingAxioms:
         assert p**3 == p * p * p
 
     def test_zero_coefficients_dropped(self):
-        p = Polynomial(R2, {(1, 0): Fraction(0)})
+        p = R2.polynomial({(1, 0): Fraction(0)})
         assert p.is_zero()
         assert (X - X).terms == {}
 
@@ -187,6 +187,43 @@ class TestCoefficients:
             R2.constant("1")
         with pytest.raises(TypeError):
             X.substitute_linear(((1, 0), (0.5, 1)))
+
+
+def _stores_no_zero(p):
+    return all(isinstance(c, Fraction) and c for c in p.terms.values())
+
+
+class TestNoZeroCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        polys(3),
+        polys(3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.lists(
+            st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)]),
+            min_size=9,
+            max_size=9,
+        ),
+    )
+    def test_operations_store_no_zero(self, p, q, e, i, entries):
+        # the constructor keeps its terms as given, so every operation
+        # must drop the coefficients that cancel itself
+        ring = p.ring
+        results = [
+            p + q, p - q, p - p, q - p, p * q, -p, p**e, 2 * p, p * 0,
+            p + Fraction(1, 2), 1 - p,
+            p.partial_derivative(i),
+            p.restrict_hyperplane(i),
+            lift_polynomial(p, extend_ring(ring, "t", front=True)),
+        ]
+        matrix = [entries[3 * k:3 * k + 3] for k in range(3)]
+        try:
+            results.append(p.substitute_linear(matrix))
+        except ValueError:
+            pass  # singular
+        for r in results:
+            assert _stores_no_zero(r)
 
 
 class TestRingExtension:
