@@ -23,7 +23,11 @@ of keys, so each step costs proportional to the reducer's support, not the
 tail size; a coefficient is reduced modulo p only when its key reaches the
 top (Monagan & Pearce, "Sparse polynomial division using a heap", JSC 46,
 2011), and the top term is reduced by the first basis element, in install
-order, whose leading monomial divides it.
+order, whose leading monomial divides it.  The exact checks reduce over the
+integers with the same heap: a step scales the working polynomial instead
+of inverting, its content is divided out only once its top coefficient has
+grown, and a membership test stops at the first term that no leading
+monomial divides.
 
 Rational results come from one multi-modular driver, `_modular_chain`.
 For each of a fixed descending sequence of 62-bit primes it runs a whole
@@ -272,11 +276,25 @@ def _from_engine(terms, codec, ring: PolynomialRing) -> Polynomial:
 # coefficient engines on key-packed dicts
 
 
+# Content is divided out once the top coefficient outgrows twice its bits at
+# the last removal plus a word: few gcd passes, and the swell stays bounded.
+_CONTENT_GROWTH = 2
+_CONTENT_SLACK_BITS = 64
+
+
 class _IntegerArith:
     """Fraction-free arithmetic on primitive integer coefficient dicts.
 
     Used for exact verification over the rationals; the heavy basis search
-    over the rationals goes through the modular engine.
+    over the rationals goes through the modular engine.  Reduction works
+    like `_ModularArith.reduce`: the working terms sit in a max-heap of
+    keys, and a step scales the working polynomial just enough to subtract
+    an integer multiple of the reducer's tail.  Its content is not taken
+    at every step, only when the top coefficient's bit length passes
+    _CONTENT_GROWTH times its length at the last removal plus
+    _CONTENT_SLACK_BITS; the input counts as the first removal.  The terms
+    come out one at a time, top first, so a membership test stops at the
+    first term that no reducer divides.
     """
 
     def __init__(self, codec):
@@ -297,11 +315,22 @@ class _IntegerArith:
             return terms
         return {m: v // g for m, v in terms.items()}
 
-    def reducer_entry(self, terms):
-        """Reducer record with a cheapness key (term count, coefficient size)."""
+    @staticmethod
+    def reducer_entry(terms):
+        """Reducer record: the leading key and coefficient, and the tail."""
         lt = max(terms)
-        lc = terms[lt]
-        return (lt, lc, terms, (len(terms), abs(lc).bit_length()))
+        tail = dict(terms)
+        lc = tail.pop(lt)
+        return (lt, lc, tail)
+
+    @staticmethod
+    def reducers(basis):
+        """Reducer records of `basis`, cheapest first: fewest terms, then
+        the shortest leading coefficient."""
+        return sorted(
+            map(_IntegerArith.reducer_entry, basis),
+            key=lambda red: (len(red[2]), red[1].bit_length()),
+        )
 
     def spoly(self, f, g):
         """S-polynomial of term dicts, integer-scaled to avoid fractions."""
@@ -327,58 +356,95 @@ class _IntegerArith:
                 del out[k]
         return out
 
-    def reduce(self, target, reducers):
-        """Full normal form up to a nonzero rational factor, primitive output.
+    def _irreducible(self, target, reducers):
+        """The terms of the normal form of `target` by the first reducer
+        whose leading key divides, top first, as (key, value): the value
+        is exact relative to `target`.
 
-        The working tail is kept content-free and a running rational
-        multiplier keeps emitted head terms exact, so reduction chains never
-        accumulate spurious integer factors.
+        Each key has one heap entry.  A step removes the top and writes
+        only keys below it, so none of them has left the heap yet; a
+        cancelled coefficient stays as a zero until its key comes up.  The
+        working polynomial is scaled/removed times what is left of the
+        target (the multiples of reducers subtracted and the terms yielded
+        so far taken off), where scaled is the product of the step scales
+        and removed that of the contents divided out.
         """
+        if not target:
+            return
         guard = self.codec.guard
-        work = dict(target)
-        result = {}
-        multiplier = Fraction(1)
-        while work:
-            g = 0
-            for v in work.values():
-                g = math.gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                for k in work:
-                    work[k] //= g
-                multiplier /= g
-            m = max(work)
-            c = work[m]
-            hit = None
-            for red in reducers:
-                if _pdivides(red[0], m, guard):
-                    hit = red
-                    break
-            if hit is None:
-                del work[m]
-                result[m] = c / multiplier
+        gcd = math.gcd
+        coeff = dict(target)
+        heap = [-m for m in coeff]
+        heapq.heapify(heap)
+        push = heapq.heappush
+        pop = heapq.heappop
+        scaled = removed = 1
+        limit = (
+            _CONTENT_GROWTH * coeff[-heap[0]].bit_length()
+            + _CONTENT_SLACK_BITS
+        )
+        while heap:
+            m = -pop(heap)
+            c = coeff.pop(m)
+            if not c:
                 continue
-            lt, lc, terms, _ = hit
-            shift = m - lt
-            gamma = math.gcd(c, lc)
+            if c.bit_length() > limit:
+                g = c
+                for v in coeff.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
+                    c //= g
+                    for k in coeff:
+                        coeff[k] //= g
+                    removed *= g
+                limit = _CONTENT_GROWTH * c.bit_length() + _CONTENT_SLACK_BITS
+            # _pdivides(lt, m, guard), inlined: this is the hot loop
+            mg = m | guard
+            for lt, lc, tail in reducers:
+                if (mg - lt) & guard == guard:
+                    break
+            else:
+                yield m, Fraction(c * removed, scaled)
+                continue
+            gamma = gcd(c, lc)
             scale = lc // gamma
             factor = c // gamma
             if scale != 1:
                 if scale < 0:
                     scale = -scale
                     factor = -factor
-                for k in work:
-                    work[k] *= scale
-                multiplier *= scale
-            for mg, cg in terms.items():
-                k = mg + shift
-                v = work.get(k, 0) - factor * cg
-                if v:
-                    work[k] = v
-                elif k in work:
-                    del work[k]
-        return self.normalize_fractions(result)
+                for k in coeff:
+                    coeff[k] *= scale
+                scaled *= scale
+            shift = m - lt
+            for mt, ct in tail.items():
+                k = mt + shift
+                old = coeff.get(k)
+                if old is None:
+                    coeff[k] = -factor * ct
+                    push(heap, -k)
+                else:
+                    coeff[k] = old - factor * ct
+
+    def reduce(self, target, reducers):
+        """Full normal form up to a nonzero rational factor: primitive, with
+        a positive leading coefficient.
+
+        It collects every term of `_irreducible`: the working terms sit in a
+        max-heap of keys, and the content is divided out only once the top
+        coefficient has grown (see the class).  `reduces_to_zero` runs the
+        same loop up to its first irreducible term.
+        """
+        return self.normalize_fractions(
+            dict(self._irreducible(target, reducers))
+        )
+
+    def reduces_to_zero(self, target, reducers) -> bool:
+        """Whether the normal form is zero; stops at the first term that no
+        reducer divides."""
+        return next(self._irreducible(target, reducers), None) is None
 
     @staticmethod
     def normalize_fractions(result):
@@ -840,10 +906,7 @@ def _exact_size(candidate_int) -> int:
 def _exact_basis_check(gens_int, candidate_int, codec) -> bool:
     """Over the rationals: S-polynomials and generators all reduce to zero."""
     arith = _IntegerArith(codec)
-    reducers = sorted(
-        (arith.reducer_entry(t) for t in candidate_int),
-        key=lambda red: red[3],
-    )
+    reducers = arith.reducers(candidate_int)
     plain_lts = []
     sugars = []
     pairs = {}
@@ -852,12 +915,9 @@ def _exact_basis_check(gens_int, candidate_int, codec) -> bool:
         _update_pairs(plain_lts, sugars, pairs, pl, _pdegree(pl), codec)
     for (i, j) in pairs:
         s = arith.spoly(candidate_int[i], candidate_int[j])
-        if s and arith.reduce(s, reducers):
+        if not arith.reduces_to_zero(s, reducers):
             return False
-    for t in gens_int:
-        if t and arith.reduce(t, reducers):
-            return False
-    return True
+    return all(arith.reduces_to_zero(t, reducers) for t in gens_int)
 
 
 class UncertifiedResult(UserWarning):
@@ -927,10 +987,7 @@ class _Certificate:
         # the same size the driver compared with the cap: dehomogenizing
         # keeps every coefficient and the leading term
         self.bits = _exact_size(basis)
-        arith = _IntegerArith(self.codec)
-        self._reducers = sorted(
-            (arith.reducer_entry(t) for t in basis), key=lambda red: red[3]
-        )
+        self._reducers = _IntegerArith.reducers(basis)
 
     def basis(self):
         """G with h = 1: a Groebner basis of I under the graded codec, not
@@ -953,7 +1010,9 @@ class _Certificate:
         known = self._known.get(key)
         if known is None:
             arith = _IntegerArith(self.codec)
-            known = self._known[key] = not arith.reduce(terms, self._reducers)
+            known = self._known[key] = arith.reduces_to_zero(
+                terms, self._reducers
+            )
         return known
 
     def contains(self, p: Polynomial):

@@ -251,11 +251,21 @@ def s_polynomial(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(p.ring, out)
 
 
-def normal_form(p: Polynomial, basis) -> Polynomial:
-    """Remainder of p under multivariate division by `basis` under lex.
+def graded_key(e: tuple) -> tuple:
+    """Graded reverse-lex order on exponent tuples as a sort key: total
+    degree, then the fewer of the last variable, then of the one before."""
+    return (sum(e),) + tuple(-x for x in reversed(e))
 
-    The difference p - normal_form(p) lies in the ideal generated by the
-    basis, and no remainder term is divisible by any basis leading monomial.
+
+def normal_form(p: Polynomial, basis, order=None) -> Polynomial:
+    """Remainder of p under multivariate division by `basis` under lex, or
+    under the order that the key function `order` on exponent tuples
+    gives.
+
+    The top term is divided by the first basis element whose leading
+    monomial divides it.  The difference p - normal_form(p) lies in the
+    ideal generated by the basis, and no remainder term is divisible by any
+    basis leading monomial.
     """
     ring = p.ring
     reducers = []
@@ -263,12 +273,12 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
         if b.ring != ring:
             raise ValueError("basis element outside p's ring")
         if not b.is_zero():
-            lt, lc = _leading_term(b)
-            reducers.append((lt, lc, b.terms))
+            lt = max(b.terms, key=order)
+            reducers.append((lt, b.terms[lt], b.terms))
     work = dict(p.terms)
     result = {}
     while work:
-        m = max(work)
+        m = max(work, key=order)
         c = work[m]
         hit = None
         for lt, lc, terms in reducers:
