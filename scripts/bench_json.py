@@ -13,12 +13,18 @@ are summarized per workload and metric as each side's median and
 quartiles, the number of pairs, and the pairs the change won (its value
 better than the parent's in the direction `BENCHMARK.json` gives).  The
 file goes to the root of the repository holding this script.
+
+After writing the file the script prints one line per workload: each
+side's median `report_s`, the change's wins, and each side's failed
+operations and correctness.  It exits 1 when either side had a failed or
+incorrect run, 0 otherwise.
 """
 
 import argparse
 import json
 import statistics
 import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +91,25 @@ def summarize(pairs, better) -> dict:
             "wins": wins,
         }
     return out
+
+
+def verdict_lines(workloads) -> list:
+    """One line per workload of a report: both sides' median `report_s`,
+    the change's wins, and each side's failed count and correctness."""
+    lines = []
+    for name, workload in workloads.items():
+        report = workload["metrics"]["report_s"]
+        lines.append(
+            "%s: report_s median parent %.4f s, change %.4f s; change won "
+            "%d of %d; failed parent %d, change %d; correct parent %s, "
+            "change %s" % (
+                name, report["parent"]["median"], report["change"]["median"],
+                report["wins"], report["pairs"],
+                workload["failed"]["parent"], workload["failed"]["change"],
+                workload["correct"]["parent"], workload["correct"]["change"],
+            )
+        )
+    return lines
 
 
 def revision(checkout: Path) -> str:
@@ -157,7 +182,14 @@ def main(argv=None):
     out = ROOT / ("BENCH_%d.json" % args.pr)
     out.write_text(json.dumps(report, indent=1) + "\n")
     print("wrote %s" % out)
+    for line in verdict_lines(report["workloads"]):
+        print(line)
+    clean = all(
+        not w["failed"][side] and w["correct"][side]
+        for w in report["workloads"].values() for side in SIDES
+    )
+    return 0 if clean else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -344,8 +344,9 @@ def _detect_values(f, method, seed, runs, coeff_bound, tolerance, prepare):
     `sample(rng, run_seed)` once per attempt and returns either the
     failing dimension of that attempt (None when the localizing h
     vanished) or the run's coefficients and its curve pieces.  A piece is
-    `(curve, f_on_curve, escape_vars, dim)`, or a ready value set for a
-    slice without a curve.  Each run gets its own generator, from which
+    `(graph, escape_vars, dim)`, the graph of f over the curve with the
+    dimension that the guard read off it, or a ready value set for a slice
+    without a curve.  Each run gets its own generator, from which
     failed attempts are resampled up to RETRY_BUDGET times; the values
     are computed only once an attempt has passed the dimension guard.
     """
@@ -378,7 +379,7 @@ def _detect_values(f, method, seed, runs, coeff_bound, tolerance, prepare):
             p
             if isinstance(p, ValueSet)
             else nonproperness_values(
-                p[0], p[1], escape_vars=p[2], dim=p[3], tolerance=tolerance
+                p[0], escape_vars=p[1], tolerance=tolerance
             )
             for p in pieces
         ]
@@ -403,7 +404,7 @@ def _detect_values(f, method, seed, runs, coeff_bound, tolerance, prepare):
                 seed=run_seed,
                 coefficients=coefficients,
                 values=values,
-                dim_w=max((p[3] for p in curves), default=-1),
+                dim_w=max((p[2] for p in curves), default=-1),
                 attempts=attempt,
                 steps=steps,
                 millis=(time.perf_counter() - t_run) * 1000.0,
@@ -475,10 +476,11 @@ def run_super_polar(
                 curve = with_rabinowitsch(curve, h)
                 escape = range(1, n + 1)
                 f_on_curve = lift_polynomial(f, curve.ring)
-            dim = affine_dimension(curve)
+            graph = graph_ideal(curve, f_on_curve)
+            dim = affine_dimension(graph.ideal)
             if dim > 1:
                 return dim
-            return coeffs, [(curve, f_on_curve, escape, dim)]
+            return coeffs, [(graph, escape, dim)]
 
         return ("special" if special else "general"), sample
 
@@ -522,11 +524,11 @@ def run_iterated_polar(
                 pieces.append(ValueSet.empty({EMPTY_CURVE}))
                 continue
             curve = with_rabinowitsch(Ideal(slice_ring, partials[1:]), h)
-            dim = affine_dimension(curve)
+            graph = graph_ideal(curve, lift_polynomial(slice_poly, curve.ring))
+            dim = affine_dimension(graph.ideal)
             if dim > 1:
                 return dim
-            f_on_curve = lift_polynomial(slice_poly, curve.ring)
-            pieces.append((curve, f_on_curve, range(1, m + 1), dim))
+            pieces.append((graph, range(1, m + 1), dim))
         coeffs = IteratedPolarCoefficients(
             seed=run_seed, matrix=matrix, betas=tuple(betas)
         )

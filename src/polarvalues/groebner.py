@@ -57,9 +57,12 @@ reconstruction and it passes an exact check over the integers:
   generator must reduce to zero.  A candidate that fails takes more primes.
   G also seeds each elimination chain: modulo a prime that divides none
   of its coefficients it stays a Groebner basis of the ideal.
-- a whole basis of the generators (`buchberger`, `graded_basis`,
-  `affine_dimension`) must be a Groebner basis by which every generator
-  reduces to zero.
+- a whole basis of the generators (`buchberger`, `graded_basis`) must be
+  a Groebner basis by which every generator reduces to zero.
+
+Each Ideal builds its certificate once and keeps it, so its dimension
+(read off the leading monomials of G), its eliminations and their
+memberships all rest on one exact graded basis.
 
 The unit ideal is no exception: its reduced basis is [1], its staircase
 {1}, and it is lifted and reproduced like any output.  The basis check
@@ -945,10 +948,10 @@ class _Certificate:
     reduces to zero by that basis; 1 does exactly when G holds a power of
     h.  The elimination chains start from it (see `_eliminations`).
 
-    The basis is computed on first use.  Above _EXACT_CHECK_BIT_CAP the
-    driver accepts it without the exact check, so nothing is certified:
-    `member` and `covers` then return None, and `basis` rests on
-    fresh-prime agreement.
+    Each Ideal keeps one (`_certificate`), and its basis is computed on
+    first use.  Above _EXACT_CHECK_BIT_CAP the driver accepts it without
+    the exact check, so nothing is certified: `member` and `covers` then
+    return None, and `basis` rests on fresh-prime agreement.
     """
 
     def __init__(self, gens_int, names):
@@ -1317,12 +1320,24 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
 # drivers
 
 
+def _certificate(ideal: Ideal) -> _Certificate:
+    """The ideal's certificate, built on first use and kept on the ideal,
+    so that every question asked of one instance shares it."""
+    certificate = ideal.__dict__.get("_certificate")
+    if certificate is None:
+        codec = _Codec((range(ideal.ring.nvars),))
+        certificate = _Certificate(
+            [_to_engine(g, codec) for g in ideal.generators],
+            ideal.ring.variables,
+        )
+        object.__setattr__(ideal, "_certificate", certificate)
+    return certificate
+
+
 def _basis_elems(ideal: Ideal, codec):
     """Reduced basis as packed dicts under `codec`."""
     gens = [_to_engine(g, codec) for g in ideal.generators]
-    return _modular_chain(
-        gens, codec, _Certificate(gens, ideal.ring.variables)
-    )[frozenset()]
+    return _modular_chain(gens, codec, _certificate(ideal))[frozenset()]
 
 
 def buchberger(ideal: Ideal) -> GroebnerBasis:
@@ -1364,20 +1379,17 @@ def _eliminations(ideal: Ideal, drops):
     chain starts from the certificate's basis, not the generators: it
     keeps its staircase modulo every prime used, so no stage loses a
     relation.  Returns {drop: list of polynomials} ([1] for every set when
-    1 is in the ideal) and the membership certificate that proved the
-    results.
+    1 is in the ideal); the ideal's certificate proved them.
     """
     ring = ideal.ring
-    codec = _Codec((range(ring.nvars),))
-    certificate = _Certificate(
-        [_to_engine(g, codec) for g in ideal.generators], ring.variables
-    )
+    certificate = _certificate(ideal)
+    codec = certificate.codec
     lifted = _modular_chain(certificate.basis(), codec, certificate, drops)
     # every codec of the ring keeps the plain packing in a key's low slots
     return {
         d: [_from_engine(t, codec, ring) for t in elems]
         for d, elems in lifted.items()
-    }, certificate
+    }
 
 
 def eliminate(ideal: Ideal, keep) -> list:
@@ -1399,36 +1411,30 @@ def eliminate(ideal: Ideal, keep) -> list:
     if not keep or not all(isinstance(i, int) and 0 <= i < n for i in keep):
         raise ValueError("keep must be a nonempty set of variable indices")
     drop = frozenset(i for i in range(n) if i not in keep)
-    return _eliminations(ideal, [drop])[0][drop]
+    return _eliminations(ideal, [drop])[drop]
 
 
 def affine_dimension(ideal: Ideal) -> int:
     """Krull dimension of the zero set; -1 when the zero set is empty.
 
-    Computed combinatorially from the leading monomials of a degree-graded
-    basis: the dimension is the largest size of a variable subset that
-    meets the support of no leading monomial.
+    Computed combinatorially from the leading monomials of the ideal's
+    certificate basis, a Groebner basis under the graded order: the
+    dimension is the largest size of a variable subset that meets the
+    support of no leading monomial.  Above _EXACT_CHECK_BIT_CAP that basis
+    rests on fresh-prime agreement, and an empty zero set is warned.
     """
-    n = ideal.ring.nvars
-    codec = _Codec((range(n),))
-    masks = []
-    for t in _basis_elems(ideal, codec):
-        mask = 0
-        for i, exp in enumerate(codec.unpack(max(t))):
-            if exp:
-                mask |= 1 << i
-        masks.append(mask)
+    certificate = _certificate(ideal)
+    codec = certificate.codec
+    masks = [
+        sum(1 << i for i, e in enumerate(codec.unpack(max(t))) if e)
+        for t in certificate.basis()
+    ]
     best = -1
-    for subset in range(1 << n):
-        ok = True
-        for mask in masks:
-            if mask & ~subset == 0:
-                ok = False
-                break
-        if ok:
-            size = bin(subset).count("1")
-            if size > best:
-                best = size
+    for subset in range(1 << codec.nvars):
+        if all(mask & ~subset for mask in masks):
+            best = max(best, bin(subset).count("1"))
+    if best < 0 and not certificate.exact():
+        certificate.uncertified("the unit ideal rests on two prime votes")
     return best
 
 
@@ -1436,7 +1442,8 @@ def with_rabinowitsch(ideal: Ideal, h: Polynomial) -> Ideal:
     """Adjoin t*h - 1 in a ring with a fresh variable t prepended.
 
     The zero set of the result is the part of V(ideal) outside V(h); the
-    fresh variable sits first so the lex order of `buchberger` eliminates it.
+    fresh variable sits first, and a chain stage eliminates it like any
+    other variable (see `_eliminations`).
     """
     if h.ring != ideal.ring:
         raise ValueError("h lives outside the ideal's ring")

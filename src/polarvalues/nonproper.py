@@ -20,6 +20,7 @@ from fractions import Fraction
 from .groebner import (
     Ideal,
     UncertifiedResult,
+    _certificate,
     _eliminations,
     affine_dimension,
     buchberger,
@@ -35,7 +36,6 @@ from .polynomials import (
 from .univar import (
     UnivariatePolynomial,
     approx_roots_with_status,
-    gcd_univar,
     rational_roots,
     squarefree_part,
 )
@@ -212,59 +212,49 @@ def _univariate_in(p: Polynomial, var_index: int) -> UnivariatePolynomial:
 def value_line(graph: GraphIdeal):
     """The defining polynomial of the graph ideal's intersection with the
     value line, or None when that intersection is zero."""
+    # a nonzero ideal of Q[z] is principal: its reduced basis is one element
     line = eliminate(graph.ideal, {graph.z_index})
-    if not line:
-        return None
-    # the intersection with the z-line is principal: fold the generators
-    # down to the single defining polynomial
-    rho = _univariate_in(line[0], graph.z_index)
-    for e in line[1:]:
-        rho = gcd_univar(rho, _univariate_in(e, graph.z_index))
-    return rho
+    return _univariate_in(line[0], graph.z_index) if line else None
 
 
 def nonproperness_values(
-    curve: Ideal,
-    f: Polynomial,
+    graph: GraphIdeal,
     escape_vars=None,
-    dim: int = None,
     tolerance: float = 1e-10,
 ) -> ValueSet:
-    """Values over which f restricted to the curve V(curve) is not proper.
+    """Values over which f restricted to the curve V(I) is not proper,
+    read off its graph ideal (I, f - z) built by `graph_ideal`.
 
     escape_vars selects which coordinates count as escape directions
-    (default: all of them); auxiliary localization variables should be
-    excluded by the caller.  dim is the curve's affine dimension when the
-    caller already has it; it is computed otherwise.  Components where f is
-    constant contribute their value and raise the vertical_component flag;
-    the result is a superset of the exact non-properness set whenever such
-    components are present.
+    (default: all but z); auxiliary localization variables should be
+    excluded by the caller.  Components where f is constant contribute
+    their value and raise the vertical_component flag; the result is a
+    superset of the exact non-properness set whenever such components are
+    present.
 
+    The graph is isomorphic to the curve, so its dimension is the curve's.
     One modular elimination chain (`groebner._eliminations`) lifts, for
     each escape variable x_i, the graph ideal's intersection with the
     (x_i, z)-plane; its stages start at one graded basis per prime and are
     shared between the variables.  `fiber_relation` reads the relation off
-    that intersection, and the chain's exact membership certificate checks
-    that the relation lies in the graph ideal.  A relation outside it
-    raises an UncertifiedResult warning; when the certificate is too large
-    to run, the chain has already warned about the intersection.  The
-    value line (the graph ideal's intersection with the z-line) needs no
-    chain of its own: it is nonzero exactly when a fiber relation is free
-    of its x_i, and that relation is its generator.  Only with no escape
-    variables is the value line lifted directly, by `value_line`'s own
-    chain.
+    that intersection.  The dimension, the chain and the check that each
+    relation lies in the graph ideal share the ideal's one exact
+    membership certificate.  A relation outside it raises an
+    UncertifiedResult warning; when the certificate is too large to run,
+    the chain has already warned about the intersection.  The value line
+    (the graph ideal's intersection with the z-line) needs no chain of its
+    own: it is nonzero exactly when a fiber relation is free of its x_i,
+    and that relation is its generator.  Only with no escape variables is
+    the value line lifted directly, by `value_line`'s own chain.
     """
-    if f.ring != curve.ring:
-        raise ValueError("f must live in the curve ideal's ring")
-    if dim is None:
-        dim = affine_dimension(curve)
+    certificate = _certificate(graph.ideal)
+    dim = affine_dimension(graph.ideal)
     if dim < 0:
         return ValueSet.empty(flags={EMPTY_CURVE})
     if dim > 1:
         raise NotACurveError("ideal has dimension %d, expected at most 1" % dim)
 
-    graph = graph_ideal(curve, f)
-    n = curve.ring.nvars
+    n = graph.z_index
     if escape_vars is None:
         escape_vars = range(n)
     escape_vars = list(escape_vars)
@@ -275,9 +265,7 @@ def nonproperness_values(
     rho = UnivariatePolynomial.one()
     line = None
     if escape_vars:
-        eliminated, certificate = _eliminations(
-            graph.ideal, list(drops.values())
-        )
+        eliminated = _eliminations(graph.ideal, list(drops.values()))
     else:
         line = value_line(graph)
     for i in escape_vars:

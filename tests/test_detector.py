@@ -1,6 +1,7 @@
 """Detection pipelines: sampling, auxiliary ideals, runs, intersection."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -259,3 +260,61 @@ class TestReportShape:
         rep = run_super_polar(X * Y, seed=0, runs=2)
         if any(VERTICAL_COMPONENT in rec.values.flags for rec in rep.runs):
             assert any("vertical" in w for w in rep.warnings)
+
+
+def _ideal_of(certificate):
+    """The ideal a certificate stands for: its ring and its generators."""
+    return certificate.names, frozenset(
+        frozenset(t.items()) for t in certificate.gens
+    )
+
+
+class TestOneCertificatePerIdeal:
+    @pytest.mark.parametrize("runner", [run_super_polar, run_iterated_polar])
+    def test_curve_and_graph_share_one_certificate(self, monkeypatch, runner):
+        """The dimension guard reads the graph ideal's certificate, so no
+        modular chain runs on a sampled curve's own generators, and each
+        graph's certificate is built once: the guard, the elimination chain
+        and the fiber-relation memberships share it."""
+        import polarvalues.detector as detector
+        from polarvalues import groebner, nonproper
+
+        graphs = []
+        chains = []
+        builds = Counter()
+        make_graph = detector.graph_ideal
+        chain = groebner._modular_chain
+        build = groebner._Certificate._build
+
+        def recording_graph(base, f):
+            graphs.append((base, make_graph(base, f)))
+            return graphs[-1][1]
+
+        def recording_chain(gens_int, seed_codec, certificate, *drops):
+            chains.append(certificate)
+            return chain(gens_int, seed_codec, certificate, *drops)
+
+        def counting_build(certificate):
+            builds[_ideal_of(certificate)] += 1
+            build(certificate)
+
+        for module in (detector, nonproper):
+            monkeypatch.setattr(module, "graph_ideal", recording_graph)
+        monkeypatch.setattr(groebner, "_modular_chain", recording_chain)
+        monkeypatch.setattr(groebner._Certificate, "_build", counting_build)
+        runner(X3 + X3**2 * Y3, seed=0, runs=1, coeff_bound=5)
+
+        # the sampled curves, and the gradient ideal of critical_values
+        assert len(graphs) >= 2
+        bases = set()
+        for base, _ in graphs:
+            codec = groebner._Codec((range(base.ring.nvars),))
+            gens = [groebner._to_engine(g, codec) for g in base.generators]
+            certificate = groebner._Certificate(gens, base.ring.variables)
+            bases.add(_ideal_of(certificate))
+        assert not [c for c in chains if _ideal_of(c) in bases]
+        for _, graph in graphs:
+            shared = groebner._certificate(graph.ideal)
+            assert builds[_ideal_of(shared)] == 1
+            assert all(c is shared for c in chains
+                       if _ideal_of(c) == _ideal_of(shared))

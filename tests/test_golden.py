@@ -27,6 +27,11 @@ FIXTURES = {
         "x + x^2*y", "--vars", "x,y,u", "--method", "iterated_polar",
         "--runs", "1", "--coeff-bound", "5",
     ],
+    # the dimension guard rejects two draws before a third passes
+    "x_plus_x2y_xyu_iterated_resampled": [
+        "x + x^2*y", "--vars", "x,y,u", "--method", "iterated_polar",
+        "--runs", "1", "--coeff-bound", "2", "--seed", "9",
+    ],
     # one fiber-relation chain per variable of a three-variable curve
     "x_plus_x2y_xyu_super_polar": [
         "x + x^2*y", "--vars", "x,y,u", "--method", "super_polar",

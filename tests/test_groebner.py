@@ -698,7 +698,7 @@ class TestChain:
 
         monkeypatch.setattr(groebner, "_core_buchberger", counting)
         drop_u, drop_y = frozenset({2}), frozenset({1})
-        lifted, _ = groebner._eliminations(ideal, [drop_u, drop_y])
+        lifted = groebner._eliminations(ideal, [drop_u, drop_y])
         assert lifted[drop_u] == [Y3**2 - X3]
         assert lifted[drop_y] == [(U3 - 1) ** 2 - big**2 * X3]
         seed = ((0, 1, 2),)
@@ -956,10 +956,10 @@ class TestTraceReplay:
         drop = frozenset({1})
         monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", cap)
         if cap:
-            lifted, _ = groebner._eliminations(ideal, [drop])
+            lifted = groebner._eliminations(ideal, [drop])
         else:
             with pytest.warns(groebner.UncertifiedResult):
-                lifted, _ = groebner._eliminations(ideal, [drop])
+                lifted = groebner._eliminations(ideal, [drop])
         assert lifted[drop] == [X3 + U3]
 
     def test_failed_check_drops_the_trusted_trace(self):
@@ -1083,6 +1083,20 @@ class TestCertificate:
         certificate = _certificate(ideal)
         assert certificate.covers([{certificate.codec.one_key: 1}]) is False
 
+    def test_dimension_of_a_line_hidden_by_two_agenda_primes(self):
+        # modulo the first two agenda primes the first factor is the unit
+        # ideal, so the product looks like the origin <x, y, w>; over the
+        # rationals the first factor cuts out a line parallel to the w-axis
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        ring = PolynomialRing(("x", "y", "w"))
+        x, y, w = (ring.variable(v) for v in ring.variables)
+        big = 1 + p0 * p1
+        ideal = Ideal(
+            ring,
+            [a * b for a in (x + y + 1, x + big * y + 2) for b in (x, y, w)],
+        )
+        assert affine_dimension(ideal) == 1
+
     def test_rejects_the_unit_candidate_of_a_proper_ideal(self):
         # 3y - 1 lies in the ideal: it is the unit ideal modulo 3, yet
         # y = 1/3, x^2 = -5/3 is a point over the rationals
@@ -1105,7 +1119,8 @@ class TestCertificate:
         # the (x, u) relation of x*y = 1, u = x^2 + 3*y lies in the ideal;
         # moving any one of its coefficients by one takes it out
         ideal = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2 - 3 * Y3])
-        lifted, certificate = groebner._eliminations(ideal, [frozenset({1})])
+        lifted = groebner._eliminations(ideal, [frozenset({1})])
+        certificate = groebner._certificate(ideal)
         (relation,) = lifted[frozenset({1})]
         assert relation.support_variables() == {0, 2}
         assert certificate.contains(relation) is True
@@ -1133,7 +1148,8 @@ class TestCertificate:
 
         monkeypatch.setattr(nonproper, "_eliminations", recording)
         run_super_polar(X3 + X3**2 * Y3, seed=0, runs=1, coeff_bound=9999)
-        ((ideal, (lifted, certificate)),) = chains
+        ((ideal, lifted),) = chains
+        certificate = groebner._certificate(ideal)
         ring = ideal.ring
         basis = [
             groebner._from_engine(t, certificate.codec, ring)
@@ -1158,7 +1174,8 @@ class TestCertificate:
         gens = [rand_poly(rng, R3, max_deg=2) for _ in range(rng.randint(1, 3))]
         ideal = Ideal(R3, gens)
         drops = [frozenset({0}), frozenset({0, 1}), frozenset({1, 2})]
-        lifted, certificate = groebner._eliminations(ideal, drops)
+        lifted = groebner._eliminations(ideal, drops)
+        certificate = groebner._certificate(ideal)
         for drop in drops:
             for p in lifted[drop]:
                 assert certificate.contains(p) is True

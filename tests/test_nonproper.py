@@ -119,71 +119,60 @@ class TestLeadingCoeff:
 
 class TestNonProperness:
     def test_coordinate_on_hyperbola(self):
-        vs = nonproperness_values(Ideal(R2, [X * Y - 1]), X)
+        vs = nonproperness_values(graph_ideal(Ideal(R2, [X * Y - 1]), X))
         assert vs.rho == U(0, 1)
         assert vs.exact_rational_roots == (Fraction(0),)
         assert not vs.flags
 
     def test_coordinate_on_its_own_axis_is_proper(self):
-        vs = nonproperness_values(Ideal(R2, [Y]), X)
+        vs = nonproperness_values(graph_ideal(Ideal(R2, [Y]), X))
         assert vs.is_empty()
 
     def test_shifted_hyperbola(self):
         # x(y-3) = 1: escape along y -> infinity forces x -> 0, f = x + 7
-        vs = nonproperness_values(Ideal(R2, [X * (Y - 3) - 1]), X + 7)
+        curve = Ideal(R2, [X * (Y - 3) - 1])
+        vs = nonproperness_values(graph_ideal(curve, X + 7))
         assert vs.exact_rational_roots == (Fraction(7),)
 
     def test_constant_map_flags_vertical_component(self):
-        vs = nonproperness_values(Ideal(R2, [X * Y - 1]), X * Y)
+        vs = nonproperness_values(graph_ideal(Ideal(R2, [X * Y - 1]), X * Y))
         assert VERTICAL_COMPONENT in vs.flags
         assert vs.exact_rational_roots == (Fraction(1),)
 
     def test_empty_curve(self):
-        vs = nonproperness_values(Ideal(R2, [X, X - R2.one()]), X)
+        vs = nonproperness_values(graph_ideal(Ideal(R2, [X, X - R2.one()]), X))
         assert vs.is_empty()
         assert EMPTY_CURVE in vs.flags
 
     def test_surface_rejected(self):
         with pytest.raises(NotACurveError):
-            nonproperness_values(Ideal(R2, []), X)
+            nonproperness_values(graph_ideal(Ideal(R2, []), X))
 
     def test_finite_point_set_reports_values_with_flag(self):
         # a point is a component on which f is constant; the conservative
         # convention keeps its value and raises the vertical flag
-        vs = nonproperness_values(Ideal(R2, [X - 1, Y - 2]), X + Y)
+        curve = Ideal(R2, [X - 1, Y - 2])
+        vs = nonproperness_values(graph_ideal(curve, X + Y))
         assert vs.exact_rational_roots == (Fraction(3),)
         assert VERTICAL_COMPONENT in vs.flags
-
-    def test_explicit_dim_accepted(self):
-        ideal = Ideal(R2, [X * Y - 1])
-        vs = nonproperness_values(ideal, X, dim=1)
-        assert vs.exact_rational_roots == (Fraction(0),)
-
-    def test_explicit_dim_is_trusted(self):
-        # a caller-supplied dimension replaces the count: -1 means empty,
-        # above 1 is rejected, without looking at the ideal again
-        ideal = Ideal(R2, [X * Y - 1])
-        vs = nonproperness_values(ideal, X, dim=-1)
-        assert vs.is_empty() and EMPTY_CURVE in vs.flags
-        with pytest.raises(NotACurveError):
-            nonproperness_values(ideal, X, dim=2)
 
     def test_escape_vars_subset(self):
         # only watch the y direction: x cannot escape along it without
         # the relation's leading coefficient recording z = 0
-        vs = nonproperness_values(Ideal(R2, [X * Y - 1]), X, escape_vars=[1])
+        graph = graph_ideal(Ideal(R2, [X * Y - 1]), X)
+        vs = nonproperness_values(graph, escape_vars=[1])
         assert vs.exact_rational_roots == (Fraction(0),)
 
     def test_parabola_projection_proper(self):
         # y = x^2 projects properly under f = y
-        vs = nonproperness_values(Ideal(R2, [Y - X**2]), Y)
+        vs = nonproperness_values(graph_ideal(Ideal(R2, [Y - X**2]), Y))
         assert vs.is_empty()
 
     def test_parabola_other_direction(self):
         # f = x on y = x^2: both coordinates escape together, x is
         # unbounded on every unbounded branch, but fibers stay finite and
         # bounded-away values stay proper: no finite non-properness values
-        vs = nonproperness_values(Ideal(R2, [Y - X**2]), X)
+        vs = nonproperness_values(graph_ideal(Ideal(R2, [Y - X**2]), X))
         assert vs.is_empty()
 
 
@@ -240,12 +229,14 @@ class TestSharedStages:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_unshared_chains(self, name):
         curve, f = self.CASES[name]
-        assert nonproperness_values(curve, f) == unshared_values(curve, f)
+        vs = nonproperness_values(graph_ideal(curve, f))
+        assert vs == unshared_values(curve, f)
 
     def test_value_line_read_off(self):
         # f is constant on each of the two points: every fiber relation is
         # free of its x_i and generates the value line z^2 - 1
-        vs = nonproperness_values(Ideal(R2, [X**2 - 1, Y - X]), Y)
+        curve = Ideal(R2, [X**2 - 1, Y - X])
+        vs = nonproperness_values(graph_ideal(curve, Y))
         assert vs.rho == U(-1, 0, 1)
         assert vs.flags == frozenset({VERTICAL_COMPONENT})
 
@@ -253,25 +244,25 @@ class TestSharedStages:
         # the y-axis maps onto the whole value line, so the value line of
         # the graph is zero; x escapes along y = 1, which the x relation
         # x*(z - 1) records through its leading coefficient
-        vs = nonproperness_values(Ideal(R2, [X * (Y - 1)]), Y)
+        vs = nonproperness_values(graph_ideal(Ideal(R2, [X * (Y - 1)]), Y))
         assert vs.rho == U(-1, 1)
         assert vs.flags == frozenset()
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_no_escape_vars_keeps_value_line(self, name):
         curve, f = self.CASES[name]
-        vs = nonproperness_values(curve, f, escape_vars=[])
+        vs = nonproperness_values(graph_ideal(curve, f), escape_vars=[])
         assert vs == unshared_values(curve, f, escape_vars=[])
 
     def test_no_escape_vars_values(self):
         # only the value line is left to report
         points = nonproperness_values(
-            Ideal(R2, [X**2 - 1, Y - X]), Y, escape_vars=[]
+            graph_ideal(Ideal(R2, [X**2 - 1, Y - X]), Y), escape_vars=[]
         )
         assert points.rho == U(-1, 0, 1)
         assert points.flags == frozenset({VERTICAL_COMPONENT})
         assert nonproperness_values(
-            Ideal(R2, [X * (Y - 1)]), Y, escape_vars=[]
+            graph_ideal(Ideal(R2, [X * (Y - 1)]), Y), escape_vars=[]
         ) == ValueSet.empty()
 
     @settings(max_examples=25, deadline=None)
@@ -279,9 +270,8 @@ class TestSharedStages:
     def test_random_plane_curves(self, g, f, escape_vars):
         assume(not g.is_constant())
         curve = Ideal(R2, [g])
-        assert nonproperness_values(curve, f, escape_vars) == unshared_values(
-            curve, f, escape_vars
-        )
+        vs = nonproperness_values(graph_ideal(curve, f), escape_vars)
+        assert vs == unshared_values(curve, f, escape_vars)
 
 
 def exact_relations(curve, f):
@@ -383,7 +373,7 @@ class TestExactReference:
         expected = exact_relations(curve, f)
         if None in expected.values():
             with pytest.raises(NotACurveError):
-                nonproperness_values(curve, f, dim=dim)
+                nonproperness_values(graph_ideal(curve, f))
             return
         seen = {}
         inner = nonproper_module.fiber_relation
@@ -394,7 +384,7 @@ class TestExactReference:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nonproper_module, "fiber_relation", recording)
-            vs = nonproperness_values(curve, f, dim=dim)
+            vs = nonproperness_values(graph_ideal(curve, f))
         assert seen == expected
         assert vs == values_of(expected)
 
@@ -413,7 +403,8 @@ def test_relation_outside_the_graph_ideal_warns(monkeypatch):
         groebner.UncertifiedResult,
         match=r"the fiber relation in \(y, z\) is not in the graph ideal",
     ):
-        vs = nonproperness_values(Ideal(R2, [X * Y - 1]), X, escape_vars=[1])
+        graph = graph_ideal(Ideal(R2, [X * Y - 1]), X)
+        vs = nonproperness_values(graph, escape_vars=[1])
     assert vs.exact_rational_roots == (Fraction(0),)
 
 
@@ -472,7 +463,7 @@ class TestLiftCost:
 
         monkeypatch.setattr(groebner._CrtState, "__init__", registering)
         monkeypatch.setattr(groebner, "_core_buchberger", counting)
-        nonproperness_values(curve, f, dim=1)
+        nonproperness_values(graph_ideal(curve, f))
         lifted = sum(len(e) for s in states for e in s.elements or ())
         assert lifted == expected
         assert max(runs.values()) == 1
@@ -507,7 +498,7 @@ class TestStageCount:
         # first prime and x and y tie, so the stages drop {u}, {u, x},
         # {u, y}, {x} and {x, y}; the value line needs none of its own
         curve = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2])
-        vs = nonproperness_values(curve, X3 + U3, dim=1)
+        vs = nonproperness_values(graph_ideal(curve, X3 + U3))
         assert vs.rho == U(0, 1)
         assert stage_count[0] == 5
 
@@ -515,7 +506,7 @@ class TestStageCount:
         # in (t, x, y) the chains for x and y share the stage dropping t
         curve = with_rabinowitsch(Ideal(R2, [X * Y - 1]), X)
         f = curve.ring.variable("x")
-        vs = nonproperness_values(curve, f, escape_vars=[1, 2], dim=1)
+        vs = nonproperness_values(graph_ideal(curve, f), escape_vars=[1, 2])
         assert vs.rho == U(0, 1)
         assert stage_count[0] == 3
 
@@ -553,7 +544,7 @@ class TestStageCount:
 
         monkeypatch.setattr(groebner, "_plan", asking)
         monkeypatch.setattr(groebner, "_core_buchberger", counting)
-        vs = nonproperness_values(curve, f, escape_vars=escape, dim=1)
+        vs = nonproperness_values(graph_ideal(curve, f), escape_vars=escape)
         assert vs.rho == U(0, 1)
         assert asked == []
         first, second = (calls[groebner._agenda_prime(k)] for k in (0, 1))

@@ -105,6 +105,63 @@ def test_bench_json_parses_a_run_result():
     assert bench.parse_seeds("1401-1403,7") == [1401, 1402, 1403, 7]
 
 
+def test_bench_json_summarizes_and_fails_on_a_bad_run(
+    tmp_path, monkeypatch, capsys
+):
+    # stubbed runs: the file is written, one verdict line per workload
+    # follows, and a failed or incorrect run on either side exits 1
+    import json
+
+    bench = _load_bench_json()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"],
+        "run_seconds": 1,
+        "workloads": [{"name": "small"}, {"name": "large"}],
+        "end_to_end": [{"name": "report_s", "better": "lower"}],
+    }))
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "revision", lambda checkout: "abc1234")
+    argv = ["--parent", str(parent), "--change", str(change),
+            "--pr", "7", "--seeds", "1-3"]
+
+    for bad, code in [
+        (None, 0),
+        (("large", "parent", "failed"), 1),
+        (("small", "change", "incorrect"), 1),
+    ]:
+        def run_once(checkout, command, workload, seed, seconds):
+            side = checkout.name
+            return {
+                "correct": bad != (workload, side, "incorrect"),
+                "attempted": 10,
+                "failed": int(bad == (workload, side, "failed")),
+                "metrics": {"report_s": {
+                    "value": {"parent": 0.2, "change": 0.1}[side] + seed / 1e3,
+                    "unit": "s",
+                }},
+            }
+
+        monkeypatch.setattr(bench, "run_once", run_once)
+        assert bench.main(argv) == code
+        (tmp_path / "BENCH_7.json").unlink()  # written before the verdict
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "%s: report_s median parent 0.2020 s, change 0.1020 s; change "
+            "won 3 of 3; failed parent %d, change %d; correct parent %s, "
+            "change %s" % (
+                name,
+                3 * (bad == (name, "parent", "failed")),
+                3 * (bad == (name, "change", "failed")),
+                bad != (name, "parent", "incorrect"),
+                bad != (name, "change", "incorrect"),
+            )
+            for name in ("small", "large")
+        ]
+
+
 def test_readme_timing_table_quotes_the_latest_bench_file():
     import json
     import re
