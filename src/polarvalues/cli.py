@@ -22,6 +22,7 @@ from .detector import (
     DEFAULT_RUNS,
     DetectionReport,
     DimensionGuardError,
+    _CriticalSet,
     run_iterated_polar,
     run_super_polar,
 )
@@ -194,7 +195,11 @@ class RunConfig:
 
 
 def run(config: RunConfig, f: Polynomial):
-    """Execute the configured method(s); returns the list of reports."""
+    """Execute the configured method(s); returns the list of reports.
+
+    Both methods share one `_CriticalSet` of f, so `--method both`
+    computes the critical values once."""
+    critical = _CriticalSet(f)
     reports = []
     if config.method in ("super_polar", "both"):
         reports.append(
@@ -205,6 +210,7 @@ def run(config: RunConfig, f: Polynomial):
                 coeff_bound=config.coeff_bound,
                 force_general=config.force_general_case,
                 tolerance=config.tolerance,
+                critical=critical,
             )
         )
     if config.method in ("iterated_polar", "both"):
@@ -215,6 +221,7 @@ def run(config: RunConfig, f: Polynomial):
                 runs=config.runs,
                 coeff_bound=config.coeff_bound,
                 tolerance=config.tolerance,
+                critical=critical,
             )
         )
     return reports

@@ -173,14 +173,25 @@ def gradient_ideal(f: Polynomial) -> Ideal:
     )
 
 
-def is_singular_locus_finite(f: Polynomial) -> bool:
-    """True when the critical set of f is finite (possibly empty)."""
-    return affine_dimension(gradient_ideal(f)) <= 0
+def is_singular_locus_finite(f: Polynomial, graph=None) -> bool:
+    """True when the critical set of f is finite (possibly empty).
+
+    `graph`, the graph of f over its gradient ideal, is isomorphic to the
+    critical set; passing it answers from its certificate, which
+    `critical_values` then shares."""
+    ideal = gradient_ideal(f) if graph is None else graph.ideal
+    return affine_dimension(ideal) <= 0
 
 
-def critical_values(f: Polynomial, tolerance: float = 1e-10) -> ValueSet:
-    """The set f(Sing f), computed by eliminating down to the value line."""
-    rho = value_line(graph_ideal(gradient_ideal(f), f))
+def critical_values(
+    f: Polynomial, tolerance: float = 1e-10, graph=None
+) -> ValueSet:
+    """The set f(Sing f), computed by eliminating down to the value line
+    of the graph of f over its gradient ideal (`graph`, built when not
+    given)."""
+    if graph is None:
+        graph = graph_ideal(gradient_ideal(f), f)
+    rho = value_line(graph)
     if rho is None:
         raise InternalInvariantError(
             "critical value projection came out dominant"
@@ -188,6 +199,37 @@ def critical_values(f: Polynomial, tolerance: float = 1e-10) -> ValueSet:
     if rho.degree() < 1:
         return ValueSet.empty()
     return ValueSet.from_rho(rho, (), tolerance)
+
+
+class _CriticalSet:
+    """What the reports of one invocation ask about the critical set of f.
+
+    Whether it is finite and which values it takes are both read off one
+    graph ideal (grad f, f - z), so they share its certificate.  The values are computed once per tolerance; the
+    warnings that computing them raised are raised again on every call,
+    so each report that reads them carries the same warnings as if it had
+    computed them itself.
+    """
+
+    def __init__(self, f: Polynomial):
+        self.f = f
+        self.graph = graph_ideal(gradient_ideal(f), f)
+        self._values = {}
+
+    def finite(self) -> bool:
+        return is_singular_locus_finite(self.f, self.graph)
+
+    def values(self, tolerance: float) -> ValueSet:
+        known = self._values.get(tolerance)
+        if known is None:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                values = critical_values(self.f, tolerance, self.graph)
+            known = self._values[tolerance] = (values, caught)
+        values, caught = known
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        return values
 
 
 def intersect_runs(rhos) -> UnivariatePolynomial:
@@ -314,13 +356,13 @@ def _final_warnings(
     return warnings
 
 
-def _detect(f, method, seed, runs, coeff_bound, tolerance, prepare):
+def _detect(f, method, seed, runs, coeff_bound, tolerance, prepare, critical):
     """`_detect_values` with the UncertifiedResult warnings it raises moved
     into the report's warnings, each message once."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UncertifiedResult)
         report = _detect_values(
-            f, method, seed, runs, coeff_bound, tolerance, prepare
+            f, method, seed, runs, coeff_bound, tolerance, prepare, critical
         )
     uncertified = []
     for w in caught:
@@ -336,7 +378,9 @@ def _detect(f, method, seed, runs, coeff_bound, tolerance, prepare):
     )
 
 
-def _detect_values(f, method, seed, runs, coeff_bound, tolerance, prepare):
+def _detect_values(
+    f, method, seed, runs, coeff_bound, tolerance, prepare, critical
+):
     """The detection driver shared by both methods.
 
     `prepare()` runs once the input is validated and returns the report's
@@ -349,6 +393,7 @@ def _detect_values(f, method, seed, runs, coeff_bound, tolerance, prepare):
     without a curve.  Each run gets its own generator, from which
     failed attempts are resampled up to RETRY_BUDGET times; the values
     are computed only once an attempt has passed the dimension guard.
+    The critical values come from `critical`, the `_CriticalSet` of f.
     """
     _validate_input(f, runs, coeff_bound, tolerance)
     n = f.ring.nvars
@@ -414,7 +459,7 @@ def _detect_values(f, method, seed, runs, coeff_bound, tolerance, prepare):
     s_rho = intersect_runs([rec.values.rho for rec in records])
     flag_union = frozenset().union(*(rec.values.flags for rec in records))
     s_final = ValueSet.from_rho(s_rho, flag_union, tolerance)
-    critical = critical_values(f, tolerance)
+    critical = critical.values(tolerance)
     bounds = _bounds_for(degree, n)
     warnings = _final_warnings(records, s_final, critical, bounds)
 
@@ -444,6 +489,7 @@ def run_super_polar(
     coeff_bound: int = DEFAULT_COEFF_BOUND,
     force_general: bool = False,
     tolerance: float = 1e-10,
+    critical=None,
 ) -> DetectionReport:
     """Combined-curve detection: random derivative hypersurfaces, graph
     elimination, and a gcd intersection across runs.
@@ -452,12 +498,15 @@ def run_super_polar(
     finite the hypersurface ideal is used as is; otherwise (or when forced)
     the singular locus is removed by localizing at a random derivative
     combination.  Each run must produce a set of dimension at most one,
-    with up to five resamples before giving up.
+    with up to five resamples before giving up.  `critical`, the
+    `_CriticalSet` of f, lets several reports share its work (`cli.run`
+    passes one to both methods); None builds one.
     """
+    critical = critical or _CriticalSet(f)
 
     def prepare():
         n = f.ring.nvars
-        special = (not force_general) and is_singular_locus_finite(f)
+        special = (not force_general) and critical.finite()
         partials = [f.partial_derivative(j) for j in range(n)]
 
         def sample(rng, run_seed):
@@ -485,7 +534,7 @@ def run_super_polar(
         return ("special" if special else "general"), sample
 
     return _detect(
-        f, "super_polar", seed, runs, coeff_bound, tolerance, prepare
+        f, "super_polar", seed, runs, coeff_bound, tolerance, prepare, critical
     )
 
 
@@ -495,12 +544,14 @@ def run_iterated_polar(
     runs: int = DEFAULT_RUNS,
     coeff_bound: int = DEFAULT_COEFF_BOUND,
     tolerance: float = 1e-10,
+    critical=None,
 ) -> DetectionReport:
     """Sliced detection: one generic coordinate change per run, then for
     each i the polar curve of the slice x_1 = ... = x_{i-1} = 0 with
     respect to its first remaining coordinate, localized away from the
     slice's singular locus.  Per-run value sets are unions over slices;
-    runs are intersected as usual.
+    runs are intersected as usual.  `critical` is as for
+    `run_super_polar`.
     """
 
     def sample(rng, run_seed):
@@ -542,4 +593,5 @@ def run_iterated_polar(
         coeff_bound,
         tolerance,
         lambda: ("sliced", sample),
+        critical or _CriticalSet(f),
     )

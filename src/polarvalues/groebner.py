@@ -58,7 +58,10 @@ reconstruction and it passes an exact check over the integers:
   G also seeds each elimination chain: modulo a prime that divides none
   of its coefficients it stays a Groebner basis of the ideal.
 - a whole basis of the generators (`buchberger`, `graded_basis`) must be
-  a Groebner basis by which every generator reduces to zero.
+  a Groebner basis by which every generator reduces to zero; on
+  inhomogeneous generators each of its elements must also lie in the
+  ideal by the certificate.  A principal ideal needs no chain: its
+  reduced basis is its generator made primitive.
 
 Each Ideal builds its certificate once and keeps it, so its dimension
 (read off the leading monomials of G), its eliminations and their
@@ -70,15 +73,28 @@ proves only that the ideal lies in <1>, so a whole basis [1] of
 inhomogeneous generators must pass the certificate as well (homogeneous
 generators hold 1 only through a constant generator).  Neither check runs
 on a basis above _EXACT_CHECK_BIT_CAP bits; the fresh-prime verdict then
-stands, and an elimination or unit ideal accepted that way raises an
-UncertifiedResult warning.
+stands, and an elimination, a whole basis or a unit ideal accepted that
+way raises an UncertifiedResult warning.
 
-Later primes replay a trace (Traverso, "Groebner trace algorithms", ISSAC
-1988).  Once two full primes agree on the staircase of every node they
-ran, each later prime reduces, node by node, only the generators and
-S-pairs that installed an element at the second of them, and skips the
-reductions to zero and all pair bookkeeping; a step with another leading
-monomial sends that node back to a full run.  One prime is not enough: a
+Node 0 of an elimination chain runs no Buchberger when its certificate is
+exact: modulo a prime that divides none of its coefficients, G stays a
+Groebner basis with the same leading monomials, so node 0 only drops the
+elements whose leading monomial another one divides and inter-reduces
+the rest, with no S-pair and no trace.  Above _EXACT_CHECK_BIT_CAP, G is
+not proved a Groebner basis, and node 0 runs in full.
+
+The other nodes replay a trace at later primes (Traverso, "Groebner trace
+algorithms", ISSAC 1988).  Once two full primes agree on the staircase of
+every node they ran, each later prime reduces, node by node, only the
+generators and S-pairs that installed an element at the second of them,
+and skips the reductions to zero and all pair bookkeeping.  Each of those
+reductions, and each of the final inter-reduction, follows the schedule
+that the full run recorded: its steps (term, reducer) in order and the
+terms it left.  Applying it is arithmetic only, one pass per step with no
+heap and no divisor search, as in the symbolic preprocessing of F4
+(Faugere, JPAA 139, 1999); only a nonzero term outside the record is
+tested for a divisor.  Such a divisor, or a step with another leading
+monomial, sends that node back to a full run.  One prime is not enough: a
 generator that vanishes there is never reduced again, so the replay
 repeats a wrong staircase, and a missing relation is invisible to a
 membership test.  A candidate that fails its exact check drops the trace,
@@ -515,13 +531,16 @@ class _ModularArith:
                 del out[k]
         return out
 
-    def reduce(self, target, reducers):
+    def reduce(self, target, reducers, steps=None):
         """Full normal form by the first reducer whose leading key divides.
 
         The working terms sit in a max-heap of keys, one entry per key.  A
         coefficient is reduced modulo p once, when its key reaches the top;
         a reduction step adds (p - c) times the reducer's tail to keys that
-        all lie below the top, so none of them has left the heap yet.
+        all lie below the top, so none of them has left the heap yet.  A
+        list `steps` receives each step as (term key, reducer's leading
+        key), in order: with the keys of the result, the schedule that
+        `replay` applies at another prime.
         """
         p = self.p
         guard = self.codec.guard
@@ -544,6 +563,8 @@ class _ModularArith:
             else:
                 result[m] = c
                 continue
+            if steps is not None:
+                steps.append((m, lt))
             shift = m - lt
             factor = p - c
             for mt, ct in tail.items():
@@ -554,6 +575,41 @@ class _ModularArith:
                     push(heap, -k)
                 else:
                     coeff[k] = old + factor * ct
+        return self.normalize(result)
+
+    def replay(self, target, schedule, tails):
+        """`reduce` by the reducers {leading key: tail} in `tails`, along
+        the schedule (steps, keys left) that it recorded at another prime.
+
+        Each step adds (p - c) times its reducer's tail, one pass with no
+        heap and no divisor search; a step whose coefficient vanishes here
+        adds nothing.  Steps descend and write only keys below their own,
+        so what is left is the normal form unless a term the record never
+        reduced is nonzero here and reducible: only a nonzero key outside
+        the recorded ones is tested, and a divisor raises _TraceMismatch.
+        """
+        p = self.p
+        steps, left = schedule
+        coeff = dict(target)
+        get = coeff.get
+        for m, lt in steps:
+            c = coeff.pop(m, 0) % p
+            if c:
+                shift = m - lt
+                factor = p - c
+                for mt, ct in tails[lt].items():
+                    k = mt + shift
+                    coeff[k] = get(k, 0) + factor * ct
+        guard = self.codec.guard
+        result = {}
+        for m, c in coeff.items():
+            c %= p
+            if c:
+                if m not in left and any(
+                    _pdivides(lt, m, guard) for lt in tails
+                ):
+                    raise _TraceMismatch()
+                result[m] = c
         return self.normalize(result)
 
 
@@ -567,16 +623,51 @@ class _TraceMismatch(Exception):
 
 class _Trace:
     """What one full run of `_core_buchberger` did, for replay at another
-    prime: the generator count, the generators (index, leading key) and
-    S-pairs (i, j, leading key) that installed an element, in install
-    order, and the install indices of the minimal basis (None until the
-    run is recorded)."""
+    prime: the generator count, the generators (index, leading key,
+    schedule) and S-pairs (i, j, leading key, schedule) that installed an
+    element, in install order, the install indices of the minimal basis
+    (None until the run is recorded), and the schedules of the final
+    inter-reduction, one per kept element.  A schedule is what `reduce`
+    did to one polynomial: its steps (term key, reducer's leading key) in
+    order, and the set of keys it left."""
 
     def __init__(self):
         self.ngens = None
         self.gens = []
         self.pairs = []
         self.kept = None
+        self.final = []
+
+
+def _minimal(basis, guard):
+    """Indices of the elements whose leading monomial no other one divides
+    (the first of equal ones), by ascending leading key."""
+    lts = [max(t) for t in basis]
+    kept = []
+    for k in sorted(range(len(basis)), key=lts.__getitem__):
+        if not any(_pdivides(lts[j], lts[k], guard) for j in kept):
+            kept.append(k)
+    return kept
+
+
+def _inter_reduce(elems, engine, schedules=None):
+    """The reduced basis from a minimal Groebner basis sorted by ascending
+    leading key, in one ascending pass: a leading monomial dividing a tail
+    monomial of g is smaller than LT(g), so g needs only the already
+    reduced elements before it.  A list `schedules` receives each
+    reduction's schedule (see `_Trace`)."""
+    out = []
+    reduced = []
+    for t in elems:
+        if schedules is None:
+            t = engine.reduce(t, reduced)
+        else:
+            steps = []
+            t = engine.reduce(t, reduced, steps)
+            schedules.append((steps, frozenset(t)))
+        out.append(t)
+        reduced.append(engine.reducer_entry(t))
+    return out
 
 
 def _core_buchberger(gens, engine, trace=None):
@@ -589,112 +680,123 @@ def _core_buchberger(gens, engine, trace=None):
     element and ends the run, since it divides every monomial: the basis
     of the unit ideal is [{one_key: 1}].
 
-    A fresh `_Trace` records the run.  A recorded one is replayed
-    (Traverso, "Groebner trace algorithms", ISSAC 1988): only the recorded
-    generators and S-pairs are reduced, in their install order, so each
-    step takes the same first divisor; no pair is built or selected, no
-    reduction to zero is repeated, and the same inter-reduction pass ends
-    the run.  A step whose leading key differs from the record (a vanished
-    remainder, another generator count) raises _TraceMismatch.  The
-    replayed elements generate an ideal J inside the ideal I of the
-    generators, with the recorded leading monomials; a step that reduced
-    to zero at the recording prime is not retried, so J may be smaller.
-    When I has the recorded staircase too, LT(I) lies in LT(J), so J = I
-    and the result is I's reduced basis; the caller replays only traces
-    that two primes agree on, and its exact checks refute the rest (for
-    homogeneous generators g, Arnold's chain HF(<G>) <= HF(<g>) <=
-    HF(<g> mod p) <= HF(J) <= HF(<LM(G)>) = HF(<G>) proves a lifted basis
-    G with the replayed staircase exact).
+    A fresh `_Trace` records the run: each reduction that installs an
+    element, and each of the final inter-reduction, keeps its schedule.
+    A recorded one is replayed (see `_replay_buchberger`).
     """
+    if trace is not None and trace.kept is not None:
+        return _replay_buchberger(gens, engine, trace)
     codec = engine.codec
     one_key = codec.one_key
-    replay = trace is not None and trace.kept is not None
     basis = []
     plain_lts = []
     sugars = []
     reducers = []
     pairs = {}
 
+    def reduce(t):
+        """The normal form of t by the installed elements, and when the run
+        is recorded its schedule."""
+        if trace is None:
+            return engine.reduce(t, reducers), None
+        steps = []
+        r = engine.reduce(t, reducers, steps)
+        return r, (steps, frozenset(r))
+
     def install(terms, sugar):
         entry = engine.reducer_entry(terms)
-        if not replay:
-            _update_pairs(
-                plain_lts, sugars, pairs, codec.plain(entry[0]), sugar, codec
-            )
-            if entry[0] == one_key:
-                pairs.clear()  # 1 divides every S-polynomial
+        _update_pairs(
+            plain_lts, sugars, pairs, codec.plain(entry[0]), sugar, codec
+        )
+        if entry[0] == one_key:
+            pairs.clear()  # 1 divides every S-polynomial
         basis.append(terms)
         reducers.append(entry)
 
-    if replay:
-        if len(gens) != trace.ngens:
-            raise _TraceMismatch()
-
-        def replayed(r, lt):
-            if not r or max(r) != lt:
-                raise _TraceMismatch()
-            install(r, None)
-
-        for k, lt in trace.gens:
-            replayed(engine.reduce(gens[k], reducers), lt)
-        for i, j, lt in trace.pairs:
-            s = engine.spoly(basis[i], basis[j])
-            replayed(engine.reduce(s, reducers), lt)
-        kept = trace.kept
-    else:
-        for k, t in enumerate(gens):
-            if not t:
-                continue
-            t = engine.reduce(t, reducers)
-            if not t:
-                continue
-            lt = max(t)
-            install(t, max(codec.degree(m) for m in t))
-            if trace is not None:
-                trace.gens.append((k, lt))
-            if lt == one_key:
-                break
-
-        while pairs:
-            (i, j), pair_data = min(
-                pairs.items(), key=lambda kv: (kv[1], kv[0])
-            )
-            sugar = pair_data[0]
-            del pairs[(i, j)]
-            s = engine.spoly(basis[i], basis[j])
-            if not s:
-                continue
-            r = engine.reduce(s, reducers)
-            if not r:
-                continue
-            lt = max(r)
-            install(r, sugar)
-            if trace is not None:
-                trace.pairs.append((i, j, lt))
-
-        # minimal set: drop elements whose leading monomial another one
-        # divides
-        guard = codec.guard
-        by_lt = sorted(range(len(basis)), key=lambda k: max(basis[k]))
-        kept = []
-        for k in by_lt:
-            if not any(
-                _pdivides(plain_lts[j], plain_lts[k], guard) for j in kept
-            ):
-                kept.append(k)
+    for k, t in enumerate(gens):
+        if not t:
+            continue
+        t, schedule = reduce(t)
+        if not t:
+            continue
+        lt = max(t)
+        install(t, max(codec.degree(m) for m in t))
         if trace is not None:
-            trace.ngens = len(gens)
-            trace.kept = kept
+            trace.gens.append((k, lt, schedule))
+        if lt == one_key:
+            break
 
-    # inter-reduce to the unique reduced basis in one ascending pass: a
-    # leading monomial dividing a tail monomial of g is smaller than LT(g),
-    # so g needs only the already reduced elements before it
+    while pairs:
+        (i, j), pair_data = min(
+            pairs.items(), key=lambda kv: (kv[1], kv[0])
+        )
+        sugar = pair_data[0]
+        del pairs[(i, j)]
+        s = engine.spoly(basis[i], basis[j])
+        if not s:
+            continue
+        r, schedule = reduce(s)
+        if not r:
+            continue
+        install(r, sugar)
+        if trace is not None:
+            trace.pairs.append((i, j, max(r), schedule))
+
+    kept = _minimal(basis, codec.guard)
+    if trace is not None:
+        trace.ngens = len(gens)
+        trace.kept = kept
+    schedules = None if trace is None else trace.final
+    return _inter_reduce([basis[k] for k in kept], engine, schedules)
+
+
+def _replay_buchberger(gens, engine, trace):
+    """`_core_buchberger` at another prime along a recorded `_Trace`
+    (Traverso, "Groebner trace algorithms", ISSAC 1988, in the strong
+    form of Faugere's F4 symbolic preprocessing, JPAA 139, 1999).
+
+    Only the recorded generators and S-pairs are reduced, in their install
+    order, each along its recorded schedule (`_ModularArith.replay`): no
+    heap, no divisor search, no pair built or selected, and no reduction
+    to zero repeated; the final inter-reduction replays its schedules too.
+    A reduction that leaves a reducible term outside its record, or whose
+    leading key differs from the record (a vanished remainder, another
+    generator count), raises _TraceMismatch; otherwise each reduction is
+    the one a full run would make here.  The replayed elements generate an
+    ideal J inside the ideal I of the generators, with the recorded
+    leading monomials; a step that reduced to zero at the recording prime
+    is not retried, so J may be smaller.  When I has the recorded
+    staircase too, LT(I) lies in LT(J), so J = I and the result is I's
+    reduced basis; the caller replays only traces that two primes agree
+    on, and its exact checks refute the rest (for homogeneous generators
+    g, Arnold's chain HF(<G>) <= HF(<g>) <= HF(<g> mod p) <= HF(J) <=
+    HF(<LM(G)>) = HF(<G>) proves a lifted basis G with the replayed
+    staircase exact).
+    """
+    if len(gens) != trace.ngens:
+        raise _TraceMismatch()
+    basis = []
+    tails = {}
+
+    def install(target, lt, schedule):
+        r = engine.replay(target, schedule, tails)
+        if not r or max(r) != lt:
+            raise _TraceMismatch()
+        basis.append(r)
+        tails[lt] = engine.reducer_entry(r)[1]
+
+    for k, lt, schedule in trace.gens:
+        install(gens[k], lt, schedule)
+    for i, j, lt, schedule in trace.pairs:
+        install(engine.spoly(basis[i], basis[j]), lt, schedule)
+    # no kept leading key divides another, so the final pass keeps each
     elems = []
-    reduced = []
-    for k in kept:
-        t = engine.reduce(basis[k], reduced)
+    tails = {}
+    for k, schedule in zip(trace.kept, trace.final):
+        t = engine.replay(basis[k], schedule, tails)
         elems.append(t)
-        reduced.append(engine.reducer_entry(t))
+        lt, tail = engine.reducer_entry(t)
+        tails[lt] = tail
     return elems
 
 
@@ -1052,7 +1154,7 @@ def _involves(terms, var_mask) -> bool:
 
 
 def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
-                 bases=None):
+                 bases=None, seed_is_basis=False):
     """Every needed node's reduced basis modulo p, and the trace of every
     node run in full.
 
@@ -1066,6 +1168,11 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
     `replay` replays it, and runs in full only when this prime leaves the
     trace.  `bases` holds nodes already run at p, which are kept and
     extended in place; node 0 runs unless it is there.
+
+    With `seed_is_basis` the generators are a Groebner basis under
+    codecs[0] whose coefficients p does not divide, so modulo p they stay
+    one with the same leading monomials: node 0 only inter-reduces them,
+    with no S-pair and no trace.
     """
     traces = {}
 
@@ -1081,9 +1188,16 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
         return _core_buchberger(elems, engine, trace)
 
     if bases is None:
-        bases = {
-            0: run(0, [{m: c % p for m, c in t.items()} for t in gens_int])
-        }
+        seed = [{m: c % p for m, c in t.items()} for t in gens_int]
+        if seed_is_basis:
+            engine = _ModularArith(p, codecs[0])
+            seed = [engine.normalize(t) for t in seed]
+            seed = _inter_reduce(
+                [seed[k] for k in _minimal(seed, codecs[0].guard)], engine
+            )
+        else:
+            seed = run(0, seed)
+        bases = {0: seed}
     for node, (parent, var) in enumerate(stages, 1):
         if node in bases or node not in needed:
             continue
@@ -1150,17 +1264,20 @@ def _plan(drops, price):
     return stages
 
 
-def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
+def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
+                   seed_is_basis=False):
     """Reduced rational bases of the ideal's intersections with the subrings
     free of each set of variables in `drops`, from one chain of
     eliminations.
 
     `gens_int` are primitive-integer generators packed under `seed_codec`
-    and `certificate` is the `_Certificate` of the ideal they generate; a
-    chain with stages is seeded with the certificate's basis (see
-    `_eliminations`).  Node 0 is the reduced basis under `seed_codec`;
-    each stage (parent, var) makes a new node that eliminates var from its
-    parent's elimination ideal (see `_chain_mod_p`).  A node is named by
+    and `certificate` is the `_Certificate` of the ideal they generate.
+    `seed_is_basis` says that they are a proved Groebner basis under
+    `seed_codec`, as the basis of an exact certificate is; node 0 then
+    only inter-reduces them at every prime.  Node 0 is the reduced basis
+    under `seed_codec`; each stage (parent, var) makes a new node that
+    eliminates var from its parent's elimination ideal (see
+    `_chain_mod_p`).  A node is named by
     the set of variables dropped along its path.  The empty set is lifted
     as node 0's whole basis, any other set as its node's elements free of
     its variable, which form the reduced graded basis of the ideal's
@@ -1177,15 +1294,17 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
     Each prime runs the nodes that some output still lifting needs.  The
     primes of an output are grouped by the staircases of every node on its
     path, and a reconstruction is accepted once a fresh prime of its group
-    reproduces it and it is verified: node 0 by the exact basis check
-    (skipped above _EXACT_CHECK_BIT_CAP), every other output by the
-    membership certificate of the ideal; a candidate that fails takes more
-    primes.  The unit ideal is the candidate [1] with staircase {1}; the
-    basis check proves only that the ideal lies in <1>, so it is verified
-    by the certificate at every node, except that when the certificate's
-    generators are homogeneous the ideal holds 1 only through a constant
-    generator, which needs no proof.  A prime that divides a coefficient of
-    `gens_int` is skipped.
+    reproduces it and it is verified.  Node 0 takes the exact basis check
+    (skipped above _EXACT_CHECK_BIT_CAP), which proves only that the ideal
+    lies in the candidate's; every other output, and node 0 of
+    inhomogeneous generators, takes the membership certificate of the
+    ideal, which proves the converse; a candidate that fails takes more
+    primes.  On homogeneous generators the basis check suffices, since the
+    staircases agree (Arnold's argument, see `_Certificate`).  The unit
+    ideal is the candidate [1] with staircase {1}: the basis check proves
+    nothing for it, and when the certificate's generators are homogeneous
+    the ideal holds 1 only through a constant generator, which needs no
+    proof.  A prime that divides a coefficient of `gens_int` is skipped.
 
     After two full primes with the same staircase at every node they ran,
     later primes replay the traces of the second (see `_core_buchberger`);
@@ -1240,7 +1359,8 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
             # ahead of the rest of the tree; a first prime's traces are
             # never replayed, so the pricing runs keep none
             bases, _ = _chain_mod_p(
-                p, gens_int, codecs, stages, masks, {0}, {}
+                p, gens_int, codecs, stages, masks, {0}, {}, None,
+                seed_is_basis,
             )
 
             def price(var):
@@ -1255,7 +1375,8 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
                 ids.append(add(ids[parent], var))
         needed = {k for d in pending for k in paths[nodes[d]]}
         bases, recorded = _chain_mod_p(
-            p, gens_int, codecs, stages, masks, needed, traces, bases
+            p, gens_int, codecs, stages, masks, needed, traces, bases,
+            seed_is_basis,
         )
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
         if not traces:
@@ -1278,19 +1399,24 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
             ):
                 candidate = state.last_candidate
                 unit = candidate == [{codecs[o].one_key: 1}]
-                if unit and homogeneous:
-                    # 1 lies in a homogeneous ideal modulo p only when a
-                    # generator is constant
-                    verdict = True
-                elif o == 0 and not unit:
+                verdict = True
+                if o == 0 and not unit:
+                    # the ideal lies in the candidate's
                     verdict = _exact_size(candidate) > _EXACT_CHECK_BIT_CAP or (
                         _exact_basis_check(gens_int, candidate, seed_codec)
                     )
-                else:
+                # on homogeneous generators a basis that passed its check
+                # is exact, and 1 lies in the ideal modulo p only when a
+                # generator is constant
+                if verdict and (not homogeneous or o and not unit):
+                    # the candidate lies in the ideal
                     verdict = certificate.covers(candidate)
                     if verdict is None:
                         certificate.uncertified(
                             "the unit ideal rests on two prime votes" if unit
+                            else "the basis in (%s) rests on fresh-prime "
+                            "agreement" % ", ".join(certificate.names)
+                            if not o
                             else "the elimination onto (%s) rests on "
                             "fresh-prime agreement"
                             % ", ".join(certificate.names[j] for j in range(n)
@@ -1335,8 +1461,14 @@ def _certificate(ideal: Ideal) -> _Certificate:
 
 
 def _basis_elems(ideal: Ideal, codec):
-    """Reduced basis as packed dicts under `codec`."""
+    """Reduced basis as packed dicts under `codec`.
+
+    A principal ideal's reduced basis is its generator, made primitive
+    with a positive leading coefficient as `_to_engine` leaves it; any
+    other ideal takes a modular chain."""
     gens = [_to_engine(g, codec) for g in ideal.generators]
+    if len(gens) == 1:
+        return gens
     return _modular_chain(gens, codec, _certificate(ideal))[frozenset()]
 
 
@@ -1378,13 +1510,16 @@ def _eliminations(ideal: Ideal, drops):
     one-variable stage has the fewest terms there (see `_plan`).  The
     chain starts from the certificate's basis, not the generators: it
     keeps its staircase modulo every prime used, so no stage loses a
-    relation.  Returns {drop: list of polynomials} ([1] for every set when
+    relation, and when the certificate is exact the chain's first node
+    only inter-reduces it.  Returns {drop: list of polynomials} ([1] for every set when
     1 is in the ideal); the ideal's certificate proved them.
     """
     ring = ideal.ring
     certificate = _certificate(ideal)
     codec = certificate.codec
-    lifted = _modular_chain(certificate.basis(), codec, certificate, drops)
+    lifted = _modular_chain(
+        certificate.basis(), codec, certificate, drops, certificate.exact()
+    )
     # every codec of the ring keeps the plain packing in a key's low slots
     return {
         d: [_from_engine(t, codec, ring) for t in elems]

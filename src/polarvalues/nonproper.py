@@ -136,7 +136,9 @@ def fiber_relation(
     `eliminate`, whose result is certified to lie in the graph ideal; the
     reduced lex basis (x_i > z) of that intersection is computed in two
     variables and its element of minimal x_i-degree is returned, living in
-    a fresh two-variable ring (x_i, z).  `seed_elements` may supply that
+    a fresh two-variable ring (x_i, z).  An intersection of one polynomial,
+    the usual case, is its own lex basis: `buchberger` returns it made
+    primitive with a positive leading coefficient, with no modular chain.  `seed_elements` may supply that
     intersection instead, as `nonproperness_values` does from its chain;
     it is then taken as it is.  Raises NotACurveError when
     the intersection is zero, which cannot happen for the graph of a map

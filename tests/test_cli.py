@@ -325,10 +325,11 @@ class TestMainExitCodes:
                              "agreement" % kept)
                 for w in warnings
             )
-        # the gradient (1 + 2*x*y, x^2) is the unit ideal
+        # the gradient (1 + 2*x*y, x^2) is the unit ideal; the singular
+        # locus is read off its graph, which critical_values shares
         assert any(
             w.startswith("the unit ideal rests on two prime votes; its "
-                         "certificate in (x, y),")
+                         "certificate in (x, y, z),")
             for w in warnings
         )
 
@@ -339,6 +340,36 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "super_polar" in out
         assert "iterated_polar" in out
+
+    def test_method_both_computes_critical_values_once(
+        self, monkeypatch, capsys
+    ):
+        # both reports share one critical set: its values are computed
+        # once, and the singular-locus question reads the certificate of
+        # the same gradient graph, so three certificates are built (that
+        # graph's and one curve graph per method), not five
+        from polarvalues import detector
+
+        calls = {"critical_values": 0, "builds": 0}
+        critical_values = detector.critical_values
+        build = groebner._Certificate._build
+
+        def counting_values(*args):
+            calls["critical_values"] += 1
+            return critical_values(*args)
+
+        def counting_build(certificate):
+            calls["builds"] += 1
+            build(certificate)
+
+        monkeypatch.setattr(detector, "critical_values", counting_values)
+        monkeypatch.setattr(groebner._Certificate, "_build", counting_build)
+        argv = ["x + x^2*y", "--vars", "x,y", "--method", "both",
+                "--runs", "1", "--json"]
+        assert main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert calls == {"critical_values": 1, "builds": 3}
+        assert reports[0]["critical_values"] == reports[1]["critical_values"]
 
     def test_cli_reproducible(self, capsys):
         argv = ["x + x^2*y", "--vars", "x,y", "--json", "--seed", "7"]

@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 import time
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polarvalues import groebner
 from polarvalues.groebner import (
@@ -197,6 +199,30 @@ class TestBuchbergerKnownBases:
         assert gb.elements == ()
         assert not gb.contains_one()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        terms=st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * 2),
+            st.integers(min_value=-6, max_value=6).filter(bool).map(
+                lambda c: Fraction(c, 4)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_principal_ideal_is_its_generator_made_primitive(self, terms):
+        # the one-generator shortcut returns what the modular chain lifts:
+        # the generator, primitive, with a positive leading coefficient
+        g = R2.polynomial(terms)
+        ideal = Ideal(R2, [g])
+        codec = groebner._Codec(((0,), (1,)))
+        chain = groebner._modular_chain(
+            [groebner._to_engine(g, codec)], codec, _certificate(ideal)
+        )[frozenset()]
+        assert buchberger(ideal).elements == tuple(
+            groebner._from_engine(t, codec, R2) for t in chain
+        )
+
     def test_result_is_reduced(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -375,6 +401,19 @@ class TestDimension:
 _small_polys = st.dictionaries(
     st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
     st.integers(min_value=-7, max_value=7).map(Fraction),
+    min_size=1,
+    max_size=4,
+).map(R3.polynomial)
+
+
+# coefficients c or c + 32003: modulo 32003 they cancel where the small
+# ones do, and modulo another prime they need not, so a schedule recorded
+# at 32003 can leave a term unreduced that is reducible elsewhere
+_shifted_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+    st.tuples(
+        st.integers(min_value=-7, max_value=7).filter(bool), st.booleans()
+    ).map(lambda cb: Fraction(cb[0] + 32003 * cb[1])),
     min_size=1,
     max_size=4,
 ).map(R3.polynomial)
@@ -688,23 +727,33 @@ class TestChain:
         # only the seed and its own stage keep running for it
         big = 3**400
         ideal = Ideal(R3, [X3 - Y3**2, U3 - big * Y3 - 1])
+        seed = ((0, 1, 2),)
         runs = {}
+        seeds = [0]
         core = groebner._core_buchberger
+        inter = groebner._inter_reduce
 
         def counting(gens, engine, trace=None):
             if engine.codec.nvars == 3:
                 runs[engine.codec.blocks] = runs.get(engine.codec.blocks, 0) + 1
             return core(gens, engine, trace)
 
+        def counting_seed(elems, engine, schedules=None):
+            # node 0 inter-reduces the certificate's basis at every prime
+            if engine.codec.blocks == seed:
+                seeds[0] += 1
+            return inter(elems, engine, schedules)
+
         monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        monkeypatch.setattr(groebner, "_inter_reduce", counting_seed)
         drop_u, drop_y = frozenset({2}), frozenset({1})
         lifted = groebner._eliminations(ideal, [drop_u, drop_y])
         assert lifted[drop_u] == [Y3**2 - X3]
         assert lifted[drop_y] == [(U3 - 1) ** 2 - big**2 * X3]
-        seed = ((0, 1, 2),)
         stage_u, stage_y = ((2,), (0, 1)), ((1,), (0, 2))
+        assert seed not in runs
         assert runs[stage_u] == 2
-        assert runs[stage_y] == runs[seed] > 20
+        assert runs[stage_y] == seeds[0] > 20
 
 
 def _ascending_tree(drops):
@@ -882,8 +931,9 @@ class TestTraceReplay:
 
         trace = groebner._Trace()
         assert run(0, trace) == one
-        assert [lt for *_, lt in trace.gens + trace.pairs][-1] == codec.one_key
-        assert len(trace.kept) == 1
+        installed = [lt for *_, lt, _ in trace.gens + trace.pairs]
+        assert installed[-1] == codec.one_key
+        assert len(trace.kept) == len(trace.final) == 1
         # a recorded trace is replayed, never run in full
         assert run(1, trace) == one
 
@@ -892,7 +942,24 @@ class TestTraceReplay:
         blocks=st.sampled_from(
             [((0, 1, 2),), ((0,), (1,), (2,)), ((0,), (1, 2))]
         ),
-        gens=st.lists(_small_polys, min_size=1, max_size=3),
+        gens=st.lists(
+            st.one_of(_small_polys, _shifted_polys), min_size=1, max_size=3
+        ),
+    )
+    @example(
+        # the staircases agree at 32003 and p0, but the schedules recorded
+        # at 32003 leave a reducible term at p0: only the test of leftover
+        # keys outside a schedule sends p0 back to a full run
+        blocks=((0,), (1, 2)),
+        gens=[
+            R3.polynomial({k: Fraction(c) for k, c in terms.items()})
+            for terms in (
+                {(2, 1, 2): 31998, (0, 2, 1): -4, (0, 1, 0): 32005},
+                {(2, 1, 0): 32009, (0, 2, 2): 5, (0, 1, 2): 32008,
+                 (0, 0, 2): 32006},
+                {(2, 1, 0): 32002, (1, 1, 2): 32005},
+            )
+        ],
     )
     def test_replay_equals_full_run(self, blocks, gens):
         # a trace recorded at one prime, replayed at another with the
@@ -942,6 +1009,165 @@ class TestTraceReplay:
         )
         assert bases[0] == full
         assert recorded[0].kept is not None
+
+    def test_schedule_mismatch_falls_back_to_full_run(self):
+        # with c = 1 + q, reducing xy by x + y cancels the y^2 term of
+        # xy + c*y^2 + z^3 modulo q, so the schedule recorded there leaves
+        # z^3 alone; modulo p a multiple of y^2 is left over, which y^2 + 1
+        # reduces.  The leading key z^3 is the same at both primes: only
+        # the test of leftover keys outside the record catches it
+        q, p = 32003, groebner._agenda_prime(0)
+        ring = PolynomialRing(("x", "y", "z"))
+        x, y, z = ring.gens()
+        codec = groebner._Codec((range(3),))
+        gens = [
+            groebner._to_engine(g, codec)
+            for g in (x + y, y**2 + 1, x * y + (1 + q) * y**2 + z**3)
+        ]
+        _, recorded = groebner._chain_mod_p(
+            q, gens, [codec], (), [0], {0}, {}
+        )
+        engine = groebner._ModularArith(p, codec)
+        image = [{m: c % p for m, c in t.items()} for t in gens]
+        full = groebner._core_buchberger(image, engine)
+        assert [max(t) for t in full] == [
+            max(t) for t in groebner._core_buchberger(
+                [{m: c % q for m, c in t.items()} for t in gens],
+                groebner._ModularArith(q, codec),
+            )
+        ]
+        with pytest.raises(groebner._TraceMismatch):
+            groebner._core_buchberger(image, engine, recorded[0])
+        bases, again = groebner._chain_mod_p(
+            p, gens, [codec], (), [0], {0}, recorded
+        )
+        assert bases[0] == full
+        assert again[0].kept is not None
+
+    def test_replayed_stages_make_no_heap_or_divisor_search(
+        self, monkeypatch
+    ):
+        # the fixed graph ideal's chain: after traces recorded at two
+        # primes, a third prime runs its stages with no reduce (the heap
+        # and the divisor search live there) and no divisor test, since no
+        # term outside a schedule is left over; node 0 only inter-reduces
+        # the certificate's basis at every prime, with no S-pair
+        graph = _fixed_graph_ideal()
+        n = graph.ideal.ring.nvars
+        certificate = groebner._certificate(graph.ideal)
+        seed = certificate.codec
+        stages = [(0, 2), (1, 1), (1, 0)]
+        codecs = [seed] + [
+            groebner._Codec(((var,), [j for j in range(n) if j != var]))
+            for _, var in stages
+        ]
+        masks = [0] + [
+            groebner._SLOT_MASK << (groebner._SLOT_BITS * (n - 1 - var))
+            for _, var in stages
+        ]
+        reduced = Counter()
+        replayed = Counter()
+        work = Counter()
+        reduce = groebner._ModularArith.reduce
+        replay = groebner._ModularArith.replay
+        pdivides = groebner._pdivides
+        update = groebner._update_pairs
+        inside = [False]
+
+        def counting_reduce(self, target, reducers, *steps):
+            reduced[self.codec] += 1
+            return reduce(self, target, reducers, *steps)
+
+        def counting_replay(self, target, schedule, tails):
+            replayed[self.codec] += 1
+            inside[0] = True
+            try:
+                return replay(self, target, schedule, tails)
+            finally:
+                inside[0] = False
+
+        def counting_pdivides(a, b, guard):
+            if inside[0]:
+                work["divisor tests"] += 1
+            return pdivides(a, b, guard)
+
+        def counting_update(*args):
+            work["pairs"] += 1
+            return update(*args)
+
+        monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
+        monkeypatch.setattr(groebner._ModularArith, "replay", counting_replay)
+        monkeypatch.setattr(groebner, "_pdivides", counting_pdivides)
+        monkeypatch.setattr(groebner, "_update_pairs", counting_update)
+        traces = {}
+        for index in range(3):
+            reduced.clear()
+            replayed.clear()
+            work.clear()
+            bases, recorded = groebner._chain_mod_p(
+                groebner._agenda_prime(index), certificate.basis(), codecs,
+                stages, masks, {0, 1, 2, 3}, traces, None, True,
+            )
+            assert 0 not in recorded
+            if index == 1:
+                traces = recorded
+        assert sorted(traces) == [1, 2, 3]
+        assert set(reduced) == {seed}
+        assert set(replayed) == set(codecs[1:])
+        assert work == {}
+
+    def test_exact_seed_is_only_inter_reduced(self, monkeypatch):
+        # node 0 of a chain seeded with an exact certificate's basis makes
+        # no S-polynomial and no trace, and returns what Buchberger returns
+        graph = _fixed_graph_ideal()
+        certificate = groebner._certificate(graph.ideal)
+        codec = certificate.codec
+        assert certificate.exact()
+        p = groebner._agenda_prime(0)
+        expected = groebner._core_buchberger(
+            [{m: c % p for m, c in t.items()} for t in certificate.basis()],
+            groebner._ModularArith(p, codec),
+        )
+        spolys = [0]
+        spoly = groebner._ModularArith.spoly
+
+        def counting_spoly(self, f, g):
+            spolys[0] += 1
+            return spoly(self, f, g)
+
+        monkeypatch.setattr(groebner._ModularArith, "spoly", counting_spoly)
+        bases, traces = groebner._chain_mod_p(
+            p, certificate.basis(), [codec], (), [0], {0}, {}, None, True
+        )
+        assert spolys[0] == 0 and traces == {}
+        assert bases[0] == expected
+
+    @pytest.mark.parametrize("cap", [groebner._EXACT_CHECK_BIT_CAP, 0])
+    def test_seed_runs_buchberger_only_above_the_cap(self, monkeypatch, cap):
+        # above the cap the certificate's basis is not proved a Groebner
+        # basis, so node 0 runs Buchberger on it at every prime
+        ideal = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2 - 3 * Y3])
+        seed = ((0, 1, 2),)
+        runs = Counter()
+        core = groebner._core_buchberger
+
+        def counting(gens, engine, trace=None):
+            if engine.codec.blocks == seed:
+                runs[engine.p] += 1
+            return core(gens, engine, trace)
+
+        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", cap)
+        groebner._certificate(ideal).basis()
+        monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        drop = frozenset({1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", groebner.UncertifiedResult)
+            lifted = groebner._eliminations(ideal, [drop])
+        assert [str(q) for q in lifted[drop]] == ["x^3 - x*u + 3"]
+        if cap:
+            assert not runs
+        else:
+            assert len(runs) >= 2 and set(runs.values()) == {1}
 
     @pytest.mark.parametrize("cap", [groebner._EXACT_CHECK_BIT_CAP, 0])
     def test_one_prime_is_not_trusted(self, monkeypatch, cap):
@@ -1030,8 +1256,8 @@ class TestTraceReplay:
                 work[current[0]]["updates"] += 1
             return update(*args)
 
-        def counting_reduce(self, target, reducers):
-            out = reduce(self, target, reducers)
+        def counting_reduce(self, target, reducers, *steps):
+            out = reduce(self, target, reducers, *steps)
             if current[0] is not None and not out:
                 work[current[0]]["zeros"] += 1
             return out
@@ -1096,6 +1322,41 @@ class TestCertificate:
             [a * b for a in (x + y + 1, x + big * y + 2) for b in (x, y, w)],
         )
         assert affine_dimension(ideal) == 1
+
+    def test_whole_basis_of_a_line_hidden_by_two_agenda_primes(
+        self, monkeypatch
+    ):
+        # the ideal above: modulo p0 and p1 both whole bases read [w, y, x],
+        # the origin, which proves only that the ideal lies in <w, y, x>.
+        # Every element must also lie in the ideal, so vanish on the line
+        # x = -1 - y, y = -1/(p0*p1), w free
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        ring = PolynomialRing(("x", "y", "w"))
+        x, y, w = ring.gens()
+        big = 1 + p0 * p1
+        ideal = Ideal(
+            ring,
+            [a * b for a in (x + y + 1, x + big * y + 2) for b in (x, y, w)],
+        )
+        y0 = Fraction(-1, p0 * p1)
+        line = [(-1 - y0, y0, Fraction(t)) for t in range(3)]
+
+        def value(p, point):
+            return sum(
+                c * math.prod(v**e for v, e in zip(point, m))
+                for m, c in p.terms.items()
+            )
+
+        for basis in (buchberger(ideal).elements, graded_basis(ideal)):
+            assert all(value(p, pt) == 0 for p in basis for pt in line)
+        # above the cap nothing proves the converse, and that is warned
+        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", 0)
+        fresh = Ideal(ring, ideal.generators)
+        with pytest.warns(
+            groebner.UncertifiedResult,
+            match=r"the basis in \(x, y, w\) rests on fresh-prime",
+        ):
+            graded_basis(fresh)
 
     def test_rejects_the_unit_candidate_of_a_proper_ideal(self):
         # 3y - 1 lies in the ideal: it is the unit ideal modulo 3, yet
@@ -1603,15 +1864,17 @@ class TestLiftCost:
             primes.append(engine.p)
             return core(gens, engine, trace)
 
+        names = tuple("x%d" % i for i in range(nvars))
+        gens = [dict(t) for t in reversed(expected)]
+        # the inhomogeneous basis is proved by the certificate too; its own
+        # chain is built first and not counted
+        certificate = groebner._Certificate(gens, names)
+        certificate.basis()
         monkeypatch.setattr(
             groebner, "_rational_reconstruct", counting_reconstruct
         )
         monkeypatch.setattr(groebner, "_core_buchberger", recording_core)
-        names = tuple("x%d" % i for i in range(nvars))
-        gens = [dict(t) for t in reversed(expected)]
-        lifted = groebner._modular_chain(
-            gens, codec, groebner._Certificate(gens, names)
-        )
+        lifted = groebner._modular_chain(gens, codec, certificate)
         result = lifted[frozenset()]
         assert result == expected
         assert primes == [groebner._agenda_prime(i) for i in range(len(primes))]

@@ -413,8 +413,10 @@ class TestLiftCost:
         """One nonproperness_values call on a super-polar curve at bound 5
         reconstructs the coefficients of its outputs only: the (x_i, z)
         intersections, the lex relations read off them and the
-        certificate's graded basis.  Every stage of the chain runs at most
-        once per prime."""
+        certificate's graded basis.  Each intersection here is one
+        polynomial, which is its own lex relation and needs no lift.  Every
+        stage of the chain, the graded seed included, runs at most once per
+        prime."""
         from polarvalues.detector import (
             sample_super_polar_coefficients,
             super_polar_ideal,
@@ -427,7 +429,11 @@ class TestLiftCost:
         graph = graph_ideal(curve, f)
         z = graph.z_index
         outputs = [groebner.eliminate(graph.ideal, {i, z}) for i in range(3)]
-        relations = [fiber_relation(graph, i) for i in range(3)]
+        assert [len(out) for out in outputs] == [1, 1, 1]
+        relations = [
+            fiber_relation(graph, i)
+            for i, out in enumerate(outputs) if len(out) > 1
+        ]
         h_ring = PolynomialRing(graph.ring.variables + ("h",))
         homogenized = [
             Polynomial(
@@ -445,12 +451,13 @@ class TestLiftCost:
         runs = Counter()
         init = groebner._CrtState.__init__
         core = groebner._core_buchberger
+        inter = groebner._inter_reduce
 
         def registering(self):
             init(self)
             states.append(self)
 
-        def counting(gens, engine, trace=None):
+        def count(gens, engine):
             codec = engine.codec
             if codec.nvars == graph.ring.nvars:
                 # a stage is its codec and the variables left in its input
@@ -459,10 +466,20 @@ class TestLiftCost:
                     for i, e in enumerate(codec.unpack(m)) if e
                 )
                 runs[(codec.blocks, left, engine.p)] += 1
+
+        def counting(gens, engine, trace=None):
+            count(gens, engine)
             return core(gens, engine, trace)
+
+        def counting_seed(elems, engine, schedules=None):
+            # the graded seed only inter-reduces the certificate's basis
+            if len(engine.codec.blocks) == 1:
+                count(elems, engine)
+            return inter(elems, engine, schedules)
 
         monkeypatch.setattr(groebner._CrtState, "__init__", registering)
         monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        monkeypatch.setattr(groebner, "_inter_reduce", counting_seed)
         nonproperness_values(graph_ideal(curve, f))
         lifted = sum(len(e) for s in states for e in s.elements or ())
         assert lifted == expected
@@ -529,6 +546,7 @@ class TestStageCount:
         calls = Counter()
         plan = groebner._plan
         core = groebner._core_buchberger
+        inter = groebner._inter_reduce
 
         def asking(drops, price):
             def priced(var):
@@ -542,8 +560,15 @@ class TestStageCount:
                 calls[engine.p] += 1
             return core(gens, engine, trace)
 
+        def counting_seed(elems, engine, schedules=None):
+            # the seed only inter-reduces the certificate's basis
+            if engine.codec.nvars == nvars and len(engine.codec.blocks) == 1:
+                calls[engine.p] += 1
+            return inter(elems, engine, schedules)
+
         monkeypatch.setattr(groebner, "_plan", asking)
         monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        monkeypatch.setattr(groebner, "_inter_reduce", counting_seed)
         vs = nonproperness_values(graph_ideal(curve, f), escape_vars=escape)
         assert vs.rho == U(0, 1)
         assert asked == []
