@@ -83,25 +83,33 @@ elements whose leading monomial another one divides and inter-reduces
 the rest, with no S-pair and no trace.  Above _EXACT_CHECK_BIT_CAP, G is
 not proved a Groebner basis, and node 0 runs in full.
 
-The other nodes replay a trace at later primes (Traverso, "Groebner trace
-algorithms", ISSAC 1988).  Once two full primes agree on the staircase of
-every node they ran, each later prime reduces, node by node, only the
-generators and S-pairs that installed an element at the second of them,
-and skips the reductions to zero and all pair bookkeeping.  Each of those
-reductions, and each of the final inter-reduction, follows the schedule
-that the full run recorded: its steps (term, reducer) in order and the
-terms it left.  Applying it is arithmetic only, one pass per step with no
-heap and no divisor search, as in the symbolic preprocessing of F4
-(Faugere, JPAA 139, 1999); only a nonzero term outside the record is
-tested for a divisor.  Such a divisor, or a step with another leading
-monomial, sends that node back to a full run.  One prime is not enough: a
-generator that vanishes there is never reduced again, so the replay
-repeats a wrong staircase, and a missing relation is invisible to a
-membership test.  A candidate that fails its exact check drops the trace,
-and full primes resume.  The certificates stay exact: a replayed ideal
-lies inside <g^h> mod p, and its elements have the leading monomials of the
-lifted basis G, so Arnold's chain still closes, HF(<G>) <= HF(<g^h>) <=
-HF(<g^h> mod p) <= HF(replayed ideal) <= HF(<LM(G)>) = HF(<G>).
+The other nodes replay traces (Traverso, "Groebner trace algorithms",
+ISSAC 1988).  A full run records every reduction it makes, zeros
+included, with the schedule it followed: its steps (term, reducer) in
+order and the terms it left.  Applying a schedule is arithmetic only, one
+pass per step with no heap and no divisor search, as in the symbolic
+preprocessing of F4 (Faugere, JPAA 139, 1999); only a nonzero term outside
+the record is tested for a divisor.  Such a divisor, or a reduction with
+another leading monomial, sends that node back to a full run.
+
+Only the first prime runs a node's Buchberger in full.  The second
+replays its trace checked: every reduction again, and each zero must
+vanish again.  A checked replay that completes installs the same leading
+monomials in the same order, so the pair criteria keep and prune the same
+pairs, each of which was reduced to zero or installed: it is a whole
+Buchberger run at that prime, and returns that prime's reduced basis.
+Once two such primes agree on the staircase of every node they ran, each
+later prime replays the trace on trust: only the reductions that
+installed an element, with no zero retried and no pair bookkeeping.  One
+prime is not enough for trust: a generator that vanishes there is never
+reduced again, so a trusted replay repeats a wrong staircase, and a
+missing relation is invisible to a membership test; a checked replay
+retries that zero and fails.  A candidate that fails its exact check
+drops the trusted traces, and full primes resume.  The certificates stay
+exact: a replayed ideal lies inside <g^h> mod p, and its elements have the
+leading monomials of the lifted basis G, so Arnold's chain still closes,
+HF(<G>) <= HF(<g^h>) <= HF(<g^h> mod p) <= HF(replayed ideal) <=
+HF(<LM(G)>) = HF(<G>).
 """
 
 from __future__ import annotations
@@ -538,9 +546,11 @@ class _ModularArith:
         coefficient is reduced modulo p once, when its key reaches the top;
         a reduction step adds (p - c) times the reducer's tail to keys that
         all lie below the top, so none of them has left the heap yet.  A
-        list `steps` receives each step as (term key, reducer's leading
-        key), in order: with the keys of the result, the schedule that
-        `replay` applies at another prime.
+        list `steps` receives each step as its term key followed by its
+        reducer's leading key, in order: with the keys of the result, the
+        schedule that `replay` applies at another prime.  The list is flat
+        because a trace keeps every schedule, reductions to zero included,
+        and a tuple per step would nearly double its memory.
         """
         p = self.p
         guard = self.codec.guard
@@ -564,7 +574,8 @@ class _ModularArith:
                 result[m] = c
                 continue
             if steps is not None:
-                steps.append((m, lt))
+                steps.append(m)
+                steps.append(lt)
             shift = m - lt
             factor = p - c
             for mt, ct in tail.items():
@@ -592,7 +603,8 @@ class _ModularArith:
         steps, left = schedule
         coeff = dict(target)
         get = coeff.get
-        for m, lt in steps:
+        flat = iter(steps)
+        for m, lt in zip(flat, flat):
             c = coeff.pop(m, 0) % p
             if c:
                 shift = m - lt
@@ -623,20 +635,44 @@ class _TraceMismatch(Exception):
 
 class _Trace:
     """What one full run of `_core_buchberger` did, for replay at another
-    prime: the generator count, the generators (index, leading key,
-    schedule) and S-pairs (i, j, leading key, schedule) that installed an
-    element, in install order, the install indices of the minimal basis
-    (None until the run is recorded), and the schedules of the final
-    inter-reduction, one per kept element.  A schedule is what `reduce`
-    did to one polynomial: its steps (term key, reducer's leading key) in
-    order, and the set of keys it left."""
+    prime.
 
-    def __init__(self):
+    `entries` holds every reduction of the run in processing order, the
+    generators' and then the S-pairs', as (source, leading key, schedule):
+    the source is a generator's index or a pair (i, j) of install indices,
+    and the leading key is that of the element the reduction installed, or
+    None for a reduction to zero (an S-polynomial that vanished before
+    reduction is one, with an empty schedule).  A schedule is what
+    `reduce` did to one polynomial: its steps in order, each a term key
+    followed by its reducer's leading key in one flat list, and the set of
+    keys it left.  `ngens` is the generator count, `kept` the install
+    indices of the minimal basis (None until the run is recorded) and
+    `final` the schedules of the final inter-reduction, one per kept
+    element.
+
+    A fresh trace made with a `guide`, a recorded trace of the same node at
+    another prime, has `_core_buchberger` replay the guide checked first;
+    when that replay completes, the trace takes over the guide's records.
+    """
+
+    def __init__(self, guide=None):
+        self.guide = guide
         self.ngens = None
-        self.gens = []
-        self.pairs = []
+        self.entries = []
         self.kept = None
         self.final = []
+
+    @property
+    def gens(self):
+        """The entries of the generators that installed an element."""
+        return [e for e in self.entries
+                if e[1] is not None and not isinstance(e[0], tuple)]
+
+    @property
+    def pairs(self):
+        """The entries of the S-pairs that installed an element."""
+        return [e for e in self.entries
+                if e[1] is not None and isinstance(e[0], tuple)]
 
 
 def _minimal(basis, guard):
@@ -680,12 +716,25 @@ def _core_buchberger(gens, engine, trace=None):
     element and ends the run, since it divides every monomial: the basis
     of the unit ideal is [{one_key: 1}].
 
-    A fresh `_Trace` records the run: each reduction that installs an
-    element, and each of the final inter-reduction, keeps its schedule.
-    A recorded one is replayed (see `_replay_buchberger`).
+    A fresh `_Trace` records the run: every reduction, zeros included, and
+    each of the final inter-reduction keeps its schedule.  A recorded one
+    is replayed on trust; a fresh one with a guide first replays the guide
+    checked, and the run is made in full only when that raises
+    _TraceMismatch (see `_replay_buchberger`).
     """
-    if trace is not None and trace.kept is not None:
-        return _replay_buchberger(gens, engine, trace)
+    if trace is not None:
+        if trace.kept is not None:
+            return _replay_buchberger(gens, engine, trace)
+        guide, trace.guide = trace.guide, None
+        if guide is not None:
+            try:
+                elems = _replay_buchberger(gens, engine, guide, checked=True)
+            except _TraceMismatch:
+                pass
+            else:
+                trace.ngens, trace.entries = guide.ngens, guide.entries
+                trace.kept, trace.final = guide.kept, guide.final
+                return elems
     codec = engine.codec
     one_key = codec.one_key
     basis = []
@@ -694,14 +743,17 @@ def _core_buchberger(gens, engine, trace=None):
     reducers = []
     pairs = {}
 
-    def reduce(t):
-        """The normal form of t by the installed elements, and when the run
-        is recorded its schedule."""
+    def reduce(source, t):
+        """The normal form of t by the installed elements and its leading
+        key (None for zero), recorded in the trace under `source`."""
         if trace is None:
-            return engine.reduce(t, reducers), None
+            r = engine.reduce(t, reducers)
+            return r, max(r) if r else None
         steps = []
         r = engine.reduce(t, reducers, steps)
-        return r, (steps, frozenset(r))
+        lt = max(r) if r else None
+        trace.entries.append((source, lt, (steps, frozenset(r))))
+        return r, lt
 
     def install(terms, sugar):
         entry = engine.reducer_entry(terms)
@@ -714,15 +766,10 @@ def _core_buchberger(gens, engine, trace=None):
         reducers.append(entry)
 
     for k, t in enumerate(gens):
-        if not t:
+        t, lt = reduce(k, t)
+        if lt is None:
             continue
-        t, schedule = reduce(t)
-        if not t:
-            continue
-        lt = max(t)
         install(t, max(codec.degree(m) for m in t))
-        if trace is not None:
-            trace.gens.append((k, lt, schedule))
         if lt == one_key:
             break
 
@@ -732,15 +779,9 @@ def _core_buchberger(gens, engine, trace=None):
         )
         sugar = pair_data[0]
         del pairs[(i, j)]
-        s = engine.spoly(basis[i], basis[j])
-        if not s:
-            continue
-        r, schedule = reduce(s)
-        if not r:
-            continue
-        install(r, sugar)
-        if trace is not None:
-            trace.pairs.append((i, j, max(r), schedule))
+        r, lt = reduce((i, j), engine.spoly(basis[i], basis[j]))
+        if lt is not None:
+            install(r, sugar)
 
     kept = _minimal(basis, codec.guard)
     if trace is not None:
@@ -750,45 +791,58 @@ def _core_buchberger(gens, engine, trace=None):
     return _inter_reduce([basis[k] for k in kept], engine, schedules)
 
 
-def _replay_buchberger(gens, engine, trace):
+def _replay_buchberger(gens, engine, trace, checked=False):
     """`_core_buchberger` at another prime along a recorded `_Trace`
     (Traverso, "Groebner trace algorithms", ISSAC 1988, in the strong
     form of Faugere's F4 symbolic preprocessing, JPAA 139, 1999).
 
-    Only the recorded generators and S-pairs are reduced, in their install
-    order, each along its recorded schedule (`_ModularArith.replay`): no
-    heap, no divisor search, no pair built or selected, and no reduction
-    to zero repeated; the final inter-reduction replays its schedules too.
-    A reduction that leaves a reducible term outside its record, or whose
-    leading key differs from the record (a vanished remainder, another
-    generator count), raises _TraceMismatch; otherwise each reduction is
-    the one a full run would make here.  The replayed elements generate an
-    ideal J inside the ideal I of the generators, with the recorded
-    leading monomials; a step that reduced to zero at the recording prime
-    is not retried, so J may be smaller.  When I has the recorded
-    staircase too, LT(I) lies in LT(J), so J = I and the result is I's
-    reduced basis; the caller replays only traces that two primes agree
-    on, and its exact checks refute the rest (for homogeneous generators
-    g, Arnold's chain HF(<G>) <= HF(<g>) <= HF(<g> mod p) <= HF(J) <=
-    HF(<LM(G)>) = HF(<G>) proves a lifted basis G with the replayed
-    staircase exact).
+    Each replayed reduction follows its recorded schedule
+    (`_ModularArith.replay`): no heap, no divisor search, and no pair built
+    or selected; the final inter-reduction replays its schedules too.  A
+    reduction that leaves a reducible term outside its record, or whose
+    leading key differs from the record, raises _TraceMismatch; otherwise
+    it is the reduction `reduce` would make here by the same reducers.
+
+    Checked, every entry is replayed, and a reduction to zero must vanish
+    again.  A checked replay that completes is a whole Buchberger run at
+    this prime: it installs the same leading keys in the same order as the
+    recorded run, and the Gebauer-Moller update (`_update_pairs`) reads
+    only leading monomials and install order, so it keeps and prunes the
+    same pairs; each surviving pair was reduced, by reducers with the
+    recorded leading keys, to zero or to an installed element.  Only the
+    order in which pairs are taken may differ from a run here, and no
+    order changes the basis: the result is this prime's unique reduced
+    basis.  A generator that vanishes at the recording prime only is a
+    zero entry, and fails here.
+
+    Trusted, only the entries that installed an element are replayed, and
+    a step that reduced to zero at the recording prime is not retried.
+    The replayed elements generate an ideal J inside the ideal I of the
+    generators, with the recorded leading monomials, so J may be smaller.
+    When I has the recorded staircase too, LT(I) lies in LT(J), so J = I
+    and the result is I's reduced basis; the caller trusts only traces
+    that two primes agree on, and its exact checks refute the rest (for
+    homogeneous generators g, Arnold's chain HF(<G>) <= HF(<g>) <=
+    HF(<g> mod p) <= HF(J) <= HF(<LM(G)>) = HF(<G>) proves a lifted basis G
+    with the replayed staircase exact).
     """
     if len(gens) != trace.ngens:
         raise _TraceMismatch()
     basis = []
     tails = {}
-
-    def install(target, lt, schedule):
+    for source, lt, schedule in trace.entries:
+        if lt is None and not checked:
+            continue
+        if isinstance(source, tuple):
+            target = engine.spoly(basis[source[0]], basis[source[1]])
+        else:
+            target = gens[source]
         r = engine.replay(target, schedule, tails)
-        if not r or max(r) != lt:
+        if (max(r) if r else None) != lt:
             raise _TraceMismatch()
-        basis.append(r)
-        tails[lt] = engine.reducer_entry(r)[1]
-
-    for k, lt, schedule in trace.gens:
-        install(gens[k], lt, schedule)
-    for i, j, lt, schedule in trace.pairs:
-        install(engine.spoly(basis[i], basis[j]), lt, schedule)
+        if r:
+            basis.append(r)
+            tails[lt] = engine.reducer_entry(r)[1]
     # no kept leading key divides another, so the final pass keeps each
     elems = []
     tails = {}
@@ -1154,9 +1208,9 @@ def _involves(terms, var_mask) -> bool:
 
 
 def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
-                 bases=None, seed_is_basis=False):
+                 bases=None, seed_is_basis=False, guides=None):
     """Every needed node's reduced basis modulo p, and the trace of every
-    node run in full.
+    node run in full or by a checked replay.
 
     Node 0 is the basis of the generators under codecs[0]; node k >= 1
     applies stage (parent, var): the parent's elements free of the
@@ -1165,9 +1219,13 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
     variables dropped so far by graded reverse-lex on the rest, so a stage
     whose input does not involve var already has its reduced basis; the
     unit ideal's [1] passes every stage so.  A node with a trace in
-    `replay` replays it, and runs in full only when this prime leaves the
-    trace.  `bases` holds nodes already run at p, which are kept and
-    extended in place; node 0 runs unless it is there.
+    `replay` replays it on trust.  A node without one, or whose trusted
+    trace this prime leaves, replays its trace in `guides`, if any,
+    checked: that is a whole run at p when it completes, and the node's
+    new trace takes over the guide's records.  Otherwise the node runs in
+    full (see `_replay_buchberger`).  `bases` holds nodes already run at
+    p, which are kept and extended in place; node 0 runs unless it is
+    there.
 
     With `seed_is_basis` the generators are a Groebner basis under
     codecs[0] whose coefficients p does not divide, so modulo p they stay
@@ -1184,7 +1242,8 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
                 return _core_buchberger(elems, engine, trace)
             except _TraceMismatch:
                 pass
-        trace = traces[node] = _Trace()
+        guide = guides.get(node) if guides else None
+        trace = traces[node] = _Trace(guide)
         return _core_buchberger(elems, engine, trace)
 
     if bases is None:
@@ -1306,10 +1365,15 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     the ideal holds 1 only through a constant generator, which needs no
     proof.  A prime that divides a coefficient of `gens_int` is skipped.
 
+    Every node keeps the trace of its last full run as its guide, the
+    pricing runs of the first prime included.  Until a trace is trusted, a
+    node replays its guide checked, which is a whole run at that prime
+    when it completes, and runs in full only when it does not; so a
+    node's second prime is arithmetic only.
     After two full primes with the same staircase at every node they ran,
-    later primes replay the traces of the second (see `_core_buchberger`);
-    a candidate that fails its check drops them, and full primes resume
-    until two agree again.
+    later primes replay the traces of the second on trust (see
+    `_core_buchberger`); a candidate that fails its check drops them, and
+    full primes resume until two agree again.
 
     Returns the lifted outputs (drop set -> integer dicts, keyed under its
     node's codec).  Raises InternalInvariantError when the prime agenda is
@@ -1345,7 +1409,8 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     lifted = {}
     index = 0
     used = 0
-    traces = {}  # node -> trace replayed at every prime; empty: full runs
+    traces = {}  # node -> trace replayed on trust; empty: full runs
+    guides = {}  # node -> trace of its last full run
     last = None  # node -> staircase at the last full prime
     while pending and used < _MAX_MODULAR_PRIMES:
         p = _agenda_prime(index)
@@ -1356,28 +1421,31 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
         bases = None
         if used == 1:
             # the first prime runs node 0 and the stages that _plan prices
-            # ahead of the rest of the tree; a first prime's traces are
-            # never replayed, so the pricing runs keep none
-            bases, _ = _chain_mod_p(
+            # ahead of the rest of the tree, each recording its guide
+            bases, guides = _chain_mod_p(
                 p, gens_int, codecs, stages, masks, {0}, {}, None,
                 seed_is_basis,
             )
 
             def price(var):
                 node = add(0, var)
-                _chain_mod_p(
+                _, recorded = _chain_mod_p(
                     p, gens_int, codecs, stages, masks, {node}, {}, bases
                 )
+                guides.update(recorded)
                 return sum(len(t) for t in bases[node])
 
             ids = [0]
             for parent, var in _plan(pending, price):
                 ids.append(add(ids[parent], var))
         needed = {k for d in pending for k in paths[nodes[d]]}
+        # a trusted trace that this prime leaves is its node's guide, so
+        # the fallback runs unguided
         bases, recorded = _chain_mod_p(
             p, gens_int, codecs, stages, masks, needed, traces, bases,
-            seed_is_basis,
+            seed_is_basis, None if traces else guides,
         )
+        guides.update(recorded)
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
         if not traces:
             if last is not None and all(

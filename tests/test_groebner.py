@@ -985,6 +985,76 @@ class TestTraceReplay:
             if list(map(max, full[recorded])) == list(map(max, full[p])):
                 assert bases[0] == full[p]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.sampled_from(
+            [((0, 1, 2),), ((0,), (1,), (2,)), ((0,), (1, 2))]
+        ),
+        primes=st.permutations(
+            [3, 32003] + [groebner._agenda_prime(i) for i in range(2)]
+        ).map(lambda ps: ps[:2]),
+        gens=st.lists(
+            st.one_of(_small_polys, _shifted_polys), min_size=1, max_size=3
+        ),
+    )
+    # modulo 3 the second generator reduces to zero, modulo 32003 to 3: a
+    # checked replay that skipped recorded zeros would return <u>
+    @example(blocks=((0, 1, 2),), primes=[3, 32003], gens=[U3, U3 + 3])
+    def test_checked_replay_equals_full_run(self, blocks, primes, gens):
+        # a checked replay of a trace recorded at one prime either raises
+        # or is a whole Buchberger run at the other, whatever the two
+        # staircases: it returns exactly the full run's reduced basis
+        codec = groebner._Codec(blocks)
+        gens_int = [groebner._to_engine(g, codec) for g in gens]
+        recorded, p = primes
+        trace = groebner._Trace()
+        groebner._core_buchberger(
+            [{m: c % recorded for m, c in t.items()} for t in gens_int],
+            groebner._ModularArith(recorded, codec),
+            trace,
+        )
+        engine = groebner._ModularArith(p, codec)
+        image = [{m: c % p for m, c in t.items()} for t in gens_int]
+        full = groebner._core_buchberger(image, engine)
+        try:
+            replayed = groebner._replay_buchberger(
+                image, engine, trace, checked=True
+            )
+        except groebner._TraceMismatch:
+            return
+        assert replayed == full
+
+    def test_checked_replay_retries_reductions_to_zero(self):
+        # modulo p0 the second generator of <x + y + u, x + (1 + p0)*y + u>
+        # reduces to zero, so p0's trace installs x + y + u alone.  Modulo
+        # p1 that reduction leaves p0*y: the checked replay, which retries
+        # every recorded zero, refuses the trace, and the guided chain runs
+        # p1 in full
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        codec = groebner._Codec((range(3),))
+        gens = [
+            groebner._to_engine(g, codec)
+            for g in (X3 + Y3 + U3, X3 + (1 + p0) * Y3 + U3)
+        ]
+        guide = groebner._Trace()
+        assert groebner._core_buchberger(
+            [{m: c % p0 for m, c in t.items()} for t in gens],
+            groebner._ModularArith(p0, codec),
+            guide,
+        ) == [groebner._to_engine(X3 + Y3 + U3, codec)]
+        assert [lt for _, lt, _ in guide.entries][1] is None
+        engine = groebner._ModularArith(p1, codec)
+        image = [{m: c % p1 for m, c in t.items()} for t in gens]
+        with pytest.raises(groebner._TraceMismatch):
+            groebner._replay_buchberger(image, engine, guide, checked=True)
+        full = groebner._core_buchberger(image, engine)
+        assert len(full) == 2
+        bases, recorded = groebner._chain_mod_p(
+            p1, gens, [codec], (), [0], {0}, {}, None, False, {0: guide}
+        )
+        assert bases[0] == full
+        assert recorded[0].entries is not guide.entries
+
     def test_mismatch_falls_back_to_full_run(self):
         # modulo 3 the generator 3xy + x + 1 loses its leading term: its
         # trace installs it with leading monomial x, which no step at 32003
@@ -1228,14 +1298,17 @@ class TestTraceReplay:
     def test_later_primes_only_replay(self, monkeypatch):
         # the chain of nonproperness_values on the fixed graph ideal and the
         # chain of its certificate, each held to six primes before it lifts
-        # (as taller coefficients would hold it): after the two primes that
-        # record a trace, no prime installs a pair or reduces anything to 0
+        # (as taller coefficients would hold it): only the first prime
+        # installs pairs; the second replays, node by node, every reduction
+        # the first made, zeros included, and reduces nothing; no later
+        # prime installs a pair or reduces anything to 0
         graph = _fixed_graph_ideal()
         work = {}
         current = [None]
         chain = groebner._chain_mod_p
         update = groebner._update_pairs
         reduce = groebner._ModularArith.reduce
+        replay = groebner._ModularArith.replay
         reconstruct = groebner._CrtState.reconstruct
 
         def held_reconstruct(self):
@@ -1245,7 +1318,7 @@ class TestTraceReplay:
 
         def tracked_chain(p, gens_int, codecs, *rest):
             current[0] = key = (codecs[0].nvars, p)
-            work.setdefault(key, {"updates": 0, "zeros": 0})
+            work.setdefault(key, Counter())
             try:
                 return chain(p, gens_int, codecs, *rest)
             finally:
@@ -1256,15 +1329,29 @@ class TestTraceReplay:
                 work[current[0]]["updates"] += 1
             return update(*args)
 
-        def counting_reduce(self, target, reducers, *steps):
-            out = reduce(self, target, reducers, *steps)
-            if current[0] is not None and not out:
-                work[current[0]]["zeros"] += 1
+        def count(kind, codec, out):
+            if current[0] is not None:
+                w = work[current[0]]
+                w[kind, codec] += 1
+                if not out:
+                    w["zeros"] += 1
+                    w["zeros", codec] += 1
             return out
+
+        def counting_reduce(self, target, reducers, *steps):
+            return count(
+                "reduced", self.codec, reduce(self, target, reducers, *steps)
+            )
+
+        def counting_replay(self, target, schedule, tails):
+            return count(
+                "replayed", self.codec, replay(self, target, schedule, tails)
+            )
 
         monkeypatch.setattr(groebner, "_chain_mod_p", tracked_chain)
         monkeypatch.setattr(groebner, "_update_pairs", counting_update)
         monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
+        monkeypatch.setattr(groebner._ModularArith, "replay", counting_replay)
         monkeypatch.setattr(groebner._CrtState, "reconstruct", held_reconstruct)
         z = graph.z_index
         drops = [
@@ -1277,10 +1364,15 @@ class TestTraceReplay:
         assert sorted(chains) == [z + 1, z + 2]
         for primes in chains.values():
             assert len(primes) >= 7
-            assert all(w["updates"] for w in primes[:2])
-            assert primes[2:] == [{"updates": 0, "zeros": 0}] * (
-                len(primes) - 2
-            )
+            first, second, *later = primes
+            assert first["updates"] and not second["updates"]
+            replayed = [key[1] for key in second if key[0] == "replayed"]
+            assert replayed and second["zeros"]
+            for codec in replayed:
+                assert second["reduced", codec] == 0
+                assert second["replayed", codec] == first["reduced", codec]
+                assert second["zeros", codec] == first["zeros", codec]
+            assert all(w["updates"] == w["zeros"] == 0 for w in later)
 
 
 def _certificate(ideal):
