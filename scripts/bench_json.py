@@ -4,6 +4,9 @@
     python3 scripts/bench_json.py --parent ../base --change . --pr 14 \\
         --seeds 1401-1410
 
+Both checkouts must be git work trees of their own (`git clone`, not
+`git archive`), so that the file names the revisions it compares.
+
 For each workload of the change's `BENCHMARK.json` and each seed, the
 benchmark command runs once in each checkout at the benchmark's own run
 length, one run after the other, the first side alternating from pair to
@@ -112,13 +115,25 @@ def verdict_lines(workloads) -> list:
     return lines
 
 
-def revision(checkout: Path) -> str:
-    proc = subprocess.run(
-        ["git", "-C", str(checkout), "describe", "--always", "--dirty"],
-        capture_output=True,
-        text=True,
+def git(checkout: Path, *args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        ["git", "-C", str(checkout), *args], capture_output=True, text=True
     )
-    return proc.stdout.strip() or "unknown"
+
+
+def revision(checkout: Path) -> str:
+    """`git describe` of a checkout, which must be the top level of its own
+    git work tree: a copy without `.git` would be described as nothing, or
+    as the work tree around it."""
+    top = git(checkout, "rev-parse", "--show-toplevel")
+    if top.returncode or (
+        Path(top.stdout.strip()).resolve() != checkout.resolve()
+    ):
+        sys.exit(
+            "bench_json.py: %s is not the top level of a git work tree; "
+            "make each checkout with git clone" % checkout
+        )
+    return git(checkout, "describe", "--always", "--dirty").stdout.strip()
 
 
 def run_once(checkout: Path, command, workload: str, seed: int, seconds):

@@ -98,18 +98,21 @@ vanish again.  A checked replay that completes installs the same leading
 monomials in the same order, so the pair criteria keep and prune the same
 pairs, each of which was reduced to zero or installed: it is a whole
 Buchberger run at that prime, and returns that prime's reduced basis.
-Once two such primes agree on the staircase of every node they ran, each
-later prime replays the trace on trust: only the reductions that
-installed an element, with no zero retried and no pair bookkeeping.  One
-prime is not enough for trust: a generator that vanishes there is never
-reduced again, so a trusted replay repeats a wrong staircase, and a
-missing relation is invisible to a membership test; a checked replay
-retries that zero and fails.  A candidate that fails its exact check
-drops the trusted traces, and full primes resume.  The certificates stay
-exact: a replayed ideal lies inside <g^h> mod p, and its elements have the
-leading monomials of the lifted basis G, so Arnold's chain still closes,
-HF(<G>) <= HF(<g^h>) <= HF(<g^h> mod p) <= HF(replayed ideal) <=
-HF(<LM(G)>) = HF(<G>).
+Two primes then agree on the node's trace, which becomes trusted: each
+later prime replays it on trust, only the reductions that installed an
+element, with no zero retried and no pair bookkeeping.  One prime is not
+enough for trust: a generator that vanishes there is never reduced again,
+so a trusted replay repeats a wrong staircase, and a missing relation is
+invisible to a membership test; a checked replay retries that zero and
+fails.  A node whose checked replay fails runs in full, and its new trace
+replaces the old one; a prime that a trusted trace leaves is unlucky for
+that node, which runs there in full untraced and keeps its trace.  A
+candidate that fails its exact check makes every trace untrusted again,
+and checked replays resume.  The certificates stay exact: a replayed
+ideal lies inside <g^h> mod p, and its elements have the leading monomials
+of the lifted basis G, so Arnold's chain still closes, HF(<G>) <=
+HF(<g^h>) <= HF(<g^h> mod p) <= HF(replayed ideal) <= HF(<LM(G)>) =
+HF(<G>).
 """
 
 from __future__ import annotations
@@ -650,29 +653,16 @@ class _Trace:
     `final` the schedules of the final inter-reduction, one per kept
     element.
 
-    A fresh trace made with a `guide`, a recorded trace of the same node at
-    another prime, has `_core_buchberger` replay the guide checked first;
-    when that replay completes, the trace takes over the guide's records.
+    A trace starts untrusted; `trusted` is set once a checked replay of it
+    completes at another prime (see `_core_buchberger`).
     """
 
-    def __init__(self, guide=None):
-        self.guide = guide
+    def __init__(self):
         self.ngens = None
         self.entries = []
         self.kept = None
         self.final = []
-
-    @property
-    def gens(self):
-        """The entries of the generators that installed an element."""
-        return [e for e in self.entries
-                if e[1] is not None and not isinstance(e[0], tuple)]
-
-    @property
-    def pairs(self):
-        """The entries of the S-pairs that installed an element."""
-        return [e for e in self.entries
-                if e[1] is not None and isinstance(e[0], tuple)]
+        self.trusted = False
 
 
 def _minimal(basis, guard):
@@ -718,23 +708,16 @@ def _core_buchberger(gens, engine, trace=None):
 
     A fresh `_Trace` records the run: every reduction, zeros included, and
     each of the final inter-reduction keeps its schedule.  A recorded one
-    is replayed on trust; a fresh one with a guide first replays the guide
-    checked, and the run is made in full only when that raises
-    _TraceMismatch (see `_replay_buchberger`).
+    is replayed instead, on trust once trusted and checked before; a
+    checked replay that completes makes it trusted.  A replay that leaves
+    the trace raises _TraceMismatch (see `_replay_buchberger`).
     """
-    if trace is not None:
-        if trace.kept is not None:
-            return _replay_buchberger(gens, engine, trace)
-        guide, trace.guide = trace.guide, None
-        if guide is not None:
-            try:
-                elems = _replay_buchberger(gens, engine, guide, checked=True)
-            except _TraceMismatch:
-                pass
-            else:
-                trace.ngens, trace.entries = guide.ngens, guide.entries
-                trace.kept, trace.final = guide.kept, guide.final
-                return elems
+    if trace is not None and trace.kept is not None:
+        elems = _replay_buchberger(
+            gens, engine, trace, checked=not trace.trusted
+        )
+        trace.trusted = True
+        return elems
     codec = engine.codec
     one_key = codec.one_key
     basis = []
@@ -1207,10 +1190,9 @@ def _involves(terms, var_mask) -> bool:
     return any(m & var_mask for m in terms)
 
 
-def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
-                 bases=None, seed_is_basis=False, guides=None):
-    """Every needed node's reduced basis modulo p, and the trace of every
-    node run in full or by a checked replay.
+def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
+                 bases=None, seed_is_basis=False):
+    """Every needed node's reduced basis modulo p.
 
     Node 0 is the basis of the generators under codecs[0]; node k >= 1
     applies stage (parent, var): the parent's elements free of the
@@ -1218,32 +1200,34 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
     leading block of its own.  Every codec orders polynomials free of the
     variables dropped so far by graded reverse-lex on the rest, so a stage
     whose input does not involve var already has its reduced basis; the
-    unit ideal's [1] passes every stage so.  A node with a trace in
-    `replay` replays it on trust.  A node without one, or whose trusted
-    trace this prime leaves, replays its trace in `guides`, if any,
-    checked: that is a whole run at p when it completes, and the node's
-    new trace takes over the guide's records.  Otherwise the node runs in
-    full (see `_replay_buchberger`).  `bases` holds nodes already run at
-    p, which are kept and extended in place; node 0 runs unless it is
-    there.
+    unit ideal's [1] passes every stage so.  `bases` holds nodes already
+    run at p, which are kept and extended in place; node 0 runs unless it
+    is there.
+
+    `traces` maps a node to its one trace and is updated in place.  A node
+    with none runs in full and records one.  An untrusted trace is
+    replayed checked, which makes it trusted when the replay completes;
+    when it does not, the node runs in full and its new trace replaces the
+    old one.  A trusted trace is replayed on trust; a prime that it leaves
+    is unlucky for the node, which runs in full untraced, and the trace
+    stays (see `_core_buchberger`).
 
     With `seed_is_basis` the generators are a Groebner basis under
     codecs[0] whose coefficients p does not divide, so modulo p they stay
     one with the same leading monomials: node 0 only inter-reduces them,
     with no S-pair and no trace.
     """
-    traces = {}
 
     def run(node, elems):
         engine = _ModularArith(p, codecs[node])
-        trace = replay.get(node)
+        trace = traces.get(node)
         if trace is not None:
             try:
                 return _core_buchberger(elems, engine, trace)
             except _TraceMismatch:
-                pass
-        guide = guides.get(node) if guides else None
-        trace = traces[node] = _Trace(guide)
+                if trace.trusted:
+                    return _core_buchberger(elems, engine)
+        trace = traces[node] = _Trace()
         return _core_buchberger(elems, engine, trace)
 
     if bases is None:
@@ -1270,7 +1254,7 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, replay,
         if any(_involves(t, masks[node]) for t in elems):
             elems = run(node, elems)
         bases[node] = elems
-    return bases, traces
+    return bases
 
 
 def _plan(drops, price):
@@ -1320,6 +1304,9 @@ def _plan(drops, price):
             sets = [s for s in sets if var not in s]
 
     grow(0, frozenset(), [d for d in drops if d])
+    # grow refers to itself, a cycle that would keep price, and through it
+    # the chain's bases and traces, alive until the cycle collector runs
+    del grow
     return stages
 
 
@@ -1365,15 +1352,13 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     the ideal holds 1 only through a constant generator, which needs no
     proof.  A prime that divides a coefficient of `gens_int` is skipped.
 
-    Every node keeps the trace of its last full run as its guide, the
-    pricing runs of the first prime included.  Until a trace is trusted, a
-    node replays its guide checked, which is a whole run at that prime
-    when it completes, and runs in full only when it does not; so a
-    node's second prime is arithmetic only.
-    After two full primes with the same staircase at every node they ran,
-    later primes replay the traces of the second on trust (see
-    `_core_buchberger`); a candidate that fails its check drops them, and
-    full primes resume until two agree again.
+    Each node keeps one trace (see `_chain_mod_p`).  The first prime
+    records it in a full run; a priced stage that the tree does not use
+    drops its trace.  The second prime replays it checked, which is a
+    whole run at that prime when it completes, so a node's second prime
+    is arithmetic only, and later primes replay the trace on trust.  A
+    candidate that fails its check makes every trace untrusted again, and
+    checked replays resume.
 
     Returns the lifted outputs (drop set -> integer dicts, keyed under its
     node's codec).  Raises InternalInvariantError when the prime agenda is
@@ -1409,9 +1394,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     lifted = {}
     index = 0
     used = 0
-    traces = {}  # node -> trace replayed on trust; empty: full runs
-    guides = {}  # node -> trace of its last full run
-    last = None  # node -> staircase at the last full prime
+    traces = {}  # node -> its one trace
     while pending and used < _MAX_MODULAR_PRIMES:
         p = _agenda_prime(index)
         index += 1
@@ -1421,38 +1404,29 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
         bases = None
         if used == 1:
             # the first prime runs node 0 and the stages that _plan prices
-            # ahead of the rest of the tree, each recording its guide
-            bases, guides = _chain_mod_p(
-                p, gens_int, codecs, stages, masks, {0}, {}, None,
+            # ahead of the rest of the tree
+            bases = _chain_mod_p(
+                p, gens_int, codecs, stages, masks, {0}, traces, None,
                 seed_is_basis,
             )
 
             def price(var):
                 node = add(0, var)
-                _, recorded = _chain_mod_p(
-                    p, gens_int, codecs, stages, masks, {node}, {}, bases
+                _chain_mod_p(
+                    p, gens_int, codecs, stages, masks, {node}, traces, bases
                 )
-                guides.update(recorded)
                 return sum(len(t) for t in bases[node])
 
             ids = [0]
             for parent, var in _plan(pending, price):
                 ids.append(add(ids[parent], var))
+            traces = {k: t for k, t in traces.items() if k in ids}
         needed = {k for d in pending for k in paths[nodes[d]]}
-        # a trusted trace that this prime leaves is its node's guide, so
-        # the fallback runs unguided
-        bases, recorded = _chain_mod_p(
+        bases = _chain_mod_p(
             p, gens_int, codecs, stages, masks, needed, traces, bases,
-            seed_is_basis, None if traces else guides,
+            seed_is_basis,
         )
-        guides.update(recorded)
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
-        if not traces:
-            if last is not None and all(
-                last.get(k) == s for k, s in staircases.items()
-            ):
-                traces = recorded
-            last = staircases
         for d in list(pending):
             o = nodes[d]
             out = bases[o]
@@ -1494,8 +1468,8 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
                     lifted[d] = candidate
                     pending.remove(d)
                     continue
-                traces = {}
-                last = None
+                for trace in traces.values():
+                    trace.trusted = False
             state.add(p, out)
             candidate = state.reconstruct()
             state.last_candidate = candidate and [

@@ -1,5 +1,6 @@
 """Basis computation, elimination, dimension, and localization."""
 
+import gc
 import itertools
 import math
 import random
@@ -872,27 +873,30 @@ class TestPlannedTree:
         # fewest terms at the first prime, then y, then x: from the second
         # prime on the chain runs {u} -> {u, y}, {u} -> {u, x} and
         # {y} -> {y, x}, and the stage that priced x runs at the first
-        # prime only
+        # prime only and keeps no trace after it
         graph = _fixed_graph_ideal()
         x, y, u = 0, 1, 2
         n = graph.ideal.ring.nvars
         runs = {}
+        held = {}
         chain = groebner._chain_mod_p
 
-        def tracked(p, gens_int, codecs, stages, masks, needed, *rest):
-            bases, traces = chain(
-                p, gens_int, codecs, stages, masks, needed, *rest
+        def tracked(p, gens_int, codecs, stages, masks, needed, traces,
+                    *rest):
+            bases = chain(
+                p, gens_int, codecs, stages, masks, needed, traces, *rest
             )
             if codecs[0].nvars == n:
                 dropped = [frozenset()]
                 for parent, var in stages:
                     dropped.append(dropped[parent] | {var})
-                runs.setdefault(p, set()).update(
-                    (dropped[parent], var)
-                    for node, (parent, var) in enumerate(stages, 1)
-                    if node in bases
-                )
-            return bases, traces
+                for seen, nodes in ((runs, bases), (held, traces)):
+                    seen.setdefault(p, set()).update(
+                        (dropped[parent], var)
+                        for node, (parent, var) in enumerate(stages, 1)
+                        if node in nodes
+                    )
+            return bases
 
         monkeypatch.setattr(groebner, "_chain_mod_p", tracked)
         drops = [
@@ -907,6 +911,41 @@ class TestPlannedTree:
         assert first == tree | {(frozenset(), x)}
         assert second == tree
         assert all(run <= tree for run in later)
+        first, *later = held.values()
+        assert first == tree | {(frozenset(), x)}
+        assert later and all(stages <= tree for stages in later)
+
+    def test_finished_chain_frees_its_traces(self):
+        # nothing outside a chain refers to its traces, so they go as it
+        # returns, not when the cycle collector next runs
+        graph = _fixed_graph_ideal()
+        drops = [
+            frozenset(j for j in range(3) if j != i) for i in range(3)
+        ]
+
+        def traces():
+            return sum(
+                isinstance(o, groebner._Trace) for o in gc.get_objects()
+            )
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = traces()
+            groebner._eliminations(graph.ideal, drops)
+            after = traces()
+        finally:
+            gc.enable()
+        assert after == before
+
+
+def _lost_leading_term():
+    """The codec and packed generators X^2 + Y, 3XY + X + 1 under the
+    graded order: modulo 3 the second one loses its leading term XY."""
+    codec = groebner._Codec((range(2),))
+    return codec, [
+        groebner._to_engine(g, codec) for g in (X**2 + Y, 3 * X * Y + X + 1)
+    ]
 
 
 class TestTraceReplay:
@@ -931,7 +970,7 @@ class TestTraceReplay:
 
         trace = groebner._Trace()
         assert run(0, trace) == one
-        installed = [lt for *_, lt, _ in trace.gens + trace.pairs]
+        installed = [lt for _, lt, _ in trace.entries if lt is not None]
         assert installed[-1] == codec.one_key
         assert len(trace.kept) == len(trace.final) == 1
         # a recorded trace is replayed, never run in full
@@ -962,8 +1001,8 @@ class TestTraceReplay:
         ],
     )
     def test_replay_equals_full_run(self, blocks, gens):
-        # a trace recorded at one prime, replayed at another with the
-        # chain's fallback, gives that prime's own reduced basis whenever
+        # a trusted trace recorded at one prime, replayed on trust at
+        # another with the chain's fallback, gives that prime's own reduced basis whenever
         # the two primes share a staircase: the replayed ideal lies inside
         # the ideal modulo p and has its leading monomials
         codec = groebner._Codec(blocks)
@@ -978,8 +1017,9 @@ class TestTraceReplay:
                 groebner._ModularArith(p, codec),
                 traces[p],
             )
+            traces[p].trusted = True
         for recorded, p in itertools.permutations(traces, 2):
-            bases, _ = groebner._chain_mod_p(
+            bases = groebner._chain_mod_p(
                 p, gens_int, [codec], (), [0], {0}, {0: traces[recorded]}
             )
             if list(map(max, full[recorded])) == list(map(max, full[p])):
@@ -1028,8 +1068,8 @@ class TestTraceReplay:
         # modulo p0 the second generator of <x + y + u, x + (1 + p0)*y + u>
         # reduces to zero, so p0's trace installs x + y + u alone.  Modulo
         # p1 that reduction leaves p0*y: the checked replay, which retries
-        # every recorded zero, refuses the trace, and the guided chain runs
-        # p1 in full
+        # every recorded zero, refuses the trace, and the chain runs p1 in
+        # full
         p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
         codec = groebner._Codec((range(3),))
         gens = [
@@ -1049,20 +1089,16 @@ class TestTraceReplay:
             groebner._replay_buchberger(image, engine, guide, checked=True)
         full = groebner._core_buchberger(image, engine)
         assert len(full) == 2
-        bases, recorded = groebner._chain_mod_p(
-            p1, gens, [codec], (), [0], {0}, {}, None, False, {0: guide}
-        )
+        traces = {0: guide}
+        bases = groebner._chain_mod_p(p1, gens, [codec], (), [0], {0}, traces)
         assert bases[0] == full
-        assert recorded[0].entries is not guide.entries
+        assert traces[0].entries is not guide.entries
 
     def test_mismatch_falls_back_to_full_run(self):
         # modulo 3 the generator 3xy + x + 1 loses its leading term: its
         # trace installs it with leading monomial x, which no step at 32003
         # reproduces, so that prime runs in full and records its own trace
-        codec = groebner._Codec((range(2),))
-        gens = [
-            groebner._to_engine(g, codec) for g in (X**2 + Y, 3 * X * Y + X + 1)
-        ]
+        codec, gens = _lost_leading_term()
         trace = groebner._Trace()
         groebner._core_buchberger(
             [{m: c % 3 for m, c in t.items()} for t in gens],
@@ -1074,11 +1110,12 @@ class TestTraceReplay:
         with pytest.raises(groebner._TraceMismatch):
             groebner._core_buchberger(image, engine, trace)
         full = groebner._core_buchberger(image, engine)
-        bases, recorded = groebner._chain_mod_p(
-            32003, gens, [codec], (), [0], {0}, {0: trace}
+        traces = {0: trace}
+        bases = groebner._chain_mod_p(
+            32003, gens, [codec], (), [0], {0}, traces
         )
         assert bases[0] == full
-        assert recorded[0].kept is not None
+        assert traces[0].kept is not None
 
     def test_schedule_mismatch_falls_back_to_full_run(self):
         # with c = 1 + q, reducing xy by x + y cancels the y^2 term of
@@ -1094,9 +1131,9 @@ class TestTraceReplay:
             groebner._to_engine(g, codec)
             for g in (x + y, y**2 + 1, x * y + (1 + q) * y**2 + z**3)
         ]
-        _, recorded = groebner._chain_mod_p(
-            q, gens, [codec], (), [0], {0}, {}
-        )
+        traces = {}
+        groebner._chain_mod_p(q, gens, [codec], (), [0], {0}, traces)
+        recorded = traces[0]
         engine = groebner._ModularArith(p, codec)
         image = [{m: c % p for m, c in t.items()} for t in gens]
         full = groebner._core_buchberger(image, engine)
@@ -1107,18 +1144,84 @@ class TestTraceReplay:
             )
         ]
         with pytest.raises(groebner._TraceMismatch):
-            groebner._core_buchberger(image, engine, recorded[0])
-        bases, again = groebner._chain_mod_p(
-            p, gens, [codec], (), [0], {0}, recorded
-        )
+            groebner._core_buchberger(image, engine, recorded)
+        bases = groebner._chain_mod_p(p, gens, [codec], (), [0], {0}, traces)
         assert bases[0] == full
-        assert again[0].kept is not None
+        assert traces[0] is not recorded and traces[0].kept is not None
+
+    def test_unlucky_prime_keeps_the_trusted_trace(self, monkeypatch):
+        # the trace of X^2 + Y, 3XY + X + 1 recorded at 32003 is trusted
+        # once p0 replays it checked; modulo 3 the second generator loses
+        # its leading term, so that prime runs in full untraced, and the
+        # trace stays trusted: p1 replays it with no pair bookkeeping
+        codec, gens = _lost_leading_term()
+        traces = {}
+        groebner._chain_mod_p(32003, gens, [codec], (), [0], {0}, traces)
+        trace = traces[0]
+        groebner._chain_mod_p(
+            groebner._agenda_prime(0), gens, [codec], (), [0], {0}, traces
+        )
+        assert traces[0] is trace and trace.trusted
+        bases = groebner._chain_mod_p(3, gens, [codec], (), [0], {0}, traces)
+        assert bases[0] == groebner._core_buchberger(
+            [{m: c % 3 for m, c in t.items()} for t in gens],
+            groebner._ModularArith(3, codec),
+        )
+        assert traces[0] is trace and trace.trusted
+        p1 = groebner._agenda_prime(1)
+        full = groebner._core_buchberger(
+            [{m: c % p1 for m, c in t.items()} for t in gens],
+            groebner._ModularArith(p1, codec),
+        )
+        updates = [0]
+        update = groebner._update_pairs
+
+        def counting_update(*args):
+            updates[0] += 1
+            return update(*args)
+
+        monkeypatch.setattr(groebner, "_update_pairs", counting_update)
+        bases = groebner._chain_mod_p(p1, gens, [codec], (), [0], {0}, traces)
+        assert bases[0] == full and updates == [0]
+
+    def test_completed_checked_replay_trusts_the_trace(self):
+        # a trace recorded at 32003 starts untrusted; its checked replay at
+        # p0 completes, which trusts it
+        codec, gens = _lost_leading_term()
+        traces = {}
+        groebner._chain_mod_p(32003, gens, [codec], (), [0], {0}, traces)
+        trace = traces[0]
+        assert not trace.trusted
+        p0 = groebner._agenda_prime(0)
+        bases = groebner._chain_mod_p(p0, gens, [codec], (), [0], {0}, traces)
+        assert bases[0] == groebner._core_buchberger(
+            [{m: c % p0 for m, c in t.items()} for t in gens],
+            groebner._ModularArith(p0, codec),
+        )
+        assert traces[0] is trace and trace.trusted
+
+    def test_failed_checked_replay_replaces_the_trace(self):
+        # a trace recorded at 3 is left by its checked replay at 32003,
+        # which runs in full and puts its own untrusted trace in its place;
+        # the checked replay of that one at p0 completes and trusts it
+        codec, gens = _lost_leading_term()
+        traces = {}
+        groebner._chain_mod_p(3, gens, [codec], (), [0], {0}, traces)
+        unlucky = traces[0]
+        groebner._chain_mod_p(32003, gens, [codec], (), [0], {0}, traces)
+        fresh = traces[0]
+        assert fresh is not unlucky and not fresh.trusted
+        assert fresh.entries != unlucky.entries
+        groebner._chain_mod_p(
+            groebner._agenda_prime(0), gens, [codec], (), [0], {0}, traces
+        )
+        assert traces[0] is fresh and fresh.trusted
 
     def test_replayed_stages_make_no_heap_or_divisor_search(
         self, monkeypatch
     ):
-        # the fixed graph ideal's chain: after traces recorded at two
-        # primes, a third prime runs its stages with no reduce (the heap
+        # the fixed graph ideal's chain: after a full prime and a checked
+        # replay that trusts every trace, a third prime runs its stages with no reduce (the heap
         # and the divisor search live there) and no divisor test, since no
         # term outside a schedule is left over; node 0 only inter-reduces
         # the certificate's basis at every prime, with no S-pair
@@ -1174,14 +1277,13 @@ class TestTraceReplay:
             reduced.clear()
             replayed.clear()
             work.clear()
-            bases, recorded = groebner._chain_mod_p(
+            groebner._chain_mod_p(
                 groebner._agenda_prime(index), certificate.basis(), codecs,
                 stages, masks, {0, 1, 2, 3}, traces, None, True,
             )
-            assert 0 not in recorded
-            if index == 1:
-                traces = recorded
+            assert 0 not in traces
         assert sorted(traces) == [1, 2, 3]
+        assert all(trace.trusted for trace in traces.values())
         assert set(reduced) == {seed}
         assert set(replayed) == set(codecs[1:])
         assert work == {}
@@ -1206,8 +1308,9 @@ class TestTraceReplay:
             return spoly(self, f, g)
 
         monkeypatch.setattr(groebner._ModularArith, "spoly", counting_spoly)
-        bases, traces = groebner._chain_mod_p(
-            p, certificate.basis(), [codec], (), [0], {0}, {}, None, True
+        traces = {}
+        bases = groebner._chain_mod_p(
+            p, certificate.basis(), [codec], (), [0], {0}, traces, None, True
         )
         assert spolys[0] == 0 and traces == {}
         assert bases[0] == expected
@@ -1286,10 +1389,10 @@ class TestTraceReplay:
         chain = groebner._chain_mod_p
 
         def recording_chain(p, gens_int, codecs, stages, *rest):
-            bases, traces = chain(p, gens_int, codecs, stages, *rest)
+            bases = chain(p, gens_int, codecs, stages, *rest)
             if stages:
                 seeds[p] = len(bases[0])
-            return bases, traces
+            return bases
 
         monkeypatch.setattr(groebner, "_chain_mod_p", recording_chain)
         assert eliminate(ideal, {0, 2}) == [X3 + U3]
@@ -1673,14 +1776,13 @@ class TestPrimes:
             return core(gens, engine, trace)
 
         monkeypatch.setattr(groebner, "_core_buchberger", recording)
-        replay = {}
+        traces = {}
         for index in range(3):
             p = groebner._agenda_prime(index)
             inputs.clear()
-            bases, recorded = groebner._chain_mod_p(
-                p, gens_int, codecs, stages, masks, {0, 1, 2, 3}, replay
+            bases = groebner._chain_mod_p(
+                p, gens_int, codecs, stages, masks, {0, 1, 2, 3}, traces
             )
-            replay = recorded if index == 1 else replay
             for node, (parent, _) in enumerate(stages, 1):
                 source, codec = codecs[parent], codecs[node]
                 old = [
@@ -1689,7 +1791,7 @@ class TestPrimes:
                     if not (parent and groebner._involves(t, masks[parent]))
                 ]
                 assert inputs.get(codec, bases[node]) == old
-        assert replay and set(inputs) == set(codecs)
+        assert traces and set(inputs) == set(codecs)
 
 
 def _image(value, modulus):

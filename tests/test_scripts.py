@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -160,6 +162,30 @@ def test_bench_json_summarizes_and_fails_on_a_bad_run(
             )
             for name in ("small", "large")
         ]
+
+
+def test_bench_json_revision_needs_its_own_work_tree(tmp_path):
+    # a copy without .git names no revision; inside another work tree
+    # git would describe that one, so both are refused
+    bench = _load_bench_json()
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for checkout in (copy, SCRIPTS.parent / "scripts"):
+        with pytest.raises(SystemExit) as exit_info:
+            bench.revision(checkout)
+        assert "not the top level of a git work tree" in str(
+            exit_info.value
+        )
+    git = ["git", "-C", str(copy), "-c", "user.name=bench",
+           "-c", "user.email=bench@example.com", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "base"],
+                   check=True)
+    head = subprocess.run(
+        git + ["rev-parse", "--short", "HEAD"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert bench.revision(copy).startswith(head[:7])
 
 
 def test_readme_timing_table_quotes_the_latest_bench_file():
