@@ -17,10 +17,15 @@ quartiles, the number of pairs, and the pairs the change won (its value
 better than the parent's in the direction `BENCHMARK.json` gives).  The
 file goes to the root of the repository holding this script.
 
-After writing the file the script prints one line per workload: each
-side's median `report_s`, the change's wins, and each side's failed
-operations and correctness.  It exits 1 when either side had a failed or
-incorrect run, 0 otherwise.
+After writing the file the script prints one line per workload and
+end-to-end metric: each side's median and the change's relative
+difference, marked `WORSE beyond bound` when the change is worse than the
+parent by more than the metric's relative `bound` in `BENCHMARK.json`,
+which a change that claims no gain must stay within.  Then it prints one
+line per workload: each side's median `report_s`, the change's wins, and
+each side's failed operations and correctness.  It exits 1 when either
+side had a failed or incorrect run, 0 otherwise; a metric beyond its bound
+does not change the exit status.
 """
 
 import argparse
@@ -96,6 +101,29 @@ def summarize(pairs, better) -> dict:
     return out
 
 
+def median_lines(workloads, bounds) -> list:
+    """One line per workload and metric of a report: both sides' medians,
+    the change's difference relative to the parent's median (0 when that
+    is 0), and `WORSE beyond bound` where the change is worse by more than
+    the metric's relative bound in `bounds`."""
+    lines = []
+    for name, workload in workloads.items():
+        for metric, summary in workload["metrics"].items():
+            parent = summary["parent"]["median"]
+            change = summary["change"]["median"]
+            rel = (change - parent) / parent if parent else 0.0
+            worse = rel if summary["better"] == "lower" else -rel
+            line = "%s %s: median parent %.4g %s, change %.4g %s (%+.1f%%)" % (
+                name, metric, parent, summary["unit"], change,
+                summary["unit"], 100 * rel,
+            )
+            bound = bounds.get(metric)
+            if bound is not None and worse > bound:
+                line += "; WORSE beyond bound %g%%" % (100 * bound)
+            lines.append(line)
+    return lines
+
+
 def verdict_lines(workloads) -> list:
     """One line per workload of a report: both sides' median `report_s`,
     the change's wins, and each side's failed count and correctness."""
@@ -159,6 +187,7 @@ def main(argv=None):
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     command, seconds = spec["command"], spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
@@ -197,6 +226,8 @@ def main(argv=None):
     out = ROOT / ("BENCH_%d.json" % args.pr)
     out.write_text(json.dumps(report, indent=1) + "\n")
     print("wrote %s" % out)
+    for line in median_lines(report["workloads"], bounds):
+        print(line)
     for line in verdict_lines(report["workloads"]):
         print(line)
     clean = all(

@@ -68,13 +68,12 @@ Each Ideal builds its certificate once and keeps it, so its dimension
 memberships all rest on one exact graded basis.
 
 The unit ideal is no exception: its reduced basis is [1], its staircase
-{1}, and it is lifted and reproduced like any output.  The basis check
-proves only that the ideal lies in <1>, so a whole basis [1] of
-inhomogeneous generators must pass the certificate as well (homogeneous
-generators hold 1 only through a constant generator).  Neither check runs
-on a basis above _EXACT_CHECK_BIT_CAP bits; the fresh-prime verdict then
-stands, and an elimination, a whole basis or a unit ideal accepted that
-way raises an UncertifiedResult warning.
+{1}, and it is lifted, reproduced and proved like any output.  [1] passes
+the basis check trivially; Arnold's argument then covers it on
+homogeneous generators, and the certificate on any others.  Neither check
+runs on a basis above _EXACT_CHECK_BIT_CAP bits; the fresh-prime verdict
+then stands, and an elimination, a whole basis or a unit ideal accepted
+that way raises an UncertifiedResult warning.
 
 Node 0 of an elimination chain runs no Buchberger when its certificate is
 exact: modulo a prime that divides none of its coefficients, G stays a
@@ -104,15 +103,13 @@ element, with no zero retried and no pair bookkeeping.  One prime is not
 enough for trust: a generator that vanishes there is never reduced again,
 so a trusted replay repeats a wrong staircase, and a missing relation is
 invisible to a membership test; a checked replay retries that zero and
-fails.  A node whose checked replay fails runs in full, and its new trace
-replaces the old one; a prime that a trusted trace leaves is unlucky for
-that node, which runs there in full untraced and keeps its trace.  A
-candidate that fails its exact check makes every trace untrusted again,
-and checked replays resume.  The certificates stay exact: a replayed
-ideal lies inside <g^h> mod p, and its elements have the leading monomials
-of the lifted basis G, so Arnold's chain still closes, HF(<G>) <=
-HF(<g^h>) <= HF(<g^h> mod p) <= HF(replayed ideal) <= HF(<LM(G)>) =
-HF(<G>).
+fails.  A node whose replay fails, checked or trusted, runs in full, and
+its fresh, untrusted trace replaces the old one.  A candidate that fails
+its exact check makes every trace untrusted again, and checked replays
+resume.  The certificates stay exact: a replayed ideal lies inside <g^h>
+mod p, and its elements have the leading monomials of the lifted basis
+G, so Arnold's chain still closes, HF(<G>) <= HF(<g^h>) <= HF(<g^h> mod
+p) <= HF(replayed ideal) <= HF(<LM(G)>) = HF(<G>).
 """
 
 from __future__ import annotations
@@ -654,7 +651,7 @@ class _Trace:
     element.
 
     A trace starts untrusted; `trusted` is set once a checked replay of it
-    completes at another prime (see `_core_buchberger`).
+    completes at another prime (see `_replay_buchberger`).
     """
 
     def __init__(self):
@@ -708,16 +705,11 @@ def _core_buchberger(gens, engine, trace=None):
 
     A fresh `_Trace` records the run: every reduction, zeros included, and
     each of the final inter-reduction keeps its schedule.  A recorded one
-    is replayed instead, on trust once trusted and checked before; a
-    checked replay that completes makes it trusted.  A replay that leaves
-    the trace raises _TraceMismatch (see `_replay_buchberger`).
+    is replayed instead, and a replay that leaves it raises _TraceMismatch
+    (see `_replay_buchberger`).
     """
     if trace is not None and trace.kept is not None:
-        elems = _replay_buchberger(
-            gens, engine, trace, checked=not trace.trusted
-        )
-        trace.trusted = True
-        return elems
+        return _replay_buchberger(gens, engine, trace)
     codec = engine.codec
     one_key = codec.one_key
     basis = []
@@ -774,7 +766,7 @@ def _core_buchberger(gens, engine, trace=None):
     return _inter_reduce([basis[k] for k in kept], engine, schedules)
 
 
-def _replay_buchberger(gens, engine, trace, checked=False):
+def _replay_buchberger(gens, engine, trace):
     """`_core_buchberger` at another prime along a recorded `_Trace`
     (Traverso, "Groebner trace algorithms", ISSAC 1988, in the strong
     form of Faugere's F4 symbolic preprocessing, JPAA 139, 1999).
@@ -784,27 +776,28 @@ def _replay_buchberger(gens, engine, trace, checked=False):
     or selected; the final inter-reduction replays its schedules too.  A
     reduction that leaves a reducible term outside its record, or whose
     leading key differs from the record, raises _TraceMismatch; otherwise
-    it is the reduction `reduce` would make here by the same reducers.
+    it is the reduction `reduce` would make here by the same reducers.  A
+    replay that completes trusts the trace.
 
-    Checked, every entry is replayed, and a reduction to zero must vanish
-    again.  A checked replay that completes is a whole Buchberger run at
-    this prime: it installs the same leading keys in the same order as the
-    recorded run, and the Gebauer-Moller update (`_update_pairs`) reads
-    only leading monomials and install order, so it keeps and prunes the
-    same pairs; each surviving pair was reduced, by reducers with the
-    recorded leading keys, to zero or to an installed element.  Only the
-    order in which pairs are taken may differ from a run here, and no
-    order changes the basis: the result is this prime's unique reduced
-    basis.  A generator that vanishes at the recording prime only is a
-    zero entry, and fails here.
+    An untrusted trace is replayed checked: every entry, and a reduction to
+    zero must vanish again.  A checked replay that completes is a whole
+    Buchberger run at this prime: it installs the same leading keys in the
+    same order as the recorded run, and the Gebauer-Moller update
+    (`_update_pairs`) reads only leading monomials and install order, so it
+    keeps and prunes the same pairs; each surviving pair was reduced, by
+    reducers with the recorded leading keys, to zero or to an installed
+    element.  Only the order in which pairs are taken may differ from a run
+    here, and no order changes the basis: the result is this prime's unique
+    reduced basis.  A generator that vanishes at the recording prime only
+    is a zero entry, and fails here.
 
-    Trusted, only the entries that installed an element are replayed, and
-    a step that reduced to zero at the recording prime is not retried.
-    The replayed elements generate an ideal J inside the ideal I of the
-    generators, with the recorded leading monomials, so J may be smaller.
-    When I has the recorded staircase too, LT(I) lies in LT(J), so J = I
-    and the result is I's reduced basis; the caller trusts only traces
-    that two primes agree on, and its exact checks refute the rest (for
+    A trusted trace is replayed on trust: only the entries that installed
+    an element, with no zero retried.  The replayed elements generate an
+    ideal J inside the ideal I of the generators, with the recorded leading
+    monomials, so J may be smaller.  When I has the recorded staircase too,
+    LT(I) lies in LT(J), so J = I and the result is I's reduced basis.
+    Only a checked replay trusts a trace, so two primes agree on every
+    trusted one, and the caller's exact checks refute the rest (for
     homogeneous generators g, Arnold's chain HF(<G>) <= HF(<g>) <=
     HF(<g> mod p) <= HF(J) <= HF(<LM(G)>) = HF(<G>) proves a lifted basis G
     with the replayed staircase exact).
@@ -814,7 +807,7 @@ def _replay_buchberger(gens, engine, trace, checked=False):
     basis = []
     tails = {}
     for source, lt, schedule in trace.entries:
-        if lt is None and not checked:
+        if lt is None and trace.trusted:
             continue
         if isinstance(source, tuple):
             target = engine.spoly(basis[source[0]], basis[source[1]])
@@ -834,6 +827,7 @@ def _replay_buchberger(gens, engine, trace, checked=False):
         elems.append(t)
         lt, tail = engine.reducer_entry(t)
         tails[lt] = tail
+    trace.trusted = True
     return elems
 
 
@@ -1069,8 +1063,12 @@ class UncertifiedResult(UserWarning):
 
 
 class _Certificate:
-    """Exact membership in the ideal I of integer generators, packed under
-    any codec of the ring named `names`.
+    """Exact membership in an ideal I, for polynomials packed under any
+    codec of its ring.
+
+    It keeps I's ring, its generators and whether they are all
+    homogeneous, not the Ideal, which keeps the certificate: a reference
+    back would make a cycle that only the cycle collector frees.
 
     The proof runs through the homogenized generators g^h, with a new
     variable h placed last.  `graded_basis` lifts their reduced graded
@@ -1093,10 +1091,13 @@ class _Certificate:
     return None, and `basis` rests on fresh-prime agreement.
     """
 
-    def __init__(self, gens_int, names):
-        self.gens = gens_int
-        self.names = tuple(names)
-        self.codec = _Codec((range(len(self.names)),))
+    def __init__(self, ideal: Ideal):
+        self.ring = ideal.ring
+        self.generators = ideal.generators
+        self.homogeneous = all(
+            len({sum(m) for m in g.terms}) == 1 for g in self.generators
+        )
+        self.codec = _Codec((range(self.ring.nvars),))
         self.bits = None
         self._basis = None
         self._reducers = None
@@ -1104,22 +1105,14 @@ class _Certificate:
 
     def _build(self):
         n = self.codec.nvars
-        ring = PolynomialRing(
-            self.names + (fresh_variable_name(self.names, "h"),)
-        )
+        names = self.ring.variables
+        ring = extend_ring(self.ring, fresh_variable_name(names, "h"))
         homogenized = []
-        for t in self.gens:
-            exps = [self.codec.unpack(m) for m in t]
-            top = max(sum(e) for e in exps)
-            homogenized.append(
-                Polynomial(
-                    ring,
-                    {
-                        e + (top - sum(e),): Fraction(c)
-                        for e, c in zip(exps, t.values())
-                    },
-                )
-            )
+        for g in self.generators:
+            top = g.total_degree()
+            homogenized.append(Polynomial(
+                ring, {m + (top - sum(m),): c for m, c in g.terms.items()}
+            ))
         basis = self._basis = [
             _IntegerArith.normalize_fractions(
                 {self.codec.pack(m[:n]): c for m, c in g.terms.items()}
@@ -1180,7 +1173,7 @@ class _Certificate:
             UncertifiedResult(
                 "%s; its certificate in (%s), a graded basis of %d bits, "
                 "is above the exact-check cap of %d bits"
-                % (what, ", ".join(self.names), self.bits,
+                % (what, ", ".join(self.ring.variables), self.bits,
                    _EXACT_CHECK_BIT_CAP)
             )
         )
@@ -1205,12 +1198,9 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
     is there.
 
     `traces` maps a node to its one trace and is updated in place.  A node
-    with none runs in full and records one.  An untrusted trace is
-    replayed checked, which makes it trusted when the replay completes;
-    when it does not, the node runs in full and its new trace replaces the
-    old one.  A trusted trace is replayed on trust; a prime that it leaves
-    is unlucky for the node, which runs in full untraced, and the trace
-    stays (see `_core_buchberger`).
+    with a trace replays it, checked or on trust (see
+    `_replay_buchberger`).  A node with none, or whose replay leaves its
+    trace, runs in full and records a fresh, untrusted trace in its place.
 
     With `seed_is_basis` the generators are a Groebner basis under
     codecs[0] whose coefficients p does not divide, so modulo p they stay
@@ -1220,13 +1210,11 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
 
     def run(node, elems):
         engine = _ModularArith(p, codecs[node])
-        trace = traces.get(node)
-        if trace is not None:
+        if node in traces:
             try:
-                return _core_buchberger(elems, engine, trace)
+                return _core_buchberger(elems, engine, traces[node])
             except _TraceMismatch:
-                if trace.trusted:
-                    return _core_buchberger(elems, engine)
+                pass
         trace = traces[node] = _Trace()
         return _core_buchberger(elems, engine, trace)
 
@@ -1347,18 +1335,18 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     ideal, which proves the converse; a candidate that fails takes more
     primes.  On homogeneous generators the basis check suffices, since the
     staircases agree (Arnold's argument, see `_Certificate`).  The unit
-    ideal is the candidate [1] with staircase {1}: the basis check proves
-    nothing for it, and when the certificate's generators are homogeneous
-    the ideal holds 1 only through a constant generator, which needs no
-    proof.  A prime that divides a coefficient of `gens_int` is skipped.
+    ideal is no exception: its candidate [1], with staircase {1}, passes
+    the basis check trivially and is proved like any other output.  A
+    prime that divides a coefficient of `gens_int` is skipped.
 
     Each node keeps one trace (see `_chain_mod_p`).  The first prime
     records it in a full run; a priced stage that the tree does not use
     drops its trace.  The second prime replays it checked, which is a
     whole run at that prime when it completes, so a node's second prime
     is arithmetic only, and later primes replay the trace on trust.  A
-    candidate that fails its check makes every trace untrusted again, and
-    checked replays resume.
+    replay that leaves its trace, at any prime, gives way to a fresh trace
+    recorded there.  A candidate that fails its check makes every trace
+    untrusted again, and checked replays resume.
 
     Returns the lifted outputs (drop set -> integer dicts, keyed under its
     node's codec).  Raises InternalInvariantError when the prime agenda is
@@ -1387,9 +1375,6 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     pending = list(dict.fromkeys(frozenset(d) for d in drops))
     if not gens_int:
         return {d: [] for d in pending}
-    homogeneous = all(
-        len({seed_codec.degree(m) for m in t}) == 1 for t in certificate.gens
-    )
     states = {d: {} for d in pending}
     lifted = {}
     index = 0
@@ -1440,28 +1425,28 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
                 _candidate_mod_p(state.last_candidate, p) == out
             ):
                 candidate = state.last_candidate
-                unit = candidate == [{codecs[o].one_key: 1}]
                 verdict = True
-                if o == 0 and not unit:
+                if o == 0:
                     # the ideal lies in the candidate's
                     verdict = _exact_size(candidate) > _EXACT_CHECK_BIT_CAP or (
                         _exact_basis_check(gens_int, candidate, seed_codec)
                     )
                 # on homogeneous generators a basis that passed its check
-                # is exact, and 1 lies in the ideal modulo p only when a
-                # generator is constant
-                if verdict and (not homogeneous or o and not unit):
+                # is exact
+                if verdict and (o or not certificate.homogeneous):
                     # the candidate lies in the ideal
                     verdict = certificate.covers(candidate)
                     if verdict is None:
+                        unit = candidate == [{codecs[o].one_key: 1}]
+                        names = certificate.ring.variables
                         certificate.uncertified(
                             "the unit ideal rests on two prime votes" if unit
                             else "the basis in (%s) rests on fresh-prime "
-                            "agreement" % ", ".join(certificate.names)
+                            "agreement" % ", ".join(names)
                             if not o
                             else "the elimination onto (%s) rests on "
                             "fresh-prime agreement"
-                            % ", ".join(certificate.names[j] for j in range(n)
+                            % ", ".join(names[j] for j in range(n)
                                         if j not in d)
                         )
                 if verdict is not False:
@@ -1493,11 +1478,7 @@ def _certificate(ideal: Ideal) -> _Certificate:
     so that every question asked of one instance shares it."""
     certificate = ideal.__dict__.get("_certificate")
     if certificate is None:
-        codec = _Codec((range(ideal.ring.nvars),))
-        certificate = _Certificate(
-            [_to_engine(g, codec) for g in ideal.generators],
-            ideal.ring.variables,
-        )
+        certificate = _Certificate(ideal)
         object.__setattr__(ideal, "_certificate", certificate)
     return certificate
 

@@ -229,10 +229,11 @@ def nonproperness_values(
 
     escape_vars selects which coordinates count as escape directions
     (default: all but z); auxiliary localization variables should be
-    excluded by the caller.  Components where f is constant contribute
-    their value and raise the vertical_component flag; the result is a
-    superset of the exact non-properness set whenever such components are
-    present.
+    excluded by the caller.  An index that names no such coordinate raises
+    ValueError before any Groebner work, and a repeated one is read once.
+    Components where f is constant contribute their value and raise the
+    vertical_component flag; the result is a superset of the exact
+    non-properness set whenever such components are present.
 
     The graph is isomorphic to the curve, so its dimension is the curve's.
     One modular elimination chain (`groebner._eliminations`) lifts, for
@@ -249,6 +250,12 @@ def nonproperness_values(
     and that relation is its generator.  Only with no escape variables is
     the value line lifted directly, by `value_line`'s own chain.
     """
+    n = graph.z_index
+    escape_vars = list(dict.fromkeys(
+        range(n) if escape_vars is None else escape_vars
+    ))
+    if not all(0 <= i < n for i in escape_vars):
+        raise ValueError("var_index must name a non-value variable")
     certificate = _certificate(graph.ideal)
     dim = affine_dimension(graph.ideal)
     if dim < 0:
@@ -256,10 +263,6 @@ def nonproperness_values(
     if dim > 1:
         raise NotACurveError("ideal has dimension %d, expected at most 1" % dim)
 
-    n = graph.z_index
-    if escape_vars is None:
-        escape_vars = range(n)
-    escape_vars = list(escape_vars)
     drops = {
         i: frozenset(j for j in range(n) if j != i) for i in escape_vars
     }

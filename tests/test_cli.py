@@ -1,6 +1,8 @@
 """Command-line interface: parsing, configuration, serialization, exit codes."""
 
+import gc
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -378,3 +380,52 @@ class TestMainExitCodes:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestReportWork:
+    def test_no_certificate_outlives_its_report(self, capsys):
+        # a certificate keeps its ideal's ring and generators, never the
+        # Ideal that keeps it, so no cycle holds it until the cycle
+        # collector runs
+        def certificates():
+            return sum(
+                isinstance(o, groebner._Certificate) for o in gc.get_objects()
+            )
+
+        argv = ["x^2*y", "--vars", "x,y", "--method", "both", "--json"]
+        gc.collect()
+        gc.disable()
+        try:
+            before = certificates()
+            assert main(argv) == 0
+            after = certificates()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert after == before
+
+    def test_buchberger_work_of_one_report_by_kind(self, monkeypatch, capsys):
+        # the golden x_plus_x2y_xyu_super_polar report (seed 0, bound 5):
+        # each node runs in full at its first prime, replays checked at
+        # its second and on trust after, so these counts move only when
+        # the modular chain does more or less work
+        work = Counter()
+        core = groebner._core_buchberger
+        replay = groebner._replay_buchberger
+
+        def counting_core(gens, engine, trace=None):
+            if trace is None or trace.kept is None:
+                work["full"] += 1
+            return core(gens, engine, trace)
+
+        def counting_replay(gens, engine, trace):
+            work["trusted" if trace.trusted else "checked"] += 1
+            return replay(gens, engine, trace)
+
+        monkeypatch.setattr(groebner, "_core_buchberger", counting_core)
+        monkeypatch.setattr(groebner, "_replay_buchberger", counting_replay)
+        argv = ["x + x^2*y", "--vars", "x,y,u", "--method", "super_polar",
+                "--runs", "1", "--coeff-bound", "5", "--json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert work == {"full": 8, "checked": 7, "trusted": 2}

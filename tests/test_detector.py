@@ -263,9 +263,13 @@ class TestReportShape:
 
 
 def _ideal_of(certificate):
-    """The ideal a certificate stands for: its ring and its generators."""
-    return certificate.names, frozenset(
-        frozenset(t.items()) for t in certificate.gens
+    """The ideal a certificate stands for: its ring and its generators,
+    each made primitive."""
+    from polarvalues.groebner import _to_engine
+
+    return certificate.ring.variables, frozenset(
+        frozenset(_to_engine(g, certificate.codec).items())
+        for g in certificate.generators
     )
 
 
@@ -308,10 +312,7 @@ class TestOneCertificatePerIdeal:
         assert len(graphs) >= 2
         bases = set()
         for base, _ in graphs:
-            codec = groebner._Codec((range(base.ring.nvars),))
-            gens = [groebner._to_engine(g, codec) for g in base.generators]
-            certificate = groebner._Certificate(gens, base.ring.variables)
-            bases.add(_ideal_of(certificate))
+            bases.add(_ideal_of(groebner._Certificate(base)))
         assert not [c for c in chains if _ideal_of(c) in bases]
         for _, graph in graphs:
             shared = groebner._certificate(graph.ideal)

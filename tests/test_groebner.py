@@ -218,7 +218,8 @@ class TestBuchbergerKnownBases:
         ideal = Ideal(R2, [g])
         codec = groebner._Codec(((0,), (1,)))
         chain = groebner._modular_chain(
-            [groebner._to_engine(g, codec)], codec, _certificate(ideal)
+            [groebner._to_engine(g, codec)], codec,
+            groebner._Certificate(ideal),
         )[frozenset()]
         assert buchberger(ideal).elements == tuple(
             groebner._from_engine(t, codec, R2) for t in chain
@@ -652,7 +653,7 @@ class TestIntegerReduce:
              if a + b}
         )
         target = X3**9 + tail
-        certificate = _certificate(ideal)
+        certificate = groebner._Certificate(ideal)
         certificate.basis()
         reducers = certificate._reducers = _CountingList(
             certificate._reducers
@@ -848,7 +849,7 @@ class TestPlannedTree:
         ring, gens, drops = case
         ideal = Ideal(ring, [ring.polynomial(t) for t in gens])
         codec = groebner._Codec((range(ring.nvars),))
-        certificate = _certificate(ideal)
+        certificate = groebner._Certificate(ideal)
         seed = certificate.basis()
         priced = groebner._modular_chain(seed, codec, certificate, drops)
         with pytest.MonkeyPatch.context() as patch:
@@ -1057,9 +1058,7 @@ class TestTraceReplay:
         image = [{m: c % p for m, c in t.items()} for t in gens_int]
         full = groebner._core_buchberger(image, engine)
         try:
-            replayed = groebner._replay_buchberger(
-                image, engine, trace, checked=True
-            )
+            replayed = groebner._replay_buchberger(image, engine, trace)
         except groebner._TraceMismatch:
             return
         assert replayed == full
@@ -1086,7 +1085,7 @@ class TestTraceReplay:
         engine = groebner._ModularArith(p1, codec)
         image = [{m: c % p1 for m, c in t.items()} for t in gens]
         with pytest.raises(groebner._TraceMismatch):
-            groebner._replay_buchberger(image, engine, guide, checked=True)
+            groebner._replay_buchberger(image, engine, guide)
         full = groebner._core_buchberger(image, engine)
         assert len(full) == 2
         traces = {0: guide}
@@ -1149,40 +1148,35 @@ class TestTraceReplay:
         assert bases[0] == full
         assert traces[0] is not recorded and traces[0].kept is not None
 
-    def test_unlucky_prime_keeps_the_trusted_trace(self, monkeypatch):
-        # the trace of X^2 + Y, 3XY + X + 1 recorded at 32003 is trusted
-        # once p0 replays it checked; modulo 3 the second generator loses
-        # its leading term, so that prime runs in full untraced, and the
-        # trace stays trusted: p1 replays it with no pair bookkeeping
-        codec, gens = _lost_leading_term()
+    def test_failed_trusted_replay_records_anew(self):
+        # modulo 3 and 5 the second generator of X^2 + Y, 15XY + X + 1
+        # loses its leading term, so 3 records a trace that 5's checked
+        # replay trusts.  At 32003 the trusted replay leaves it: that prime
+        # runs in full and its fresh, untrusted trace takes the old one's
+        # place, which the checked replay at p0 trusts in turn
+        codec = groebner._Codec((range(2),))
+        gens = [
+            groebner._to_engine(g, codec)
+            for g in (X**2 + Y, 15 * X * Y + X + 1)
+        ]
         traces = {}
-        groebner._chain_mod_p(32003, gens, [codec], (), [0], {0}, traces)
-        trace = traces[0]
-        groebner._chain_mod_p(
-            groebner._agenda_prime(0), gens, [codec], (), [0], {0}, traces
-        )
-        assert traces[0] is trace and trace.trusted
-        bases = groebner._chain_mod_p(3, gens, [codec], (), [0], {0}, traces)
-        assert bases[0] == groebner._core_buchberger(
-            [{m: c % 3 for m, c in t.items()} for t in gens],
-            groebner._ModularArith(3, codec),
-        )
-        assert traces[0] is trace and trace.trusted
-        p1 = groebner._agenda_prime(1)
-        full = groebner._core_buchberger(
-            [{m: c % p1 for m, c in t.items()} for t in gens],
-            groebner._ModularArith(p1, codec),
-        )
-        updates = [0]
-        update = groebner._update_pairs
-
-        def counting_update(*args):
-            updates[0] += 1
-            return update(*args)
-
-        monkeypatch.setattr(groebner, "_update_pairs", counting_update)
-        bases = groebner._chain_mod_p(p1, gens, [codec], (), [0], {0}, traces)
-        assert bases[0] == full and updates == [0]
+        for p in (3, 5):
+            groebner._chain_mod_p(p, gens, [codec], (), [0], {0}, traces)
+        trusted = traces[0]
+        assert trusted.trusted
+        for p in (32003, groebner._agenda_prime(0)):
+            bases = groebner._chain_mod_p(
+                p, gens, [codec], (), [0], {0}, traces
+            )
+            assert bases[0] == groebner._core_buchberger(
+                [{m: c % p for m, c in t.items()} for t in gens],
+                groebner._ModularArith(p, codec),
+            )
+            if p == 32003:
+                fresh = traces[0]
+                assert fresh is not trusted and not fresh.trusted
+                assert fresh.entries != trusted.entries
+        assert traces[0] is fresh and fresh.trusted
 
     def test_completed_checked_replay_trusts_the_trace(self):
         # a trace recorded at 32003 starts untrusted; its checked replay at
@@ -1478,12 +1472,6 @@ class TestTraceReplay:
             assert all(w["updates"] == w["zeros"] == 0 for w in later)
 
 
-def _certificate(ideal):
-    codec = groebner._Codec((range(ideal.ring.nvars),))
-    gens = [groebner._to_engine(g, codec) for g in ideal.generators]
-    return groebner._Certificate(gens, ideal.ring.variables)
-
-
 class TestCertificate:
     def test_unit_votes_of_two_agenda_primes_overruled(self):
         # N = 1 + p0*p1 is 1 modulo the first two agenda primes, where the
@@ -1501,7 +1489,7 @@ class TestCertificate:
             (big - 1) * X + big - 2,
         )
         assert not graded_basis(ideal)[0].is_constant()
-        certificate = _certificate(ideal)
+        certificate = groebner._Certificate(ideal)
         assert certificate.covers([{certificate.codec.one_key: 1}]) is False
 
     def test_dimension_of_a_line_hidden_by_two_agenda_primes(self):
@@ -1566,7 +1554,7 @@ class TestCertificate:
         ) == [one]
         # the exact basis check proves only that the ideal lies in <1>
         assert groebner._exact_basis_check(gens, [one], codec)
-        certificate = _certificate(ideal)
+        certificate = groebner._Certificate(ideal)
         assert certificate.member(one) is False
         assert certificate.covers([one]) is False
         assert affine_dimension(ideal) == 0
@@ -2058,11 +2046,13 @@ class TestLiftCost:
             primes.append(engine.p)
             return core(gens, engine, trace)
 
-        names = tuple("x%d" % i for i in range(nvars))
+        ring = PolynomialRing(tuple("x%d" % i for i in range(nvars)))
         gens = [dict(t) for t in reversed(expected)]
         # the inhomogeneous basis is proved by the certificate too; its own
         # chain is built first and not counted
-        certificate = groebner._Certificate(gens, names)
+        certificate = groebner._Certificate(Ideal(
+            ring, [groebner._from_engine(t, codec, ring) for t in gens]
+        ))
         certificate.basis()
         monkeypatch.setattr(
             groebner, "_rational_reconstruct", counting_reconstruct

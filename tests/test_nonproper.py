@@ -163,6 +163,34 @@ class TestNonProperness:
         vs = nonproperness_values(graph, escape_vars=[1])
         assert vs.exact_rational_roots == (Fraction(0),)
 
+    @pytest.mark.parametrize("bad", [2, -1, 3])
+    def test_bad_escape_var_is_refused_before_any_chain(
+        self, monkeypatch, bad
+    ):
+        # z (index 2), a negative index and one past the ring name no
+        # escape direction: refused before the certificate's chain runs
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a modular chain ran")
+
+        monkeypatch.setattr(groebner, "_modular_chain", no_chain)
+        graph = graph_ideal(Ideal(R2, [X * Y - 1]), X)
+        with pytest.raises(ValueError, match="non-value variable"):
+            nonproperness_values(graph, escape_vars=[0, bad])
+
+    def test_repeated_escape_var_is_read_once(self, monkeypatch):
+        calls = Counter()
+        relation = nonproper_module.fiber_relation
+
+        def counting(graph, var_index, seed_elements=None):
+            calls[var_index] += 1
+            return relation(graph, var_index, seed_elements)
+
+        monkeypatch.setattr(nonproper_module, "fiber_relation", counting)
+        graph = graph_ideal(Ideal(R2, [X * Y - 1]), X)
+        vs = nonproperness_values(graph, escape_vars=[1, 0, 1])
+        assert calls == {0: 1, 1: 1}
+        assert vs == nonproperness_values(graph)
+
     def test_parabola_projection_proper(self):
         # y = x^2 projects properly under f = y
         vs = nonproperness_values(graph_ideal(Ideal(R2, [Y - X**2]), Y))

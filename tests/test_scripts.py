@@ -164,6 +164,65 @@ def test_bench_json_summarizes_and_fails_on_a_bad_run(
         ]
 
 
+def test_bench_json_marks_a_metric_worse_beyond_its_bound(
+    tmp_path, monkeypatch, capsys
+):
+    # synthetic runs: each metric's medians are printed, a change worse
+    # than the parent by more than the metric's relative bound is marked
+    # whichever its direction, and the exit status still reads only
+    # failures and correctness
+    import json
+
+    bench = _load_bench_json()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"],
+        "run_seconds": 1,
+        "workloads": [{"name": "small"}],
+        "end_to_end": [
+            {"name": "report_s", "better": "lower", "bound": 0.15},
+            {"name": "reports_per_s", "better": "higher", "bound": 0.15},
+            {"name": "setup_s", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        ],
+    }))
+    values = {  # name -> (parent, change, unit)
+        "report_s": (0.1, 0.11, "s"),
+        "reports_per_s": (10.0, 8.0, "1/s"),
+        "setup_s": (2.0, 1.0, "s"),
+        "peak_rss_mb": (20.0, 23.0, "MB"),
+    }
+
+    def run_once(checkout, command, workload, seed, seconds):
+        side = checkout.name == "change"
+        return {
+            "correct": True,
+            "attempted": 10,
+            "failed": 0,
+            "metrics": {
+                name: {"value": value[side], "unit": value[2]}
+                for name, value in values.items()
+            },
+        }
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "revision", lambda checkout: "abc1234")
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["--parent", str(parent), "--change", str(change),
+                       "--pr", "7", "--seeds", "1-3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-5:-1] == [
+        "small report_s: median parent 0.1 s, change 0.11 s (+10.0%)",
+        "small reports_per_s: median parent 10 1/s, change 8 1/s (-20.0%); "
+        "WORSE beyond bound 15%",
+        "small setup_s: median parent 2 s, change 1 s (-50.0%)",
+        "small peak_rss_mb: median parent 20 MB, change 23 MB (+15.0%); "
+        "WORSE beyond bound 10%",
+    ]
+
+
 def test_bench_json_revision_needs_its_own_work_tree(tmp_path):
     # a copy without .git names no revision; inside another work tree
     # git would describe that one, so both are refused
