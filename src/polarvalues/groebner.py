@@ -72,8 +72,9 @@ The unit ideal is no exception: its reduced basis is [1], its staircase
 the basis check trivially; Arnold's argument then covers it on
 homogeneous generators, and the certificate on any others.  Neither check
 runs on a basis above _EXACT_CHECK_BIT_CAP bits; the fresh-prime verdict
-then stands, and an elimination, a whole basis or a unit ideal accepted
-that way raises an UncertifiedResult warning.
+then stands, and an elimination, a whole basis of inhomogeneous
+generators or a unit ideal accepted that way raises an UncertifiedResult
+warning.
 
 Node 0 of an elimination chain runs no Buchberger when its certificate is
 exact: modulo a prime that divides none of its coefficients, G stays a
@@ -91,25 +92,25 @@ preprocessing of F4 (Faugere, JPAA 139, 1999); only a nonzero term outside
 the record is tested for a divisor.  Such a divisor, or a reduction with
 another leading monomial, sends that node back to a full run.
 
-Only the first prime runs a node's Buchberger in full.  The second
-replays its trace checked: every reduction again, and each zero must
-vanish again.  A checked replay that completes installs the same leading
-monomials in the same order, so the pair criteria keep and prune the same
-pairs, each of which was reduced to zero or installed: it is a whole
-Buchberger run at that prime, and returns that prime's reduced basis.
-Two primes then agree on the node's trace, which becomes trusted: each
-later prime replays it on trust, only the reductions that installed an
-element, with no zero retried and no pair bookkeeping.  One prime is not
-enough for trust: a generator that vanishes there is never reduced again,
-so a trusted replay repeats a wrong staircase, and a missing relation is
-invisible to a membership test; a checked replay retries that zero and
-fails.  A node whose replay fails, checked or trusted, runs in full, and
-its fresh, untrusted trace replaces the old one.  A candidate that fails
-its exact check makes every trace untrusted again, and checked replays
-resume.  The certificates stay exact: a replayed ideal lies inside <g^h>
-mod p, and its elements have the leading monomials of the lifted basis
-G, so Arnold's chain still closes, HF(<G>) <= HF(<g^h>) <= HF(<g^h> mod
-p) <= HF(replayed ideal) <= HF(<LM(G)>) = HF(<G>).
+Only the first prime runs a node's Buchberger in full; every later
+prime replays each entry its trace holds.  The second replays every
+reduction, and each zero must vanish again.  Such a replay that completes
+installs the same leading monomials in the same order, so the pair
+criteria keep and prune the same pairs, each of which was reduced to zero
+or installed: it is a whole Buchberger run at that prime, and returns
+that prime's reduced basis.  It then drops the zeros, which have vanished
+at two primes, so later primes replay only the reductions that installed
+an element, with no pair bookkeeping.  One prime is not enough to drop a
+zero: a generator that vanishes there is never reduced again, so the
+replay repeats a wrong staircase, and a missing relation is invisible to
+a membership test; the second prime retries that zero and fails.  A node
+whose replay fails runs in full, and its fresh trace, zeros included,
+replaces the old one.  A candidate that fails its exact check clears
+every trace, and the next prime records anew.  The certificates stay
+exact: a replayed ideal lies inside <g^h> mod p, and its elements have
+the leading monomials of the lifted basis G, so Arnold's chain still
+closes, HF(<G>) <= HF(<g^h>) <= HF(<g^h> mod p) <= HF(replayed ideal) <=
+HF(<LM(G)>) = HF(<G>).
 """
 
 from __future__ import annotations
@@ -648,10 +649,8 @@ class _Trace:
     keys it left.  `ngens` is the generator count, `kept` the install
     indices of the minimal basis (None until the run is recorded) and
     `final` the schedules of the final inter-reduction, one per kept
-    element.
-
-    A trace starts untrusted; `trusted` is set once a checked replay of it
-    completes at another prime (see `_replay_buchberger`).
+    element.  A replay that completes at another prime drops the zero
+    entries (see `_replay_buchberger`).
     """
 
     def __init__(self):
@@ -659,7 +658,6 @@ class _Trace:
         self.entries = []
         self.kept = None
         self.final = []
-        self.trusted = False
 
 
 def _minimal(basis, guard):
@@ -704,12 +702,8 @@ def _core_buchberger(gens, engine, trace=None):
     of the unit ideal is [{one_key: 1}].
 
     A fresh `_Trace` records the run: every reduction, zeros included, and
-    each of the final inter-reduction keeps its schedule.  A recorded one
-    is replayed instead, and a replay that leaves it raises _TraceMismatch
-    (see `_replay_buchberger`).
+    each of the final inter-reduction keeps its schedule.
     """
-    if trace is not None and trace.kept is not None:
-        return _replay_buchberger(gens, engine, trace)
     codec = engine.codec
     one_key = codec.one_key
     basis = []
@@ -776,39 +770,37 @@ def _replay_buchberger(gens, engine, trace):
     or selected; the final inter-reduction replays its schedules too.  A
     reduction that leaves a reducible term outside its record, or whose
     leading key differs from the record, raises _TraceMismatch; otherwise
-    it is the reduction `reduce` would make here by the same reducers.  A
-    replay that completes trusts the trace.
+    it is the reduction `reduce` would make here by the same reducers.
 
-    An untrusted trace is replayed checked: every entry, and a reduction to
-    zero must vanish again.  A checked replay that completes is a whole
-    Buchberger run at this prime: it installs the same leading keys in the
-    same order as the recorded run, and the Gebauer-Moller update
-    (`_update_pairs`) reads only leading monomials and install order, so it
-    keeps and prunes the same pairs; each surviving pair was reduced, by
-    reducers with the recorded leading keys, to zero or to an installed
-    element.  Only the order in which pairs are taken may differ from a run
-    here, and no order changes the basis: the result is this prime's unique
-    reduced basis.  A generator that vanishes at the recording prime only
-    is a zero entry, and fails here.
+    Every entry the trace holds is replayed.  While it holds the zeros of
+    its full run, a reduction to zero must vanish again, and a replay that
+    completes is a whole Buchberger run at this prime: it installs the
+    same leading keys in the same order as the recorded run, and the
+    Gebauer-Moller update (`_update_pairs`) reads only leading monomials
+    and install order, so it keeps and prunes the same pairs; each
+    surviving pair was reduced, by reducers with the recorded leading
+    keys, to zero or to an installed element.  Only the order in which
+    pairs are taken may differ from a run here, and no order changes the
+    basis: the result is this prime's unique reduced basis.  A generator
+    that vanishes at the recording prime only is a zero entry, and fails
+    here.
 
-    A trusted trace is replayed on trust: only the entries that installed
-    an element, with no zero retried.  The replayed elements generate an
-    ideal J inside the ideal I of the generators, with the recorded leading
-    monomials, so J may be smaller.  When I has the recorded staircase too,
-    LT(I) lies in LT(J), so J = I and the result is I's reduced basis.
-    Only a checked replay trusts a trace, so two primes agree on every
-    trusted one, and the caller's exact checks refute the rest (for
-    homogeneous generators g, Arnold's chain HF(<G>) <= HF(<g>) <=
-    HF(<g> mod p) <= HF(J) <= HF(<LM(G)>) = HF(<G>) proves a lifted basis G
-    with the replayed staircase exact).
+    A replay that completes drops the zero entries, so later replays make
+    only the reductions that installed an element.  Their elements
+    generate an ideal J inside the ideal I of the generators, with the
+    recorded leading monomials, so J may be smaller.  When I has the
+    recorded staircase too, LT(I) lies in LT(J), so J = I and the result is
+    I's reduced basis.  Every dropped zero vanished at two primes, and the
+    caller's exact checks refute the rest (for homogeneous generators g,
+    Arnold's chain HF(<G>) <= HF(<g>) <= HF(<g> mod p) <= HF(J) <=
+    HF(<LM(G)>) = HF(<G>) proves a lifted basis G with the replayed
+    staircase exact).
     """
     if len(gens) != trace.ngens:
         raise _TraceMismatch()
     basis = []
     tails = {}
     for source, lt, schedule in trace.entries:
-        if lt is None and trace.trusted:
-            continue
         if isinstance(source, tuple):
             target = engine.spoly(basis[source[0]], basis[source[1]])
         else:
@@ -827,7 +819,7 @@ def _replay_buchberger(gens, engine, trace):
         elems.append(t)
         lt, tail = engine.reducer_entry(t)
         tails[lt] = tail
-    trace.trusted = True
+    trace.entries = [entry for entry in trace.entries if entry[1] is not None]
     return elems
 
 
@@ -1058,8 +1050,9 @@ def _exact_basis_check(gens_int, candidate_int, codec) -> bool:
 
 class UncertifiedResult(UserWarning):
     """A result stands without its exact certificate: the certificate's
-    basis is above _EXACT_CHECK_BIT_CAP, so only fresh-prime agreement
-    backs it, or the result failed the certificate."""
+    basis, or a whole basis itself, is above _EXACT_CHECK_BIT_CAP, so only
+    fresh-prime agreement backs it, or the result failed the
+    certificate."""
 
 
 class _Certificate:
@@ -1167,14 +1160,19 @@ class _Certificate:
             for t in elems
         )
 
-    def uncertified(self, what):
-        """Warn that `what` stands unproved, and why."""
+    def uncertified(self, what, bits=None):
+        """Warn that `what` stands unproved, and why: the certificate, or
+        `what` itself when its `bits` are given, is above the cap."""
+        why = (
+            "its certificate in (%s), a graded basis of %d bits, is"
+            % (", ".join(self.ring.variables), self.bits)
+            if bits is None
+            else "it has %d bits," % bits
+        )
         warnings.warn(
             UncertifiedResult(
-                "%s; its certificate in (%s), a graded basis of %d bits, "
-                "is above the exact-check cap of %d bits"
-                % (what, ", ".join(self.ring.variables), self.bits,
-                   _EXACT_CHECK_BIT_CAP)
+                "%s; %s above the exact-check cap of %d bits"
+                % (what, why, _EXACT_CHECK_BIT_CAP)
             )
         )
 
@@ -1198,9 +1196,9 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
     is there.
 
     `traces` maps a node to its one trace and is updated in place.  A node
-    with a trace replays it, checked or on trust (see
-    `_replay_buchberger`).  A node with none, or whose replay leaves its
-    trace, runs in full and records a fresh, untrusted trace in its place.
+    with a trace replays it (see `_replay_buchberger`).  A node with none,
+    or whose replay leaves its trace, runs in full and records a fresh
+    trace in its place.
 
     With `seed_is_basis` the generators are a Groebner basis under
     codecs[0] whose coefficients p does not divide, so modulo p they stay
@@ -1212,7 +1210,7 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
         engine = _ModularArith(p, codecs[node])
         if node in traces:
             try:
-                return _core_buchberger(elems, engine, traces[node])
+                return _replay_buchberger(elems, engine, traces[node])
             except _TraceMismatch:
                 pass
         trace = traces[node] = _Trace()
@@ -1311,11 +1309,11 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     only inter-reduces them at every prime.  Node 0 is the reduced basis
     under `seed_codec`; each stage (parent, var) makes a new node that
     eliminates var from its parent's elimination ideal (see
-    `_chain_mod_p`).  A node is named by
-    the set of variables dropped along its path.  The empty set is lifted
-    as node 0's whole basis, any other set as its node's elements free of
-    its variable, which form the reduced graded basis of the ideal's
-    intersection with the subring free of that set.
+    `_chain_mod_p`).  A node is named by the set of variables dropped
+    along its path.  The empty set is lifted as node 0's whole basis, any
+    other set as its node's elements free of its variable, which form the
+    reduced graded basis of the ideal's intersection with the subring free
+    of that set.
 
     The chain plans its tree of stages at its first prime (see `_plan`):
     it runs node 0, prices a variable, where `_plan` asks, by the term
@@ -1341,12 +1339,12 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
 
     Each node keeps one trace (see `_chain_mod_p`).  The first prime
     records it in a full run; a priced stage that the tree does not use
-    drops its trace.  The second prime replays it checked, which is a
-    whole run at that prime when it completes, so a node's second prime
-    is arithmetic only, and later primes replay the trace on trust.  A
+    drops its trace.  The second prime replays it whole, which is a whole
+    run at that prime when it completes, so a node's second prime is
+    arithmetic only, and drops its zeros; later primes replay the rest.  A
     replay that leaves its trace, at any prime, gives way to a fresh trace
-    recorded there.  A candidate that fails its check makes every trace
-    untrusted again, and checked replays resume.
+    recorded there.  A candidate that fails its check clears every trace,
+    so the next prime records each node anew.
 
     Returns the lifted outputs (drop set -> integer dicts, keyed under its
     node's codec).  Raises InternalInvariantError when the prime agenda is
@@ -1425,18 +1423,19 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
                 _candidate_mod_p(state.last_candidate, p) == out
             ):
                 candidate = state.last_candidate
-                verdict = True
-                if o == 0:
-                    # the ideal lies in the candidate's
-                    verdict = _exact_size(candidate) > _EXACT_CHECK_BIT_CAP or (
-                        _exact_basis_check(gens_int, candidate, seed_codec)
-                    )
+                # node 0 within the cap: the ideal lies in the candidate's
+                bits = 0 if o else _exact_size(candidate)
+                unchecked = bits > _EXACT_CHECK_BIT_CAP
+                verdict = o > 0 or unchecked or _exact_basis_check(
+                    gens_int, candidate, seed_codec
+                )
                 # on homogeneous generators a basis that passed its check
                 # is exact
                 if verdict and (o or not certificate.homogeneous):
-                    # the candidate lies in the ideal
+                    # the candidate lies in the ideal, which is all that an
+                    # unchecked basis gets proved
                     verdict = certificate.covers(candidate)
-                    if verdict is None:
+                    if verdict is None or verdict and unchecked:
                         unit = candidate == [{codecs[o].one_key: 1}]
                         names = certificate.ring.variables
                         certificate.uncertified(
@@ -1447,14 +1446,14 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
                             else "the elimination onto (%s) rests on "
                             "fresh-prime agreement"
                             % ", ".join(names[j] for j in range(n)
-                                        if j not in d)
+                                        if j not in d),
+                            None if verdict is None else bits,
                         )
                 if verdict is not False:
                     lifted[d] = candidate
                     pending.remove(d)
                     continue
-                for trace in traces.values():
-                    trace.trusted = False
+                traces.clear()
             state.add(p, out)
             candidate = state.reconstruct()
             state.last_candidate = candidate and [
@@ -1534,8 +1533,8 @@ def _eliminations(ideal: Ideal, drops):
     chain starts from the certificate's basis, not the generators: it
     keeps its staircase modulo every prime used, so no stage loses a
     relation, and when the certificate is exact the chain's first node
-    only inter-reduces it.  Returns {drop: list of polynomials} ([1] for every set when
-    1 is in the ideal); the ideal's certificate proved them.
+    only inter-reduces it.  Returns {drop: list of polynomials} ([1] for
+    every set when 1 is in the ideal); the ideal's certificate proved them.
     """
     ring = ideal.ring
     certificate = _certificate(ideal)

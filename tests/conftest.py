@@ -18,6 +18,25 @@ def record_acceptance():
     return _record
 
 
+@pytest.fixture
+def watch_node_runs(monkeypatch):
+    """Install watch(gens, engine), called before each full Buchberger run
+    and each trace replay of a modular-chain node."""
+    from polarvalues import groebner
+
+    def install(watch):
+        for name in ("_core_buchberger", "_replay_buchberger"):
+            inner = getattr(groebner, name)
+
+            def watched(gens, engine, trace=None, inner=inner):
+                watch(gens, engine)
+                return inner(gens, engine, trace)
+
+            monkeypatch.setattr(groebner, name, watched)
+
+    return install
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return

@@ -406,26 +406,44 @@ class TestReportWork:
 
     def test_buchberger_work_of_one_report_by_kind(self, monkeypatch, capsys):
         # the golden x_plus_x2y_xyu_super_polar report (seed 0, bound 5):
-        # each node runs in full at its first prime, replays checked at
-        # its second and on trust after, so these counts move only when
-        # the modular chain does more or less work
+        # each node runs in full at its first prime, replays its whole
+        # trace at its second, which drops the zeros, and replays the rest
+        # after, so these counts move only when the modular chain does more
+        # or less work
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
+        replay_entry = groebner._ModularArith.replay
 
         def counting_core(gens, engine, trace=None):
-            if trace is None or trace.kept is None:
-                work["full"] += 1
+            work["full"] += 1
             return core(gens, engine, trace)
 
         def counting_replay(gens, engine, trace):
-            work["trusted" if trace.trusted else "checked"] += 1
+            if any(lt is None for _, lt, _ in trace.entries):
+                work["replays with zeros"] += 1
+            else:
+                work["replays without zeros"] += 1
             return replay(gens, engine, trace)
+
+        def counting_replay_entry(self, target, schedule, tails):
+            # a zero's schedule leaves no key
+            if not schedule[1]:
+                work["zeros replayed"] += 1
+            return replay_entry(self, target, schedule, tails)
 
         monkeypatch.setattr(groebner, "_core_buchberger", counting_core)
         monkeypatch.setattr(groebner, "_replay_buchberger", counting_replay)
+        monkeypatch.setattr(
+            groebner._ModularArith, "replay", counting_replay_entry
+        )
         argv = ["x + x^2*y", "--vars", "x,y,u", "--method", "super_polar",
                 "--runs", "1", "--coeff-bound", "5", "--json"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert work == {"full": 8, "checked": 7, "trusted": 2}
+        assert work == {
+            "full": 8,
+            "replays with zeros": 7,
+            "replays without zeros": 2,
+            "zeros replayed": 72,
+        }

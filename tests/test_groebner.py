@@ -723,7 +723,9 @@ class TestIntegerReduce:
 
 
 class TestChain:
-    def test_stages_stop_with_their_outputs(self, monkeypatch):
+    def test_stages_stop_with_their_outputs(
+        self, monkeypatch, watch_node_runs
+    ):
         # x - y^2 needs one prime and a fresh one; the (x, u) relation
         # (u - 1)^2 - B^2*x needs as many as B^2 has 62-bit words, and
         # only the seed and its own stage keep running for it
@@ -732,13 +734,11 @@ class TestChain:
         seed = ((0, 1, 2),)
         runs = {}
         seeds = [0]
-        core = groebner._core_buchberger
         inter = groebner._inter_reduce
 
-        def counting(gens, engine, trace=None):
+        def counting(gens, engine):
             if engine.codec.nvars == 3:
                 runs[engine.codec.blocks] = runs.get(engine.codec.blocks, 0) + 1
-            return core(gens, engine, trace)
 
         def counting_seed(elems, engine, schedules=None):
             # node 0 inter-reduces the certificate's basis at every prime
@@ -746,7 +746,7 @@ class TestChain:
                 seeds[0] += 1
             return inter(elems, engine, schedules)
 
-        monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        watch_node_runs(counting)
         monkeypatch.setattr(groebner, "_inter_reduce", counting_seed)
         drop_u, drop_y = frozenset({2}), frozenset({1})
         lifted = groebner._eliminations(ideal, [drop_u, drop_y])
@@ -949,6 +949,11 @@ def _lost_leading_term():
     ]
 
 
+def _zeros(trace):
+    """The entries of a trace that record a reduction to zero."""
+    return [entry for entry in trace.entries if entry[1] is None]
+
+
 class TestTraceReplay:
     def test_unit_ideal_is_recorded_and_replayed(self):
         # x = 2 gives y = 1/2 from xy - 1 and y = -4 from x^2 + y: the
@@ -961,21 +966,19 @@ class TestTraceReplay:
         ]
         one = [{codec.one_key: 1}]
 
-        def run(index, trace):
+        def image(index):
             p = groebner._agenda_prime(index)
-            return groebner._core_buchberger(
+            return (
                 [{m: c % p for m, c in g.items()} for g in gens],
                 groebner._ModularArith(p, codec),
-                trace,
             )
 
         trace = groebner._Trace()
-        assert run(0, trace) == one
+        assert groebner._core_buchberger(*image(0), trace) == one
         installed = [lt for _, lt, _ in trace.entries if lt is not None]
         assert installed[-1] == codec.one_key
         assert len(trace.kept) == len(trace.final) == 1
-        # a recorded trace is replayed, never run in full
-        assert run(1, trace) == one
+        assert groebner._replay_buchberger(*image(1), trace) == one
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1002,23 +1005,31 @@ class TestTraceReplay:
         ],
     )
     def test_replay_equals_full_run(self, blocks, gens):
-        # a trusted trace recorded at one prime, replayed on trust at
-        # another with the chain's fallback, gives that prime's own reduced basis whenever
-        # the two primes share a staircase: the replayed ideal lies inside
-        # the ideal modulo p and has its leading monomials
+        # a trace recorded at one prime, whose zeros a completed replay at
+        # a second prime dropped, replayed at a third with the chain's
+        # fallback, gives that prime's own reduced basis whenever the
+        # first and third primes share a staircase: the replayed ideal lies
+        # inside the ideal modulo p and has its leading monomials
         codec = groebner._Codec(blocks)
         gens_int = [groebner._to_engine(g, codec) for g in gens]
-        primes = [32003] + [groebner._agenda_prime(i) for i in range(2)]
-        full = {}
-        traces = {}
-        for p in primes:
-            traces[p] = groebner._Trace()
-            full[p] = groebner._core_buchberger(
+        primes = [32003] + [groebner._agenda_prime(i) for i in range(3)]
+
+        def image(p):
+            return (
                 [{m: c % p for m, c in t.items()} for t in gens_int],
                 groebner._ModularArith(p, codec),
-                traces[p],
             )
-            traces[p].trusted = True
+
+        full = {}
+        traces = {}
+        for p in primes[:3]:
+            traces[p] = groebner._Trace()
+            full[p] = groebner._core_buchberger(*image(p), traces[p])
+            try:
+                groebner._replay_buchberger(*image(primes[3]), traces[p])
+            except groebner._TraceMismatch:
+                continue
+            assert _zeros(traces[p]) == []
         for recorded, p in itertools.permutations(traces, 2):
             bases = groebner._chain_mod_p(
                 p, gens_int, [codec], (), [0], {0}, {0: traces[recorded]}
@@ -1107,7 +1118,7 @@ class TestTraceReplay:
         engine = groebner._ModularArith(32003, codec)
         image = [{m: c % 32003 for m, c in t.items()} for t in gens]
         with pytest.raises(groebner._TraceMismatch):
-            groebner._core_buchberger(image, engine, trace)
+            groebner._replay_buchberger(image, engine, trace)
         full = groebner._core_buchberger(image, engine)
         traces = {0: trace}
         bases = groebner._chain_mod_p(
@@ -1143,17 +1154,17 @@ class TestTraceReplay:
             )
         ]
         with pytest.raises(groebner._TraceMismatch):
-            groebner._core_buchberger(image, engine, recorded)
+            groebner._replay_buchberger(image, engine, recorded)
         bases = groebner._chain_mod_p(p, gens, [codec], (), [0], {0}, traces)
         assert bases[0] == full
         assert traces[0] is not recorded and traces[0].kept is not None
 
-    def test_failed_trusted_replay_records_anew(self):
+    def test_failed_replay_without_zeros_records_anew(self):
         # modulo 3 and 5 the second generator of X^2 + Y, 15XY + X + 1
-        # loses its leading term, so 3 records a trace that 5's checked
-        # replay trusts.  At 32003 the trusted replay leaves it: that prime
-        # runs in full and its fresh, untrusted trace takes the old one's
-        # place, which the checked replay at p0 trusts in turn
+        # loses its leading term, so 3 records a trace with no zero, whose
+        # replay at 5 completes.  At 32003 the replay leaves it: that prime
+        # runs in full and its fresh trace, with a zero, takes the old
+        # one's place, and the replay at p0 completes and drops that zero
         codec = groebner._Codec((range(2),))
         gens = [
             groebner._to_engine(g, codec)
@@ -1162,8 +1173,8 @@ class TestTraceReplay:
         traces = {}
         for p in (3, 5):
             groebner._chain_mod_p(p, gens, [codec], (), [0], {0}, traces)
-        trusted = traces[0]
-        assert trusted.trusted
+        stripped = traces[0]
+        assert _zeros(stripped) == []
         for p in (32003, groebner._agenda_prime(0)):
             bases = groebner._chain_mod_p(
                 p, gens, [codec], (), [0], {0}, traces
@@ -1174,51 +1185,53 @@ class TestTraceReplay:
             )
             if p == 32003:
                 fresh = traces[0]
-                assert fresh is not trusted and not fresh.trusted
-                assert fresh.entries != trusted.entries
-        assert traces[0] is fresh and fresh.trusted
+                assert fresh is not stripped and _zeros(fresh)
+                assert fresh.entries != stripped.entries
+        assert traces[0] is fresh and _zeros(fresh) == []
 
-    def test_completed_checked_replay_trusts_the_trace(self):
-        # a trace recorded at 32003 starts untrusted; its checked replay at
-        # p0 completes, which trusts it
+    def test_completed_replay_drops_the_zeros(self):
+        # a trace recorded at 32003 holds a zero; its replay at p0
+        # completes, which drops the zero and keeps every other entry
         codec, gens = _lost_leading_term()
         traces = {}
         groebner._chain_mod_p(32003, gens, [codec], (), [0], {0}, traces)
         trace = traces[0]
-        assert not trace.trusted
+        installs = [e for e in trace.entries if e[1] is not None]
+        assert _zeros(trace)
         p0 = groebner._agenda_prime(0)
         bases = groebner._chain_mod_p(p0, gens, [codec], (), [0], {0}, traces)
         assert bases[0] == groebner._core_buchberger(
             [{m: c % p0 for m, c in t.items()} for t in gens],
             groebner._ModularArith(p0, codec),
         )
-        assert traces[0] is trace and trace.trusted
+        assert traces[0] is trace and trace.entries == installs
 
     def test_failed_checked_replay_replaces_the_trace(self):
-        # a trace recorded at 3 is left by its checked replay at 32003,
-        # which runs in full and puts its own untrusted trace in its place;
-        # the checked replay of that one at p0 completes and trusts it
+        # a trace recorded at 3 is left by its replay at 32003, which runs
+        # in full and puts its own trace, with a zero, in its place; the
+        # replay of that one at p0 completes and drops the zero
         codec, gens = _lost_leading_term()
         traces = {}
         groebner._chain_mod_p(3, gens, [codec], (), [0], {0}, traces)
         unlucky = traces[0]
         groebner._chain_mod_p(32003, gens, [codec], (), [0], {0}, traces)
         fresh = traces[0]
-        assert fresh is not unlucky and not fresh.trusted
+        assert fresh is not unlucky and _zeros(fresh)
         assert fresh.entries != unlucky.entries
         groebner._chain_mod_p(
             groebner._agenda_prime(0), gens, [codec], (), [0], {0}, traces
         )
-        assert traces[0] is fresh and fresh.trusted
+        assert traces[0] is fresh and _zeros(fresh) == []
 
     def test_replayed_stages_make_no_heap_or_divisor_search(
         self, monkeypatch
     ):
-        # the fixed graph ideal's chain: after a full prime and a checked
-        # replay that trusts every trace, a third prime runs its stages with no reduce (the heap
-        # and the divisor search live there) and no divisor test, since no
-        # term outside a schedule is left over; node 0 only inter-reduces
-        # the certificate's basis at every prime, with no S-pair
+        # the fixed graph ideal's chain: after a full prime and a replay
+        # that drops every trace's zeros, a third prime runs its stages
+        # with no reduce (the heap and the divisor search live there) and
+        # no divisor test, since no term outside a schedule is left over;
+        # node 0 only inter-reduces the certificate's basis at every prime,
+        # with no S-pair
         graph = _fixed_graph_ideal()
         n = graph.ideal.ring.nvars
         certificate = groebner._certificate(graph.ideal)
@@ -1277,7 +1290,7 @@ class TestTraceReplay:
             )
             assert 0 not in traces
         assert sorted(traces) == [1, 2, 3]
-        assert all(trace.trusted for trace in traces.values())
+        assert not any(map(_zeros, traces.values()))
         assert set(reduced) == {seed}
         assert set(replayed) == set(codecs[1:])
         assert work == {}
@@ -1310,22 +1323,23 @@ class TestTraceReplay:
         assert bases[0] == expected
 
     @pytest.mark.parametrize("cap", [groebner._EXACT_CHECK_BIT_CAP, 0])
-    def test_seed_runs_buchberger_only_above_the_cap(self, monkeypatch, cap):
+    def test_seed_runs_buchberger_only_above_the_cap(
+        self, monkeypatch, watch_node_runs, cap
+    ):
         # above the cap the certificate's basis is not proved a Groebner
-        # basis, so node 0 runs Buchberger on it at every prime
+        # basis, so node 0 runs Buchberger on it, or replays its trace, at
+        # every prime
         ideal = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2 - 3 * Y3])
         seed = ((0, 1, 2),)
         runs = Counter()
-        core = groebner._core_buchberger
 
-        def counting(gens, engine, trace=None):
+        def counting(gens, engine):
             if engine.codec.blocks == seed:
                 runs[engine.p] += 1
-            return core(gens, engine, trace)
 
         monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", cap)
         groebner._certificate(ideal).basis()
-        monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        watch_node_runs(counting)
         drop = frozenset({1})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", groebner.UncertifiedResult)
@@ -1339,11 +1353,11 @@ class TestTraceReplay:
     @pytest.mark.parametrize("cap", [groebner._EXACT_CHECK_BIT_CAP, 0])
     def test_one_prime_is_not_trusted(self, monkeypatch, cap):
         # modulo p0 both generators are x + y + u, whose y-elimination is
-        # empty; replayed at later primes, a trace of p0 skips the second
-        # generator and repeats that empty answer, which a membership
-        # certificate cannot refute.  The exact basis check of the
-        # certificate's chain unmasks p0; above the cap only the two-prime
-        # rule does
+        # empty; a trace of p0 without its zero would skip the second
+        # generator at later primes and repeat that empty answer, which a
+        # membership certificate cannot refute.  The exact basis check of
+        # the certificate's chain unmasks p0; above the cap only the rule
+        # that a zero is dropped once two primes confirm it does
         p0 = groebner._agenda_prime(0)
         ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0) * Y3 + U3])
         drop = frozenset({1})
@@ -1356,9 +1370,10 @@ class TestTraceReplay:
         assert lifted[drop] == [X3 + U3]
 
     def test_failed_check_drops_the_trusted_trace(self):
-        # the first two agenda primes agree on the basis x + y + u, so their
-        # trace is trusted; the exact check refutes it, and full primes
-        # must resume or the replay repeats that basis for ever
+        # the first two agenda primes agree on the basis x + y + u, so the
+        # replay at p1 drops the trace's zero; the exact check refutes the
+        # basis, and the traces must be cleared or the replay repeats it
+        # for ever
         p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
         ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0 * p1) * Y3 + U3])
         assert graded_basis(ideal) == [Y3, X3 + U3]
@@ -1643,6 +1658,27 @@ class TestCertificate:
         ):
             assert affine_dimension(Ideal(R2, [X * Y - 1, X])) == -1
 
+    def test_whole_basis_above_the_cap_warns(self, monkeypatch):
+        # at a cap of 30 bits the lex basis (69 bits) skips its basis check
+        # and the certificate (22 bits) proves only that it lies in the
+        # ideal: the basis itself, not its certificate, is warned
+        ring = PolynomialRing(("x", "z"))
+        x, z = ring.gens()
+        ideal = Ideal(ring, [x**3 + 5 * z**2 - 11 * x, x**2 * z - 13 * z + 2])
+        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", 30)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", groebner.UncertifiedResult)
+            gb = buchberger(ideal)
+        assert groebner._certificate(ideal).exact()
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1
+        assert messages[0].startswith(
+            "the basis in (x, z) rests on fresh-prime agreement"
+        )
+        assert "certificate" not in messages[0]
+        monkeypatch.undo()
+        assert gb == buchberger(Ideal(ring, ideal.generators))
+
 
 class TestRabinowitsch:
     def test_fresh_variable_prepended(self):
@@ -1738,7 +1774,7 @@ class TestPrimes:
         assert groebner.is_probable_prime(2**62 - 57)
 
     def test_stage_inputs_are_rekeyed_through_plain_packings(
-        self, monkeypatch
+        self, watch_node_runs
     ):
         # every stage's input is its parent's basis moved term by term to
         # the stage's order, exactly as codec.pack(parent.unpack(m)) moves
@@ -1757,13 +1793,11 @@ class TestPrimes:
             for _, var in stages
         ]
         inputs = {}
-        core = groebner._core_buchberger
 
-        def recording(gens, engine, trace=None):
+        def recording(gens, engine):
             inputs[engine.codec] = [dict(t) for t in gens]
-            return core(gens, engine, trace)
 
-        monkeypatch.setattr(groebner, "_core_buchberger", recording)
+        watch_node_runs(recording)
         traces = {}
         for index in range(3):
             p = groebner._agenda_prime(index)
@@ -2012,7 +2046,9 @@ class TestNormalizeFractions:
 
 
 class TestLiftCost:
-    def test_reconstructions_linear_in_primes(self, monkeypatch):
+    def test_reconstructions_linear_in_primes(
+        self, monkeypatch, watch_node_runs
+    ):
         """One lift of coefficients of mixed heights reconstructs each about
         once, plus a few Euclid runs per prime: the coefficient that failed
         last, and those after it that reconstruct to some wrong fraction
@@ -2036,15 +2072,13 @@ class TestLiftCost:
         calls = {"reconstruct": 0}
         primes = []
         reconstruct = groebner._rational_reconstruct
-        core = groebner._core_buchberger
 
         def counting_reconstruct(residue, modulus):
             calls["reconstruct"] += 1
             return reconstruct(residue, modulus)
 
-        def recording_core(gens, engine, trace=None):
+        def recording_prime(gens, engine):
             primes.append(engine.p)
-            return core(gens, engine, trace)
 
         ring = PolynomialRing(tuple("x%d" % i for i in range(nvars)))
         gens = [dict(t) for t in reversed(expected)]
@@ -2057,7 +2091,7 @@ class TestLiftCost:
         monkeypatch.setattr(
             groebner, "_rational_reconstruct", counting_reconstruct
         )
-        monkeypatch.setattr(groebner, "_core_buchberger", recording_core)
+        watch_node_runs(recording_prime)
         lifted = groebner._modular_chain(gens, codec, certificate)
         result = lifted[frozenset()]
         assert result == expected

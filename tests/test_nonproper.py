@@ -437,7 +437,7 @@ def test_relation_outside_the_graph_ideal_warns(monkeypatch):
 
 
 class TestLiftCost:
-    def test_only_outputs_are_lifted(self, monkeypatch):
+    def test_only_outputs_are_lifted(self, monkeypatch, watch_node_runs):
         """One nonproperness_values call on a super-polar curve at bound 5
         reconstructs the coefficients of its outputs only: the (x_i, z)
         intersections, the lex relations read off them and the
@@ -478,7 +478,6 @@ class TestLiftCost:
         states = []
         runs = Counter()
         init = groebner._CrtState.__init__
-        core = groebner._core_buchberger
         inter = groebner._inter_reduce
 
         def registering(self):
@@ -495,10 +494,6 @@ class TestLiftCost:
                 )
                 runs[(codec.blocks, left, engine.p)] += 1
 
-        def counting(gens, engine, trace=None):
-            count(gens, engine)
-            return core(gens, engine, trace)
-
         def counting_seed(elems, engine, schedules=None):
             # the graded seed only inter-reduces the certificate's basis
             if len(engine.codec.blocks) == 1:
@@ -506,7 +501,7 @@ class TestLiftCost:
             return inter(elems, engine, schedules)
 
         monkeypatch.setattr(groebner._CrtState, "__init__", registering)
-        monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        watch_node_runs(count)
         monkeypatch.setattr(groebner, "_inter_reduce", counting_seed)
         nonproperness_values(graph_ideal(curve, f))
         lifted = sum(len(e) for s in states for e in s.elements or ())
@@ -557,7 +552,7 @@ class TestStageCount:
 
     @pytest.mark.parametrize("localized", [False, True])
     def test_single_fewest_stage_tree_is_not_priced(
-        self, monkeypatch, localized
+        self, monkeypatch, watch_node_runs, localized
     ):
         # (x, y, z) drops {y} and {x}; (t, x, y, z) drops {t, y} and
         # {t, x}, t first.  Either tree is the only one with the fewest
@@ -573,7 +568,6 @@ class TestStageCount:
         asked = []
         calls = Counter()
         plan = groebner._plan
-        core = groebner._core_buchberger
         inter = groebner._inter_reduce
 
         def asking(drops, price):
@@ -583,10 +577,9 @@ class TestStageCount:
 
             return plan(drops, priced)
 
-        def counting(gens, engine, trace=None):
+        def counting(gens, engine):
             if engine.codec.nvars == nvars:
                 calls[engine.p] += 1
-            return core(gens, engine, trace)
 
         def counting_seed(elems, engine, schedules=None):
             # the seed only inter-reduces the certificate's basis
@@ -595,7 +588,7 @@ class TestStageCount:
             return inter(elems, engine, schedules)
 
         monkeypatch.setattr(groebner, "_plan", asking)
-        monkeypatch.setattr(groebner, "_core_buchberger", counting)
+        watch_node_runs(counting)
         monkeypatch.setattr(groebner, "_inter_reduce", counting_seed)
         vs = nonproperness_values(graph_ideal(curve, f), escape_vars=escape)
         assert vs.rho == U(0, 1)
