@@ -188,7 +188,7 @@ def critical_values(
 ) -> ValueSet:
     """The set f(Sing f), computed by eliminating down to the value line
     of the graph of f over its gradient ideal (`graph`, built when not
-    given)."""
+    given) and mapping it back to f's values."""
     if graph is None:
         graph = graph_ideal(gradient_ideal(f), f)
     rho = value_line(graph)
@@ -198,17 +198,17 @@ def critical_values(
         )
     if rho.degree() < 1:
         return ValueSet.empty()
-    return ValueSet.from_rho(rho, (), tolerance)
+    return ValueSet.from_rho(graph.to_f(rho), (), tolerance)
 
 
 class _CriticalSet:
     """What the reports of one invocation ask about the critical set of f.
 
     Whether it is finite and which values it takes are both read off one
-    graph ideal (grad f, f - z), so they share its certificate.  The values are computed once per tolerance; the
-    warnings that computing them raised are raised again on every call,
-    so each report that reads them carries the same warnings as if it had
-    computed them itself.
+    graph ideal of f over grad f, so they share its certificate.  The
+    values are computed once per tolerance; the warnings that computing
+    them raised are raised again on every call, so each report that reads
+    them carries the same warnings as if it had computed them itself.
     """
 
     def __init__(self, f: Polynomial):

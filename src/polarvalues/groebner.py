@@ -72,9 +72,11 @@ The unit ideal is no exception: its reduced basis is [1], its staircase
 the basis check trivially; Arnold's argument then covers it on
 homogeneous generators, and the certificate on any others.  Neither check
 runs on a basis above _EXACT_CHECK_BIT_CAP bits; the fresh-prime verdict
-then stands, and an elimination, a whole basis of inhomogeneous
-generators or a unit ideal accepted that way raises an UncertifiedResult
-warning.
+then stands, and an elimination, a whole basis or a unit ideal accepted
+that way raises an UncertifiedResult warning.  The certificate's own
+basis warns nothing itself; above the cap, the eliminations, whole bases
+of inhomogeneous generators and unit-ideal verdicts that rest on it warn
+instead, while a dimension of 0 or more read off it stays silent.
 
 Node 0 of an elimination chain runs no Buchberger when its certificate is
 exact: modulo a prime that divides none of its coefficients, G stays a
@@ -1106,11 +1108,17 @@ class _Certificate:
             homogenized.append(Polynomial(
                 ring, {m + (top - sum(m),): c for m, c in g.terms.items()}
             ))
+        # above the cap the basis is unproved; the eliminations, whole
+        # bases of inhomogeneous generators and unit-ideal verdicts that
+        # rest on it warn through `exact`, so it warns nothing here
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UncertifiedResult)
+            lifted = graded_basis(Ideal(ring, homogenized))
         basis = self._basis = [
             _IntegerArith.normalize_fractions(
                 {self.codec.pack(m[:n]): c for m, c in g.terms.items()}
             )
-            for g in graded_basis(Ideal(ring, homogenized))
+            for g in lifted
         ]
         # the same size the driver compared with the cap: dehomogenizing
         # keeps every coefficient and the leading term
@@ -1332,10 +1340,13 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     inhomogeneous generators, takes the membership certificate of the
     ideal, which proves the converse; a candidate that fails takes more
     primes.  On homogeneous generators the basis check suffices, since the
-    staircases agree (Arnold's argument, see `_Certificate`).  The unit
-    ideal is no exception: its candidate [1], with staircase {1}, passes
-    the basis check trivially and is proved like any other output.  A
-    prime that divides a coefficient of `gens_int` is skipped.
+    staircases agree (Arnold's argument, see `_Certificate`).  A result
+    that stands on fresh-prime agreement alone, an output whose
+    certificate is above the cap or a node 0 above it itself, warns
+    UncertifiedResult.  The unit ideal is no exception: its candidate
+    [1], with staircase {1}, passes the basis check trivially and is
+    proved like any other output.  A prime that divides a coefficient of
+    `gens_int` is skipped.
 
     Each node keeps one trace (see `_chain_mod_p`).  The first prime
     records it in a full run; a priced stage that the tree does not use
@@ -1435,20 +1446,20 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
                     # the candidate lies in the ideal, which is all that an
                     # unchecked basis gets proved
                     verdict = certificate.covers(candidate)
-                    if verdict is None or verdict and unchecked:
-                        unit = candidate == [{codecs[o].one_key: 1}]
-                        names = certificate.ring.variables
-                        certificate.uncertified(
-                            "the unit ideal rests on two prime votes" if unit
-                            else "the basis in (%s) rests on fresh-prime "
-                            "agreement" % ", ".join(names)
-                            if not o
-                            else "the elimination onto (%s) rests on "
-                            "fresh-prime agreement"
-                            % ", ".join(names[j] for j in range(n)
-                                        if j not in d),
-                            None if verdict is None else bits,
-                        )
+                if verdict is None or verdict and unchecked:
+                    unit = candidate == [{codecs[o].one_key: 1}]
+                    names = certificate.ring.variables
+                    certificate.uncertified(
+                        "the unit ideal rests on two prime votes" if unit
+                        else "the basis in (%s) rests on fresh-prime "
+                        "agreement" % ", ".join(names)
+                        if not o
+                        else "the elimination onto (%s) rests on "
+                        "fresh-prime agreement"
+                        % ", ".join(names[j] for j in range(n)
+                                    if j not in d),
+                        None if verdict is None else bits,
+                    )
                 if verdict is not False:
                     lifted[d] = candidate
                     pending.remove(d)

@@ -9,10 +9,16 @@ of the curve along which x_i escapes to infinity forces the x_i-leading
 coefficient of r to vanish at the limit value of f.  Components on which f
 is constant project onto single values of z and are reported with a flag
 rather than excised.
+
+The graph ideal carries f in a normalized value coordinate, z an affine
+image of f without its constant term and with primitive integer
+coefficients (see `GraphIdeal`); the value sets returned here are mapped
+back to the values of f.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,26 +110,62 @@ class ValueSet:
 
 @dataclass(frozen=True)
 class GraphIdeal:
-    """The ideal of the graph of f over V(base): (base, f - z)."""
+    """The ideal of the graph of f over V(base) in a normalized value
+    coordinate: (base, scale*(f - shift) - z).
+
+    `shift` is f's constant term and `scale` > 0 makes scale*(f - shift)
+    a primitive integer polynomial, so z is an affine image of f's value
+    and f's constant term and denominators stay out of every Groebner
+    basis of the graph.  Polynomials of the graph ideal speak of z; `to_f`
+    maps a polynomial in z back to f's values.
+    """
 
     ring: PolynomialRing
     z_index: int
     ideal: Ideal
+    shift: Fraction
+    scale: Fraction
+
+    def to_f(self, rho: UnivariatePolynomial) -> UnivariatePolynomial:
+        """rho(z) of the graph's value coordinate as the polynomial
+        rho(scale*(z - shift)) in f's values: their roots correspond."""
+        line = UnivariatePolynomial((-self.scale * self.shift, self.scale))
+        out = UnivariatePolynomial.zero()
+        for c in reversed(rho.coefficients):
+            out = out * line + c
+        return out
 
 
 def graph_ideal(base: Ideal, f: Polynomial) -> GraphIdeal:
-    """Adjoin a fresh value variable z (last in the order) and f - z."""
+    """Adjoin a fresh value variable z (last in the order) and
+    scale*(f - shift) - z (see `GraphIdeal`).
+
+    The change z -> scale*(z - shift) of the value coordinate is affine,
+    so it maps the graph ideal of f - z onto this one, and their
+    eliminations and reduced lex bases onto each other up to scalars: the
+    values read off either are the same once mapped back.
+    """
     if f.ring != base.ring:
         raise ValueError("f must live in the curve ideal's ring")
     z_name = fresh_variable_name(base.ring.variables, "z")
     ring_z = extend_ring(base.ring, z_name, front=False)
     z = ring_z.variable(z_name)
+    constant = (0,) * f.ring.nvars
+    shift = f.terms.get(constant, Fraction(0))
+    rest = [c for m, c in f.terms.items() if m != constant]
+    denominator = math.lcm(*(c.denominator for c in rest))
+    scale = Fraction(
+        denominator, math.gcd(*(c.numerator for c in rest)) or 1
+    )
+    f = (f - shift) * scale
     gens = [lift_polynomial(g, ring_z) for g in base.generators]
     gens.append(lift_polynomial(f, ring_z) - z)
     return GraphIdeal(
         ring=ring_z,
         z_index=ring_z.nvars - 1,
         ideal=Ideal(ring_z, gens),
+        shift=shift,
+        scale=scale,
     )
 
 
@@ -131,6 +173,9 @@ def fiber_relation(
     graph: GraphIdeal, var_index: int, seed_elements=None
 ) -> Polynomial:
     """A nonzero relation r(x_i, z) of minimal x_i-degree in the graph ideal.
+
+    z is the graph's value coordinate, scale*(f - shift) (see
+    `GraphIdeal`).
 
     The graph ideal is intersected with the (x_i, z)-subring by
     `eliminate`, whose result is certified to lie in the graph ideal; the
@@ -213,7 +258,8 @@ def _univariate_in(p: Polynomial, var_index: int) -> UnivariatePolynomial:
 
 def value_line(graph: GraphIdeal):
     """The defining polynomial of the graph ideal's intersection with the
-    value line, or None when that intersection is zero."""
+    value line, or None when that intersection is zero.  It is a
+    polynomial in the graph's value coordinate z (see `GraphIdeal`)."""
     # a nonzero ideal of Q[z] is principal: its reduced basis is one element
     line = eliminate(graph.ideal, {graph.z_index})
     return _univariate_in(line[0], graph.z_index) if line else None
@@ -224,8 +270,8 @@ def nonproperness_values(
     escape_vars=None,
     tolerance: float = 1e-10,
 ) -> ValueSet:
-    """Values over which f restricted to the curve V(I) is not proper,
-    read off its graph ideal (I, f - z) built by `graph_ideal`.
+    """Values of f over which f restricted to the curve V(I) is not
+    proper, read off its graph ideal built by `graph_ideal`.
 
     escape_vars selects which coordinates count as escape directions
     (default: all but z); auxiliary localization variables should be
@@ -248,7 +294,10 @@ def nonproperness_values(
     (the graph ideal's intersection with the z-line) needs no chain of its
     own: it is nonzero exactly when a fiber relation is free of its x_i,
     and that relation is its generator.  Only with no escape variables is
-    the value line lifted directly, by `value_line`'s own chain.
+    the value line lifted directly, by `value_line`'s own chain.  The
+    product of the pieces and the line, a polynomial in the graph's z, is
+    mapped back to f's values once (`GraphIdeal.to_f`) before its roots
+    are computed.
     """
     n = graph.z_index
     escape_vars = list(dict.fromkeys(
@@ -294,4 +343,4 @@ def nonproperness_values(
         flags.add(VERTICAL_COMPONENT)
         rho = rho * line
 
-    return ValueSet.from_rho(rho, flags, tolerance)
+    return ValueSet.from_rho(graph.to_f(rho), flags, tolerance)

@@ -51,6 +51,16 @@ FIXTURES = {
         "x + y", "--vars", "x,y,u", "--method", "both",
         "--runs", "1", "--coeff-bound", "5",
     ],
+    # a constant term of height 10^12 and a content of 1/3: the graph
+    # ideal normalizes the value coordinate, and values are mapped back
+    "shifted_scaled_xy_both": [
+        "1/3*x^2*y + 2/3*x*y - 1000000000001/7", "--vars", "x,y",
+        "--method", "both",
+    ],
+    # a non-primitive f with a constant term and a non-properness value
+    "scaled_x_plus_x2y_both": [
+        "3/2*x + 3/4*x^2*y + 5/11", "--vars", "x,y", "--method", "both",
+    ],
 }
 
 

@@ -1679,6 +1679,45 @@ class TestCertificate:
         monkeypatch.undo()
         assert gb == buchberger(Ideal(ring, ideal.generators))
 
+    def test_homogeneous_basis_above_the_cap_warns(self, monkeypatch):
+        # on homogeneous generators the basis check alone proves a whole
+        # basis; above the cap (30 bits against its 81) it is skipped, so
+        # the basis rests on fresh-prime agreement and must say so
+        ring = PolynomialRing(("x", "y", "z"))
+        x, y, z = ring.gens()
+        ideal = Ideal(ring, [
+            x**2 - 7 * y * z + 13 * z**2, x * y - 11 * z**2,
+            y**3 - 5 * x * z**2,
+        ])
+        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", 30)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", groebner.UncertifiedResult)
+            gb = graded_basis(ideal)
+        messages = [str(w.message) for w in caught]
+        assert messages == [
+            "the basis in (x, y, z) rests on fresh-prime agreement; it has "
+            "81 bits, above the exact-check cap of 30 bits"
+        ]
+        monkeypatch.undo()
+        assert gb == graded_basis(Ideal(ring, ideal.generators))
+        assert len(gb) == 7
+
+    def test_certificate_above_the_cap_warns_once(self, monkeypatch):
+        # the certificate's own basis is homogeneous and above the cap; its
+        # users already warn that it is not exact, so building it warns
+        # nothing more
+        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", 0)
+        ideal = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2 - 3 * Y3])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", groebner.UncertifiedResult)
+            eliminate(ideal, {0, 2})
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1
+        assert messages[0].startswith(
+            "the elimination onto (x, u) rests on fresh-prime agreement; "
+            "its certificate in (x, y, u),"
+        )
+
 
 class TestRabinowitsch:
     def test_fresh_variable_prepended(self):

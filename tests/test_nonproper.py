@@ -1,6 +1,7 @@
 """Non-properness values of curve-to-line projections."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from polarvalues import groebner
 from polarvalues import nonproper as nonproper_module
+from polarvalues.detector import critical_values
 from polarvalues.groebner import Ideal, with_rabinowitsch
 from polarvalues.nonproper import (
     EMPTY_CURVE,
@@ -81,6 +83,49 @@ class TestGraphIdeal:
         other = PolynomialRing(("a", "b"))
         with pytest.raises(ValueError):
             graph_ideal(Ideal(R2, [X]), other.variable("a"))
+
+    def test_primitive_map_without_constant_is_unchanged(self):
+        # f - z itself: the value coordinate is f's own
+        f = 2 * X + 3 * X**2 * Y
+        base = Ideal(R2, [X * Y - 1])
+        g = graph_ideal(base, f)
+        z = g.ring.variable("z")
+        lift = lambda p: g.ring.polynomial(
+            {m + (0,): c for m, c in p.terms.items()}
+        )
+        assert g.ideal.generators == (lift(X * Y - 1), lift(f) - z)
+        assert (g.shift, g.scale) == (0, 1)
+
+    def test_constant_and_content_are_taken_out(self):
+        # z = 3*(f + 7): primitive integer coefficients, no constant term
+        f = Fraction(1, 3) * X**2 * Y + Fraction(2, 3) * X * Y - 7
+        g = graph_ideal(Ideal(R2, [X * Y - 1]), f)
+        x, y, z = g.ring.gens()
+        assert g.ideal.generators[-1] == x**2 * y + 2 * x * y - z
+        assert (g.shift, g.scale) == (-7, 3)
+        # a negative content keeps the sign: the scale is positive
+        g = graph_ideal(Ideal(R2, [X * Y - 1]), -2 * X + 4 * Y + 1)
+        assert g.ideal.generators[-1] == -x + 2 * y - z
+        assert (g.shift, g.scale) == (1, Fraction(1, 2))
+
+    def test_to_f_maps_the_coordinate_back(self):
+        # z = (f - 5)/3: the graph's root z = 4 is the value f = 17
+        g = graph_ideal(Ideal(R2, [X * Y - 1]), 3 * X + 5)
+        assert (g.shift, g.scale) == (5, Fraction(1, 3))
+        assert g.to_f(U(-4, 1)).canonical() == U(-17, 1)
+        assert g.to_f(U(1)) == U(1)
+
+    def test_relations_speak_the_graph_coordinate(self):
+        # f = 3x + 5 gives z = x = (f - 5)/3: the fiber relation in (y, z)
+        # on xy = 1 is yz - 1, not y(f - 5) - 3
+        g = graph_ideal(Ideal(R2, [X * Y - 1]), 3 * X + 5)
+        rel = fiber_relation(g, 1)
+        y, z = rel.ring.gens()
+        assert rel == y * z - 1
+        # on the line x = 2 the value line is z - 2; f's value there is 11
+        g = graph_ideal(Ideal(R2, [X - 2]), 3 * X + 5)
+        assert value_line(g).canonical() == U(-2, 1)
+        assert g.to_f(value_line(g)).canonical() == U(-11, 1)
 
 
 class TestFiberRelation:
@@ -211,6 +256,17 @@ def _in_z(p):
     return UnivariatePolynomial([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
 
 
+def _substitute(rho, scale, shift):
+    """rho(scale*(z - shift)), expanded by the binomial theorem: the
+    references' own map from a graph's value coordinate back to f's
+    values, not `GraphIdeal.to_f`."""
+    out = [Fraction(0)] * len(rho.coefficients)
+    for k, a in enumerate(rho.coefficients):
+        for j in range(k + 1):
+            out[j] += a * scale**k * math.comb(k, j) * (-shift) ** (k - j)
+    return UnivariatePolynomial(out)
+
+
 def unshared_values(curve, f, escape_vars=None):
     """Reference: one full elimination chain per escape variable from the
     graph ideal itself, and one more for the value line."""
@@ -229,7 +285,7 @@ def unshared_values(curve, f, escape_vars=None):
     if line is not None and line.degree() >= 1:
         flags.add(VERTICAL_COMPONENT)
         rho = rho * line
-    return ValueSet.from_rho(rho, flags)
+    return ValueSet.from_rho(_substitute(rho, graph.scale, graph.shift), flags)
 
 
 @st.composite
@@ -302,6 +358,43 @@ class TestSharedStages:
         assert vs == unshared_values(curve, f, escape_vars)
 
 
+class TestValueCoordinate:
+    """Values move with the map, an oracle independent of the engine: for
+    rationals a != 0 and b, the values of a*f + b are the images of those
+    of f under z -> a*z + b.  The graph ideals of f and a*f + b share
+    their normalized value coordinate, so each side maps its values back
+    by its own shift and scale."""
+
+    SCALES = st.fractions(-5, 5, max_denominator=7).filter(bool)
+    SHIFTS = st.fractions(-10**12, 10**12, max_denominator=1000)
+
+    @staticmethod
+    def assert_image(moved, values, a, b):
+        # the image of rho's roots under z -> a*z + b is rho((z - b)/a)
+        assert moved.rho == _substitute(values.rho, 1 / a, b).canonical()
+        assert moved.exact_rational_roots == tuple(
+            sorted(a * r + b for r in values.exact_rational_roots)
+        )
+        assert moved.flags == values.flags
+
+    @settings(max_examples=25, deadline=None)
+    @given(plane_polys(), plane_polys(), SCALES, SHIFTS)
+    def test_nonproperness_values_move_with_the_map(self, g, f, a, b):
+        assume(not g.is_constant())
+        curve = Ideal(R2, [g])
+        self.assert_image(
+            nonproperness_values(graph_ideal(curve, a * f + b)),
+            nonproperness_values(graph_ideal(curve, f)),
+            a, b,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(plane_polys(), SCALES, SHIFTS)
+    def test_critical_values_move_with_the_map(self, f, a, b):
+        assume(not f.is_constant())
+        self.assert_image(critical_values(a * f + b), critical_values(f), a, b)
+
+
 def exact_relations(curve, f):
     """Reference: the fiber relations of an exact integer chain.
 
@@ -348,9 +441,9 @@ def exact_relations(curve, f):
     return relations
 
 
-def values_of(relations):
-    """rho and flags read off fiber relations as nonproperness_values
-    does."""
+def values_of(relations, graph):
+    """rho and flags read off the fiber relations of `graph` as
+    nonproperness_values does, in the values of f."""
     flags, rho = set(), U(1)
     for rel in relations.values():
         if rel.degree_in(0):
@@ -358,7 +451,7 @@ def values_of(relations):
         else:
             flags.add(VERTICAL_COMPONENT)
             rho = rho * _in_z(rel)
-    return ValueSet.from_rho(rho, flags)
+    return ValueSet.from_rho(_substitute(rho, graph.scale, graph.shift), flags)
 
 
 QUADRATIC_MONOMIALS = [
@@ -410,11 +503,12 @@ class TestExactReference:
             seen[i] = inner(graph, i, seed_elements=seed_elements)
             return seen[i]
 
+        graph = graph_ideal(curve, f)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nonproper_module, "fiber_relation", recording)
-            vs = nonproperness_values(graph_ideal(curve, f))
+            vs = nonproperness_values(graph)
         assert seen == expected
-        assert vs == values_of(expected)
+        assert vs == values_of(expected, graph)
 
 
 def test_relation_outside_the_graph_ideal_warns(monkeypatch):
