@@ -30,7 +30,7 @@ grown, and a membership test stops at the first term that no leading
 monomial divides.
 
 Rational results come from one multi-modular driver, `_modular_chain`.
-For each of a fixed descending sequence of 62-bit primes it runs a whole
+For each of a fixed descending sequence of 120-bit primes it runs a whole
 chain of bases modulo p: a basis of the generators, then a tree of
 one-variable elimination stages, each fed the elements of its parent that
 are free of the parent's eliminated variable.  The chain plans its tree
@@ -63,6 +63,17 @@ reconstruction and it passes an exact check over the integers:
   ideal by the certificate.  A principal ideal needs no chain: its
   reduced basis is its generator made primitive.
 
+The agenda's primes are N = k*2^60 + 1 with k odd and below 2^60,
+descending from 2^120, each proved prime by Proth's theorem with one
+modular power (`_is_proth_prime`).  CPython stores a 62-bit integer in
+three 30-bit digits and any integer below 2^120 in four, and a chain's
+arithmetic costs about the same per prime at either size, while each
+prime lifts almost twice the bits: the chains of the seed-0 report on
+x + x^2*y in (x, y, u) at the default coefficient bound take 2, 2, 4 and
+4 primes, against 2, 2, 6 and 7 with 62-bit primes.  Above 120 bits the
+cost per prime grows faster than the primes saved (README, "Engine
+notes").
+
 Each Ideal builds its certificate once and keeps it, so its dimension
 (read off the leading monomials of G), its eliminations and their
 memberships all rest on one exact graded basis.
@@ -75,8 +86,8 @@ runs on a basis above _EXACT_CHECK_BIT_CAP bits; the fresh-prime verdict
 then stands, and an elimination, a whole basis or a unit ideal accepted
 that way raises an UncertifiedResult warning.  The certificate's own
 basis warns nothing itself; above the cap, the eliminations, whole bases
-of inhomogeneous generators and unit-ideal verdicts that rest on it warn
-instead, while a dimension of 0 or more read off it stays silent.
+of inhomogeneous generators, unit-ideal verdicts and dimensions that rest
+on it warn instead.
 
 Node 0 of an elimination chain runs no Buchberger when its certificate is
 exact: modulo a prime that divides none of its coefficients, G stays a
@@ -864,53 +875,61 @@ def _update_pairs(plain_lts, sugars, pairs, new_plain, new_sugar, codec):
 # multi-modular driver over the rationals
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The odd primes below 100, tried in order as Proth witnesses.  The agenda
+# skips a prime N only when N is a square modulo each, about one in 2^24.
+_PROTH_WITNESSES = (
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97,
+)
 
 
-def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for moduli below 2**64."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _is_proth_prime(k: int, m: int) -> bool:
+    """Whether N = k*2^m + 1, for odd k < 2^m, is proved prime.
+
+    Proth's theorem: N is prime exactly when a^((N-1)/2) = -1 (mod N) for
+    some a.  If N is prime, any small prime a that is a quadratic
+    non-residue modulo N is such an a.  For m >= 2, N = 1 (mod 4), so by
+    reciprocity a is a non-residue modulo N exactly when N is one modulo
+    a, which Euler's criterion modulo a decides.  The first witness
+    modulo which N is a non-residue therefore decides N with one modular
+    power, and a witness that divides N decides it by division; N = 3,
+    the only N with m = 1, is a witness itself.  An N that is a residue
+    modulo every witness, such as the square 49 = 3*2^4 + 1, is rejected:
+    a prime is then skipped, never a composite accepted.
+    """
+    n = (k << m) + 1
+    for a in _PROTH_WITNESSES:
+        r = n % a
+        if r == 0:
+            return n == a
+        if pow(r, a >> 1, a) == a - 1:
+            return pow(a, n >> 1, n) == n - 1
+    return False
 
 
-_PRIME_CEILING = (1 << 62) - 1
+# The agenda's primes are k*2^60 + 1 with odd k < 2^60: below 2^120, four
+# 30-bit digits each (see the module docstring)
+_PROTH_EXPONENT = 60
 _PRIME_AGENDA = []
 # Safety valve only: reconstruction is accepted solely after agreement with a
 # fresh prime (plus an exact check when small), so a generous cap costs
 # nothing on easy inputs while still terminating if an invariant breaks.
-# 512 primes give a CRT modulus of ~31,000 bits.
+# 512 primes give a CRT modulus of ~61,000 bits.
 _MAX_MODULAR_PRIMES = 512
 _EXACT_CHECK_BIT_CAP = 120_000
 
 
 def _agenda_prime(index: int) -> int:
-    """The index-th prime below 2^62, descending; cached and deterministic."""
+    """The index-th Proth prime k*2^60 + 1 below 2^120, descending;
+    cached and deterministic."""
     while len(_PRIME_AGENDA) <= index:
-        candidate = (_PRIME_AGENDA[-1] if _PRIME_AGENDA else _PRIME_CEILING) - 1
-        if candidate % 2 == 0:
-            candidate -= 1
-        while not is_probable_prime(candidate):
-            candidate -= 2
-        _PRIME_AGENDA.append(candidate)
+        k = (
+            (_PRIME_AGENDA[-1] >> _PROTH_EXPONENT) - 2 if _PRIME_AGENDA
+            else (1 << _PROTH_EXPONENT) - 1
+        )
+        while not _is_proth_prime(k, _PROTH_EXPONENT):
+            k -= 2
+        _PRIME_AGENDA.append((k << _PROTH_EXPONENT) + 1)
     return _PRIME_AGENDA[index]
 
 
@@ -1109,8 +1128,9 @@ class _Certificate:
                 ring, {m + (top - sum(m),): c for m, c in g.terms.items()}
             ))
         # above the cap the basis is unproved; the eliminations, whole
-        # bases of inhomogeneous generators and unit-ideal verdicts that
-        # rest on it warn through `exact`, so it warns nothing here
+        # bases of inhomogeneous generators, unit-ideal verdicts and
+        # dimensions that rest on it warn through `exact`, so it warns
+        # nothing here
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UncertifiedResult)
             lifted = graded_basis(Ideal(ring, homogenized))
@@ -1589,7 +1609,8 @@ def affine_dimension(ideal: Ideal) -> int:
     certificate basis, a Groebner basis under the graded order: the
     dimension is the largest size of a variable subset that meets the
     support of no leading monomial.  Above _EXACT_CHECK_BIT_CAP that basis
-    rests on fresh-prime agreement, and an empty zero set is warned.
+    rests on fresh-prime agreement, and so does the dimension, which is
+    then warned.
     """
     certificate = _certificate(ideal)
     codec = certificate.codec
@@ -1601,8 +1622,11 @@ def affine_dimension(ideal: Ideal) -> int:
     for subset in range(1 << codec.nvars):
         if all(mask & ~subset for mask in masks):
             best = max(best, bin(subset).count("1"))
-    if best < 0 and not certificate.exact():
-        certificate.uncertified("the unit ideal rests on two prime votes")
+    if not certificate.exact():
+        certificate.uncertified(
+            "the unit ideal rests on two prime votes" if best < 0
+            else "a dimension of %d rests on fresh-prime agreement" % best
+        )
     return best
 
 

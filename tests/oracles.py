@@ -4,7 +4,8 @@ Everything here but the last section is deliberately independent of the
 package internals: dense list-based univariate arithmetic over Fraction, a
 Sylvester-determinant resultant for bivariate integer polynomials,
 S-polynomials and multivariate division on tuple monomials under lex with
-the variables in ring order, and the value shift of the metamorphic tests.
+the variables in ring order, the value shift of the metamorphic tests, and
+Miller-Rabin, the reference for the engine's Proth primes.
 Keeping these paths separate from the Groebner engine's packed monomials
 and modular arithmetic makes agreement between the two a meaningful check.
 The last section is a second division kernel on the engine's packed keys,
@@ -310,6 +311,41 @@ def shift(p: UnivariatePolynomial, c) -> UnivariatePolynomial:
     for coeff in reversed(p.coefficients):
         result = result * x_minus_c + coeff
     return result
+
+
+# ---------------------------------------------------------------------------
+# primality by Miller-Rabin
+
+
+# Miller-Rabin with these bases is proven deterministic below about 2^78
+# (3.18 * 10^23); above that a composite passes each further random base
+# with probability at most 1/4.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_probable_prime(n: int, bases=MR_BASES) -> bool:
+    """Whether n passes the strong probable-prime test to every base."""
+    if n < 2:
+        return False
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,9 @@ class TestMainExitCodes:
         # ideal modulo the first two agenda primes, yet it has the one
         # critical point y = -1/(p0*p1), of value -N/(2*(N - 1))
         p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
-        assert (p0, p1) == (2**62 - 57, 2**62 - 87)
+        assert (p0, p1) == (
+            (2**60 - 85) * 2**60 + 1, (2**60 - 103) * 2**60 + 1
+        )
         big = 1 + p0 * p1
         text = "1/2*x^2 + x*y + x + %d/2*y^2 + 2*y" % big
         argv = [text, "--vars", "x,y", "--runs", "1", "--json"]
@@ -409,7 +411,9 @@ class TestReportWork:
         # each node runs in full at its first prime, replays its whole
         # trace at its second, which drops the zeros, and replays the rest
         # after, so these counts move only when the modular chain does more
-        # or less work
+        # or less work.  Every chain here lifts at its first prime and is
+        # reproduced by its second, so no third prime replays a trace that
+        # its zeros have left
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
@@ -441,9 +445,39 @@ class TestReportWork:
                 "--runs", "1", "--coeff-bound", "5", "--json"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert work == {
+        assert work == Counter({
             "full": 8,
             "replays with zeros": 7,
-            "replays without zeros": 2,
+            "replays without zeros": 0,
             "zeros replayed": 72,
-        }
+        })
+
+    def test_primes_of_each_chain_of_one_report(self, monkeypatch, capsys):
+        # the golden x_plus_x2y_xyu_super_polar_bound9999 report: the primes
+        # each modular chain runs, in the order the chains start.  With
+        # 62-bit primes they took 2, 6, 7 and 2; a 120-bit prime lifts
+        # almost twice the bits
+        chains = []
+        stack = []
+        modular_chain = groebner._modular_chain
+        chain_mod_p = groebner._chain_mod_p
+
+        def counting_chain(*args, **kwargs):
+            stack.append(len(chains))
+            chains.append(set())
+            try:
+                return modular_chain(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        def counting_chain_mod_p(p, *args):
+            chains[stack[-1]].add(p)
+            return chain_mod_p(p, *args)
+
+        monkeypatch.setattr(groebner, "_modular_chain", counting_chain)
+        monkeypatch.setattr(groebner, "_chain_mod_p", counting_chain_mod_p)
+        argv = ["x + x^2*y", "--vars", "x,y,u", "--method", "super_polar",
+                "--runs", "1", "--seed", "0", "--json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert [len(primes) for primes in chains] == [2, 4, 4, 2]

@@ -727,8 +727,9 @@ class TestChain:
         self, monkeypatch, watch_node_runs
     ):
         # x - y^2 needs one prime and a fresh one; the (x, u) relation
-        # (u - 1)^2 - B^2*x needs as many as B^2 has 62-bit words, and
-        # only the seed and its own stage keep running for it
+        # (u - 1)^2 - B^2*x needs twice as many primes as B^2 has 120-bit
+        # words (23 in all), and only the seed and its own stage keep
+        # running for it
         big = 3**400
         ideal = Ideal(R3, [X3 - Y3**2, U3 - big * Y3 - 1])
         seed = ((0, 1, 2),)
@@ -1423,8 +1424,10 @@ class TestTraceReplay:
         replay = groebner._ModularArith.replay
         reconstruct = groebner._CrtState.reconstruct
 
+        held = math.prod(groebner._agenda_prime(i) for i in range(5))
+
         def held_reconstruct(self):
-            if self.modulus.bit_length() <= 5 * 62:
+            if self.modulus <= held:
                 return None
             return reconstruct(self)
 
@@ -1493,7 +1496,9 @@ class TestCertificate:
         # ideal becomes <x + y + 1, x + y + 2>, the unit ideal; over the
         # rationals it is the point y = -1/(p0*p1), x = -1 - y
         p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
-        assert (p0, p1) == (2**62 - 57, 2**62 - 87)
+        assert (p0, p1) == (
+            (2**60 - 85) * 2**60 + 1, (2**60 - 103) * 2**60 + 1
+        )
         big = 1 + p0 * p1
         ideal = Ideal(R2, [X + Y + 1, X + big * Y + 2])
         assert affine_dimension(ideal) == 0
@@ -1658,6 +1663,20 @@ class TestCertificate:
         ):
             assert affine_dimension(Ideal(R2, [X * Y - 1, X])) == -1
 
+    @pytest.mark.parametrize(
+        "gens, dim", [([X * Y - 1], 1), ([X**2 + Y**2 - 1, X - Y], 0)]
+    )
+    def test_dimension_above_the_cap_warns(self, monkeypatch, gens, dim):
+        # a dimension of 0 or more read off a certificate above the cap
+        # rests on fresh-prime agreement as much as an empty zero set does
+        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", 0)
+        with pytest.warns(
+            groebner.UncertifiedResult,
+            match=r"a dimension of %d rests on fresh-prime agreement; its "
+            r"certificate in \(x, y\)" % dim,
+        ):
+            assert affine_dimension(Ideal(R2, gens)) == dim
+
     def test_whole_basis_above_the_cap_warns(self, monkeypatch):
         # at a cap of 30 bits the lex basis (69 bits) skips its basis check
         # and the certificate (22 bits) proves only that it lies in the
@@ -1782,13 +1801,14 @@ class TestOutputBasisProperties:
                     assert normal_form(g, elems).is_zero()
 
 
+def _trial_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 class TestPrimes:
     def test_agrees_with_trial_division(self):
-        def trial(n):
-            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-        assert [n for n in range(20_000) if groebner.is_probable_prime(n)] == [
-            n for n in range(20_000) if trial(n)
+        assert [n for n in range(20_000) if oracles.is_probable_prime(n)] == [
+            n for n in range(20_000) if _trial_prime(n)
         ]
 
     @pytest.mark.parametrize(
@@ -1806,11 +1826,41 @@ class TestPrimes:
     )
     def test_rejects_strong_pseudoprimes(self, n):
         # each fools Miller-Rabin for a prefix of the bases 2, 3, 5, ...
-        assert not groebner.is_probable_prime(n)
+        assert not oracles.is_probable_prime(n)
+
+    def test_proth_prover_agrees_with_trial_division(self):
+        # every Proth number k*2^m + 1, odd k < 2^m, with m <= 10: 1,023 in
+        # all, from 3 to 1023*2^10 + 1, among them the squares 9, 25, 49
+        # and 81, which are residues modulo every witness
+        numbers = [(k, m) for m in range(1, 11) for k in range(1, 1 << m, 2)]
+        assert len(numbers) == 1023
+        for k, m in numbers:
+            n = (k << m) + 1
+            assert groebner._is_proth_prime(k, m) == _trial_prime(n), n
+        for k, m in ((1, 3), (3, 3), (3, 4), (5, 4)):
+            assert not groebner._is_proth_prime(k, m)
+
+    def test_agenda_primes(self):
+        # strictly descending below 2^120, each k*2^60 + 1 with odd
+        # k < 2^60, and prime to Miller-Rabin with 20 random bases beyond
+        # its deterministic ones
+        rng = random.Random(24)
+        primes = [
+            groebner._agenda_prime(i)
+            for i in range(groebner._MAX_MODULAR_PRIMES)
+        ]
+        assert all(a > b for a, b in zip(primes, primes[1:]))
+        assert primes[0] < 2**120
+        for p in primes:
+            k, rest = divmod(p - 1, 2**60)
+            assert rest == 0 and k % 2 == 1 and k < 2**60
+            bases = oracles.MR_BASES + tuple(
+                rng.randrange(2, p - 1) for _ in range(20)
+            )
+            assert oracles.is_probable_prime(p, bases)
 
     def test_first_agenda_prime(self):
-        assert groebner._agenda_prime(0) == 2**62 - 57
-        assert groebner.is_probable_prime(2**62 - 57)
+        assert groebner._agenda_prime(0) == (2**60 - 85) * 2**60 + 1
 
     def test_stage_inputs_are_rekeyed_through_plain_packings(
         self, watch_node_runs
