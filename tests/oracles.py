@@ -1,6 +1,6 @@
 """Self-contained reference implementations used to cross-check the package.
 
-Everything here but the last section is deliberately independent of the
+Everything here but the last two sections is deliberately independent of the
 package internals: dense list-based univariate arithmetic over Fraction, a
 Sylvester-determinant resultant for bivariate integer polynomials,
 S-polynomials and multivariate division on tuple monomials under lex with
@@ -8,9 +8,11 @@ the variables in ring order, the value shift of the metamorphic tests, and
 Miller-Rabin, the reference for the engine's Proth primes.
 Keeping these paths separate from the Groebner engine's packed monomials
 and modular arithmetic makes agreement between the two a meaningful check.
-The last section is a second division kernel on the engine's packed keys,
-the eager one, so the engine's own reducer can be compared with it term
-for term.
+The last two sections work on the engine's packed keys: a second division
+kernel, the eager one, so the engine's own reducer can be compared with it
+term for term, and Buchberger's algorithm with the Gebauer-Moller
+criteria, which read only leading monomials, the reference for the bases
+of the engine's signature run.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
+from polarvalues import groebner
 from polarvalues.polynomials import Polynomial, monomial_add
 from polarvalues.univar import UnivariatePolynomial
 
@@ -400,3 +403,57 @@ def mod_p_normal_form(target, basis, p, guard):
         return result
     inv = pow(result[max(result)], p - 2, p)
     return {m: c * inv % p for m, c in result.items()}
+
+
+# ---------------------------------------------------------------------------
+# Buchberger with the Gebauer-Moller criteria on the engine's packed keys
+
+
+def reference_buchberger(gens, engine):
+    """Reduced basis of packed generators by Buchberger's algorithm.
+
+    Pairs are pruned by the Gebauer-Moller update (`groebner._update_pairs`,
+    which reads only leading monomials) and taken by sugar degree, then by
+    install indices; each S-polynomial is reduced by the first installed
+    element whose leading monomial divides its top term.  `engine` is a
+    `_ModularArith` or an `_IntegerArith`: elements are monic modulo p and
+    primitive over the integers, and the S-polynomial scales both sides by
+    their leading coefficients, which are 1 modulo p.  A constant ends the
+    run.  Returns the reduced basis sorted by ascending leading key, as the
+    engine's signature run does.
+    """
+    codec = engine.codec
+    spoly = groebner._IntegerArith(codec).spoly
+    basis = []
+    plain_lts = []
+    sugars = []
+    reducers = []
+    pairs = {}
+
+    def install(terms, sugar):
+        entry = engine.reducer_entry(terms)
+        groebner._update_pairs(
+            plain_lts, sugars, pairs, codec.plain(entry[0]), sugar, codec
+        )
+        basis.append(terms)
+        reducers.append(entry)
+
+    for t in gens:
+        t = engine.reduce(t, reducers)
+        if t:
+            install(t, max(codec.degree(m) for m in t))
+            if max(t) == codec.one_key:
+                pairs.clear()  # 1 divides every S-polynomial
+                break
+    while pairs:
+        (i, j), (sugar, _, _) = min(
+            pairs.items(), key=lambda kv: (kv[1], kv[0])
+        )
+        del pairs[(i, j)]
+        r = engine.reduce(spoly(basis[i], basis[j]), reducers)
+        if r:
+            install(r, sugar)
+            if max(r) == codec.one_key:
+                pairs.clear()
+    kept = groebner._minimal(basis, codec.guard)
+    return groebner._inter_reduce([basis[k] for k in kept], engine)

@@ -485,10 +485,12 @@ class TestModularKernel:
         super-polar curve, then the stage that drops x, modulo the first
         agenda prime: with the shortest reducer first they took 78
         S-polynomials and 32,622 reducer-term updates; with the first
-        installed divisor and monic tails, 70 and 26,495."""
+        installed divisor and monic tails, 70 and 26,495, besides the 11
+        generator reductions.  The signature run makes 52 regular
+        reductions, generators included, and 9,555 updates."""
         graph = _fixed_graph_ideal()
         p = groebner._agenda_prime(0)
-        counts = {"spoly": 0, "updates": 0}
+        counts = {"regular": 0, "updates": 0}
 
         class CountingTerms(dict):
             def items(self):
@@ -497,7 +499,7 @@ class TestModularKernel:
 
         def counting_engine(codec):
             engine = groebner._ModularArith(p, codec)
-            entry, spoly = engine.reducer_entry, engine.spoly
+            entry, reduce = engine.reducer_entry, engine.reduce
 
             def counting_entry(terms):
                 return tuple(
@@ -505,12 +507,12 @@ class TestModularKernel:
                     for x in entry(terms)
                 )
 
-            def counting_spoly(f, g):
-                counts["spoly"] += 1
-                return spoly(f, g)
+            def counting_reduce(target, reducers, steps=None, signature=None):
+                counts["regular"] += signature is not None
+                return reduce(target, reducers, steps, signature)
 
             monkeypatch.setattr(engine, "reducer_entry", counting_entry)
-            monkeypatch.setattr(engine, "spoly", counting_spoly)
+            monkeypatch.setattr(engine, "reduce", counting_reduce)
             return engine
 
         graded = groebner._Codec((range(4),))
@@ -526,8 +528,8 @@ class TestModularKernel:
         ]
         out = groebner._core_buchberger(elems, counting_engine(stage))
         assert len(out) == 9
-        assert counts["spoly"] <= 74
-        assert counts["updates"] <= 29_500
+        assert counts["regular"] <= 55
+        assert counts["updates"] <= 10_500
 
 
 _GRADED3 = groebner._Codec((range(3),))
@@ -942,17 +944,187 @@ class TestPlannedTree:
 
 
 def _lost_leading_term():
-    """The codec and packed generators X^2 + Y, 3XY + X + 1 under the
-    graded order: modulo 3 the second one loses its leading term XY."""
+    """The codec and packed generators Y^3 + Y^2, 3XY^2 + Y^2 under the
+    graded order: modulo 3 the second one loses its leading term XY^2.
+    Modulo 32003 and the agenda primes the signature run reduces one
+    J-pair to zero; modulo 3 too, another one."""
     codec = groebner._Codec((range(2),))
     return codec, [
-        groebner._to_engine(g, codec) for g in (X**2 + Y, 3 * X * Y + X + 1)
+        groebner._to_engine(g, codec)
+        for g in (Y**3 + Y**2, 3 * X * Y**2 + Y**2)
     ]
 
 
 def _zeros(trace):
     """The entries of a trace that record a reduction to zero."""
     return [entry for entry in trace.entries if entry[1] is None]
+
+
+_SIGNATURE_PRIMES = [3, 5, 7, 32003] + [
+    groebner._agenda_prime(i) for i in range(2)
+]
+
+
+@st.composite
+def _signature_ideals(draw):
+    """A codec with one block, singleton blocks (lex) or a leading
+    one-variable block on 3 or 4 variables, and up to four generators of
+    total degree at most 2 or 3, packed under it.  A coefficient c or
+    c + 32003 cancels modulo 32003 where c does, and need not elsewhere."""
+    n = draw(st.integers(min_value=3, max_value=4))
+    degree = draw(st.integers(min_value=2, max_value=3))
+    kind = draw(st.sampled_from(["one_block", "lex", "leading"]))
+    if kind == "one_block":
+        blocks = (tuple(range(n)),)
+    elif kind == "lex":
+        blocks = tuple((i,) for i in range(n))
+    else:
+        var = draw(st.integers(min_value=0, max_value=n - 1))
+        blocks = ((var,), tuple(j for j in range(n) if j != var))
+    monomials = st.lists(
+        st.integers(min_value=0, max_value=n - 1), max_size=degree
+    ).map(lambda vs: tuple(vs.count(i) for i in range(n)))
+    coefficients = st.tuples(
+        st.integers(min_value=-7, max_value=7).filter(bool), st.booleans()
+    ).map(lambda cb: cb[0] + 32003 * cb[1])
+    gens = draw(st.lists(
+        st.dictionaries(monomials, coefficients, min_size=1, max_size=4),
+        min_size=1,
+        max_size=4,
+    ))
+    codec = groebner._Codec(blocks)
+    return codec, [{codec.pack(m): c for m, c in g.items()} for g in gens]
+
+
+def _modular_image(gens, codec, p):
+    """The packed generators modulo p and the engine of that prime."""
+    return (
+        [{m: c % p for m, c in t.items()} for t in gens],
+        groebner._ModularArith(p, codec),
+    )
+
+
+def _packed(blocks, gens):
+    """A codec of `blocks` and exponent-tuple dicts packed under it."""
+    codec = groebner._Codec(blocks)
+    return codec, [{codec.pack(m): c for m, c in g.items()} for g in gens]
+
+
+class TestSignatureRun:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_signature_ideals(), p=st.sampled_from(_SIGNATURE_PRIMES))
+    # Koszul signatures read the lead, the largest term by total degree;
+    # under these codecs, which are not degree-compatible, the leading
+    # term instead gives a signature below the syzygy's, and the syzygy
+    # criterion then skips signatures that it must reduce
+    @example(
+        case=_packed(((0,), (1,), (2,)), [
+            {(1, 1, 1): -5, (2, 0, 0): 5, (0, 0, 1): 4},
+            {(1, 2, 0): 1, (2, 1, 0): 2},
+        ]),
+        p=3,
+    )
+    @example(
+        case=_packed(((0,), (1, 2)), [
+            {(0, 1, 0): 1, (1, 0, 2): -4, (0, 0, 0): -3},
+            {(1, 1, 1): -1, (3, 0, 0): -1},
+            {(0, 2, 1): 5},
+        ]),
+        p=groebner._agenda_prime(0),
+    )
+    def test_signature_run_equals_reference(self, case, p):
+        # the reduced basis is unique: the signature run and the
+        # Gebauer-Moller reference must return the same one
+        codec, gens = case
+        image = _modular_image(gens, codec, p)
+        trace = groebner._Trace()
+        assert groebner._core_buchberger(*image, trace) == (
+            oracles.reference_buchberger(*image)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_signature_ideals(),
+        primes=st.permutations(_SIGNATURE_PRIMES).map(lambda ps: ps[:2]),
+    )
+    def test_checked_signature_replay_is_a_run_at_its_prime(
+        self, case, primes
+    ):
+        # a replay of a whole record, zeros included, either leaves it or
+        # returns the other prime's reduced basis, whatever its staircase
+        codec, gens = case
+        recorded, p = primes
+        trace = groebner._Trace()
+        groebner._core_buchberger(
+            *_modular_image(gens, codec, recorded), trace
+        )
+        image = _modular_image(gens, codec, p)
+        try:
+            replayed = groebner._replay_buchberger(*image, trace)
+        except groebner._TraceMismatch:
+            return
+        assert replayed == oracles.reference_buchberger(*image)
+        assert all(lt is not None for _, lt, _, _ in trace.entries)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_signature_ideals(),
+        primes=st.permutations(_SIGNATURE_PRIMES).map(lambda ps: ps[:3]),
+    )
+    def test_signature_replay_without_zeros_equals_reference(
+        self, case, primes
+    ):
+        # once a completed replay has dropped the zeros, a replay at a third
+        # prime that completes returns its reduced basis whenever that
+        # prime shares the recording prime's staircase
+        codec, gens = case
+        recorded, second, third = primes
+        trace = groebner._Trace()
+        full = groebner._core_buchberger(
+            *_modular_image(gens, codec, recorded), trace
+        )
+        image = _modular_image(gens, codec, third)
+        try:
+            groebner._replay_buchberger(
+                *_modular_image(gens, codec, second), trace
+            )
+            replayed = groebner._replay_buchberger(*image, trace)
+        except groebner._TraceMismatch:
+            return
+        expected = oracles.reference_buchberger(*image)
+        if list(map(max, full)) == list(map(max, expected)):
+            assert replayed == expected
+
+    def test_replay_checks_the_lead(self):
+        # x + 3y^3 + y^2 under ((x), (y)) has leading term x modulo 32003
+        # and modulo 3, but its lead, the largest term by total degree,
+        # moves from y^3 to y^2: the Koszul signatures of its element
+        # would change, so the replay at 3 leaves the record
+        ring = PolynomialRing(("x", "y"))
+        x, y = ring.gens()
+        codec = groebner._Codec(((0,), (1,)))
+        gens = [groebner._to_engine(x + 3 * y**3 + y**2, codec)]
+        trace = groebner._Trace()
+        recorded = groebner._core_buchberger(
+            *_modular_image(gens, codec, 32003), trace
+        )
+        image = _modular_image(gens, codec, 3)
+        assert list(map(max, recorded)) == list(
+            map(max, oracles.reference_buchberger(*image))
+        ) == [codec.pack((1, 0))]
+        with pytest.raises(groebner._TraceMismatch):
+            groebner._replay_buchberger(*image, trace)
+
+    def test_signature_images_stop_at_the_exponent_limit(self):
+        # the J-pair of x^20000 + y and its reduction y has the image
+        # x^40000, past the engine's limit of 2^15 - 1: a wrapped image
+        # would be skipped or kept alike at every prime, so it raises the
+        # engine's exponent error, which the CLI maps to exit 2
+        ideal = Ideal(R2, [X**20000 + Y, X**20000])
+        with pytest.raises(
+            ValueError, match="exponent 40000 exceeds the engine limit"
+        ):
+            graded_basis(ideal)
 
 
 class TestTraceReplay:
@@ -976,7 +1148,7 @@ class TestTraceReplay:
 
         trace = groebner._Trace()
         assert groebner._core_buchberger(*image(0), trace) == one
-        installed = [lt for _, lt, _ in trace.entries if lt is not None]
+        installed = [lt for _, lt, _, _ in trace.entries if lt is not None]
         assert installed[-1] == codec.one_key
         assert len(trace.kept) == len(trace.final) == 1
         assert groebner._replay_buchberger(*image(1), trace) == one
@@ -1035,8 +1207,9 @@ class TestTraceReplay:
             bases = groebner._chain_mod_p(
                 p, gens_int, [codec], (), [0], {0}, {0: traces[recorded]}
             )
-            if list(map(max, full[recorded])) == list(map(max, full[p])):
-                assert bases[0] == full[p]
+            expected = oracles.reference_buchberger(*image(p))
+            if list(map(max, full[recorded])) == list(map(max, expected)):
+                assert bases[0] == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1055,8 +1228,8 @@ class TestTraceReplay:
     @example(blocks=((0, 1, 2),), primes=[3, 32003], gens=[U3, U3 + 3])
     def test_checked_replay_equals_full_run(self, blocks, primes, gens):
         # a checked replay of a trace recorded at one prime either raises
-        # or is a whole Buchberger run at the other, whatever the two
-        # staircases: it returns exactly the full run's reduced basis
+        # or is a whole signature run at the other, whatever the two
+        # staircases: it returns exactly that prime's reduced basis
         codec = groebner._Codec(blocks)
         gens_int = [groebner._to_engine(g, codec) for g in gens]
         recorded, p = primes
@@ -1068,7 +1241,7 @@ class TestTraceReplay:
         )
         engine = groebner._ModularArith(p, codec)
         image = [{m: c % p for m, c in t.items()} for t in gens_int]
-        full = groebner._core_buchberger(image, engine)
+        full = oracles.reference_buchberger(image, engine)
         try:
             replayed = groebner._replay_buchberger(image, engine, trace)
         except groebner._TraceMismatch:
@@ -1080,7 +1253,7 @@ class TestTraceReplay:
         # reduces to zero, so p0's trace installs x + y + u alone.  Modulo
         # p1 that reduction leaves p0*y: the checked replay, which retries
         # every recorded zero, refuses the trace, and the chain runs p1 in
-        # full
+        # full.  So does the vanished generator of <u^3, u^3 + 3> modulo 3
         p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
         codec = groebner._Codec((range(3),))
         gens = [
@@ -1093,22 +1266,38 @@ class TestTraceReplay:
             groebner._ModularArith(p0, codec),
             guide,
         ) == [groebner._to_engine(X3 + Y3 + U3, codec)]
-        assert [lt for _, lt, _ in guide.entries][1] is None
+        assert [lt for _, lt, _, _ in guide.entries][1] is None
         engine = groebner._ModularArith(p1, codec)
         image = [{m: c % p1 for m, c in t.items()} for t in gens]
         with pytest.raises(groebner._TraceMismatch):
             groebner._replay_buchberger(image, engine, guide)
-        full = groebner._core_buchberger(image, engine)
+        full = oracles.reference_buchberger(image, engine)
         assert len(full) == 2
         traces = {0: guide}
         bases = groebner._chain_mod_p(p1, gens, [codec], (), [0], {0}, traces)
         assert bases[0] == full
         assert traces[0].entries is not guide.entries
 
+        cubes = [groebner._to_engine(g, codec) for g in (U3**3, U3**3 + 3)]
+        vanished = groebner._Trace()
+        groebner._core_buchberger(
+            [{m: c % 3 for m, c in t.items()} for t in cubes],
+            groebner._ModularArith(3, codec),
+            vanished,
+        )
+        assert [lt for _, lt, _, _ in vanished.entries][1] is None
+        with pytest.raises(groebner._TraceMismatch):
+            groebner._replay_buchberger(
+                [{m: c % 32003 for m, c in t.items()} for t in cubes],
+                groebner._ModularArith(32003, codec),
+                vanished,
+            )
+
     def test_mismatch_falls_back_to_full_run(self):
-        # modulo 3 the generator 3xy + x + 1 loses its leading term: its
-        # trace installs it with leading monomial x, which no step at 32003
-        # reproduces, so that prime runs in full and records its own trace
+        # modulo 3 the generator 3xy^2 + y^2 loses its leading term: its
+        # trace installs it with leading monomial y^2, which no step at
+        # 32003 reproduces, so that prime runs in full and records its own
+        # trace
         codec, gens = _lost_leading_term()
         trace = groebner._Trace()
         groebner._core_buchberger(
@@ -1120,7 +1309,7 @@ class TestTraceReplay:
         image = [{m: c % 32003 for m, c in t.items()} for t in gens]
         with pytest.raises(groebner._TraceMismatch):
             groebner._replay_buchberger(image, engine, trace)
-        full = groebner._core_buchberger(image, engine)
+        full = oracles.reference_buchberger(image, engine)
         traces = {0: trace}
         bases = groebner._chain_mod_p(
             32003, gens, [codec], (), [0], {0}, traces
@@ -1147,9 +1336,9 @@ class TestTraceReplay:
         recorded = traces[0]
         engine = groebner._ModularArith(p, codec)
         image = [{m: c % p for m, c in t.items()} for t in gens]
-        full = groebner._core_buchberger(image, engine)
+        full = oracles.reference_buchberger(image, engine)
         assert [max(t) for t in full] == [
-            max(t) for t in groebner._core_buchberger(
+            max(t) for t in oracles.reference_buchberger(
                 [{m: c % q for m, c in t.items()} for t in gens],
                 groebner._ModularArith(q, codec),
             )
@@ -1161,15 +1350,16 @@ class TestTraceReplay:
         assert traces[0] is not recorded and traces[0].kept is not None
 
     def test_failed_replay_without_zeros_records_anew(self):
-        # modulo 3 and 5 the second generator of X^2 + Y, 15XY + X + 1
-        # loses its leading term, so 3 records a trace with no zero, whose
-        # replay at 5 completes.  At 32003 the replay leaves it: that prime
-        # runs in full and its fresh trace, with a zero, takes the old
-        # one's place, and the replay at p0 completes and drops that zero
+        # modulo 3 and 5 the second generator of Y^3 + Y^2, 15XY^2 + Y^2
+        # loses its leading term, so the replay at 5 of the trace recorded
+        # at 3 completes and leaves a trace with no zero.  At 32003 the
+        # replay leaves it: that prime runs in full and its fresh trace,
+        # with a zero, takes the old one's place, and the replay at p0
+        # completes and drops that zero
         codec = groebner._Codec((range(2),))
         gens = [
             groebner._to_engine(g, codec)
-            for g in (X**2 + Y, 15 * X * Y + X + 1)
+            for g in (Y**3 + Y**2, 15 * X * Y**2 + Y**2)
         ]
         traces = {}
         for p in (3, 5):
@@ -1180,7 +1370,7 @@ class TestTraceReplay:
             bases = groebner._chain_mod_p(
                 p, gens, [codec], (), [0], {0}, traces
             )
-            assert bases[0] == groebner._core_buchberger(
+            assert bases[0] == oracles.reference_buchberger(
                 [{m: c % p for m, c in t.items()} for t in gens],
                 groebner._ModularArith(p, codec),
             )
@@ -1201,7 +1391,7 @@ class TestTraceReplay:
         assert _zeros(trace)
         p0 = groebner._agenda_prime(0)
         bases = groebner._chain_mod_p(p0, gens, [codec], (), [0], {0}, traces)
-        assert bases[0] == groebner._core_buchberger(
+        assert bases[0] == oracles.reference_buchberger(
             [{m: c % p0 for m, c in t.items()} for t in gens],
             groebner._ModularArith(p0, codec),
         )
@@ -1232,7 +1422,7 @@ class TestTraceReplay:
         # with no reduce (the heap and the divisor search live there) and
         # no divisor test, since no term outside a schedule is left over;
         # node 0 only inter-reduces the certificate's basis at every prime,
-        # with no S-pair
+        # with no J-pair
         graph = _fixed_graph_ideal()
         n = graph.ideal.ring.nvars
         certificate = groebner._certificate(graph.ideal)
@@ -1252,7 +1442,7 @@ class TestTraceReplay:
         reduce = groebner._ModularArith.reduce
         replay = groebner._ModularArith.replay
         pdivides = groebner._pdivides
-        update = groebner._update_pairs
+        jpairs = groebner._jpairs
         inside = [False]
 
         def counting_reduce(self, target, reducers, *steps):
@@ -1272,14 +1462,14 @@ class TestTraceReplay:
                 work["divisor tests"] += 1
             return pdivides(a, b, guard)
 
-        def counting_update(*args):
+        def counting_jpairs(*args):
             work["pairs"] += 1
-            return update(*args)
+            return jpairs(*args)
 
         monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
         monkeypatch.setattr(groebner._ModularArith, "replay", counting_replay)
         monkeypatch.setattr(groebner, "_pdivides", counting_pdivides)
-        monkeypatch.setattr(groebner, "_update_pairs", counting_update)
+        monkeypatch.setattr(groebner, "_jpairs", counting_jpairs)
         traces = {}
         for index in range(3):
             reduced.clear()
@@ -1297,31 +1487,36 @@ class TestTraceReplay:
         assert work == {}
 
     def test_exact_seed_is_only_inter_reduced(self, monkeypatch):
-        # node 0 of a chain seeded with an exact certificate's basis makes
-        # no S-polynomial and no trace, and returns what Buchberger returns
+        # node 0 of a chain seeded with an exact certificate's basis builds
+        # no J-pair and no trace, and returns what Buchberger returns
         graph = _fixed_graph_ideal()
         certificate = groebner._certificate(graph.ideal)
         codec = certificate.codec
         assert certificate.exact()
         p = groebner._agenda_prime(0)
-        expected = groebner._core_buchberger(
+        expected = oracles.reference_buchberger(
             [{m: c % p for m, c in t.items()} for t in certificate.basis()],
             groebner._ModularArith(p, codec),
         )
-        spolys = [0]
-        spoly = groebner._ModularArith.spoly
+        builds = [0]
+        jpairs = groebner._jpairs
 
-        def counting_spoly(self, f, g):
-            spolys[0] += 1
-            return spoly(self, f, g)
+        def counting_jpairs(*args):
+            builds[0] += 1
+            return jpairs(*args)
 
-        monkeypatch.setattr(groebner._ModularArith, "spoly", counting_spoly)
+        monkeypatch.setattr(groebner, "_jpairs", counting_jpairs)
         traces = {}
         bases = groebner._chain_mod_p(
             p, certificate.basis(), [codec], (), [0], {0}, traces, None, True
         )
-        assert spolys[0] == 0 and traces == {}
+        assert builds[0] == 0 and traces == {}
         assert bases[0] == expected
+        # the same seed run in full does build J-pairs
+        groebner._chain_mod_p(
+            p, certificate.basis(), [codec], (), [0], {0}, traces
+        )
+        assert builds[0] and traces
 
     @pytest.mark.parametrize("cap", [groebner._EXACT_CHECK_BIT_CAP, 0])
     def test_seed_runs_buchberger_only_above_the_cap(
@@ -1412,14 +1607,14 @@ class TestTraceReplay:
         # the chain of nonproperness_values on the fixed graph ideal and the
         # chain of its certificate, each held to six primes before it lifts
         # (as taller coefficients would hold it): only the first prime
-        # installs pairs; the second replays, node by node, every reduction
+        # builds J-pairs; the second replays, node by node, every reduction
         # the first made, zeros included, and reduces nothing; no later
-        # prime installs a pair or reduces anything to 0
+        # prime builds a J-pair or reduces anything to 0
         graph = _fixed_graph_ideal()
         work = {}
         current = [None]
         chain = groebner._chain_mod_p
-        update = groebner._update_pairs
+        jpairs = groebner._jpairs
         reduce = groebner._ModularArith.reduce
         replay = groebner._ModularArith.replay
         reconstruct = groebner._CrtState.reconstruct
@@ -1439,10 +1634,10 @@ class TestTraceReplay:
             finally:
                 current[0] = None
 
-        def counting_update(*args):
+        def counting_jpairs(*args):
             if current[0] is not None:
                 work[current[0]]["updates"] += 1
-            return update(*args)
+            return jpairs(*args)
 
         def count(kind, codec, out):
             if current[0] is not None:
@@ -1464,7 +1659,7 @@ class TestTraceReplay:
             )
 
         monkeypatch.setattr(groebner, "_chain_mod_p", tracked_chain)
-        monkeypatch.setattr(groebner, "_update_pairs", counting_update)
+        monkeypatch.setattr(groebner, "_jpairs", counting_jpairs)
         monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
         monkeypatch.setattr(groebner._ModularArith, "replay", counting_replay)
         monkeypatch.setattr(groebner._CrtState, "reconstruct", held_reconstruct)

@@ -27,6 +27,8 @@ from polarvalues.nonproper import (
 from polarvalues.polynomials import Polynomial, PolynomialRing
 from polarvalues.univar import UnivariatePolynomial
 
+import oracles
+
 R2 = PolynomialRing(("x", "y"))
 X, Y = R2.variable("x"), R2.variable("y")
 R3 = PolynomialRing(("x", "y", "u"))
@@ -398,11 +400,11 @@ class TestValueCoordinate:
 def exact_relations(curve, f):
     """Reference: the fiber relations of an exact integer chain.
 
-    `_core_buchberger` runs with `_IntegerArith`, stage by stage and with
-    no modular step: the graded basis of the graph ideal, then one
-    elimination stage per dropped variable in ascending order, then the
-    lex basis of the (x_i, z) intersection, whose element of least x_i
-    degree is the relation.  Returns {i: relation in the pair ring} for
+    `oracles.reference_buchberger` runs with `_IntegerArith`, stage by
+    stage and with no modular step: the graded basis of the graph ideal,
+    then one elimination stage per dropped variable in ascending order,
+    then the lex basis of the (x_i, z) intersection, whose element of
+    least x_i degree is the relation.  Returns {i: relation in the pair ring} for
     every variable of the curve, None where the intersection is zero.
     """
     graph = graph_ideal(curve, f)
@@ -411,7 +413,9 @@ def exact_relations(curve, f):
 
     def exact_basis(polys, codec, target):
         gens = [groebner._to_engine(p, codec) for p in polys]
-        elems = groebner._core_buchberger(gens, groebner._IntegerArith(codec))
+        elems = oracles.reference_buchberger(
+            gens, groebner._IntegerArith(codec)
+        )
         return [groebner._from_engine(t, codec, target) for t in elems]
 
     seed = exact_basis(graph.ideal.generators, groebner._Codec((range(n),)), ring)
