@@ -56,7 +56,8 @@ A reduced Groebner basis is determined by the ideal and the order, so the
 modular route returns the object a direct rational computation would.
 Primes are grouped by the staircases of every stage on an output's path,
 and an output is accepted once a fresh prime of its group reproduces the
-reconstruction and it passes an exact check over the integers:
+reconstruction, that is, leaves it unchanged when its image is added,
+and it passes an exact check over the integers:
 
 - an elimination output is certified to lie in the ideal.  The
   certificate (`_Certificate`) is a graded basis of the homogenized
@@ -761,7 +762,7 @@ def _overflow(image, codec):
     )
 
 
-def _core_buchberger(gens, engine, trace=None):
+def _core_buchberger(gens, engine, trace):
     """Reduced basis of key-packed generators modulo p, by a signature run
     (Gao, Volny & Wang, "A new framework for computing Groebner bases",
     Math. Comp. 85, 2016; Eder & Faugere, "A survey on signature-based
@@ -801,8 +802,8 @@ def _core_buchberger(gens, engine, trace=None):
     which `_minimal` and `_inter_reduce` return the unique reduced basis as
     normalized packed dicts sorted by ascending leading key.
 
-    A fresh `_Trace` records the run: every reduction, zeros included, and
-    each of the final inter-reduction keeps its schedule.
+    `trace`, a fresh `_Trace`, records the run: every reduction, zeros
+    included, and each of the final inter-reduction keeps its schedule.
     """
     p = engine.p
     codec = engine.codec
@@ -829,7 +830,7 @@ def _core_buchberger(gens, engine, trace=None):
             queue.append(
                 max(map(degree, g)) << sugar_shift | max(g) << key_shift | i
             )
-        elif trace is not None:
+        else:
             trace.entries.append((i, None, ([], frozenset()), None))
     heapq.heapify(queue)
     lcms = dict.fromkeys(queue)  # signature -> J-pair lcm, None: generator
@@ -855,21 +856,17 @@ def _core_buchberger(gens, engine, trace=None):
                 continue
             k, shift = source
             target = {m + shift: c for m, c in basis[k].items()}
-        steps = None if trace is None else []
+        steps = []
         r = engine.reduce(
             target, reducers, steps, (sig, sugar_shift, key_shift)
         )
         if not r:
             syzygies[i].append(image)
-            if trace is not None:
-                trace.entries.append(
-                    (source, None, (steps, frozenset()), None)
-                )
+            trace.entries.append((source, None, (steps, frozenset()), None))
             continue
         lt, tail = engine.reducer_entry(r)
         lead = codec.lead(r)
-        if trace is not None:
-            trace.entries.append((source, lt, (steps, frozenset(r)), lead))
+        trace.entries.append((source, lt, (steps, frozenset(r)), lead))
         lim = sig - (degree(lt) << sugar_shift) - (lt << key_shift)
         lead_shift = (degree(lead) << sugar_shift) + (
             (lead - codec.one_key) << key_shift
@@ -883,11 +880,9 @@ def _core_buchberger(gens, engine, trace=None):
         if lt == codec.one_key:
             break
     kept = _minimal(basis, guard)
-    if trace is not None:
-        trace.ngens = len(gens)
-        trace.kept = kept
-    schedules = None if trace is None else trace.final
-    return _inter_reduce([basis[k] for k in kept], engine, schedules)
+    trace.ngens = len(gens)
+    trace.kept = kept
+    return _inter_reduce([basis[k] for k in kept], engine, trace.final)
 
 
 def _jpairs(new, elements, queue, lcms, syzygies, codec, layout):
@@ -1123,6 +1118,13 @@ def _rational_reconstruct(residue: int, modulus: int):
 class _CrtState:
     """Accumulated residues for one staircase across agreeing primes.
 
+    `lift` is the one step per prime: it adds the prime's image,
+    reconstructs, and returns the reconstruction, made primitive, when it
+    is the one before the prime, which is the prime's vote for it.  By the
+    uniqueness below that happens exactly when the last candidate, reduced
+    modulo the prime, is its image; a prime that divides a denominator, or
+    a monomial that appears or vanishes, changes the reconstruction.
+
     `reconstruct` returns what a fresh `_rational_reconstruct` of every
     coefficient would give, but re-runs Euclid only where that can differ:
 
@@ -1145,7 +1147,16 @@ class _CrtState:
         self.elements = None  # list of dicts: packed key -> residue
         self.values = None  # list of dicts: packed key -> last n/d
         self.failed = None  # (element index, key) that failed last
-        self.last_candidate = None
+        self.reconstruction = None  # the last reconstruct()
+
+    def lift(self, p, image):
+        """The reconstruction as primitive integer dicts when p's image
+        leaves it unchanged, else None."""
+        self.add(p, image)
+        previous, self.reconstruction = self.reconstruction, self.reconstruct()
+        if previous is None or self.reconstruction != previous:
+            return None
+        return [_IntegerArith.normalize_fractions(e) for e in previous]
 
     def add(self, p, modgb):
         if self.elements is None:
@@ -1195,24 +1206,6 @@ class _CrtState:
                 return None
             out.append(elem)
         return out
-
-
-def _candidate_mod_p(candidate, p):
-    """Candidate (primitive integer dicts) reduced mod p as monic dicts, or
-    None when p divides a leading coefficient."""
-    out = []
-    for elem in candidate:
-        lc = elem[max(elem)] % p
-        if not lc:
-            return None
-        inv = pow(lc, -1, p)
-        target = {}
-        for mono, c in elem.items():
-            v = c * inv % p
-            if v:
-                target[mono] = v
-        out.append(target)
-    return out
 
 
 def _exact_size(candidate_int) -> int:
@@ -1523,19 +1516,19 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     Each prime runs the nodes that some output still lifting needs.  The
     primes of an output are grouped by the staircases of every node on its
     path, and a reconstruction is accepted once a fresh prime of its group
-    reproduces it and it is verified.  Node 0 takes the exact basis check
-    (skipped above _EXACT_CHECK_BIT_CAP), which proves only that the ideal
-    lies in the candidate's; every other output, and node 0 of
-    inhomogeneous generators, takes the membership certificate of the
-    ideal, which proves the converse; a candidate that fails takes more
-    primes.  On homogeneous generators the basis check suffices, since the
-    staircases agree (Arnold's argument, see `_Certificate`).  A result
-    that stands on fresh-prime agreement alone, an output whose
-    certificate is above the cap or a node 0 above it itself, warns
-    UncertifiedResult.  The unit ideal is no exception: its candidate
-    [1], with staircase {1}, passes the basis check trivially and is
-    proved like any other output.  A prime that divides a coefficient of
-    `gens_int` is skipped.
+    reproduces it, leaving it unchanged (`_CrtState.lift`), and it is
+    verified.  Node 0 takes the exact basis check (skipped above
+    _EXACT_CHECK_BIT_CAP), which proves only that the ideal lies in the
+    candidate's; every other output, and node 0 of inhomogeneous generators,
+    takes the membership certificate of the ideal, which proves the
+    converse; a candidate that fails takes more primes.  On homogeneous
+    generators the basis check suffices, since the staircases agree
+    (Arnold's argument, see `_Certificate`).  A result that stands on
+    fresh-prime agreement alone, an output whose certificate is above the
+    cap or a node 0 above it itself, warns UncertifiedResult.  The unit
+    ideal is no exception: its candidate [1], with staircase {1}, passes the
+    basis check trivially and is proved like any other output.  A prime that
+    divides a coefficient of `gens_int` is skipped.
 
     Each node keeps one trace (see `_chain_mod_p`).  The first prime
     records it in a full run; a priced stage that the tree does not use
@@ -1619,10 +1612,8 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
             state = states[d].get(staircase)
             if state is None:
                 state = states[d][staircase] = _CrtState()
-            elif state.last_candidate is not None and (
-                _candidate_mod_p(state.last_candidate, p) == out
-            ):
-                candidate = state.last_candidate
+            candidate = state.lift(p, out)
+            if candidate is not None:
                 # node 0 within the cap: the ideal lies in the candidate's
                 bits = 0 if o else _exact_size(candidate)
                 unchecked = bits > _EXACT_CHECK_BIT_CAP
@@ -1654,11 +1645,6 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
                     pending.remove(d)
                     continue
                 traces.clear()
-            state.add(p, out)
-            candidate = state.reconstruct()
-            state.last_candidate = candidate and [
-                _IntegerArith.normalize_fractions(e) for e in candidate
-            ]
     if pending:
         from .detector import InternalInvariantError
 

@@ -90,13 +90,16 @@ class Polynomial:
     """An immutable sparse polynomial attached to a PolynomialRing.
 
     The constructor keeps `terms` as given, so every coefficient must be a
-    nonzero Fraction; `PolynomialRing.polynomial` builds one from arbitrary
-    rational coefficients, dropping zeros.
+    nonzero Fraction, and it raises ValueError on a zero one;
+    `PolynomialRing.polynomial` builds one from arbitrary rational
+    coefficients, dropping zeros.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolynomialRing, terms: dict):
+        if not all(terms.values()):
+            raise ValueError("a Polynomial stores no zero coefficient")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
 
@@ -351,6 +354,9 @@ def _linear_power(row, e: int) -> dict:
         exps[j] = 0
 
     expand(0, e, Fraction(1))
+    # expand refers to itself, a cycle that would keep terms alive until
+    # the cycle collector runs
+    del expand
     return terms
 
 

@@ -28,7 +28,7 @@ def watch_node_runs(monkeypatch):
         for name in ("_core_buchberger", "_replay_buchberger"):
             inner = getattr(groebner, name)
 
-            def watched(gens, engine, trace=None, inner=inner):
+            def watched(gens, engine, trace, inner=inner):
                 watch(gens, engine)
                 return inner(gens, engine, trace)
 

@@ -8,11 +8,12 @@ the variables in ring order, the value shift of the metamorphic tests, and
 Miller-Rabin, the reference for the engine's Proth primes.
 Keeping these paths separate from the Groebner engine's packed monomials
 and modular arithmetic makes agreement between the two a meaningful check.
-The last two sections work on the engine's packed keys: a second division
-kernel, the eager one, so the engine's own reducer can be compared with it
-term for term, and Buchberger's algorithm with the Gebauer-Moller
+The last three sections work on the engine's packed keys: a second
+division kernel, the eager one, so the engine's own reducer can be compared
+with it term for term, Buchberger's algorithm with the Gebauer-Moller
 criteria, which read only leading monomials, the reference for the bases
-of the engine's signature run.
+of the engine's signature run, and the fresh-prime vote as a reduction of
+the last candidate modulo p, the reference for `_CrtState.lift`.
 """
 
 from __future__ import annotations
@@ -457,3 +458,29 @@ def reference_buchberger(gens, engine):
                 pairs.clear()
     kept = groebner._minimal(basis, codec.guard)
     return groebner._inter_reduce([basis[k] for k in kept], engine)
+
+
+# ---------------------------------------------------------------------------
+# the fresh-prime vote on the engine's packed keys
+
+
+def candidate_mod_p(candidate, p):
+    """Candidate (primitive integer dicts) reduced mod p as monic dicts, or
+    None when p divides a leading coefficient.
+
+    A fresh prime votes for the last candidate when this equals its reduced
+    basis; `_CrtState.lift` votes by reconstructing at the larger modulus
+    instead, and returns the candidate exactly when this vote passes."""
+    out = []
+    for elem in candidate:
+        lc = elem[max(elem)] % p
+        if not lc:
+            return None
+        inv = pow(lc, -1, p)
+        target = {}
+        for mono, c in elem.items():
+            v = c * inv % p
+            if v:
+                target[mono] = v
+        out.append(target)
+    return out

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, configuration, serialization, exit codes."""
 
 import gc
+import inspect
 import json
 from collections import Counter
 from fractions import Fraction
@@ -405,6 +406,29 @@ class TestReportWork:
             gc.enable()
         capsys.readouterr()
         assert after == before
+
+    def test_no_function_of_a_report_is_left_in_a_cycle(self, capsys):
+        # a nested function that calls itself through its closure cell is
+        # a cycle that keeps its cells, and what they hold, until the cycle
+        # collector runs
+        argv = ["x^2*y", "--vars", "x,y", "--method", "both", "--json"]
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            left = sorted(
+                o.__qualname__ for o in gc.garbage
+                if inspect.isfunction(o)
+                and o.__module__.startswith("polarvalues")
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        capsys.readouterr()
+        assert left == []
 
     def test_buchberger_work_of_one_report_by_kind(self, monkeypatch, capsys):
         # the golden x_plus_x2y_xyu_super_polar report (seed 0, bound 5):

@@ -245,6 +245,7 @@ class TestBuchbergerKnownBases:
         basis = groebner._core_buchberger(
             [{m: c % p for m, c in t.items()} for t in gens],
             groebner._ModularArith(p, codec),
+            groebner._Trace(),
         )
         for t in basis:
             assert t[max(t)] == 1
@@ -268,7 +269,7 @@ class TestBuchbergerKnownBases:
                 {m: c % p for m, c in groebner._to_engine(g, codec).items()}
                 for g in gens
             ]
-            basis = groebner._core_buchberger(image, engine)
+            basis = groebner._core_buchberger(image, engine, groebner._Trace())
             if basis == [{codec.one_key: 1}]:
                 assert gbq.contains_one()
                 continue
@@ -465,7 +466,7 @@ class TestModularKernel:
             t = {m: c for m, c in t.items() if c}
             if t:
                 packed.append(t)
-        basis = groebner._core_buchberger(packed, engine)
+        basis = groebner._core_buchberger(packed, engine, groebner._Trace())
         target = R3.zero() if in_ideal else free
         for q, b in zip(multipliers, basis):
             target = target + q * Polynomial(
@@ -520,13 +521,17 @@ class TestModularKernel:
             {m: c % p for m, c in groebner._to_engine(g, graded).items()}
             for g in graph.ideal.generators
         ]
-        seed = groebner._core_buchberger(gens, counting_engine(graded))
+        seed = groebner._core_buchberger(
+            gens, counting_engine(graded), groebner._Trace()
+        )
         stage = groebner._Codec(((0,), (1, 2, 3)))
         elems = [
             {stage.pack(graded.unpack(m)): c for m, c in t.items()}
             for t in seed
         ]
-        out = groebner._core_buchberger(elems, counting_engine(stage))
+        out = groebner._core_buchberger(
+            elems, counting_engine(stage), groebner._Trace()
+        )
         assert len(out) == 9
         assert counts["regular"] <= 55
         assert counts["updates"] <= 10_500
@@ -1766,6 +1771,7 @@ class TestCertificate:
         assert groebner._core_buchberger(
             [{m: c % 3 for m, c in t.items()} for t in gens],
             groebner._ModularArith(3, codec),
+            groebner._Trace(),
         ) == [one]
         # the exact basis check proves only that the ideal lies in <1>
         assert groebner._exact_basis_check(gens, [one], codec)
@@ -2187,25 +2193,43 @@ class TestCrtState:
         st.integers(min_value=1, max_value=14),
     )
     def test_matches_fresh_reconstruction(self, drawn, nprimes):
-        """After every prime, the reused reconstructions equal a fresh one.
+        """After every prime, the reused reconstructions equal a fresh one,
+        and `lift` returns the reconstruction, made primitive, exactly when
+        the fresh prime votes for the one before it: that one, made
+        primitive and reduced mod p, is the prime's image.
 
-        The first element is planted: 1 + p0*(p0 // 3) is 1 modulo the
-        first prime p0, so it reconstructs to the wrong value 1 before it
-        reconstructs to itself; 7*p0/5 vanishes modulo p0, so its key is
-        missing from the first image.
+        Every element ends in a leading 1, so that each image is monic like
+        a reduced basis modulo p.  The first element is planted:
+        1 + p0*(p0 // 3) is 1 modulo the first prime p0, so it reconstructs
+        to the wrong value 1 before it reconstructs to itself; 7*p0/5
+        vanishes modulo p0, so its key is missing from the first image.
+        While the planted element changes, `lift` returns None.
         """
         p0 = groebner._agenda_prime(0)
         planted = Fraction(1 + p0 * (p0 // 3))
-        elements = [[planted, Fraction(7 * p0, 5)]] + drawn
+        elements = [
+            elem + [Fraction(1)]
+            for elem in [[planted, Fraction(7 * p0, 5)]] + drawn
+        ]
+        primitive = groebner._IntegerArith.normalize_fractions
         state = groebner._CrtState()
+        previous = planted_before = None
         for i in range(nprimes):
             p = groebner._agenda_prime(i)
             image = []
             for elem in elements:
                 residues = {k: _image(v, p) for k, v in enumerate(elem)}
                 image.append({k: r for k, r in residues.items() if r})
-            state.add(p, image)
-            assert state.reconstruct() == _fresh_reconstruction(state)
+            lifted = state.lift(p, image)
+            fresh = _fresh_reconstruction(state)
+            assert state.reconstruction == fresh
+            vote = previous is not None and oracles.candidate_mod_p(
+                [primitive(e) for e in previous], p
+            ) == image
+            if vote:
+                assert lifted == [primitive(e) for e in fresh]
+            else:
+                assert lifted is None
             planted_now = groebner._rational_reconstruct(
                 state.elements[0][0], state.modulus
             )
@@ -2213,20 +2237,40 @@ class TestCrtState:
                 assert planted_now == 1
             elif i >= 4:
                 assert planted_now == planted
+            if i == 0 or planted_now != planted_before:
+                assert lifted is None
+            previous, planted_before = fresh, planted_now
 
-    def test_candidate_mod_p(self):
-        # a lifted candidate is primitive integers: p = 3 divides the
-        # leading coefficient of 3x - 7y + 21, and modulo 7 the element
-        # loses its tail
+    def test_lift(self):
+        # the reconstruction x - 7/3*y + 7 is lifted as the primitive
+        # 3x - 7y + 21: no image modulo 3, which divides its denominator,
+        # reproduces it, while modulo 7 the element loses its tail and
+        # is reproduced
         codec = groebner._Codec((range(2),))
         elem = groebner._to_engine(3 * X - 7 * Y + 21, codec)
-        assert groebner._candidate_mod_p([elem], 3) is None
-        for p in (7, 11, groebner._agenda_prime(0)):
-            monic = groebner._ModularArith(p, codec).normalize(
+
+        def monic_image(p):
+            return groebner._ModularArith(p, codec).normalize(
                 {m: c % p for m, c in elem.items() if c % p}
             )
-            assert groebner._candidate_mod_p([elem], p) == [monic]
-        assert groebner._candidate_mod_p([elem], 7) == [{max(elem): 1}]
+
+        def lifted_once(q, p, image):
+            state = groebner._CrtState()
+            assert state.lift(q, [monic_image(q)]) is None
+            assert state.reconstruction == [
+                {m: Fraction(c, 3) for m, c in elem.items()}
+            ]
+            return state.lift(p, image)
+
+        q = groebner._agenda_prime(1)
+        keys = sorted(elem)
+        for values in itertools.product(range(3), repeat=len(keys) - 1):
+            image = {keys[-1]: 1}
+            image.update((m, v) for m, v in zip(keys, values) if v)
+            assert lifted_once(q, 3, [image]) is None
+        for p in (7, 11, groebner._agenda_prime(0)):
+            assert lifted_once(q, p, [monic_image(p)]) == [elem]
+        assert monic_image(7) == {max(elem): 1}
 
 
 def _fermat_inverse(x, p):
@@ -2253,17 +2297,35 @@ class TestModularInverses:
             assert want[top] == 1
 
     @pytest.mark.parametrize("p", PRIMES)
-    def test_candidate_mod_p(self, p):
+    def test_lift(self, p):
+        # the reconstruction x - (p - 1)/lc, lifted from agenda primes other
+        # than p, for leading coefficients lc congruent to r, beyond p and
+        # negative: p reproduces it, as primitive integers, with the monic
+        # image of lc*x - (p - 1), and not with another constant term
         codec = groebner._Codec((range(2),))
         top, low = codec.pack((1, 0)), codec.one_key
+        earlier = [groebner._agenda_prime(i) for i in range(1, 7)]
+
+        def lifted(value, image):
+            state = groebner._CrtState()
+            for q in earlier:
+                state.lift(q, [{m: _image(v, q) for m, v in value.items()}])
+            assert state.reconstruction == [value]
+            return state.lift(p, [image])
+
         for r in self._residues(p):
-            # leading coefficients congruent to r, beyond p and negative
             for lc in (r, r + 5 * p, r - 7 * p, r + p * 3**80):
                 elem = {top: lc, low: -(p - 1)}
                 inv = _fermat_inverse(lc, p)
                 want = {m: c * inv % p for m, c in elem.items()}
                 want = {m: c for m, c in want.items() if c}
-                assert groebner._candidate_mod_p([elem], p) == [want]
+                wrong = {top: 1, low: (want.get(low, 0) + 1) % p}
+                wrong = {m: c for m, c in wrong.items() if c}
+                value = {top: Fraction(1), low: Fraction(-(p - 1), lc)}
+                assert lifted(value, want) == [
+                    groebner._IntegerArith.normalize_fractions(value)
+                ]
+                assert lifted(value, wrong) is None
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_crt_add_after_a_large_modulus(self, p):

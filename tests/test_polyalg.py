@@ -225,6 +225,15 @@ class TestNoZeroCoefficients:
         for r in results:
             assert _stores_no_zero(r)
 
+    def test_constructor_rejects_a_zero_coefficient(self):
+        # kept, a zero coefficient made is_zero, equality and degrees wrong:
+        # this polynomial read as nonzero, of degree 1, printed as 0*x
+        with pytest.raises(ValueError):
+            Polynomial(R2, {(1, 0): Fraction(0)})
+        with pytest.raises(ValueError):
+            Polynomial(R2, {(0, 0): Fraction(3), (0, 1): Fraction(0)})
+        assert Polynomial(R2, {}) == R2.zero()
+
 
 class TestRingExtension:
     def test_fresh_variable_name_avoids_clashes(self):
