@@ -54,10 +54,14 @@ failed last still fails); intermediate stages never leave the modular
 engine, and a stage stops running once every output below it is lifted.
 A reduced Groebner basis is determined by the ideal and the order, so the
 modular route returns the object a direct rational computation would.
-Primes are grouped by the staircases of every stage on an output's path,
-and an output is accepted once a fresh prime of its group reproduces the
-reconstruction, that is, leaves it unchanged when its image is added,
-and it passes an exact check over the integers:
+Primes are grouped by the staircases of every stage on an output's path.
+An output is accepted at the first prime of its group whose
+reconstruction clears a margin (`_EARLY_MARGIN_BITS`), when its path ran
+exactly at a prime of the group, once it passes an exact check over the
+integers; that check proves it (see `_modular_chain`).  Otherwise, and
+above _EXACT_CHECK_BIT_CAP, it waits for a fresh prime of its group to
+reproduce the reconstruction, that is, to leave it unchanged when its
+image is added, and then takes the same check:
 
 - an elimination output is certified to lie in the ideal.  The
   certificate (`_Certificate`) is a graded basis of the homogenized
@@ -78,8 +82,9 @@ modular power (`_is_proth_prime`).  CPython stores a 62-bit integer in
 three 30-bit digits and any integer below 2^120 in four, and a chain's
 arithmetic costs about the same per prime at either size, while each
 prime lifts almost twice the bits: the chains of the seed-0 report on
-x + x^2*y in (x, y, u) at the default coefficient bound take 2, 2, 4 and
-4 primes, against 2, 2, 6 and 7 with 62-bit primes.  Above 120 bits the
+x + x^2*y in (x, y, u) at the default coefficient bound took 2, 2, 4 and
+4 primes when every output waited for a vote, against 2, 2, 6 and 7 with
+62-bit primes (1, 1, 3 and 3 now).  Above 120 bits the
 cost per prime grows faster than the primes saved (README, "Engine
 notes").
 
@@ -88,15 +93,15 @@ Each Ideal builds its certificate once and keeps it, so its dimension
 memberships all rest on one exact graded basis.
 
 The unit ideal is no exception: its reduced basis is [1], its staircase
-{1}, and it is lifted, reproduced and proved like any output.  [1] passes
-the basis check trivially; Arnold's argument then covers it on
-homogeneous generators, and the certificate on any others.  Neither check
-runs on a basis above _EXACT_CHECK_BIT_CAP bits; the fresh-prime verdict
-then stands, and an elimination, a whole basis or a unit ideal accepted
-that way raises an UncertifiedResult warning.  The certificate's own
-basis warns nothing itself; above the cap, the eliminations, whole bases
-of inhomogeneous generators, unit-ideal verdicts and dimensions that rest
-on it warn instead.
+{1}, and it is lifted and proved like any output, at its first exact
+prime.  [1] passes the basis check trivially; Arnold's argument then
+covers it on homogeneous generators, and the certificate on any others.
+Neither check runs on a basis above _EXACT_CHECK_BIT_CAP bits; the
+fresh-prime verdict then stands, and an elimination, a whole basis or a
+unit ideal accepted that way raises an UncertifiedResult warning.  The
+certificate's own basis warns nothing itself; above the cap, the
+eliminations, whole bases of inhomogeneous generators, unit-ideal
+verdicts and dimensions that rest on it warn instead.
 
 Node 0 of an elimination chain runs no Buchberger when its certificate is
 exact: modulo a prime that divides none of its coefficients, G stays a
@@ -711,7 +716,8 @@ class _Trace:
     element.  No signature is recorded: a replay computes none, and the
     leading keys, leads and zeros it checks determine every one (see
     `_replay_buchberger`).  A replay that completes at another prime
-    drops the zero entries.
+    drops the zero entries; `zeros` says whether the trace still holds
+    them, so that its next replay, if it completes, is a whole run.
     """
 
     def __init__(self):
@@ -719,6 +725,7 @@ class _Trace:
         self.entries = []
         self.kept = None
         self.final = []
+        self.zeros = True
 
 
 def _minimal(basis, guard):
@@ -965,10 +972,12 @@ def _replay_buchberger(gens, engine, trace):
     recorded leading monomials, so J may be smaller.  When I has the
     recorded staircase too, LT(I) lies in LT(J), so J = I and the result is
     I's reduced basis.  Every dropped zero vanished at two primes, and the
-    caller's exact checks refute the rest (for homogeneous generators g,
-    Arnold's chain HF(<G>) <= HF(<g>) <= HF(<g> mod p) <= HF(J) <=
-    HF(<LM(G)>) = HF(<G>) proves a lifted basis G with the replayed
-    staircase exact).
+    caller's exact checks refute the rest.  Such a replay is not an exact
+    run (`_Trace.zeros`): a one-prime proof needs a prime of the output's
+    group whose run was whole, and a voted candidate takes the same checks
+    (for homogeneous generators g, Arnold's chain HF(<G>) <= HF(<g>) <=
+    HF(<g> mod p) <= HF(J) <= HF(<LM(G)>) = HF(<G>) proves a lifted basis
+    G with the replayed staircase exact).
     """
     if len(gens) != trace.ngens:
         raise _TraceMismatch()
@@ -997,6 +1006,7 @@ def _replay_buchberger(gens, engine, trace):
         lt, tail = engine.reducer_entry(t)
         tails[lt] = tail
     trace.entries = [entry for entry in trace.entries if entry[1] is not None]
+    trace.zeros = False
     return elems
 
 
@@ -1075,12 +1085,19 @@ def _is_proth_prime(k: int, m: int) -> bool:
 # 30-bit digits each (see the module docstring)
 _PROTH_EXPONENT = 60
 _PRIME_AGENDA = []
-# Safety valve only: reconstruction is accepted solely after agreement with a
-# fresh prime (plus an exact check when small), so a generous cap costs
-# nothing on easy inputs while still terminating if an invariant breaks.
-# 512 primes give a CRT modulus of ~61,000 bits.
+# Safety valve only: a reconstruction is accepted solely after an exact
+# check, or above the cap after agreement with a fresh prime, so a generous
+# cap costs nothing on easy inputs while still terminating if an invariant
+# breaks.  512 primes give a CRT modulus of ~61,000 bits.
 _MAX_MODULAR_PRIMES = 512
 _EXACT_CHECK_BIT_CAP = 120_000
+# A reconstruction is proved before any vote only when each coefficient n/d
+# has |n|*d < floor(M / 2^_EARLY_MARGIN_BITS), M the modulus
+# (`_CrtState.early`).
+# A random residue modulo M reconstructs that small with probability about
+# 1.2*ln(M) / 2^_EARLY_MARGIN_BITS, below 1e-4 at one 120-bit prime, so a
+# one-prime try is rarely refuted, and a refuted try clears every trace.
+_EARLY_MARGIN_BITS = 20
 
 
 def _agenda_prime(index: int) -> int:
@@ -1125,6 +1142,15 @@ class _CrtState:
     modulo the prime, is its image; a prime that divides a denominator, or
     a monomial that appears or vanishes, changes the reconstruction.
 
+    `exact` lists the primes of the group at which the output's path ran
+    exactly (see `_chain_mod_p`), and `early` offers the reconstruction,
+    made primitive, for a proof at one of them: only when the group holds
+    one and every coefficient n/d clears the margin, |n|*d <
+    floor(M / 2^_EARLY_MARGIN_BITS).  No prime of the group divides a
+    denominator: n = residue*d (mod M) with gcd(n, d) = 1 leaves d prime
+    to M.  So the reconstruction, reduced modulo an exact prime, is that
+    prime's image.
+
     `reconstruct` returns what a fresh `_rational_reconstruct` of every
     coefficient would give, but re-runs Euclid only where that can differ:
 
@@ -1148,15 +1174,32 @@ class _CrtState:
         self.values = None  # list of dicts: packed key -> last n/d
         self.failed = None  # (element index, key) that failed last
         self.reconstruction = None  # the last reconstruct()
+        self.exact = []  # the primes at which the path ran exactly
 
-    def lift(self, p, image):
+    def lift(self, p, image, exact=False):
         """The reconstruction as primitive integer dicts when p's image
-        leaves it unchanged, else None."""
+        leaves it unchanged, else None.  `exact` says that the image's
+        path ran exactly at p."""
         self.add(p, image)
+        if exact:
+            self.exact.append(p)
         previous, self.reconstruction = self.reconstruction, self.reconstruct()
         if previous is None or self.reconstruction != previous:
             return None
         return [_IntegerArith.normalize_fractions(e) for e in previous]
+
+    def early(self):
+        """The reconstruction as primitive integer dicts when an exact
+        prime may prove it before any vote, else None."""
+        reconstruction = self.reconstruction
+        if not self.exact or reconstruction is None:
+            return None
+        bound = self.modulus >> _EARLY_MARGIN_BITS
+        for e in reconstruction:
+            for v in e.values():
+                if abs(v.numerator) * v.denominator >= bound:
+                    return None
+        return [_IntegerArith.normalize_fractions(e) for e in reconstruction]
 
     def add(self, p, modgb):
         if self.elements is None:
@@ -1372,7 +1415,7 @@ def _involves(terms, var_mask) -> bool:
 
 
 def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
-                 bases=None, seed_is_basis=False):
+                 bases=None, seed_is_basis=False, exact=None):
     """Every needed node's reduced basis modulo p.
 
     Node 0 is the basis of the generators under codecs[0]; node k >= 1
@@ -1394,18 +1437,32 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
     codecs[0] whose coefficients p does not divide, so modulo p they stay
     one with the same leading monomials: node 0 only inter-reduces them,
     with no S-pair and no trace.
+
+    `exact`, a set kept across the calls of one prime like `bases`,
+    receives each node that ran exactly at p: its basis is the reduced
+    basis of its ideal modulo p, not only of the ideal that a replay
+    without zeros generates.  Node 0 runs exactly when it only
+    inter-reduces an exact seed, and any node when it runs in full or
+    replays a trace that still holds its zeros; a stage runs exactly when
+    its parent did and it does, or its parent did and it passes the
+    parent's basis through.
     """
 
     def run(node, elems):
+        """The node's basis, and whether it ran exactly."""
         engine = _ModularArith(p, codecs[node])
         if node in traces:
+            trace = traces[node]
+            whole = trace.zeros
             try:
-                return _replay_buchberger(elems, engine, traces[node])
+                return _replay_buchberger(elems, engine, trace), whole
             except _TraceMismatch:
                 pass
         trace = traces[node] = _Trace()
-        return _core_buchberger(elems, engine, trace)
+        return _core_buchberger(elems, engine, trace), True
 
+    if exact is None:
+        exact = set()
     if bases is None:
         seed = [{m: c % p for m, c in t.items()} for t in gens_int]
         if seed_is_basis:
@@ -1414,8 +1471,11 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
             seed = _inter_reduce(
                 [seed[k] for k in _minimal(seed, codecs[0].guard)], engine
             )
+            whole = True
         else:
-            seed = run(0, seed)
+            seed, whole = run(0, seed)
+        if whole:
+            exact.add(0)
         bases = {0: seed}
     for node, (parent, var) in enumerate(stages, 1):
         if node in bases or node not in needed:
@@ -1427,8 +1487,11 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
             for t in bases[parent]
             if not (parent and _involves(t, masks[parent]))
         ]
+        whole = True
         if any(_involves(t, masks[node]) for t in elems):
-            elems = run(node, elems)
+            elems, whole = run(node, elems)
+        if whole and parent in exact:
+            exact.add(node)
         bases[node] = elems
     return bases
 
@@ -1513,22 +1576,64 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     and every output is a unique reduced basis, so the order of the
     stages is unobservable.
 
-    Each prime runs the nodes that some output still lifting needs.  The
-    primes of an output are grouped by the staircases of every node on its
-    path, and a reconstruction is accepted once a fresh prime of its group
-    reproduces it, leaving it unchanged (`_CrtState.lift`), and it is
-    verified.  Node 0 takes the exact basis check (skipped above
-    _EXACT_CHECK_BIT_CAP), which proves only that the ideal lies in the
-    candidate's; every other output, and node 0 of inhomogeneous generators,
-    takes the membership certificate of the ideal, which proves the
-    converse; a candidate that fails takes more primes.  On homogeneous
-    generators the basis check suffices, since the staircases agree
-    (Arnold's argument, see `_Certificate`).  A result that stands on
-    fresh-prime agreement alone, an output whose certificate is above the
-    cap or a node 0 above it itself, warns UncertifiedResult.  The unit
-    ideal is no exception: its candidate [1], with staircase {1}, passes the
-    basis check trivially and is proved like any other output.  A prime that
-    divides a coefficient of `gens_int` is skipped.
+    Each prime runs the nodes that some output still lifting needs, and
+    `_chain_mod_p` reports which of them ran exactly.  The primes of an
+    output are grouped by the staircases of every node on its path, each
+    prime takes one lifting step per output (`_CrtState.lift`), and a
+    reconstruction is put forward in one of two ways:
+
+    - a proof: the group holds a prime at which the output's path ran
+      exactly, and every coefficient n/d clears the margin, |n|*d <
+      floor(M / 2^_EARLY_MARGIN_BITS) (`_CrtState.early`).  No vote is
+      needed, so an output is accepted at the prime that first
+      reconstructs it.  It is tried only where the checks below run: on a
+      whole basis within _EXACT_CHECK_BIT_CAP (whose certificate is exact
+      when it needs one), and on an elimination of a chain that starts
+      from an exact certificate's basis (`seed_is_basis`).
+    - a vote, for every other output: a fresh prime of the group
+      reproduces it, leaving it unchanged.
+
+    Either way it is then verified.  Node 0 takes the exact basis check
+    (skipped above _EXACT_CHECK_BIT_CAP), which proves only that the ideal
+    lies in the candidate's; every other output, and node 0 of
+    inhomogeneous generators, takes the membership certificate of the
+    ideal, which proves the converse; a candidate that fails takes more
+    primes.  On homogeneous generators the basis check suffices, since
+    the staircases agree (Arnold's argument, see `_Certificate`).  A
+    result that stands on fresh-prime agreement alone, an output whose
+    certificate is above the cap or a node 0 above it itself, warns
+    UncertifiedResult.  The unit ideal is no exception: its candidate [1],
+    with staircase {1}, passes the basis check trivially and is proved
+    like any other output.  A prime that divides a coefficient of
+    `gens_int` is skipped.
+
+    Why a candidate C that passed its checks at an exact prime p is the
+    answer (the lucky-prime argument of Pauer, "On lucky ideals for
+    Groebner basis computations", JSC 14, 1992).  For node 0 the checks
+    alone prove it.  For an elimination onto the variables S, let G be the
+    exact basis of the ideal I that the chain starts from.  p divides no
+    coefficient of G, so G mod p is a Groebner basis with G's leading
+    monomials, and the exact run makes C mod p the reduced basis of
+    <G mod p> meet F_p[S].  C is monic and no prime of its group divides
+    a denominator (see `_CrtState`), so C mod p is defined and keeps C's
+    leading monomials.  Take any j in I meet Q[S] with p-integral
+    coefficients.  Dividing j by G inverts only leading coefficients of G,
+    which are units at p, so j mod p lies in <G mod p> meet F_p[S] =
+    <C mod p>.  The remainder r of j by C is p-integral, lies in I meet
+    Q[S] since C does (the certificate), and reduces modulo p to the
+    remainder of j mod p by C mod p, which is 0.  If r were nonzero, r
+    over its p-content would be an element of I meet Q[S] whose residue is
+    nonzero, lies in <C mod p> and has no term that a leading monomial of
+    C divides, which no nonzero element of <C mod p> has.  So every j
+    reduces to zero by C: C is a Groebner basis of I meet Q[S], and a
+    reduced one, since every image of its group is reduced with its
+    leading monomials.  In particular the output onto (x_i, z) generates
+    the whole intersection, so the relation that `nonproper.fiber_relation`
+    reads off it has the least x_i-degree of any nonzero element of I in
+    Q[x_i, z], by proof rather than by fresh-prime agreement.  The margin
+    is not needed for this: it makes a wrong one-prime reconstruction
+    rare, since a refuted candidate clears every trace and costs the next
+    prime a full run.
 
     Each node keeps one trace (see `_chain_mod_p`).  The first prime
     records it in a full run; a priced stage that the tree does not use
@@ -1578,18 +1683,20 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
             continue
         used += 1
         bases = None
+        exact = set()
         if used == 1:
             # the first prime runs node 0 and the stages that _plan prices
             # ahead of the rest of the tree
             bases = _chain_mod_p(
                 p, gens_int, codecs, stages, masks, {0}, traces, None,
-                seed_is_basis,
+                seed_is_basis, exact,
             )
 
             def price(var):
                 node = add(0, var)
                 _chain_mod_p(
-                    p, gens_int, codecs, stages, masks, {node}, traces, bases
+                    p, gens_int, codecs, stages, masks, {node}, traces, bases,
+                    False, exact,
                 )
                 return sum(len(t) for t in bases[node])
 
@@ -1600,7 +1707,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
         needed = {k for d in pending for k in paths[nodes[d]]}
         bases = _chain_mod_p(
             p, gens_int, codecs, stages, masks, needed, traces, bases,
-            seed_is_basis,
+            seed_is_basis, exact,
         )
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
         for d in list(pending):
@@ -1612,39 +1719,50 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
             state = states[d].get(staircase)
             if state is None:
                 state = states[d][staircase] = _CrtState()
-            candidate = state.lift(p, out)
-            if candidate is not None:
-                # node 0 within the cap: the ideal lies in the candidate's
-                bits = 0 if o else _exact_size(candidate)
-                unchecked = bits > _EXACT_CHECK_BIT_CAP
-                verdict = o > 0 or unchecked or _exact_basis_check(
-                    gens_int, candidate, seed_codec
+            candidate = state.lift(p, out, o in exact)
+            # an elimination is proved at one prime only from an exact
+            # seed; a whole basis by its checks alone
+            early = candidate is None and (seed_is_basis or not o)
+            if early:
+                candidate = state.early()
+            if candidate is None:
+                continue
+            # node 0 within the cap: the ideal lies in the candidate's
+            bits = 0 if o else _exact_size(candidate)
+            unchecked = bits > _EXACT_CHECK_BIT_CAP
+            # on homogeneous generators a basis that passed its check is
+            # exact; any other output must lie in the ideal
+            by_certificate = o > 0 or not certificate.homogeneous
+            if early and (
+                unchecked or by_certificate and not certificate.exact()
+            ):
+                # what the exact checks cannot prove waits for a vote
+                continue
+            verdict = o > 0 or unchecked or _exact_basis_check(
+                gens_int, candidate, seed_codec
+            )
+            if verdict and by_certificate:
+                # the candidate lies in the ideal, which is all that an
+                # unchecked basis gets proved
+                verdict = certificate.covers(candidate)
+            if verdict is None or verdict and unchecked:
+                unit = candidate == [{codecs[o].one_key: 1}]
+                names = certificate.ring.variables
+                certificate.uncertified(
+                    "the unit ideal rests on two prime votes" if unit
+                    else "the basis in (%s) rests on fresh-prime "
+                    "agreement" % ", ".join(names)
+                    if not o
+                    else "the elimination onto (%s) rests on "
+                    "fresh-prime agreement"
+                    % ", ".join(names[j] for j in range(n) if j not in d),
+                    None if verdict is None else bits,
                 )
-                # on homogeneous generators a basis that passed its check
-                # is exact
-                if verdict and (o or not certificate.homogeneous):
-                    # the candidate lies in the ideal, which is all that an
-                    # unchecked basis gets proved
-                    verdict = certificate.covers(candidate)
-                if verdict is None or verdict and unchecked:
-                    unit = candidate == [{codecs[o].one_key: 1}]
-                    names = certificate.ring.variables
-                    certificate.uncertified(
-                        "the unit ideal rests on two prime votes" if unit
-                        else "the basis in (%s) rests on fresh-prime "
-                        "agreement" % ", ".join(names)
-                        if not o
-                        else "the elimination onto (%s) rests on "
-                        "fresh-prime agreement"
-                        % ", ".join(names[j] for j in range(n)
-                                    if j not in d),
-                        None if verdict is None else bits,
-                    )
-                if verdict is not False:
-                    lifted[d] = candidate
-                    pending.remove(d)
-                    continue
-                traces.clear()
+            if verdict is not False:
+                lifted[d] = candidate
+                pending.remove(d)
+                continue
+            traces.clear()
     if pending:
         from .detector import InternalInvariantError
 

@@ -5,6 +5,8 @@ criterion; the terminal-summary hook prints them after the run so the
 lines are visible without -s (pytest captures in-test prints otherwise).
 """
 
+import math
+
 import pytest
 
 ACCEPTANCE_RESULTS = {}
@@ -33,6 +35,29 @@ def watch_node_runs(monkeypatch):
                 return inner(gens, engine, trace)
 
             monkeypatch.setattr(groebner, name, watched)
+
+    return install
+
+
+@pytest.fixture
+def hold_reconstruction(monkeypatch):
+    """Install hold(k): every lift reconstructs nothing until its modulus
+    exceeds the product of the first k agenda primes, as taller
+    coefficients would hold it, so a chain runs at least k + 1 primes."""
+    from polarvalues import groebner
+
+    def install(k):
+        held = math.prod(groebner._agenda_prime(i) for i in range(k))
+        reconstruct = groebner._CrtState.reconstruct
+
+        def held_reconstruct(self):
+            if self.modulus <= held:
+                return None
+            return reconstruct(self)
+
+        monkeypatch.setattr(
+            groebner._CrtState, "reconstruct", held_reconstruct
+        )
 
     return install
 

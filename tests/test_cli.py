@@ -431,14 +431,15 @@ class TestReportWork:
         assert left == []
 
     def test_buchberger_work_of_one_report_by_kind(self, monkeypatch, capsys):
-        # the golden x_plus_x2y_xyu_super_polar report (seed 0, bound 5):
-        # each node runs in full at its first prime, replays its whole
-        # trace at its second, which drops the zeros, and replays the rest
-        # after, so these counts move only when the modular chain does more
-        # or less work.  Every chain here lifts at its first prime and is
-        # reproduced by its second, so no third prime replays a trace that
-        # its zeros have left.  The signature run's criteria leave 54 zeros
-        # to replay, where the Gebauer-Moller loop left 72
+        # the golden x_plus_x2y_xyu_super_polar reports (seed 0) at bounds
+        # 5 and 9999: each node runs in full at its first prime, replays
+        # its whole trace at its second, which drops the zeros, and replays
+        # the rest after, so these counts move only when the modular chain
+        # does more or less work.  At bound 5 every chain lifts and proves
+        # its outputs at its first prime, so nothing is replayed; at 9999
+        # two chains take three primes each (see the test below): their
+        # nodes replay whole traces, 49 zeros in all, at the second prime,
+        # and the nodes still needed replay without zeros at the third
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
@@ -470,18 +471,24 @@ class TestReportWork:
                 "--runs", "1", "--coeff-bound", "5", "--json"]
         assert main(argv) == 0
         capsys.readouterr()
+        assert work == Counter({"full": 8})
+        work.clear()
+        argv[-2] = "9999"
+        assert main(argv) == 0
+        capsys.readouterr()
         assert work == Counter({
             "full": 8,
-            "replays with zeros": 7,
-            "replays without zeros": 0,
-            "zeros replayed": 54,
+            "replays with zeros": 5,
+            "replays without zeros": 3,
+            "zeros replayed": 49,
         })
 
     def test_primes_of_each_chain_of_one_report(self, monkeypatch, capsys):
         # the golden x_plus_x2y_xyu_super_polar_bound9999 report: the primes
         # each modular chain runs, in the order the chains start.  With
         # 62-bit primes they took 2, 6, 7 and 2; a 120-bit prime lifts
-        # almost twice the bits
+        # almost twice the bits (2, 4, 4 and 2), and an output proved at
+        # the prime that first reconstructs it needs no second vote
         chains = []
         stack = []
         modular_chain = groebner._modular_chain
@@ -505,4 +512,4 @@ class TestReportWork:
                 "--runs", "1", "--seed", "0", "--json"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert [len(primes) for primes in chains] == [2, 4, 4, 2]
+        assert [len(primes) for primes in chains] == [1, 3, 3, 1]

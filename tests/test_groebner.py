@@ -733,10 +733,10 @@ class TestChain:
     def test_stages_stop_with_their_outputs(
         self, monkeypatch, watch_node_runs
     ):
-        # x - y^2 needs one prime and a fresh one; the (x, u) relation
+        # x - y^2 is proved at its first prime; the (x, u) relation
         # (u - 1)^2 - B^2*x needs twice as many primes as B^2 has 120-bit
-        # words (23 in all), and only the seed and its own stage keep
-        # running for it
+        # words (22 in all, the last of which proves it), and only the seed
+        # and its own stage keep running for it
         big = 3**400
         ideal = Ideal(R3, [X3 - Y3**2, U3 - big * Y3 - 1])
         seed = ((0, 1, 2),)
@@ -762,7 +762,7 @@ class TestChain:
         assert lifted[drop_y] == [(U3 - 1) ** 2 - big**2 * X3]
         stage_u, stage_y = ((2,), (0, 1)), ((1,), (0, 2))
         assert seed not in runs
-        assert runs[stage_u] == 2
+        assert runs[stage_u] == 1
         assert runs[stage_y] == seeds[0] > 20
 
 
@@ -877,12 +877,13 @@ class TestPlannedTree:
         assert polys(priced) == polys(ascending)
         assert set(priced) == set(drops)
 
-    def test_graph_ideal_drops_u_first(self, monkeypatch):
+    def test_graph_ideal_drops_u_first(self, monkeypatch, hold_reconstruction):
         # on the graph ideal of x + x^2*y the stage dropping u has the
         # fewest terms at the first prime, then y, then x: from the second
-        # prime on the chain runs {u} -> {u, y}, {u} -> {u, x} and
-        # {y} -> {y, x}, and the stage that priced x runs at the first
-        # prime only and keeps no trace after it
+        # prime on (the outputs are held back to make one) the chain runs
+        # {u} -> {u, y}, {u} -> {u, x} and {y} -> {y, x}, and the stage
+        # that priced x runs at the first prime only and keeps no trace
+        # after it
         graph = _fixed_graph_ideal()
         x, y, u = 0, 1, 2
         n = graph.ideal.ring.nvars
@@ -908,6 +909,7 @@ class TestPlannedTree:
             return bases
 
         monkeypatch.setattr(groebner, "_chain_mod_p", tracked)
+        hold_reconstruction(1)
         drops = [
             frozenset(j for j in range(3) if j != i) for i in range(3)
         ]
@@ -1419,6 +1421,42 @@ class TestTraceReplay:
         )
         assert traces[0] is fresh and _zeros(fresh) == []
 
+    def test_chain_reports_its_exact_nodes(self):
+        # a node runs exactly when it runs in full, replays a trace that
+        # still holds its zeros, or only inter-reduces an exact seed, and
+        # its parent ran exactly; the last stage here drops x again, so its
+        # input is free of x and passes through as its parent's basis
+        graph = _fixed_graph_ideal()
+        certificate = groebner._certificate(graph.ideal)
+        seed = certificate.codec
+        n = seed.nvars
+        stages = [(0, 0), (1, 1), (0, 2), (1, 0)]
+        codecs = [seed] + [
+            groebner._Codec(((var,), [j for j in range(n) if j != var]))
+            for _, var in stages
+        ]
+        masks = [0] + [
+            groebner._SLOT_MASK << (groebner._SLOT_BITS * (n - 1 - var))
+            for _, var in stages
+        ]
+        every = {0, 1, 2, 3, 4}
+        gens = [groebner._to_engine(g, seed) for g in graph.ideal.generators]
+        for gens_int, seed_is_basis, third in (
+            (gens, False, set()),
+            (certificate.basis(), True, {0}),
+        ):
+            traces = {}
+            for index, expected in enumerate((every, every, third)):
+                exact = set()
+                groebner._chain_mod_p(
+                    groebner._agenda_prime(index), gens_int, codecs, stages,
+                    masks, every, traces, None, seed_is_basis, exact,
+                )
+                assert exact == expected
+                assert all(not t.zeros for t in traces.values()) == (
+                    index > 0
+                )
+
     def test_replayed_stages_make_no_heap_or_divisor_search(
         self, monkeypatch
     ):
@@ -1590,9 +1628,9 @@ class TestTraceReplay:
         assert eliminate(ideal, {0, 2}) == [X3 + U3]
 
     def test_stages_start_from_the_certificate_basis(self, monkeypatch):
-        # the ideal above: p0 and p1, where its generators collapse, seed
-        # the staged chain with both elements of the certificate's basis
-        # and lift x + u, so neither prime is wasted
+        # the ideal above: p0, where its generators collapse, seeds the
+        # staged chain with both elements of the certificate's basis, and
+        # lifts and proves x + u, so the prime is not wasted
         p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
         ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0 * p1) * Y3 + U3])
         seeds = {}
@@ -1606,15 +1644,15 @@ class TestTraceReplay:
 
         monkeypatch.setattr(groebner, "_chain_mod_p", recording_chain)
         assert eliminate(ideal, {0, 2}) == [X3 + U3]
-        assert seeds == {p0: 2, p1: 2}
+        assert seeds == {p0: 2}
 
-    def test_later_primes_only_replay(self, monkeypatch):
+    def test_later_primes_only_replay(self, monkeypatch, hold_reconstruction):
         # the chain of nonproperness_values on the fixed graph ideal and the
         # chain of its certificate, each held to six primes before it lifts
-        # (as taller coefficients would hold it): only the first prime
-        # builds J-pairs; the second replays, node by node, every reduction
-        # the first made, zeros included, and reduces nothing; no later
-        # prime builds a J-pair or reduces anything to 0
+        # and proves its outputs: only the first prime builds J-pairs; the
+        # second replays, node by node, every reduction the first made,
+        # zeros included, and reduces nothing; no later prime builds a
+        # J-pair or reduces anything to 0
         graph = _fixed_graph_ideal()
         work = {}
         current = [None]
@@ -1622,14 +1660,6 @@ class TestTraceReplay:
         jpairs = groebner._jpairs
         reduce = groebner._ModularArith.reduce
         replay = groebner._ModularArith.replay
-        reconstruct = groebner._CrtState.reconstruct
-
-        held = math.prod(groebner._agenda_prime(i) for i in range(5))
-
-        def held_reconstruct(self):
-            if self.modulus <= held:
-                return None
-            return reconstruct(self)
 
         def tracked_chain(p, gens_int, codecs, *rest):
             current[0] = key = (codecs[0].nvars, p)
@@ -1667,7 +1697,7 @@ class TestTraceReplay:
         monkeypatch.setattr(groebner, "_jpairs", counting_jpairs)
         monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
         monkeypatch.setattr(groebner._ModularArith, "replay", counting_replay)
-        monkeypatch.setattr(groebner._CrtState, "reconstruct", held_reconstruct)
+        hold_reconstruction(5)
         z = graph.z_index
         drops = [
             frozenset(j for j in range(3) if j != i) for i in range(3)
@@ -1678,7 +1708,7 @@ class TestTraceReplay:
             chains.setdefault(nvars, []).append(w)
         assert sorted(chains) == [z + 1, z + 2]
         for primes in chains.values():
-            assert len(primes) >= 7
+            assert len(primes) >= 6
             first, second, *later = primes
             assert first["updates"] and not second["updates"]
             replayed = [key[1] for key in second if key[0] == "replayed"]
@@ -2271,6 +2301,228 @@ class TestCrtState:
         for p in (7, 11, groebner._agenda_prime(0)):
             assert lifted_once(q, p, [monic_image(p)]) == [elem]
         assert monic_image(7) == {max(elem): 1}
+
+    def test_early_needs_the_margin_and_an_exact_prime(self):
+        # x + n/d after one agenda prime p = k*2^60 + 1, where the margin
+        # is n*d < floor(p / 2^20) = k*2^40: the reconstruction is offered
+        # to a one-prime proof only within it, and only once the group
+        # holds a prime where its path ran exactly
+        codec = groebner._Codec((range(2),))
+        top, low = codec.pack((1, 0)), codec.one_key
+        p, q = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        d = 3**31
+        edge = (p >> groebner._EARLY_MARGIN_BITS) // d
+        below = next(n for n in range(edge, 0, -1) if n % 3)
+        above = next(n for n in itertools.count(edge + 1) if n % 3)
+        assert below * d < p >> groebner._EARLY_MARGIN_BITS <= above * d
+
+        def state_of(n, exact):
+            value = {top: Fraction(1), low: Fraction(n, d)}
+            state = groebner._CrtState()
+            state.lift(p, [{m: _image(v, p) for m, v in value.items()}], exact)
+            assert state.reconstruction == [value]
+            return state
+
+        primitive = {top: d, low: below}
+        assert state_of(below, True).early() == [primitive]
+        assert state_of(above, True).early() is None
+        state = state_of(below, False)
+        assert state.early() is None
+        # a second prime where the path ran exactly makes it provable
+        value = {top: Fraction(1), low: Fraction(below, d)}
+        state.lift(q, [{m: _image(v, q) for m, v in value.items()}], True)
+        assert state.exact == [q] and state.early() == [primitive]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([3, 5, 7, 32003, groebner._agenda_prime(0)]),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+        st.integers(min_value=0),
+    )
+    def test_no_prime_of_a_group_divides_a_denominator(self, primes, seed):
+        # n = residue*d modulo M with gcd(n, d) = 1 leaves d prime to M,
+        # so every prime of a group, exact ones included, reduces the
+        # reconstruction to its own image
+        modulus = math.prod(primes)
+        residue = seed % modulus
+        value = groebner._rational_reconstruct(residue, modulus)
+        if value is not None:
+            assert math.gcd(value.denominator, modulus) == 1
+            assert _image(value, modulus) == residue
+
+
+_P0 = groebner._agenda_prime(0)
+
+
+@st.composite
+def _early_ideals(draw):
+    """Up to three generators on (x, y, u), exponents at most 2, and one to
+    three drop sets.  A coefficient is c or c + p0, p0 the first agenda
+    prime, so the first prime often sees another ideal: its whole basis is
+    a wrong candidate that reconstructs well within the margin."""
+    monomials = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
+    coefficients = st.tuples(
+        st.integers(min_value=-5, max_value=5).filter(bool), st.booleans()
+    ).map(lambda cb: Fraction(cb[0] + _P0 * cb[1]))
+    gens = draw(st.lists(
+        st.dictionaries(monomials, coefficients, min_size=1, max_size=3),
+        min_size=1,
+        max_size=3,
+    ))
+    drops = draw(st.lists(
+        st.sets(st.integers(min_value=0, max_value=2), min_size=1,
+                max_size=2).map(frozenset),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    ))
+    return Ideal(R3, [R3.polynomial(t) for t in gens]), drops
+
+
+# A prime far from the agenda's, for reference bases of planted ideals:
+# over the integers, their 120-bit coefficients swell for seconds
+_REFERENCE_PRIME = 2**127 - 1
+
+
+def _reference_basis(ideal, blocks):
+    """The codec of `blocks` and the ideal's reduced basis under it modulo
+    _REFERENCE_PRIME, by the Gebauer-Moller reference of tests/oracles.py."""
+    codec = groebner._Codec(blocks)
+    q = _REFERENCE_PRIME
+    gens = [
+        {m: c % q for m, c in groebner._to_engine(g, codec).items()}
+        for g in ideal.generators
+    ]
+    return codec, oracles.reference_buchberger(
+        gens, groebner._ModularArith(q, codec)
+    )
+
+
+class TestEarlyAcceptance:
+    """A chain output is accepted at the first prime that reconstructs it
+    within the margin, where its path ran exactly, once it passes its
+    exact checks (see `groebner._modular_chain`)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_early_ideals())
+    def test_early_outputs_equal_the_reference(self, case):
+        # whole graded bases of the generators, checked by the basis check
+        # (and the certificate on inhomogeneous ones), and eliminations from
+        # the certificate's basis, checked by the certificate: every output,
+        # most of them accepted by a one-prime proof and some after a
+        # refuted one, reduces modulo a prime that no chain uses to the
+        # reduced basis that Buchberger's algorithm computes there
+        ideal, drops = case
+        q = _REFERENCE_PRIME
+        codec, expected = _reference_basis(ideal, [range(3)])
+        gens = [groebner._to_engine(g, codec) for g in ideal.generators]
+        certificate = groebner._Certificate(ideal)
+        lifted = groebner._modular_chain(gens, codec, certificate)
+        assert oracles.candidate_mod_p(lifted[frozenset()], q) == expected
+        lifted = groebner._eliminations(ideal, drops)
+        for drop in drops:
+            blocks = [sorted(drop), [j for j in range(3) if j not in drop]]
+            ref_codec, basis = _reference_basis(ideal, blocks)
+            mask = sum(
+                groebner._SLOT_MASK << groebner._SLOT_BITS * (2 - j)
+                for j in drop
+            )
+            got = [groebner._to_engine(e, ref_codec) for e in lifted[drop]]
+            assert oracles.candidate_mod_p(got, q) == [
+                t for t in basis if not any(m & mask for m in t)
+            ]
+
+    @pytest.mark.parametrize("margin", [groebner._EARLY_MARGIN_BITS, 0])
+    def test_forced_early_refutation_clears_the_traces(
+        self, monkeypatch, margin
+    ):
+        # the (x, u) relation (u - 1)^2 - B^2*x with B^2 = 3^50, 80 bits,
+        # needs two primes; modulo the first, -B^2 reconstructs to a wrong
+        # fraction n/d with n*d of 116 bits, outside the margin, and the
+        # second prime replays the stage and proves the relation.  With no
+        # margin the wrong one is tried at the first prime and refuted by
+        # the certificate, which clears the traces: the second prime runs
+        # the stage in full instead, and proves the same relation
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        wrong = groebner._rational_reconstruct(-(3**50) % p0, p0)
+        assert wrong is not None and wrong != -(3**50)
+        assert abs(wrong.numerator) * wrong.denominator >= p0 >> 20
+        ideal = Ideal(R3, [X3 - Y3**2, U3 - 3**25 * Y3 - 1])
+        groebner._certificate(ideal).basis()
+        monkeypatch.setattr(groebner, "_EARLY_MARGIN_BITS", margin)
+        refuted = []
+        runs = {"full": Counter(), "replayed": Counter()}
+        covers = groebner._Certificate.covers
+
+        def recording_covers(self, elems):
+            verdict = covers(self, elems)
+            if verdict is False:
+                refuted.append(elems)
+            return verdict
+
+        for kind, name in (("full", "_core_buchberger"),
+                           ("replayed", "_replay_buchberger")):
+            def counting(gens, engine, trace, kind=kind,
+                         inner=getattr(groebner, name)):
+                runs[kind][engine.p] += 1
+                return inner(gens, engine, trace)
+
+            monkeypatch.setattr(groebner, name, counting)
+        monkeypatch.setattr(groebner._Certificate, "covers", recording_covers)
+        drop = frozenset({1})
+        lifted = groebner._eliminations(ideal, [drop])
+        assert lifted[drop] == [(U3 - 1) ** 2 - 3**50 * X3]
+        if margin:
+            assert refuted == []
+            assert runs == {"full": {p0: 1}, "replayed": {p1: 1}}
+        else:
+            assert len(refuted) == 1
+            assert runs == {"full": {p0: 1, p1: 1}, "replayed": {}}
+
+    def test_minimal_degree_stands_on_an_exact_prime(self, monkeypatch):
+        # on the graph ideal of xy = 1 under x + y, I meets Q[x, z] in
+        # <x^2 - x*z + 1>, whose x-degree 2 is the least of any relation.
+        # x times it also lies in I, clears the margin and passes the
+        # certificate; made the first prime's image of the (x, z) node by
+        # a run that was not exact, it is not proved there, and the next
+        # prime, whose staircase differs, proves the minimal relation
+        ring = PolynomialRing(("x", "y", "z"))
+        x, y, z = (ring.variable(v) for v in ("x", "y", "z"))
+        ideal = Ideal(ring, [x * y - 1, x + y - z])
+        relation = x**2 - x * z + 1
+        assert groebner._certificate(ideal).contains(x * relation)
+        drop = frozenset({1})
+        p0 = groebner._agenda_prime(0)
+        chain = groebner._chain_mod_p
+        primes = []
+
+        def inexact_first_prime(p, gens_int, codecs, stages, masks, needed,
+                                traces, bases=None, seed_is_basis=False,
+                                exact=None):
+            bases = chain(p, gens_int, codecs, stages, masks, needed, traces,
+                          bases, seed_is_basis, exact)
+            if codecs[0].nvars == 3 and stages:
+                primes.append(p)
+                node = len(stages)
+                if p == p0 and node in bases:
+                    codec = codecs[node]
+                    multiple = groebner._to_engine(x * relation, codec)
+                    engine = groebner._ModularArith(p, codec)
+                    bases[node] = [engine.normalize(
+                        {m: c % p for m, c in multiple.items()}
+                    )]
+                    exact.discard(node)
+            return bases
+
+        monkeypatch.setattr(groebner, "_chain_mod_p", inexact_first_prime)
+        lifted = groebner._eliminations(ideal, [drop])
+        assert lifted[drop] == [relation]
+        assert len(primes) == 2
+        assert lifted[drop][0].degree_in(0) == 2
 
 
 def _fermat_inverse(x, p):
