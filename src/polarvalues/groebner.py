@@ -56,12 +56,12 @@ A reduced Groebner basis is determined by the ideal and the order, so the
 modular route returns the object a direct rational computation would.
 Primes are grouped by the staircases of every stage on an output's path.
 An output is accepted at the first prime of its group whose
-reconstruction clears a margin (`_EARLY_MARGIN_BITS`), when its path ran
-exactly at a prime of the group, once it passes an exact check over the
-integers; that check proves it (see `_modular_chain`).  Otherwise, and
-above _EXACT_CHECK_BIT_CAP, it waits for a fresh prime of its group to
-reproduce the reconstruction, that is, to leave it unchanged when its
-image is added, and then takes the same check:
+reconstruction clears a margin (`_EARLY_MARGIN_BITS`), once it passes an
+exact check over the integers; that check proves it (see
+`_modular_chain`).  Otherwise, and above _EXACT_CHECK_BIT_CAP, it waits
+for a fresh prime of its group to reproduce the reconstruction, that is,
+to leave it unchanged when its image is added, and then takes the same
+check:
 
 - an elimination output is certified to lie in the ideal.  The
   certificate (`_Certificate`) is a graded basis of the homogenized
@@ -93,8 +93,8 @@ Each Ideal builds its certificate once and keeps it, so its dimension
 memberships all rest on one exact graded basis.
 
 The unit ideal is no exception: its reduced basis is [1], its staircase
-{1}, and it is lifted and proved like any output, at its first exact
-prime.  [1] passes the basis check trivially; Arnold's argument then
+{1}, and it is lifted and proved like any output, at its first prime.
+[1] passes the basis check trivially; Arnold's argument then
 covers it on homogeneous generators, and the certificate on any others.
 Neither check runs on a basis above _EXACT_CHECK_BIT_CAP bits; the
 fresh-prime verdict then stands, and an elimination, a whole basis or a
@@ -121,25 +121,15 @@ the record is tested for a divisor.  Such a divisor, or a reduction with
 another leading monomial, sends that node back to a full run.
 
 Only the first prime runs a node's signature run in full; every later
-prime replays each entry its trace holds.  The second replays every
-reduction, and each zero must vanish again.  Such a replay that completes
-installs the same leading monomials and leads in the same order, so every
-signature, and every decision of both criteria, is the recorded one, and
-each signature the run did not skip was reduced to zero or installed: it
-is a whole signature run at that prime, and returns that prime's reduced
-basis (see `_replay_buchberger`).  It then drops the zeros, which have
-vanished at two primes, so later primes replay only the reductions that
-installed an element, with no signature bookkeeping.  One prime is not
-enough to drop a zero: a generator that vanishes there is never reduced
-again, so the replay repeats a wrong staircase, and a missing relation is
-invisible to a membership test; the second prime retries that zero and
-fails.  A node whose replay fails runs in full, and its fresh trace,
-zeros included, replaces the old one.  A candidate that fails its exact
-check clears every trace, and the next prime records anew.  The
-certificates stay exact: a replayed ideal lies inside <g^h> mod p, and its
-elements have the leading monomials of the lifted basis G, so Arnold's
-chain still closes, HF(<G>) <= HF(<g^h>) <= HF(<g^h> mod p) <=
-HF(replayed ideal) <= HF(<LM(G)>) = HF(<G>).
+prime replays every reduction of its trace, zeros included, and each zero
+must vanish again.  A replay that completes installs the same leading
+monomials and leads in the same order, so every signature, and every
+decision of both criteria, is the recorded one, and each signature the
+run did not skip was reduced to zero or installed: it is a whole
+signature run at that prime, and returns that prime's reduced basis (see
+`_replay_buchberger`).  So every node at every prime returns the reduced
+basis of its ideal modulo that prime, replayed or not.  A node whose
+replay fails runs in full, and its fresh trace replaces the old one.
 """
 
 from __future__ import annotations
@@ -715,9 +705,8 @@ class _Trace:
     `final` the schedules of the final inter-reduction, one per kept
     element.  No signature is recorded: a replay computes none, and the
     leading keys, leads and zeros it checks determine every one (see
-    `_replay_buchberger`).  A replay that completes at another prime
-    drops the zero entries; `zeros` says whether the trace still holds
-    them, so that its next replay, if it completes, is a whole run.
+    `_replay_buchberger`).  A replay leaves the trace as it is, zeros
+    included, so every replay that completes is a whole run.
     """
 
     def __init__(self):
@@ -725,7 +714,6 @@ class _Trace:
         self.entries = []
         self.kept = None
         self.final = []
-        self.zeros = True
 
 
 def _minimal(basis, guard):
@@ -953,31 +941,18 @@ def _replay_buchberger(gens, engine, trace):
     does an installed element whose lead differs; otherwise it is the
     reduction `reduce` would make here by the same reducers.
 
-    Every entry the trace holds is replayed.  While it holds the zeros of
-    its full run, a reduction to zero must vanish again, and a replay that
-    completes is a whole signature run at this prime.  The recorded
-    generators' degrees and leading keys fix a module order, which is a
-    monomial order on signatures at any prime.  The replay reproduces every
-    leading key and lead in the recorded order, hence every signature, and
-    every recorded zero vanishes again.  The J-pair and Koszul signatures,
-    the syzygy and cover decisions and the regularity of each recorded
-    step read only those facts, so a run here under that order makes the
-    same decisions.  By GVW's theorem its result is this prime's reduced
-    basis.  A generator that vanishes, or reduces to zero, at the
-    recording prime only is a zero entry, and fails here.
-
-    A replay that completes drops the zero entries, so later replays make
-    only the reductions that installed an element.  Their elements
-    generate an ideal J inside the ideal I of the generators, with the
-    recorded leading monomials, so J may be smaller.  When I has the
-    recorded staircase too, LT(I) lies in LT(J), so J = I and the result is
-    I's reduced basis.  Every dropped zero vanished at two primes, and the
-    caller's exact checks refute the rest.  Such a replay is not an exact
-    run (`_Trace.zeros`): a one-prime proof needs a prime of the output's
-    group whose run was whole, and a voted candidate takes the same checks
-    (for homogeneous generators g, Arnold's chain HF(<G>) <= HF(<g>) <=
-    HF(<g> mod p) <= HF(J) <= HF(<LM(G)>) = HF(<G>) proves a lifted basis
-    G with the replayed staircase exact).
+    Every entry of the full run is replayed, zeros included: a reduction
+    to zero must vanish again, and a replay that completes is a whole
+    signature run at this prime.  The recorded generators' degrees and
+    leading keys fix a module order, which is a monomial order on
+    signatures at any prime.  The replay reproduces every leading key and
+    lead in the recorded order, hence every signature, and every recorded
+    zero vanishes again.  The J-pair and Koszul signatures, the syzygy and
+    cover decisions and the regularity of each recorded step read only
+    those facts, so a run here under that order makes the same decisions.
+    By GVW's theorem its result is this prime's reduced basis.  A
+    generator that vanishes, or reduces to zero, at the recording prime
+    only is a zero entry, and fails here.
     """
     if len(gens) != trace.ngens:
         raise _TraceMismatch()
@@ -1005,8 +980,6 @@ def _replay_buchberger(gens, engine, trace):
         elems.append(t)
         lt, tail = engine.reducer_entry(t)
         tails[lt] = tail
-    trace.entries = [entry for entry in trace.entries if entry[1] is not None]
-    trace.zeros = False
     return elems
 
 
@@ -1096,7 +1069,7 @@ _EXACT_CHECK_BIT_CAP = 120_000
 # (`_CrtState.early`).
 # A random residue modulo M reconstructs that small with probability about
 # 1.2*ln(M) / 2^_EARLY_MARGIN_BITS, below 1e-4 at one 120-bit prime, so a
-# one-prime try is rarely refuted, and a refuted try clears every trace.
+# one-prime try is rarely refuted, and a refuted try costs an exact check.
 _EARLY_MARGIN_BITS = 20
 
 
@@ -1142,14 +1115,12 @@ class _CrtState:
     modulo the prime, is its image; a prime that divides a denominator, or
     a monomial that appears or vanishes, changes the reconstruction.
 
-    `exact` lists the primes of the group at which the output's path ran
-    exactly (see `_chain_mod_p`), and `early` offers the reconstruction,
-    made primitive, for a proof at one of them: only when the group holds
-    one and every coefficient n/d clears the margin, |n|*d <
-    floor(M / 2^_EARLY_MARGIN_BITS).  No prime of the group divides a
-    denominator: n = residue*d (mod M) with gcd(n, d) = 1 leaves d prime
-    to M.  So the reconstruction, reduced modulo an exact prime, is that
-    prime's image.
+    `early` offers the reconstruction, made primitive, for a proof at one
+    prime of the group, when every coefficient n/d clears the margin,
+    |n|*d < floor(M / 2^_EARLY_MARGIN_BITS).  No prime of the group
+    divides a denominator: n = residue*d (mod M) with gcd(n, d) = 1 leaves
+    d prime to M.  So the reconstruction, reduced modulo any prime of the
+    group, is that prime's image.
 
     `reconstruct` returns what a fresh `_rational_reconstruct` of every
     coefficient would give, but re-runs Euclid only where that can differ:
@@ -1174,25 +1145,22 @@ class _CrtState:
         self.values = None  # list of dicts: packed key -> last n/d
         self.failed = None  # (element index, key) that failed last
         self.reconstruction = None  # the last reconstruct()
-        self.exact = []  # the primes at which the path ran exactly
 
-    def lift(self, p, image, exact=False):
+    def lift(self, p, image):
         """The reconstruction as primitive integer dicts when p's image
-        leaves it unchanged, else None.  `exact` says that the image's
-        path ran exactly at p."""
+        leaves it unchanged, else None."""
         self.add(p, image)
-        if exact:
-            self.exact.append(p)
         previous, self.reconstruction = self.reconstruction, self.reconstruct()
         if previous is None or self.reconstruction != previous:
             return None
         return [_IntegerArith.normalize_fractions(e) for e in previous]
 
     def early(self):
-        """The reconstruction as primitive integer dicts when an exact
-        prime may prove it before any vote, else None."""
+        """The reconstruction as primitive integer dicts when it clears
+        the margin, so that one prime may prove it before any vote, else
+        None."""
         reconstruction = self.reconstruction
-        if not self.exact or reconstruction is None:
+        if reconstruction is None:
             return None
         bound = self.modulus >> _EARLY_MARGIN_BITS
         for e in reconstruction:
@@ -1415,7 +1383,7 @@ def _involves(terms, var_mask) -> bool:
 
 
 def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
-                 bases=None, seed_is_basis=False, exact=None):
+                 bases=None, seed_is_basis=False):
     """Every needed node's reduced basis modulo p.
 
     Node 0 is the basis of the generators under codecs[0]; node k >= 1
@@ -1438,31 +1406,22 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
     one with the same leading monomials: node 0 only inter-reduces them,
     with no S-pair and no trace.
 
-    `exact`, a set kept across the calls of one prime like `bases`,
-    receives each node that ran exactly at p: its basis is the reduced
-    basis of its ideal modulo p, not only of the ideal that a replay
-    without zeros generates.  Node 0 runs exactly when it only
-    inter-reduces an exact seed, and any node when it runs in full or
-    replays a trace that still holds its zeros; a stage runs exactly when
-    its parent did and it does, or its parent did and it passes the
-    parent's basis through.
+    Every node's basis is the reduced basis of its ideal modulo p: a full
+    run, a completed replay (a whole run), node 0's inter-reduction of a
+    seed that is a basis, and a stage that passes its parent's basis
+    through each return it.
     """
 
     def run(node, elems):
-        """The node's basis, and whether it ran exactly."""
         engine = _ModularArith(p, codecs[node])
         if node in traces:
-            trace = traces[node]
-            whole = trace.zeros
             try:
-                return _replay_buchberger(elems, engine, trace), whole
+                return _replay_buchberger(elems, engine, traces[node])
             except _TraceMismatch:
                 pass
         trace = traces[node] = _Trace()
-        return _core_buchberger(elems, engine, trace), True
+        return _core_buchberger(elems, engine, trace)
 
-    if exact is None:
-        exact = set()
     if bases is None:
         seed = [{m: c % p for m, c in t.items()} for t in gens_int]
         if seed_is_basis:
@@ -1471,11 +1430,8 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
             seed = _inter_reduce(
                 [seed[k] for k in _minimal(seed, codecs[0].guard)], engine
             )
-            whole = True
         else:
-            seed, whole = run(0, seed)
-        if whole:
-            exact.add(0)
+            seed = run(0, seed)
         bases = {0: seed}
     for node, (parent, var) in enumerate(stages, 1):
         if node in bases or node not in needed:
@@ -1487,11 +1443,8 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
             for t in bases[parent]
             if not (parent and _involves(t, masks[parent]))
         ]
-        whole = True
         if any(_involves(t, masks[node]) for t in elems):
-            elems, whole = run(node, elems)
-        if whole and parent in exact:
-            exact.add(node)
+            elems = run(node, elems)
         bases[node] = elems
     return bases
 
@@ -1577,13 +1530,13 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     stages is unobservable.
 
     Each prime runs the nodes that some output still lifting needs, and
-    `_chain_mod_p` reports which of them ran exactly.  The primes of an
-    output are grouped by the staircases of every node on its path, each
-    prime takes one lifting step per output (`_CrtState.lift`), and a
-    reconstruction is put forward in one of two ways:
+    each returns the reduced basis of its ideal modulo that prime (see
+    `_chain_mod_p`).  The primes of an output are grouped by the
+    staircases of every node on its path, each prime takes one lifting
+    step per output (`_CrtState.lift`), and a reconstruction is put
+    forward in one of two ways:
 
-    - a proof: the group holds a prime at which the output's path ran
-      exactly, and every coefficient n/d clears the margin, |n|*d <
+    - a proof: every coefficient n/d clears the margin, |n|*d <
       floor(M / 2^_EARLY_MARGIN_BITS) (`_CrtState.early`).  No vote is
       needed, so an output is accepted at the prime that first
       reconstructs it.  It is tried only where the checks below run: on a
@@ -1607,13 +1560,13 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     like any other output.  A prime that divides a coefficient of
     `gens_int` is skipped.
 
-    Why a candidate C that passed its checks at an exact prime p is the
-    answer (the lucky-prime argument of Pauer, "On lucky ideals for
+    Why a candidate C that passed its checks at a prime p of its group is
+    the answer (the lucky-prime argument of Pauer, "On lucky ideals for
     Groebner basis computations", JSC 14, 1992).  For node 0 the checks
     alone prove it.  For an elimination onto the variables S, let G be the
     exact basis of the ideal I that the chain starts from.  p divides no
     coefficient of G, so G mod p is a Groebner basis with G's leading
-    monomials, and the exact run makes C mod p the reduced basis of
+    monomials, and the chain makes C mod p the reduced basis of
     <G mod p> meet F_p[S].  C is monic and no prime of its group divides
     a denominator (see `_CrtState`), so C mod p is defined and keeps C's
     leading monomials.  Take any j in I meet Q[S] with p-integral
@@ -1632,17 +1585,19 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     reads off it has the least x_i-degree of any nonzero element of I in
     Q[x_i, z], by proof rather than by fresh-prime agreement.  The margin
     is not needed for this: it makes a wrong one-prime reconstruction
-    rare, since a refuted candidate clears every trace and costs the next
-    prime a full run.
+    rare, since each refuted candidate costs an exact check that proves
+    nothing.
 
     Each node keeps one trace (see `_chain_mod_p`).  The first prime
     records it in a full run; a priced stage that the tree does not use
-    drops its trace.  The second prime replays it whole, which is a whole
-    run at that prime when it completes, so a node's second prime is
-    arithmetic only, and drops its zeros; later primes replay the rest.  A
-    replay that leaves its trace, at any prime, gives way to a fresh trace
-    recorded there.  A candidate that fails its check clears every trace,
-    so the next prime records each node anew.
+    drops its trace.  Every later prime replays it whole, zeros included,
+    which is a whole run at that prime when it completes, so a node's
+    later primes are arithmetic only.  A replay that leaves its trace, at
+    any prime, gives way to a fresh trace recorded there.  A candidate
+    that fails its check leaves the traces as they are: a zero that
+    vanished at the recording prime only fails its replay at the next
+    one, so a whole replay never repeats a wrong staircase, and a refuted
+    candidate is a wrong reconstruction, not a wrong trace.
 
     Returns the lifted outputs (drop set -> integer dicts, keyed under its
     node's codec).  Raises InternalInvariantError when the prime agenda is
@@ -1683,20 +1638,18 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
             continue
         used += 1
         bases = None
-        exact = set()
         if used == 1:
             # the first prime runs node 0 and the stages that _plan prices
             # ahead of the rest of the tree
             bases = _chain_mod_p(
                 p, gens_int, codecs, stages, masks, {0}, traces, None,
-                seed_is_basis, exact,
+                seed_is_basis,
             )
 
             def price(var):
                 node = add(0, var)
                 _chain_mod_p(
-                    p, gens_int, codecs, stages, masks, {node}, traces, bases,
-                    False, exact,
+                    p, gens_int, codecs, stages, masks, {node}, traces, bases
                 )
                 return sum(len(t) for t in bases[node])
 
@@ -1707,7 +1660,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
         needed = {k for d in pending for k in paths[nodes[d]]}
         bases = _chain_mod_p(
             p, gens_int, codecs, stages, masks, needed, traces, bases,
-            seed_is_basis, exact,
+            seed_is_basis,
         )
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
         for d in list(pending):
@@ -1719,7 +1672,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
             state = states[d].get(staircase)
             if state is None:
                 state = states[d][staircase] = _CrtState()
-            candidate = state.lift(p, out, o in exact)
+            candidate = state.lift(p, out)
             # an elimination is proved at one prime only from an exact
             # seed; a whole basis by its checks alone
             early = candidate is None and (seed_is_basis or not o)
@@ -1761,8 +1714,6 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
             if verdict is not False:
                 lifted[d] = candidate
                 pending.remove(d)
-                continue
-            traces.clear()
     if pending:
         from .detector import InternalInvariantError
 

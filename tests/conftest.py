@@ -23,7 +23,8 @@ def record_acceptance():
 @pytest.fixture
 def watch_node_runs(monkeypatch):
     """Install watch(gens, engine), called before each full Buchberger run
-    and each trace replay of a modular-chain node."""
+    and each trace replay of a modular-chain node; a replay that completes
+    is a whole run too."""
     from polarvalues import groebner
 
     def install(watch):

@@ -432,14 +432,14 @@ class TestReportWork:
 
     def test_buchberger_work_of_one_report_by_kind(self, monkeypatch, capsys):
         # the golden x_plus_x2y_xyu_super_polar reports (seed 0) at bounds
-        # 5 and 9999: each node runs in full at its first prime, replays
-        # its whole trace at its second, which drops the zeros, and replays
-        # the rest after, so these counts move only when the modular chain
-        # does more or less work.  At bound 5 every chain lifts and proves
-        # its outputs at its first prime, so nothing is replayed; at 9999
-        # two chains take three primes each (see the test below): their
-        # nodes replay whole traces, 49 zeros in all, at the second prime,
-        # and the nodes still needed replay without zeros at the third
+        # 5 and 9999: each node runs in full at its first prime and replays
+        # its whole trace, zeros included, at every later one, so these
+        # counts move only when the modular chain does more or less work.
+        # At bound 5 every chain lifts and proves its outputs at its first
+        # prime, so nothing is replayed; at 9999 two chains take three
+        # primes each (see the test below), and the nodes still needed
+        # replay their whole traces, 75 zeros in all, at the second and
+        # third
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
@@ -478,9 +478,8 @@ class TestReportWork:
         capsys.readouterr()
         assert work == Counter({
             "full": 8,
-            "replays with zeros": 5,
-            "replays without zeros": 3,
-            "zeros replayed": 49,
+            "replays with zeros": 8,
+            "zeros replayed": 75,
         })
 
     def test_primes_of_each_chain_of_one_report(self, monkeypatch, capsys):
