@@ -68,8 +68,12 @@ check:
   generators, proved exact by Arnold's Hilbert-function argument and
   dehomogenized to a Groebner basis G of the ideal, by which every lifted
   generator must reduce to zero.  A candidate that fails takes more primes.
-  G also seeds each elimination chain: modulo a prime that divides none
-  of its coefficients it stays a Groebner basis of the ideal.
+  A graph ideal B + <a*v + F>, its last variable v in that generator
+  alone, is certified by its base: G is B's certificate basis plus
+  a*v + F, a Groebner basis under a block order with v first, and no
+  graded basis of the graph itself is lifted.  G also seeds each
+  elimination chain: modulo a prime that divides none of its
+  coefficients, the seed keeps every relation of the ideal.
 - a whole basis of the generators (`buchberger`, `graded_basis`) must be
   a Groebner basis by which every generator reduces to zero; on
   inhomogeneous generators each of its elements must also lie in the
@@ -90,7 +94,7 @@ notes").
 
 Each Ideal builds its certificate once and keeps it, so its dimension
 (read off the leading monomials of G), its eliminations and their
-memberships all rest on one exact graded basis.
+memberships all rest on one exact basis.
 
 The unit ideal is no exception: its reduced basis is [1], its staircase
 {1}, and it is lifted and proved like any output, at its first prime.
@@ -104,11 +108,14 @@ eliminations, whole bases of inhomogeneous generators, unit-ideal
 verdicts and dimensions that rest on it warn instead.
 
 Node 0 of an elimination chain runs no Buchberger when its certificate is
-exact: modulo a prime that divides none of its coefficients, G stays a
-Groebner basis with the same leading monomials, so node 0 only drops the
-elements whose leading monomial another one divides and inter-reduces
-the rest, with no J-pair and no trace.  Above _EXACT_CHECK_BIT_CAP, G is
-not proved a Groebner basis, and node 0 runs in full.
+exact and graded: modulo a prime that divides none of its coefficients,
+G stays a Groebner basis with the same leading monomials, so node 0 only
+drops the elements whose leading monomial another one divides and
+inter-reduces the rest, with no J-pair and no trace.  Above
+_EXACT_CHECK_BIT_CAP, G is not proved a Groebner basis, and node 0 runs
+in full; so it does on a graph ideal's G, which is a Groebner basis under
+its block order, not the graded one, and node 0 then replays like any
+other node.
 
 The other nodes replay traces (Traverso, "Groebner trace algorithms",
 ISSAC 1988).  A full run records every reduction it makes, zeros
@@ -1249,6 +1256,19 @@ class UncertifiedResult(UserWarning):
     certificate."""
 
 
+def _value_generator(ring: PolynomialRing, generators):
+    """The generator a*v + F of a graph ideal, v the ring's last variable,
+    a a nonzero constant and F free of v, when v occurs in no other
+    generator and at least one other is left; None otherwise."""
+    if ring.nvars < 2 or len(generators) < 2:
+        return None
+    v = (0,) * (ring.nvars - 1) + (1,)
+    found = [g for g in generators if any(m[-1] for m in g.terms)]
+    if len(found) != 1 or any(m[-1] and m != v for m in found[0].terms):
+        return None
+    return found[0]
+
+
 class _Certificate:
     """Exact membership in an ideal I, for polynomials packed under any
     codec of its ring.
@@ -1272,6 +1292,17 @@ class _Certificate:
     reduces to zero by that basis; 1 does exactly when G holds a power of
     h.  The elimination chains start from it (see `_eliminations`).
 
+    A graph ideal J = B + <g>, whose last variable v occurs only in
+    g = a*v + F, a a nonzero constant and F free of v
+    (`_value_generator`), is certified by its base B instead: the proof
+    above runs on B's generators in the ring without v, and J's basis is
+    B's basis G_B, with v's exponent 0, plus g, under the block codec
+    ((v), rest).  There LT(g) = v is coprime to every leading monomial of
+    G_B, so every S-polynomial of g reduces to zero and G_B + {g} is a
+    Groebner basis of J, exact exactly when G_B is.  Its leading
+    monomials {v} + LT(G_B) give J's dimension, which is B's.  No
+    homogenized graph ideal in n + 2 variables is built or checked.
+
     Each Ideal keeps one (`_certificate`), and its basis is computed on
     first use.  Above _EXACT_CHECK_BIT_CAP the driver accepts it without
     the exact check, so nothing is certified: `member` and `covers` then
@@ -1284,7 +1315,11 @@ class _Certificate:
         self.homogeneous = all(
             len({sum(m) for m in g.terms}) == 1 for g in self.generators
         )
-        self.codec = _Codec((range(self.ring.nvars),))
+        n = self.ring.nvars
+        self.value = _value_generator(self.ring, self.generators)
+        self.codec = _Codec(
+            (range(n),) if self.value is None else ((n - 1,), range(n - 1))
+        )
         self.bits = None
         self._basis = None
         self._reducers = None
@@ -1292,13 +1327,19 @@ class _Certificate:
 
     def _build(self):
         n = self.codec.nvars
-        names = self.ring.variables
-        ring = extend_ring(self.ring, fresh_variable_name(names, "h"))
+        # a graph ideal proves its base, free of the value variable
+        k = n if self.value is None else n - 1
+        names = self.ring.variables[:k]
+        ring = extend_ring(
+            PolynomialRing(names), fresh_variable_name(names, "h")
+        )
         homogenized = []
         for g in self.generators:
+            if g is self.value:
+                continue
             top = g.total_degree()
             homogenized.append(Polynomial(
-                ring, {m + (top - sum(m),): c for m, c in g.terms.items()}
+                ring, {m[:k] + (top - sum(m),): c for m, c in g.terms.items()}
             ))
         # above the cap the basis is unproved; the eliminations, whole
         # bases of inhomogeneous generators, unit-ideal verdicts and
@@ -1307,31 +1348,46 @@ class _Certificate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UncertifiedResult)
             lifted = graded_basis(Ideal(ring, homogenized))
+        pad = (0,) * (n - k)
         basis = self._basis = [
             _IntegerArith.normalize_fractions(
-                {self.codec.pack(m[:n]): c for m, c in g.terms.items()}
+                {self.codec.pack(m[:k] + pad): c for m, c in g.terms.items()}
             )
             for g in lifted
         ]
         # the same size the driver compared with the cap: dehomogenizing
-        # keeps every coefficient and the leading term
+        # keeps every coefficient and the leading term.  A graph ideal's
+        # value generator takes no check, so its bits do not count
         self.bits = _exact_size(basis)
+        if self.value is not None:
+            basis.append(_to_engine(self.value, self.codec))
         self._reducers = _IntegerArith.reducers(basis)
 
     def basis(self):
-        """G with h = 1: a Groebner basis of I under the graded codec, not
-        necessarily reduced, as primitive integer dicts."""
+        """G with h = 1, plus g for a graph ideal: a Groebner basis of I
+        under `codec`, not necessarily reduced, as primitive integer
+        dicts."""
         if self._basis is None:
             self._build()
         return self._basis
+
+    def seed(self, codec):
+        """`basis` re-keyed under another codec of the ring."""
+        if codec.blocks == self.codec.blocks:
+            return self.basis()
+        mask = self.codec.mask
+        return [
+            {codec.key_from_plain(m & mask): c for m, c in t.items()}
+            for t in self.basis()
+        ]
 
     def exact(self) -> bool:
         self.basis()
         return self.bits <= _EXACT_CHECK_BIT_CAP
 
     def member(self, terms):
-        """Whether the polynomial (packed under the graded codec) lies in I;
-        None when that cannot be certified."""
+        """Whether the polynomial (packed under `codec`) lies in I; None
+        when that cannot be certified."""
         if not self.exact():
             return None
         terms = _IntegerArith.normalize_fractions(terms)
@@ -1383,7 +1439,7 @@ def _involves(terms, var_mask) -> bool:
 
 
 def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
-                 bases=None, seed_is_basis=False):
+                 bases=None, inter_reduce=False):
     """Every needed node's reduced basis modulo p.
 
     Node 0 is the basis of the generators under codecs[0]; node k >= 1
@@ -1401,7 +1457,7 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
     or whose replay leaves its trace, runs in full and records a fresh
     trace in its place.
 
-    With `seed_is_basis` the generators are a Groebner basis under
+    With `inter_reduce` the generators are a Groebner basis under
     codecs[0] whose coefficients p does not divide, so modulo p they stay
     one with the same leading monomials: node 0 only inter-reduces them,
     with no S-pair and no trace.
@@ -1424,7 +1480,7 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
 
     if bases is None:
         seed = [{m: c % p for m, c in t.items()} for t in gens_int]
-        if seed_is_basis:
+        if inter_reduce:
             engine = _ModularArith(p, codecs[0])
             seed = [engine.normalize(t) for t in seed]
             seed = _inter_reduce(
@@ -1502,18 +1558,20 @@ def _plan(drops, price):
     return stages
 
 
-def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
-                   seed_is_basis=False):
+def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
     """Reduced rational bases of the ideal's intersections with the subrings
     free of each set of variables in `drops`, from one chain of
     eliminations.
 
-    `gens_int` are primitive-integer generators packed under `seed_codec`
-    and `certificate` is the `_Certificate` of the ideal they generate.
-    `seed_is_basis` says that they are a proved Groebner basis under
-    `seed_codec`, as the basis of an exact certificate is; node 0 then
-    only inter-reduces them at every prime.  Node 0 is the reduced basis
-    under `seed_codec`; each stage (parent, var) makes a new node that
+    `certificate` is the `_Certificate` of the ideal, and `gens_int` are
+    primitive-integer generators of it packed under `seed_codec`, or None
+    to start from the certificate's basis re-keyed under `seed_codec`
+    (`_Certificate.seed`).  When that basis is exact and already keyed
+    under `seed_codec`, it is a proved Groebner basis there, and node 0
+    only inter-reduces it at every prime; a graph certificate's basis,
+    keyed under its block codec, runs node 0 in full at the first prime
+    and replays it after.  Node 0 is the reduced basis under
+    `seed_codec`; each stage (parent, var) makes a new node that
     eliminates var from its parent's elimination ideal (see
     `_chain_mod_p`).  A node is named by the set of variables dropped
     along its path.  The empty set is lifted as node 0's whole basis, any
@@ -1542,7 +1600,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
       reconstructs it.  It is tried only where the checks below run: on a
       whole basis within _EXACT_CHECK_BIT_CAP (whose certificate is exact
       when it needs one), and on an elimination of a chain that starts
-      from an exact certificate's basis (`seed_is_basis`).
+      from an exact certificate's basis.
     - a vote, for every other output: a fresh prime of the group
       reproduces it, leaving it unchanged.
 
@@ -1564,17 +1622,27 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     the answer (the lucky-prime argument of Pauer, "On lucky ideals for
     Groebner basis computations", JSC 14, 1992).  For node 0 the checks
     alone prove it.  For an elimination onto the variables S, let G be the
-    exact basis of the ideal I that the chain starts from.  p divides no
-    coefficient of G, so G mod p is a Groebner basis with G's leading
-    monomials, and the chain makes C mod p the reduced basis of
-    <G mod p> meet F_p[S].  C is monic and no prime of its group divides
-    a denominator (see `_CrtState`), so C mod p is defined and keeps C's
-    leading monomials.  Take any j in I meet Q[S] with p-integral
-    coefficients.  Dividing j by G inverts only leading coefficients of G,
-    which are units at p, so j mod p lies in <G mod p> meet F_p[S] =
-    <C mod p>.  The remainder r of j by C is p-integral, lies in I meet
-    Q[S] since C does (the certificate), and reduces modulo p to the
-    remainder of j mod p by C mod p, which is 0.  If r were nonzero, r
+    exact certificate basis of the ideal I that the chain starts from; p
+    divides none of its coefficients.  Every node returns the reduced
+    basis of its ideal modulo p, so the chain makes C mod p the reduced
+    basis of <G mod p> meet F_p[S].  C is monic and no prime of its group
+    divides a denominator (see `_CrtState`), so C mod p is defined and
+    keeps C's leading monomials.  Take any j in I meet Q[S] with
+    p-integral coefficients.  Then j mod p lies in <G mod p>:
+
+    - when G is a Groebner basis under the seed's graded codec, dividing j
+      by G inverts only leading coefficients of G, which are units at p;
+    - for a graph ideal I = B + <g>, g = a*v + F with F free of v, G is
+      G_B + {g}.  Substituting v = -F/a maps I onto B and fixes B, so
+      j = j(x, -F/a) + g*q, and q is p-integral because a, a coefficient
+      of G, is a unit at p.  j(x, -F/a) is p-integral and lies in B, so
+      dividing it by G_B, a Groebner basis of B whose leading
+      coefficients are units at p, leaves zero with p-integral quotients.
+
+    So j mod p lies in <G mod p> meet F_p[S] = <C mod p>, which is all
+    that the rest uses.  The remainder r of j by C is p-integral, lies in
+    I meet Q[S] since C does (the certificate), and reduces modulo p to
+    the remainder of j mod p by C mod p, which is 0.  If r were nonzero, r
     over its p-content would be an element of I meet Q[S] whose residue is
     nonzero, lies in <C mod p> and has no term that a leading monomial of
     C divides, which no nonzero element of <C mod p> has.  So every j
@@ -1603,6 +1671,13 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
     node's codec).  Raises InternalInvariantError when the prime agenda is
     exhausted.
     """
+    seeded = gens_int is None
+    if seeded:
+        gens_int = certificate.seed(seed_codec)
+    inter_reduce = (
+        seeded and certificate.codec.blocks == seed_codec.blocks
+        and certificate.exact()
+    )
     n = seed_codec.nvars
     codecs = [seed_codec]
     masks = [0]
@@ -1643,7 +1718,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
             # ahead of the rest of the tree
             bases = _chain_mod_p(
                 p, gens_int, codecs, stages, masks, {0}, traces, None,
-                seed_is_basis,
+                inter_reduce,
             )
 
             def price(var):
@@ -1660,7 +1735,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
         needed = {k for d in pending for k in paths[nodes[d]]}
         bases = _chain_mod_p(
             p, gens_int, codecs, stages, masks, needed, traces, bases,
-            seed_is_basis,
+            inter_reduce,
         )
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
         for d in list(pending):
@@ -1673,9 +1748,9 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),),
             if state is None:
                 state = states[d][staircase] = _CrtState()
             candidate = state.lift(p, out)
-            # an elimination is proved at one prime only from an exact
-            # seed; a whole basis by its checks alone
-            early = candidate is None and (seed_is_basis or not o)
+            # an elimination is proved at one prime only from the
+            # certificate's basis; a whole basis by its checks alone
+            early = candidate is None and (seeded or not o)
             if early:
                 candidate = state.early()
             if candidate is None:
@@ -1785,18 +1860,19 @@ def _eliminations(ideal: Ideal, drops):
     tree at its first prime, the variable that the most sets contain
     first, and at a root tie that changes the tree the variable whose
     one-variable stage has the fewest terms there (see `_plan`).  The
-    chain starts from the certificate's basis, not the generators: it
-    keeps its staircase modulo every prime used, so no stage loses a
-    relation, and when the certificate is exact the chain's first node
-    only inter-reduces it.  Returns {drop: list of polynomials} ([1] for
-    every set when 1 is in the ideal); the ideal's certificate proved them.
+    chain starts from the certificate's basis re-keyed under the graded
+    codec, not from the generators: modulo every prime used it keeps every
+    relation of the ideal, so no stage loses one (see `_modular_chain`).
+    When the certificate is exact and graded, the chain's first node only
+    inter-reduces it; a graph ideal's certificate basis, a Groebner basis
+    under its block order, runs that node in full at the first prime and
+    replays it at the others.  Returns {drop: list of polynomials} ([1]
+    for every set when 1 is in the ideal); the ideal's certificate proved
+    them.
     """
     ring = ideal.ring
-    certificate = _certificate(ideal)
-    codec = certificate.codec
-    lifted = _modular_chain(
-        certificate.basis(), codec, certificate, drops, certificate.exact()
-    )
+    codec = _Codec((range(ring.nvars),))
+    lifted = _modular_chain(None, codec, _certificate(ideal), drops)
     # every codec of the ring keeps the plain packing in a key's low slots
     return {
         d: [_from_engine(t, codec, ring) for t in elems]

@@ -262,6 +262,12 @@ def graded_key(e: tuple) -> tuple:
     return (sum(e),) + tuple(-x for x in reversed(e))
 
 
+def value_block_key(e: tuple) -> tuple:
+    """The block order of a graph ideal's certificate as a sort key: the
+    last variable's exponent first, then graded reverse-lex on the rest."""
+    return (e[-1],) + graded_key(e[:-1])
+
+
 def normal_form(p: Polynomial, basis, order=None) -> Polynomial:
     """Remainder of p under multivariate division by `basis` under lex, or
     under the order that the key function `order` on exponent tuples

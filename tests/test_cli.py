@@ -435,11 +435,13 @@ class TestReportWork:
         # 5 and 9999: each node runs in full at its first prime and replays
         # its whole trace, zeros included, at every later one, so these
         # counts move only when the modular chain does more or less work.
-        # At bound 5 every chain lifts and proves its outputs at its first
-        # prime, so nothing is replayed; at 9999 two chains take three
-        # primes each (see the test below), and the nodes still needed
-        # replay their whole traces, 75 zeros in all, at the second and
-        # third
+        # Each graph ideal's certificate is its curve's, so the seed of
+        # each graph chain runs in full at its first prime, one run more
+        # per graph.  At bound 5 every chain lifts and proves its outputs
+        # at its first prime, so nothing is replayed; at 9999 two chains
+        # take two and three primes (see the test below), and the nodes
+        # still needed replay their whole traces, 85 zeros in all, at the
+        # later primes
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
@@ -471,15 +473,16 @@ class TestReportWork:
                 "--runs", "1", "--coeff-bound", "5", "--json"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert work == Counter({"full": 8})
+        assert work == Counter({"full": 10})
         work.clear()
         argv[-2] = "9999"
         assert main(argv) == 0
         capsys.readouterr()
         assert work == Counter({
-            "full": 8,
+            "full": 10,
             "replays with zeros": 8,
-            "zeros replayed": 75,
+            "replays without zeros": 1,
+            "zeros replayed": 85,
         })
 
     def test_primes_of_each_chain_of_one_report(self, monkeypatch, capsys):
@@ -487,7 +490,11 @@ class TestReportWork:
         # each modular chain runs, in the order the chains start.  With
         # 62-bit primes they took 2, 6, 7 and 2; a 120-bit prime lifts
         # almost twice the bits (2, 4, 4 and 2), and an output proved at
-        # the prime that first reconstructs it needs no second vote
+        # the prime that first reconstructs it needs no second vote (1, 3,
+        # 3 and 1).  The first two chains lift the certificates of the
+        # gradient's and the curve's graphs: each is now its base's graded
+        # basis, in one variable fewer, and the curve's takes two primes
+        # where the homogenized graph's took three
         chains = []
         stack = []
         modular_chain = groebner._modular_chain
@@ -511,4 +518,4 @@ class TestReportWork:
                 "--runs", "1", "--seed", "0", "--json"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert [len(primes) for primes in chains] == [1, 3, 3, 1]
+        assert [len(primes) for primes in chains] == [1, 2, 3, 1]

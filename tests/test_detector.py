@@ -279,7 +279,10 @@ class TestOneCertificatePerIdeal:
         """The dimension guard reads the graph ideal's certificate, so no
         modular chain runs on a sampled curve's own generators, and each
         graph's certificate is built once: the guard, the elimination chain
-        and the fiber-relation memberships share it."""
+        and the fiber-relation memberships share it.  That certificate is
+        the curve's graded basis plus the value generator, so the curve's
+        certificate is now built too, once per graph, from its homogenized
+        generators."""
         import polarvalues.detector as detector
         from polarvalues import groebner, nonproper
 

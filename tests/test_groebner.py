@@ -653,8 +653,11 @@ class TestIntegerReduce:
         # x^9 has no divisor among y - 1 and u - 2, and lies above the 54
         # terms of degree 1 to 9 in y and u, which all reduce to
         # constants: a full normal form searches a divisor for each of
-        # them, a membership test only for x^9
-        ideal = Ideal(R3, [Y3 - 1, U3 - 2])
+        # them, a membership test only for x^9.  Written as <y - 1, u - 2>
+        # the ideal is a graph ideal, whose certificate orders u first
+        # (`_value_generator`); with u in both generators its certificate
+        # is the graded basis {y - 1, u - 2}
+        ideal = Ideal(R3, [Y3 - 1 + X3 * (U3 - 2), U3 - 2])
         tail = R3.polynomial(
             {(0, a, b): Fraction(1) for a in range(10) for b in range(10 - a)
              if a + b}
@@ -681,7 +684,8 @@ class TestIntegerReduce:
         monkeypatch.setattr(
             groebner._IntegerArith, "reducers", staticmethod(counting_reducers)
         )
-        gens = [groebner._to_engine(g, codec) for g in ideal.generators]
+        assert certificate.codec.blocks == ((0, 1, 2),)
+        gens = [groebner._to_engine(g, codec) for g in (Y3 - 1, U3 - 2)]
         assert not groebner._exact_basis_check(
             gens + [groebner._to_engine(target, codec)], gens, codec
         )
@@ -730,40 +734,31 @@ class TestIntegerReduce:
 
 
 class TestChain:
-    def test_stages_stop_with_their_outputs(
-        self, monkeypatch, watch_node_runs
-    ):
+    def test_stages_stop_with_their_outputs(self, watch_node_runs):
         # x - y^2 is proved at its first prime; the (x, u) relation
         # (u - 1)^2 - B^2*x needs twice as many primes as B^2 has 120-bit
         # words (22 in all, the last of which proves it), and only the seed
-        # and its own stage keep running for it
+        # and its own stage keep running for it.  The ideal is a graph
+        # ideal, so the seed, {x - y^2, u - B*y - 1} under the graded
+        # order, runs in full at the first prime and replays after
         big = 3**400
         ideal = Ideal(R3, [X3 - Y3**2, U3 - big * Y3 - 1])
         seed = ((0, 1, 2),)
         runs = {}
-        seeds = [0]
-        inter = groebner._inter_reduce
 
         def counting(gens, engine):
             if engine.codec.nvars == 3:
                 runs[engine.codec.blocks] = runs.get(engine.codec.blocks, 0) + 1
 
-        def counting_seed(elems, engine, schedules=None):
-            # node 0 inter-reduces the certificate's basis at every prime
-            if engine.codec.blocks == seed:
-                seeds[0] += 1
-            return inter(elems, engine, schedules)
-
+        groebner._certificate(ideal).basis()
         watch_node_runs(counting)
-        monkeypatch.setattr(groebner, "_inter_reduce", counting_seed)
         drop_u, drop_y = frozenset({2}), frozenset({1})
         lifted = groebner._eliminations(ideal, [drop_u, drop_y])
         assert lifted[drop_u] == [Y3**2 - X3]
         assert lifted[drop_y] == [(U3 - 1) ** 2 - big**2 * X3]
         stage_u, stage_y = ((2,), (0, 1)), ((1,), (0, 2))
-        assert seed not in runs
         assert runs[stage_u] == 1
-        assert runs[stage_y] == seeds[0] > 20
+        assert runs[stage_y] == runs[seed] == 22
 
 
 def _ascending_tree(drops):
@@ -1522,8 +1517,12 @@ class TestTraceReplay:
     ):
         # above the cap the certificate's basis is not proved a Groebner
         # basis, so node 0 runs Buchberger on it, or replays its trace, at
-        # every prime
-        ideal = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2 - 3 * Y3])
+        # every prime.  Written as <x*y - 1, u - x^2 - 3*y> the ideal is a
+        # graph ideal, whose certificate's basis is a Groebner basis under
+        # its block order, not the graded one: node 0 then runs, once per
+        # prime, at any cap.  With u in both generators it is certified by
+        # its homogenized graded basis
+        g = U3 - X3**2 - 3 * Y3
         seed = ((0, 1, 2),)
         runs = Counter()
 
@@ -1532,17 +1531,23 @@ class TestTraceReplay:
                 runs[engine.p] += 1
 
         monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", cap)
-        groebner._certificate(ideal).basis()
         watch_node_runs(counting)
         drop = frozenset({1})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", groebner.UncertifiedResult)
-            lifted = groebner._eliminations(ideal, [drop])
-        assert [str(q) for q in lifted[drop]] == ["x^3 - x*u + 3"]
-        if cap:
-            assert not runs
-        else:
-            assert len(runs) >= 2 and set(runs.values()) == {1}
+        for value, gens in ((None, [X3 * Y3 - 1 + X3 * g, g]),
+                            (g, [X3 * Y3 - 1, g])):
+            ideal = Ideal(R3, gens)
+            assert groebner._certificate(ideal).value is value
+            groebner._certificate(ideal).basis()
+            runs.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", groebner.UncertifiedResult)
+                lifted = groebner._eliminations(ideal, [drop])
+            assert [str(q) for q in lifted[drop]] == ["x^3 - x*u + 3"]
+            if cap and value is None:
+                assert not runs
+            else:
+                assert len(runs) >= (1 if cap else 2)
+                assert set(runs.values()) == {1}
 
     @pytest.mark.parametrize("cap", [groebner._EXACT_CHECK_BIT_CAP, 0])
     def test_one_prime_is_not_trusted(self, monkeypatch, cap):
@@ -1603,12 +1608,14 @@ class TestTraceReplay:
 
     def test_later_primes_only_replay(self, monkeypatch, hold_reconstruction):
         # the chain of nonproperness_values on the fixed graph ideal and the
-        # chain of its certificate, each held to six primes before it lifts
+        # chain of its certificate (the curve's homogenized graded basis,
+        # in as many variables), each held to six primes before it lifts
         # and proves its outputs: only the first prime builds J-pairs;
-        # every later one replays, node by node, every reduction the first
-        # made, zeros included, and reduces nothing
+        # every later one replays, node by node, the seed of the graph
+        # chain included, every reduction the first made, zeros included,
+        # and reduces nothing
         graph = _fixed_graph_ideal()
-        work = {}
+        chains = []  # (a chain's codec list, its work per prime)
         current = [None]
         chain = groebner._chain_mod_p
         jpairs = groebner._jpairs
@@ -1616,8 +1623,12 @@ class TestTraceReplay:
         replay = groebner._ModularArith.replay
 
         def tracked_chain(p, gens_int, codecs, *rest):
-            current[0] = key = (codecs[0].nvars, p)
-            work.setdefault(key, Counter())
+            # a chain keeps one codec list from its first prime to its last
+            work = next((w for c, w in chains if c is codecs), None)
+            if work is None:
+                chains.append((codecs, {}))
+                work = chains[-1][1]
+            current[0] = work.setdefault(p, Counter())
             try:
                 return chain(p, gens_int, codecs, *rest)
             finally:
@@ -1625,12 +1636,12 @@ class TestTraceReplay:
 
         def counting_jpairs(*args):
             if current[0] is not None:
-                work[current[0]]["updates"] += 1
+                current[0]["updates"] += 1
             return jpairs(*args)
 
         def count(kind, codec, out):
             if current[0] is not None:
-                w = work[current[0]]
+                w = current[0]
                 w[kind, codec] += 1
                 if not out:
                     w["zeros"] += 1
@@ -1652,26 +1663,26 @@ class TestTraceReplay:
         monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
         monkeypatch.setattr(groebner._ModularArith, "replay", counting_replay)
         hold_reconstruction(5)
-        z = graph.z_index
         drops = [
             frozenset(j for j in range(3) if j != i) for i in range(3)
         ]
         groebner._eliminations(graph.ideal, drops)
-        chains = {}
-        for (nvars, _), w in work.items():
-            chains.setdefault(nvars, []).append(w)
-        assert sorted(chains) == [z + 1, z + 2]
-        for primes in chains.values():
-            assert len(primes) >= 6
-            first, *later = primes
+        assert len(chains) == 2
+        for _, work in chains:
+            assert len(work) >= 6
+            first, *later = work.values()
             assert first["updates"]
             for w in later:
                 replayed = [key[1] for key in w if key[0] == "replayed"]
-                assert replayed and w["zeros"] and not w["updates"]
+                assert replayed and not w["updates"]
                 for codec in replayed:
                     assert w["reduced", codec] == 0
                     assert w["replayed", codec] == first["reduced", codec]
                     assert w["zeros", codec] == first["zeros", codec]
+        # the curve's basis reduces nothing to zero; the graph chain's
+        # replays retry every zero of its first prime
+        _, graph_work = chains[1]
+        assert all(w["zeros"] for w in list(graph_work.values())[1:])
 
 
 class TestCertificate:
@@ -1784,7 +1795,8 @@ class TestCertificate:
         seed 0 and bound 9999, as a report builds it: every chain output
         and every generator is a member, each with its leading coefficient
         moved by one is not, and the Fraction oracle on the certificate's
-        basis agrees with every verdict."""
+        basis, under its block order (z first, then the curve's graded
+        order), agrees with every verdict."""
         from polarvalues import nonproper
         from polarvalues.detector import run_super_polar
 
@@ -1808,12 +1820,13 @@ class TestCertificate:
         assert len(members) == 3
         members += ideal.generators
         certificate._known.clear()  # verdicts of the report itself
+        assert certificate.codec.blocks == ((3,), (0, 1, 2))
         for p in members:
             wrong = dict(p.terms)
-            wrong[max(wrong, key=oracles.graded_key)] += 1
+            wrong[max(wrong, key=oracles.value_block_key)] += 1
             for q, verdict in ((p, True), (ring.polynomial(wrong), False)):
                 assert certificate.contains(q) is verdict
-                remainder = normal_form(q, basis, oracles.graded_key)
+                remainder = normal_form(q, basis, oracles.value_block_key)
                 assert remainder.is_zero() is verdict
 
     @settings(max_examples=30, deadline=None)
@@ -1921,6 +1934,99 @@ class TestCertificate:
             "the elimination onto (x, u) rests on fresh-prime agreement; "
             "its certificate in (x, y, u),"
         )
+
+
+@st.composite
+def _graph_shapes(draw):
+    """A graph ideal J = B + <a*z + F> on two or three curve variables and
+    z, and J again with its shape hidden: one generator b of B replaced by
+    b + (a*z + F)*x, so that z occurs in two generators.  Both generate
+    the same ideal."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    ring = PolynomialRing(tuple("xyu"[:n]) + ("z",))
+    monomials = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
+    coefficients = st.integers(min_value=-5, max_value=5).filter(bool)
+
+    def polynomial(terms):
+        return ring.polynomial({m + (0,): c for m, c in terms.items()})
+
+    polys = st.dictionaries(monomials, coefficients, min_size=1, max_size=3)
+    base = [polynomial(t) for t in draw(st.lists(polys, min_size=1,
+                                                 max_size=2))]
+    a = draw(coefficients)
+    value = polynomial(draw(polys)) + a * ring.variable("z")
+    k = draw(st.integers(min_value=0, max_value=len(base) - 1))
+    hidden = list(base)
+    hidden[k] = base[k] + value * ring.variable("x")
+    return Ideal(ring, base + [value]), Ideal(ring, hidden + [value])
+
+
+class TestGraphCertificate:
+    """A graph ideal's certificate is its base's graded basis plus the
+    value generator, under the block order ((z), rest); the homogenized
+    certificate of the same ideal, written so that z occurs in two
+    generators, is the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_graph_shapes())
+    def test_graph_certificate_agrees_with_the_homogenized_one(self, case):
+        graph, hidden = case
+        ring = graph.ring
+        n = ring.nvars
+        with_shape = groebner._certificate(graph)
+        without = groebner._certificate(hidden)
+        value = graph.generators[-1]
+        assert with_shape.value is value and without.value is None
+        assert with_shape.codec.blocks == ((n - 1,), tuple(range(n - 1)))
+        codec = with_shape.codec
+        assert groebner._exact_basis_check(
+            [groebner._to_engine(g, codec) for g in graph.generators],
+            with_shape.basis(), codec,
+        )
+        assert affine_dimension(graph) == affine_dimension(hidden)
+        # each curve variable's plane with z, and the value line
+        drops = [
+            frozenset(j for j in range(n - 1) if j != i)
+            for i in range(n - 1)
+        ] + [frozenset(range(n - 1))]
+        lifted = groebner._eliminations(graph, drops)
+        assert lifted == groebner._eliminations(hidden, drops)
+        members = [p for elems in lifted.values() for p in elems]
+        members += graph.generators + hidden.generators
+        for p in members:
+            wrong = dict(p.terms)
+            wrong[max(wrong, key=oracles.graded_key)] += 1
+            assert with_shape.contains(p) is without.contains(p) is True
+            wrong = ring.polynomial(wrong)
+            assert with_shape.contains(wrong) is without.contains(wrong)
+
+    def test_lucky_primes_keep_the_curve_relation(self, monkeypatch):
+        """README's lucky-prime example lifted into a graph: modulo p0 and
+        p1 the curve's generators x + y + u and x + N*y + u, N = 1 +
+        p0*p1, coincide, so the raw generators with x + 2y - z would make
+        the (x, z) elimination empty there.  The seed is the curve's basis
+        {y, x + u} plus the value generator, which keeps the relation
+        x - z modulo p0, and the chain proves it at p0 alone."""
+        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        ring = PolynomialRing(("x", "y", "u", "z"))
+        x, y, u, z = ring.gens()
+        graph = Ideal(ring, [
+            x + y + u, x + (1 + p0 * p1) * y + u, x + 2 * y - z,
+        ])
+        certificate = groebner._certificate(graph)
+        assert certificate.value is graph.generators[-1]
+        certificate.basis()
+        primes = set()
+        chain = groebner._chain_mod_p
+
+        def recording(p, *args):
+            primes.add(p)
+            return chain(p, *args)
+
+        monkeypatch.setattr(groebner, "_chain_mod_p", recording)
+        drop = frozenset({1, 2})
+        assert groebner._eliminations(graph, [drop]) == {drop: [x - z]}
+        assert primes == {p0}
 
 
 class TestRabinowitsch:
@@ -2397,7 +2503,9 @@ class TestEarlyAcceptance:
         # margin the wrong one is tried at the first prime and refuted by
         # the certificate; the reconstruction was wrong, not the trace, so
         # the second prime replays the stage all the same, and proves the
-        # same relation
+        # same relation.  The ideal is a graph ideal, so its seed runs in
+        # full at the first prime and replays at the second, as the stage
+        # does
         p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
         wrong = groebner._rational_reconstruct(-(3**50) % p0, p0)
         assert wrong is not None and wrong != -(3**50)
@@ -2428,7 +2536,7 @@ class TestEarlyAcceptance:
         lifted = groebner._eliminations(ideal, [drop])
         assert lifted[drop] == [(U3 - 1) ** 2 - 3**50 * X3]
         assert len(refuted) == (0 if margin else 1)
-        assert runs == {"full": {p0: 1}, "replayed": {p1: 1}}
+        assert runs == {"full": {p0: 2}, "replayed": {p1: 2}}
 
 
 def _fermat_inverse(x, p):

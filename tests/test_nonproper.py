@@ -541,11 +541,14 @@ class TestLiftCost:
         """One nonproperness_values call on a super-polar curve at bound 5
         reconstructs the coefficients of its outputs only: the (x_i, z)
         intersections, the lex relations read off them and the
-        certificate's graded basis.  Each intersection here is one
-        polynomial, which is its own lex relation and needs no lift.  Every
-        stage of the chain, the graded seed included, runs at most once per
-        prime.  The first prime proves every output, so the lifts are held
-        back to one more prime, which the stage that priced x skips."""
+        certificate's graded basis, which is the curve's: the graph
+        ideal's certificate is the curve's plus the value generator, so
+        no graded basis of the homogenized graph is lifted.  Each
+        intersection here is one polynomial, which is its own lex relation
+        and needs no lift.  Every stage of the chain, the graded seed
+        included, runs at most once per prime.  The first prime proves
+        every output, so the lifts are held back to one more prime, which
+        the stage that priced x skips."""
         from polarvalues.detector import (
             sample_super_polar_coefficients,
             super_polar_ideal,
@@ -563,13 +566,13 @@ class TestLiftCost:
             fiber_relation(graph, i)
             for i, out in enumerate(outputs) if len(out) > 1
         ]
-        h_ring = PolynomialRing(graph.ring.variables + ("h",))
+        h_ring = PolynomialRing(curve.ring.variables + ("h",))
         homogenized = [
             Polynomial(
                 h_ring,
                 {m + (g.total_degree() - sum(m),): c for m, c in g.terms.items()},
             )
-            for g in graph.ideal.generators
+            for g in curve.generators
         ]
         certificate = groebner.graded_basis(Ideal(h_ring, homogenized))
         expected = sum(
@@ -579,7 +582,6 @@ class TestLiftCost:
         states = []
         runs = Counter()
         init = groebner._CrtState.__init__
-        inter = groebner._inter_reduce
 
         def registering(self):
             init(self)
@@ -595,19 +597,17 @@ class TestLiftCost:
                 )
                 runs[(codec.blocks, left, engine.p)] += 1
 
-        def counting_seed(elems, engine, schedules=None):
-            # the graded seed only inter-reduces the certificate's basis
-            if len(engine.codec.blocks) == 1:
-                count(elems, engine)
-            return inter(elems, engine, schedules)
-
         monkeypatch.setattr(groebner._CrtState, "__init__", registering)
-        watch_node_runs(count)
-        monkeypatch.setattr(groebner, "_inter_reduce", counting_seed)
         hold_reconstruction(1)
-        nonproperness_values(graph_ideal(curve, f))
+        fresh = graph_ideal(curve, f)
+        # the certificate's chain runs on the homogenized curve, in as many
+        # variables as the graph: build it first, so that only the graph
+        # chain's stages are counted
+        groebner._certificate(fresh.ideal).basis()
+        watch_node_runs(count)
+        nonproperness_values(fresh)
         lifted = sum(len(e) for s in states for e in s.elements or ())
-        assert lifted == expected
+        assert lifted == expected == 164
         assert max(runs.values()) == 1
         # the graded seed and the five stages of the tree, each at every
         # prime it ran at, and the stage that priced x at the first prime
@@ -659,7 +659,11 @@ class TestStageCount:
         # (x, y, z) drops {y} and {x}; (t, x, y, z) drops {t, y} and
         # {t, x}, t first.  Either tree is the only one with the fewest
         # stages, so the first prime runs no pricing stage: it runs the
-        # seed and one basis per stage, and proves every output
+        # seed and one basis per stage, and proves every output.  The
+        # graph's certificate is its curve's plus the value generator, so
+        # the seed is a full run; the certificate's own chain runs on the
+        # homogenized curve, in as many variables as the graph, so it is
+        # built before the runs are counted
         curve = Ideal(R2, [X * Y - 1])
         escape = [0, 1]
         if localized:
@@ -670,7 +674,6 @@ class TestStageCount:
         asked = []
         calls = Counter()
         plan = groebner._plan
-        inter = groebner._inter_reduce
 
         def asking(drops, price):
             def priced(var):
@@ -683,16 +686,11 @@ class TestStageCount:
             if engine.codec.nvars == nvars:
                 calls[engine.p] += 1
 
-        def counting_seed(elems, engine, schedules=None):
-            # the seed only inter-reduces the certificate's basis
-            if engine.codec.nvars == nvars and len(engine.codec.blocks) == 1:
-                calls[engine.p] += 1
-            return inter(elems, engine, schedules)
-
+        graph = graph_ideal(curve, f)
+        groebner._certificate(graph.ideal).basis()
         monkeypatch.setattr(groebner, "_plan", asking)
         watch_node_runs(counting)
-        monkeypatch.setattr(groebner, "_inter_reduce", counting_seed)
-        vs = nonproperness_values(graph_ideal(curve, f), escape_vars=escape)
+        vs = nonproperness_values(graph, escape_vars=escape)
         assert vs.rho == U(0, 1)
         assert asked == []
         assert calls == {groebner._agenda_prime(0): 4 if localized else 3}
