@@ -107,25 +107,16 @@ certificate's own basis warns nothing itself; above the cap, the
 eliminations, whole bases of inhomogeneous generators, unit-ideal
 verdicts and dimensions that rest on it warn instead.
 
-Node 0 of an elimination chain runs no Buchberger when its certificate is
-exact and graded: modulo a prime that divides none of its coefficients,
-G stays a Groebner basis with the same leading monomials, so node 0 only
-drops the elements whose leading monomial another one divides and
-inter-reduces the rest, with no J-pair and no trace.  Above
-_EXACT_CHECK_BIT_CAP, G is not proved a Groebner basis, and node 0 runs
-in full; so it does on a graph ideal's G, which is a Groebner basis under
-its block order, not the graded one, and node 0 then replays like any
-other node.
-
-The other nodes replay traces (Traverso, "Groebner trace algorithms",
-ISSAC 1988).  A full run records every reduction it makes, zeros
-included, with its target, the leading monomial and lead of what it
-installed, and the schedule it followed: its steps (term, reducer) in
-order and the terms it left.  Applying a schedule is arithmetic only, one
-pass per step with no heap and no divisor search, as in the symbolic
-preprocessing of F4 (Faugere, JPAA 139, 1999); only a nonzero term outside
-the record is tested for a divisor.  Such a divisor, or a reduction with
-another leading monomial, sends that node back to a full run.
+Every node of a chain, node 0 included, replays traces (Traverso,
+"Groebner trace algorithms", ISSAC 1988).  A full run records every
+reduction it makes, zeros included, with its target, the leading
+monomial and lead of what it installed, and the schedule it followed:
+its steps (term, reducer) in order and the terms it left.  Applying a
+schedule is arithmetic only, one pass per step with no heap and no
+divisor search, as in the symbolic preprocessing of F4 (Faugere, JPAA
+139, 1999); only a nonzero term outside the record is tested for a
+divisor.  Such a divisor, or a reduction with another leading monomial,
+sends that node back to a full run.
 
 Only the first prime runs a node's signature run in full; every later
 prime replays every reduction of its trace, zeros included, and each zero
@@ -574,13 +565,13 @@ class _ModularArith:
         del tail[lt]
         return (lt, tail)
 
-    def reduce(self, target, reducers, steps=None, signature=None):
+    def reduce(self, target, reducers, steps, signature=None):
         """Full normal form by the first reducer whose leading key divides.
 
         The working terms sit in a max-heap of keys, one entry per key.  A
         coefficient is reduced modulo p once, when its key reaches the top;
         a reduction step adds (p - c) times the reducer's tail to keys that
-        all lie below the top, so none of them has left the heap yet.  A
+        all lie below the top, so none of them has left the heap yet.  The
         list `steps` receives each step as its term key followed by its
         reducer's leading key, in order: with the keys of the result, the
         schedule that `replay` applies at another prime.  The list is flat
@@ -632,9 +623,8 @@ class _ModularArith:
                 else:
                     result[m] = c
                     continue
-            if steps is not None:
-                steps.append(m)
-                steps.append(lt)
+            steps.append(m)
+            steps.append(lt)
             shift = m - lt
             factor = p - c
             for mt, ct in tail.items():
@@ -734,21 +724,18 @@ def _minimal(basis, guard):
     return kept
 
 
-def _inter_reduce(elems, engine, schedules=None):
+def _inter_reduce(elems, engine, schedules):
     """The reduced basis from a minimal Groebner basis sorted by ascending
     leading key, in one ascending pass: a leading monomial dividing a tail
     monomial of g is smaller than LT(g), so g needs only the already
-    reduced elements before it.  A list `schedules` receives each
+    reduced elements before it.  The list `schedules` receives each
     reduction's schedule (see `_Trace`)."""
     out = []
     reduced = []
     for t in elems:
-        if schedules is None:
-            t = engine.reduce(t, reduced)
-        else:
-            steps = []
-            t = engine.reduce(t, reduced, steps)
-            schedules.append((steps, frozenset(t)))
+        steps = []
+        t = engine.reduce(t, reduced, steps)
+        schedules.append((steps, frozenset(t)))
         out.append(t)
         reduced.append(engine.reducer_entry(t))
     return out
@@ -1232,7 +1219,7 @@ def _exact_size(candidate_int) -> int:
     )
 
 
-def _exact_basis_check(gens_int, candidate_int, codec) -> bool:
+def _exact_basis_check(gens, candidate_int, codec) -> bool:
     """Over the rationals: S-polynomials and generators all reduce to zero."""
     arith = _IntegerArith(codec)
     reducers = arith.reducers(candidate_int)
@@ -1246,7 +1233,7 @@ def _exact_basis_check(gens_int, candidate_int, codec) -> bool:
         s = arith.spoly(candidate_int[i], candidate_int[j])
         if not arith.reduces_to_zero(s, reducers):
             return False
-    return all(arith.reduces_to_zero(t, reducers) for t in gens_int)
+    return all(arith.reduces_to_zero(t, reducers) for t in gens)
 
 
 class UncertifiedResult(UserWarning):
@@ -1438,14 +1425,14 @@ def _involves(terms, var_mask) -> bool:
     return any(m & var_mask for m in terms)
 
 
-def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
-                 bases=None, inter_reduce=False):
+def _chain_mod_p(p, seed, codecs, stages, masks, needed, traces,
+                 bases=None):
     """Every needed node's reduced basis modulo p.
 
-    Node 0 is the basis of the generators under codecs[0]; node k >= 1
-    applies stage (parent, var): the parent's elements free of the
-    parent's own variable, re-keyed under codecs[k], which puts var in a
-    leading block of its own.  Every codec orders polynomials free of the
+    Node 0 is the basis of the integer polynomials `seed` under codecs[0];
+    node k >= 1 applies stage (parent, var): the parent's elements free of
+    the parent's own variable, re-keyed under codecs[k], which puts var in
+    a leading block of its own.  Every codec orders polynomials free of the
     variables dropped so far by graded reverse-lex on the rest, so a stage
     whose input does not involve var already has its reduced basis; the
     unit ideal's [1] passes every stage so.  `bases` holds nodes already
@@ -1453,19 +1440,13 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
     is there.
 
     `traces` maps a node to its one trace and is updated in place.  A node
-    with a trace replays it (see `_replay_buchberger`).  A node with none,
-    or whose replay leaves its trace, runs in full and records a fresh
-    trace in its place.
-
-    With `inter_reduce` the generators are a Groebner basis under
-    codecs[0] whose coefficients p does not divide, so modulo p they stay
-    one with the same leading monomials: node 0 only inter-reduces them,
-    with no S-pair and no trace.
+    with a trace, node 0 included, replays it (see `_replay_buchberger`).
+    A node with none, or whose replay leaves its trace, runs in full and
+    records a fresh trace in its place.
 
     Every node's basis is the reduced basis of its ideal modulo p: a full
-    run, a completed replay (a whole run), node 0's inter-reduction of a
-    seed that is a basis, and a stage that passes its parent's basis
-    through each return it.
+    run, a completed replay (a whole run), and a stage that passes its
+    parent's basis through each return it.
     """
 
     def run(node, elems):
@@ -1479,16 +1460,7 @@ def _chain_mod_p(p, gens_int, codecs, stages, masks, needed, traces,
         return _core_buchberger(elems, engine, trace)
 
     if bases is None:
-        seed = [{m: c % p for m, c in t.items()} for t in gens_int]
-        if inter_reduce:
-            engine = _ModularArith(p, codecs[0])
-            seed = [engine.normalize(t) for t in seed]
-            seed = _inter_reduce(
-                [seed[k] for k in _minimal(seed, codecs[0].guard)], engine
-            )
-        else:
-            seed = run(0, seed)
-        bases = {0: seed}
+        bases = {0: run(0, [{m: c % p for m, c in t.items()} for t in seed])}
     for node, (parent, var) in enumerate(stages, 1):
         if node in bases or node not in needed:
             continue
@@ -1558,20 +1530,20 @@ def _plan(drops, price):
     return stages
 
 
-def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
+def _modular_chain(certificate, seed_codec, drops=None):
     """Reduced rational bases of the ideal's intersections with the subrings
     free of each set of variables in `drops`, from one chain of
     eliminations.
 
-    `certificate` is the `_Certificate` of the ideal, and `gens_int` are
-    primitive-integer generators of it packed under `seed_codec`, or None
-    to start from the certificate's basis re-keyed under `seed_codec`
-    (`_Certificate.seed`).  When that basis is exact and already keyed
-    under `seed_codec`, it is a proved Groebner basis there, and node 0
-    only inter-reduces it at every prime; a graph certificate's basis,
-    keyed under its block codec, runs node 0 in full at the first prime
-    and replays it after.  Node 0 is the reduced basis under
-    `seed_codec`; each stage (parent, var) makes a new node that
+    `certificate` is the `_Certificate` of the ideal.  With `drops` None
+    the chain lifts the whole basis of the ideal's generators, packed
+    under `seed_codec` as primitive integer dicts, as the output of the
+    empty set.  Any `drops` start from the certificate's basis re-keyed
+    under `seed_codec` (`_Certificate.seed`) instead, so every elimination
+    rests on the lucky-prime argument below.  Node 0, the reduced basis
+    of the seed (the generators or the certificate's basis) under
+    `seed_codec`, runs in full at the first prime and replays after like
+    any other node; each stage (parent, var) makes a new node that
     eliminates var from its parent's elimination ideal (see
     `_chain_mod_p`).  A node is named by the set of variables dropped
     along its path.  The empty set is lifted as node 0's whole basis, any
@@ -1599,8 +1571,8 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
       needed, so an output is accepted at the prime that first
       reconstructs it.  It is tried only where the checks below run: on a
       whole basis within _EXACT_CHECK_BIT_CAP (whose certificate is exact
-      when it needs one), and on an elimination of a chain that starts
-      from an exact certificate's basis.
+      when it needs one), and on an elimination, whose chain starts from
+      the certificate's basis, when that basis is exact.
     - a vote, for every other output: a fresh prime of the group
       reproduces it, leaving it unchanged.
 
@@ -1615,8 +1587,8 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
     certificate is above the cap or a node 0 above it itself, warns
     UncertifiedResult.  The unit ideal is no exception: its candidate [1],
     with staircase {1}, passes the basis check trivially and is proved
-    like any other output.  A prime that divides a coefficient of
-    `gens_int` is skipped.
+    like any other output.  A prime that divides a coefficient of the
+    seed is skipped.
 
     Why a candidate C that passed its checks at a prime p of its group is
     the answer (the lucky-prime argument of Pauer, "On lucky ideals for
@@ -1671,13 +1643,11 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
     node's codec).  Raises InternalInvariantError when the prime agenda is
     exhausted.
     """
-    seeded = gens_int is None
-    if seeded:
-        gens_int = certificate.seed(seed_codec)
-    inter_reduce = (
-        seeded and certificate.codec.blocks == seed_codec.blocks
-        and certificate.exact()
-    )
+    if drops is None:
+        drops = [frozenset()]
+        seed = [_to_engine(g, seed_codec) for g in certificate.generators]
+    else:
+        seed = certificate.seed(seed_codec)
     n = seed_codec.nvars
     codecs = [seed_codec]
     masks = [0]
@@ -1699,7 +1669,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
         return nodes[step]
 
     pending = list(dict.fromkeys(frozenset(d) for d in drops))
-    if not gens_int:
+    if not seed:
         return {d: [] for d in pending}
     states = {d: {} for d in pending}
     lifted = {}
@@ -1709,22 +1679,19 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
     while pending and used < _MAX_MODULAR_PRIMES:
         p = _agenda_prime(index)
         index += 1
-        if any(c % p == 0 for t in gens_int for c in t.values()):
+        if any(c % p == 0 for t in seed for c in t.values()):
             continue
         used += 1
         bases = None
         if used == 1:
             # the first prime runs node 0 and the stages that _plan prices
             # ahead of the rest of the tree
-            bases = _chain_mod_p(
-                p, gens_int, codecs, stages, masks, {0}, traces, None,
-                inter_reduce,
-            )
+            bases = _chain_mod_p(p, seed, codecs, stages, masks, {0}, traces)
 
             def price(var):
                 node = add(0, var)
                 _chain_mod_p(
-                    p, gens_int, codecs, stages, masks, {node}, traces, bases
+                    p, seed, codecs, stages, masks, {node}, traces, bases
                 )
                 return sum(len(t) for t in bases[node])
 
@@ -1734,8 +1701,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
             traces = {k: t for k, t in traces.items() if k in ids}
         needed = {k for d in pending for k in paths[nodes[d]]}
         bases = _chain_mod_p(
-            p, gens_int, codecs, stages, masks, needed, traces, bases,
-            inter_reduce,
+            p, seed, codecs, stages, masks, needed, traces, bases
         )
         staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
         for d in list(pending):
@@ -1748,9 +1714,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
             if state is None:
                 state = states[d][staircase] = _CrtState()
             candidate = state.lift(p, out)
-            # an elimination is proved at one prime only from the
-            # certificate's basis; a whole basis by its checks alone
-            early = candidate is None and (seeded or not o)
+            early = candidate is None
             if early:
                 candidate = state.early()
             if candidate is None:
@@ -1767,7 +1731,7 @@ def _modular_chain(gens_int, seed_codec, certificate, drops=(frozenset(),)):
                 # what the exact checks cannot prove waits for a vote
                 continue
             verdict = o > 0 or unchecked or _exact_basis_check(
-                gens_int, candidate, seed_codec
+                seed, candidate, seed_codec
             )
             if verdict and by_certificate:
                 # the candidate lies in the ideal, which is all that an
@@ -1818,10 +1782,9 @@ def _basis_elems(ideal: Ideal, codec):
     A principal ideal's reduced basis is its generator, made primitive
     with a positive leading coefficient as `_to_engine` leaves it; any
     other ideal takes a modular chain."""
-    gens = [_to_engine(g, codec) for g in ideal.generators]
-    if len(gens) == 1:
-        return gens
-    return _modular_chain(gens, codec, _certificate(ideal))[frozenset()]
+    if len(ideal.generators) == 1:
+        return [_to_engine(ideal.generators[0], codec)]
+    return _modular_chain(_certificate(ideal), codec)[frozenset()]
 
 
 def buchberger(ideal: Ideal) -> GroebnerBasis:
@@ -1863,16 +1826,14 @@ def _eliminations(ideal: Ideal, drops):
     chain starts from the certificate's basis re-keyed under the graded
     codec, not from the generators: modulo every prime used it keeps every
     relation of the ideal, so no stage loses one (see `_modular_chain`).
-    When the certificate is exact and graded, the chain's first node only
-    inter-reduces it; a graph ideal's certificate basis, a Groebner basis
-    under its block order, runs that node in full at the first prime and
-    replays it at the others.  Returns {drop: list of polynomials} ([1]
-    for every set when 1 is in the ideal); the ideal's certificate proved
-    them.
+    Its first node, the reduced graded basis of that seed, runs in full at
+    the first prime and replays at the others like every other node.
+    Returns {drop: list of polynomials} ([1] for every set when 1 is in
+    the ideal); the ideal's certificate proved them.
     """
     ring = ideal.ring
     codec = _Codec((range(ring.nvars),))
-    lifted = _modular_chain(None, codec, _certificate(ideal), drops)
+    lifted = _modular_chain(_certificate(ideal), codec, drops)
     # every codec of the ring keeps the plain packing in a key's low slots
     return {
         d: [_from_engine(t, codec, ring) for t in elems]

@@ -183,11 +183,11 @@ def fiber_relation(
     variables and its element of minimal x_i-degree is returned, living in
     a fresh two-variable ring (x_i, z).  An intersection of one polynomial,
     the usual case, is its own lex basis: `buchberger` returns it made
-    primitive with a positive leading coefficient, with no modular chain.  `seed_elements` may supply that
-    intersection instead, as `nonproperness_values` does from its chain;
-    it is then taken as it is.  Raises NotACurveError when
-    the intersection is zero, which cannot happen for the graph of a map
-    on a curve.
+    primitive with a positive leading coefficient, with no modular chain.
+    `seed_elements` may supply that intersection instead, as
+    `nonproperness_values` does from its chain; it is then taken as it
+    is.  Raises NotACurveError when the intersection is zero, which cannot
+    happen for the graph of a map on a curve.
     """
     ring = graph.ring
     if not 0 <= var_index < ring.nvars or var_index == graph.z_index:

@@ -430,6 +430,12 @@ def reference_buchberger(gens, engine):
     engine's signature run does.
     """
     codec = engine.codec
+    if isinstance(engine, groebner._ModularArith):
+        # the modular engine records every step; the oracle drops them
+        def reduce(target, reducers):
+            return engine.reduce(target, reducers, [])
+    else:
+        reduce = engine.reduce
     spoly = groebner._IntegerArith(codec).spoly
     basis = []
     plain_lts = []
@@ -446,7 +452,7 @@ def reference_buchberger(gens, engine):
         reducers.append(entry)
 
     for t in gens:
-        t = engine.reduce(t, reducers)
+        t = reduce(t, reducers)
         if t:
             install(t, max(codec.degree(m) for m in t))
             if max(t) == codec.one_key:
@@ -457,13 +463,20 @@ def reference_buchberger(gens, engine):
             pairs.items(), key=lambda kv: (kv[1], kv[0])
         )
         del pairs[(i, j)]
-        r = engine.reduce(spoly(basis[i], basis[j]), reducers)
+        r = reduce(spoly(basis[i], basis[j]), reducers)
         if r:
             install(r, sugar)
             if max(r) == codec.one_key:
                 pairs.clear()
-    kept = groebner._minimal(basis, codec.guard)
-    return groebner._inter_reduce([basis[k] for k in kept], engine)
+    # inter-reduce the minimal basis in one ascending pass, as the engine
+    # does; the integer engine records no schedules for `_inter_reduce`
+    out = []
+    reduced = []
+    for k in groebner._minimal(basis, codec.guard):
+        t = reduce(basis[k], reduced)
+        out.append(t)
+        reduced.append(engine.reducer_entry(t))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -297,9 +297,9 @@ class TestOneCertificatePerIdeal:
             graphs.append((base, make_graph(base, f)))
             return graphs[-1][1]
 
-        def recording_chain(gens_int, seed_codec, certificate, *drops):
+        def recording_chain(certificate, *rest):
             chains.append(certificate)
-            return chain(gens_int, seed_codec, certificate, *drops)
+            return chain(certificate, *rest)
 
         def counting_build(certificate):
             builds[_ideal_of(certificate)] += 1

@@ -218,8 +218,7 @@ class TestBuchbergerKnownBases:
         ideal = Ideal(R2, [g])
         codec = groebner._Codec(((0,), (1,)))
         chain = groebner._modular_chain(
-            [groebner._to_engine(g, codec)], codec,
-            groebner._Certificate(ideal),
+            groebner._Certificate(ideal), codec
         )[frozenset()]
         assert buchberger(ideal).elements == tuple(
             groebner._from_engine(t, codec, R2) for t in chain
@@ -476,7 +475,9 @@ class TestModularKernel:
         target = target + p * vanishing
         target = {codec.pack(m): int(c) for m, c in target.terms.items()}
         expected = oracles.mod_p_normal_form(target, basis, p, codec.guard)
-        got = engine.reduce(target, [engine.reducer_entry(t) for t in basis])
+        got = engine.reduce(
+            target, [engine.reducer_entry(t) for t in basis], []
+        )
         assert got == expected
         if in_ideal:
             assert got == {}
@@ -508,7 +509,7 @@ class TestModularKernel:
                     for x in entry(terms)
                 )
 
-            def counting_reduce(target, reducers, steps=None, signature=None):
+            def counting_reduce(target, reducers, steps, signature=None):
                 counts["regular"] += signature is not None
                 return reduce(target, reducers, steps, signature)
 
@@ -848,20 +849,27 @@ class TestPlannedTree:
     @given(case=_chain_ideals)
     def test_priced_tree_lifts_the_ascending_outputs(self, case):
         # the tree decides only which stages run, never what is lifted:
-        # each output is the unique reduced basis of its elimination ideal
+        # each output is the unique reduced basis of its elimination ideal.
+        # The ascending chain is held to a second prime, where every node,
+        # node 0 and its seed of the certificate's basis included, replays
+        # the record of the first
         ring, gens, drops = case
         ideal = Ideal(ring, [ring.polynomial(t) for t in gens])
         codec = groebner._Codec((range(ring.nvars),))
         certificate = groebner._Certificate(ideal)
-        seed = certificate.basis()
-        priced = groebner._modular_chain(seed, codec, certificate, drops)
+        priced = groebner._modular_chain(certificate, codec, drops)
+        held = groebner._agenda_prime(0)
+        reconstruct = groebner._CrtState.reconstruct
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 groebner, "_plan", lambda drops, price: _ascending_tree(drops)
             )
-            ascending = groebner._modular_chain(
-                seed, codec, certificate, drops
+            patch.setattr(
+                groebner._CrtState, "reconstruct",
+                lambda state: None if state.modulus <= held
+                else reconstruct(state),
             )
+            ascending = groebner._modular_chain(certificate, codec, drops)
 
         def polys(lifted):
             return {
@@ -886,10 +894,10 @@ class TestPlannedTree:
         held = {}
         chain = groebner._chain_mod_p
 
-        def tracked(p, gens_int, codecs, stages, masks, needed, traces,
+        def tracked(p, seed, codecs, stages, masks, needed, traces,
                     *rest):
             bases = chain(
-                p, gens_int, codecs, stages, masks, needed, traces, *rest
+                p, seed, codecs, stages, masks, needed, traces, *rest
             )
             if codecs[0].nvars == n:
                 dropped = [frozenset()]
@@ -1408,11 +1416,10 @@ class TestTraceReplay:
         self, monkeypatch
     ):
         # the fixed graph ideal's chain: after a full prime, the second
-        # and third primes replay every trace whole, zeros included, and
-        # run their stages with no reduce (the heap and the divisor search
-        # live there) and no divisor test, since no term outside a
-        # schedule is left over; node 0 only inter-reduces the
-        # certificate's basis at every prime, with no J-pair
+        # and third primes replay every trace whole, zeros included, node
+        # 0's among them, and make no reduce call at all (the heap and the
+        # divisor search live there), no J-pair and no divisor test, since
+        # no term outside a schedule is left over
         graph = _fixed_graph_ideal()
         n = graph.ideal.ring.nvars
         certificate = groebner._certificate(graph.ideal)
@@ -1435,9 +1442,9 @@ class TestTraceReplay:
         jpairs = groebner._jpairs
         inside = [False]
 
-        def counting_reduce(self, target, reducers, *steps):
+        def counting_reduce(self, target, reducers, *rest):
             reduced[self.codec] += 1
-            return reduce(self, target, reducers, *steps)
+            return reduce(self, target, reducers, *rest)
 
         def counting_replay(self, target, schedule, tails):
             replayed[self.codec] += 1
@@ -1468,70 +1475,42 @@ class TestTraceReplay:
             recorded = dict(traces)
             groebner._chain_mod_p(
                 groebner._agenda_prime(index), certificate.basis(), codecs,
-                stages, masks, {0, 1, 2, 3}, traces, None, True,
+                stages, masks, {0, 1, 2, 3}, traces,
             )
-            assert 0 not in traces
             if index:
                 assert traces == recorded
-                assert set(reduced) == {seed}
-                assert set(replayed) == set(codecs[1:])
+                assert reduced == {}
+                assert set(replayed) == set(codecs)
                 assert work == {}
-        assert sorted(traces) == [1, 2, 3]
+        assert sorted(traces) == [0, 1, 2, 3]
         assert any(map(_zeros, traces.values()))
 
-    def test_exact_seed_is_only_inter_reduced(self, monkeypatch):
-        # node 0 of a chain seeded with an exact certificate's basis builds
-        # no J-pair and no trace, and returns what Buchberger returns
-        graph = _fixed_graph_ideal()
-        certificate = groebner._certificate(graph.ideal)
-        codec = certificate.codec
-        assert certificate.exact()
-        p = groebner._agenda_prime(0)
-        expected = oracles.reference_buchberger(
-            [{m: c % p for m, c in t.items()} for t in certificate.basis()],
-            groebner._ModularArith(p, codec),
-        )
-        builds = [0]
-        jpairs = groebner._jpairs
-
-        def counting_jpairs(*args):
-            builds[0] += 1
-            return jpairs(*args)
-
-        monkeypatch.setattr(groebner, "_jpairs", counting_jpairs)
-        traces = {}
-        bases = groebner._chain_mod_p(
-            p, certificate.basis(), [codec], (), [0], {0}, traces, None, True
-        )
-        assert builds[0] == 0 and traces == {}
-        assert bases[0] == expected
-        # the same seed run in full does build J-pairs
-        groebner._chain_mod_p(
-            p, certificate.basis(), [codec], (), [0], {0}, traces
-        )
-        assert builds[0] and traces
-
     @pytest.mark.parametrize("cap", [groebner._EXACT_CHECK_BIT_CAP, 0])
-    def test_seed_runs_buchberger_only_above_the_cap(
-        self, monkeypatch, watch_node_runs, cap
+    def test_seed_runs_once_per_prime(
+        self, monkeypatch, hold_reconstruction, cap
     ):
-        # above the cap the certificate's basis is not proved a Groebner
-        # basis, so node 0 runs Buchberger on it, or replays its trace, at
-        # every prime.  Written as <x*y - 1, u - x^2 - 3*y> the ideal is a
-        # graph ideal, whose certificate's basis is a Groebner basis under
-        # its block order, not the graded one: node 0 then runs, once per
-        # prime, at any cap.  With u in both generators it is certified by
-        # its homogenized graded basis
+        # node 0 is a node like any other: one full run at the first prime
+        # and one replay at every later one, whether the certificate's
+        # basis is proved or above the cap.  Written as
+        # <x*y - 1, u - x^2 - 3*y> the ideal is a graph ideal, whose
+        # certificate's basis is a Groebner basis under its block order,
+        # not the graded one; with u in both generators it is certified by
+        # its homogenized graded basis, a Groebner basis under the seed's
+        # own order.  Each chain is held to two primes or more
         g = U3 - X3**2 - 3 * Y3
         seed = ((0, 1, 2),)
-        runs = Counter()
+        runs = {}
+        for name in ("_core_buchberger", "_replay_buchberger"):
 
-        def counting(gens, engine):
-            if engine.codec.blocks == seed:
-                runs[engine.p] += 1
+            def watched(gens, engine, trace, inner=getattr(groebner, name),
+                        name=name):
+                if engine.codec.blocks == seed:
+                    runs.setdefault(engine.p, []).append(name)
+                return inner(gens, engine, trace)
 
+            monkeypatch.setattr(groebner, name, watched)
         monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", cap)
-        watch_node_runs(counting)
+        hold_reconstruction(1)
         drop = frozenset({1})
         for value, gens in ((None, [X3 * Y3 - 1 + X3 * g, g]),
                             (g, [X3 * Y3 - 1, g])):
@@ -1543,11 +1522,10 @@ class TestTraceReplay:
                 warnings.simplefilter("ignore", groebner.UncertifiedResult)
                 lifted = groebner._eliminations(ideal, [drop])
             assert [str(q) for q in lifted[drop]] == ["x^3 - x*u + 3"]
-            if cap and value is None:
-                assert not runs
-            else:
-                assert len(runs) >= (1 if cap else 2)
-                assert set(runs.values()) == {1}
+            first, *later = runs.values()
+            assert first == ["_core_buchberger"]
+            assert later
+            assert all(r == ["_replay_buchberger"] for r in later)
 
     @pytest.mark.parametrize("cap", [groebner._EXACT_CHECK_BIT_CAP, 0])
     def test_one_prime_is_not_trusted(self, monkeypatch, cap):
@@ -1596,8 +1574,8 @@ class TestTraceReplay:
         seeds = {}
         chain = groebner._chain_mod_p
 
-        def recording_chain(p, gens_int, codecs, stages, *rest):
-            bases = chain(p, gens_int, codecs, stages, *rest)
+        def recording_chain(p, seed, codecs, stages, *rest):
+            bases = chain(p, seed, codecs, stages, *rest)
             if stages:
                 seeds[p] = len(bases[0])
             return bases
@@ -1648,9 +1626,9 @@ class TestTraceReplay:
                     w["zeros", codec] += 1
             return out
 
-        def counting_reduce(self, target, reducers, *steps):
+        def counting_reduce(self, target, reducers, *rest):
             return count(
-                "reduced", self.codec, reduce(self, target, reducers, *steps)
+                "reduced", self.codec, reduce(self, target, reducers, *rest)
             )
 
         def counting_replay(self, target, schedule, tails):
@@ -2475,9 +2453,8 @@ class TestEarlyAcceptance:
         ideal, drops = case
         q = _REFERENCE_PRIME
         codec, expected = _reference_basis(ideal, [range(3)])
-        gens = [groebner._to_engine(g, codec) for g in ideal.generators]
         certificate = groebner._Certificate(ideal)
-        lifted = groebner._modular_chain(gens, codec, certificate)
+        lifted = groebner._modular_chain(certificate, codec)
         assert oracles.candidate_mod_p(lifted[frozenset()], q) == expected
         lifted = groebner._eliminations(ideal, drops)
         for drop in drops:
@@ -2704,7 +2681,7 @@ class TestLiftCost:
             groebner, "_rational_reconstruct", counting_reconstruct
         )
         watch_node_runs(recording_prime)
-        lifted = groebner._modular_chain(gens, codec, certificate)
+        lifted = groebner._modular_chain(certificate, codec)
         result = lifted[frozenset()]
         assert result == expected
         assert primes == [groebner._agenda_prime(i) for i in range(len(primes))]
