@@ -39,14 +39,16 @@ criteria (`_update_pairs`).
 
 Rational results come from one multi-modular driver, `_modular_chain`.
 For each of a fixed descending sequence of 120-bit primes it runs a whole
-chain of bases modulo p: a basis of the generators, then a tree of
-one-variable elimination stages, each fed the elements of its parent that
-are free of the parent's eliminated variable.  The chain plans its tree
-at its first prime: at each node it drops next the variable that the
-most pending sets of variables to drop contain, so that the stage serves
-as many sets as it can, and where a tie at the root between variables
-that several sets contain changes the tree, the one whose one-variable
-stage has the fewest terms modulo that prime.  Only the chain's outputs
+chain of bases modulo p: from a seed modulo p (the generators, or the
+certificate's basis below), which never runs itself, a tree of stages,
+each fed the elements of its parent that are free of the parent's
+eliminated variable.  A stage eliminates one variable, or, for a whole
+basis, none.  The chain plans its tree at its first prime: at each node
+it drops next the variable that the most pending sets of variables to
+drop contain, so that the stage serves as many sets as it can, and where
+a tie at the root between variables that several sets contain changes
+the tree, the one whose one-variable stage has the fewest terms modulo
+that prime.  Only the chain's outputs
 are combined by Chinese remaindering and rational reconstruction (a
 coefficient keeps its last reconstruction while that still matches the
 new residue, and an attempt stops at once while the coefficient that
@@ -72,8 +74,9 @@ check:
   alone, is certified by its base: G is B's certificate basis plus
   a*v + F, a Groebner basis under a block order with v first, and no
   graded basis of the graph itself is lifted.  G also seeds each
-  elimination chain: modulo a prime that divides none of its
-  coefficients, the seed keeps every relation of the ideal.
+  elimination chain, under its own order: modulo a prime that divides
+  none of its coefficients, the seed keeps every relation of the ideal,
+  and each root stage reduces it directly.
 - a whole basis of the generators (`buchberger`, `graded_basis`) must be
   a Groebner basis by which every generator reduces to zero; on
   inhomogeneous generators each of its elements must also lie in the
@@ -107,26 +110,26 @@ certificate's own basis warns nothing itself; above the cap, the
 eliminations, whole bases of inhomogeneous generators, unit-ideal
 verdicts and dimensions that rest on it warn instead.
 
-Every node of a chain, node 0 included, replays traces (Traverso,
-"Groebner trace algorithms", ISSAC 1988).  A full run records every
-reduction it makes, zeros included, with its target, the leading
-monomial and lead of what it installed, and the schedule it followed:
-its steps (term, reducer) in order and the terms it left.  Applying a
-schedule is arithmetic only, one pass per step with no heap and no
-divisor search, as in the symbolic preprocessing of F4 (Faugere, JPAA
-139, 1999); only a nonzero term outside the record is tested for a
+Every stage of a chain replays traces (Traverso, "Groebner trace
+algorithms", ISSAC 1988); the seed, node 0, runs nothing.  A full run
+records every reduction it makes, zeros included, with its target, the
+leading monomial and lead of what it installed, and the schedule it
+followed: its steps (term, reducer) in order and the terms it left.
+Applying a schedule is arithmetic only, one pass per step with no heap
+and no divisor search, as in the symbolic preprocessing of F4 (Faugere,
+JPAA 139, 1999); only a nonzero term outside the record is tested for a
 divisor.  Such a divisor, or a reduction with another leading monomial,
-sends that node back to a full run.
+sends that stage back to a full run.
 
-Only the first prime runs a node's signature run in full; every later
+Only the first prime runs a stage's signature run in full; every later
 prime replays every reduction of its trace, zeros included, and each zero
 must vanish again.  A replay that completes installs the same leading
 monomials and leads in the same order, so every signature, and every
 decision of both criteria, is the recorded one, and each signature the
 run did not skip was reduced to zero or installed: it is a whole
 signature run at that prime, and returns that prime's reduced basis (see
-`_replay_buchberger`).  So every node at every prime returns the reduced
-basis of its ideal modulo that prime, replayed or not.  A node whose
+`_replay_buchberger`).  So every stage at every prime returns the reduced
+basis of its ideal modulo that prime, replayed or not.  A stage whose
 replay fails runs in full, and its fresh trace replaces the old one.
 """
 
@@ -1277,7 +1280,8 @@ class _Certificate:
     polynomial, so setting h = 1 maps G onto a Groebner basis of I under
     the graded order, `basis`.  A polynomial lies in I exactly when it
     reduces to zero by that basis; 1 does exactly when G holds a power of
-    h.  The elimination chains start from it (see `_eliminations`).
+    h.  The elimination chains start from `basis` under `codec`, and
+    their root stages reduce it directly (see `_eliminations`).
 
     A graph ideal J = B + <g>, whose last variable v occurs only in
     g = a*v + F, a a nonzero constant and F free of v
@@ -1358,16 +1362,6 @@ class _Certificate:
             self._build()
         return self._basis
 
-    def seed(self, codec):
-        """`basis` re-keyed under another codec of the ring."""
-        if codec.blocks == self.codec.blocks:
-            return self.basis()
-        mask = self.codec.mask
-        return [
-            {codec.key_from_plain(m & mask): c for m, c in t.items()}
-            for t in self.basis()
-        ]
-
     def exact(self) -> bool:
         self.basis()
         return self.bits <= _EXACT_CHECK_BIT_CAP
@@ -1425,28 +1419,30 @@ def _involves(terms, var_mask) -> bool:
     return any(m & var_mask for m in terms)
 
 
-def _chain_mod_p(p, seed, codecs, stages, masks, needed, traces,
-                 bases=None):
+def _chain_mod_p(p, codecs, stages, masks, needed, traces, bases):
     """Every needed node's reduced basis modulo p.
 
-    Node 0 is the basis of the integer polynomials `seed` under codecs[0];
-    node k >= 1 applies stage (parent, var): the parent's elements free of
+    `bases` holds node 0, the chain's seed modulo p, and the nodes already
+    run at p; it is extended in place and returned.  Node 0 never runs.
+    Node k >= 1 applies stage (parent, var): the parent's elements free of
     the parent's own variable, re-keyed under codecs[k], which puts var in
-    a leading block of its own.  Every codec orders polynomials free of the
-    variables dropped so far by graded reverse-lex on the rest, so a stage
-    whose input does not involve var already has its reduced basis; the
-    unit ideal's [1] passes every stage so.  `bases` holds nodes already
-    run at p, which are kept and extended in place; node 0 runs unless it
-    is there.
+    a leading block of its own; a stage (0, None) drops nothing and keeps
+    its own codec.  A root stage, whose parent is node 0, always runs,
+    since the seed is not a reduced basis.  Below the root every codec
+    orders polynomials free of the variables dropped so far by graded
+    reverse-lex on the rest, so a stage whose input does not involve var
+    already has its reduced basis and passes it through; the unit ideal's
+    [1] passes every such stage so.
 
     `traces` maps a node to its one trace and is updated in place.  A node
-    with a trace, node 0 included, replays it (see `_replay_buchberger`).
-    A node with none, or whose replay leaves its trace, runs in full and
-    records a fresh trace in its place.
+    with a trace replays it (see `_replay_buchberger`).  A node with none,
+    or whose replay leaves its trace, runs in full and records a fresh
+    trace in its place.
 
-    Every node's basis is the reduced basis of its ideal modulo p: a full
-    run, a completed replay (a whole run), and a stage that passes its
-    parent's basis through each return it.
+    Every node but node 0 gets the reduced basis of its ideal modulo p: a
+    full run, a completed replay (a whole run), and a stage that passes
+    its parent's basis through each return it.  A root stage's ideal is
+    the one that the seed modulo p generates.
     """
 
     def run(node, elems):
@@ -1459,8 +1455,6 @@ def _chain_mod_p(p, seed, codecs, stages, masks, needed, traces,
         trace = traces[node] = _Trace()
         return _core_buchberger(elems, engine, trace)
 
-    if bases is None:
-        bases = {0: run(0, [{m: c % p for m, c in t.items()} for t in seed])}
     for node, (parent, var) in enumerate(stages, 1):
         if node in bases or node not in needed:
             continue
@@ -1469,9 +1463,9 @@ def _chain_mod_p(p, seed, codecs, stages, masks, needed, traces,
         elems = [
             {codec.key_from_plain(m & mask): c for m, c in t.items()}
             for t in bases[parent]
-            if not (parent and _involves(t, masks[parent]))
+            if not _involves(t, masks[parent])
         ]
-        if any(_involves(t, masks[node]) for t in elems):
+        if not parent or any(_involves(t, masks[node]) for t in elems):
             elems = run(node, elems)
         bases[node] = elems
     return bases
@@ -1530,41 +1524,40 @@ def _plan(drops, price):
     return stages
 
 
-def _modular_chain(certificate, seed_codec, drops=None):
+def _modular_chain(certificate, codec, drops=None):
     """Reduced rational bases of the ideal's intersections with the subrings
     free of each set of variables in `drops`, from one chain of
     eliminations.
 
-    `certificate` is the `_Certificate` of the ideal.  With `drops` None
-    the chain lifts the whole basis of the ideal's generators, packed
-    under `seed_codec` as primitive integer dicts, as the output of the
-    empty set.  Any `drops` start from the certificate's basis re-keyed
-    under `seed_codec` (`_Certificate.seed`) instead, so every elimination
-    rests on the lucky-prime argument below.  Node 0, the reduced basis
-    of the seed (the generators or the certificate's basis) under
-    `seed_codec`, runs in full at the first prime and replays after like
-    any other node; each stage (parent, var) makes a new node that
-    eliminates var from its parent's elimination ideal (see
-    `_chain_mod_p`).  A node is named by the set of variables dropped
-    along its path.  The empty set is lifted as node 0's whole basis, any
-    other set as its node's elements free of its variable, which form the
-    reduced graded basis of the ideal's intersection with the subring free
-    of that set.
+    `certificate` is the `_Certificate` of the ideal, and node 0 of the
+    chain is its seed.  With `drops` None the chain lifts the whole basis
+    of the ideal's generators under `codec`, as the output of the empty
+    set, and the seed is those generators packed under `codec` as
+    primitive integer dicts.  Any `drops` start from the certificate's
+    basis under its own codec instead, so every elimination rests on the
+    lucky-prime argument below.  Node 0 is the seed modulo each prime and
+    never runs.  Each stage (parent, var) makes a new node that
+    eliminates var from its parent's elimination ideal, and the stage
+    (0, None) makes the node of the empty set, which drops nothing, under
+    `codec` (see `_chain_mod_p`).  A node is named by the set of variables
+    dropped along its path, and each set is lifted as its node's elements
+    free of its variable: for a nonempty set the reduced graded basis of
+    the ideal's intersection with the subring free of that set.
 
     The chain plans its tree of stages at its first prime (see `_plan`):
-    it runs node 0, prices a variable, where `_plan` asks, by the term
-    count of its one-variable stage's basis modulo that prime, and then
-    runs the rest of the planned tree.  A priced stage that the tree does
-    not use runs at that prime only.  The tree depends only on the input,
-    and every output is a unique reduced basis, so the order of the
-    stages is unobservable.
+    it prices a variable, where `_plan` asks, by the term count of its
+    root stage's basis modulo that prime, and then runs the rest of the
+    planned tree.  A priced stage that the tree does not use runs at that
+    prime only.  The tree depends only on the input, and every output is
+    a unique reduced basis, so the order of the stages is unobservable.
 
     Each prime runs the nodes that some output still lifting needs, and
     each returns the reduced basis of its ideal modulo that prime (see
     `_chain_mod_p`).  The primes of an output are grouped by the
-    staircases of every node on its path, each prime takes one lifting
-    step per output (`_CrtState.lift`), and a reconstruction is put
-    forward in one of two ways:
+    staircases of every stage on its path; node 0's, the seed's leading
+    keys, is the same at every prime the chain uses.  Each prime takes
+    one lifting step per output (`_CrtState.lift`), and a reconstruction
+    is put forward in one of two ways:
 
     - a proof: every coefficient n/d clears the margin, |n|*d <
       floor(M / 2^_EARLY_MARGIN_BITS) (`_CrtState.early`).  No vote is
@@ -1576,15 +1569,15 @@ def _modular_chain(certificate, seed_codec, drops=None):
     - a vote, for every other output: a fresh prime of the group
       reproduces it, leaving it unchanged.
 
-    Either way it is then verified.  Node 0 takes the exact basis check
-    (skipped above _EXACT_CHECK_BIT_CAP), which proves only that the ideal
-    lies in the candidate's; every other output, and node 0 of
+    Either way it is then verified.  A whole basis takes the exact basis
+    check (skipped above _EXACT_CHECK_BIT_CAP), which proves only that the
+    ideal lies in the candidate's; every elimination, and a whole basis of
     inhomogeneous generators, takes the membership certificate of the
     ideal, which proves the converse; a candidate that fails takes more
     primes.  On homogeneous generators the basis check suffices, since
     the staircases agree (Arnold's argument, see `_Certificate`).  A
     result that stands on fresh-prime agreement alone, an output whose
-    certificate is above the cap or a node 0 above it itself, warns
+    certificate is above the cap or a whole basis above it itself, warns
     UncertifiedResult.  The unit ideal is no exception: its candidate [1],
     with staircase {1}, passes the basis check trivially and is proved
     like any other output.  A prime that divides a coefficient of the
@@ -1592,18 +1585,19 @@ def _modular_chain(certificate, seed_codec, drops=None):
 
     Why a candidate C that passed its checks at a prime p of its group is
     the answer (the lucky-prime argument of Pauer, "On lucky ideals for
-    Groebner basis computations", JSC 14, 1992).  For node 0 the checks
-    alone prove it.  For an elimination onto the variables S, let G be the
-    exact certificate basis of the ideal I that the chain starts from; p
-    divides none of its coefficients.  Every node returns the reduced
-    basis of its ideal modulo p, so the chain makes C mod p the reduced
-    basis of <G mod p> meet F_p[S].  C is monic and no prime of its group
-    divides a denominator (see `_CrtState`), so C mod p is defined and
-    keeps C's leading monomials.  Take any j in I meet Q[S] with
-    p-integral coefficients.  Then j mod p lies in <G mod p>:
+    Groebner basis computations", JSC 14, 1992).  For a whole basis the
+    checks alone prove it.  For an elimination onto the variables S, let
+    G be the exact certificate basis of the ideal I that the chain starts
+    from; p divides none of its coefficients.  Each root stage runs on G
+    mod p itself, so its ideal is <G mod p>, and every node returns the
+    reduced basis of its ideal modulo p, so the chain makes C mod p the
+    reduced basis of <G mod p> meet F_p[S].  C is monic and no prime of
+    its group divides a denominator (see `_CrtState`), so C mod p is
+    defined and keeps C's leading monomials.  Take any j in I meet Q[S]
+    with p-integral coefficients.  Then j mod p lies in <G mod p>:
 
-    - when G is a Groebner basis under the seed's graded codec, dividing j
-      by G inverts only leading coefficients of G, which are units at p;
+    - when G is a Groebner basis under the graded codec, dividing j by G
+      inverts only leading coefficients of G, which are units at p;
     - for a graph ideal I = B + <g>, g = a*v + F with F free of v, G is
       G_B + {g}.  Substituting v = -F/a maps I onto B and fixes B, so
       j = j(x, -F/a) + g*q, and q is p-integral because a, a coefficient
@@ -1628,10 +1622,10 @@ def _modular_chain(certificate, seed_codec, drops=None):
     rare, since each refuted candidate costs an exact check that proves
     nothing.
 
-    Each node keeps one trace (see `_chain_mod_p`).  The first prime
+    Each stage keeps one trace (see `_chain_mod_p`).  The first prime
     records it in a full run; a priced stage that the tree does not use
     drops its trace.  Every later prime replays it whole, zeros included,
-    which is a whole run at that prime when it completes, so a node's
+    which is a whole run at that prime when it completes, so a stage's
     later primes are arithmetic only.  A replay that leaves its trace, at
     any prime, gives way to a fresh trace recorded there.  A candidate
     that fails its check leaves the traces as they are: a zero that
@@ -1643,27 +1637,34 @@ def _modular_chain(certificate, seed_codec, drops=None):
     node's codec).  Raises InternalInvariantError when the prime agenda is
     exhausted.
     """
-    if drops is None:
+    whole = drops is None
+    if whole:
         drops = [frozenset()]
-        seed = [_to_engine(g, seed_codec) for g in certificate.generators]
+        seed = [_to_engine(g, codec) for g in certificate.generators]
+        codecs = [codec]
     else:
-        seed = certificate.seed(seed_codec)
-    n = seed_codec.nvars
-    codecs = [seed_codec]
+        seed = certificate.basis()
+        codecs = [certificate.codec]
+    n = codec.nvars
     masks = [0]
-    paths = [(0,)]
+    paths = [()]
     dropped = [frozenset()]
-    nodes = {frozenset(): 0}
+    nodes = {}
     stages = []
 
     def add(parent, var):
-        """The node dropping var below parent, made on first use."""
-        step = dropped[parent] | {var}
+        """The node of stage (parent, var), made on first use."""
+        step = dropped[parent] if var is None else dropped[parent] | {var}
         if step not in nodes:
             nodes[step] = len(dropped)
             stages.append((parent, var))
-            codecs.append(_Codec(((var,), [j for j in range(n) if j != var])))
-            masks.append(_SLOT_MASK << (_SLOT_BITS * (n - 1 - var)))
+            if var is None:
+                codecs.append(codec)
+                masks.append(0)
+            else:
+                rest = [j for j in range(n) if j != var]
+                codecs.append(_Codec(((var,), rest)))
+                masks.append(_SLOT_MASK << (_SLOT_BITS * (n - 1 - var)))
             paths.append(paths[parent] + (nodes[step],))
             dropped.append(step)
         return nodes[step]
@@ -1682,34 +1683,30 @@ def _modular_chain(certificate, seed_codec, drops=None):
         if any(c % p == 0 for t in seed for c in t.values()):
             continue
         used += 1
-        bases = None
+        bases = {0: [{m: c % p for m, c in t.items()} for t in seed]}
         if used == 1:
-            # the first prime runs node 0 and the stages that _plan prices
-            # ahead of the rest of the tree
-            bases = _chain_mod_p(p, seed, codecs, stages, masks, {0}, traces)
+            # the first prime runs the stages that _plan prices ahead of
+            # the rest of the tree
 
             def price(var):
                 node = add(0, var)
-                _chain_mod_p(
-                    p, seed, codecs, stages, masks, {node}, traces, bases
-                )
+                _chain_mod_p(p, codecs, stages, masks, {node}, traces, bases)
                 return sum(len(t) for t in bases[node])
 
             ids = [0]
             for parent, var in _plan(pending, price):
                 ids.append(add(ids[parent], var))
+            if frozenset() in pending:
+                ids.append(add(0, None))
             traces = {k: t for k, t in traces.items() if k in ids}
         needed = {k for d in pending for k in paths[nodes[d]]}
-        bases = _chain_mod_p(
-            p, seed, codecs, stages, masks, needed, traces, bases
-        )
-        staircases = {k: tuple(max(t) for t in b) for k, b in bases.items()}
+        _chain_mod_p(p, codecs, stages, masks, needed, traces, bases)
         for d in list(pending):
             o = nodes[d]
-            out = bases[o]
-            if o:
-                out = [t for t in out if not _involves(t, masks[o])]
-            staircase = tuple(staircases[k] for k in paths[o])
+            out = [t for t in bases[o] if not _involves(t, masks[o])]
+            staircase = tuple(
+                tuple(max(t) for t in bases[k]) for k in paths[o]
+            )
             state = states[d].get(staircase)
             if state is None:
                 state = states[d][staircase] = _CrtState()
@@ -1719,19 +1716,19 @@ def _modular_chain(certificate, seed_codec, drops=None):
                 candidate = state.early()
             if candidate is None:
                 continue
-            # node 0 within the cap: the ideal lies in the candidate's
-            bits = 0 if o else _exact_size(candidate)
+            # a whole basis within the cap: the ideal lies in the candidate's
+            bits = _exact_size(candidate) if whole else 0
             unchecked = bits > _EXACT_CHECK_BIT_CAP
-            # on homogeneous generators a basis that passed its check is
-            # exact; any other output must lie in the ideal
-            by_certificate = o > 0 or not certificate.homogeneous
+            # on homogeneous generators a whole basis that passed its check
+            # is exact; any other output must lie in the ideal
+            by_certificate = not whole or not certificate.homogeneous
             if early and (
                 unchecked or by_certificate and not certificate.exact()
             ):
                 # what the exact checks cannot prove waits for a vote
                 continue
-            verdict = o > 0 or unchecked or _exact_basis_check(
-                seed, candidate, seed_codec
+            verdict = not whole or unchecked or _exact_basis_check(
+                seed, candidate, codec
             )
             if verdict and by_certificate:
                 # the candidate lies in the ideal, which is all that an
@@ -1744,7 +1741,7 @@ def _modular_chain(certificate, seed_codec, drops=None):
                     "the unit ideal rests on two prime votes" if unit
                     else "the basis in (%s) rests on fresh-prime "
                     "agreement" % ", ".join(names)
-                    if not o
+                    if whole
                     else "the elimination onto (%s) rests on "
                     "fresh-prime agreement"
                     % ", ".join(names[j] for j in range(n) if j not in d),
@@ -1823,13 +1820,15 @@ def _eliminations(ideal: Ideal, drops):
     tree at its first prime, the variable that the most sets contain
     first, and at a root tie that changes the tree the variable whose
     one-variable stage has the fewest terms there (see `_plan`).  The
-    chain starts from the certificate's basis re-keyed under the graded
+    chain starts from the certificate's basis under the certificate's own
     codec, not from the generators: modulo every prime used it keeps every
     relation of the ideal, so no stage loses one (see `_modular_chain`).
-    Its first node, the reduced graded basis of that seed, runs in full at
-    the first prime and replays at the others like every other node.
-    Returns {drop: list of polynomials} ([1] for every set when 1 is in
-    the ideal); the ideal's certificate proved them.
+    No graded basis of that seed is computed: each root stage reduces the
+    seed itself under its own block order, in full at the first prime and
+    by replay at the others.  Only the empty set, which drops nothing,
+    takes a graded basis.  Returns {drop: list of polynomials} ([1] for
+    every set when 1 is in the ideal); the ideal's certificate proved
+    them.
     """
     ring = ideal.ring
     codec = _Codec((range(ring.nvars),))
@@ -1846,8 +1845,8 @@ def eliminate(ideal: Ideal, keep) -> list:
     kept variables.
 
     One modular chain computes it (see `_modular_chain`): for each prime,
-    a graded basis of the input and then one stage per eliminated
-    variable, whose block order puts that variable alone in the leading
+    one stage per eliminated variable, the first on the certificate's
+    basis, whose block order puts that variable alone in the leading
     block, so the elements free of it generate the stage's elimination
     ideal.  Only the final intersection is lifted to the rationals, and it
     is certified to lie in the ideal by an exact membership test (a

@@ -284,11 +284,11 @@ def nonproperness_values(
     The graph is isomorphic to the curve, so its dimension is the curve's.
     One modular elimination chain (`groebner._eliminations`) lifts, for
     each escape variable x_i, the graph ideal's intersection with the
-    (x_i, z)-plane; its stages start at one graded basis per prime and are
-    shared between the variables.  `fiber_relation` reads the relation off
-    that intersection.  The dimension, the chain and the check that each
-    relation lies in the graph ideal share the ideal's one exact
-    membership certificate.  A relation outside it raises an
+    (x_i, z)-plane; its root stages start from the certificate's basis
+    modulo each prime, and its stages are shared between the variables.
+    `fiber_relation` reads the relation off that intersection.  The
+    dimension, the chain and the check that each relation lies in the
+    graph ideal share the ideal's one exact membership certificate.  A relation outside it raises an
     UncertifiedResult warning; when the certificate is too large to run,
     the chain has already warned about the intersection.  The value line
     (the graph ideal's intersection with the z-line) needs no chain of its

@@ -432,16 +432,16 @@ class TestReportWork:
 
     def test_buchberger_work_of_one_report_by_kind(self, monkeypatch, capsys):
         # the golden x_plus_x2y_xyu_super_polar reports (seed 0) at bounds
-        # 5 and 9999: each node runs in full at its first prime and replays
-        # its whole trace, zeros included, at every later one, so these
-        # counts move only when the modular chain does more or less work.
-        # Each graph ideal's certificate is its curve's, so the seed of
-        # each graph chain runs in full at its first prime, one run more
-        # per graph.  At bound 5 every chain lifts and proves its outputs
-        # at its first prime, so nothing is replayed; at 9999 two chains
-        # take two and three primes (see the test below), and the nodes
-        # still needed replay their whole traces, 85 zeros in all, at the
-        # later primes
+        # 5 and 9999: each stage runs in full at its first prime and
+        # replays its whole trace, zeros included, at every later one, so
+        # these counts move only when the modular chain does more or less
+        # work.  Each graph ideal's certificate is its curve's, and the
+        # seed of each graph chain, that certificate's basis, never runs:
+        # its root stages reduce it directly.  At bound 5 every chain lifts
+        # and proves its outputs at its first prime, so nothing is
+        # replayed; at 9999 two chains take two and three primes (see the
+        # test below), and the stages still needed replay their whole
+        # traces, 42 zeros in all, at the later primes
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
@@ -473,16 +473,16 @@ class TestReportWork:
                 "--runs", "1", "--coeff-bound", "5", "--json"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert work == Counter({"full": 10})
+        assert work == Counter({"full": 9})
         work.clear()
         argv[-2] = "9999"
         assert main(argv) == 0
         capsys.readouterr()
         assert work == Counter({
-            "full": 10,
-            "replays with zeros": 8,
+            "full": 9,
+            "replays with zeros": 6,
             "replays without zeros": 1,
-            "zeros replayed": 85,
+            "zeros replayed": 42,
         })
 
     def test_primes_of_each_chain_of_one_report(self, monkeypatch, capsys):

@@ -545,10 +545,10 @@ class TestLiftCost:
         ideal's certificate is the curve's plus the value generator, so
         no graded basis of the homogenized graph is lifted.  Each
         intersection here is one polynomial, which is its own lex relation
-        and needs no lift.  Every stage of the chain, the graded seed
-        included, runs at most once per prime.  The first prime proves
-        every output, so the lifts are held back to one more prime, which
-        the stage that priced x skips."""
+        and needs no lift.  Every stage of the chain runs at most once per
+        prime, and the seed, the certificate's basis, never runs.  The
+        first prime proves every output, so the lifts are held back to one
+        more prime, which the stage that priced x skips."""
         from polarvalues.detector import (
             sample_super_polar_coefficients,
             super_polar_ideal,
@@ -609,10 +609,10 @@ class TestLiftCost:
         lifted = sum(len(e) for s in states for e in s.elements or ())
         assert lifted == expected == 164
         assert max(runs.values()) == 1
-        # the graded seed and the five stages of the tree, each at every
-        # prime it ran at, and the stage that priced x at the first prime
+        # the five stages of the tree, each at every prime it ran at, and
+        # the stage that priced x at the first prime
         primes = Counter((blocks, left) for blocks, left, _ in runs)
-        assert len(primes) == 7
+        assert len(primes) == 6
         assert list(primes.values()).count(1) == 1
 
 
@@ -658,12 +658,12 @@ class TestStageCount:
     ):
         # (x, y, z) drops {y} and {x}; (t, x, y, z) drops {t, y} and
         # {t, x}, t first.  Either tree is the only one with the fewest
-        # stages, so the first prime runs no pricing stage: it runs the
-        # seed and one basis per stage, and proves every output.  The
-        # graph's certificate is its curve's plus the value generator, so
-        # the seed is a full run; the certificate's own chain runs on the
-        # homogenized curve, in as many variables as the graph, so it is
-        # built before the runs are counted
+        # stages, so the first prime runs no pricing stage: it runs one
+        # basis per stage, and proves every output.  The seed, the graph's
+        # certificate basis (its curve's plus the value generator), never
+        # runs; the certificate's own chain runs on the homogenized curve,
+        # in as many variables as the graph, so it is built before the
+        # runs are counted
         curve = Ideal(R2, [X * Y - 1])
         escape = [0, 1]
         if localized:
@@ -693,4 +693,4 @@ class TestStageCount:
         vs = nonproperness_values(graph, escape_vars=escape)
         assert vs.rho == U(0, 1)
         assert asked == []
-        assert calls == {groebner._agenda_prime(0): 4 if localized else 3}
+        assert calls == {groebner._agenda_prime(0): 3 if localized else 2}
