@@ -47,13 +47,16 @@ basis, none.  The chain plans its tree at its first prime: at each node
 it drops next the variable that the most pending sets of variables to
 drop contain, so that the stage serves as many sets as it can, and where
 a tie at the root between variables that several sets contain changes
-the tree, the one whose one-variable stage has the fewest terms modulo
-that prime.  Only the chain's outputs
-are combined by Chinese remaindering and rational reconstruction (a
-coefficient keeps its last reconstruction while that still matches the
-new residue, and an attempt stops at once while the coefficient that
-failed last still fails); intermediate stages never leave the modular
-engine, and a stage stops running once every output below it is lifted.
+the tree, the one whose one-variable stage does the least work modulo
+that prime.  Those stages race (`_race`): their signature runs take
+steps side by side, the least spent first, and stop once the cheapest
+has ended, so no loser goes more than one step past the winner's work.
+Only the chain's outputs are combined by Chinese remaindering and
+rational reconstruction (a coefficient keeps its last reconstruction
+while that still matches the new residue, and an attempt stops at once
+while the coefficient that failed last still fails); intermediate stages
+never leave the modular engine, and a stage stops running once every
+output below it is lifted.
 A reduced Groebner basis is determined by the ideal and the order, so the
 modular route returns the object a direct rational computation would.
 Primes are grouped by the staircases of every stage on an output's path.
@@ -796,6 +799,12 @@ def _core_buchberger(gens, engine, trace):
 
     `trace`, a fresh `_Trace`, records the run: every reduction, zeros
     included, and each of the final inter-reduction keeps its schedule.
+
+    The run is a generator, so that it can stop and resume: after each
+    signature it reduces it yields that reduction's work, its term
+    reduction steps plus one, a count fixed by the input and the prime
+    alone.  The basis is its return value; a full run drains it
+    (`_finish`), and `_race` steps several runs side by side.
     """
     p = engine.p
     codec = engine.codec
@@ -852,6 +861,7 @@ def _core_buchberger(gens, engine, trace):
         r = engine.reduce(
             target, reducers, steps, (sig, sugar_shift, key_shift)
         )
+        yield len(steps) // 2 + 1
         if not r:
             syzygies[i].append(image)
             trace.entries.append((source, None, (steps, frozenset()), None))
@@ -875,6 +885,15 @@ def _core_buchberger(gens, engine, trace):
     trace.ngens = len(gens)
     trace.kept = kept
     return _inter_reduce([basis[k] for k in kept], engine, trace.final)
+
+
+def _finish(run):
+    """The basis of a signature run (`_core_buchberger`), run to its end."""
+    while True:
+        try:
+            next(run)
+        except StopIteration as end:
+            return end.value
 
 
 def _jpairs(new, elements, queue, lcms, syzygies, codec, layout):
@@ -1453,25 +1472,31 @@ def _chain_mod_p(p, codecs, stages, masks, needed, traces, bases):
             except _TraceMismatch:
                 pass
         trace = traces[node] = _Trace()
-        return _core_buchberger(elems, engine, trace)
+        return _finish(_core_buchberger(elems, engine, trace))
 
     for node, (parent, var) in enumerate(stages, 1):
         if node in bases or node not in needed:
             continue
-        codec = codecs[node]
-        mask = codecs[parent].mask
-        elems = [
-            {codec.key_from_plain(m & mask): c for m, c in t.items()}
-            for t in bases[parent]
-            if not _involves(t, masks[parent])
-        ]
+        elems = _stage_input(codecs, masks, bases, parent, node)
         if not parent or any(_involves(t, masks[node]) for t in elems):
             elems = run(node, elems)
         bases[node] = elems
     return bases
 
 
-def _plan(drops, price):
+def _stage_input(codecs, masks, bases, parent, node):
+    """The input of node's stage: the elements of its parent's basis free
+    of the parent's own variable, re-keyed under the node's codec."""
+    codec = codecs[node]
+    mask = codecs[parent].mask
+    return [
+        {codec.key_from_plain(m & mask): c for m, c in t.items()}
+        for t in bases[parent]
+        if not _involves(t, masks[parent])
+    ]
+
+
+def _plan(drops, race):
     """The tree of one-variable stages that drops every set in `drops`, as
     stages (parent, var), node k being made by the k-th stage and every
     parent coming before its children.
@@ -1479,22 +1504,19 @@ def _plan(drops, price):
     At each node the variable that the most sets pending there contain is
     dropped next, so that its stage serves as many sets as it can; a
     localized chain thus drops t, which every set holds, once.  Only a tie
-    at the root is priced, since price(var) runs the root's stage for var:
-    one between variables that two or more pending sets contain, two of
-    them in one set, so that the order changes the tree, and after such a
-    tie every later tie at the root between variables that share a set.
-    A priced tie goes to the lowest price(var), then to the lowest index;
-    any other tie goes to the lowest index, and no price is asked for.
+    at the root is raced, since race(candidates) runs the root's stages for
+    them: one between variables that two or more pending sets contain, two
+    of them in one set, so that the order changes the tree, and after such
+    a tie every later tie at the root between variables that share a set.
+    race returns the candidate whose stage does the least work, ties going
+    to the lowest index (see `_race`); any other tie goes to the lowest
+    index, and nothing is raced.
     """
     stages = []
-    prices = {}
-
-    def cost(var):
-        if var not in prices:
-            prices[var] = price(var)
-        return prices[var], var
+    raced = False
 
     def grow(node, done, sets):
+        nonlocal raced
         while sets:
             rests = [s - done for s in sets]
             counts = {}
@@ -1507,8 +1529,9 @@ def _plan(drops, price):
                 v for rest in rests if len(rest & tied) > 1
                 for v in rest & tied
             }
-            if node == 0 and contested and (top > 1 or prices):
-                var = min(contested, key=cost)
+            if node == 0 and contested and (top > 1 or raced):
+                var = race(contested)
+                raced = True
             else:
                 var = min(tied)
             stages.append((node, var))
@@ -1518,10 +1541,50 @@ def _plan(drops, price):
             sets = [s for s in sets if var not in s]
 
     grow(0, frozenset(), [d for d in drops if d])
-    # grow refers to itself, a cycle that would keep price, and through it
-    # the chain's bases and traces, alive until the cycle collector runs
+    # grow refers to itself, a cycle that would keep race, and through it
+    # the chain's bases, traces and suspended runs, alive until the cycle
+    # collector runs
     del grow
     return stages
+
+
+def _race(start):
+    """A `race` for `_plan` that runs each candidate only as far as it
+    must: race(candidates) is the candidate whose run does the least work
+    in all, ties going to the lowest index.
+
+    start(var) returns var's run, an iterator that yields the work of each
+    of its steps (see `_core_buchberger`); it is called at var's first
+    race.  A heap holds (work so far, var), and the least entry's run takes
+    one step.  The first entry found at the top with its run ended wins:
+    every other candidate has spent at least as much work already, so its
+    total is no less, and of equal totals the lower index is at the top
+    first.  So no loser steps past the winner's total by more than one
+    step.  A loser stays suspended, and a later race resumes it where it
+    stopped.
+    """
+    runs = {}  # var -> [work so far, its run or, once it ended, None]
+
+    def race(candidates):
+        heap = []
+        # start(var) numbers var's node: start in index order
+        for var in sorted(candidates):
+            if var not in runs:
+                runs[var] = [0, start(var)]
+            heap.append((runs[var][0], var))
+        heapq.heapify(heap)
+        while True:
+            var = heap[0][1]
+            entry = runs[var]
+            if entry[1] is None:
+                return var
+            try:
+                entry[0] += next(entry[1])
+            except StopIteration:
+                entry[1] = None
+            heapq.heapreplace(heap, (entry[0], var))
+
+    return race
 
 
 def _modular_chain(certificate, codec, drops=None):
@@ -1544,12 +1607,16 @@ def _modular_chain(certificate, codec, drops=None):
     free of its variable: for a nonempty set the reduced graded basis of
     the ideal's intersection with the subring free of that set.
 
-    The chain plans its tree of stages at its first prime (see `_plan`):
-    it prices a variable, where `_plan` asks, by the term count of its
-    root stage's basis modulo that prime, and then runs the rest of the
-    planned tree.  A priced stage that the tree does not use runs at that
-    prime only.  The tree depends only on the input, and every output is
-    a unique reduced basis, so the order of the stages is unobservable.
+    The chain plans its tree of stages at its first prime (see `_plan`),
+    and races the root stages of the variables that `_plan` asks about
+    (`_race`): each is a signature run at that prime, stepped by the work
+    it has done, a count of reduction steps, so the tree depends only on
+    the input.  A run that ends keeps its basis and its trace as its
+    node's; a run still suspended when the tree is planned, always one
+    that lost, is dropped with its trace, and no prime runs or replays it
+    again.  Then the first prime runs the rest of the planned tree.  Every
+    output is a unique reduced basis, so the order of the stages is
+    unobservable.
 
     Each prime runs the nodes that some output still lifting needs, and
     each returns the reduced basis of its ideal modulo that prime (see
@@ -1623,13 +1690,13 @@ def _modular_chain(certificate, codec, drops=None):
     nothing.
 
     Each stage keeps one trace (see `_chain_mod_p`).  The first prime
-    records it in a full run; a priced stage that the tree does not use
-    drops its trace.  Every later prime replays it whole, zeros included,
-    which is a whole run at that prime when it completes, so a stage's
-    later primes are arithmetic only.  A replay that leaves its trace, at
-    any prime, gives way to a fresh trace recorded there.  A candidate
-    that fails its check leaves the traces as they are: a zero that
-    vanished at the recording prime only fails its replay at the next
+    records it in a full run; a raced stage that the tree does not use
+    drops its trace, ended or not.  Every later prime replays it whole,
+    zeros included, which is a whole run at that prime when it completes,
+    so a stage's later primes are arithmetic only.  A replay that leaves
+    its trace, at any prime, gives way to a fresh trace recorded there.  A
+    candidate that fails its check leaves the traces as they are: a zero
+    that vanished at the recording prime only fails its replay at the next
     one, so a whole replay never repeats a wrong staircase, and a refuted
     candidate is a wrong reconstruction, not a wrong trace.
 
@@ -1685,16 +1752,22 @@ def _modular_chain(certificate, codec, drops=None):
         used += 1
         bases = {0: [{m: c % p for m, c in t.items()} for t in seed]}
         if used == 1:
-            # the first prime runs the stages that _plan prices ahead of
-            # the rest of the tree
+            # the first prime races the contested root stages ahead of the
+            # rest of the tree: a run that ends is its node's, and one
+            # still suspended when the tree is planned is dropped
 
-            def price(var):
+            def start(var):
                 node = add(0, var)
-                _chain_mod_p(p, codecs, stages, masks, {node}, traces, bases)
-                return sum(len(t) for t in bases[node])
+                trace = _Trace()
+                bases[node] = yield from _core_buchberger(
+                    _stage_input(codecs, masks, bases, 0, node),
+                    _ModularArith(p, codecs[node]),
+                    trace,
+                )
+                traces[node] = trace
 
             ids = [0]
-            for parent, var in _plan(pending, price):
+            for parent, var in _plan(pending, _race(start)):
                 ids.append(add(ids[parent], var))
             if frozenset() in pending:
                 ids.append(add(0, None))
@@ -1819,16 +1892,17 @@ def _eliminations(ideal: Ideal, drops):
     the stages of the variables they have in common: the chain plans its
     tree at its first prime, the variable that the most sets contain
     first, and at a root tie that changes the tree the variable whose
-    one-variable stage has the fewest terms there (see `_plan`).  The
-    chain starts from the certificate's basis under the certificate's own
-    codec, not from the generators: modulo every prime used it keeps every
-    relation of the ideal, so no stage loses one (see `_modular_chain`).
-    No graded basis of that seed is computed: each root stage reduces the
-    seed itself under its own block order, in full at the first prime and
-    by replay at the others.  Only the empty set, which drops nothing,
-    takes a graded basis.  Returns {drop: list of polynomials} ([1] for
-    every set when 1 is in the ideal); the ideal's certificate proved
-    them.
+    one-variable stage does the least work there, which a race of those
+    stages finds without running the losers to their end (see `_plan` and
+    `_race`).  The chain starts from the certificate's basis under the
+    certificate's own codec, not from the generators: modulo every prime
+    used it keeps every relation of the ideal, so no stage loses one (see
+    `_modular_chain`).  No graded basis of that seed is computed: each root
+    stage reduces the seed itself under its own block order, in full at
+    the first prime and by replay at the others.  Only the empty set,
+    which drops nothing, takes a graded basis.  Returns {drop: list of
+    polynomials} ([1] for every set when 1 is in the ideal); the ideal's
+    certificate proved them.
     """
     ring = ideal.ring
     codec = _Codec((range(ring.nvars),))

@@ -288,16 +288,16 @@ def nonproperness_values(
     modulo each prime, and its stages are shared between the variables.
     `fiber_relation` reads the relation off that intersection.  The
     dimension, the chain and the check that each relation lies in the
-    graph ideal share the ideal's one exact membership certificate.  A relation outside it raises an
-    UncertifiedResult warning; when the certificate is too large to run,
-    the chain has already warned about the intersection.  The value line
-    (the graph ideal's intersection with the z-line) needs no chain of its
-    own: it is nonzero exactly when a fiber relation is free of its x_i,
-    and that relation is its generator.  Only with no escape variables is
-    the value line lifted directly, by `value_line`'s own chain.  The
-    product of the pieces and the line, a polynomial in the graph's z, is
-    mapped back to f's values once (`GraphIdeal.to_f`) before its roots
-    are computed.
+    graph ideal share the ideal's one exact membership certificate.  A
+    relation outside it raises an UncertifiedResult warning; when the
+    certificate is too large to run, the chain has already warned about
+    the intersection.  The value line (the graph ideal's intersection with
+    the z-line) needs no chain of its own: it is nonzero exactly when a
+    fiber relation is free of its x_i, and that relation is its generator.
+    Only with no escape variables is the value line lifted directly, by
+    `value_line`'s own chain.  The product of the pieces and the line, a
+    polynomial in the graph's z, is mapped back to f's values once
+    (`GraphIdeal.to_f`) before its roots are computed.
     """
     n = graph.z_index
     escape_vars = list(dict.fromkeys(

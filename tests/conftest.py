@@ -22,20 +22,27 @@ def record_acceptance():
 
 @pytest.fixture
 def watch_node_runs(monkeypatch):
-    """Install watch(gens, engine), called before each full Buchberger run
-    and each trace replay of a modular-chain node; a replay that completes
-    is a whole run too."""
+    """Install watch(gens, engine), called as each full signature run of a
+    modular-chain node ends and before each trace replay; a replay that
+    completes is a whole run too.  A root stage that a race stops before
+    its end is no node's run, and is not watched."""
     from polarvalues import groebner
 
     def install(watch):
-        for name in ("_core_buchberger", "_replay_buchberger"):
-            inner = getattr(groebner, name)
+        core = groebner._core_buchberger
+        replay = groebner._replay_buchberger
 
-            def watched(gens, engine, trace, inner=inner):
-                watch(gens, engine)
-                return inner(gens, engine, trace)
+        def watched_run(gens, engine, trace):
+            basis = yield from core(gens, engine, trace)
+            watch(gens, engine)
+            return basis
 
-            monkeypatch.setattr(groebner, name, watched)
+        def watched_replay(gens, engine, trace):
+            watch(gens, engine)
+            return replay(gens, engine, trace)
+
+        monkeypatch.setattr(groebner, "_core_buchberger", watched_run)
+        monkeypatch.setattr(groebner, "_replay_buchberger", watched_replay)
 
     return install
 

@@ -437,19 +437,27 @@ class TestReportWork:
         # these counts move only when the modular chain does more or less
         # work.  Each graph ideal's certificate is its curve's, and the
         # seed of each graph chain, that certificate's basis, never runs:
-        # its root stages reduce it directly.  At bound 5 every chain lifts
-        # and proves its outputs at its first prime, so nothing is
-        # replayed; at 9999 two chains take two and three primes (see the
-        # test below), and the stages still needed replay their whole
-        # traces, 42 zeros in all, at the later primes
+        # its root stages reduce it directly.  The chain of the (x_i, z)
+        # planes races its contested root stages at its first prime, and
+        # stops the dearest one, the stage that drops x, before its end.
+        # At bound 5 every chain lifts and proves its outputs at its first
+        # prime, so nothing is replayed; at 9999 two chains take two and
+        # three primes (see the test below), and the stages still needed
+        # replay their whole traces, 42 zeros in all, at the later primes
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
         replay_entry = groebner._ModularArith.replay
 
-        def counting_core(gens, engine, trace=None):
+        def counting_core(gens, engine, trace):
+            # a root stage that a race stops is closed before its end
+            try:
+                basis = yield from core(gens, engine, trace)
+            except GeneratorExit:
+                work["stopped"] += 1
+                raise
             work["full"] += 1
-            return core(gens, engine, trace)
+            return basis
 
         def counting_replay(gens, engine, trace):
             if any(lt is None for _, lt, _, _ in trace.entries):
@@ -473,13 +481,14 @@ class TestReportWork:
                 "--runs", "1", "--coeff-bound", "5", "--json"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert work == Counter({"full": 9})
+        assert work == Counter({"full": 8, "stopped": 1})
         work.clear()
         argv[-2] = "9999"
         assert main(argv) == 0
         capsys.readouterr()
         assert work == Counter({
-            "full": 9,
+            "full": 8,
+            "stopped": 1,
             "replays with zeros": 6,
             "replays without zeros": 1,
             "zeros replayed": 42,

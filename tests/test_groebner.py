@@ -47,6 +47,11 @@ def rand_poly(rng, ring, max_deg=3, max_terms=4, bound=5):
     return Polynomial(ring, terms)
 
 
+def _full_run(gens, engine, trace):
+    """The basis of a signature run of `gens`, run to its end."""
+    return groebner._finish(groebner._core_buchberger(gens, engine, trace))
+
+
 @st.composite
 def codec_cases(draw):
     """Blocks (singletons, one block or two blocks over a random variable
@@ -241,7 +246,7 @@ class TestBuchbergerKnownBases:
         gens = [
             groebner._to_engine(g, codec) for g in (X**2 + Y**2 - 1, X - Y)
         ]
-        basis = groebner._core_buchberger(
+        basis = _full_run(
             [{m: c % p for m, c in t.items()} for t in gens],
             groebner._ModularArith(p, codec),
             groebner._Trace(),
@@ -268,7 +273,7 @@ class TestBuchbergerKnownBases:
                 {m: c % p for m, c in groebner._to_engine(g, codec).items()}
                 for g in gens
             ]
-            basis = groebner._core_buchberger(image, engine, groebner._Trace())
+            basis = _full_run(image, engine, groebner._Trace())
             if basis == [{codec.one_key: 1}]:
                 assert gbq.contains_one()
                 continue
@@ -474,7 +479,7 @@ class TestModularKernel:
             t = {m: c for m, c in t.items() if c}
             if t:
                 packed.append(t)
-        basis = groebner._core_buchberger(packed, engine, groebner._Trace())
+        basis = _full_run(packed, engine, groebner._Trace())
         target = R3.zero() if in_ideal else free
         for q, b in zip(multipliers, basis):
             target = target + q * Polynomial(
@@ -531,7 +536,7 @@ class TestModularKernel:
             {m: c % p for m, c in groebner._to_engine(g, graded).items()}
             for g in graph.ideal.generators
         ]
-        seed = groebner._core_buchberger(
+        seed = _full_run(
             gens, counting_engine(graded), groebner._Trace()
         )
         stage = groebner._Codec(((0,), (1, 2, 3)))
@@ -539,7 +544,7 @@ class TestModularKernel:
             {stage.pack(graded.unpack(m)): c for m, c in t.items()}
             for t in seed
         ]
-        out = groebner._core_buchberger(
+        out = _full_run(
             elems, counting_engine(stage), groebner._Trace()
         )
         assert len(out) == 9
@@ -841,41 +846,95 @@ class TestPlannedTree:
         asked = []
         prices = {0: 270, 1: 190, 2: 80}
 
-        def price(var):
-            asked.append(var)
-            return prices[var]
+        def race(candidates):
+            asked.append(set(candidates))
+            return min(candidates, key=lambda var: (prices[var], var))
 
-        # every variable lies in two sets: u is the cheapest, then y
+        # every variable lies in two sets: u is the cheapest, then y, which
+        # a second race between x and y picks
         drops = [frozenset({1, 2}), frozenset({0, 2}), frozenset({0, 1})]
-        assert groebner._plan(drops, price) == [
+        assert groebner._plan(drops, race) == [
             (0, 2), (1, 0), (1, 1), (0, 1), (4, 0)
         ]
-        assert set(asked) == {0, 1, 2}
+        assert asked == [{0, 1, 2}, {0, 1}]
         # equal prices fall back to the index
-        assert groebner._plan(drops, lambda var: 1) == [
+        assert groebner._plan(drops, min) == [
             (0, 0), (1, 1), (1, 2), (0, 1), (4, 2)
         ]
         # t lies in both sets and goes first; x and y, and the two
         # variables of single-variable sets, never share a set, so their
-        # order leaves the tree alone and nothing is priced
+        # order leaves the tree alone and nothing is raced
         asked.clear()
         assert groebner._plan(
-            [frozenset({0, 2}), frozenset({0, 1})], price
+            [frozenset({0, 2}), frozenset({0, 1})], race
         ) == [(0, 0), (1, 1), (1, 2)]
         assert groebner._plan(
-            [frozenset({1}), frozenset({0})], price
+            [frozenset({1}), frozenset({0})], race
         ) == [(0, 0), (0, 1)]
-        assert groebner._plan([frozenset()], price) == []
+        assert groebner._plan([frozenset()], race) == []
         # a tie that only one set holds, or one below the root, goes to
-        # the index unpriced
-        assert groebner._plan([frozenset({0, 1, 2})], price) == [
+        # the index unraced
+        assert groebner._plan([frozenset({0, 1, 2})], race) == [
             (0, 0), (1, 1), (2, 2)
         ]
         assert groebner._plan(
             [frozenset({3, 1, 2}), frozenset({3, 0, 2}), frozenset({3, 0, 1})],
-            price,
+            race,
         ) == [(0, 3), (1, 0), (2, 1), (2, 2), (1, 1), (5, 2)]
         assert asked == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        drops=st.lists(
+            st.sets(st.integers(min_value=0, max_value=4), min_size=1,
+                    max_size=4).map(frozenset),
+            min_size=1,
+            max_size=5,
+        ),
+        steps=st.lists(
+            st.lists(st.integers(min_value=0, max_value=9), max_size=6),
+            min_size=5,
+            max_size=5,
+        ),
+    )
+    def test_lazy_race_plans_the_tree_of_exhaustive_totals(
+        self, drops, steps
+    ):
+        # each variable's run yields the work of its steps in turn; the
+        # lazy race must pick what the least total, then the index, picks,
+        # and in each race no run takes a step once it has spent more than
+        # the winner's total: a loser ends at most one step past it
+        totals = [sum(s) for s in steps]
+        exhaustive = groebner._plan(
+            drops, lambda candidates: min(
+                candidates, key=lambda var: (totals[var], var)
+            )
+        )
+        spent = {}  # var -> (race number, work before the step) per step
+        races = [0]
+
+        def start(var):
+            spent[var] = []
+            work = 0
+            for step in steps[var]:
+                spent[var].append((races[0], work))
+                work += step
+                yield step
+
+        lazy = groebner._race(start)
+
+        def race(candidates):
+            races[0] += 1
+            winner = lazy(candidates)
+            assert all(
+                before <= totals[winner]
+                for var in candidates
+                for number, before in spent.get(var, ())
+                if number == races[0]
+            )
+            return winner
+
+        assert groebner._plan(drops, race) == exhaustive
 
     @settings(max_examples=25, deadline=None)
     @given(case=_chain_ideals)
@@ -894,7 +953,7 @@ class TestPlannedTree:
         reconstruct = groebner._CrtState.reconstruct
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
-                groebner, "_plan", lambda drops, price: _ascending_tree(drops)
+                groebner, "_plan", lambda drops, race: _ascending_tree(drops)
             )
             patch.setattr(
                 groebner._CrtState, "reconstruct",
@@ -913,12 +972,12 @@ class TestPlannedTree:
         assert set(priced) == set(drops)
 
     def test_graph_ideal_drops_u_first(self, monkeypatch, hold_reconstruction):
-        # on the graph ideal of x + x^2*y the stage dropping u has the
-        # fewest terms at the first prime, then y, then x: from the second
-        # prime on (the outputs are held back to make one) the chain runs
-        # {u} -> {u, y}, {u} -> {u, x} and {y} -> {y, x}, and the stage
-        # that priced x runs at the first prime only and keeps no trace
-        # after it
+        # on the graph ideal of x + x^2*y the stage dropping u does the
+        # least work at the first prime, then y, then x: at every prime
+        # (the outputs are held back to make a second one) the chain runs
+        # {u} -> {u, y}, {u} -> {u, x} and {y} -> {y, x}, and the stage of
+        # x, stopped by the race at the first prime, is no node's run and
+        # keeps no trace
         graph = _fixed_graph_ideal()
         x, y, u = 0, 1, 2
         n = graph.ideal.ring.nvars
@@ -954,12 +1013,86 @@ class TestPlannedTree:
             (frozenset(), y), (frozenset({y}), x),
         }
         first, second, *later = runs.values()
-        assert first == tree | {(frozenset(), x)}
-        assert second == tree
+        assert first == second == tree
         assert all(run <= tree for run in later)
         first, *later = held.values()
-        assert first == tree | {(frozenset(), x)}
+        assert first == tree
         assert later and all(stages <= tree for stages in later)
+
+    def test_race_stops_the_dearest_root_stage(
+        self, monkeypatch, hold_reconstruction
+    ):
+        # on the same graph ideal the root stage of x loses both races at
+        # the first prime, to u and then to y: it stops there with fewer
+        # reductions than its complete run makes, its trace is never a
+        # node's, and no later prime runs or replays it
+        graph = _fixed_graph_ideal()
+        x, y, u = 0, 1, 2
+        n = graph.ideal.ring.nvars
+        root_x = ((x,), tuple(j for j in range(n) if j != x))
+        core = groebner._core_buchberger
+        replay = groebner._replay_buchberger
+        reduce = groebner._ModularArith.reduce
+        chain = groebner._chain_mod_p
+        started = []  # (prime, codec, input, trace) of each run of x's root
+        replayed = []
+        reductions = Counter()
+        kept = []
+
+        def is_root_x(gens, engine):
+            # the root stage's input still holds y and u; the stages
+            # {y} -> {y, x} and {u} -> {u, x} have the same blocks, but no
+            # y or no u
+            return engine.codec.blocks == root_x and all(
+                any(
+                    groebner._involves(
+                        t, groebner._SLOT_MASK
+                        << (groebner._SLOT_BITS * (n - 1 - var))
+                    )
+                    for t in gens
+                )
+                for var in (y, u)
+            )
+
+        def watched_core(gens, engine, trace):
+            if is_root_x(gens, engine):
+                started.append((engine.p, engine.codec, list(gens), trace))
+            return core(gens, engine, trace)
+
+        def watched_replay(gens, engine, trace):
+            if is_root_x(gens, engine):
+                replayed.append(engine.p)
+            return replay(gens, engine, trace)
+
+        def counting_reduce(self, target, reducers, steps, signature=None):
+            if signature is not None:
+                reductions[self.codec] += 1
+            return reduce(self, target, reducers, steps, signature)
+
+        def tracked(p, codecs, stages, masks, needed, traces, bases):
+            kept.extend(traces.values())
+            chain(p, codecs, stages, masks, needed, traces, bases)
+            kept.extend(traces.values())
+            return bases
+
+        groebner._certificate(graph.ideal).basis()
+        monkeypatch.setattr(groebner, "_core_buchberger", watched_core)
+        monkeypatch.setattr(groebner, "_replay_buchberger", watched_replay)
+        monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
+        monkeypatch.setattr(groebner, "_chain_mod_p", tracked)
+        hold_reconstruction(1)
+        drops = [
+            frozenset(j for j in range(3) if j != i) for i in range(3)
+        ]
+        groebner._eliminations(graph.ideal, drops)
+        assert len(started) == 1 and replayed == []
+        p, codec, gens, trace = started[0]
+        assert p == groebner._agenda_prime(0)
+        assert all(t is not trace for t in kept)
+        stopped = reductions[codec]
+        complete = groebner._ModularArith(p, groebner._Codec(root_x))
+        _full_run(gens, complete, groebner._Trace())
+        assert 0 < stopped < reductions[complete.codec]
 
     def test_finished_chain_frees_its_traces(self):
         # nothing outside a chain refers to its traces, so they go as it
@@ -1090,7 +1223,7 @@ class TestSignatureRun:
         codec, gens = case
         image = _modular_image(gens, codec, p)
         trace = groebner._Trace()
-        assert groebner._core_buchberger(*image, trace) == (
+        assert _full_run(*image, trace) == (
             oracles.reference_buchberger(*image)
         )
 
@@ -1108,7 +1241,7 @@ class TestSignatureRun:
         codec, gens = case
         recorded, *others = primes
         trace = groebner._Trace()
-        groebner._core_buchberger(
+        _full_run(
             *_modular_image(gens, codec, recorded), trace
         )
         entries = list(trace.entries)
@@ -1131,7 +1264,7 @@ class TestSignatureRun:
         codec = groebner._Codec(((0,), (1,)))
         gens = [groebner._to_engine(x + 3 * y**3 + y**2, codec)]
         trace = groebner._Trace()
-        recorded = groebner._core_buchberger(
+        recorded = _full_run(
             *_modular_image(gens, codec, 32003), trace
         )
         image = _modular_image(gens, codec, 3)
@@ -1173,7 +1306,7 @@ class TestTraceReplay:
             )
 
         trace = groebner._Trace()
-        assert groebner._core_buchberger(*image(0), trace) == one
+        assert _full_run(*image(0), trace) == one
         installed = [lt for _, lt, _, _ in trace.entries if lt is not None]
         assert installed[-1] == codec.one_key
         assert len(trace.kept) == len(trace.final) == 1
@@ -1221,7 +1354,7 @@ class TestTraceReplay:
         traces = {}
         for p in primes[:3]:
             traces[p] = groebner._Trace()
-            groebner._core_buchberger(*image(p), traces[p])
+            _full_run(*image(p), traces[p])
             entries = list(traces[p].entries)
             try:
                 groebner._replay_buchberger(*image(primes[3]), traces[p])
@@ -1255,7 +1388,7 @@ class TestTraceReplay:
         gens_int = [groebner._to_engine(g, codec) for g in gens]
         recorded, p = primes
         trace = groebner._Trace()
-        groebner._core_buchberger(
+        _full_run(
             [{m: c % recorded for m, c in t.items()} for t in gens_int],
             groebner._ModularArith(recorded, codec),
             trace,
@@ -1282,7 +1415,7 @@ class TestTraceReplay:
             for g in (X3 + Y3 + U3, X3 + (1 + p0) * Y3 + U3)
         ]
         guide = groebner._Trace()
-        assert groebner._core_buchberger(
+        assert _full_run(
             [{m: c % p0 for m, c in t.items()} for t in gens],
             groebner._ModularArith(p0, codec),
             guide,
@@ -1301,7 +1434,7 @@ class TestTraceReplay:
 
         cubes = [groebner._to_engine(g, codec) for g in (U3**3, U3**3 + 3)]
         vanished = groebner._Trace()
-        groebner._core_buchberger(
+        _full_run(
             [{m: c % 3 for m, c in t.items()} for t in cubes],
             groebner._ModularArith(3, codec),
             vanished,
@@ -1321,7 +1454,7 @@ class TestTraceReplay:
         # trace
         codec, gens = _lost_leading_term()
         trace = groebner._Trace()
-        groebner._core_buchberger(
+        _full_run(
             [{m: c % 3 for m, c in t.items()} for t in gens],
             groebner._ModularArith(3, codec),
             trace,
@@ -1631,20 +1764,34 @@ class TestTraceReplay:
         # in as many variables), each held to six primes before it lifts
         # and proves its outputs: only the first prime builds J-pairs;
         # every later one replays, stage by stage, every reduction the
-        # first made, zeros included, and reduces nothing
+        # first made, zeros included, and reduces nothing.  The graph
+        # chain's root stages race while its tree is planned, ahead of the
+        # first prime's other stages, and count towards that prime
         graph = _fixed_graph_ideal()
         chains = []  # (a chain's codec list, its work per prime)
+        planned = []  # the work of the last chain's root races
         current = [None]
+        plan = groebner._plan
         chain = groebner._chain_mod_p
         jpairs = groebner._jpairs
         reduce = groebner._ModularArith.reduce
         replay = groebner._ModularArith.replay
 
+        def tracked_plan(drops, race):
+            # each chain plans its tree at its first prime, just before
+            # that prime runs the rest of it
+            current[0] = Counter()
+            planned.append(current[0])
+            try:
+                return plan(drops, race)
+            finally:
+                current[0] = None
+
         def tracked_chain(p, codecs, *rest):
             # a chain keeps one codec list from its first prime to its last
             work = next((w for c, w in chains if c is codecs), None)
             if work is None:
-                chains.append((codecs, {}))
+                chains.append((codecs, {p: planned.pop()}))
                 work = chains[-1][1]
             current[0] = work.setdefault(p, Counter())
             try:
@@ -1676,6 +1823,7 @@ class TestTraceReplay:
                 "replayed", self.codec, replay(self, target, schedule, tails)
             )
 
+        monkeypatch.setattr(groebner, "_plan", tracked_plan)
         monkeypatch.setattr(groebner, "_chain_mod_p", tracked_chain)
         monkeypatch.setattr(groebner, "_jpairs", counting_jpairs)
         monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
@@ -1781,7 +1929,7 @@ class TestCertificate:
         codec = groebner._Codec((range(2),))
         gens = [groebner._to_engine(g, codec) for g in ideal.generators]
         one = {codec.one_key: 1}
-        assert groebner._core_buchberger(
+        assert _full_run(
             [{m: c % 3 for m, c in t.items()} for t in gens],
             groebner._ModularArith(3, codec),
             groebner._Trace(),

@@ -548,7 +548,8 @@ class TestLiftCost:
         and needs no lift.  Every stage of the chain runs at most once per
         prime, and the seed, the certificate's basis, never runs.  The
         first prime proves every output, so the lifts are held back to one
-        more prime, which the stage that priced x skips."""
+        more prime.  The root stage of x, stopped by the race at the first
+        prime, is no stage of the chain."""
         from polarvalues.detector import (
             sample_super_polar_coefficients,
             super_polar_ideal,
@@ -609,11 +610,10 @@ class TestLiftCost:
         lifted = sum(len(e) for s in states for e in s.elements or ())
         assert lifted == expected == 164
         assert max(runs.values()) == 1
-        # the five stages of the tree, each at every prime it ran at, and
-        # the stage that priced x at the first prime
+        # the five stages of the tree, each at both primes
         primes = Counter((blocks, left) for blocks, left, _ in runs)
-        assert len(primes) == 6
-        assert list(primes.values()).count(1) == 1
+        assert len(primes) == 5
+        assert set(primes.values()) == {2}
 
 
 @pytest.fixture
@@ -625,8 +625,8 @@ def stage_count(monkeypatch):
     count = [0]
     inner = groebner._plan
 
-    def counting(drops, price):
-        tree = inner(drops, price)
+    def counting(drops, race):
+        tree = inner(drops, race)
         count[0] += len(tree)
         return tree
 
@@ -636,9 +636,10 @@ def stage_count(monkeypatch):
 
 class TestStageCount:
     def test_three_variable_curve(self, stage_count):
-        # chains keep {x}, {y}, {u}: u's stage has the fewest terms at the
-        # first prime and x and y tie, so the stages drop {u}, {u, x},
-        # {u, y}, {x} and {x, y}; the value line needs none of its own
+        # chains keep {x}, {y}, {u}: u's stage does the least work at the
+        # first prime and x's the least after it, so the stages drop {u},
+        # {u, x}, {u, y}, {x} and {x, y}; the value line needs none of its
+        # own
         curve = Ideal(R3, [X3 * Y3 - 1, U3 - X3**2])
         vs = nonproperness_values(graph_ideal(curve, X3 + U3))
         assert vs.rho == U(0, 1)
@@ -658,7 +659,7 @@ class TestStageCount:
     ):
         # (x, y, z) drops {y} and {x}; (t, x, y, z) drops {t, y} and
         # {t, x}, t first.  Either tree is the only one with the fewest
-        # stages, so the first prime runs no pricing stage: it runs one
+        # stages, so the first prime races no root stage: it runs one
         # basis per stage, and proves every output.  The seed, the graph's
         # certificate basis (its curve's plus the value generator), never
         # runs; the certificate's own chain runs on the homogenized curve,
@@ -675,12 +676,12 @@ class TestStageCount:
         calls = Counter()
         plan = groebner._plan
 
-        def asking(drops, price):
-            def priced(var):
-                asked.append(var)
-                return price(var)
+        def asking(drops, race):
+            def raced(candidates):
+                asked.append(candidates)
+                return race(candidates)
 
-            return plan(drops, priced)
+            return plan(drops, raced)
 
         def counting(gens, engine):
             if engine.codec.nvars == nvars:
