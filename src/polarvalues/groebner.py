@@ -66,25 +66,28 @@ exact check over the integers; that check proves it (see
 `_modular_chain`).  Otherwise, and above _EXACT_CHECK_BIT_CAP, it waits
 for a fresh prime of its group to reproduce the reconstruction, that is,
 to leave it unchanged when its image is added, and then takes the same
-check:
+check.  Each output is proved once, by one of two proofs:
 
-- an elimination output is certified to lie in the ideal.  The
-  certificate (`_Certificate`) is a graded basis of the homogenized
-  generators, proved exact by Arnold's Hilbert-function argument and
-  dehomogenized to a Groebner basis G of the ideal, by which every lifted
-  generator must reduce to zero.  A candidate that fails takes more primes.
-  A graph ideal B + <a*v + F>, its last variable v in that generator
-  alone, is certified by its base: G is B's certificate basis plus
-  a*v + F, a Groebner basis under a block order with v first, and no
-  graded basis of the graph itself is lifted.  G also seeds each
-  elimination chain, under its own order: modulo a prime that divides
-  none of its coefficients, the seed keeps every relation of the ideal,
-  and each root stage reduces it directly.
-- a whole basis of the generators (`buchberger`, `graded_basis`) must be
-  a Groebner basis by which every generator reduces to zero; on
-  inhomogeneous generators each of its elements must also lie in the
-  ideal by the certificate.  A principal ideal needs no chain: its
-  reduced basis is its generator made primitive.
+- an elimination output is certified to lie in the ideal, and Pauer's
+  lucky-prime argument proves the converse.  The certificate
+  (`_Certificate`) is a graded basis of the homogenized generators,
+  proved exact as below and dehomogenized to a Groebner basis G of the
+  ideal, by which every lifted generator must reduce to zero.  A
+  candidate that fails takes more primes.  A graph ideal B + <a*v + F>,
+  its last variable v in that generator alone, is certified by its base:
+  G is B's certificate basis plus a*v + F, a Groebner basis under a block
+  order with v first, and no graded basis of the graph itself is lifted.
+  G also seeds each elimination chain, under its own order: modulo a
+  prime that divides none of its coefficients, the seed keeps every
+  relation of the ideal, and each root stage reduces it directly.  A
+  whole basis of inhomogeneous generators (`buchberger`, `graded_basis`)
+  is such an output: the certificate's elimination of nothing.
+- a whole basis of homogeneous generators, the certificate's own among
+  them, must be a Groebner basis by which every generator reduces to
+  zero; Arnold's Hilbert-function argument then proves it.
+
+A principal ideal needs no chain: its reduced basis is its generator
+made primitive.
 
 The agenda's primes are N = k*2^60 + 1 with k odd and below 2^60,
 descending from 2^120, each proved prime by Proth's theorem with one
@@ -104,9 +107,10 @@ memberships all rest on one exact basis.
 
 The unit ideal is no exception: its reduced basis is [1], its staircase
 {1}, and it is lifted and proved like any output, at its first prime.
-[1] passes the basis check trivially; Arnold's argument then
-covers it on homogeneous generators, and the certificate on any others.
-Neither check runs on a basis above _EXACT_CHECK_BIT_CAP bits; the
+On homogeneous generators [1] passes the basis check trivially and
+Arnold's argument proves it; on any others the certificate does.  The
+basis check does not run on a whole basis above _EXACT_CHECK_BIT_CAP
+bits, nor the certificate when its own basis is above it; the
 fresh-prime verdict then stands, and an elimination, a whole basis or a
 unit ideal accepted that way raises an UncertifiedResult warning.  The
 certificate's own basis warns nothing itself; above the cap, the
@@ -1317,6 +1321,10 @@ class _Certificate:
     first use.  Above _EXACT_CHECK_BIT_CAP the driver accepts it without
     the exact check, so nothing is certified: `member` and `covers` then
     return None, and `basis` rests on fresh-prime agreement.
+
+    `covers` proves each elimination of I's chains once, a whole basis of
+    inhomogeneous generators among them (see `_modular_chain`), so
+    `member` keeps no verdict.
     """
 
     def __init__(self, ideal: Ideal):
@@ -1333,7 +1341,6 @@ class _Certificate:
         self.bits = None
         self._basis = None
         self._reducers = None
-        self._known = {}
 
     def _build(self):
         n = self.codec.nvars
@@ -1390,15 +1397,9 @@ class _Certificate:
         when that cannot be certified."""
         if not self.exact():
             return None
-        terms = _IntegerArith.normalize_fractions(terms)
-        key = frozenset(terms.items())
-        known = self._known.get(key)
-        if known is None:
-            arith = _IntegerArith(self.codec)
-            known = self._known[key] = arith.reduces_to_zero(
-                terms, self._reducers
-            )
-        return known
+        return _IntegerArith(self.codec).reduces_to_zero(
+            _IntegerArith.normalize_fractions(terms), self._reducers
+        )
 
     def contains(self, p: Polynomial):
         """`member` for a polynomial of the generators' ring."""
@@ -1595,9 +1596,11 @@ def _modular_chain(certificate, codec, drops=None):
     `certificate` is the `_Certificate` of the ideal, and node 0 of the
     chain is its seed.  With `drops` None the chain lifts the whole basis
     of the ideal's generators under `codec`, as the output of the empty
-    set, and the seed is those generators packed under `codec` as
-    primitive integer dicts.  Any `drops` start from the certificate's
-    basis under its own codec instead, so every elimination rests on the
+    set.  On homogeneous generators the seed is those generators packed
+    under `codec` as primitive integer dicts.  On any others `drops`
+    becomes the empty set alone, so the whole basis is the certificate's
+    elimination of nothing.  Any `drops` start from the certificate's
+    basis under its own codec, so every elimination rests on the
     lucky-prime argument below.  Node 0 is the seed modulo each prime and
     never runs.  Each stage (parent, var) makes a new node that
     eliminates var from its parent's elimination ideal, and the stage
@@ -1630,20 +1633,21 @@ def _modular_chain(certificate, codec, drops=None):
       floor(M / 2^_EARLY_MARGIN_BITS) (`_CrtState.early`).  No vote is
       needed, so an output is accepted at the prime that first
       reconstructs it.  It is tried only where the checks below run: on a
-      whole basis within _EXACT_CHECK_BIT_CAP (whose certificate is exact
-      when it needs one), and on an elimination, whose chain starts from
-      the certificate's basis, when that basis is exact.
+      whole basis within _EXACT_CHECK_BIT_CAP, and on an elimination,
+      whose chain starts from the certificate's basis, when that basis is
+      exact.
     - a vote, for every other output: a fresh prime of the group
       reproduces it, leaving it unchanged.
 
-    Either way it is then verified.  A whole basis takes the exact basis
-    check (skipped above _EXACT_CHECK_BIT_CAP), which proves only that the
-    ideal lies in the candidate's; every elimination, and a whole basis of
-    inhomogeneous generators, takes the membership certificate of the
-    ideal, which proves the converse; a candidate that fails takes more
-    primes.  On homogeneous generators the basis check suffices, since
-    the staircases agree (Arnold's argument, see `_Certificate`).  A
-    result that stands on fresh-prime agreement alone, an output whose
+    Either way it is then verified, once, by one of two checks.  A whole
+    basis, of homogeneous generators, takes the exact basis check (skipped
+    above _EXACT_CHECK_BIT_CAP): the ideal lies in the candidate's, and
+    the staircases agree, so the two are equal (Arnold's argument, see
+    `_Certificate`).  Every elimination, the empty one included, takes the
+    membership certificate of the ideal (`_Certificate.covers`): the
+    candidate lies in the ideal, and the lucky-prime argument below proves
+    the converse.  A candidate that fails takes more primes.  A result
+    that stands on fresh-prime agreement alone, an elimination whose
     certificate is above the cap or a whole basis above it itself, warns
     UncertifiedResult.  The unit ideal is no exception: its candidate [1],
     with staircase {1}, passes the basis check trivially and is proved
@@ -1653,15 +1657,16 @@ def _modular_chain(certificate, codec, drops=None):
     Why a candidate C that passed its checks at a prime p of its group is
     the answer (the lucky-prime argument of Pauer, "On lucky ideals for
     Groebner basis computations", JSC 14, 1992).  For a whole basis the
-    checks alone prove it.  For an elimination onto the variables S, let
-    G be the exact certificate basis of the ideal I that the chain starts
-    from; p divides none of its coefficients.  Each root stage runs on G
-    mod p itself, so its ideal is <G mod p>, and every node returns the
-    reduced basis of its ideal modulo p, so the chain makes C mod p the
-    reduced basis of <G mod p> meet F_p[S].  C is monic and no prime of
-    its group divides a denominator (see `_CrtState`), so C mod p is
-    defined and keeps C's leading monomials.  Take any j in I meet Q[S]
-    with p-integral coefficients.  Then j mod p lies in <G mod p>:
+    basis check and Arnold's argument prove it.  For an elimination onto
+    the variables S, let G be the exact certificate basis of the ideal I
+    that the chain starts from; p divides none of its coefficients.  Each
+    root stage runs on G mod p itself, so its ideal is <G mod p>, and
+    every node returns the reduced basis of its ideal modulo p, so the
+    chain makes C mod p the reduced basis of <G mod p> meet F_p[S].  C is
+    monic and no prime of its group divides a denominator (see
+    `_CrtState`), so C mod p is defined and keeps C's leading monomials.
+    Take any j in I meet Q[S] with p-integral coefficients.  Then j mod p
+    lies in <G mod p>:
 
     - when G is a Groebner basis under the graded codec, dividing j by G
       inverts only leading coefficients of G, which are units at p;
@@ -1704,6 +1709,9 @@ def _modular_chain(certificate, codec, drops=None):
     node's codec).  Raises InternalInvariantError when the prime agenda is
     exhausted.
     """
+    if drops is None and not certificate.homogeneous:
+        # the certificate's elimination of nothing, proved like any other
+        drops = [frozenset()]
     whole = drops is None
     if whole:
         drops = [frozenset()]
@@ -1789,24 +1797,19 @@ def _modular_chain(certificate, codec, drops=None):
                 candidate = state.early()
             if candidate is None:
                 continue
-            # a whole basis within the cap: the ideal lies in the candidate's
+            # a whole basis, of homogeneous generators, is proved by its
+            # basis check within the cap; any other output by the
+            # certificate
             bits = _exact_size(candidate) if whole else 0
             unchecked = bits > _EXACT_CHECK_BIT_CAP
-            # on homogeneous generators a whole basis that passed its check
-            # is exact; any other output must lie in the ideal
-            by_certificate = not whole or not certificate.homogeneous
-            if early and (
-                unchecked or by_certificate and not certificate.exact()
-            ):
+            if early and (unchecked if whole else not certificate.exact()):
                 # what the exact checks cannot prove waits for a vote
                 continue
-            verdict = not whole or unchecked or _exact_basis_check(
-                seed, candidate, codec
+            verdict = (
+                unchecked or _exact_basis_check(seed, candidate, codec)
+                if whole
+                else certificate.covers(candidate)
             )
-            if verdict and by_certificate:
-                # the candidate lies in the ideal, which is all that an
-                # unchecked basis gets proved
-                verdict = certificate.covers(candidate)
             if verdict is None or verdict and unchecked:
                 unit = candidate == [{codecs[o].one_key: 1}]
                 names = certificate.ring.variables
@@ -1814,7 +1817,7 @@ def _modular_chain(certificate, codec, drops=None):
                     "the unit ideal rests on two prime votes" if unit
                     else "the basis in (%s) rests on fresh-prime "
                     "agreement" % ", ".join(names)
-                    if whole
+                    if not d
                     else "the elimination onto (%s) rests on "
                     "fresh-prime agreement"
                     % ", ".join(names[j] for j in range(n) if j not in d),
@@ -1877,7 +1880,8 @@ def graded_basis(ideal: Ideal) -> list:
 
     Returns [1] when 1 is in the ideal.  On homogeneous generators the
     result is exact whenever it is at most _EXACT_CHECK_BIT_CAP bits (see
-    `_Certificate`), which is how membership certificates are built.
+    `_Certificate`), which is how membership certificates are built; on
+    any others, whenever the ideal's certificate is.
     """
     ring = ideal.ring
     codec = _Codec((range(ring.nvars),))

@@ -19,14 +19,11 @@ back to the values of f.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import (
     Ideal,
-    UncertifiedResult,
-    _certificate,
     _eliminations,
     affine_dimension,
     buchberger,
@@ -287,17 +284,21 @@ def nonproperness_values(
     (x_i, z)-plane; its root stages start from the certificate's basis
     modulo each prime, and its stages are shared between the variables.
     `fiber_relation` reads the relation off that intersection.  The
-    dimension, the chain and the check that each relation lies in the
-    graph ideal share the ideal's one exact membership certificate.  A
-    relation outside it raises an UncertifiedResult warning; when the
-    certificate is too large to run, the chain has already warned about
-    the intersection.  The value line (the graph ideal's intersection with
-    the z-line) needs no chain of its own: it is nonzero exactly when a
-    fiber relation is free of its x_i, and that relation is its generator.
-    Only with no escape variables is the value line lifted directly, by
-    `value_line`'s own chain.  The product of the pieces and the line, a
-    polynomial in the graph's z, is mapped back to f's values once
-    (`GraphIdeal.to_f`) before its roots are computed.
+    dimension and the chain share the ideal's one exact membership
+    certificate, and each relation lies in the graph ideal with no check
+    of its own: every output of the chain is proved to lie in the ideal
+    I (`_Certificate.covers`), and the relation r is an element of the
+    reduced lex basis of the ideal those outputs generate, which its own
+    chain proves or warns about, so r lies in <outputs>, which lies in I.
+    When the certificate is above the exact-check cap, nothing is proved
+    and the chain has already warned about each intersection.  The value
+    line (the graph ideal's intersection with the z-line) needs no chain
+    of its own: it is nonzero exactly when a fiber relation is free of its
+    x_i, and that relation is its generator.  Only with no escape
+    variables is the value line lifted directly, by `value_line`'s own
+    chain.  The product of the pieces and the line, a polynomial in the
+    graph's z, is mapped back to f's values once (`GraphIdeal.to_f`)
+    before its roots are computed.
     """
     n = graph.z_index
     escape_vars = list(dict.fromkeys(
@@ -305,7 +306,6 @@ def nonproperness_values(
     ))
     if not all(0 <= i < n for i in escape_vars):
         raise ValueError("var_index must name a non-value variable")
-    certificate = _certificate(graph.ideal)
     dim = affine_dimension(graph.ideal)
     if dim < 0:
         return ValueSet.empty(flags={EMPTY_CURVE})
@@ -324,14 +324,6 @@ def nonproperness_values(
         line = value_line(graph)
     for i in escape_vars:
         rel = fiber_relation(graph, i, seed_elements=eliminated[drops[i]])
-        if certificate.contains(lift_polynomial(rel, graph.ring)) is False:
-            warnings.warn(
-                UncertifiedResult(
-                    "the fiber relation in (%s) is not in the graph ideal; "
-                    "values read off it may be incomplete"
-                    % ", ".join(rel.ring.variables)
-                )
-            )
         if rel.degree_in(0):
             piece = _univariate_in(leading_coeff_in(rel, 0), 1)
             if piece.degree() >= 1:

@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polarvalues import groebner
 from polarvalues.groebner import (
@@ -25,6 +25,8 @@ from polarvalues.groebner import (
 from polarvalues.polynomials import (
     Polynomial,
     PolynomialRing,
+    extend_ring,
+    fresh_variable_name,
     monomial_add,
 )
 
@@ -839,6 +841,19 @@ _chain_ideals = st.integers(min_value=3, max_value=4).flatmap(
         ),
     )
 )
+
+
+def _homogenized(ideal):
+    """The ideal's generators homogenized in a new variable, placed last:
+    a homogeneous ideal, whose whole basis its chain lifts itself."""
+    names = ideal.ring.variables
+    ring = extend_ring(ideal.ring, fresh_variable_name(names, "h"))
+    return Ideal(ring, [
+        ring.polynomial({
+            m + (g.total_degree() - sum(m),): c for m, c in g.terms.items()
+        })
+        for g in ideal.generators
+    ])
 
 
 class TestPlannedTree:
@@ -1985,7 +2000,6 @@ class TestCertificate:
         members = [p for elems in lifted.values() for p in elems]
         assert len(members) == 3
         members += ideal.generators
-        certificate._known.clear()  # verdicts of the report itself
         assert certificate.codec.blocks == ((3,), (0, 1, 2))
         for p in members:
             wrong = dict(p.terms)
@@ -2041,26 +2055,80 @@ class TestCertificate:
         ):
             assert affine_dimension(Ideal(R2, gens)) == dim
 
+    @settings(max_examples=25, deadline=None)
+    @given(case=_chain_ideals)
+    def test_inhomogeneous_whole_bases_lift_from_the_certificate(self, case):
+        # a whole basis of inhomogeneous generators is the certificate's
+        # elimination of nothing, proved by the certificate: the only
+        # basis checks that `buchberger` and `graded_basis` run are the
+        # certificate's own, on its homogenized generators (none when they
+        # are one polynomial), and both bases reduce modulo a prime that
+        # no chain uses to the reduced bases computed there
+        ring, gens, _ = case
+        ideal = Ideal(ring, [ring.polynomial(t) for t in gens])
+        certificate = groebner._certificate(ideal)
+        assume(len(ideal.generators) > 1 and not certificate.homogeneous)
+        checked = []
+        check = groebner._exact_basis_check
+
+        def recording(gens, candidate_int, codec):
+            checked.append(gens)
+            return check(gens, candidate_int, codec)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groebner, "_exact_basis_check", recording)
+            lex = buchberger(ideal)
+            graded = graded_basis(ideal)
+        # a graph ideal's certificate homogenizes its base, free of the
+        # value variable
+        n = ring.nvars
+        k = n - (certificate.value is not None)
+        sub = PolynomialRing(ring.variables[:k])
+        homogenized = _homogenized(Ideal(sub, [
+            sub.polynomial({m[:k]: c for m, c in g.terms.items()})
+            for g in ideal.generators if g is not certificate.value
+        ]))
+        codec = groebner._Codec((range(k + 1),))
+        packed = [
+            groebner._to_engine(g, codec) for g in homogenized.generators
+        ]
+        assert all(gens == packed for gens in checked)
+        assert checked or len(packed) == 1
+        q = _REFERENCE_PRIME
+        for blocks, basis in (
+            ([[j] for j in range(n)], lex.elements), ([range(n)], graded)
+        ):
+            ref_codec, expected = _reference_basis(ideal, blocks)
+            got = [groebner._to_engine(e, ref_codec) for e in basis]
+            assert oracles.candidate_mod_p(got, q) == expected
+
     def test_whole_basis_above_the_cap_warns(self, monkeypatch):
-        # at a cap of 30 bits the lex basis (69 bits) skips its basis check
-        # and the certificate (22 bits) proves only that it lies in the
-        # ideal: the basis itself, not its certificate, is warned
+        # the lex basis (69 bits) of inhomogeneous generators is the
+        # certificate's elimination of nothing, proved by the certificate
+        # (22 bits) alone: at a cap of 30 bits it is proved, its own size
+        # notwithstanding, and nothing is warned.  At a cap of 20 bits the
+        # certificate proves nothing, and the basis is warned through it
         ring = PolynomialRing(("x", "z"))
         x, z = ring.gens()
-        ideal = Ideal(ring, [x**3 + 5 * z**2 - 11 * x, x**2 * z - 13 * z + 2])
-        monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", 30)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", groebner.UncertifiedResult)
-            gb = buchberger(ideal)
-        assert groebner._certificate(ideal).exact()
-        messages = [str(w.message) for w in caught]
-        assert len(messages) == 1
-        assert messages[0].startswith(
-            "the basis in (x, z) rests on fresh-prime agreement"
-        )
-        assert "certificate" not in messages[0]
-        monkeypatch.undo()
-        assert gb == buchberger(Ideal(ring, ideal.generators))
+        gens = [x**3 + 5 * z**2 - 11 * x, x**2 * z - 13 * z + 2]
+        exact = buchberger(Ideal(ring, gens))
+        assert groebner._exact_size([
+            groebner._to_engine(g, groebner._Codec(((0,), (1,))))
+            for g in exact.elements
+        ]) == 69
+        for cap, expected in ((30, []), (20, [
+            "the basis in (x, z) rests on fresh-prime agreement; its "
+            "certificate in (x, z), a graded basis of 22 bits, is above "
+            "the exact-check cap of 20 bits"
+        ])):
+            monkeypatch.setattr(groebner, "_EXACT_CHECK_BIT_CAP", cap)
+            ideal = Ideal(ring, gens)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", groebner.UncertifiedResult)
+                gb = buchberger(ideal)
+            assert [str(w.message) for w in caught] == expected
+            assert groebner._certificate(ideal).bits == 22
+            assert gb == exact
 
     def test_homogeneous_basis_above_the_cap_warns(self, monkeypatch):
         # on homogeneous generators the basis check alone proves a whole
@@ -2198,8 +2266,9 @@ class TestGraphCertificate:
 @st.composite
 def _reference_cases(draw):
     """A random ideal of `_chain_ideals`, or a graph ideal of
-    `_graph_shapes` with random drop sets, the empty set added at times,
-    and how many agenda primes every lift is held back for."""
+    `_graph_shapes` with random drop sets, either homogenized at times,
+    the empty set added at times, and how many agenda primes every lift
+    is held back for."""
     if draw(st.booleans()):
         ring, gens, drops = draw(_chain_ideals)
         ideal = Ideal(ring, [ring.polynomial(t) for t in gens])
@@ -2213,6 +2282,8 @@ def _reference_cases(draw):
             max_size=3,
             unique=True,
         ))
+    if draw(st.booleans()):
+        ideal = _homogenized(ideal)
     if draw(st.booleans()):
         drops = drops + [frozenset()]
     return ideal, drops, draw(st.integers(min_value=1, max_value=2))
@@ -2229,8 +2300,10 @@ class TestChainReference:
         # tests/oracles.py computes; by induction down the tree each output
         # is the reduced basis of <seed mod p> meet F_p[S].  The lifts are
         # held back, so every chain runs two primes or more and replays
-        # its stages; the whole basis of the generators and the
-        # eliminations from the certificate's basis both take the test
+        # its stages.  Both kinds of seed take the test: the generators,
+        # whose whole basis a homogeneous ideal lifts, and the
+        # certificate's basis, from which every elimination starts and
+        # which an inhomogeneous ideal's whole basis eliminates nothing of
         ideal, drops, held = case
         n = ideal.ring.nvars
         certificate = groebner._Certificate(ideal)
@@ -2666,10 +2739,11 @@ _P0 = groebner._agenda_prime(0)
 
 @st.composite
 def _early_ideals(draw):
-    """Up to three generators on (x, y, u), exponents at most 2, and one to
-    three drop sets.  A coefficient is c or c + p0, p0 the first agenda
-    prime, so the first prime often sees another ideal: its whole basis is
-    a wrong candidate that reconstructs well within the margin."""
+    """Up to three generators on (x, y, u), exponents at most 2, at times
+    homogenized in a fourth variable, and one to three drop sets.  A
+    coefficient is c or c + p0, p0 the first agenda prime, so the first
+    prime often sees another ideal: its whole basis is a wrong candidate
+    that reconstructs well within the margin."""
     monomials = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
     coefficients = st.tuples(
         st.integers(min_value=-5, max_value=5).filter(bool), st.booleans()
@@ -2686,7 +2760,8 @@ def _early_ideals(draw):
         max_size=3,
         unique=True,
     ))
-    return Ideal(R3, [R3.polynomial(t) for t in gens]), drops
+    ideal = Ideal(R3, [R3.polynomial(t) for t in gens])
+    return _homogenized(ideal) if draw(st.booleans()) else ideal, drops
 
 
 # A prime far from the agenda's, for reference bases of planted ideals:
@@ -2716,24 +2791,26 @@ class TestEarlyAcceptance:
     @settings(max_examples=30, deadline=None)
     @given(case=_early_ideals())
     def test_early_outputs_equal_the_reference(self, case):
-        # whole graded bases of the generators, checked by the basis check
-        # (and the certificate on inhomogeneous ones), and eliminations from
-        # the certificate's basis, checked by the certificate: every output,
-        # most of them accepted by a one-prime proof and some after a
-        # refuted one, reduces modulo a prime that no chain uses to the
-        # reduced basis that Buchberger's algorithm computes there
+        # whole graded bases, of homogeneous generators checked by the
+        # basis check and of inhomogeneous ones eliminated from the
+        # certificate's basis, and eliminations from the certificate's
+        # basis, both checked by the certificate: every output, most of
+        # them accepted by a one-prime proof and some after a refuted one,
+        # reduces modulo a prime that no chain uses to the reduced basis
+        # that Buchberger's algorithm computes there
         ideal, drops = case
+        n = ideal.ring.nvars
         q = _REFERENCE_PRIME
-        codec, expected = _reference_basis(ideal, [range(3)])
+        codec, expected = _reference_basis(ideal, [range(n)])
         certificate = groebner._Certificate(ideal)
         lifted = groebner._modular_chain(certificate, codec)
         assert oracles.candidate_mod_p(lifted[frozenset()], q) == expected
         lifted = groebner._eliminations(ideal, drops)
         for drop in drops:
-            blocks = [sorted(drop), [j for j in range(3) if j not in drop]]
+            blocks = [sorted(drop), [j for j in range(n) if j not in drop]]
             ref_codec, basis = _reference_basis(ideal, blocks)
             mask = sum(
-                groebner._SLOT_MASK << groebner._SLOT_BITS * (2 - j)
+                groebner._SLOT_MASK << groebner._SLOT_BITS * (n - 1 - j)
                 for j in drop
             )
             got = [groebner._to_engine(e, ref_codec) for e in lifted[drop]]

@@ -515,23 +515,41 @@ class TestExactReference:
         assert vs == values_of(expected, graph)
 
 
-def test_relation_outside_the_graph_ideal_warns(monkeypatch):
-    # a fiber relation that fails its membership certificate is named in
-    # a warning, not dropped
-    inner = nonproper_module.fiber_relation
+def test_each_output_is_proved_once(monkeypatch):
+    # every output of the chain is proved a member of the graph ideal by
+    # `covers`, and the fiber relations read off them take no second
+    # proof: `member` runs exactly on the elements that `covers` checks,
+    # once each, and never on a relation
+    from polarvalues.detector import (
+        sample_super_polar_coefficients,
+        super_polar_ideal,
+    )
 
-    def perturbed(graph, i, seed_elements=None):
-        rel = inner(graph, i, seed_elements=seed_elements)
-        return rel + rel.ring.one()
+    f = X3 + X3**2 * Y3
+    coeffs = sample_super_polar_coefficients(random.Random(3), 3, 5, 3)
+    graph = graph_ideal(super_polar_ideal(f, coeffs), f)
+    covered = []
+    members = []
+    covers = groebner._Certificate.covers
+    member = groebner._Certificate.member
 
-    monkeypatch.setattr(nonproper_module, "fiber_relation", perturbed)
-    with pytest.warns(
-        groebner.UncertifiedResult,
-        match=r"the fiber relation in \(y, z\) is not in the graph ideal",
-    ):
-        graph = graph_ideal(Ideal(R2, [X * Y - 1]), X)
-        vs = nonproperness_values(graph, escape_vars=[1])
-    assert vs.exact_rational_roots == (Fraction(0),)
+    def recording_covers(self, elems):
+        mask = self.codec.mask
+        covered.extend(
+            {self.codec.key_from_plain(m & mask): c for m, c in t.items()}
+            for t in elems
+        )
+        return covers(self, elems)
+
+    def recording_member(self, terms):
+        members.append(terms)
+        return member(self, terms)
+
+    monkeypatch.setattr(groebner._Certificate, "covers", recording_covers)
+    monkeypatch.setattr(groebner._Certificate, "member", recording_member)
+    nonproperness_values(graph)
+    assert len(covered) == 3
+    assert members == covered
 
 
 class TestLiftCost:
