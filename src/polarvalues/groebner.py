@@ -12,9 +12,8 @@ package; a leading block holding just the eliminated variable yields the
 same elimination ideal as a pure lex order but with far smaller
 intermediate bases, which is what makes the curve projections in this
 package tractable.  Moving a monomial to another order (a J-pair's lcm,
-a stage's input) goes through its plain packing, and each codec memoizes
-the key of every plain packing it has seen; the memo is per codec, so it
-lives as long as the chain or certificate that built the codec.
+a stage's input) goes through its plain packing: keys are affine in the
+exponents, so its key is key(1) plus each exponent times key(x_i) - key(1).
 
 Bases modulo p come from a signature run (Gao, Volny & Wang, Math. Comp.
 85, 2016, `_core_buchberger`).  Each element carries a signature t*e_i,
@@ -30,7 +29,10 @@ the reducer's support, not the tail size; a coefficient is reduced modulo
 p only when its key reaches the top (Monagan & Pearce, "Sparse polynomial
 division using a heap", JSC 46, 2011), and a term is reduced by the first
 basis element, in install order, whose leading monomial divides it with a
-multiple of smaller signature.  The exact checks reduce over the integers
+multiple of smaller signature.  Most terms meet no divisor, and most meet
+a key the run has met before, so a run remembers for each key how many of
+its elements are known not to divide it, and the scan starts past them.
+The exact checks reduce over the integers
 with the same heap: a step scales the working polynomial instead of
 inverting, its content is divided out only once its top coefficient has
 grown, and a membership test stops at the first term that no leading
@@ -264,11 +266,11 @@ class _Codec:
 
     A key is the order slots (per block: its degree, then the complements
     of its last variable down to its second) shifted above the plain
-    packing.  Its low slots are thus the plain packing itself.
-
-    `key_from_plain` memoizes the key of each plain packing it meets.  The
-    memo belongs to the instance, and codecs are built per call, so it
-    lives only as long as one chain or one certificate.
+    packing.  Its low slots are thus the plain packing itself.  While
+    every slot stays in range a key is affine in the exponents, so
+    `key_from_plain` adds each exponent's multiple of key(x_i) - key(1)
+    to key(1), and `lead` and `degree` read the total degree off the
+    block-degree slots.  A codec keeps no memo.
     """
 
     def __init__(self, blocks):
@@ -280,7 +282,13 @@ class _Codec:
         self.plain_bits = _SLOT_BITS * self.nvars
         self.mask = (1 << self.plain_bits) - 1
         self.one_key = self.pack((0,) * self.nvars)
-        self._keys = {}
+        # key(x_i) - key(1) for each variable, last variable first: the
+        # order in which `key_from_plain` reads a plain packing's slots
+        self._moves = [
+            self.pack(tuple(int(j == i) for j in range(self.nvars)))
+            - self.one_key
+            for i in reversed(range(self.nvars))
+        ]
         # the bit offsets of the block-degree slots below the top one: one
         # order slot per variable, each block's degree first
         self._top = _SLOT_BITS * (2 * self.nvars - 1)
@@ -320,9 +328,21 @@ class _Codec:
         return key & self.mask
 
     def key_from_plain(self, plain: int) -> int:
-        key = self._keys.get(plain)
-        if key is None:
-            key = self._keys[plain] = self.pack(self.unpack(plain))
+        """The key of a plain packing: key(1) plus each exponent times
+        key(x_i) - key(1).  An exponent sum up to _MAX_EXPONENT keeps every
+        slot in range; past it `pack` decides, and raises the engine-limit
+        error where a slot overflows."""
+        key = self.one_key
+        total = 0
+        rest = plain
+        for move in self._moves:
+            e = rest & _SLOT_MASK
+            if e:
+                key += e * move
+                total += e
+            rest >>= _SLOT_BITS
+        if total > _MAX_EXPONENT:
+            return self.pack(self.unpack(plain))
         return key
 
     def degree(self, key: int) -> int:
@@ -335,11 +355,21 @@ class _Codec:
 
     def lead(self, terms) -> int:
         """The largest key of a term dict by total degree, then by key:
-        with one block that is the largest key."""
+        with one block that is the largest key.  The degree is read off
+        each key's block-degree slots, as in `degree`."""
         if len(self.blocks) == 1:
             return max(terms)
-        degree = self.degree
-        return max(terms, key=lambda m: (degree(m), m))
+        top = self._top
+        shifts = self._degree_shifts
+        best = None
+        best_degree = -1
+        for m in terms:
+            d = m >> top
+            for shift in shifts:
+                d += (m >> shift) & _SLOT_MASK
+            if d > best_degree or d == best_degree and m > best:
+                best, best_degree = m, d
+        return best
 
 
 def _to_engine(p: Polynomial, codec):
@@ -588,17 +618,25 @@ class _ModularArith:
         because a trace keeps every schedule, reductions to zero included,
         and a tuple per step would nearly double its memory.
 
-        With a `signature` (sig, sugar shift, key shift) the reduction is
-        regular (see `_core_buchberger`): the reducers are (leading key,
-        tail, lim), and one reduces a term m only when m/lt times its
-        signature, lim + (deg m << sugar shift) + (m << key shift), lies
-        below sig.
+        With a `signature` (sig, sugar shift, key shift, known) the
+        reduction is regular (see `_core_buchberger`): the reducers are
+        (leading key, tail, lim), and one reduces a term m only when m/lt
+        times its signature, lim + (deg m << sugar shift) + (m << key
+        shift), lies below sig.  `known`, the run's divisor memo, maps a
+        term key to a count of reducers that do not divide it, and the
+        scan for m starts past them: after a scan that met no divisor, all
+        of them; otherwise those before the first divisor.  Divisibility
+        reads only the two keys, and a run only appends reducers, so the
+        count stays true for the rest of the run, whatever the target or
+        the signature: the scan still finds the first valid reducer in
+        install order, and every step is the one a scan from the first
+        reducer takes.
         """
         p = self.p
         guard = self.codec.guard
         degree = self.codec.degree
         if signature is not None:
-            sig, sugar_shift, key_shift = signature
+            sig, sugar_shift, key_shift, known = signature
         coeff = dict(target)
         heap = [-m for m in coeff]
         heapq.heapify(heap)
@@ -620,8 +658,10 @@ class _ModularArith:
                     result[m] = c
                     continue
             else:
+                # reducers[:skip] are known not to divide m
+                skip = known.get(m, 0)
                 bound = None
-                for lt, tail, lim in reducers:
+                for lt, tail, lim in reducers[skip:]:
                     if (mg - lt) & guard == guard:
                         if bound is None:
                             bound = (
@@ -630,9 +670,13 @@ class _ModularArith:
                             )
                         if lim < bound:
                             break
+                    elif bound is None:
+                        skip += 1
                 else:
+                    known[m] = skip
                     result[m] = c
                     continue
+                known[m] = skip
             steps.append(m)
             steps.append(lt)
             shift = m - lt
@@ -647,9 +691,10 @@ class _ModularArith:
                     coeff[k] = old + factor * ct
         return self.normalize(result)
 
-    def replay(self, target, schedule, tails):
+    def replay(self, target, schedule, tails, lt):
         """`reduce` by the reducers {leading key: tail} in `tails`, along
-        the schedule (steps, keys left) that it recorded at another prime.
+        the schedule (steps, keys left) that it recorded at another prime,
+        whose result had the leading key `lt` (None for a zero).
 
         Each step adds (p - c) times its reducer's tail, one pass with no
         heap and no divisor search; a step whose coefficient vanishes here
@@ -657,31 +702,40 @@ class _ModularArith:
         so what is left is the normal form unless a term the record never
         reduced is nonzero here and reducible: only a nonzero key outside
         the recorded ones is tested, and a divisor raises _TraceMismatch.
+        The same final pass makes the result monic by the inverse of its
+        coefficient at `lt`; one that vanishes here raises _TraceMismatch.
+        The caller checks that `lt` is the result's leading key.
         """
         p = self.p
         steps, left = schedule
         coeff = dict(target)
         get = coeff.get
         flat = iter(steps)
-        for m, lt in zip(flat, flat):
+        for m, rt in zip(flat, flat):
             c = coeff.pop(m, 0) % p
             if c:
-                shift = m - lt
+                shift = m - rt
                 factor = p - c
-                for mt, ct in tails[lt].items():
+                for mt, ct in tails[rt].items():
                     k = mt + shift
                     coeff[k] = get(k, 0) + factor * ct
+        inv = 1
+        if lt is not None:
+            top = coeff.get(lt, 0) % p
+            if not top:
+                raise _TraceMismatch()
+            inv = pow(top, -1, p)
         guard = self.codec.guard
         result = {}
         for m, c in coeff.items():
-            c %= p
+            c = c * inv % p
             if c:
                 if m not in left and any(
-                    _pdivides(lt, m, guard) for lt in tails
+                    _pdivides(rt, m, guard) for rt in tails
                 ):
                     raise _TraceMismatch()
                 result[m] = c
-        return self.normalize(result)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +857,10 @@ def _core_buchberger(gens, engine, trace):
 
     `trace`, a fresh `_Trace`, records the run: every reduction, zeros
     included, and each of the final inter-reduction keeps its schedule.
+    The run's divisor memo (see `_ModularArith.reduce`) lives and dies
+    with it: it is made empty at the start, and a run that a race stops
+    drops it with the rest of its state.  The inter-reduction scans
+    without one.
 
     The run is a generator, so that it can stop and resume: after each
     signature it reduces it yields that reduction's work, its term
@@ -825,6 +883,7 @@ def _core_buchberger(gens, engine, trace):
     elements = []  # (plain leading key, lim, lead shift, signature)
     rewriters = [[] for _ in gens]  # by index: (image, Schreyer key, LT, k)
     syzygies = [[] for _ in gens]  # by index: syzygy images
+    known = {}  # term key -> reducers known not to divide it (`reduce`)
     gens = [
         {m: c for m, c in ((m, c % p) for m, c in g.items()) if c}
         for g in gens
@@ -863,7 +922,7 @@ def _core_buchberger(gens, engine, trace):
             target = {m + shift: c for m, c in basis[k].items()}
         steps = []
         r = engine.reduce(
-            target, reducers, steps, (sig, sugar_shift, key_shift)
+            target, reducers, steps, (sig, sugar_shift, key_shift, known)
         )
         yield len(steps) // 2 + 1
         if not r:
@@ -984,7 +1043,7 @@ def _replay_buchberger(gens, engine, trace):
             target = {m + shift: c for m, c in basis[k].items()}
         else:
             target = gens[source]
-        r = engine.replay(target, schedule, tails)
+        r = engine.replay(target, schedule, tails, lt)
         if (max(r) if r else None) != lt:
             raise _TraceMismatch()
         if r:
@@ -993,10 +1052,11 @@ def _replay_buchberger(gens, engine, trace):
             basis.append(r)
             tails[lt] = engine.reducer_entry(r)[1]
     # no kept leading key divides another, so the final pass keeps each
+    lts = [lt for _, lt, _, _ in trace.entries if lt is not None]
     elems = []
     tails = {}
     for k, schedule in zip(trace.kept, trace.final):
-        t = engine.replay(basis[k], schedule, tails)
+        t = engine.replay(basis[k], schedule, tails, lts[k])
         elems.append(t)
         lt, tail = engine.reducer_entry(t)
         tails[lt] = tail

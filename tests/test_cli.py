@@ -466,11 +466,11 @@ class TestReportWork:
                 work["replays without zeros"] += 1
             return replay(gens, engine, trace)
 
-        def counting_replay_entry(self, target, schedule, tails):
+        def counting_replay_entry(self, target, schedule, tails, lt):
             # a zero's schedule leaves no key
             if not schedule[1]:
                 work["zeros replayed"] += 1
-            return replay_entry(self, target, schedule, tails)
+            return replay_entry(self, target, schedule, tails, lt)
 
         monkeypatch.setattr(groebner, "_core_buchberger", counting_core)
         monkeypatch.setattr(groebner, "_replay_buchberger", counting_replay)

@@ -55,26 +55,41 @@ def _full_run(gens, engine, trace):
 
 
 @st.composite
-def codec_cases(draw):
-    """Blocks (singletons, one block or two blocks over a random variable
-    sequence) and two exponent vectors small enough that their sum keeps
-    every slot, block degrees included, in range.  Exponents are often
-    tiny, so that block degrees tie and the reverse-lex slots decide."""
-    n = draw(st.integers(min_value=1, max_value=4))
+def _blocks(draw, n):
+    """Singletons, one block or two blocks over a random sequence of n
+    variables."""
     seq = draw(st.permutations(range(n)))
     kind = draw(st.sampled_from(["singletons", "one_block", "two_blocks"]))
     if kind == "singletons":
-        blocks = [(i,) for i in seq]
-    elif kind == "one_block" or n == 1:
-        blocks = [tuple(seq)]
-    else:
-        cut = draw(st.integers(min_value=1, max_value=n - 1))
-        blocks = [tuple(seq[:cut]), tuple(seq[cut:])]
+        return [(i,) for i in seq]
+    if kind == "one_block" or n == 1:
+        return [tuple(seq)]
+    cut = draw(st.integers(min_value=1, max_value=n - 1))
+    return [tuple(seq[:cut]), tuple(seq[cut:])]
+
+
+@st.composite
+def codec_cases(draw):
+    """Blocks (`_blocks`) and two exponent vectors small enough that their
+    sum keeps every slot, block degrees included, in range.  Exponents
+    are often tiny, so that block degrees tie and the reverse-lex slots
+    decide."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    blocks = draw(_blocks(n))
     exponent = st.integers(min_value=0, max_value=2) | st.integers(
         min_value=0, max_value=0x1FFF
     )
     exps = st.tuples(*[exponent] * n)
     return blocks, draw(exps), draw(exps)
+
+
+def _plain(exps):
+    """The plain packing of an exponent vector, each slot 16 bits wide,
+    with no range check."""
+    plain = 0
+    for e in exps:
+        plain = (plain << groebner._SLOT_BITS) | e
+    return plain
 
 
 def block_order_key(blocks, e):
@@ -119,11 +134,65 @@ class TestCodec:
     def test_block_degree_limit(self):
         # every exponent is in range, but x1..x3 form one block of degree
         # 65537, past its 16-bit slot: packed with |, it spilled into the
-        # slot above and ordered x0^2*x1^32767*x2^32767*x3^3 above x0^3
+        # slot above and ordered x0^2*x1^32767*x2^32767*x3^3 above x0^3.
+        # Moving the plain packing to a key raises the same error
         codec = groebner._Codec(((0,), (1, 2, 3)))
         assert codec.pack((3, 0, 0, 0)) > codec.pack((2, 32767, 32767, 1))
         with pytest.raises(ValueError, match="degree 65537 exceeds the engine"):
             codec.pack((2, 32767, 32767, 3))
+        with pytest.raises(ValueError, match="degree 65537 exceeds the engine"):
+            codec.key_from_plain(_plain((2, 32767, 32767, 3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.tuples(
+                _blocks(n).map(groebner._Codec),
+                st.tuples(*[
+                    st.integers(min_value=0, max_value=2)
+                    | st.integers(min_value=0, max_value=0x7FFF)
+                    | st.integers(min_value=0, max_value=0xFFFF)
+                ] * n),
+            )
+        )
+    )
+    def test_key_from_plain_is_pack(self, case):
+        # key_from_plain moves a plain packing by key differences; it must
+        # give pack's key, or pack's engine-limit error where a slot, an
+        # exponent or a block degree, leaves its range
+        codec, exps = case
+        plain = _plain(exps)
+        try:
+            expected = codec.pack(codec.unpack(plain))
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                codec.key_from_plain(plain)
+            assert str(raised.value) == str(error)
+        else:
+            assert codec.key_from_plain(plain) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.tuples(
+                _blocks(n).map(groebner._Codec),
+                st.lists(
+                    st.tuples(*[st.integers(min_value=0, max_value=4)
+                                | st.integers(min_value=0, max_value=0x1FFF)]
+                              * n),
+                    min_size=1,
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    def test_lead_is_the_largest_by_degree_then_key(self, case):
+        # lead reads each key's degree off its block slots
+        codec, vectors = case
+        terms = {codec.pack(e): 1 for e in vectors}
+        assert codec.lead(terms) == max(
+            terms, key=lambda m: (codec.degree(m), m)
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -138,10 +207,10 @@ class TestCodec:
             )
         )
     )
-    def test_key_memo_is_per_codec(self, vectors):
+    def test_keys_are_per_codec(self, vectors):
         # graded, lex and every stage codec of one ring meet the same plain
-        # packings; each must key them under its own order, on the call
-        # that fills its memo and on the repeat that reads it
+        # packings; each must key them under its own order, on the first
+        # call and on a repeat
         n = len(vectors[0])
         codecs = [
             groebner._Codec((range(n),)),
@@ -1210,6 +1279,47 @@ def _packed(blocks, gens):
     return codec, [{codec.pack(m): c for m, c in g.items()} for g in gens]
 
 
+class _Forgetful(dict):
+    """A divisor memo that stores nothing, so that every scan starts at
+    the first reducer."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _MemoEngine(groebner._ModularArith):
+    """The modular engine, its signature runs scanning with `memo` as
+    their divisor memo (the last field of `reduce`'s signature), and
+    noting in `installed` how many reducers the current scan has."""
+
+    def __init__(self, p, codec, memo):
+        super().__init__(p, codec)
+        self.memo = memo
+        self.installed = None
+
+    def reduce(self, target, reducers, steps, signature=None):
+        if signature is not None:
+            self.installed = len(reducers)
+            signature = signature[:-1] + (self.memo,)
+        return super().reduce(target, reducers, steps, signature)
+
+
+def _recorded(trace):
+    return trace.ngens, trace.entries, trace.kept, trace.final
+
+
+def _bounded_run(gens, engine, trace, reductions=2_000):
+    """`_full_run`, failing the test where the run makes more than
+    `reductions` reductions instead of looping on."""
+    run = groebner._core_buchberger(gens, engine, trace)
+    for _ in range(reductions):
+        try:
+            next(run)
+        except StopIteration as end:
+            return end.value
+    pytest.fail("the signature run did not end")
+
+
 class TestSignatureRun:
     @settings(max_examples=150, deadline=None)
     @given(case=_signature_ideals(), p=st.sampled_from(_SIGNATURE_PRIMES))
@@ -1288,6 +1398,60 @@ class TestSignatureRun:
         ) == [codec.pack((1, 0))]
         with pytest.raises(groebner._TraceMismatch):
             groebner._replay_buchberger(*image, trace)
+
+    def test_signature_memo_finds_a_divisor_installed_later(self):
+        # 2y^3 is installed first; reducing 2 - x*y^2 next meets x*y^2,
+        # which y^3 does not divide, so the memo keeps it past that one
+        # reducer.  A later reduction meets x*y^2 again and reduces it by
+        # x*y^2 - 2, installed after the memo's count was stored: the scan
+        # starts past y^3 and still finds it
+        p = 32003
+        codec = groebner._Codec(((0, 1),))
+        gens = [
+            {codec.pack((0, 3)): 2},
+            {codec.pack((1, 2)): p - 1, codec.pack((0, 0)): 2},
+        ]
+        first = {}  # key -> (its first count, the reducers then)
+
+        class Watched(dict):
+            def __setitem__(self, key, value):
+                first.setdefault(key, (value, engine.installed))
+                super().__setitem__(key, value)
+
+        engine = _MemoEngine(p, codec, Watched())
+        trace = groebner._Trace()
+        basis = _bounded_run(gens, engine, trace)
+        lts = [lt for _, lt, _, _ in trace.entries if lt is not None]
+        xy2 = codec.pack((1, 2))
+        assert first[xy2] == (1, 1) and lts.index(xy2) == 1
+        later = [
+            rt for _, _, (steps, _), _ in trace.entries[2:]
+            for m, rt in zip(steps[::2], steps[1::2]) if m == xy2
+        ]
+        assert later and set(later) == {xy2}
+        bare = groebner._Trace()
+        assert _full_run(
+            gens, _MemoEngine(p, codec, _Forgetful()), bare
+        ) == basis
+        assert _recorded(trace) == _recorded(bare)
+        assert basis == oracles.reference_buchberger(
+            gens, groebner._ModularArith(p, codec)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_signature_ideals(), p=st.sampled_from(_SIGNATURE_PRIMES))
+    def test_signature_divisor_memo_changes_no_step(self, case, p):
+        # the memo only skips reducers that cannot divide a term, so a run
+        # records what a run without it records: every schedule, leading
+        # key and lead, the kept elements and the final schedules
+        codec, gens = case
+        gens, engine = _modular_image(gens, codec, p)
+        trace, bare = groebner._Trace(), groebner._Trace()
+        basis = _bounded_run(gens, engine, trace)
+        assert _full_run(
+            gens, _MemoEngine(p, codec, _Forgetful()), bare
+        ) == basis
+        assert _recorded(trace) == _recorded(bare)
 
     def test_signature_images_stop_at_the_exponent_limit(self):
         # the J-pair of x^20000 + y and its reduction y has the image
@@ -1558,8 +1722,8 @@ class TestTraceReplay:
         zeros = Counter()
         replay = groebner._ModularArith.replay
 
-        def counting_replay(self, target, schedule, tails):
-            out = replay(self, target, schedule, tails)
+        def counting_replay(self, target, schedule, tails, lt):
+            out = replay(self, target, schedule, tails, lt)
             calls[self.p] += 1
             zeros[self.p] += not out
             return out
@@ -1627,11 +1791,11 @@ class TestTraceReplay:
             reduced[self.codec] += 1
             return reduce(self, target, reducers, *rest)
 
-        def counting_replay(self, target, schedule, tails):
+        def counting_replay(self, target, schedule, tails, lt):
             replayed[self.codec] += 1
             inside[0] = True
             try:
-                return replay(self, target, schedule, tails)
+                return replay(self, target, schedule, tails, lt)
             finally:
                 inside[0] = False
 
@@ -1833,9 +1997,10 @@ class TestTraceReplay:
                 "reduced", self.codec, reduce(self, target, reducers, *rest)
             )
 
-        def counting_replay(self, target, schedule, tails):
+        def counting_replay(self, target, schedule, tails, lt):
             return count(
-                "replayed", self.codec, replay(self, target, schedule, tails)
+                "replayed", self.codec,
+                replay(self, target, schedule, tails, lt),
             )
 
         monkeypatch.setattr(groebner, "_plan", tracked_plan)
