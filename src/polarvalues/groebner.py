@@ -11,9 +11,13 @@ ring order give `buchberger`'s lex order, the only lex order of the
 package; a leading block holding just the eliminated variable yields the
 same elimination ideal as a pure lex order but with far smaller
 intermediate bases, which is what makes the curve projections in this
-package tractable.  Moving a monomial to another order (a J-pair's lcm,
-a stage's input) goes through its plain packing: keys are affine in the
-exponents, so its key is key(1) plus each exponent times key(x_i) - key(1).
+package tractable.  Every such stage orders the rest in reverse ring
+order (`_stage_codec`), so a graph ideal's value coordinate, last in its
+ring, leads every stage, and every elimination comes out as a reduced
+graded basis on its kept variables in that order.  Moving a monomial to
+another order (a J-pair's lcm, a stage's input) goes through its plain
+packing: keys are affine in the exponents, so its key is key(1) plus
+each exponent times key(x_i) - key(1).
 
 Bases modulo p come from a signature run (Gao, Volny & Wang, Math. Comp.
 85, 2016, `_core_buchberger`).  Each element carries a signature t*e_i,
@@ -270,7 +274,8 @@ class _Codec:
     every slot stays in range a key is affine in the exponents, so
     `key_from_plain` adds each exponent's multiple of key(x_i) - key(1)
     to key(1), and `lead` and `degree` read the total degree off the
-    block-degree slots.  A codec keeps no memo.
+    block-degree slots.  A codec keeps no memo and holds no mutable state;
+    the engine builds each layout once (`_codec`) and shares it.
     """
 
     def __init__(self, blocks):
@@ -370,6 +375,36 @@ class _Codec:
             if d > best_degree or d == best_degree and m > best:
                 best, best_degree = m, d
         return best
+
+
+_CODECS = {}
+
+
+def _codec(blocks) -> _Codec:
+    """The codec of a block layout, built on first use and kept: a codec
+    holds no mutable state, so every caller asking for that layout can
+    share one."""
+    blocks = tuple(tuple(b) for b in blocks)
+    codec = _CODECS.get(blocks)
+    if codec is None:
+        codec = _CODECS[blocks] = _Codec(blocks)
+    return codec
+
+
+def _stage_codec(n: int, var: int) -> _Codec:
+    """The codec of a stage that drops variable `var` of n: var alone in
+    the leading block, then the rest by graded reverse-lex in reverse ring
+    order.
+
+    Reverse-lex ranks a block's last variable lowest in every tie.  A graph
+    ideal's value coordinate z, last in its ring, stands for f, a form of
+    degree deg f, so it comes first here, and a localization's t,
+    prepended to its ring, comes last.  Every stage codec orders the
+    polynomials free of its own variable the same way, graded reverse-lex
+    on the rest in reverse ring order, which `_chain_mod_p`'s pass-through
+    rule needs.
+    """
+    return _codec(((var,), tuple(j for j in reversed(range(n)) if j != var)))
 
 
 def _to_engine(p: Polynomial, codec):
@@ -1395,7 +1430,7 @@ class _Certificate:
         )
         n = self.ring.nvars
         self.value = _value_generator(self.ring, self.generators)
-        self.codec = _Codec(
+        self.codec = _codec(
             (range(n),) if self.value is None else ((n - 1,), range(n - 1))
         )
         self.bits = None
@@ -1508,11 +1543,12 @@ def _chain_mod_p(p, codecs, stages, masks, needed, traces, bases):
     the parent's own variable, re-keyed under codecs[k], which puts var in
     a leading block of its own; a stage (0, None) drops nothing and keeps
     its own codec.  A root stage, whose parent is node 0, always runs,
-    since the seed is not a reduced basis.  Below the root every codec
-    orders polynomials free of the variables dropped so far by graded
-    reverse-lex on the rest, so a stage whose input does not involve var
-    already has its reduced basis and passes it through; the unit ideal's
-    [1] passes every such stage so.
+    since the seed is not a reduced basis.  Every stage codec orders the
+    polynomials free of its own variable the same way, by graded
+    reverse-lex on the rest in reverse ring order (`_stage_codec`), so
+    below the root a stage whose input does not involve var already has
+    its reduced basis and passes it through; the unit ideal's [1] passes
+    every such stage so.
 
     `traces` maps a node to its one trace and is updated in place.  A node
     with a trace replays it (see `_replay_buchberger`).  A node with none,
@@ -1667,8 +1703,9 @@ def _modular_chain(certificate, codec, drops=None):
     (0, None) makes the node of the empty set, which drops nothing, under
     `codec` (see `_chain_mod_p`).  A node is named by the set of variables
     dropped along its path, and each set is lifted as its node's elements
-    free of its variable: for a nonempty set the reduced graded basis of
-    the ideal's intersection with the subring free of that set.
+    free of its variable: for a nonempty set the reduced basis of the
+    ideal's intersection with the subring free of that set, under graded
+    reverse-lex on the kept variables in reverse ring order.
 
     The chain plans its tree of stages at its first prime (see `_plan`),
     and races the root stages of the variables that `_plan` asks about
@@ -1797,8 +1834,7 @@ def _modular_chain(certificate, codec, drops=None):
                 codecs.append(codec)
                 masks.append(0)
             else:
-                rest = [j for j in range(n) if j != var]
-                codecs.append(_Codec(((var,), rest)))
+                codecs.append(_stage_codec(n, var))
                 masks.append(_SLOT_MASK << (_SLOT_BITS * (n - 1 - var)))
             paths.append(paths[parent] + (nodes[step],))
             dropped.append(step)
@@ -1928,7 +1964,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     positive leading coefficient) and sorted by ascending leading monomial.
     """
     ring = ideal.ring
-    codec = _Codec((i,) for i in range(ring.nvars))
+    codec = _codec((i,) for i in range(ring.nvars))
     final = tuple(
         _from_engine(t, codec, ring) for t in _basis_elems(ideal, codec)
     )
@@ -1944,13 +1980,14 @@ def graded_basis(ideal: Ideal) -> list:
     any others, whenever the ideal's certificate is.
     """
     ring = ideal.ring
-    codec = _Codec((range(ring.nvars),))
+    codec = _codec((range(ring.nvars),))
     return [_from_engine(t, codec, ring) for t in _basis_elems(ideal, codec)]
 
 
 def _eliminations(ideal: Ideal, drops):
-    """Reduced graded bases of the ideal's intersections with the subrings
-    free of each set of variables in `drops`, from one modular chain.
+    """Reduced bases of the ideal's intersections with the subrings free of
+    each set of variables in `drops`, from one modular chain, each under
+    graded reverse-lex on its kept variables in reverse ring order.
 
     The variables of a set are dropped one stage at a time, and sets share
     the stages of the variables they have in common: the chain plans its
@@ -1964,12 +2001,12 @@ def _eliminations(ideal: Ideal, drops):
     `_modular_chain`).  No graded basis of that seed is computed: each root
     stage reduces the seed itself under its own block order, in full at
     the first prime and by replay at the others.  Only the empty set,
-    which drops nothing, takes a graded basis.  Returns {drop: list of
-    polynomials} ([1] for every set when 1 is in the ideal); the ideal's
-    certificate proved them.
+    which drops nothing, takes a graded basis, under `graded_basis`'s
+    order.  Returns {drop: list of polynomials} ([1] for every set when
+    1 is in the ideal); the ideal's certificate proved them.
     """
     ring = ideal.ring
-    codec = _Codec((range(ring.nvars),))
+    codec = _codec((range(ring.nvars),))
     lifted = _modular_chain(_certificate(ideal), codec, drops)
     # every codec of the ring keeps the plain packing in a key's low slots
     return {
@@ -1979,8 +2016,8 @@ def _eliminations(ideal: Ideal, drops):
 
 
 def eliminate(ideal: Ideal, keep) -> list:
-    """Reduced graded basis of the intersection with the subring on the
-    kept variables.
+    """Reduced basis of the intersection with the subring on the kept
+    variables, under graded reverse-lex on them in reverse ring order.
 
     One modular chain computes it (see `_modular_chain`): for each prime,
     one stage per eliminated variable, the first on the certificate's
@@ -1990,6 +2027,10 @@ def eliminate(ideal: Ideal, keep) -> list:
     is certified to lie in the ideal by an exact membership test (a
     warning of category UncertifiedResult says when the test is too large
     to run).  Returns [1] when 1 is in the ideal.
+
+    Each element is made primitive with a positive leading coefficient
+    under that order, so with z after x in the ring the intersection
+    <x - z> comes back as [-x + z].
     """
     ring = ideal.ring
     n = ring.nvars
@@ -2033,7 +2074,8 @@ def with_rabinowitsch(ideal: Ideal, h: Polynomial) -> Ideal:
 
     The zero set of the result is the part of V(ideal) outside V(h); the
     fresh variable sits first, and a chain stage eliminates it like any
-    other variable (see `_eliminations`).
+    other variable (see `_eliminations`); a stage that keeps it orders it
+    last (`_stage_codec`).
     """
     if h.ring != ideal.ring:
         raise ValueError("h lives outside the ideal's ring")

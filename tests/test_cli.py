@@ -443,7 +443,7 @@ class TestReportWork:
         # At bound 5 every chain lifts and proves its outputs at its first
         # prime, so nothing is replayed; at 9999 two chains take two and
         # three primes (see the test below), and the stages still needed
-        # replay their whole traces, 42 zeros in all, at the later primes
+        # replay their whole traces, 35 zeros in all, at the later primes
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
@@ -491,7 +491,7 @@ class TestReportWork:
             "stopped": 1,
             "replays with zeros": 6,
             "replays without zeros": 1,
-            "zeros replayed": 42,
+            "zeros replayed": 35,
         })
 
     def test_primes_of_each_chain_of_one_report(self, monkeypatch, capsys):

@@ -216,7 +216,7 @@ class TestCodec:
             groebner._Codec((range(n),)),
             groebner._Codec((i,) for i in range(n)),
         ] + [
-            groebner._Codec(((var,), [j for j in range(n) if j != var]))
+            groebner._stage_codec(n, var)
             for var in range(n)
             if n > 1
         ]
@@ -397,11 +397,12 @@ class TestElimination:
     def test_drop_a_variable_no_generator_involves(self):
         # the root stage that drops w gets the certificate's basis, which
         # does not involve w but is not reduced: it must run all the same
-        # and return the reduced graded basis of <x^2 + y, x*y + 1>
+        # and return the reduced graded basis of <x^2 + y, x*y + 1> on the
+        # kept variables in reverse ring order (y before x), ascending
         ring = PolynomialRing(("x", "y", "w"))
         x, y, _ = ring.gens()
         out = eliminate(Ideal(ring, [x**2 + y, x * y + 1]), {0, 1})
-        assert out == [-x + y**2, x * y + 1, x**2 + y]
+        assert out == [x**2 + y, x * y + 1, -x + y**2]
 
     def test_roots_contained_in_resultant_roots(self):
         """Elimination-based projection against the Sylvester oracle."""
@@ -841,7 +842,8 @@ class TestChain:
         lifted = groebner._eliminations(ideal, [drop_u, drop_y])
         assert lifted[drop_u] == [Y3**2 - X3]
         assert lifted[drop_y] == [(U3 - 1) ** 2 - big**2 * X3]
-        stage_u, stage_y = ((2,), (0, 1)), ((1,), (0, 2))
+        # each stage orders the rest in reverse ring order
+        stage_u, stage_y = ((2,), (1, 0)), ((1,), (2, 0))
         assert runs == {stage_u: 1, stage_y: 22}
 
     @pytest.mark.parametrize("graph", [False, True])
@@ -923,6 +925,102 @@ def _homogenized(ideal):
         })
         for g in ideal.generators
     ])
+
+
+@st.composite
+def _stage_order_cases(draw):
+    """An ideal of `_chain_ideals` and its drop sets; on three variables at
+    times localized at one more random polynomial h (`with_rabinowitsch`
+    prepends t), whose drop sets then drop t too, or at times keep it.
+    (Localized in five variables, the reference's pair loop can take
+    minutes.)"""
+    ring, gens, drops = draw(_chain_ideals)
+    ideal = Ideal(ring, [ring.polynomial(g) for g in gens])
+    if ring.nvars == 3 and draw(st.booleans()):
+        h = draw(st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=1)] * ring.nvars),
+            st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction),
+            min_size=1,
+            max_size=2,
+        ))
+        ideal = with_rabinowitsch(ideal, ring.polynomial(h))
+        t = frozenset({0}) if draw(st.booleans()) else frozenset()
+        drops = [t | {j + 1 for j in d} for d in drops]
+    return ideal, drops
+
+
+def _elimination_mod_q(ideal, drop, kept):
+    """The codec of the blocks (drop, kept) and the reduced basis modulo
+    _REFERENCE_PRIME of the ideal's intersection with the subring on
+    `kept`, graded reverse-lex on `kept` in the order listed, by the
+    Gebauer-Moller reference of tests/oracles.py."""
+    codec, basis = _reference_basis(ideal, [sorted(drop), kept])
+    mask = sum(
+        groebner._SLOT_MASK << groebner._SLOT_BITS * (codec.nvars - 1 - j)
+        for j in drop
+    )
+    return codec, [t for t in basis if not groebner._involves(t, mask)]
+
+
+def _generated_mod_q(elems, basis, codec):
+    """Whether each packed dict lies modulo _REFERENCE_PRIME in the ideal
+    of `basis`, a Groebner basis modulo that prime under `codec`."""
+    return not any(
+        oracles.mod_p_normal_form(
+            {m: c % _REFERENCE_PRIME for m, c in t.items()},
+            basis, _REFERENCE_PRIME, codec.guard,
+        )
+        for t in elems
+    )
+
+
+class TestStageOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_stage_order_cases())
+    @example(
+        # <x^2 + y, x*y + 1> meets Q[x, y] in three generators
+        case=(Ideal(R3, [X3**2 + Y3, X3 * Y3 + 1]), [frozenset({2})]),
+    )
+    @example(
+        # the curve x*y = u, x^2 = 1 off x + u = 0, in (t, x, y, u): its
+        # intersection with (x, y, u) has four generators, with (y, u) one
+        # and with (t, x, y), which keeps t, two
+        case=(
+            with_rabinowitsch(
+                Ideal(R3, [X3 * Y3 - U3, X3**2 - 1]), X3 + U3
+            ),
+            [frozenset({0}), frozenset({0, 1}), frozenset({3})],
+        ),
+    )
+    def test_stage_order_keeps_every_elimination_ideal(self, case):
+        # every stage orders the kept variables in reverse ring order: each
+        # output is the reduced graded basis under that order, and it
+        # generates the intersection that the reference computes with the
+        # kept variables in ring order, each basis lying in the other's
+        # ideal.  The references run modulo a prime that no chain uses, so
+        # their coefficients do not swell
+        ideal, drops = case
+        ring = ideal.ring
+        q = _REFERENCE_PRIME
+        lifted = groebner._eliminations(ideal, drops)
+        for drop in drops:
+            kept = [j for j in range(ring.nvars) if j not in drop]
+            reverse, expected = _elimination_mod_q(ideal, drop, kept[::-1])
+            got = [groebner._to_engine(e, reverse) for e in lifted[drop]]
+            assert oracles.candidate_mod_p(got, q) == expected
+            forward, reference = _elimination_mod_q(ideal, drop, kept)
+            moved = [
+                {forward.key_from_plain(reverse.plain(m)): c
+                 for m, c in t.items()}
+                for t in expected
+            ]
+            assert _generated_mod_q(moved, reference, forward)
+            back = [
+                {reverse.key_from_plain(forward.plain(m)): c
+                 for m, c in t.items()}
+                for t in reference
+            ]
+            assert _generated_mod_q(back, expected, reverse)
 
 
 class TestPlannedTree:
@@ -1113,12 +1211,12 @@ class TestPlannedTree:
         graph = _fixed_graph_ideal()
         x, y, u = 0, 1, 2
         n = graph.ideal.ring.nvars
-        root_x = ((x,), tuple(j for j in range(n) if j != x))
+        root_x = groebner._stage_codec(n, x).blocks
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
         reduce = groebner._ModularArith.reduce
         chain = groebner._chain_mod_p
-        started = []  # (prime, codec, input, trace) of each run of x's root
+        started = []  # (prime, engine, input, trace) of each run of x's root
         replayed = []
         reductions = Counter()
         kept = []
@@ -1140,7 +1238,7 @@ class TestPlannedTree:
 
         def watched_core(gens, engine, trace):
             if is_root_x(gens, engine):
-                started.append((engine.p, engine.codec, list(gens), trace))
+                started.append((engine.p, engine, list(gens), trace))
             return core(gens, engine, trace)
 
         def watched_replay(gens, engine, trace):
@@ -1149,8 +1247,9 @@ class TestPlannedTree:
             return replay(gens, engine, trace)
 
         def counting_reduce(self, target, reducers, steps, signature=None):
+            # per engine: every stage that drops x shares x's codec
             if signature is not None:
-                reductions[self.codec] += 1
+                reductions[self] += 1
             return reduce(self, target, reducers, steps, signature)
 
         def tracked(p, codecs, stages, masks, needed, traces, bases):
@@ -1170,13 +1269,12 @@ class TestPlannedTree:
         ]
         groebner._eliminations(graph.ideal, drops)
         assert len(started) == 1 and replayed == []
-        p, codec, gens, trace = started[0]
+        p, engine, gens, trace = started[0]
         assert p == groebner._agenda_prime(0)
         assert all(t is not trace for t in kept)
-        stopped = reductions[codec]
-        complete = groebner._ModularArith(p, groebner._Codec(root_x))
+        complete = groebner._ModularArith(p, engine.codec)
         _full_run(gens, complete, groebner._Trace())
-        assert 0 < stopped < reductions[complete.codec]
+        assert 0 < reductions[engine] < reductions[complete]
 
     def test_finished_chain_frees_its_traces(self):
         # nothing outside a chain refers to its traces, so they go as it
@@ -1226,9 +1324,9 @@ _SIGNATURE_PRIMES = [3, 5, 7, 32003] + [
 
 @st.composite
 def _signature_ideals(draw):
-    """A codec with one block, singleton blocks (lex) or a leading
-    one-variable block on 3 or 4 variables, and up to four generators of
-    total degree at most 2 or 3, packed under it.  A coefficient c or
+    """A codec with one block, singleton blocks (lex) or a stage's blocks
+    (`groebner._stage_codec`) on 3 or 4 variables, and up to four
+    generators of total degree at most 2 or 3, packed under it.  A coefficient c or
     c + 32003 cancels modulo 32003 where c does, and need not elsewhere."""
     n = draw(st.integers(min_value=3, max_value=4))
     degree = draw(st.integers(min_value=2, max_value=3))
@@ -1239,7 +1337,7 @@ def _signature_ideals(draw):
         blocks = tuple((i,) for i in range(n))
     else:
         var = draw(st.integers(min_value=0, max_value=n - 1))
-        blocks = ((var,), tuple(j for j in range(n) if j != var))
+        blocks = groebner._stage_codec(n, var).blocks
     monomials = st.lists(
         st.integers(min_value=0, max_value=n - 1), max_size=degree
     ).map(lambda vs: tuple(vs.count(i) for i in range(n)))
@@ -1771,7 +1869,7 @@ class TestTraceReplay:
         seed = certificate.codec
         stages = [(0, 2), (1, 1), (1, 0)]
         codecs = [seed] + [
-            groebner._Codec(((var,), [j for j in range(n) if j != var]))
+            groebner._stage_codec(n, var)
             for _, var in stages
         ]
         masks = [0] + [
@@ -1955,6 +2053,12 @@ class TestTraceReplay:
         jpairs = groebner._jpairs
         reduce = groebner._ModularArith.reduce
         replay = groebner._ModularArith.replay
+        core = groebner._core_buchberger
+        replay_run = groebner._replay_buchberger
+        # a stage keeps one trace from its first prime to its last, and
+        # each of its runs has its own engine; stages that drop the same
+        # variable share a codec, so the work is keyed by the trace
+        stage = {}  # engine -> the trace of the stage it runs
 
         def tracked_plan(drops, race):
             # each chain plans its tree at its first prime, just before
@@ -1983,24 +2087,31 @@ class TestTraceReplay:
                 current[0]["updates"] += 1
             return jpairs(*args)
 
-        def count(kind, codec, out):
+        def tracked_core(gens, engine, trace):
+            stage[engine] = trace
+            return core(gens, engine, trace)
+
+        def tracked_replay_run(gens, engine, trace):
+            stage[engine] = trace
+            return replay_run(gens, engine, trace)
+
+        def count(kind, engine, out):
             if current[0] is not None:
                 w = current[0]
-                w[kind, codec] += 1
+                w[kind, stage[engine]] += 1
                 if not out:
                     w["zeros"] += 1
-                    w["zeros", codec] += 1
+                    w["zeros", stage[engine]] += 1
             return out
 
         def counting_reduce(self, target, reducers, *rest):
             return count(
-                "reduced", self.codec, reduce(self, target, reducers, *rest)
+                "reduced", self, reduce(self, target, reducers, *rest)
             )
 
         def counting_replay(self, target, schedule, tails, lt):
             return count(
-                "replayed", self.codec,
-                replay(self, target, schedule, tails, lt),
+                "replayed", self, replay(self, target, schedule, tails, lt)
             )
 
         monkeypatch.setattr(groebner, "_plan", tracked_plan)
@@ -2008,6 +2119,8 @@ class TestTraceReplay:
         monkeypatch.setattr(groebner, "_jpairs", counting_jpairs)
         monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
         monkeypatch.setattr(groebner._ModularArith, "replay", counting_replay)
+        monkeypatch.setattr(groebner, "_core_buchberger", tracked_core)
+        monkeypatch.setattr(groebner, "_replay_buchberger", tracked_replay_run)
         hold_reconstruction(5)
         drops = [
             frozenset(j for j in range(3) if j != i) for i in range(3)
@@ -2021,10 +2134,10 @@ class TestTraceReplay:
             for w in later:
                 replayed = [key[1] for key in w if key[0] == "replayed"]
                 assert replayed and not w["updates"]
-                for codec in replayed:
-                    assert w["reduced", codec] == 0
-                    assert w["replayed", codec] == first["reduced", codec]
-                    assert w["zeros", codec] == first["zeros", codec]
+                for trace in replayed:
+                    assert w["reduced", trace] == 0
+                    assert w["replayed", trace] == first["reduced", trace]
+                    assert w["zeros", trace] == first["zeros", trace]
         # the curve's basis reduces nothing to zero; the graph chain's
         # replays retry every zero of its first prime
         _, graph_work = chains[1]
@@ -2405,7 +2518,8 @@ class TestGraphCertificate:
         p0*p1, coincide, so the raw generators with x + 2y - z would make
         the (x, z) elimination empty there.  The seed is the curve's basis
         {y, x + u} plus the value generator, which keeps the relation
-        x - z modulo p0, and the chain proves it at p0 alone."""
+        modulo p0, and the chain proves it at p0 alone.  The stage orders
+        z before x, so the relation comes out as -x + z."""
         p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
         ring = PolynomialRing(("x", "y", "u", "z"))
         x, y, u, z = ring.gens()
@@ -2424,7 +2538,7 @@ class TestGraphCertificate:
 
         monkeypatch.setattr(groebner, "_chain_mod_p", recording)
         drop = frozenset({1, 2})
-        assert groebner._eliminations(graph, [drop]) == {drop: [x - z]}
+        assert groebner._eliminations(graph, [drop]) == {drop: [-x + z]}
         assert primes == {p0}
 
 
@@ -2648,7 +2762,7 @@ class TestPrimes:
         seed = certificate.codec
         stages = [(0, 0), (1, 1), (0, 2)]
         codecs = [seed] + [
-            groebner._Codec(((var,), [j for j in range(n) if j != var]))
+            groebner._stage_codec(n, var)
             for _, var in stages
         ]
         masks = [0] + [
@@ -2972,7 +3086,9 @@ class TestEarlyAcceptance:
         assert oracles.candidate_mod_p(lifted[frozenset()], q) == expected
         lifted = groebner._eliminations(ideal, drops)
         for drop in drops:
-            blocks = [sorted(drop), [j for j in range(n) if j not in drop]]
+            # the kept variables in the order every stage gives them
+            kept = groebner._stage_codec(n, min(drop)).blocks[1]
+            blocks = [sorted(drop), [j for j in kept if j not in drop]]
             ref_codec, basis = _reference_basis(ideal, blocks)
             mask = sum(
                 groebner._SLOT_MASK << groebner._SLOT_BITS * (n - 1 - j)

@@ -404,8 +404,12 @@ def exact_relations(curve, f):
     stage and with no modular step: the graded basis of the graph ideal,
     then one elimination stage per dropped variable in ascending order,
     then the lex basis of the (x_i, z) intersection, whose element of
-    least x_i degree is the relation.  Returns {i: relation in the pair ring} for
-    every variable of the curve, None where the intersection is zero.
+    least x_i degree is the relation.  Its stages keep the other
+    variables in ring order, not in the engine's reverse ring order
+    (`groebner._stage_codec`), so it shares no order with the engine;
+    the lex basis makes the relations comparable.  Returns {i: relation
+    in the pair ring} for every variable of the curve, None where the
+    intersection is zero.
     """
     graph = graph_ideal(curve, f)
     ring = graph.ring
