@@ -44,9 +44,10 @@ monomial divides; the basis check prunes its S-pairs by the Gebauer-Moller
 criteria (`_update_pairs`).
 
 Rational results come from one multi-modular driver, `_modular_chain`.
-For each of a fixed descending sequence of 120-bit primes it runs a whole
-chain of bases modulo p: from a seed modulo p (the generators, or the
-certificate's basis below), which never runs itself, a tree of stages,
+For each of a fixed sequence of primes, one of 120 bits and then primes
+of 240 bits, it runs a whole chain of bases modulo p: from a seed modulo
+p (the generators, or the certificate's basis below), which never runs
+itself, a tree of stages,
 each fed the elements of its parent that are free of the parent's
 eliminated variable.  A stage eliminates one variable, or, for a whole
 basis, none.  The chain plans its tree at its first prime: at each node
@@ -95,17 +96,24 @@ check.  Each output is proved once, by one of two proofs:
 A principal ideal needs no chain: its reduced basis is its generator
 made primitive.
 
-The agenda's primes are N = k*2^60 + 1 with k odd and below 2^60,
-descending from 2^120, each proved prime by Proth's theorem with one
-modular power (`_is_proth_prime`).  CPython stores a 62-bit integer in
-three 30-bit digits and any integer below 2^120 in four, and a chain's
-arithmetic costs about the same per prime at either size, while each
-prime lifts almost twice the bits: the chains of the seed-0 report on
-x + x^2*y in (x, y, u) at the default coefficient bound took 2, 2, 4 and
-4 primes when every output waited for a vote, against 2, 2, 6 and 7 with
-62-bit primes (1, 1, 3 and 3 now).  Above 120 bits the
-cost per prime grows faster than the primes saved (README, "Engine
-notes").
+A chain draws its primes from two agendas of Proth primes N = k*2^m + 1
+with k odd and below 2^m, each descending from 2^(2m) and each prime
+proved by Proth's theorem with one modular power (`_is_proth_prime`):
+its first prime from the narrow agenda (m = 60, below 2^120), every
+later one from the wide agenda (m = 120, below 2^240).  CPython stores a
+62-bit integer in three 30-bit digits and any integer below 2^120 in
+four, and a full signature run costs about the same per prime at either
+size, while each prime lifts almost twice the bits: the chains of the
+seed-0 report on x + x^2*y in (x, y, u) at the default coefficient bound
+took 2, 2, 4 and 4 primes when every output waited for a vote, against
+2, 2, 6 and 7 with 62-bit primes.  Above 120 bits a full run's cost per
+prime grows faster than the primes saved, so the first prime, whose full
+runs and root races record every trace, stays at 120 bits.  A later
+prime only replays traces, whose cost is mostly per term, not per bit:
+the dense cubic's chain replayed modulo 240 bits in 0.62 of the time of
+two replays modulo 120, so the wide agenda lifts the same bits with less
+work.  The chains of that report take 1, 2, 2 and 1 primes (1, 2, 3 and
+1 with 120-bit later primes; README, "Engine notes").
 
 Each Ideal builds its certificate once and keeps it, so its dimension
 (read off the leading monomials of G), its eliminations and their
@@ -1154,30 +1162,33 @@ def _is_proth_prime(k: int, m: int) -> bool:
     reciprocity a is a non-residue modulo N exactly when N is one modulo
     a, which Euler's criterion modulo a decides.  The first witness
     modulo which N is a non-residue therefore decides N with one modular
-    power, and a witness that divides N decides it by division; N = 3,
-    the only N with m = 1, is a witness itself.  An N that is a residue
-    modulo every witness, such as the square 49 = 3*2^4 + 1, is rejected:
-    a prime is then skipped, never a composite accepted.
+    power.  Every witness is first tried as a divisor, which rejects most
+    composites without a power; N = 3, the only N with m = 1, is a
+    witness itself.  An N that is a residue modulo every witness, such as
+    the square 49 = 3*2^4 + 1, is rejected: a prime is then skipped, never
+    a composite accepted.
     """
     n = (k << m) + 1
-    for a in _PROTH_WITNESSES:
-        r = n % a
-        if r == 0:
-            return n == a
+    residues = [n % a for a in _PROTH_WITNESSES]
+    if 0 in residues:
+        return n in _PROTH_WITNESSES
+    for a, r in zip(_PROTH_WITNESSES, residues):
         if pow(r, a >> 1, a) == a - 1:
             return pow(a, n >> 1, n) == n - 1
     return False
 
 
-# The agenda's primes are k*2^60 + 1 with odd k < 2^60: below 2^120, four
-# 30-bit digits each (see the module docstring)
-_PROTH_EXPONENT = 60
-_PRIME_AGENDA = []
+# The agendas' primes are k*2^m + 1 with odd k < 2^m, descending from
+# 2^(2m): the narrow agenda's (m = 60) are four 30-bit digits each, the wide
+# agenda's (m = 120) eight (see the module docstring)
+_PROTH_EXPONENTS = (60, 120)
+_PRIME_AGENDAS = ([], [])
 # Safety valve only: a reconstruction is accepted solely after an exact
 # check, or above the cap after agreement with a fresh prime, so a generous
 # cap costs nothing on easy inputs while still terminating if an invariant
-# breaks.  512 primes give a CRT modulus of ~61,000 bits.
-_MAX_MODULAR_PRIMES = 512
+# breaks.  One 120-bit prime and 255 of 240 bits give a CRT modulus of
+# ~61,000 bits.
+_MAX_MODULAR_PRIMES = 256
 _EXACT_CHECK_BIT_CAP = 120_000
 # A reconstruction is proved before any vote only when each coefficient n/d
 # has |n|*d < floor(M / 2^_EARLY_MARGIN_BITS), M the modulus
@@ -1188,18 +1199,20 @@ _EXACT_CHECK_BIT_CAP = 120_000
 _EARLY_MARGIN_BITS = 20
 
 
-def _agenda_prime(index: int) -> int:
-    """The index-th Proth prime k*2^60 + 1 below 2^120, descending;
-    cached and deterministic."""
-    while len(_PRIME_AGENDA) <= index:
-        k = (
-            (_PRIME_AGENDA[-1] >> _PROTH_EXPONENT) - 2 if _PRIME_AGENDA
-            else (1 << _PROTH_EXPONENT) - 1
-        )
-        while not _is_proth_prime(k, _PROTH_EXPONENT):
+def _agenda_prime(index: int, wide: bool = False) -> int:
+    """The index-th Proth prime k*2^m + 1 below 2^(2m), descending, with
+    m = 120 on the wide agenda and 60 on the narrow one; cached and
+    deterministic.  A chain takes its first prime, which runs its stages
+    in full, from the narrow agenda, and every later prime, which replays
+    them, from the wide one (see the module docstring)."""
+    m = _PROTH_EXPONENTS[wide]
+    agenda = _PRIME_AGENDAS[wide]
+    while len(agenda) <= index:
+        k = (agenda[-1] >> m) - 2 if agenda else (1 << m) - 1
+        while not _is_proth_prime(k, m):
             k -= 2
-        _PRIME_AGENDA.append((k << _PROTH_EXPONENT) + 1)
-    return _PRIME_AGENDA[index]
+        agenda.append((k << m) + 1)
+    return agenda[index]
 
 
 def _rational_reconstruct(residue: int, modulus: int):
@@ -1471,9 +1484,13 @@ class _Certificate:
         # keeps every coefficient and the leading term.  A graph ideal's
         # value generator takes no check, so its bits do not count
         self.bits = _exact_size(basis)
-        if self.value is not None:
-            basis.append(_to_engine(self.value, self.codec))
         self._reducers = _IntegerArith.reducers(basis)
+        if self.value is not None:
+            # the value generator, often the cheapest, reduces last: a term
+            # that both it and G_B divide takes G_B's step, which on the
+            # benchmark's panels takes fewer term steps in all
+            basis.append(_to_engine(self.value, self.codec))
+            self._reducers.append(_IntegerArith.reducer_entry(basis[-1]))
 
     def basis(self):
         """G with h = 1, plus g for a graph ideal: a Groebner basis of I
@@ -1718,6 +1735,12 @@ def _modular_chain(certificate, codec, drops=None):
     output is a unique reduced basis, so the order of the stages is
     unobservable.
 
+    The first prime is the narrow agenda's first that divides no
+    coefficient of the seed, and every later prime the wide agenda's next
+    such (`_agenda_prime`): a 120-bit prime for the full runs, and 240-bit
+    primes for the replays, which cost little more per prime at twice the
+    width.  Nothing below depends on a prime's width.
+
     Each prime runs the nodes that some output still lifting needs, and
     each returns the reduced basis of its ideal modulo that prime (see
     `_chain_mod_p`).  The primes of an output are grouped by the
@@ -1845,12 +1868,13 @@ def _modular_chain(certificate, codec, drops=None):
         return {d: [] for d in pending}
     states = {d: {} for d in pending}
     lifted = {}
-    index = 0
+    index = [0, 0]  # the next prime of the narrow and of the wide agenda
     used = 0
     traces = {}  # node -> its one trace
     while pending and used < _MAX_MODULAR_PRIMES:
-        p = _agenda_prime(index)
-        index += 1
+        wide = used > 0
+        p = _agenda_prime(index[wide], wide)
+        index[wide] += 1
         if any(c % p == 0 for t in seed for c in t.values()):
             continue
         used += 1

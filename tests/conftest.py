@@ -50,12 +50,17 @@ def watch_node_runs(monkeypatch):
 @pytest.fixture
 def hold_reconstruction(monkeypatch):
     """Install hold(k): every lift reconstructs nothing until its modulus
-    exceeds the product of the first k agenda primes, as taller
-    coefficients would hold it, so a chain runs at least k + 1 primes."""
+    exceeds the product of the first k primes of a chain, the narrow
+    agenda's first and then the wide agenda's, as taller coefficients
+    would hold it, so a chain runs at least k + 1 primes."""
     from polarvalues import groebner
 
     def install(k):
-        held = math.prod(groebner._agenda_prime(i) for i in range(k))
+        held = math.prod(
+            groebner._agenda_prime(i - 1, wide=True) if i
+            else groebner._agenda_prime(0)
+            for i in range(k)
+        )
         reconstruct = groebner._CrtState.reconstruct
 
         def held_reconstruct(self):

@@ -300,11 +300,13 @@ class TestMainExitCodes:
 
     def test_critical_value_hidden_from_two_agenda_primes(self, capsys):
         # the gradient x + y + 1, x + N*y + 2 with N = 1 + p0*p1 is the unit
-        # ideal modulo the first two agenda primes, yet it has the one
-        # critical point y = -1/(p0*p1), of value -N/(2*(N - 1))
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        # ideal modulo the first two primes of a chain, the narrow agenda's
+        # first and the wide agenda's first, yet it has the one critical
+        # point y = -1/(p0*p1), of value -N/(2*(N - 1))
+        p0 = groebner._agenda_prime(0)
+        p1 = groebner._agenda_prime(0, wide=True)
         assert (p0, p1) == (
-            (2**60 - 85) * 2**60 + 1, (2**60 - 103) * 2**60 + 1
+            (2**60 - 85) * 2**60 + 1, (2**120 - 55) * 2**120 + 1
         )
         big = 1 + p0 * p1
         text = "1/2*x^2 + x*y + x + %d/2*y^2 + 2*y" % big
@@ -441,9 +443,11 @@ class TestReportWork:
         # planes races its contested root stages at its first prime, and
         # stops the dearest one, the stage that drops x, before its end.
         # At bound 5 every chain lifts and proves its outputs at its first
-        # prime, so nothing is replayed; at 9999 two chains take two and
-        # three primes (see the test below), and the stages still needed
-        # replay their whole traces, 35 zeros in all, at the later primes
+        # prime, so nothing is replayed; at 9999 two chains take two primes
+        # each (see the test below), and the stages still needed replay
+        # their whole traces, each trace once, 21 zeros in all, at the
+        # second prime (three primes and 35 zeros with 120-bit later
+        # primes)
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
@@ -489,9 +493,9 @@ class TestReportWork:
         assert work == Counter({
             "full": 8,
             "stopped": 1,
-            "replays with zeros": 6,
+            "replays with zeros": 4,
             "replays without zeros": 1,
-            "zeros replayed": 35,
+            "zeros replayed": 21,
         })
 
     def test_primes_of_each_chain_of_one_report(self, monkeypatch, capsys):
@@ -503,7 +507,9 @@ class TestReportWork:
         # 3 and 1).  The first two chains lift the certificates of the
         # gradient's and the curve's graphs: each is now its base's graded
         # basis, in one variable fewer, and the curve's takes two primes
-        # where the homogenized graph's took three
+        # where the homogenized graph's took three.  Every prime after a
+        # chain's first is a 240-bit one, which lifts twice the bits of a
+        # 120-bit one, so the third chain's three primes became two
         chains = []
         stack = []
         modular_chain = groebner._modular_chain
@@ -527,4 +533,4 @@ class TestReportWork:
                 "--runs", "1", "--seed", "0", "--json"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert [len(primes) for primes in chains] == [1, 2, 3, 1]
+        assert [len(primes) for primes in chains] == [1, 2, 2, 1]

@@ -54,6 +54,14 @@ def _full_run(gens, engine, trace):
     return groebner._finish(groebner._core_buchberger(gens, engine, trace))
 
 
+def _chain_primes(k):
+    """The first k primes of a chain that skips none: the narrow agenda's
+    first, then the wide agenda's."""
+    return [groebner._agenda_prime(0)] + [
+        groebner._agenda_prime(i, wide=True) for i in range(k - 1)
+    ]
+
+
 @st.composite
 def _blocks(draw, n):
     """Singletons, one block or two blocks over a random sequence of n
@@ -823,8 +831,10 @@ class TestIntegerReduce:
 class TestChain:
     def test_stages_stop_with_their_outputs(self, watch_node_runs):
         # x - y^2 is proved at its first prime; the (x, u) relation
-        # (u - 1)^2 - B^2*x needs twice as many primes as B^2 has 120-bit
-        # words (22 in all, the last of which proves it), and only its own
+        # (u - 1)^2 - B^2*x, B^2 = 3^800 of 1,268 bits, reconstructs once
+        # the modulus M has 2*1,268 + 1 bits (B^2 <= sqrt(M/2)): 120 + 240*10
+        # bits fall short, so it takes the 120-bit prime and 11 wide ones
+        # (12 in all, the last of which proves it), and only its own
         # stage keeps running for it.  The ideal is a graph ideal, and its
         # seed, {x - y^2, u - B*y - 1} under the certificate's order, never
         # runs: no basis under the graded order is computed
@@ -844,7 +854,7 @@ class TestChain:
         assert lifted[drop_y] == [(U3 - 1) ** 2 - big**2 * X3]
         # each stage orders the rest in reverse ring order
         stage_u, stage_y = ((2,), (1, 0)), ((1,), (2, 0))
-        assert runs == {stage_u: 1, stage_y: 22}
+        assert runs == {stage_u: 1, stage_y: 12}
 
     @pytest.mark.parametrize("graph", [False, True])
     def test_eliminations_run_no_graded_basis(self, watch_node_runs, graph):
@@ -1317,9 +1327,7 @@ def _zeros(trace):
     return [entry for entry in trace.entries if entry[1] is None]
 
 
-_SIGNATURE_PRIMES = [3, 5, 7, 32003] + [
-    groebner._agenda_prime(i) for i in range(2)
-]
+_SIGNATURE_PRIMES = [3, 5, 7, 32003] + _chain_primes(2)
 
 
 @st.composite
@@ -1620,7 +1628,7 @@ class TestTraceReplay:
         # staircases of the three
         codec = groebner._Codec(blocks)
         gens_int = [groebner._to_engine(g, codec) for g in gens]
-        primes = [32003] + [groebner._agenda_prime(i) for i in range(3)]
+        primes = [32003] + _chain_primes(3)
 
         def image(p):
             return (
@@ -1648,7 +1656,7 @@ class TestTraceReplay:
             [((0, 1, 2),), ((0,), (1,), (2,)), ((0,), (1, 2))]
         ),
         primes=st.permutations(
-            [3, 32003] + [groebner._agenda_prime(i) for i in range(2)]
+            [3, 32003] + _chain_primes(2)
         ).map(lambda ps: ps[:2]),
         gens=st.lists(
             st.one_of(_small_polys, _shifted_polys), min_size=1, max_size=3
@@ -1685,7 +1693,7 @@ class TestTraceReplay:
         # p1 that reduction leaves p0*y: the checked replay, which retries
         # every recorded zero, refuses the trace, and the chain runs p1 in
         # full.  So does the vanished generator of <u^3, u^3 + 3> modulo 3
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        p0, p1 = _chain_primes(2)
         codec = groebner._Codec((range(3),))
         gens = [
             groebner._to_engine(g, codec)
@@ -1827,7 +1835,7 @@ class TestTraceReplay:
             return out
 
         monkeypatch.setattr(groebner._ModularArith, "replay", counting_replay)
-        primes = [groebner._agenda_prime(i) for i in range(2)]
+        primes = _chain_primes(2)
         for p in primes:
             basis = _whole_chain(p, gens, codec, traces)
             assert basis == oracles.reference_buchberger(
@@ -1911,12 +1919,11 @@ class TestTraceReplay:
         monkeypatch.setattr(groebner, "_pdivides", counting_pdivides)
         monkeypatch.setattr(groebner, "_jpairs", counting_jpairs)
         traces = {}
-        for index in range(3):
+        for index, p in enumerate(_chain_primes(3)):
             reduced.clear()
             replayed.clear()
             work.clear()
             recorded = dict(traces)
-            p = groebner._agenda_prime(index)
             bases = {
                 0: [{m: c % p for m, c in t.items()}
                     for t in certificate.basis()]
@@ -1999,11 +2006,11 @@ class TestTraceReplay:
         assert lifted[drop] == [X3 + U3]
 
     def test_failed_check_drops_the_trusted_trace(self):
-        # the first two agenda primes agree on the basis x + y + u, so the
+        # a chain's first two primes agree on the basis x + y + u, so the
         # replay at p1 completes; the exact check refutes the basis, and
         # the replay at p2 retries the zero, which fails there, so p2 runs
         # in full and records anew
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        p0, p1 = _chain_primes(2)
         ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0 * p1) * Y3 + U3])
         assert graded_basis(ideal) == [Y3, X3 + U3]
 
@@ -2013,7 +2020,7 @@ class TestTraceReplay:
         # elimination at both primes, and the empty set is trivially
         # certified.  The chain starts from the certificate's basis y,
         # x + u instead, which keeps the relation modulo every prime
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        p0, p1 = _chain_primes(2)
         ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0 * p1) * Y3 + U3])
         assert eliminate(ideal, {0, 2}) == [X3 + U3]
 
@@ -2021,7 +2028,7 @@ class TestTraceReplay:
         # the ideal above: p0, where its generators collapse, seeds the
         # staged chain with both elements of the certificate's basis, and
         # lifts and proves x + u, so the prime is not wasted
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        p0, p1 = _chain_primes(2)
         ideal = Ideal(R3, [X3 + Y3 + U3, X3 + (1 + p0 * p1) * Y3 + U3])
         seeds = {}
         chain = groebner._chain_mod_p
@@ -2146,12 +2153,13 @@ class TestTraceReplay:
 
 class TestCertificate:
     def test_unit_votes_of_two_agenda_primes_overruled(self):
-        # N = 1 + p0*p1 is 1 modulo the first two agenda primes, where the
+        # N = 1 + p0*p1 is 1 modulo the first two primes of a chain, the
+        # narrow agenda's first and the wide agenda's first, where the
         # ideal becomes <x + y + 1, x + y + 2>, the unit ideal; over the
         # rationals it is the point y = -1/(p0*p1), x = -1 - y
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        p0, p1 = _chain_primes(2)
         assert (p0, p1) == (
-            (2**60 - 85) * 2**60 + 1, (2**60 - 103) * 2**60 + 1
+            (2**60 - 85) * 2**60 + 1, (2**120 - 55) * 2**120 + 1
         )
         big = 1 + p0 * p1
         ideal = Ideal(R2, [X + Y + 1, X + big * Y + 2])
@@ -2167,10 +2175,11 @@ class TestCertificate:
         assert certificate.covers([{certificate.codec.one_key: 1}]) is False
 
     def test_dimension_of_a_line_hidden_by_two_agenda_primes(self):
-        # modulo the first two agenda primes the first factor is the unit
-        # ideal, so the product looks like the origin <x, y, w>; over the
-        # rationals the first factor cuts out a line parallel to the w-axis
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        # modulo the first two primes of a chain the first factor is the
+        # unit ideal, so the product looks like the origin <x, y, w>; over
+        # the rationals the first factor cuts out a line parallel to the
+        # w-axis
+        p0, p1 = _chain_primes(2)
         ring = PolynomialRing(("x", "y", "w"))
         x, y, w = (ring.variable(v) for v in ring.variables)
         big = 1 + p0 * p1
@@ -2187,7 +2196,7 @@ class TestCertificate:
         # the origin, which proves only that the ideal lies in <w, y, x>.
         # Every element must also lie in the ideal, so vanish on the line
         # x = -1 - y, y = -1/(p0*p1), w free
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        p0, p1 = _chain_primes(2)
         ring = PolynomialRing(("x", "y", "w"))
         x, y, w = ring.gens()
         big = 1 + p0 * p1
@@ -2520,7 +2529,7 @@ class TestGraphCertificate:
         {y, x + u} plus the value generator, which keeps the relation
         modulo p0, and the chain proves it at p0 alone.  The stage orders
         z before x, so the relation comes out as -x + z."""
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        p0, p1 = _chain_primes(2)
         ring = PolynomialRing(("x", "y", "u", "z"))
         x, y, u, z = ring.gens()
         graph = Ideal(ring, [
@@ -2542,6 +2551,18 @@ class TestGraphCertificate:
         assert primes == {p0}
 
 
+def _drop_sets(n):
+    """One to three distinct drop sets, nonempty proper subsets of the n
+    variables."""
+    return st.lists(
+        st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1,
+                max_size=n - 1).map(frozenset),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    )
+
+
 @st.composite
 def _reference_cases(draw):
     """A random ideal of `_chain_ideals`, or a graph ideal of
@@ -2553,14 +2574,7 @@ def _reference_cases(draw):
         ideal = Ideal(ring, [ring.polynomial(t) for t in gens])
     else:
         ideal, _ = draw(_graph_shapes())
-        n = ideal.ring.nvars
-        drops = draw(st.lists(
-            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1,
-                    max_size=n - 1).map(frozenset),
-            min_size=1,
-            max_size=3,
-            unique=True,
-        ))
+        drops = draw(_drop_sets(ideal.ring.nvars))
     if draw(st.booleans()):
         ideal = _homogenized(ideal)
     if draw(st.booleans()):
@@ -2590,7 +2604,7 @@ class TestChainReference:
         graded = groebner._Codec((range(n),))
         checked = Counter()
         chain = groebner._chain_mod_p
-        modulus = math.prod(groebner._agenda_prime(i) for i in range(held))
+        modulus = math.prod(_chain_primes(held))
         reconstruct = groebner._CrtState.reconstruct
 
         def checking(p, codecs, stages, masks, needed, traces, bases):
@@ -2623,6 +2637,86 @@ class TestChainReference:
                 lifted = groebner._modular_chain(certificate, graded, drops)
         assert set(whole) == {frozenset()} and set(lifted) == set(drops)
         assert len(checked) > held
+
+
+@st.composite
+def _width_cases(draw):
+    """A random ideal of `_chain_ideals` with its drop sets, or a random
+    graph ideal of `_graph_shapes` with random drop sets, either localized
+    at times at one more random polynomial h (`with_rabinowitsch` prepends
+    t, which the drop sets then drop too, or at times keep), and for how
+    many primes of a chain every lift is held back."""
+    if draw(st.booleans()):
+        ring, gens, drops = draw(_chain_ideals)
+        ideal = Ideal(ring, [ring.polynomial(t) for t in gens])
+    else:
+        ideal, _ = draw(_graph_shapes())
+        drops = draw(_drop_sets(ideal.ring.nvars))
+    if draw(st.booleans()):
+        n = ideal.ring.nvars
+        h = draw(st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=1)] * n),
+            st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction),
+            min_size=1,
+            max_size=2,
+        ))
+        ideal = with_rabinowitsch(ideal, ideal.ring.polynomial(h))
+        t = frozenset({0}) if draw(st.booleans()) else frozenset()
+        drops = [t | {j + 1 for j in d} for d in drops]
+    return ideal, drops, draw(st.integers(min_value=1, max_value=2))
+
+
+class TestPrimeWidth:
+    @settings(max_examples=20, deadline=None)
+    @given(case=_width_cases())
+    def test_prime_width_changes_no_output(self, case):
+        # a chain takes every prime after its first from the wide agenda;
+        # an agenda of 120-bit primes alone must lift the same
+        # eliminations and the same whole basis, each the unique reduced
+        # basis of its ideal.  Every lift is held until its modulus passes
+        # the first `held` primes of a chain, so each chain reaches its
+        # later primes, more of them under the narrow agenda
+        ideal, drops, held = case
+        graded = groebner._Codec((range(ideal.ring.nvars),))
+        modulus = math.prod(_chain_primes(held))
+        agenda = groebner._agenda_prime
+        reconstruct = groebner._CrtState.reconstruct
+        chain = groebner._chain_mod_p
+        primes = set()
+
+        def recording(p, *args):
+            primes.add(p)
+            return chain(p, *args)
+
+        def outputs():
+            # a new Ideal builds its certificate afresh, at these primes
+            fresh = Ideal(ideal.ring, ideal.generators)
+            primes.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", groebner.UncertifiedResult)
+                lifted = groebner._eliminations(fresh, drops)
+                whole = groebner._modular_chain(
+                    groebner._certificate(fresh), graded
+                )
+            return lifted, whole, max(primes).bit_length()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groebner, "_chain_mod_p", recording)
+            patch.setattr(
+                groebner._CrtState, "reconstruct",
+                lambda state: None if state.modulus <= modulus
+                else reconstruct(state),
+            )
+            *wide, wide_bits = outputs()
+            # the narrow agenda's even primes stand for its own, its odd
+            # ones for the wide agenda's, so no chain meets a prime twice
+            patch.setattr(
+                groebner, "_agenda_prime",
+                lambda index, wide=False: agenda(2 * index + wide),
+            )
+            *narrow, narrow_bits = outputs()
+        assert (wide_bits, narrow_bits) == (240, 120)
+        assert wide == narrow
 
 
 class TestRabinowitsch:
@@ -2728,19 +2822,18 @@ class TestPrimes:
             assert not groebner._is_proth_prime(k, m)
 
     def test_agenda_primes(self):
-        # strictly descending below 2^120, each k*2^60 + 1 with odd
-        # k < 2^60, and prime to Miller-Rabin with 20 random bases beyond
-        # its deterministic ones
+        # every prime a chain reaches up to the cap, when it skips none:
+        # the narrow agenda's first, below 2^120, then the wide agenda's,
+        # strictly descending below 2^240, each k*2^m + 1 with odd k < 2^m
+        # (m = 60, then 120), and prime to Miller-Rabin with 20 random
+        # bases beyond its deterministic ones
         rng = random.Random(24)
-        primes = [
-            groebner._agenda_prime(i)
-            for i in range(groebner._MAX_MODULAR_PRIMES)
-        ]
-        assert all(a > b for a, b in zip(primes, primes[1:]))
-        assert primes[0] < 2**120
-        for p in primes:
-            k, rest = divmod(p - 1, 2**60)
-            assert rest == 0 and k % 2 == 1 and k < 2**60
+        first, *wide = _chain_primes(groebner._MAX_MODULAR_PRIMES)
+        assert all(a > b for a, b in zip(wide, wide[1:]))
+        assert first < 2**120 < wide[-1] and wide[0] < 2**240
+        for p, m in [(first, 60)] + [(p, 120) for p in wide]:
+            k, rest = divmod(p - 1, 2**m)
+            assert rest == 0 and k % 2 == 1 and k < 2**m
             bases = oracles.MR_BASES + tuple(
                 rng.randrange(2, p - 1) for _ in range(20)
             )
@@ -2748,6 +2841,11 @@ class TestPrimes:
 
     def test_first_agenda_prime(self):
         assert groebner._agenda_prime(0) == (2**60 - 85) * 2**60 + 1
+        assert groebner._agenda_prime(1) == (2**60 - 103) * 2**60 + 1
+        assert (
+            groebner._agenda_prime(0, wide=True)
+            == (2**120 - 55) * 2**120 + 1
+        )
 
     def test_stage_inputs_are_rekeyed_through_plain_packings(
         self, watch_node_runs
@@ -3113,7 +3211,7 @@ class TestEarlyAcceptance:
         # same relation.  The ideal is a graph ideal, and its seed never
         # runs: the stage runs in full at the first prime and replays at
         # the second
-        p0, p1 = groebner._agenda_prime(0), groebner._agenda_prime(1)
+        p0, p1 = _chain_primes(2)
         wrong = groebner._rational_reconstruct(-(3**50) % p0, p0)
         assert wrong is not None and wrong != -(3**50)
         assert abs(wrong.numerator) * wrong.denominator >= p0 >> 20
@@ -3314,7 +3412,7 @@ class TestLiftCost:
         lifted = groebner._modular_chain(certificate, codec)
         result = lifted[frozenset()]
         assert result == expected
-        assert primes == [groebner._agenda_prime(i) for i in range(len(primes))]
+        assert primes == _chain_primes(len(primes))
         assert len(primes) >= 10
         coefficients = sum(len(t) for t in expected)
         assert calls["reconstruct"] <= coefficients + 3 * len(primes)
