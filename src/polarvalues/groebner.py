@@ -1262,9 +1262,21 @@ class _CrtState:
       fraction within B congruent to the residue, which Euclid at M would
       return.  If the new prime divides d, the congruence fails (gcd(n, d)
       is 1) and Euclid runs as before.
+    - Denominators.  Within one `reconstruct` each element carries D, the
+      lcm of the denominators of its values so far (1 at first).  A
+      coefficient that fails the reuse test first tries n/d = x/D in
+      lowest terms, x = residue*D modulo M taken in (-M/2, M/2], and keeps
+      it without Euclid when |n| <= B and d <= B.  That is exact too:
+      every factor of D is the denominator of a reconstruction at M, so it
+      is prime to M, and x*d = n*D gives n = residue*d (mod M); n/d is
+      then the one fraction within B congruent to the residue.  An output
+      is monic, so its denominators divide the leading coefficient L of
+      its primitive form; once D is L, no right coefficient runs Euclid.
+      When every denominator is L, as in most outputs, Euclid runs at most
+      once per element at a prime that reconstructs it right.
     - Early stop.  The coefficient that failed last is tried first; while
       it still fails, the whole basis would fail, so `reconstruct` returns
-      None at once.
+      None at once.  Once it holds, its denominator starts its element's D.
     """
 
     def __init__(self):
@@ -1313,34 +1325,49 @@ class _CrtState:
                 accum[mono] = (a + (b - a) * inv % p * m0) % new_mod
         self.modulus = new_mod
 
-    def _value(self, k, mono):
-        """Coefficient `mono` of element k as n/d, or None if there is none."""
+    def _value(self, k, mono, den, bound):
+        """Coefficient `mono` of element k as n/d, or None if there is none;
+        `den` is the element's D and `bound` B (see the class docstring)."""
         residue = self.elements[k][mono]
+        modulus = self.modulus
         known = self.values[k].get(mono)
         if known is not None and (
             known.numerator - residue * known.denominator
-        ) % self.modulus == 0:
+        ) % modulus == 0:
             return known
-        value = _rational_reconstruct(residue, self.modulus)
+        x = residue * den % modulus
+        if x > modulus >> 1:
+            x -= modulus
+        value = Fraction(x, den)
+        if abs(value.numerator) > bound or value.denominator > bound:
+            value = _rational_reconstruct(residue, modulus)
         if value is not None:
             self.values[k][mono] = value
         return value
 
     def reconstruct(self):
         """All coefficients as exact rationals, or None if not yet stable."""
-        if self.failed is not None and self._value(*self.failed) is None:
-            return None
+        bound = math.isqrt(self.modulus // 2)
+        dens = [1] * len(self.elements)
+        if self.failed is not None:
+            k, mono = self.failed
+            value = self._value(k, mono, 1, bound)
+            if value is None:
+                return None
+            dens[k] = value.denominator
         self.failed = None
         out = []
         for k, accum in enumerate(self.elements):
             elem = {}
+            den = dens[k]
             for mono in accum:
-                value = self._value(k, mono)
+                value = self._value(k, mono, den, bound)
                 if value is None:
                     self.failed = (k, mono)
                     return None
                 if value:
                     elem[mono] = value
+                    den = math.lcm(den, value.denominator)
             if not elem:
                 return None
             out.append(elem)

@@ -84,8 +84,22 @@ class ValueSet:
                 flags=frozenset(flags),
                 approx_converged=True,
             )
+        # a rational root is its own float, and only the factor left after
+        # deflating them, a constant when every root is rational, is
+        # approximated; a float beyond the float range is an infinity and
+        # unconverged, as in approx_roots_with_status
         rational = tuple(rational_roots(canonical))
-        approx, converged = approx_roots_with_status(canonical, tolerance)
+        rest = canonical
+        for r in rational:
+            rest //= UnivariatePolynomial((-r, 1))
+        approx, converged = approx_roots_with_status(rest, tolerance)
+        for r in rational:
+            try:
+                approx.append(complex(r))
+            except OverflowError:
+                approx.append(complex(math.inf if r > 0 else -math.inf))
+                converged = False
+        approx.sort(key=lambda z: (z.real, z.imag))
         return cls(
             rho=canonical,
             exact_rational_roots=rational,

@@ -332,7 +332,8 @@ def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
     """(roots, converged): converged means every residual met the tolerance.
 
     Deterministic simultaneous (Aberth-style) root approximation; the roots
-    come sorted by (real, imaginary), and degree < 1 raises ValueError.
+    come sorted by (real, imaginary).  A nonzero constant has no roots, and
+    the zero polynomial raises ValueError.
     A residual is judged relative to the polynomial's size at the root (the
     sum of |c_i| |z|^i of the monic polynomial), so small roots are held to
     the same relative accuracy as large ones.  A polynomial whose
@@ -341,9 +342,11 @@ def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
     are rounded to floats.  A root 2**s * w that still does not fit a float
     comes back with infinite parts and counts as unconverged.
     """
+    if p.is_zero():
+        raise ValueError("every number is a root of the zero polynomial")
     deg = p.degree()
-    if deg < 1:
-        raise ValueError("need degree >= 1 to approximate roots")
+    if deg == 0:
+        return [], True
     shift = _float_shift(p.coefficients)
     if shift is None:
         coeffs = [complex(c) for c in p.coefficients]

@@ -287,6 +287,17 @@ class TestMainExitCodes:
         assert critical["roots"]["rational"] == [str(big)]
         assert len(critical["roots"]["approx"]) == 1
 
+    def test_exact_critical_values_at_a_loose_tolerance(self, capsys):
+        # the critical values -2 and 2 are rational: their approximations
+        # are their floats, not -1.98-0.09i and 2.18+0.41i, which merely
+        # met the tolerance 0.5
+        argv = ["x^3 - 3*x + y^2", "--vars", "x,y", "--tolerance", "0.5",
+                "--json"]
+        assert main(argv) == 0
+        critical = json.loads(capsys.readouterr().out)["critical_values"]
+        assert critical["roots"]["rational"] == ["-2", "2"]
+        assert critical["roots"]["approx"] == [[-2.0, 0.0], [2.0, 0.0]]
+
     def test_unconverged_critical_value_warned(self, capsys):
         # the approximate critical root 10^400 comes back as an infinity,
         # unconverged, and the report must say so
@@ -534,3 +545,26 @@ class TestReportWork:
         assert main(argv) == 0
         capsys.readouterr()
         assert [len(primes) for primes in chains] == [1, 2, 2, 1]
+
+    def test_euclid_runs_of_one_report(self, monkeypatch, capsys):
+        # the golden x_plus_x2y_xyu_super_polar reports (seed 0) at bounds
+        # 5 and 9999: the Euclid runs of rational reconstruction.  A
+        # coefficient keeps its last value while the new residue agrees,
+        # and each output is monic, so after its first coefficient with
+        # the output's denominator every other is residue*D/D; Euclid ran
+        # on every other coefficient too before (171 and 179 runs)
+        runs = Counter()
+        euclid = groebner._rational_reconstruct
+
+        def counting_euclid(residue, modulus):
+            runs[argv[-2]] += 1
+            return euclid(residue, modulus)
+
+        monkeypatch.setattr(groebner, "_rational_reconstruct", counting_euclid)
+        argv = ["x + x^2*y", "--vars", "x,y,u", "--method", "super_polar",
+                "--runs", "1", "--coeff-bound", "5", "--json"]
+        assert main(argv) == 0
+        argv[-2] = "9999"
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert runs == Counter({"5": 19, "9999": 26})

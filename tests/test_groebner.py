@@ -2926,6 +2926,22 @@ def mixed_height_fractions(draw):
     return Fraction(n, d)
 
 
+@st.composite
+def _shared_denominator_elements(draw):
+    """Coefficients n_k/d of one denominator d, each n_k prime to d or 0,
+    n_k and d of up to 400 bits, as a monic output's are."""
+    d = draw(st.integers(min_value=1, max_value=2**400))
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        nbits = draw(st.integers(min_value=0, max_value=400))
+        n = draw(st.integers(min_value=-(2**nbits), max_value=2**nbits))
+        # -1 and 1 are prime to d, so a nonzero n stays nonzero
+        while n and math.gcd(n, d) != 1:
+            n += 1
+        out.append(Fraction(n, d))
+    return out
+
+
 class TestRationalReconstruction:
     @pytest.mark.parametrize("modulus", [3, 101, 105, 1001, 7 * 11 * 13 * 17])
     def test_exhaustive_small_moduli(self, modulus):
@@ -3030,6 +3046,63 @@ class TestCrtState:
             if i == 0 or planted_now != planted_before:
                 assert lifted is None
             previous, planted_before = fresh, planted_now
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_shared_denominator_elements(), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=14),
+    )
+    def test_shared_denominators_run_euclid_once_per_element(
+        self, drawn, nprimes
+    ):
+        """Each element n_k/d of a monic output shares one denominator d,
+        so Euclid runs at most once per element at every prime where the
+        element reconstructs to itself: the first coefficient it runs on
+        gives d, and every later one is residue*d/d (see `_CrtState`).
+        The reconstruction still equals a fresh one after every prime.
+        The first element, of denominator 1, is planted much as in the test
+        above: 1 + p0*(p0 // 3) reconstructs to 1 at the first prime p0,
+        and 7*p0 vanishes there.
+        """
+        p0 = groebner._agenda_prime(0)
+        elements = [[Fraction(1 + p0 * (p0 // 3)), Fraction(7 * p0)]]
+        elements = [elem + [Fraction(1)] for elem in elements + drawn]
+        exact = [{m: v for m, v in enumerate(e) if v} for e in elements]
+        euclid = groebner._rational_reconstruct
+        value = groebner._CrtState._value
+        runs = Counter()
+        current = []
+
+        def counting_value(state, k, *args):
+            current.append(k)
+            try:
+                return value(state, k, *args)
+            finally:
+                current.pop()
+
+        def counting_euclid(residue, modulus):
+            runs[current[-1]] += 1
+            return euclid(residue, modulus)
+
+        state = groebner._CrtState()
+        for i in range(nprimes):
+            p = groebner._agenda_prime(i)
+            image = []
+            for elem in elements:
+                residues = {m: _image(v, p) for m, v in enumerate(elem)}
+                image.append({m: r for m, r in residues.items() if r})
+            runs.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(groebner._CrtState, "_value", counting_value)
+                patch.setattr(groebner, "_rational_reconstruct", counting_euclid)
+                state.lift(p, image)
+            assert state.reconstruction == _fresh_reconstruction(state)
+            for k, accum in enumerate(state.elements):
+                fresh = {
+                    m: euclid(r, state.modulus) for m, r in accum.items()
+                }
+                if fresh == exact[k]:
+                    assert runs[k] <= 1
 
     def test_lift(self):
         # the reconstruction x - 7/3*y + 7 is lifted as the primitive

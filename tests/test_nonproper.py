@@ -66,6 +66,29 @@ class TestValueSet:
         assert len(vs.approx_roots) == 2
         assert vs.root_count() == 2
 
+    def test_rational_roots_are_not_approximated(self):
+        # at a loose tolerance the roots of z^2 - 4 came back as
+        # -1.98-0.09i and 2.18+0.41i, marked converged: a root known
+        # exactly is listed as its own float
+        vs = ValueSet.from_rho(U(-4, 0, 1), tolerance=0.5)
+        assert vs.approx_roots == (-2, 2)
+        assert vs.approx_converged
+        # (z - 1)(z^2 - 2): only the irrational factor is approximated,
+        # and the roots stay sorted by (real, imaginary)
+        vs = ValueSet.from_rho(U(2, -2, -1, 1))
+        assert vs.approx_roots[1] == 1
+        assert [round(z.real, 9) for z in vs.approx_roots] == [
+            round(-math.sqrt(2), 9), 1, round(math.sqrt(2), 9)
+        ]
+
+    def test_rational_root_beyond_float_range(self):
+        # z - 10^400 is listed exactly, and approximated as an infinity
+        # that counts as unconverged, as approx_roots_with_status does
+        vs = ValueSet.from_rho(U(-(10**400), 1))
+        assert vs.exact_rational_roots == (10**400,)
+        assert vs.approx_roots == (complex(math.inf, 0.0),)
+        assert not vs.approx_converged
+
 
 class TestGraphIdeal:
     def test_appends_value_variable_last(self):

@@ -148,6 +148,14 @@ class TestRoots:
         roots, _ = approx_roots_with_status(P(-4, 0, 1))
         assert sorted(round(r.real) for r in roots) == [-2, 2]
 
+    def test_approx_roots_of_a_constant(self):
+        # a nonzero constant, what is left of a value set's polynomial
+        # once its rational roots are deflated, has no roots; every number
+        # is a root of zero
+        assert approx_roots_with_status(P(7)) == ([], True)
+        with pytest.raises(ValueError):
+            approx_roots_with_status(P())
+
     def test_approx_root_beyond_float_range(self):
         # z - 10^400: its coefficients and root do not fit a float; the
         # root is still listed, as an infinity, and marked unconverged
