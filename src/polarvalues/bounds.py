@@ -7,11 +7,10 @@ of the singular locus (their degrees and dimensions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SingularComponentData:
+class SingularComponentData(Record):
     """Degrees and dimensions of the positive-dimensional singular components.
 
     components is a tuple of (degree, dimension) pairs with degree >= 1 and

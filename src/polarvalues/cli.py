@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .detector import (
@@ -27,6 +26,7 @@ from .detector import (
     run_super_polar,
 )
 from .polynomials import Polynomial, PolynomialRing
+from .record import Record
 
 
 class ParseError(ValueError):
@@ -173,8 +173,7 @@ def parse_polynomial(text: str, variables) -> Polynomial:
 # configuration and dispatch
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     method: str = "super_polar"
     seed: int = 0
     runs: int = DEFAULT_RUNS
@@ -390,8 +389,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
+    # parsing leaves the parser as it was, so one serves every call
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_arg_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

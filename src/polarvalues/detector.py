@@ -24,11 +24,9 @@ bit across platforms.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import SingularComponentData, bound_kinf, bound_nk, bound_superpolar
@@ -48,6 +46,7 @@ from .nonproper import (
     value_line,
 )
 from .polynomials import Polynomial, _invertible, lift_polynomial
+from .record import Record
 from .univar import UnivariatePolynomial, gcd_univar, squarefree_part
 
 MASK64 = (1 << 64) - 1
@@ -90,8 +89,7 @@ def _nonzero_int(rng: random.Random, bound: int) -> int:
             return v
 
 
-@dataclass(frozen=True)
-class SuperPolarCoefficients:
+class SuperPolarCoefficients(Record):
     """Random data of one combined-curve run: g_i = sum_j a[i][j] df/dx_j
     + sum_{j,k} b[i][j][k] x_k df/dx_j, plus the localization vector beta.
 
@@ -105,8 +103,7 @@ class SuperPolarCoefficients:
     beta: tuple
 
 
-@dataclass(frozen=True)
-class IteratedPolarCoefficients:
+class IteratedPolarCoefficients(Record):
     """Random data of one sliced run: the coordinate change matrix and the
     per-slice localization vectors."""
 
@@ -243,27 +240,24 @@ def intersect_runs(rhos) -> UnivariatePolynomial:
     return squarefree_part(acc)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Record):
     """One hyperplane-slice step of a sliced run (1-based index)."""
 
     index: int
     values: ValueSet
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Record, uncompared=("millis",)):
     seed: int
     coefficients: object
     values: ValueSet
     dim_w: int
     attempts: int
     steps: tuple = ()
-    millis: float = field(default=0.0, compare=False)
+    millis: float = 0.0
 
 
-@dataclass(frozen=True)
-class BoundsSummary:
+class BoundsSummary(Record):
     """Degree bounds attached to a report; None marks 'not applicable'."""
 
     nk: object
@@ -271,8 +265,7 @@ class BoundsSummary:
     kinf: object
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(Record, uncompared=("total_millis",)):
     input_text: str
     variables: tuple
     degree: int
@@ -287,7 +280,7 @@ class DetectionReport:
     critical: ValueSet
     bounds: BoundsSummary
     warnings: tuple
-    total_millis: float = field(default=0.0, compare=False)
+    total_millis: float = 0.0
 
 
 def _bounds_for(degree: int, n: int) -> BoundsSummary:
@@ -372,8 +365,7 @@ def _detect(f, method, seed, runs, coeff_bound, tolerance, prepare, critical):
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if not uncertified:
         return report
-    return dataclasses.replace(
-        report,
+    return report.replace(
         warnings=report.warnings + tuple(dict.fromkeys(uncertified)),
     )
 

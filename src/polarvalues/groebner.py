@@ -159,7 +159,6 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import (
@@ -169,10 +168,10 @@ from .polynomials import (
     fresh_variable_name,
     lift_polynomial,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     """A finite generating set in a polynomial ring; zero generators dropped."""
 
     ring: PolynomialRing
@@ -191,8 +190,7 @@ class Ideal:
         object.__setattr__(self, "generators", tuple(gens))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """A reduced basis, sorted by ascending leading monomial."""
 
     ring: PolynomialRing

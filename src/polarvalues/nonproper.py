@@ -19,7 +19,6 @@ back to the values of f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import (
@@ -36,6 +35,7 @@ from .polynomials import (
     fresh_variable_name,
     lift_polynomial,
 )
+from .record import Record
 from .univar import (
     UnivariatePolynomial,
     approx_roots_with_status,
@@ -51,8 +51,7 @@ class NotACurveError(ValueError):
     """The input ideal does not cut out a curve (or point set)."""
 
 
-@dataclass(frozen=True)
-class ValueSet:
+class ValueSet(Record):
     """A finite set of complex values encoded by a squarefree polynomial.
 
     rho is in canonical primitive integer form; rho == 1 encodes the empty
@@ -119,8 +118,7 @@ class ValueSet:
         return 0 if self.is_empty() else self.rho.degree()
 
 
-@dataclass(frozen=True)
-class GraphIdeal:
+class GraphIdeal(Record):
     """The ideal of the graph of f over V(base) in a normalized value
     coordinate: (base, scale*(f - shift) - z).
 

@@ -10,8 +10,9 @@ in ring order; the Groebner engine packs its own monomial orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 NEG_INF = -math.inf
 
@@ -25,8 +26,7 @@ def _rational(value) -> Fraction:
     raise TypeError("cannot coerce %r into the rational field" % (value,))
 
 
-@dataclass(frozen=True)
-class PolynomialRing:
+class PolynomialRing(Record):
     """Ring descriptor: an ordered tuple of variable names over the rationals."""
 
     variables: tuple
