@@ -36,6 +36,14 @@ basis element, in install order, whose leading monomial divides it with a
 multiple of smaller signature.  Most terms meet no divisor, and most meet
 a key the run has met before, so a run remembers for each key how many of
 its elements are known not to divide it, and the scan starts past them.
+A stage that drops a variable hands on only its elements free of it, so
+its run reduces only the top of each target, up to the first term that
+no element divides regularly, and keeps the rest as it is; of the
+minimal basis, only the elements free of the variable are inter-reduced.
+A signature run needs only regular top reduction (GVW; Eder & Faugere,
+"A survey on signature-based algorithms for computing Groebner bases",
+JSC 80, 2017), and the reduced basis of the elimination ideal is unique,
+so what the stage hands on is what a fully reducing run hands on.
 The exact checks reduce over the integers
 with the same heap: a step scales the working polynomial instead of
 inverting, its content is divided out only once its top coefficient has
@@ -148,10 +156,14 @@ must vanish again.  A replay that completes installs the same leading
 monomials and leads in the same order, so every signature, and every
 decision of both criteria, is the recorded one, and each signature the
 run did not skip was reduced to zero or installed: it is a whole
-signature run at that prime, and returns that prime's reduced basis (see
-`_replay_buchberger`).  So every stage at every prime returns the reduced
-basis of its ideal modulo that prime, replayed or not.  A stage whose
-replay fails runs in full, and its fresh trace replaces the old one.
+signature run at that prime, and returns what that run returns there
+(see `_replay_buchberger`).  So every stage at every prime, replayed or
+not, returns a Groebner basis of its ideal modulo that prime whose
+elements free of the stage's variable are the reduced basis of its
+elimination ideal, and whose leading monomials are those of the reduced
+basis; a stage that drops nothing returns the reduced basis itself.  A
+stage whose replay fails runs in full, and its fresh trace replaces the
+old one.
 """
 
 from __future__ import annotations
@@ -620,12 +632,16 @@ class _ModularArith:
 
     Every element the engine hands out comes from `normalize`, so it is
     monic: a reducer is its leading key and its tail, and an S-polynomial
-    needs no scaling.
+    needs no scaling.  `var_mask` is the plain-packing mask of the
+    variable that the engine's stage drops, 0 for a stage that drops
+    nothing and for every other use; a signature run under a nonzero mask
+    reduces only the tops of its targets (see `reduce`).
     """
 
-    def __init__(self, p: int, codec):
+    def __init__(self, p: int, codec, var_mask: int = 0):
         self.p = p
         self.codec = codec
+        self.var_mask = var_mask
 
     def normalize(self, terms):
         if not terms:
@@ -647,7 +663,9 @@ class _ModularArith:
         return (lt, tail)
 
     def reduce(self, target, reducers, steps, signature=None):
-        """Full normal form by the first reducer whose leading key divides.
+        """Normal form by the first reducer whose leading key divides: in
+        full, except in a signature run of an engine with a nonzero
+        `var_mask`, which stops at the first irreducible term.
 
         The working terms sit in a max-heap of keys, one entry per key.  A
         coefficient is reduced modulo p once, when its key reaches the top;
@@ -672,12 +690,19 @@ class _ModularArith:
         the signature: the scan still finds the first valid reducer in
         install order, and every step is the one a scan from the first
         reducer takes.
+
+        Under a nonzero `var_mask` that regular reduction stops at its
+        first term that no reducer divides regularly, the result's leading
+        term, and keeps every term below it as it stands, reduced modulo
+        p: a top reduction, all that a signature run needs.  Without a
+        signature the normal form is always full.
         """
         p = self.p
         guard = self.codec.guard
         degree = self.codec.degree
         if signature is not None:
             sig, sugar_shift, key_shift, known = signature
+            top_only = self.var_mask != 0
         coeff = dict(target)
         heap = [-m for m in coeff]
         heapq.heapify(heap)
@@ -716,6 +741,12 @@ class _ModularArith:
                 else:
                     known[m] = skip
                     result[m] = c
+                    if top_only:
+                        for k, v in coeff.items():
+                            v %= p
+                            if v:
+                                result[k] = v
+                        break
                     continue
                 known[m] = skip
             steps.append(m)
@@ -740,9 +771,12 @@ class _ModularArith:
         Each step adds (p - c) times its reducer's tail, one pass with no
         heap and no divisor search; a step whose coefficient vanishes here
         adds nothing.  Steps descend and write only keys below their own,
-        so what is left is the normal form unless a term the record never
-        reduced is nonzero here and reducible: only a nonzero key outside
-        the recorded ones is tested, and a divisor raises _TraceMismatch.
+        so what is left is what `reduce` leaves unless a term the record
+        never reduced is nonzero here and reducible: only a nonzero key
+        outside the recorded ones is tested, and a divisor raises
+        _TraceMismatch.  That is the normal form for a schedule of a full
+        reduction; for one of a top reduction, the keys left include
+        reducible ones below the leading key, as the record has them.
         The same final pass makes the result monic by the inverse of its
         coefficient at `lt`; one that vanishes here raises _TraceMismatch.
         The caller checks that `lt` is the result's leading key.
@@ -805,10 +839,12 @@ class _Trace:
     of keys it left.  `ngens` is the generator count, `kept` the install
     indices of the minimal basis (None until the run is recorded) and
     `final` the schedules of the final inter-reduction, one per kept
-    element.  No signature is recorded: a replay computes none, and the
-    leading keys, leads and zeros it checks determine every one (see
-    `_replay_buchberger`).  A replay leaves the trace as it is, zeros
-    included, so every replay that completes is a whole run.
+    element free of the stage's variable: the leading kept elements, all
+    of them under a `var_mask` of 0.  No signature is recorded: a replay
+    computes none, and the leading keys, leads and zeros it checks
+    determine every one (see `_replay_buchberger`).  A replay leaves the
+    trace as it is, zeros included, so every replay that completes is a
+    whole run.
     """
 
     def __init__(self):
@@ -833,8 +869,10 @@ def _inter_reduce(elems, engine, schedules):
     """The reduced basis from a minimal Groebner basis sorted by ascending
     leading key, in one ascending pass: a leading monomial dividing a tail
     monomial of g is smaller than LT(g), so g needs only the already
-    reduced elements before it.  The list `schedules` receives each
-    reduction's schedule (see `_Trace`)."""
+    reduced elements before it.  For the same reason a leading part of
+    such a basis comes out as it would in the whole pass.  Each reduction
+    is full, whatever the engine's `var_mask`.  The list `schedules`
+    receives each reduction's schedule (see `_Trace`)."""
     out = []
     reduced = []
     for t in elems:
@@ -888,13 +926,25 @@ def _core_buchberger(gens, engine, trace):
 
     A target is reduced regularly: a term m goes to the first element h, in
     install order, whose leading monomial divides it with m/LT(h)*sig(h)
-    below the signature, for the leading term and the tail alike.  Zero
-    adds a syzygy; any other result is installed with that signature.  A
-    constant is installed like any element and ends the run, since it
-    divides every monomial: the basis of the unit ideal is
-    [{one_key: 1}].  The installed polynomials form a Groebner basis, from
-    which `_minimal` and `_inter_reduce` return the unique reduced basis as
-    normalized packed dicts sorted by ascending leading key.
+    below the signature, for the leading term and, at a `var_mask` of 0,
+    the tail alike; under a stage's mask the reduction stops at the
+    leading term.  Zero adds a syzygy; any other result is installed with
+    that signature.  A constant is installed like any element and ends
+    the run, since it divides every monomial: the basis of the unit ideal
+    is [{one_key: 1}].  The installed polynomials form a Groebner basis, and
+    `_minimal` keeps its minimal basis, sorted by ascending leading key.
+    At a `var_mask` of 0 `_inter_reduce` returns the unique reduced basis
+    from it.  Under a stage's nonzero mask the targets were only
+    top-reduced (see `_ModularArith.reduce`), which a signature run
+    allows (both papers above).  The stage's order puts
+    every key involving its variable above every key free of it, so the
+    kept elements free of it lead, and `_inter_reduce` makes them the
+    reduced basis of the elimination ideal, the part that the chain
+    hands on; the rest follow as installed, with the leading keys of the
+    reduced basis.  The lead of an element with an unreduced tail may
+    differ from its reduced form's, and with it its Koszul signatures, so
+    the criteria may skip other signatures than a fully reducing run; the
+    tests check that both hand on the same elements.
 
     `trace`, a fresh `_Trace`, records the run: every reduction, zeros
     included, and each of the final inter-reduction keeps its schedule.
@@ -988,7 +1038,13 @@ def _core_buchberger(gens, engine, trace):
     kept = _minimal(basis, guard)
     trace.ngens = len(gens)
     trace.kept = kept
-    return _inter_reduce([basis[k] for k in kept], engine, trace.final)
+    # an element whose leading key is free of the stage's variable is free
+    # of it, and those come first in ascending order
+    var_mask = engine.var_mask
+    free = [basis[k] for k in kept if not max(basis[k]) & var_mask]
+    return _inter_reduce(free, engine, trace.final) + [
+        basis[k] for k in kept[len(free):]
+    ]
 
 
 def _finish(run):
@@ -1055,7 +1111,9 @@ def _replay_buchberger(gens, engine, trace):
 
     Each replayed reduction follows its recorded schedule
     (`_ModularArith.replay`): no heap, no divisor search, and no signature
-    queued or tested; the final inter-reduction replays its schedules too.
+    queued or tested; the final inter-reduction replays its schedules too,
+    for the kept elements free of the stage's variable, and the rest pass
+    as installed.
     A reduction that leaves a reducible term outside its record, or whose
     leading key differs from the record, raises _TraceMismatch, and so
     does an installed element whose lead differs; otherwise it is the
@@ -1070,7 +1128,11 @@ def _replay_buchberger(gens, engine, trace):
     zero vanishes again.  The J-pair and Koszul signatures, the syzygy and
     cover decisions and the regularity of each recorded step read only
     those facts, so a run here under that order makes the same decisions.
-    By GVW's theorem its result is this prime's reduced basis.  A
+    By GVW's theorem its installed elements are a Groebner basis at this
+    prime, and the result is what `_core_buchberger` returns from them: the
+    reduced basis at a `var_mask` of 0, and under a stage's mask the
+    reduced basis of its elimination ideal followed by the other kept
+    elements, top-reduced.  A
     generator that vanishes, or reduces to zero, at the recording prime
     only is a zero entry, and fails here.
     """
@@ -1101,6 +1163,7 @@ def _replay_buchberger(gens, engine, trace):
         elems.append(t)
         lt, tail = engine.reducer_entry(t)
         tails[lt] = tail
+    elems.extend(basis[k] for k in trace.kept[len(trace.final):])
     return elems
 
 
@@ -1577,7 +1640,8 @@ def _involves(terms, var_mask) -> bool:
 
 
 def _chain_mod_p(p, codecs, stages, masks, needed, traces, bases):
-    """Every needed node's reduced basis modulo p.
+    """Every needed node's basis modulo p, reduced where the chain reads
+    it.
 
     `bases` holds node 0, the chain's seed modulo p, and the nodes already
     run at p; it is extended in place and returned.  Node 0 never runs.
@@ -1595,16 +1659,23 @@ def _chain_mod_p(p, codecs, stages, masks, needed, traces, bases):
     `traces` maps a node to its one trace and is updated in place.  A node
     with a trace replays it (see `_replay_buchberger`).  A node with none,
     or whose replay leaves its trace, runs in full and records a fresh
-    trace in its place.
+    trace in its place.  Each runs under its stage's variable mask, so a
+    one-variable stage top-reduces inside its run and inter-reduces only
+    its elements free of var (see `_core_buchberger`).
 
-    Every node but node 0 gets the reduced basis of its ideal modulo p: a
+    Every node but node 0 gets a Groebner basis of its ideal modulo p with
+    the leading monomials of the reduced basis, sorted by ascending
+    leading key, whose elements free of its variable are the reduced basis
+    of its elimination ideal: the part that its children and its output
+    read.  A node of stage (0, None) gets the reduced basis itself.  A
     full run, a completed replay (a whole run), and a stage that passes
-    its parent's basis through each return it.  A root stage's ideal is
-    the one that the seed modulo p generates.
+    its parent's basis through each return it; what passes through is
+    reduced, and free of var.  A root stage's ideal is the one that the
+    seed modulo p generates.
     """
 
     def run(node, elems):
-        engine = _ModularArith(p, codecs[node])
+        engine = _ModularArith(p, codecs[node], masks[node])
         if node in traces:
             try:
                 return _replay_buchberger(elems, engine, traces[node])
@@ -1767,12 +1838,13 @@ def _modular_chain(certificate, codec, drops=None):
     width.  Nothing below depends on a prime's width.
 
     Each prime runs the nodes that some output still lifting needs, and
-    each returns the reduced basis of its ideal modulo that prime (see
-    `_chain_mod_p`).  The primes of an output are grouped by the
-    staircases of every stage on its path; node 0's, the seed's leading
-    keys, is the same at every prime the chain uses.  Each prime takes
-    one lifting step per output (`_CrtState.lift`), and a reconstruction
-    is put forward in one of two ways:
+    each returns the reduced basis of its elimination ideal modulo that
+    prime, plus top-reduced elements with the leading monomials of its
+    ideal's reduced basis (see `_chain_mod_p`).  The primes of an output
+    are grouped by the staircases of every stage on its path; node 0's,
+    the seed's leading keys, is the same at every prime the chain uses.
+    Each prime takes one lifting step per output (`_CrtState.lift`), and
+    a reconstruction is put forward in one of two ways:
 
     - a proof: every coefficient n/d clears the margin, |n|*d <
       floor(M / 2^_EARLY_MARGIN_BITS) (`_CrtState.early`).  No vote is
@@ -1805,9 +1877,13 @@ def _modular_chain(certificate, codec, drops=None):
     basis check and Arnold's argument prove it.  For an elimination onto
     the variables S, let G be the exact certificate basis of the ideal I
     that the chain starts from; p divides none of its coefficients.  Each
-    root stage runs on G mod p itself, so its ideal is <G mod p>, and
-    every node returns the reduced basis of its ideal modulo p, so the
-    chain makes C mod p the reduced basis of <G mod p> meet F_p[S].  C is
+    root stage runs on G mod p itself, so its ideal is <G mod p>.  Every
+    node returns the reduced basis of its elimination ideal modulo p, the
+    elements it hands on, plus top-reduced elements with the same
+    staircase as its ideal's reduced basis, which no child and no output
+    reads; so the elements free of each stage's variable are those that
+    the reduced basis of its ideal holds, and the chain still makes C mod
+    p the reduced basis of <G mod p> meet F_p[S].  C is
     monic and no prime of its group divides a denominator (see
     `_CrtState`), so C mod p is defined and keeps C's leading monomials.
     Take any j in I meet Q[S] with p-integral coefficients.  Then j mod p
@@ -1914,7 +1990,7 @@ def _modular_chain(certificate, codec, drops=None):
                 trace = _Trace()
                 bases[node] = yield from _core_buchberger(
                     _stage_input(codecs, masks, bases, 0, node),
-                    _ModularArith(p, codecs[node]),
+                    _ModularArith(p, codecs[node], masks[node]),
                     trace,
                 )
                 traces[node] = trace

@@ -568,3 +568,45 @@ class TestReportWork:
         assert main(argv) == 0
         capsys.readouterr()
         assert runs == Counter({"5": 19, "9999": 26})
+
+    def test_tail_operations_of_one_report(self, monkeypatch, capsys):
+        # the golden x_plus_x2y_xyu_super_polar reports (seed 0) at bounds
+        # 5 and 9999: the reducer terms added, by `reduce` (each chain's
+        # full runs and their inter-reductions, all at its first prime
+        # here) and by `replay` (its later primes).  A one-variable stage
+        # top-reduces inside its run and inter-reduces only the elements
+        # free of its variable, the ones it hands on; reducing every
+        # element fully added 12,376 at bound 5, and 12,548 and 10,758 in
+        # replays at 9999
+        ops = Counter()
+        reduce = groebner._ModularArith.reduce
+        replay = groebner._ModularArith.replay
+
+        def counting_reduce(self, target, reducers, steps, signature=None):
+            start = len(steps)
+            result = reduce(self, target, reducers, steps, signature)
+            tails = {red[0]: len(red[1]) for red in reducers}
+            ops[argv[-2], "reduce"] += sum(
+                tails[lt] for lt in steps[start + 1::2]
+            )
+            return result
+
+        def counting_replay(self, target, schedule, tails, lt):
+            ops[argv[-2], "replay"] += sum(
+                len(tails[rt]) for rt in schedule[0][1::2]
+            )
+            return replay(self, target, schedule, tails, lt)
+
+        monkeypatch.setattr(groebner._ModularArith, "reduce", counting_reduce)
+        monkeypatch.setattr(groebner._ModularArith, "replay", counting_replay)
+        argv = ["x + x^2*y", "--vars", "x,y,u", "--method", "super_polar",
+                "--runs", "1", "--coeff-bound", "5", "--json"]
+        assert main(argv) == 0
+        argv[-2] = "9999"
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert ops == Counter({
+            ("5", "reduce"): 10_465,
+            ("9999", "reduce"): 10_609,
+            ("9999", "replay"): 9_065,
+        })

@@ -937,6 +937,17 @@ def _homogenized(ideal):
     ])
 
 
+def _localizers(n):
+    """Polynomials h in n variables to localize at (`with_rabinowitsch`):
+    one or two terms, each of degree at most 1 in every variable."""
+    return st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=1)] * n),
+        st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction),
+        min_size=1,
+        max_size=2,
+    )
+
+
 @st.composite
 def _stage_order_cases(draw):
     """An ideal of `_chain_ideals` and its drop sets; on three variables at
@@ -947,12 +958,7 @@ def _stage_order_cases(draw):
     ring, gens, drops = draw(_chain_ideals)
     ideal = Ideal(ring, [ring.polynomial(g) for g in gens])
     if ring.nvars == 3 and draw(st.booleans()):
-        h = draw(st.dictionaries(
-            st.tuples(*[st.integers(min_value=0, max_value=1)] * ring.nvars),
-            st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction),
-            min_size=1,
-            max_size=2,
-        ))
+        h = draw(_localizers(ring.nvars))
         ideal = with_rabinowitsch(ideal, ring.polynomial(h))
         t = frozenset({0}) if draw(st.booleans()) else frozenset()
         drops = [t | {j + 1 for j in d} for d in drops]
@@ -1569,6 +1575,107 @@ class TestSignatureRun:
             ValueError, match="exponent 40000 exceeds the engine limit"
         ):
             graded_basis(ideal)
+
+
+@st.composite
+def _top_reduction_cases(draw):
+    """A random ideal of `_chain_ideals` or a random graph ideal of
+    `_graph_shapes`, localized at times at one more random polynomial h
+    (`with_rabinowitsch` prepends t), and two distinct primes of
+    `_SIGNATURE_PRIMES`."""
+    if draw(st.booleans()):
+        ring, gens, _ = draw(_chain_ideals)
+        ideal = Ideal(ring, [ring.polynomial(t) for t in gens])
+    else:
+        ideal, _ = draw(_graph_shapes())
+    if draw(st.booleans()):
+        h = draw(_localizers(ideal.ring.nvars))
+        ideal = with_rabinowitsch(ideal, ideal.ring.polynomial(h))
+    primes = draw(st.permutations(_SIGNATURE_PRIMES))
+    return ideal, primes[:2]
+
+
+# <5x^2 - 4y, 5x - 4, -3x^2 - 4x*y*u^2> under the stage codec of y: the
+# top-reduced run installs y - 5/4 x^2, whose unreduced tail makes x^2 its
+# lead, where the fully reduced element y - 4/5 has the lead y, so their
+# Koszul signatures differ
+_MOVED_LEAD = Ideal(R3, [
+    5 * X3**2 - 4 * Y3, 5 * X3 - 4, -3 * X3**2 - 4 * X3 * Y3 * U3**2,
+])
+
+
+def _free(basis, var_mask):
+    """The elements of a packed basis free of the variable of `var_mask`,
+    the ones that a one-variable stage hands on."""
+    return [t for t in basis if not groebner._involves(t, var_mask)]
+
+
+def _stage_runs(ideal, var, p):
+    """The packed generators of `ideal` modulo p under the stage codec of
+    `var`, the engine of that stage (its variable's mask set), its run's
+    trace and basis, and the trace and basis of an engine without the
+    mask."""
+    n = ideal.ring.nvars
+    codec = groebner._stage_codec(n, var)
+    var_mask = groebner._SLOT_MASK << groebner._SLOT_BITS * (n - 1 - var)
+    gens = [
+        {m: c % p for m, c in groebner._to_engine(g, codec).items()}
+        for g in ideal.generators
+    ]
+    engine = groebner._ModularArith(p, codec, var_mask)
+    trace, whole = groebner._Trace(), groebner._Trace()
+    masked = _bounded_run(gens, engine, trace)
+    full = _bounded_run(gens, groebner._ModularArith(p, codec), whole)
+    return gens, engine, trace, masked, whole, full
+
+
+class TestTopReduction:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_top_reduction_cases())
+    @example(case=(_MOVED_LEAD, _SIGNATURE_PRIMES[3:5]))
+    def test_top_reduced_stage_keeps_the_free_elements(self, case):
+        # a one-variable stage top-reduces inside its run and
+        # inter-reduces only its elements free of its variable, the ones
+        # it hands on.  Koszul signatures read each element's lead, which
+        # unreduced tails may move under these orders, so the criteria may
+        # skip other signatures than a fully reducing run's: the free
+        # elements and every leading key must still be that run's.  The
+        # masked trace replayed at the other prime, when it completes,
+        # must return the masked run there
+        ideal, primes = case
+        for var in range(ideal.ring.nvars):
+            runs = {p: _stage_runs(ideal, var, p) for p in primes}
+            var_mask = runs[primes[0]][1].var_mask
+            for _, _, _, masked, _, full in runs.values():
+                assert _free(masked, var_mask) == _free(full, var_mask)
+                assert list(map(max, masked)) == list(map(max, full))
+            for recorded, p in (primes, primes[::-1]):
+                gens, engine, _, masked, _, _ = runs[p]
+                try:
+                    replayed = groebner._replay_buchberger(
+                        gens, engine, runs[recorded][2]
+                    )
+                except groebner._TraceMismatch:
+                    continue
+                assert replayed == masked
+
+    def test_unreduced_tails_move_a_koszul_signature(self):
+        # the example of the property above: the element with leading
+        # term y has the lead x^2 in the top-reduced run and y in the
+        # fully reduced one, and only the top-reduced run reduces a
+        # signature to zero; it hands on the same elements free of y
+        _, engine, trace, masked, whole, full = _stage_runs(
+            _MOVED_LEAD, 1, _SIGNATURE_PRIMES[3]
+        )
+        pack = engine.codec.pack
+        y, x2 = pack((0, 1, 0)), pack((2, 0, 0))
+        leads = [
+            [lead for _, lt, _, lead in t.entries if lt == y]
+            for t in (trace, whole)
+        ]
+        assert leads == [[x2], [y]]
+        assert len(_zeros(trace)) == 1 and not _zeros(whole)
+        assert masked[:2] == full[:2] and x2 in masked[2]
 
 
 class TestTraceReplay:
@@ -2586,17 +2693,23 @@ class TestChainReference:
     @settings(max_examples=25, deadline=None)
     @given(case=_reference_cases())
     def test_chain_outputs_equal_the_reference(self, case):
-        # at every prime, full or replayed, each stage's basis is the
-        # reduced basis, under the stage's order, of its input modulo p
-        # (the seed for a root stage, else its parent's elements free of
-        # the parent's variable) that the Gebauer-Moller reference of
-        # tests/oracles.py computes; by induction down the tree each output
-        # is the reduced basis of <seed mod p> meet F_p[S].  The lifts are
-        # held back, so every chain runs two primes or more and replays
-        # its stages.  Both kinds of seed take the test: the generators,
-        # whose whole basis a homogeneous ideal lifts, and the
-        # certificate's basis, from which every elimination starts and
-        # which an inhomogeneous ideal's whole basis eliminates nothing of
+        # at every prime, full or replayed, each stage's basis is checked
+        # against the reduced basis, under the stage's order, of its input
+        # modulo p (the seed for a root stage, else its parent's elements
+        # free of the parent's variable) that the Gebauer-Moller reference
+        # of tests/oracles.py computes.  A one-variable stage hands on
+        # only its elements free of its variable, and only those are
+        # inter-reduced: they must equal the reference's, every leading
+        # key must be the reference's, and every element must reduce to
+        # zero by the reference, so it lies in the stage's ideal.  A stage
+        # that drops nothing must equal the reference whole.  By induction
+        # down the tree each output is the reduced basis of <seed mod p>
+        # meet F_p[S].  The lifts are held back, so every chain runs two
+        # primes or more and replays its stages.  Both kinds of seed take
+        # the test: the generators, whose whole basis a homogeneous ideal
+        # lifts, and the certificate's basis, from which every elimination
+        # starts and which an inhomogeneous ideal's whole basis eliminates
+        # nothing of
         ideal, drops, held = case
         n = ideal.ring.nvars
         certificate = groebner._Certificate(ideal)
@@ -2618,10 +2731,23 @@ class TestChainReference:
                     for t in bases[parent]
                     if not groebner._involves(t, masks[parent])
                 ]
-                assert bases[node] == oracles.reference_buchberger(
-                    elems, groebner._ModularArith(p, codec)
-                )
+                engine = groebner._ModularArith(p, codec)
+                reference = oracles.reference_buchberger(elems, engine)
+                var_mask = masks[node]
                 checked[p] += 1
+                if not var_mask:
+                    assert bases[node] == reference
+                    continue
+                assert _free(bases[node], var_mask) == _free(
+                    reference, var_mask
+                )
+                assert [max(t) for t in bases[node]] == [
+                    max(t) for t in reference
+                ]
+                reducers = [engine.reducer_entry(t) for t in reference]
+                assert all(
+                    not engine.reduce(t, reducers, []) for t in bases[node]
+                )
             return bases
 
         with pytest.MonkeyPatch.context() as patch:
@@ -2653,13 +2779,7 @@ def _width_cases(draw):
         ideal, _ = draw(_graph_shapes())
         drops = draw(_drop_sets(ideal.ring.nvars))
     if draw(st.booleans()):
-        n = ideal.ring.nvars
-        h = draw(st.dictionaries(
-            st.tuples(*[st.integers(min_value=0, max_value=1)] * n),
-            st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction),
-            min_size=1,
-            max_size=2,
-        ))
+        h = draw(_localizers(ideal.ring.nvars))
         ideal = with_rabinowitsch(ideal, ideal.ring.polynomial(h))
         t = frozenset({0}) if draw(st.booleans()) else frozenset()
         drops = [t | {j + 1 for j in d} for d in drops]
