@@ -76,12 +76,13 @@ A reduced Groebner basis is determined by the ideal and the order, so the
 modular route returns the object a direct rational computation would.
 Primes are grouped by the staircases of every stage on an output's path.
 An output is accepted at the first prime of its group whose
-reconstruction clears a margin (`_EARLY_MARGIN_BITS`), once it passes an
-exact check over the integers; that check proves it (see
-`_modular_chain`).  Otherwise, and above _EXACT_CHECK_BIT_CAP, it waits
-for a fresh prime of its group to reproduce the reconstruction, that is,
-to leave it unchanged when its image is added, and then takes the same
-check.  Each output is proved once, by one of two proofs:
+reconstruction is wrong with a chance of at most 1/8 (`_EARLY_RISK`),
+weighed over all of its coefficients, once it passes an exact check over
+the integers; that check proves it (see `_modular_chain`).  Otherwise,
+and above _EXACT_CHECK_BIT_CAP, it waits for a fresh prime of its group
+to reproduce the reconstruction, that is, to leave it unchanged when its
+image is added, and then takes the same check.  Each output is proved
+once, by one of two proofs:
 
 - an elimination output is certified to lie in the ideal, and Pauer's
   lucky-prime argument proves the converse.  The certificate
@@ -1251,13 +1252,15 @@ _PRIME_AGENDAS = ([], [])
 # ~61,000 bits.
 _MAX_MODULAR_PRIMES = 256
 _EXACT_CHECK_BIT_CAP = 120_000
-# A reconstruction is proved before any vote only when each coefficient n/d
-# has |n|*d < floor(M / 2^_EARLY_MARGIN_BITS), M the modulus
-# (`_CrtState.early`).
-# A random residue modulo M reconstructs that small with probability about
-# 1.2*ln(M) / 2^_EARLY_MARGIN_BITS, below 1e-4 at one 120-bit prime, so a
-# one-prime try is rarely refuted, and a refuted try costs an exact check.
-_EARLY_MARGIN_BITS = 20
+# A reconstruction is tried before any vote only when the chance that it is
+# wrong is at most _EARLY_RISK (`_CrtState.early`).  A random residue modulo
+# M reconstructs to some n/d with |n|*d <= h with probability about
+# 1.2*ln(M)*h/M (Wang, Guy & Davenport 1982; Monagan 2004), so a wrong
+# candidate survives with probability at most 1.2*ln(M)*S/M, S the sum of
+# |n|*d over its coefficients but each element's leading 1.  A refuted try
+# costs one exact check, about what the replays of a vote cost, so trying
+# would pay up to a risk near 1/2; 1/8 keeps refuted tries rare.
+_EARLY_RISK = Fraction(1, 8)
 
 
 def _agenda_prime(index: int, wide: bool = False) -> int:
@@ -1305,11 +1308,12 @@ class _CrtState:
     a monomial that appears or vanishes, changes the reconstruction.
 
     `early` offers the reconstruction, made primitive, for a proof at one
-    prime of the group, when every coefficient n/d clears the margin,
-    |n|*d < floor(M / 2^_EARLY_MARGIN_BITS).  No prime of the group
-    divides a denominator: n = residue*d (mod M) with gcd(n, d) = 1 leaves
-    d prime to M.  So the reconstruction, reduced modulo any prime of the
-    group, is that prime's image.
+    prime of the group, when the chance that it is wrong, 1.2*ln(M)*S/M
+    with S the sum of |n|*d over its coefficients n/d but the leading 1s,
+    is at most _EARLY_RISK.  No prime of the group divides a denominator:
+    n = residue*d (mod M) with gcd(n, d) = 1 leaves d prime to M.  So the
+    reconstruction, reduced modulo any prime of the group, is that
+    prime's image.
 
     `reconstruct` returns what a fresh `_rational_reconstruct` of every
     coefficient would give, but re-runs Euclid only where that can differ:
@@ -1357,17 +1361,29 @@ class _CrtState:
         return [_IntegerArith.normalize_fractions(e) for e in previous]
 
     def early(self):
-        """The reconstruction as primitive integer dicts when it clears
-        the margin, so that one prime may prove it before any vote, else
-        None."""
+        """The reconstruction as primitive integer dicts when its risk is
+        within _EARLY_RISK, so that one prime may prove it before any vote,
+        else None.
+
+        The risk is 1.2*ln(M)*S/M, S the sum of |n|*d over every
+        coefficient n/d but each element's leading 1 (every element is
+        monic).  It is bounded in integers: ln(M) < b*ln(2) with b the bit
+        length of M, and 1.2*ln(2) < 5/6, so the reconstruction is offered
+        when 5*b*S <= 6*M*_EARLY_RISK.  A candidate with no such
+        coefficient, such as [1] or a monomial, has S = 0 and is offered
+        at once."""
         reconstruction = self.reconstruction
         if reconstruction is None:
             return None
-        bound = self.modulus >> _EARLY_MARGIN_BITS
-        for e in reconstruction:
-            for v in e.values():
-                if abs(v.numerator) * v.denominator >= bound:
-                    return None
+        weight = sum(
+            abs(v.numerator) * v.denominator
+            for e in reconstruction
+            for v in e.values()
+        ) - len(reconstruction)
+        risk = _EARLY_RISK
+        if (5 * self.modulus.bit_length() * weight * risk.denominator
+                > 6 * self.modulus * risk.numerator):
+            return None
         return [_IntegerArith.normalize_fractions(e) for e in reconstruction]
 
     def add(self, p, modgb):
@@ -1846,13 +1862,13 @@ def _modular_chain(certificate, codec, drops=None):
     Each prime takes one lifting step per output (`_CrtState.lift`), and
     a reconstruction is put forward in one of two ways:
 
-    - a proof: every coefficient n/d clears the margin, |n|*d <
-      floor(M / 2^_EARLY_MARGIN_BITS) (`_CrtState.early`).  No vote is
-      needed, so an output is accepted at the prime that first
-      reconstructs it.  It is tried only where the checks below run: on a
-      whole basis within _EXACT_CHECK_BIT_CAP, and on an elimination,
-      whose chain starts from the certificate's basis, when that basis is
-      exact.
+    - a proof: the reconstruction's risk, 1.2*ln(M)*S/M with S the sum
+      of |n|*d over its coefficients n/d but the leading 1s, is at most
+      _EARLY_RISK (`_CrtState.early`).  No vote is needed, so an output is
+      accepted at the prime that first reconstructs it.  It is tried only
+      where the checks below run: on a whole basis within
+      _EXACT_CHECK_BIT_CAP, and on an elimination, whose chain starts from
+      the certificate's basis, when that basis is exact.
     - a vote, for every other output: a fresh prime of the group
       reproduces it, leaving it unchanged.
 
@@ -1910,10 +1926,11 @@ def _modular_chain(certificate, codec, drops=None):
     leading monomials.  In particular the output onto (x_i, z) generates
     the whole intersection, so the relation that `nonproper.fiber_relation`
     reads off it has the least x_i-degree of any nonzero element of I in
-    Q[x_i, z], by proof rather than by fresh-prime agreement.  The margin
-    is not needed for this: it makes a wrong one-prime reconstruction
-    rare, since each refuted candidate costs an exact check that proves
-    nothing.
+    Q[x_i, z], by proof rather than by fresh-prime agreement.  The risk
+    bound is not needed for this: it only prices a try.  A refuted
+    candidate costs an exact check that proves nothing, and a vote costs
+    one more prime, which replays every stage on the output's path; the
+    bound 1/8 keeps refuted tries rare while few outputs wait for a vote.
 
     Each stage keeps one trace (see `_chain_mod_p`).  The first prime
     records it in a full run; a raced stage that the tree does not use

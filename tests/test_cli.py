@@ -456,9 +456,13 @@ class TestReportWork:
         # At bound 5 every chain lifts and proves its outputs at its first
         # prime, so nothing is replayed; at 9999 two chains take two primes
         # each (see the test below), and the stages still needed replay
-        # their whole traces, each trace once, 21 zeros in all, at the
+        # their whole traces, each trace once, 14 zeros in all, at the
         # second prime (three primes and 35 zeros with 120-bit later
-        # primes)
+        # primes).  An output whose risk is within the bound 1/8 is tried
+        # at its first prime, and no output votes, so no stage replays only
+        # for a vote; the old per-coefficient margin left one output to a
+        # vote, which replayed two more stages (4 replays with zeros, 21
+        # zeros)
         work = Counter()
         core = groebner._core_buchberger
         replay = groebner._replay_buchberger
@@ -504,9 +508,9 @@ class TestReportWork:
         assert work == Counter({
             "full": 8,
             "stopped": 1,
-            "replays with zeros": 4,
+            "replays with zeros": 2,
             "replays without zeros": 1,
-            "zeros replayed": 21,
+            "zeros replayed": 14,
         })
 
     def test_primes_of_each_chain_of_one_report(self, monkeypatch, capsys):
@@ -569,6 +573,52 @@ class TestReportWork:
         capsys.readouterr()
         assert runs == Counter({"5": 19, "9999": 26})
 
+    def test_acceptances_of_one_report_by_kind(self, monkeypatch, capsys):
+        # the golden x_plus_x2y_xyu_super_polar_bound9999 report (seed 0):
+        # how each chain output was put forward to the exact check that
+        # accepted it, by a one-prime offer within the risk bound
+        # (`_CrtState.early`) or by a vote (`lift`), and the tries that
+        # check refuted.  Every output is offered at the prime that first
+        # reconstructs it: the old per-coefficient margin left one of the
+        # six to a vote (5 early, 1 vote)
+        kinds = Counter()
+        offered = [None]
+        lift = groebner._CrtState.lift
+        early = groebner._CrtState.early
+        covers = groebner._Certificate.covers
+        basis_check = groebner._exact_basis_check
+
+        def recording_lift(self, p, image):
+            candidate = lift(self, p, image)
+            offered[0] = "vote" if candidate is not None else None
+            return candidate
+
+        def recording_early(self):
+            candidate = early(self)
+            if candidate is not None:
+                offered[0] = "early"
+            return candidate
+
+        def counted(verdict):
+            kinds["refuted" if verdict is False else offered[0]] += 1
+            return verdict
+
+        monkeypatch.setattr(groebner._CrtState, "lift", recording_lift)
+        monkeypatch.setattr(groebner._CrtState, "early", recording_early)
+        monkeypatch.setattr(
+            groebner._Certificate, "covers",
+            lambda self, elems: counted(covers(self, elems)),
+        )
+        monkeypatch.setattr(
+            groebner, "_exact_basis_check",
+            lambda *args: counted(basis_check(*args)),
+        )
+        argv = ["x + x^2*y", "--vars", "x,y,u", "--runs", "1",
+                "--coeff-bound", "9999", "--seed", "0", "--json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert kinds == Counter({"early": 6})
+
     def test_tail_operations_of_one_report(self, monkeypatch, capsys):
         # the golden x_plus_x2y_xyu_super_polar reports (seed 0) at bounds
         # 5 and 9999: the reducer terms added, by `reduce` (each chain's
@@ -577,7 +627,8 @@ class TestReportWork:
         # top-reduces inside its run and inter-reduces only the elements
         # free of its variable, the ones it hands on; reducing every
         # element fully added 12,376 at bound 5, and 12,548 and 10,758 in
-        # replays at 9999
+        # replays at 9999.  The replays of a vote that the risk bound
+        # saves added 1,500 more (9,065)
         ops = Counter()
         reduce = groebner._ModularArith.reduce
         replay = groebner._ModularArith.replay
@@ -608,5 +659,5 @@ class TestReportWork:
         assert ops == Counter({
             ("5", "reduce"): 10_465,
             ("9999", "reduce"): 10_609,
-            ("9999", "replay"): 9_065,
+            ("9999", "replay"): 7_565,
         })

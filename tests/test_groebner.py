@@ -3020,6 +3020,30 @@ def _image(value, modulus):
     return value.numerator * pow(value.denominator, -1, modulus) % modulus
 
 
+def _early_state(drawn, primes):
+    """A `_CrtState` that lifted the elements `drawn`, each made monic by a
+    leading 1, at each of `primes`; a coefficient's key is its position."""
+    elements = [elem + [Fraction(1)] for elem in drawn]
+    state = groebner._CrtState()
+    for p in primes:
+        image = []
+        for elem in elements:
+            residues = {k: _image(v, p) for k, v in enumerate(elem)}
+            image.append({k: r for k, r in residues.items() if r})
+        state.lift(p, image)
+    return state
+
+
+def _exact_early_state(drawn, primes):
+    """`_early_state` of elements that it reconstructs right."""
+    state = _early_state(drawn, primes)
+    assert state.reconstruction == [
+        {k: v for k, v in enumerate(elem + [Fraction(1)]) if v}
+        for elem in drawn
+    ]
+    return state
+
+
 def _fresh_reconstruction(state):
     """Every coefficient reconstructed anew, as each prime once did."""
     out = []
@@ -3044,6 +3068,33 @@ def mixed_height_fractions(draw):
     n = draw(st.integers(min_value=-(2**nbits), max_value=2**nbits))
     d = draw(st.integers(min_value=1, max_value=2**dbits))
     return Fraction(n, d)
+
+
+@st.composite
+def _early_risk_cases(draw):
+    """Up to four elements of up to eight coefficients, and a count of 1-3
+    agenda primes of 120 bits.  A coefficient is of mixed height or lies
+    near the risk bound: n*d of about 120*nprimes - k bits for k up to 25,
+    n and d each within the reconstruction bound, so that one coefficient
+    alone, or a few together, cross 1/8 near k = 10."""
+    nprimes = draw(st.integers(min_value=1, max_value=3))
+    half = 60 * nprimes - 1
+
+    @st.composite
+    def near_the_bound(draw):
+        bits = 2 * half - draw(st.integers(min_value=0, max_value=25))
+        nbits = draw(st.integers(min_value=bits - half, max_value=half))
+        n = draw(st.integers(min_value=2 ** (nbits - 1), max_value=2**nbits))
+        d = draw(st.integers(
+            min_value=2 ** (bits - nbits - 1), max_value=2 ** (bits - nbits)
+        ))
+        return Fraction(draw(st.sampled_from([-n, n])), d)
+
+    coefficient = st.one_of(mixed_height_fractions(), near_the_bound())
+    drawn = draw(st.lists(
+        st.lists(coefficient, max_size=8), min_size=1, max_size=4
+    ))
+    return drawn, nprimes
 
 
 @st.composite
@@ -3255,32 +3306,112 @@ class TestCrtState:
             assert lifted_once(q, p, [monic_image(p)]) == [elem]
         assert monic_image(7) == {max(elem): 1}
 
-    def test_early_needs_the_margin_and_an_exact_prime(self):
-        # x + n/d after one agenda prime p = k*2^60 + 1, where the margin
-        # is n*d < floor(p / 2^20) = k*2^40: the reconstruction is offered
-        # to a one-prime proof only within it.  Every prime of a group is
-        # exact, since every node returns its prime's reduced basis, so a
-        # group needs one lifted prime, and one that holds none offers
-        # nothing
-        codec = groebner._Codec((range(2),))
-        top, low = codec.pack((1, 0)), codec.one_key
+    def test_early_needs_the_risk_bound_and_an_exact_prime(self):
+        # x + n/d after one agenda prime p of b = 120 bits: the risk bound
+        # 1.2*ln(p)*n*d <= p/8, taken in integers as 5*b*n*d <= 6*p/8, is
+        # n*d <= floor(3*p / (20*b)), about p / 2^9.6, so the reconstruction
+        # just within it misses the old per-coefficient margin
+        # n*d < p / 2^20.  Every prime of a group is exact, since every
+        # node returns its prime's reduced basis, so a group needs one
+        # lifted prime, and one that holds none offers nothing
         p = groebner._agenda_prime(0)
-        d = 3**31
-        edge = (p >> groebner._EARLY_MARGIN_BITS) // d
+        d = 3**35
+        edge = 3 * p // (20 * p.bit_length()) // d
         below = next(n for n in range(edge, 0, -1) if n % 3)
         above = next(n for n in itertools.count(edge + 1) if n % 3)
-        assert below * d < p >> groebner._EARLY_MARGIN_BITS <= above * d
-
-        def state_of(n):
-            value = {top: Fraction(1), low: Fraction(n, d)}
-            state = groebner._CrtState()
-            state.lift(p, [{m: _image(v, p) for m, v in value.items()}])
-            assert state.reconstruction == [value]
-            return state
+        assert 20 * p.bit_length() * below * d <= 3 * p
+        assert 20 * p.bit_length() * above * d > 3 * p
+        assert below * d >= p >> 20
 
         assert groebner._CrtState().early() is None
-        assert state_of(below).early() == [{top: d, low: below}]
-        assert state_of(above).early() is None
+        assert _exact_early_state([[Fraction(below, d)]], [p]).early() == [
+            {0: below, 1: d}
+        ]
+        assert _exact_early_state([[Fraction(above, d)]], [p]).early() is None
+
+    def test_early_weighs_the_sum_of_the_coefficients(self):
+        # ten coefficients n/d, each n*d about half the one-coefficient
+        # edge, risk 5 times the bound together: no one of them alone
+        # would keep the candidate back, but their sum does, in one
+        # element or spread over two
+        p = groebner._agenda_prime(0)
+        d = 3**35
+        half = 3 * p // (20 * p.bit_length()) // d // 2
+        value = Fraction(half - half % 3 + 1, d)
+        assert _exact_early_state([[value]], [p]).early() is not None
+        assert _exact_early_state([[value] * 10], [p]).early() is None
+        state = _exact_early_state([[value] * 5, [value] * 5], [p])
+        assert state.early() is None
+
+    def test_early_offers_a_candidate_with_no_coefficient(self):
+        # [1] and monomials have no coefficient but their leading 1s, so
+        # their risk is 0 and one prime offers them
+        for elements in ([[]], [[], []]):
+            state = _exact_early_state(elements, [groebner._agenda_prime(0)])
+            assert state.early() == [{0: 1}] * len(elements)
+
+    def test_early_above_the_float_range(self):
+        # at a modulus beyond 2^1100, where M/8 and ln(M)*S/M overflow a
+        # float, the integer test still decides: a small coefficient is
+        # offered, and one near the reconstruction bound is not
+        primes = [groebner._agenda_prime(i, wide=True) for i in range(5)]
+        modulus = math.prod(primes)
+        assert modulus > 2**1100
+        with pytest.raises(OverflowError):
+            float(modulus)
+        bound = math.isqrt(modulus // 2)
+        for value, offered in (
+            (Fraction(-5, 7), True),
+            (Fraction(bound - 1, bound), False),
+        ):
+            state = _exact_early_state([[value]], primes)
+            assert (state.early() is not None) is offered
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_early_risk_cases())
+    def test_early_offers_only_within_the_risk_bound(self, case):
+        """After each of 1-3 agenda primes, `early` offers the
+        reconstruction, made primitive, only when its risk
+        1.2*ln(M)*S/M, S the sum of |n|*d over its coefficients but the
+        leading 1s, is at most _EARLY_RISK, as an exact rational.  Every
+        candidate that the old margin offered (each |n|*d below
+        floor(M / 2^20)) is still offered, since there are at most 100
+        coefficients and M <= 2^360: 1.2*ln(M)*2^-20*100 < 1/8.  The
+        reconstruction may be wrong, as it is for most coefficients drawn
+        beyond sqrt(M/2): the risk weighs what was reconstructed."""
+        drawn, nprimes = case
+        primes = [groebner._agenda_prime(i) for i in range(nprimes)]
+        for i in range(nprimes):
+            state = _early_state(drawn, primes[: i + 1])
+            offered = state.early()
+            reconstruction = state.reconstruction
+            if reconstruction is None:
+                assert offered is None
+                continue
+            modulus = state.modulus
+            assert modulus <= 2**360
+            values = [
+                v for e in reconstruction for m, v in e.items() if m != max(e)
+            ]
+            assert all(e[max(e)] == 1 for e in reconstruction)
+            assert len(values) <= 100
+            weight = sum(abs(v.numerator) * v.denominator for v in values)
+            risk = (
+                Fraction(6, 5) * Fraction(math.log(modulus)) * weight
+                / modulus
+            )
+            margin = all(
+                abs(v.numerator) * v.denominator < modulus >> 20
+                for v in values
+            )
+            if offered is not None:
+                assert risk <= groebner._EARLY_RISK
+                assert offered == [
+                    groebner._IntegerArith.normalize_fractions(e)
+                    for e in reconstruction
+                ]
+            if margin:
+                assert offered is not None
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -3355,62 +3486,95 @@ def _reference_basis(ideal, blocks):
 
 class TestEarlyAcceptance:
     """A chain output is accepted at the first prime that reconstructs it
-    within the margin, once it passes its exact checks (see
+    within the risk bound, once it passes its exact checks (see
     `groebner._modular_chain`)."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(case=_early_ideals())
-    def test_early_outputs_equal_the_reference(self, case):
+    def test_early_outputs_equal_the_reference(self, monkeypatch):
         # whole graded bases, of homogeneous generators checked by the
         # basis check and of inhomogeneous ones eliminated from the
         # certificate's basis, and eliminations from the certificate's
         # basis, both checked by the certificate: every output, most of
         # them accepted by a one-prime proof and some after a refuted one,
         # reduces modulo a prime that no chain uses to the reduced basis
-        # that Buchberger's algorithm computes there
-        ideal, drops = case
-        n = ideal.ring.nvars
-        q = _REFERENCE_PRIME
-        codec, expected = _reference_basis(ideal, [range(n)])
-        certificate = groebner._Certificate(ideal)
-        lifted = groebner._modular_chain(certificate, codec)
-        assert oracles.candidate_mod_p(lifted[frozenset()], q) == expected
-        lifted = groebner._eliminations(ideal, drops)
-        for drop in drops:
-            # the kept variables in the order every stage gives them
-            kept = groebner._stage_codec(n, min(drop)).blocks[1]
-            blocks = [sorted(drop), [j for j in kept if j not in drop]]
-            ref_codec, basis = _reference_basis(ideal, blocks)
-            mask = sum(
-                groebner._SLOT_MASK << groebner._SLOT_BITS * (n - 1 - j)
-                for j in drop
-            )
-            got = [groebner._to_engine(e, ref_codec) for e in lifted[drop]]
-            assert oracles.candidate_mod_p(got, q) == [
-                t for t in basis if not any(m & mask for m in t)
-            ]
+        # that Buchberger's algorithm computes there.  The planted
+        # coefficients c + p0 make wrong first-prime candidates of small
+        # risk, and across the draws at least one of them is tried and
+        # refuted, so the refuted path stays exercised
+        refuted = Counter()
+        covers = groebner._Certificate.covers
+        basis_check = groebner._exact_basis_check
 
-    @pytest.mark.parametrize("margin", [groebner._EARLY_MARGIN_BITS, 0])
+        def recording_covers(self, elems):
+            verdict = covers(self, elems)
+            refuted["covers"] += verdict is False
+            return verdict
+
+        def recording_basis_check(*args):
+            verdict = basis_check(*args)
+            refuted["basis check"] += not verdict
+            return verdict
+
+        monkeypatch.setattr(groebner._Certificate, "covers", recording_covers)
+        monkeypatch.setattr(
+            groebner, "_exact_basis_check", recording_basis_check
+        )
+
+        @settings(max_examples=30, deadline=None)
+        @given(case=_early_ideals())
+        def check(case):
+            ideal, drops = case
+            n = ideal.ring.nvars
+            q = _REFERENCE_PRIME
+            codec, expected = _reference_basis(ideal, [range(n)])
+            certificate = groebner._Certificate(ideal)
+            lifted = groebner._modular_chain(certificate, codec)
+            whole = lifted[frozenset()]
+            assert oracles.candidate_mod_p(whole, q) == expected
+            lifted = groebner._eliminations(ideal, drops)
+            for drop in drops:
+                # the kept variables in the order every stage gives them
+                kept = groebner._stage_codec(n, min(drop)).blocks[1]
+                blocks = [sorted(drop), [j for j in kept if j not in drop]]
+                ref_codec, basis = _reference_basis(ideal, blocks)
+                mask = sum(
+                    groebner._SLOT_MASK << groebner._SLOT_BITS * (n - 1 - j)
+                    for j in drop
+                )
+                got = [
+                    groebner._to_engine(e, ref_codec) for e in lifted[drop]
+                ]
+                assert oracles.candidate_mod_p(got, q) == [
+                    t for t in basis if not any(m & mask for m in t)
+                ]
+
+        check()
+        assert sum(refuted.values()) >= 1
+
+    @pytest.mark.parametrize(
+        "forced", [False, True], ids=["bounded", "forced"]
+    )
     def test_forced_early_refutation_keeps_the_traces(
-        self, monkeypatch, margin
+        self, monkeypatch, forced
     ):
         # the (x, u) relation (u - 1)^2 - B^2*x with B^2 = 3^50, 80 bits,
         # needs two primes; modulo the first, -B^2 reconstructs to a wrong
-        # fraction n/d with n*d of 116 bits, outside the margin, and the
-        # second prime replays the stage and proves the relation.  With no
-        # margin the wrong one is tried at the first prime and refuted by
-        # the certificate; the reconstruction was wrong, not the trace, so
-        # the second prime replays the stage all the same, and proves the
-        # same relation.  The ideal is a graph ideal, and its seed never
-        # runs: the stage runs in full at the first prime and replays at
-        # the second
+        # fraction n/d with n*d of 116 bits, a risk of about 4.2, beyond
+        # the bound 1/8, and the second prime replays the stage and proves
+        # the relation.  Under a bound of 64 the wrong one is tried at the
+        # first prime and refuted by the certificate; the reconstruction
+        # was wrong, not the trace, so the second prime replays the stage
+        # all the same, and proves the same relation.  The ideal is a graph
+        # ideal, and its seed never runs: the stage runs in full at the
+        # first prime and replays at the second
         p0, p1 = _chain_primes(2)
         wrong = groebner._rational_reconstruct(-(3**50) % p0, p0)
         assert wrong is not None and wrong != -(3**50)
-        assert abs(wrong.numerator) * wrong.denominator >= p0 >> 20
+        weight = abs(wrong.numerator) * wrong.denominator
+        assert groebner._EARLY_RISK < 1.2 * math.log(p0) * weight / p0 < 64
         ideal = Ideal(R3, [X3 - Y3**2, U3 - 3**25 * Y3 - 1])
         groebner._certificate(ideal).basis()
-        monkeypatch.setattr(groebner, "_EARLY_MARGIN_BITS", margin)
+        if forced:
+            monkeypatch.setattr(groebner, "_EARLY_RISK", Fraction(64))
         refuted = []
         runs = {"full": Counter(), "replayed": Counter()}
         covers = groebner._Certificate.covers
@@ -3433,7 +3597,7 @@ class TestEarlyAcceptance:
         drop = frozenset({1})
         lifted = groebner._eliminations(ideal, [drop])
         assert lifted[drop] == [(U3 - 1) ** 2 - 3**50 * X3]
-        assert len(refuted) == (0 if margin else 1)
+        assert len(refuted) == forced
         assert runs == {"full": {p0: 1}, "replayed": {p1: 1}}
 
 
