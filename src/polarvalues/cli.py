@@ -399,7 +399,13 @@ def main(argv=None) -> int:
         _PARSER = build_arg_parser()
     parser = _PARSER
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse takes a text that starts with a minus and holds no
+        # space, such as -x^2*y, for an unknown option
+        if args.polynomial is None and len(extra) == 1 and extra[0][:2] != "--":
+            args.polynomial = extra.pop()
+        if extra:
+            parser.error("unrecognized arguments: %s" % " ".join(extra))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 import time
 import warnings
-from fractions import Fraction
 
 from .bounds import SingularComponentData, bound_kinf, bound_nk, bound_superpolar
 from .groebner import (
@@ -45,7 +44,7 @@ from .nonproper import (
     nonproperness_values,
     value_line,
 )
-from .polynomials import Polynomial, _invertible, lift_polynomial
+from .polynomials import Polynomial, _IntegerMap, _invertible
 from .record import Record
 from .univar import UnivariatePolynomial, gcd_univar, squarefree_part
 
@@ -134,40 +133,37 @@ def sample_invertible_matrix(rng: random.Random, n: int, bound: int = MATRIX_ENT
         rows = tuple(
             tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
         )
-        if _invertible([[Fraction(x) for x in row] for row in rows]):
+        if _invertible(rows):
             return rows
     raise InternalInvariantError("could not sample an invertible matrix")
 
 
+def _super_polar(form: _IntegerMap, coeffs: SuperPolarCoefficients) -> Ideal:
+    """`super_polar_ideal` of the polynomial in `form`: x_k times a
+    combination of the partials adds the packing of x_k to each key, and
+    column k of b weighs the partials that x_k multiplies."""
+    gens = []
+    for a, b in zip(coeffs.a, coeffs.b):
+        g = form.combination(a)
+        for slot, column in zip(form.slots, zip(*b)):
+            form.combination(column, g, 1 << slot)
+        gens.append(form.polynomial(g))
+    return Ideal(form.ring, gens)
+
+
 def super_polar_ideal(f: Polynomial, coeffs: SuperPolarCoefficients) -> Ideal:
     """The ideal of the n-1 combined derivative hypersurfaces for f."""
-    ring = f.ring
-    n = ring.nvars
+    n = f.ring.nvars
     if n < 2:
         raise ValueError("need at least two variables")
     if len(coeffs.a) != n - 1 or len(coeffs.b) != n - 1:
         raise ValueError("coefficient shapes do not match the ring")
-    partials = [f.partial_derivative(j) for j in range(n)]
-    gens = []
-    xs = ring.gens()
-    for i in range(n - 1):
-        g = ring.zero()
-        for j in range(n):
-            if coeffs.a[i][j]:
-                g = g + coeffs.a[i][j] * partials[j]
-        for j in range(n):
-            for k in range(n):
-                bij = coeffs.b[i][j][k]
-                if bij:
-                    g = g + bij * xs[k] * partials[j]
-        gens.append(g)
-    return Ideal(ring, gens)
+    return _super_polar(_IntegerMap.of(f), coeffs)
 
 
 def gradient_ideal(f: Polynomial) -> Ideal:
-    return Ideal(
-        f.ring, [f.partial_derivative(j) for j in range(f.ring.nvars)]
-    )
+    form = _IntegerMap.of(f)
+    return Ideal(f.ring, [form.polynomial(d) for d in form.partials])
 
 
 def is_singular_locus_finite(f: Polynomial, graph=None) -> bool:
@@ -206,11 +202,15 @@ class _CriticalSet:
     values are computed once per tolerance; the warnings that computing
     them raised are raised again on every call, so each report that reads
     them carries the same warnings as if it had computed them itself.
+    `form`, f's integer form, holds the gradient that this graph and every
+    curve of both methods' reports are built from.
     """
 
     def __init__(self, f: Polynomial):
         self.f = f
-        self.graph = graph_ideal(gradient_ideal(f), f)
+        self.form = _IntegerMap.of(f)
+        partials = [self.form.polynomial(d) for d in self.form.partials]
+        self.graph = graph_ideal(Ideal(f.ring, partials), f)
         self._values = {}
 
     def finite(self) -> bool:
@@ -499,24 +499,22 @@ def run_super_polar(
     def prepare():
         n = f.ring.nvars
         special = (not force_general) and critical.finite()
-        partials = [f.partial_derivative(j) for j in range(n)]
+        form = critical.form
 
         def sample(rng, run_seed):
             coeffs = sample_super_polar_coefficients(
                 rng, n, coeff_bound, run_seed
             )
-            curve = super_polar_ideal(f, coeffs)
+            curve = _super_polar(form, coeffs)
             escape = range(n)
             f_on_curve = f
             if not special:
-                h = f.ring.zero()
-                for j in range(n):
-                    h = h + coeffs.beta[j] * partials[j]
+                h = form.polynomial(form.combination(coeffs.beta))
                 if h.is_zero():
                     return None
                 curve = with_rabinowitsch(curve, h)
                 escape = range(1, n + 1)
-                f_on_curve = lift_polynomial(f, curve.ring)
+                f_on_curve = form.function(curve.ring)
             graph = graph_ideal(curve, f_on_curve)
             dim = affine_dimension(graph.ideal)
             if dim > 1:
@@ -546,28 +544,30 @@ def run_iterated_polar(
     `run_super_polar`.
     """
 
+    critical = critical or _CriticalSet(f)
+    form = critical.form
+
     def sample(rng, run_seed):
-        matrix = sample_invertible_matrix(rng, f.ring.nvars)
-        slice_poly = f.substitute_linear(matrix)
+        n = f.ring.nvars
+        matrix = sample_invertible_matrix(rng, n)
+        slice_map = form.substitute(matrix)
         betas = []
         pieces = []
-        for i in range(1, f.ring.nvars):
+        for i in range(1, n):
             if i > 1:
-                slice_poly = slice_poly.restrict_hyperplane(0)
-            slice_ring = slice_poly.ring
-            m = slice_ring.nvars
+                slice_map = slice_map.restricted(0)
+            ring = slice_map.ring
+            m = ring.nvars
             beta = tuple(_nonzero_int(rng, coeff_bound) for _ in range(m))
             betas.append(beta)
-            partials = [slice_poly.partial_derivative(j) for j in range(m)]
-            h = slice_ring.zero()
-            for j in range(m):
-                h = h + beta[j] * partials[j]
+            h = slice_map.polynomial(slice_map.combination(beta))
             if h.is_zero():
                 # a constant slice lands here too: all its partials vanish
                 pieces.append(ValueSet.empty({EMPTY_CURVE}))
                 continue
-            curve = with_rabinowitsch(Ideal(slice_ring, partials[1:]), h)
-            graph = graph_ideal(curve, lift_polynomial(slice_poly, curve.ring))
+            partials = [slice_map.polynomial(d) for d in slice_map.partials[1:]]
+            curve = with_rabinowitsch(Ideal(ring, partials), h)
+            graph = graph_ideal(curve, slice_map.function(curve.ring))
             dim = affine_dimension(graph.ideal)
             if dim > 1:
                 return dim
@@ -585,5 +585,5 @@ def run_iterated_polar(
         coeff_bound,
         tolerance,
         lambda: ("sliced", sample),
-        critical or _CriticalSet(f),
+        critical,
     )

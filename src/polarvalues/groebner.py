@@ -175,11 +175,16 @@ import warnings
 from fractions import Fraction
 
 from .polynomials import (
+    _MAX_EXPONENT,
+    _SLOT_BITS,
+    _SLOT_MASK,
     Polynomial,
     PolynomialRing,
+    _pack,
+    _pdegree,
+    _unpack,
     extend_ring,
     fresh_variable_name,
-    lift_polynomial,
 )
 from .record import Record
 
@@ -216,17 +221,15 @@ class GroebnerBasis(Record):
 # ---------------------------------------------------------------------------
 # packed monomials
 #
-# plain packing: 16 bits per variable, variable 0 in the most significant
-# slot; the top bit of each slot is a guard used by the divisibility test,
-# so exponents stay below 2**15.  Key packing realizes the monomial order:
+# plain packing (`polynomials._pack`): 16 bits per variable, variable 0 in
+# the most significant slot; the top bit of each slot is a guard used by the
+# divisibility test, so exponents stay below 2**15.  Key packing realizes
+# the monomial order:
 # integer comparison of keys must equal the order comparison, and keys must
 # be affine-linear in the exponents so the engine can move monomials around
 # with plain integer additions of key differences.
 
 
-_SLOT_BITS = 16
-_SLOT_MASK = 0xFFFF
-_MAX_EXPONENT = 0x7FFF
 _COMPLEMENT = 0x8000
 
 _GUARD_CACHE = {}
@@ -268,14 +271,6 @@ def _plcm(a: int, b: int, n: int) -> int:
     guard = _guard_mask(n)
     pick = ((((a | guard) - b) & guard) >> (_SLOT_BITS - 1)) * _SLOT_MASK
     return (a & pick) | (b & ~pick)
-
-
-def _pdegree(m: int) -> int:
-    total = 0
-    while m:
-        total += m & _SLOT_MASK
-        m >>= _SLOT_BITS
-    return total
 
 
 class _Codec:
@@ -323,11 +318,7 @@ class _Codec:
             self._degree_shifts.append(_SLOT_BITS * (slot + len(block) - 1))
 
     def pack(self, exps) -> int:
-        plain = 0
-        for e in exps:
-            if e > _MAX_EXPONENT:
-                raise ValueError("exponent %d exceeds the engine limit" % e)
-            plain = (plain << _SLOT_BITS) | e
+        plain = _pack(exps)
         order = 0
         for block in self.blocks:
             degree = sum(exps[i] for i in block)
@@ -342,11 +333,7 @@ class _Codec:
 
     def unpack(self, key: int):
         """Exponents read off the low slots; a plain packing works too."""
-        exps = [0] * self.nvars
-        for i in range(self.nvars - 1, -1, -1):
-            exps[i] = key & _SLOT_MASK
-            key >>= _SLOT_BITS
-        return tuple(exps)
+        return _unpack(key, self.nvars)
 
     def plain(self, key: int) -> int:
         return key & self.mask
@@ -2217,7 +2204,8 @@ def with_rabinowitsch(ideal: Ideal, h: Polynomial) -> Ideal:
     The zero set of the result is the part of V(ideal) outside V(h); the
     fresh variable sits first, and a chain stage eliminates it like any
     other variable (see `_eliminations`); a stage that keeps it orders it
-    last (`_stage_codec`).
+    last (`_stage_codec`).  Every generator is relabeled, not recomputed:
+    t*h - 1 is h's terms raised by t, and -1.
     """
     if h.ring != ideal.ring:
         raise ValueError("h lives outside the ideal's ring")
@@ -2225,7 +2213,9 @@ def with_rabinowitsch(ideal: Ideal, h: Polynomial) -> Ideal:
         raise ValueError("localization requires a nonzero h")
     name = fresh_variable_name(ideal.ring.variables, "t")
     new_ring = extend_ring(ideal.ring, name, front=True)
-    t = new_ring.variable(name)
-    lifted = [lift_polynomial(g, new_ring) for g in ideal.generators]
-    lifted.append(t * lift_polynomial(h, new_ring) - new_ring.one())
+    lifted = [Polynomial(new_ring, {(0,) + m: c for m, c in g.terms.items()})
+              for g in ideal.generators]
+    local = {(1,) + m: c for m, c in h.terms.items()}
+    local[(0,) * new_ring.nvars] = Fraction(-1)
+    lifted.append(Polynomial(new_ring, local))
     return Ideal(new_ring, lifted)

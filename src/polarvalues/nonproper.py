@@ -31,9 +31,9 @@ from .groebner import (
 from .polynomials import (
     Polynomial,
     PolynomialRing,
+    _primitive,
     extend_ring,
     fresh_variable_name,
-    lift_polynomial,
 )
 from .record import Record
 from .univar import (
@@ -152,30 +152,21 @@ def graph_ideal(base: Ideal, f: Polynomial) -> GraphIdeal:
     The change z -> scale*(z - shift) of the value coordinate is affine,
     so it maps the graph ideal of f - z onto this one, and their
     eliminations and reduced lex bases onto each other up to scalars: the
-    values read off either are the same once mapped back.
+    values read off either are the same once mapped back.  scale*(f -
+    shift) is f's primitive integer form (`polynomials._primitive`), and
+    the base's generators are relabeled, not recomputed.
     """
     if f.ring != base.ring:
         raise ValueError("f must live in the curve ideal's ring")
     z_name = fresh_variable_name(base.ring.variables, "z")
     ring_z = extend_ring(base.ring, z_name, front=False)
-    z = ring_z.variable(z_name)
-    constant = (0,) * f.ring.nvars
-    shift = f.terms.get(constant, Fraction(0))
-    rest = [c for m, c in f.terms.items() if m != constant]
-    denominator = math.lcm(*(c.denominator for c in rest))
-    scale = Fraction(
-        denominator, math.gcd(*(c.numerator for c in rest)) or 1
-    )
-    f = (f - shift) * scale
-    gens = [lift_polynomial(g, ring_z) for g in base.generators]
-    gens.append(lift_polynomial(f, ring_z) - z)
-    return GraphIdeal(
-        ring=ring_z,
-        z_index=ring_z.nvars - 1,
-        ideal=Ideal(ring_z, gens),
-        shift=shift,
-        scale=scale,
-    )
+    shift, scale, terms = _primitive(f)
+    value = {m + (0,): Fraction(v) for m, v in terms.items()}
+    value[(0,) * f.ring.nvars + (1,)] = Fraction(-1)
+    gens = [Polynomial(ring_z, {m + (0,): c for m, c in g.terms.items()})
+            for g in base.generators]
+    gens.append(Polynomial(ring_z, value))
+    return GraphIdeal(ring_z, ring_z.nvars - 1, Ideal(ring_z, gens), shift, scale)
 
 
 def fiber_relation(

@@ -5,6 +5,11 @@ coefficients, tagged with a ring descriptor (the variable names).  The
 coefficients are always rationals: ints and Fractions are accepted, anything
 else raises TypeError.  Display lists terms in lex order with the variables
 in ring order; the Groebner engine packs its own monomial orders.
+
+Derivatives, restrictions and linear substitutions are computed in
+integers: a polynomial is written as shift + F/scale with F a primitive
+integer polynomial on plain packings (`_IntegerMap`), and each result is
+turned back into Fractions once.
 """
 
 from __future__ import annotations
@@ -15,6 +20,14 @@ from fractions import Fraction
 from .record import Record
 
 NEG_INF = -math.inf
+
+# plain packing, shared with the Groebner engine: 16 bits per variable,
+# variable 0 in the most significant slot, so the product of two monomials
+# is the sum of their packings.  The top bit of each slot is the engine's
+# divisibility guard, so exponents stay below 2**15.
+_SLOT_BITS = 16
+_SLOT_MASK = 0xFFFF
+_MAX_EXPONENT = 0x7FFF
 
 
 def _rational(value) -> Fraction:
@@ -241,60 +254,27 @@ class Polynomial:
 
     def partial_derivative(self, var_index: int) -> "Polynomial":
         self._check_var(var_index)
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[var_index]
-            if e == 0:
-                continue
-            dm = list(m)
-            dm[var_index] = e - 1
-            dc = c * e
-            if dc:
-                terms[tuple(dm)] = dc
-        return Polynomial(self.ring, terms)
+        f = _IntegerMap.of(self)
+        return f.polynomial(f.partials[var_index])
 
     def restrict_hyperplane(self, var_index: int) -> "Polynomial":
         """Set one variable to zero and drop it from the ring."""
         self._check_var(var_index)
-        new_vars = (
-            self.ring.variables[:var_index] + self.ring.variables[var_index + 1 :]
-        )
-        new_ring = PolynomialRing(new_vars)
-        terms = {}
-        for m, c in self.terms.items():
-            if m[var_index]:
-                continue
-            terms[m[:var_index] + m[var_index + 1 :]] = c
-        return Polynomial(new_ring, terms)
+        return _IntegerMap.of(self).restricted(var_index).function()
 
     def substitute_linear(self, matrix) -> "Polynomial":
-        """Replace variable i by sum_j matrix[i][j] * x_j; matrix must be invertible.
-
-        Each power of a row's linear form is expanded by the multinomial
-        theorem, once per (variable, exponent) that occurs in the
-        polynomial, and the powers of one term are multiplied together.
-        """
-        ring = self.ring
-        n = ring.nvars
+        """Replace variable i by sum_j matrix[i][j] * x_j; matrix must be
+        invertible.  The work is done in integers (`_IntegerMap.substitute`)
+        on the rows over their common denominator."""
+        n = self.ring.nvars
         rows = [[_rational(entry) for entry in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix shape must be %d x %d" % (n, n))
+        den = math.lcm(*(e.denominator for row in rows for e in row))
+        rows = [[e.numerator * den // e.denominator for e in row] for row in rows]
         if not _invertible(rows):
             raise ValueError("substitution matrix is singular")
-        powers = {}
-        result = ring.zero()
-        for m, c in self.terms.items():
-            term = ring.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = Polynomial(
-                            ring, _linear_power(rows[i], e)
-                        )
-                    term = term * power
-            result = result + term
-        return result
+        return _IntegerMap.of(self).substitute(rows, den).function()
 
     # -- display ------------------------------------------------------
 
@@ -330,54 +310,142 @@ def _coeff_text(coeff, factors) -> str:
     return str(coeff) + "*" + "*".join(factors)
 
 
-def _linear_power(row, e: int) -> dict:
-    """Terms of (sum_j row[j] * x_j)^e by the multinomial theorem."""
-    n = len(row)
-    support = [j for j in range(n) if row[j]]
-    last = support[-1]
-    terms = {}
-    exps = [0] * n
+def _pack(exps) -> int:
+    """The plain packing of an exponent tuple."""
+    plain = 0
+    for e in exps:
+        if e > _MAX_EXPONENT:
+            raise ValueError("exponent %d exceeds the engine limit" % e)
+        plain = (plain << _SLOT_BITS) | e
+    return plain
 
-    def expand(k, left, coeff):
-        # distribute the remaining degree over support[k:]
-        j = support[k]
-        if j == last:
-            exps[j] = left
-            terms[tuple(exps)] = coeff * row[j] ** left
-            return
-        a = row[j]
-        scale = Fraction(1)
-        for t in range(left + 1):
-            exps[j] = t
-            expand(k + 1, left - t, coeff * math.comb(left, t) * scale)
-            scale *= a
-        exps[j] = 0
 
-    expand(0, e, Fraction(1))
-    # expand refers to itself, a cycle that would keep terms alive until
-    # the cycle collector runs
-    del expand
-    return terms
+def _unpack(plain: int, n: int) -> tuple:
+    """The exponents in the low n slots; an engine key works too."""
+    shifts = range(_SLOT_BITS * (n - 1), -1, -_SLOT_BITS)
+    return tuple([plain >> s & _SLOT_MASK for s in shifts])
+
+
+def _pdegree(m: int) -> int:
+    total = 0
+    while m:
+        total += m & _SLOT_MASK
+        m >>= _SLOT_BITS
+    return total
+
+
+def _primitive(p: Polynomial, key=tuple):
+    """(shift, scale, terms) with p = shift + terms/scale: shift is p's
+    constant term, scale > 0, and terms the primitive integer polynomial
+    scale*(p - shift), a dict from key(exponent tuple) to ints; key=_pack
+    keys it by plain packings."""
+    constant = (0,) * p.ring.nvars
+    shift = p.terms.get(constant, Fraction(0))
+    rest = [(m, c) for m, c in p.terms.items() if m != constant]
+    den = math.lcm(*(c.denominator for _, c in rest))
+    content = math.gcd(*(c.numerator for _, c in rest)) or 1
+    terms = {key(m): c.numerator * den // c.denominator // content
+             for m, c in rest}
+    return shift, Fraction(den, content), terms
+
+
+class _IntegerMap:
+    """A polynomial as shift + terms/scale, with shift a rational, scale a
+    positive rational and terms an integer polynomial on plain packings,
+    and the partials of terms.
+
+    Derivatives, linear substitutions and integer combinations of partials
+    are computed on these dicts, where multiplying by a monomial adds its
+    packing to each key, and each result is divided by scale once, on the
+    way out (`polynomial`).
+    """
+
+    def __init__(self, ring, shift, scale, terms):
+        self.ring, self.shift, self.scale, self.terms = ring, shift, scale, terms
+        # the offsets of the slots of x_0, ..., x_{n-1}
+        self.slots = range(_SLOT_BITS * (ring.nvars - 1), -1, -_SLOT_BITS)
+        self.partials = [
+            {k - (1 << s): v * e for k, v in terms.items()
+             if (e := k >> s & _SLOT_MASK)}
+            for s in self.slots
+        ]
+
+    @classmethod
+    def of(cls, p: Polynomial) -> "_IntegerMap":
+        return cls(p.ring, *_primitive(p, _pack))
+
+    def polynomial(self, terms: dict, ring=None, shift=0) -> Polynomial:
+        """terms/scale + shift in `ring`: the map's own, or one with
+        variables prepended, whose packings are the same."""
+        ring = ring or self.ring
+        n, num, den = ring.nvars, self.scale.numerator, self.scale.denominator
+        out = {_unpack(k, n): Fraction(v * den, num)
+               for k, v in terms.items() if v}
+        if shift:
+            out[(0,) * n] = shift
+        return Polynomial(ring, out)
+
+    def function(self, ring=None) -> Polynomial:
+        """The polynomial itself, in its ring or as for `polynomial`."""
+        return self.polynomial(self.terms, ring, self.shift)
+
+    def combination(self, weights, out=None, unit=0) -> dict:
+        """sum_j weights[j] * d/dx_j of the terms, times the monomial whose
+        packing is `unit`, added into `out`."""
+        out = {} if out is None else out
+        for w, d in zip(weights, self.partials):
+            for k, v in d.items():
+                out[k + unit] = out.get(k + unit, 0) + w * v
+        return out
+
+    def substitute(self, rows, den=1) -> "_IntegerMap":
+        """The polynomial with x_i replaced by sum_j rows[i][j]/den * x_j,
+        rows of integers.  With d the degree of the terms, den^d times the
+        new terms is an integer polynomial: each term is scaled by den to
+        the degree it lacks, and multiplied by the rows' linear forms."""
+        degree = max(map(_pdegree, self.terms), default=0)
+        # a term's exponents sum to at most d, so no slot overflows
+        if degree > _MAX_EXPONENT:
+            raise ValueError("degree %d exceeds the engine limit" % degree)
+        forms = [{1 << s: a for s, a in zip(self.slots, r) if a} for r in rows]
+        out = {}
+        for key, c in self.terms.items():
+            term = {0: c if den == 1 else c * den ** (degree - _pdegree(key))}
+            for s, form in zip(self.slots, forms):
+                for _ in range(key >> s & _SLOT_MASK):
+                    step = {}
+                    for ka, va in term.items():
+                        for kb, vb in form.items():
+                            step[ka + kb] = step.get(ka + kb, 0) + va * vb
+                    term = step
+            for k, v in term.items():
+                out[k] = out.get(k, 0) + v
+        scale = self.scale * den**degree
+        return _IntegerMap(self.ring, self.shift, scale, out)
+
+    def restricted(self, i: int) -> "_IntegerMap":
+        """The polynomial on x_i = 0, in the ring without x_i: the packings
+        whose slot i is zero, that slot taken out."""
+        names, s = self.ring.variables, self.slots[i]
+        terms = {(k >> (s + _SLOT_BITS) << s) | (k & (1 << s) - 1): v
+                 for k, v in self.terms.items() if not k >> s & _SLOT_MASK}
+        ring = PolynomialRing(names[:i] + names[i + 1:])
+        return _IntegerMap(ring, self.shift, self.scale, terms)
 
 
 def _invertible(rows) -> bool:
-    """Gaussian elimination rank check with exact rational arithmetic."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
+    """Rank check of an integer matrix by fraction-free (Bareiss)
+    elimination: each entry is a minor of the matrix, each division
+    exact."""
+    rows, previous = [list(r) for r in rows], 1
+    for col in range(len(rows)):
+        pivot = next((r for r in rows if r[col]), None)
         if pivot is None:
             return False
-        a[col], a[pivot] = a[pivot], a[col]
-        inv_head = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] * inv_head
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+        rows.remove(pivot)
+        rows = [[(pivot[col] * x - r[col] * y) // previous
+                 for x, y in zip(r, pivot)] for r in rows]
+        previous = pivot[col]
     return True
 
 

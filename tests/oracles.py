@@ -4,8 +4,13 @@ Everything here but the last two sections is deliberately independent of the
 package internals: dense list-based univariate arithmetic over Fraction, a
 Sylvester-determinant resultant for bivariate integer polynomials,
 S-polynomials and multivariate division on tuple monomials under lex with
-the variables in ring order, the value shift of the metamorphic tests, and
-Miller-Rabin, the reference for the engine's Proth primes.
+the variables in ring order, the value shift of the metamorphic tests,
+Miller-Rabin, the reference for the engine's Proth primes, and the curve
+builders in Fraction arithmetic on `Polynomial`, the reference for the
+integer curve layer (derivatives, restriction to a hyperplane, linear
+substitution by the multinomial theorem, the combined derivative
+hypersurfaces, localization and graph generators, and Gaussian elimination
+as the rank check).
 Keeping these paths separate from the Groebner engine's packed monomials
 and modular arithmetic makes agreement between the two a meaningful check.
 The last three sections work on the engine's packed keys: a second
@@ -21,8 +26,18 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
+import math
+
 from polarvalues import groebner
-from polarvalues.polynomials import Polynomial, monomial_add
+from polarvalues.groebner import Ideal
+from polarvalues.polynomials import (
+    Polynomial,
+    PolynomialRing,
+    extend_ring,
+    fresh_variable_name,
+    lift_polynomial,
+    monomial_add,
+)
 from polarvalues.univar import UnivariatePolynomial
 
 
@@ -356,6 +371,130 @@ def is_probable_prime(n: int, bases=MR_BASES) -> bool:
         else:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# curve builders in Fraction arithmetic on tuple monomials
+
+
+def partial(p: Polynomial, i: int) -> Polynomial:
+    """d/dx_i of p, term by term."""
+    terms = {}
+    for m, c in p.terms.items():
+        if m[i]:
+            dm = list(m)
+            dm[i] -= 1
+            terms[tuple(dm)] = c * m[i]
+    return Polynomial(p.ring, terms)
+
+
+def restrict(p: Polynomial, i: int) -> Polynomial:
+    """p on x_i = 0, in the ring without x_i."""
+    names = p.ring.variables
+    ring = PolynomialRing(names[:i] + names[i + 1:])
+    return Polynomial(ring, {m[:i] + m[i + 1:]: c
+                             for m, c in p.terms.items() if not m[i]})
+
+
+def invertible(rows) -> bool:
+    """Gaussian elimination rank check with exact rational arithmetic."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] for r in rows]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return False
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return True
+
+
+def linear_power(row, e: int) -> dict:
+    """Terms of (sum_j row[j] * x_j)^e by the multinomial theorem."""
+    n = len(row)
+    support = [j for j in range(n) if row[j]]
+    last = support[-1]
+    terms = {}
+    exps = [0] * n
+
+    def expand(k, left, coeff):
+        # distribute the remaining degree over support[k:]
+        j = support[k]
+        if j == last:
+            exps[j] = left
+            terms[tuple(exps)] = coeff * row[j] ** left
+            return
+        a = row[j]
+        scale = Fraction(1)
+        for t in range(left + 1):
+            exps[j] = t
+            expand(k + 1, left - t, coeff * math.comb(left, t) * scale)
+            scale *= a
+        exps[j] = 0
+
+    expand(0, e, Fraction(1))
+    return terms
+
+
+def substitute_linear(p: Polynomial, matrix) -> Polynomial:
+    """p with x_i replaced by sum_j matrix[i][j] * x_j; ValueError when the
+    matrix is singular."""
+    rows = [[Fraction(x) for x in r] for r in matrix]
+    if not invertible(rows):
+        raise ValueError("substitution matrix is singular")
+    ring = p.ring
+    result = ring.zero()
+    for m, c in p.terms.items():
+        term = ring.constant(c)
+        for i, e in enumerate(m):
+            if e:
+                term = term * Polynomial(ring, linear_power(rows[i], e))
+        result = result + term
+    return result
+
+
+def super_polar(f: Polynomial, a, b) -> list:
+    """g_i = sum_j a[i][j] df/dx_j + sum_{j,k} b[i][j][k] x_k df/dx_j."""
+    ring = f.ring
+    n = ring.nvars
+    partials = [partial(f, j) for j in range(n)]
+    xs = ring.gens()
+    gens = []
+    for i in range(len(a)):
+        g = ring.zero()
+        for j in range(n):
+            g = g + a[i][j] * partials[j]
+            for k in range(n):
+                g = g + b[i][j][k] * xs[k] * partials[j]
+        gens.append(g)
+    return gens
+
+
+def rabinowitsch(ideal: Ideal, h: Polynomial) -> Ideal:
+    """The ideal with t*h - 1 adjoined, t a fresh first variable."""
+    name = fresh_variable_name(ideal.ring.variables, "t")
+    ring = extend_ring(ideal.ring, name, front=True)
+    gens = [lift_polynomial(g, ring) for g in ideal.generators]
+    gens.append(ring.variable(name) * lift_polynomial(h, ring) - ring.one())
+    return Ideal(ring, gens)
+
+
+def graph(base: Ideal, f: Polynomial):
+    """(ring, generators, shift, scale) of the graph ideal (base,
+    scale*(f - shift) - z): shift f's constant term and scale the positive
+    rational that makes scale*(f - shift) a primitive integer polynomial."""
+    z_name = fresh_variable_name(base.ring.variables, "z")
+    ring = extend_ring(base.ring, z_name, front=False)
+    shift = f.terms.get((0,) * f.ring.nvars, Fraction(0))
+    rest = [c for m, c in f.terms.items() if any(m)]
+    scale = Fraction(math.lcm(*(c.denominator for c in rest)),
+                     math.gcd(*(c.numerator for c in rest)) or 1)
+    gens = [lift_polynomial(g, ring) for g in base.generators]
+    gens.append(lift_polynomial((f - shift) * scale, ring)
+                - ring.variable(z_name))
+    return ring, tuple(g for g in gens if g), shift, scale
 
 
 # ---------------------------------------------------------------------------

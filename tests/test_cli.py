@@ -208,6 +208,29 @@ class TestMainExitCodes:
         assert main(["x + y"]) == 2  # --vars is required
         capsys.readouterr()
 
+    def test_leading_minus_one_term_input(self, capsys):
+        # argparse read '-x^2*y', which starts with a minus and holds no
+        # space, as an unknown option, and the run exited 2
+        argv = ["--vars", "x,y", "--runs", "1", "--json"]
+        assert main(["-x^2*y"] + argv) == 0
+        bare = capsys.readouterr().out
+        assert main(argv + ["--", "-x^2*y"]) == 0
+        assert capsys.readouterr().out == bare
+        assert json.loads(bare)["input"] == "-x^2*y"
+
+    @pytest.mark.parametrize("argv", [
+        ["x + y", "--bogus"],
+        ["--bogus", "x + y"],
+        ["-x^2*y", "--bogus"],
+        ["-x^2*y", "x + y"],
+        ["-x", "-y"],
+    ])
+    def test_unknown_arguments_are_2(self, capsys, argv):
+        assert main(argv + ["--vars", "x,y", "--runs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+
     def test_dimension_guard_is_3(self, monkeypatch, capsys):
         import polarvalues.cli as cli
 
