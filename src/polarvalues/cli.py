@@ -77,6 +77,15 @@ def _tokenize(text: str):
     return tokens
 
 
+def _is_name(text: str) -> bool:
+    """Whether `_tokenize` reads `text` as exactly one name, so that an
+    input can mention it as a variable."""
+    try:
+        return _tokenize(text)[0][:2] == ("name", text)
+    except ParseError:
+        return False
+
+
 def parse_polynomial(text: str, variables) -> Polynomial:
     """Parse the sum-of-terms grammar over the declared variables."""
     ring = PolynomialRing(tuple(variables))
@@ -198,31 +207,19 @@ def run(config: RunConfig, f: Polynomial):
 
     Both methods share one `_CriticalSet` of f, so `--method both`
     computes the critical values once."""
-    critical = _CriticalSet(f)
+    shared = dict(
+        seed=config.seed,
+        runs=config.runs,
+        coeff_bound=config.coeff_bound,
+        tolerance=config.tolerance,
+        critical=_CriticalSet(f),
+    )
     reports = []
     if config.method in ("super_polar", "both"):
-        reports.append(
-            run_super_polar(
-                f,
-                seed=config.seed,
-                runs=config.runs,
-                coeff_bound=config.coeff_bound,
-                force_general=config.force_general_case,
-                tolerance=config.tolerance,
-                critical=critical,
-            )
-        )
+        force = config.force_general_case
+        reports.append(run_super_polar(f, force_general=force, **shared))
     if config.method in ("iterated_polar", "both"):
-        reports.append(
-            run_iterated_polar(
-                f,
-                seed=config.seed,
-                runs=config.runs,
-                coeff_bound=config.coeff_bound,
-                tolerance=config.tolerance,
-                critical=critical,
-            )
-        )
+        reports.append(run_iterated_polar(f, **shared))
     return reports
 
 
@@ -345,9 +342,8 @@ def render_text(report: DetectionReport) -> str:
             _format_bound(bounds.kinf),
         )
     )
-    if report.warnings:
-        for w in report.warnings:
-            lines.append("warning: %s" % w)
+    for w in report.warnings:
+        lines.append("warning: %s" % w)
     lines.append("total time: %.1f ms" % report.total_millis)
     return "\n".join(lines)
 
@@ -422,6 +418,9 @@ def main(argv=None) -> int:
         else:
             text = args.polynomial
         names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+        for name in names:
+            if not _is_name(name):
+                raise CLIError("--vars: %r is not a variable name" % name)
         if len(names) < 2:
             raise CLIError("declare at least two variables")
         config = RunConfig(

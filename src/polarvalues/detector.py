@@ -40,7 +40,7 @@ from .nonproper import (
     EMPTY_CURVE,
     VERTICAL_COMPONENT,
     ValueSet,
-    graph_ideal,
+    _graph_ideal,
     nonproperness_values,
     value_line,
 )
@@ -162,18 +162,26 @@ def super_polar_ideal(f: Polynomial, coeffs: SuperPolarCoefficients) -> Ideal:
 
 
 def gradient_ideal(f: Polynomial) -> Ideal:
-    form = _IntegerMap.of(f)
-    return Ideal(f.ring, [form.polynomial(d) for d in form.partials])
+    return _gradient_ideal(_IntegerMap.of(f))
+
+
+def _gradient_ideal(form: _IntegerMap) -> Ideal:
+    return Ideal(form.ring, [form.polynomial(d) for d in form.partials])
+
+
+def _critical_graph(form: _IntegerMap):
+    """The graph of the polynomial in `form` over its gradient ideal: it
+    is isomorphic to the critical set, and its certificate is the
+    gradient ideal's basis plus the value generator."""
+    return _graph_ideal(_gradient_ideal(form), form)
 
 
 def is_singular_locus_finite(f: Polynomial, graph=None) -> bool:
-    """True when the critical set of f is finite (possibly empty).
-
-    `graph`, the graph of f over its gradient ideal, is isomorphic to the
-    critical set; passing it answers from its certificate, which
-    `critical_values` then shares."""
-    ideal = gradient_ideal(f) if graph is None else graph.ideal
-    return affine_dimension(ideal) <= 0
+    """True when the critical set of f is finite (possibly empty), read
+    off the graph of f over its gradient ideal (`graph`, built when not
+    given), which `critical_values` then shares."""
+    graph = graph or _critical_graph(_IntegerMap.of(f))
+    return affine_dimension(graph.ideal) <= 0
 
 
 def critical_values(
@@ -182,8 +190,7 @@ def critical_values(
     """The set f(Sing f), computed by eliminating down to the value line
     of the graph of f over its gradient ideal (`graph`, built when not
     given) and mapping it back to f's values."""
-    if graph is None:
-        graph = graph_ideal(gradient_ideal(f), f)
+    graph = graph or _critical_graph(_IntegerMap.of(f))
     rho = value_line(graph)
     if rho is None:
         raise InternalInvariantError(
@@ -202,15 +209,14 @@ class _CriticalSet:
     values are computed once per tolerance; the warnings that computing
     them raised are raised again on every call, so each report that reads
     them carries the same warnings as if it had computed them itself.
-    `form`, f's integer form, holds the gradient that this graph and every
-    curve of both methods' reports are built from.
+    `form`, f's integer form, is what this graph and every curve and
+    graph of both methods' reports are built from.
     """
 
     def __init__(self, f: Polynomial):
         self.f = f
         self.form = _IntegerMap.of(f)
-        partials = [self.form.polynomial(d) for d in self.form.partials]
-        self.graph = graph_ideal(Ideal(f.ring, partials), f)
+        self.graph = _critical_graph(self.form)
         self._values = {}
 
     def finite(self) -> bool:
@@ -507,15 +513,13 @@ def run_super_polar(
             )
             curve = _super_polar(form, coeffs)
             escape = range(n)
-            f_on_curve = f
             if not special:
                 h = form.polynomial(form.combination(coeffs.beta))
                 if h.is_zero():
                     return None
                 curve = with_rabinowitsch(curve, h)
                 escape = range(1, n + 1)
-                f_on_curve = form.function(curve.ring)
-            graph = graph_ideal(curve, f_on_curve)
+            graph = _graph_ideal(curve, form)
             dim = affine_dimension(graph.ideal)
             if dim > 1:
                 return dim
@@ -567,7 +571,7 @@ def run_iterated_polar(
                 continue
             partials = [slice_map.polynomial(d) for d in slice_map.partials[1:]]
             curve = with_rabinowitsch(Ideal(ring, partials), h)
-            graph = graph_ideal(curve, slice_map.function(curve.ring))
+            graph = _graph_ideal(curve, slice_map)
             dim = affine_dimension(graph.ideal)
             if dim > 1:
                 return dim

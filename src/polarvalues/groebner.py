@@ -122,7 +122,7 @@ prime only replays traces, whose cost is mostly per term, not per bit:
 the dense cubic's chain replayed modulo 240 bits in 0.62 of the time of
 two replays modulo 120, so the wide agenda lifts the same bits with less
 work.  The chains of that report take 1, 2, 2 and 1 primes (1, 2, 3 and
-1 with 120-bit later primes; README, "Engine notes").
+1 with 120-bit later primes; CHANGES.md holds the measurements).
 
 Each Ideal builds its certificate once and keeps it, so its dimension
 (read off the leading monomials of G), its eliminations and their
@@ -896,7 +896,7 @@ def _core_buchberger(gens, engine, trace):
     Keys are affine in the exponents, so multiplying a signature by t adds
     deg(t) at the sugar shift and key(t) - key(1) at the key shift.
     Measured on the workloads, this order beats both the plain Schreyer
-    order and position-first orders (README, "Engine notes").
+    order and position-first orders (CHANGES.md holds the counts).
 
     The queue starts with the generators' signatures, and each installed
     element queues the J-pair signature of every older one (`_jpairs`).

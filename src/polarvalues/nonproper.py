@@ -31,7 +31,8 @@ from .groebner import (
 from .polynomials import (
     Polynomial,
     PolynomialRing,
-    _primitive,
+    _IntegerMap,
+    _unpack,
     extend_ring,
     fresh_variable_name,
 )
@@ -147,26 +148,38 @@ class GraphIdeal(Record):
 
 def graph_ideal(base: Ideal, f: Polynomial) -> GraphIdeal:
     """Adjoin a fresh value variable z (last in the order) and
-    scale*(f - shift) - z (see `GraphIdeal`).
+    scale*(f - shift) - z (see `GraphIdeal`), built from f's primitive
+    integer form (`_graph_ideal`).
 
     The change z -> scale*(z - shift) of the value coordinate is affine,
     so it maps the graph ideal of f - z onto this one, and their
     eliminations and reduced lex bases onto each other up to scalars: the
-    values read off either are the same once mapped back.  scale*(f -
-    shift) is f's primitive integer form (`polynomials._primitive`), and
-    the base's generators are relabeled, not recomputed.
+    values read off either are the same once mapped back.
     """
     if f.ring != base.ring:
         raise ValueError("f must live in the curve ideal's ring")
+    return _graph_ideal(base, _IntegerMap.of(f))
+
+
+def _graph_ideal(base: Ideal, form: _IntegerMap) -> GraphIdeal:
+    """The graph ideal of the polynomial in `form` over V(base).
+
+    The map's variables are the last ones of the base's ring: the same
+    ring, or the ring after a prepended localization variable, whose
+    plain packings coincide.  The map's terms are scale*(f - shift), so
+    the value generator is read off them, and the base's generators are
+    relabeled, not recomputed.
+    """
     z_name = fresh_variable_name(base.ring.variables, "z")
     ring_z = extend_ring(base.ring, z_name, front=False)
-    shift, scale, terms = _primitive(f)
-    value = {m + (0,): Fraction(v) for m, v in terms.items()}
-    value[(0,) * f.ring.nvars + (1,)] = Fraction(-1)
+    n = base.ring.nvars
+    value = {_unpack(k, n) + (0,): Fraction(v) for k, v in form.terms.items()}
+    value[(0,) * n + (1,)] = Fraction(-1)
     gens = [Polynomial(ring_z, {m + (0,): c for m, c in g.terms.items()})
             for g in base.generators]
     gens.append(Polynomial(ring_z, value))
-    return GraphIdeal(ring_z, ring_z.nvars - 1, Ideal(ring_z, gens), shift, scale)
+    ideal = Ideal(ring_z, gens)
+    return GraphIdeal(ring_z, ring_z.nvars - 1, ideal, form.shift, form.scale)
 
 
 def fiber_relation(

@@ -334,26 +334,15 @@ def _pdegree(m: int) -> int:
     return total
 
 
-def _primitive(p: Polynomial, key=tuple):
-    """(shift, scale, terms) with p = shift + terms/scale: shift is p's
-    constant term, scale > 0, and terms the primitive integer polynomial
-    scale*(p - shift), a dict from key(exponent tuple) to ints; key=_pack
-    keys it by plain packings."""
-    constant = (0,) * p.ring.nvars
-    shift = p.terms.get(constant, Fraction(0))
-    rest = [(m, c) for m, c in p.terms.items() if m != constant]
-    den = math.lcm(*(c.denominator for _, c in rest))
-    content = math.gcd(*(c.numerator for _, c in rest)) or 1
-    terms = {key(m): c.numerator * den // c.denominator // content
-             for m, c in rest}
-    return shift, Fraction(den, content), terms
-
-
 class _IntegerMap:
     """A polynomial as shift + terms/scale, with shift a rational, scale a
-    positive rational and terms an integer polynomial on plain packings,
-    and the partials of terms.
+    positive rational and terms a primitive integer polynomial on plain
+    packings, and the partials of terms.
 
+    Every map is built primitive: zero terms are dropped and the content
+    is divided out of the terms and the scale, so shift is the constant
+    term c, scale the λ > 0 and terms the primitive integer polynomial
+    λ(f - c) of a graph ideal's value coordinate (`nonproper.GraphIdeal`).
     Derivatives, linear substitutions and integer combinations of partials
     are computed on these dicts, where multiplying by a monomial adds its
     packing to each key, and each result is divided by scale once, on the
@@ -361,7 +350,10 @@ class _IntegerMap:
     """
 
     def __init__(self, ring, shift, scale, terms):
-        self.ring, self.shift, self.scale, self.terms = ring, shift, scale, terms
+        content = math.gcd(*terms.values())
+        terms = {k: v // content for k, v in terms.items() if v}
+        self.ring, self.shift, self.terms = ring, shift, terms
+        self.scale = scale / content if terms else Fraction(1)
         # the offsets of the slots of x_0, ..., x_{n-1}
         self.slots = range(_SLOT_BITS * (ring.nvars - 1), -1, -_SLOT_BITS)
         self.partials = [
@@ -372,22 +364,25 @@ class _IntegerMap:
 
     @classmethod
     def of(cls, p: Polynomial) -> "_IntegerMap":
-        return cls(p.ring, *_primitive(p, _pack))
+        # den clears every denominator; the constructor divides out the rest
+        den = math.lcm(*(c.denominator for c in p.terms.values()))
+        terms = {_pack(m): c.numerator * (den // c.denominator)
+                 for m, c in p.terms.items() if any(m)}
+        shift = p.terms.get((0,) * p.ring.nvars, Fraction(0))
+        return cls(p.ring, shift, Fraction(den), terms)
 
-    def polynomial(self, terms: dict, ring=None, shift=0) -> Polynomial:
-        """terms/scale + shift in `ring`: the map's own, or one with
-        variables prepended, whose packings are the same."""
-        ring = ring or self.ring
-        n, num, den = ring.nvars, self.scale.numerator, self.scale.denominator
+    def polynomial(self, terms: dict, shift=0) -> Polynomial:
+        """terms/scale + shift in the map's ring."""
+        n, (num, den) = self.ring.nvars, self.scale.as_integer_ratio()
         out = {_unpack(k, n): Fraction(v * den, num)
                for k, v in terms.items() if v}
         if shift:
             out[(0,) * n] = shift
-        return Polynomial(ring, out)
+        return Polynomial(self.ring, out)
 
-    def function(self, ring=None) -> Polynomial:
-        """The polynomial itself, in its ring or as for `polynomial`."""
-        return self.polynomial(self.terms, ring, self.shift)
+    def function(self) -> Polynomial:
+        """The polynomial itself."""
+        return self.polynomial(self.terms, self.shift)
 
     def combination(self, weights, out=None, unit=0) -> dict:
         """sum_j weights[j] * d/dx_j of the terms, times the monomial whose

@@ -208,6 +208,22 @@ class TestMainExitCodes:
         assert main(["x + y"]) == 2  # --vars is required
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text", ["x", "x*y", "y^2", "y-1"])
+    @pytest.mark.parametrize("declared", ["y z", "2y", "y'", "y-1"])
+    def test_names_the_grammar_cannot_write_are_2(self, text, declared, capsys):
+        # 'x,y z' declared a variable 'y z' that no input can mention: x
+        # alone ran and reported it, and x*y met an undeclared 'y'
+        argv = [text, "--vars", "x," + declared, "--runs", "1"]
+        assert main(argv) == 2
+        assert repr(declared) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("declared", [" x , y ", "x,λ"])
+    def test_names_with_spaces_around_or_letters_beyond_ascii(
+        self, declared, capsys
+    ):
+        assert main(["x + x^2", "--vars", declared, "--runs", "1"]) == 0
+        capsys.readouterr()
+
     def test_leading_minus_one_term_input(self, capsys):
         # argparse read '-x^2*y', which starts with a minus and holds no
         # space, as an unknown option, and the run exited 2

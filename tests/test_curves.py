@@ -1,18 +1,19 @@
 """The integer curve layer against the Fraction builders it replaced.
 
-Every curve of a report is built in integers from one primitive integer
-form of f, and turned into Fraction polynomials once, on the way out.  The
-references in tests/oracles.py build the same objects term by term in
-Fraction arithmetic: the public builders must return equal polynomials,
-storing only nonzero Fractions, and the samplers must hand the engine the
-very ideals that the references build from the same draws.
+Every curve and graph of a report is built in integers from one primitive
+integer form of f, and turned into Fraction polynomials once, on the way
+out.  The references in tests/oracles.py build the same objects term by
+term in Fraction arithmetic: the public builders must return equal
+polynomials, storing only nonzero Fractions, and the samplers must hand
+the engine the very ideals that the references build from the same draws.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from polarvalues import detector
 from polarvalues.detector import (
@@ -23,19 +24,27 @@ from polarvalues.detector import (
     _nonzero_int,
     derive_run_seed,
     gradient_ideal,
+    is_singular_locus_finite,
     run_iterated_polar,
     run_super_polar,
     sample_invertible_matrix,
     sample_super_polar_coefficients,
     super_polar_ideal,
 )
-from polarvalues.groebner import Ideal, with_rabinowitsch
-from polarvalues.nonproper import ValueSet, graph_ideal
-from polarvalues.polynomials import PolynomialRing, _invertible, lift_polynomial
+from polarvalues.groebner import Ideal, affine_dimension, with_rabinowitsch
+from polarvalues.nonproper import ValueSet, _graph_ideal, graph_ideal
+from polarvalues.polynomials import (
+    PolynomialRing,
+    _IntegerMap,
+    _invertible,
+    _pack,
+    extend_ring,
+    lift_polynomial,
+)
 
 import oracles
 
-RINGS = {n: PolynomialRing(tuple("xyuv"[:n])) for n in (2, 3, 4)}
+RINGS = {n: PolynomialRing(tuple("xyuv"[:n])) for n in (1, 2, 3, 4)}
 RATIONALS = st.builds(
     Fraction,
     st.integers(min_value=-40, max_value=40),
@@ -45,6 +54,26 @@ RATIONALS = st.builds(
 
 def _stores_no_zero(p):
     return all(isinstance(c, Fraction) and c for c in p.terms.values())
+
+
+def _check_graph(got, base, f):
+    """A graph of f over V(base) must be the reference's graph of f lifted
+    into the base's ring, storing only nonzero Fractions."""
+    assert (got.ring, got.ideal.generators, got.shift, got.scale) == (
+        oracles.graph(base, lift_polynomial(f, base.ring))
+    )
+    assert got.z_index == got.ring.nvars - 1
+    assert all(_stores_no_zero(g) for g in got.ideal.generators)
+
+
+@st.composite
+def bases(draw, ring, localized):
+    """An ideal of up to three drawn polynomials in `ring`, or in `ring`
+    with a variable t prepended, as `with_rabinowitsch` makes."""
+    if localized:
+        ring = extend_ring(ring, "t", front=True)
+    gens = draw(st.lists(maps(nvars=ring.nvars), max_size=3))
+    return Ideal(ring, [ring.polynomial(g.terms) for g in gens])
 
 
 @st.composite
@@ -152,15 +181,66 @@ class TestBuildersEqualTheReference:
         assert all(_stores_no_zero(g) for g in got.generators)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(maps(nvars=2), max_size=3), maps(nvars=2))
-    def test_curve_construction_graph(self, gens, f):
-        base = Ideal(RINGS[2], gens)
-        got = graph_ideal(base, f)
-        assert (got.ring, got.ideal.generators, got.shift, got.scale) == (
-            oracles.graph(base, f)
+    @given(st.data(), maps(), st.booleans())
+    def test_curve_construction_graph(self, data, f, localized):
+        # the builder reads the graph off f's integer form, over a base in
+        # f's ring or in that ring with t prepended; graph_ideal is the
+        # builder on f's own ring
+        base = data.draw(bases(f.ring, localized))
+        _check_graph(_graph_ideal(base, _IntegerMap.of(f)), base, f)
+        if not localized:
+            _check_graph(graph_ideal(base, f), base, f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), maps(), st.sampled_from([1, 2, 3]), st.booleans(),
+           st.booleans())
+    def test_curve_construction_graph_of_a_slice(
+        self, data, f, den, restricted, localized
+    ):
+        # a slice's map comes out of substitute or restricted already
+        # primitive, so it holds its graph's shift, scale and terms
+        rows = data.draw(matrices(f.ring.nvars, rational=False))
+        assume(oracles.invertible(rows))
+        form = _IntegerMap.of(f).substitute(rows, den)
+        want = oracles.substitute_linear(
+            f, [[Fraction(a, den) for a in row] for row in rows]
         )
-        assert got.z_index == got.ring.nvars - 1
-        assert all(_stores_no_zero(g) for g in got.ideal.generators)
+        if restricted:
+            form, want = form.restricted(0), oracles.restrict(want, 0)
+        assert all(form.terms.values())
+        assert math.gcd(*form.terms.values()) in (0, 1)
+        base = data.draw(bases(form.ring, localized))
+        _check_graph(_graph_ideal(base, form), base, want)
+
+    def test_curve_construction_slices_divide_out_their_content(self):
+        # 2y^2 + 4yu, restricted off x + 2y^2 + 4yu, and 4x^2 + 4xy,
+        # substituted into x^2 + xy by x -> 2x, have content above 1
+        f = RINGS[3].polynomial({(1, 0, 0): 1, (0, 2, 0): 2, (0, 1, 1): 4})
+        g = RINGS[2].polynomial({(2, 0): 1, (1, 1): 1})
+        for form, want in (
+            (_IntegerMap.of(f).restricted(0), oracles.restrict(f, 0)),
+            (_IntegerMap.of(g).substitute([[2, 0], [0, 1]]),
+             oracles.substitute_linear(g, [[2, 0], [0, 1]])),
+        ):
+            packed = {_pack(m): int(c) for m, c in want.terms.items()}
+            content = math.gcd(*packed.values())
+            assert content > 1
+            assert form.terms == {k: c // content for k, c in packed.items()}
+            assert form.scale == Fraction(1, content)
+            for localized in (False, True):
+                base = Ideal(form.ring, [want])
+                if localized:
+                    base = with_rabinowitsch(base, want)
+                _check_graph(_graph_ideal(base, form), base, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(maps(max_deg=3))
+    def test_curve_construction_singular_locus_from_the_graph(self, f):
+        # the graph's certificate is the gradient ideal's basis plus the
+        # value generator, so its dimension is the gradient ideal's
+        assert is_singular_locus_finite(f) == (
+            affine_dimension(gradient_ideal(f)) <= 0
+        )
 
 
 def _reference_super_polar(f, seed, bound, special):
@@ -216,19 +296,21 @@ def _reference_iterated(f, seed, bound):
 
 class TestSamplersBuildTheReferenceCurves:
     """The samplers run with the engine stubbed out: every curve passes the
-    dimension guard and has no values, so one run records each curve it
-    builds, which must be the reference's."""
+    dimension guard and has no values, so one run records each curve and
+    graph it builds, which must be the reference's.  The graph's shift,
+    scale and value generator are those of the reference's f on the
+    curve, so they check the map that the sampler built the graph from."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
         graphs = []
-        make_graph = detector.graph_ideal
+        make_graph = detector._graph_ideal
 
-        def recording_graph(base, f):
-            graphs.append((base, f, make_graph(base, f)))
-            return graphs[-1][2]
+        def recording_graph(base, form):
+            graphs.append((base, make_graph(base, form)))
+            return graphs[-1][1]
 
-        monkeypatch.setattr(detector, "graph_ideal", recording_graph)
+        monkeypatch.setattr(detector, "_graph_ideal", recording_graph)
         monkeypatch.setattr(detector, "affine_dimension", lambda ideal: 1)
         monkeypatch.setattr(
             detector, "nonproperness_values",
@@ -245,13 +327,10 @@ class TestSamplersBuildTheReferenceCurves:
 
     def check(self, recorded, want):
         assert len(recorded) == len(want)
-        for (curve, f_on_curve, got), (ref_curve, ref_f) in zip(recorded, want):
+        for (curve, got), (ref_curve, ref_f) in zip(recorded, want):
             assert curve.ring == ref_curve.ring
             assert curve.generators == ref_curve.generators
-            assert f_on_curve == ref_f
-            assert (got.ring, got.ideal.generators, got.shift, got.scale) == (
-                oracles.graph(ref_curve, ref_f)
-            )
+            _check_graph(got, ref_curve, ref_f)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -289,12 +289,12 @@ class TestOneCertificatePerIdeal:
         graphs = []
         chains = []
         builds = Counter()
-        make_graph = detector.graph_ideal
+        make_graph = detector._graph_ideal
         chain = groebner._modular_chain
         build = groebner._Certificate._build
 
-        def recording_graph(base, f):
-            graphs.append((base, make_graph(base, f)))
+        def recording_graph(base, form):
+            graphs.append((base, make_graph(base, form)))
             return graphs[-1][1]
 
         def recording_chain(certificate, *rest):
@@ -306,7 +306,7 @@ class TestOneCertificatePerIdeal:
             build(certificate)
 
         for module in (detector, nonproper):
-            monkeypatch.setattr(module, "graph_ideal", recording_graph)
+            monkeypatch.setattr(module, "_graph_ideal", recording_graph)
         monkeypatch.setattr(groebner, "_modular_chain", recording_chain)
         monkeypatch.setattr(groebner._Certificate, "_build", counting_build)
         runner(X3 + X3**2 * Y3, seed=0, runs=1, coeff_bound=5)

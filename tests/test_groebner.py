@@ -2629,10 +2629,11 @@ class TestGraphCertificate:
             assert with_shape.contains(wrong) is without.contains(wrong)
 
     def test_lucky_primes_keep_the_curve_relation(self, monkeypatch):
-        """README's lucky-prime example lifted into a graph: modulo p0 and
-        p1 the curve's generators x + y + u and x + N*y + u, N = 1 +
-        p0*p1, coincide, so the raw generators with x + 2y - z would make
-        the (x, z) elimination empty there.  The seed is the curve's basis
+        """The lucky-prime ideal of `test_unlucky_seed_primes_are_skipped`
+        lifted into a graph: modulo p0 and p1 the curve's generators
+        x + y + u and x + N*y + u, N = 1 + p0*p1, coincide, so the raw
+        generators with x + 2y - z would make the (x, z) elimination empty
+        there.  The seed is the curve's basis
         {y, x + u} plus the value generator, which keeps the relation
         modulo p0, and the chain proves it at p0 alone.  The stage orders
         z before x, so the relation comes out as -x + z."""
