@@ -196,8 +196,6 @@ def critical_values(
         raise InternalInvariantError(
             "critical value projection came out dominant"
         )
-    if rho.degree() < 1:
-        return ValueSet.empty()
     return ValueSet.from_rho(graph.to_f(rho), (), tolerance)
 
 

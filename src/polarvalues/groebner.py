@@ -1,170 +1,44 @@
 """Groebner bases via Buchberger's algorithm, with elimination, dimension,
 and localization helpers.
 
-Engine internals: monomials are encoded as single integers whose high
-slots realize the active monomial order, so comparison is native integer
-comparison, and whose low slots are a plain packing of the exponents, on
-which divisibility is tested with a two-operation guard-bit trick.  One
-family of orders covers every use: blocks of variables compared in
-sequence, each degree-graded and reverse-lex inside.  Singleton blocks in
-ring order give `buchberger`'s lex order, the only lex order of the
-package; a leading block holding just the eliminated variable yields the
-same elimination ideal as a pure lex order but with far smaller
-intermediate bases, which is what makes the curve projections in this
-package tractable.  Every such stage orders the rest in reverse ring
-order (`_stage_codec`), so a graph ideal's value coordinate, last in its
-ring, leads every stage, and every elimination comes out as a reduced
-graded basis on its kept variables in that order.  Moving a monomial to
-another order (a J-pair's lcm, a stage's input) goes through its plain
-packing: keys are affine in the exponents, so its key is key(1) plus
-each exponent times key(x_i) - key(1).
+Every rational result comes from one multi-modular driver.  This is an
+overview; the argument behind each piece is in the docstring named here.
 
-Bases modulo p come from a signature run (Gao, Volny & Wang, Math. Comp.
-85, 2016, `_core_buchberger`).  Each element carries a signature t*e_i,
-compared by sugar degree, then by the key of t*LT(f_i), then by i, and
-packed into one integer; signatures are processed in increasing order,
-and the syzygy criterion (Koszul signatures and earlier reductions to
-zero) and the cover criterion (GVW, Theorem 2.4) skip most of the
-reductions to zero that Buchberger's pair criteria, which read only
-leading monomials, leave; the tests check it against a Gebauer-Moller
-Buchberger loop (`tests/oracles.py`).  Modulo p, reduction keeps the
-working terms in a max-heap of keys, so each step costs proportional to
-the reducer's support, not the tail size; a coefficient is reduced modulo
-p only when its key reaches the top (Monagan & Pearce, "Sparse polynomial
-division using a heap", JSC 46, 2011), and a term is reduced by the first
-basis element, in install order, whose leading monomial divides it with a
-multiple of smaller signature.  Most terms meet no divisor, and most meet
-a key the run has met before, so a run remembers for each key how many of
-its elements are known not to divide it, and the scan starts past them.
-A stage that drops a variable hands on only its elements free of it, so
-its run reduces only the top of each target, up to the first term that
-no element divides regularly, and keeps the rest as it is; of the
-minimal basis, only the elements free of the variable are inter-reduced.
-A signature run needs only regular top reduction (GVW; Eder & Faugere,
-"A survey on signature-based algorithms for computing Groebner bases",
-JSC 80, 2017), and the reduced basis of the elimination ideal is unique,
-so what the stage hands on is what a fully reducing run hands on.
-The exact checks reduce over the integers
-with the same heap: a step scales the working polynomial instead of
-inverting, its content is divided out only once its top coefficient has
-grown, and a membership test stops at the first term that no leading
-monomial divides; the basis check prunes its S-pairs by the Gebauer-Moller
-criteria (`_update_pairs`).
-
-Rational results come from one multi-modular driver, `_modular_chain`.
-For each of a fixed sequence of primes, one of 120 bits and then primes
-of 240 bits, it runs a whole chain of bases modulo p: from a seed modulo
-p (the generators, or the certificate's basis below), which never runs
-itself, a tree of stages,
-each fed the elements of its parent that are free of the parent's
-eliminated variable.  A stage eliminates one variable, or, for a whole
-basis, none.  The chain plans its tree at its first prime: at each node
-it drops next the variable that the most pending sets of variables to
-drop contain, so that the stage serves as many sets as it can, and where
-a tie at the root between variables that several sets contain changes
-the tree, the one whose one-variable stage does the least work modulo
-that prime.  Those stages race (`_race`): their signature runs take
-steps side by side, the least spent first, and stop once the cheapest
-has ended, so no loser goes more than one step past the winner's work.
-Only the chain's outputs are combined by Chinese remaindering and
-rational reconstruction (a coefficient keeps its last reconstruction
-while that still matches the new residue, and an attempt stops at once
-while the coefficient that failed last still fails); intermediate stages
-never leave the modular engine, and a stage stops running once every
-output below it is lifted.
-A reduced Groebner basis is determined by the ideal and the order, so the
-modular route returns the object a direct rational computation would.
-Primes are grouped by the staircases of every stage on an output's path.
-An output is accepted at the first prime of its group whose
-reconstruction is wrong with a chance of at most 1/8 (`_EARLY_RISK`),
-weighed over all of its coefficients, once it passes an exact check over
-the integers; that check proves it (see `_modular_chain`).  Otherwise,
-and above _EXACT_CHECK_BIT_CAP, it waits for a fresh prime of its group
-to reproduce the reconstruction, that is, to leave it unchanged when its
-image is added, and then takes the same check.  Each output is proved
-once, by one of two proofs:
-
-- an elimination output is certified to lie in the ideal, and Pauer's
-  lucky-prime argument proves the converse.  The certificate
-  (`_Certificate`) is a graded basis of the homogenized generators,
-  proved exact as below and dehomogenized to a Groebner basis G of the
-  ideal, by which every lifted generator must reduce to zero.  A
-  candidate that fails takes more primes.  A graph ideal B + <a*v + F>,
-  its last variable v in that generator alone, is certified by its base:
-  G is B's certificate basis plus a*v + F, a Groebner basis under a block
-  order with v first, and no graded basis of the graph itself is lifted.
-  G also seeds each elimination chain, under its own order: modulo a
-  prime that divides none of its coefficients, the seed keeps every
-  relation of the ideal, and each root stage reduces it directly.  A
-  whole basis of inhomogeneous generators (`buchberger`, `graded_basis`)
-  is such an output: the certificate's elimination of nothing.
-- a whole basis of homogeneous generators, the certificate's own among
-  them, must be a Groebner basis by which every generator reduces to
-  zero; Arnold's Hilbert-function argument then proves it.
-
-A principal ideal needs no chain: its reduced basis is its generator
-made primitive.
-
-A chain draws its primes from two agendas of Proth primes N = k*2^m + 1
-with k odd and below 2^m, each descending from 2^(2m) and each prime
-proved by Proth's theorem with one modular power (`_is_proth_prime`):
-its first prime from the narrow agenda (m = 60, below 2^120), every
-later one from the wide agenda (m = 120, below 2^240).  CPython stores a
-62-bit integer in three 30-bit digits and any integer below 2^120 in
-four, and a full signature run costs about the same per prime at either
-size, while each prime lifts almost twice the bits: the chains of the
-seed-0 report on x + x^2*y in (x, y, u) at the default coefficient bound
-took 2, 2, 4 and 4 primes when every output waited for a vote, against
-2, 2, 6 and 7 with 62-bit primes.  Above 120 bits a full run's cost per
-prime grows faster than the primes saved, so the first prime, whose full
-runs and root races record every trace, stays at 120 bits.  A later
-prime only replays traces, whose cost is mostly per term, not per bit:
-the dense cubic's chain replayed modulo 240 bits in 0.62 of the time of
-two replays modulo 120, so the wide agenda lifts the same bits with less
-work.  The chains of that report take 1, 2, 2 and 1 primes (1, 2, 3 and
-1 with 120-bit later primes; CHANGES.md holds the measurements).
-
-Each Ideal builds its certificate once and keeps it, so its dimension
-(read off the leading monomials of G), its eliminations and their
-memberships all rest on one exact basis.
-
-The unit ideal is no exception: its reduced basis is [1], its staircase
-{1}, and it is lifted and proved like any output, at its first prime.
-On homogeneous generators [1] passes the basis check trivially and
-Arnold's argument proves it; on any others the certificate does.  The
-basis check does not run on a whole basis above _EXACT_CHECK_BIT_CAP
-bits, nor the certificate when its own basis is above it; the
-fresh-prime verdict then stands, and an elimination, a whole basis or a
-unit ideal accepted that way raises an UncertifiedResult warning.  The
-certificate's own basis warns nothing itself; above the cap, the
-eliminations, whole bases of inhomogeneous generators, unit-ideal
-verdicts and dimensions that rest on it warn instead.
-
-Every stage of a chain replays traces (Traverso, "Groebner trace
-algorithms", ISSAC 1988); the seed, node 0, runs nothing.  A full run
-records every reduction it makes, zeros included, with its target, the
-leading monomial and lead of what it installed, and the schedule it
-followed: its steps (term, reducer) in order and the terms it left.
-Applying a schedule is arithmetic only, one pass per step with no heap
-and no divisor search, as in the symbolic preprocessing of F4 (Faugere,
-JPAA 139, 1999); only a nonzero term outside the record is tested for a
-divisor.  Such a divisor, or a reduction with another leading monomial,
-sends that stage back to a full run.
-
-Only the first prime runs a stage's signature run in full; every later
-prime replays every reduction of its trace, zeros included, and each zero
-must vanish again.  A replay that completes installs the same leading
-monomials and leads in the same order, so every signature, and every
-decision of both criteria, is the recorded one, and each signature the
-run did not skip was reduced to zero or installed: it is a whole
-signature run at that prime, and returns what that run returns there
-(see `_replay_buchberger`).  So every stage at every prime, replayed or
-not, returns a Groebner basis of its ideal modulo that prime whose
-elements free of the stage's variable are the reduced basis of its
-elimination ideal, and whose leading monomials are those of the reduced
-basis; a stage that drops nothing returns the reduced basis itself.  A
-stage whose replay fails runs in full, and its fresh trace replaces the
-old one.
+- Monomials.  A `_Codec` packs a monomial into one integer whose high
+  slots realize a block order (blocks compared in sequence, each graded
+  reverse-lex) and whose low slots are its plain packing, on which
+  divisibility is one guard-bit subtraction (`_pdivides`).  Singleton
+  blocks give `buchberger`'s lex order.  An elimination stage puts the
+  dropped variable alone in the leading block (`_stage_codec`).
+- Bases modulo p.  `_core_buchberger` is a signature run (Gao, Volny &
+  Wang) whose reductions keep the working terms in a heap
+  (`_ModularArith.reduce`); under a stage's variable mask it only
+  top-reduces.  `_Trace` records a full run, and `_replay_buchberger`
+  replays it at another prime, arithmetic only, or raises
+  `_TraceMismatch`, and the stage then runs in full.
+- Chains.  `_modular_chain` runs, at each prime of two Proth agendas
+  (`_agenda_prime`), a tree of one-variable stages modulo p
+  (`_chain_mod_p`), planned at its first prime (`_plan`), where tied
+  root stages race (`_race`).  Only the chain's outputs leave the
+  modular engine: `_CrtState` lifts them by Chinese remaindering and
+  rational reconstruction, and offers a reconstruction for proof at one
+  prime, or after a fresh prime's vote.  A reduced basis is determined
+  by the ideal and the order, so the modular route returns what a
+  rational computation would.
+- Proofs.  Each output is proved once: a whole basis of homogeneous
+  generators by `_exact_basis_check` and Arnold's argument, any other
+  by the ideal's `_Certificate` (exact membership by a graded basis of
+  the homogenized generators, a graph ideal's by its base's) and
+  Pauer's lucky-prime argument (`_modular_chain`).  Exact checks reduce
+  over the integers (`_IntegerArith`).  Above _EXACT_CHECK_BIT_CAP bits
+  they do not run, and what rests on fresh-prime agreement alone warns
+  `UncertifiedResult`.
+- Entry points.  `buchberger` and `graded_basis` lift whole bases (a
+  principal ideal's is its generator, `_basis_elems`), `_eliminations`
+  and `eliminate` lift eliminations from one chain, `affine_dimension`
+  reads the certificate's leading monomials, and `with_rabinowitsch`
+  localizes.  Each Ideal keeps one certificate (`_certificate`), which
+  all of them share.
 """
 
 from __future__ import annotations
@@ -232,18 +106,6 @@ class GroebnerBasis(Record):
 
 _COMPLEMENT = 0x8000
 
-_GUARD_CACHE = {}
-
-
-def _guard_mask(n: int) -> int:
-    mask = _GUARD_CACHE.get(n)
-    if mask is None:
-        mask = 0
-        for k in range(n):
-            mask |= 0x8000 << (_SLOT_BITS * k)
-        _GUARD_CACHE[n] = mask
-    return mask
-
 
 def _pdivides(a: int, b: int, guard: int) -> bool:
     """Slot-wise a <= b on plain packings: monomial a divides monomial b.
@@ -264,11 +126,10 @@ def _multiple(m: int, divisors, guard: int) -> bool:
     return False
 
 
-def _plcm(a: int, b: int, n: int) -> int:
+def _plcm(a: int, b: int, guard: int) -> int:
     """Slot-wise max of plain packings: the lcm of two monomials.  A slot
     of (a | guard) - b keeps its guard bit exactly where a >= b, and that
     bit, moved to the slot's bottom and times 0xFFFF, selects a's slot."""
-    guard = _guard_mask(n)
     pick = ((((a | guard) - b) & guard) >> (_SLOT_BITS - 1)) * _SLOT_MASK
     return (a & pick) | (b & ~pick)
 
@@ -280,7 +141,9 @@ class _Codec:
     Singleton blocks give a lex order, one block the graded reverse-lex
     order.  With ((i,), rest), any monomial involving variable i beats
     every monomial free of it, so the basis elements free of i form a basis
-    of the elimination ideal, exactly as with lex.
+    of the elimination ideal, exactly as with lex, but with far smaller
+    intermediate bases, which is what makes the curve projections of this
+    package tractable.
 
     A key is the order slots (per block: its degree, then the complements
     of its last variable down to its second) shifted above the plain
@@ -297,7 +160,7 @@ class _Codec:
         self.nvars = sum(len(b) for b in self.blocks)
         if sorted(i for b in self.blocks for i in b) != list(range(self.nvars)):
             raise ValueError("blocks must partition the variables")
-        self.guard = _guard_mask(self.nvars)
+        self.guard = sum(0x8000 << _SLOT_BITS * k for k in range(self.nvars))
         self.plain_bits = _SLOT_BITS * self.nvars
         self.mask = (1 << self.plain_bits) - 1
         self.one_key = self.pack((0,) * self.nvars)
@@ -495,7 +358,7 @@ class _IntegerArith:
         cf = g[ltg] // gamma
         cg = f[ltf] // gamma
         big = codec.key_from_plain(
-            _plcm(codec.plain(ltf), codec.plain(ltg), codec.nvars)
+            _plcm(codec.plain(ltf), codec.plain(ltg), codec.guard)
         )
         df = big - ltf
         dg = big - ltg
@@ -655,22 +518,26 @@ class _ModularArith:
         full, except in a signature run of an engine with a nonzero
         `var_mask`, which stops at the first irreducible term.
 
-        The working terms sit in a max-heap of keys, one entry per key.  A
-        coefficient is reduced modulo p once, when its key reaches the top;
-        a reduction step adds (p - c) times the reducer's tail to keys that
-        all lie below the top, so none of them has left the heap yet.  The
-        list `steps` receives each step as its term key followed by its
-        reducer's leading key, in order: with the keys of the result, the
-        schedule that `replay` applies at another prime.  The list is flat
-        because a trace keeps every schedule, reductions to zero included,
-        and a tuple per step would nearly double its memory.
+        The working terms sit in a max-heap of keys, one entry per key
+        (Monagan & Pearce, "Sparse polynomial division using a heap", JSC
+        46, 2011), so each step costs in proportion to the reducer's
+        support, not the tail's size.  A coefficient is reduced modulo p
+        once, when its key reaches the top; a reduction step adds (p - c)
+        times the reducer's tail to keys that all lie below the top, so
+        none of them has left the heap yet.  The list `steps` receives each
+        step as its term key followed by its reducer's leading key, in
+        order: with the keys of the result, the schedule that `replay`
+        applies at another prime.  The list is flat because a trace keeps
+        every schedule, reductions to zero included, and a tuple per step
+        would nearly double its memory.
 
         With a `signature` (sig, sugar shift, key shift, known) the
         reduction is regular (see `_core_buchberger`): the reducers are
         (leading key, tail, lim), and one reduces a term m only when m/lt
         times its signature, lim + (deg m << sugar shift) + (m << key
-        shift), lies below sig.  `known`, the run's divisor memo, maps a
-        term key to a count of reducers that do not divide it, and the
+        shift), lies below sig.  Most terms meet no divisor, and most meet
+        a key the run has met before, so the run keeps a memo: `known` maps
+        a term key to a count of reducers that do not divide it, and the
         scan for m starts past them: after a scan that met no divisor, all
         of them; otherwise those before the first divisor.  Divisibility
         reads only the two keys, and a run only appends reducers, so the
@@ -824,12 +691,13 @@ class _Trace:
     recording prime is one, first, with an empty schedule.  A schedule is
     what `reduce` did to one polynomial: its steps in order, each a term
     key followed by its reducer's leading key in one flat list, and the set
-    of keys it left.  `ngens` is the generator count, `kept` the install
-    indices of the minimal basis (None until the run is recorded) and
-    `final` the schedules of the final inter-reduction, one per kept
-    element free of the stage's variable: the leading kept elements, all
-    of them under a `var_mask` of 0.  No signature is recorded: a replay
-    computes none, and the leading keys, leads and zeros it checks
+    of keys it left.  `ngens` is the generator count, `seeds` the packed
+    signatures the run queued first (`_seed_signatures`), `kept` the
+    install indices of the minimal basis (None until the run is recorded)
+    and `final` the schedules of the final inter-reduction, one per kept
+    element free of the stage's variable: the leading kept elements, all of
+    them under a `var_mask` of 0.  No other signature is recorded: a replay
+    computes none, and the seeds, leading keys, leads and zeros it checks
     determine every one (see `_replay_buchberger`).  A replay leaves the
     trace as it is, zeros included, so every replay that completes is a
     whole run.
@@ -837,6 +705,7 @@ class _Trace:
 
     def __init__(self):
         self.ngens = None
+        self.seeds = None
         self.entries = []
         self.kept = None
         self.final = []
@@ -896,7 +765,9 @@ def _core_buchberger(gens, engine, trace):
     Keys are affine in the exponents, so multiplying a signature by t adds
     deg(t) at the sugar shift and key(t) - key(1) at the key shift.
     Measured on the workloads, this order beats both the plain Schreyer
-    order and position-first orders (CHANGES.md holds the counts).
+    order and position-first orders (CHANGES.md holds the counts).  The
+    tests check the runs against a Gebauer-Moller Buchberger loop
+    (`tests/oracles.py`).
 
     The queue starts with the generators' signatures, and each installed
     element queues the J-pair signature of every older one (`_jpairs`).
@@ -931,8 +802,9 @@ def _core_buchberger(gens, engine, trace):
     hands on; the rest follow as installed, with the leading keys of the
     reduced basis.  The lead of an element with an unreduced tail may
     differ from its reduced form's, and with it its Koszul signatures, so
-    the criteria may skip other signatures than a fully reducing run; the
-    tests check that both hand on the same elements.
+    the criteria may skip other signatures than a fully reducing run.  The
+    reduced basis of the elimination ideal is unique, so both hand on the
+    same elements, which the tests check.
 
     `trace`, a fresh `_Trace`, records the run: every reduction, zeros
     included, and each of the final inter-reduction keeps its schedule.
@@ -967,14 +839,11 @@ def _core_buchberger(gens, engine, trace):
         {m: c for m, c in ((m, c % p) for m, c in g.items()) if c}
         for g in gens
     ]
-    queue = []
     for i, g in enumerate(gens):
-        if g:
-            queue.append(
-                max(map(degree, g)) << sugar_shift | max(g) << key_shift | i
-            )
-        else:
+        if not g:
             trace.entries.append((i, None, ([], frozenset()), None))
+    trace.seeds = _seed_signatures(gens, codec)
+    queue = list(trace.seeds)
     heapq.heapify(queue)
     lcms = dict.fromkeys(queue)  # signature -> J-pair lcm, None: generator
     while queue:
@@ -1035,6 +904,19 @@ def _core_buchberger(gens, engine, trace):
     ]
 
 
+def _seed_signatures(supports, codec):
+    """The packed signatures e_i that a signature run queues first, one
+    per nonzero generator, from the keys of its nonzero terms modulo p
+    (see `_core_buchberger`)."""
+    key_shift = len(supports).bit_length()
+    sugar_shift = key_shift + 2 * codec.plain_bits
+    return [
+        max(map(codec.degree, g)) << sugar_shift | max(g) << key_shift | i
+        for i, g in enumerate(supports)
+        if g
+    ]
+
+
 def _finish(run):
     """The basis of a signature run (`_core_buchberger`), run to its end."""
     while True:
@@ -1061,14 +943,13 @@ def _jpairs(new, elements, queue, lcms, syzygies, codec, layout):
     image past the exponent limit raises ValueError.
     """
     sugar_shift, key_shift, index_mask = layout
-    n = codec.nvars
     mask = codec.mask
     guard = codec.guard
     degree = codec.degree
     plain_b, lim_b, lead_b, sig_b = new
     for plain_a, lim_a, lead_a, sig_a in elements:
         if lim_a != lim_b:
-            key = codec.key_from_plain(_plcm(plain_a, plain_b, n))
+            key = codec.key_from_plain(_plcm(plain_a, plain_b, guard))
             sig = max(lim_a, lim_b) + (degree(key) << sugar_shift) + (
                 key << key_shift
             )
@@ -1109,22 +990,27 @@ def _replay_buchberger(gens, engine, trace):
 
     Every entry of the full run is replayed, zeros included: a reduction
     to zero must vanish again, and a replay that completes is a whole
-    signature run at this prime.  The recorded generators' degrees and
-    leading keys fix a module order, which is a monomial order on
-    signatures at any prime.  The replay reproduces every leading key and
-    lead in the recorded order, hence every signature, and every recorded
-    zero vanishes again.  The J-pair and Koszul signatures, the syzygy and
-    cover decisions and the regularity of each recorded step read only
-    those facts, so a run here under that order makes the same decisions.
-    By GVW's theorem its installed elements are a Groebner basis at this
-    prime, and the result is what `_core_buchberger` returns from them: the
-    reduced basis at a `var_mask` of 0, and under a stage's mask the
-    reduced basis of its elimination ideal followed by the other kept
-    elements, top-reduced.  A
+    signature run at this prime.  The generators' degrees and leading keys
+    modulo p fix the module order, a monomial order on signatures, so a
+    replay whose seed signatures differ from the recorded ones, as when a
+    generator's leading coefficient vanishes at one prime only, raises
+    _TraceMismatch before it starts.  Under the recorded order, the
+    replay reproduces every leading key and lead in the recorded order,
+    hence every signature, and every recorded zero vanishes again.  The
+    J-pair and Koszul signatures, the syzygy and cover decisions and the
+    regularity of each recorded step read only those facts, so a run here
+    makes the same decisions.  By GVW's theorem its installed elements are
+    a Groebner basis at this prime, and the result is what
+    `_core_buchberger` returns from them: the reduced basis at a
+    `var_mask` of 0, and under a stage's mask the reduced basis of its
+    elimination ideal followed by the other kept elements, top-reduced.  A
     generator that vanishes, or reduces to zero, at the recording prime
     only is a zero entry, and fails here.
     """
-    if len(gens) != trace.ngens:
+    p = engine.p
+    supports = [[m for m, c in g.items() if c % p] for g in gens]
+    if (len(gens) != trace.ngens
+            or _seed_signatures(supports, engine.codec) != trace.seeds):
         raise _TraceMismatch()
     basis = []
     tails = {}
@@ -1158,9 +1044,9 @@ def _replay_buchberger(gens, engine, trace):
 def _update_pairs(plain_lts, sugars, pairs, new_plain, new_sugar, codec):
     """Install pairs for a new element, pruning by the standard criteria."""
     t = len(plain_lts)
-    n = codec.nvars
     guard = codec.guard
-    cand = {i: _plcm(lt_i, new_plain, n) for i, lt_i in enumerate(plain_lts)}
+    cand = {i: _plcm(lt_i, new_plain, guard)
+            for i, lt_i in enumerate(plain_lts)}
     surviving = {}
     remaining = dict(cand)
     for i in sorted(cand):
@@ -1175,8 +1061,8 @@ def _update_pairs(plain_lts, sugars, pairs, new_plain, new_sugar, codec):
         big = pairs[(i, j)][2]
         if (
             _pdivides(new_plain, big, guard)
-            and _plcm(plain_lts[i], new_plain, n) != big
-            and _plcm(plain_lts[j], new_plain, n) != big
+            and _plcm(plain_lts[i], new_plain, guard) != big
+            and _plcm(plain_lts[j], new_plain, guard) != big
         ):
             del pairs[(i, j)]
     for i, big in surviving.items():
@@ -1229,7 +1115,7 @@ def _is_proth_prime(k: int, m: int) -> bool:
 
 # The agendas' primes are k*2^m + 1 with odd k < 2^m, descending from
 # 2^(2m): the narrow agenda's (m = 60) are four 30-bit digits each, the wide
-# agenda's (m = 120) eight (see the module docstring)
+# agenda's (m = 120) eight (see `_agenda_prime`)
 _PROTH_EXPONENTS = (60, 120)
 _PRIME_AGENDAS = ([], [])
 # Safety valve only: a reconstruction is accepted solely after an exact
@@ -1253,9 +1139,26 @@ _EARLY_RISK = Fraction(1, 8)
 def _agenda_prime(index: int, wide: bool = False) -> int:
     """The index-th Proth prime k*2^m + 1 below 2^(2m), descending, with
     m = 120 on the wide agenda and 60 on the narrow one; cached and
-    deterministic.  A chain takes its first prime, which runs its stages
-    in full, from the narrow agenda, and every later prime, which replays
-    them, from the wide one (see the module docstring)."""
+    deterministic, each proved prime by one modular power
+    (`_is_proth_prime`).  A chain takes its first prime, which runs its
+    stages in full, from the narrow agenda, and every later prime, which
+    replays them, from the wide one.
+
+    CPython stores a 62-bit integer in three 30-bit digits and any
+    integer below 2^120 in four, and a full signature run costs about
+    the same per prime at either size, while each prime lifts almost
+    twice the bits: the chains of the seed-0 report on x + x^2*y in
+    (x, y, u) at the default coefficient bound took 2, 2, 4 and 4 primes
+    when every output waited for a vote, against 2, 2, 6 and 7 with
+    62-bit primes.  Above 120 bits a full run's cost per prime grows
+    faster than the primes saved, so the first prime, whose full runs and
+    root races record every trace, stays at 120 bits.  A later prime only
+    replays traces, whose cost is mostly per term, not per bit: the dense
+    cubic's chain replayed modulo 240 bits in 0.62 of the time of two
+    replays modulo 120, so the wide agenda lifts the same bits with less
+    work.  The chains of that report take 1, 2, 2 and 1 primes (1, 2, 3
+    and 1 with 120-bit later primes; CHANGES.md holds the measurements).
+    """
     m = _PROTH_EXPONENTS[wide]
     agenda = _PRIME_AGENDAS[wide]
     while len(agenda) <= index:
@@ -1445,7 +1348,9 @@ def _exact_size(candidate_int) -> int:
 
 
 def _exact_basis_check(gens, candidate_int, codec) -> bool:
-    """Over the rationals: S-polynomials and generators all reduce to zero."""
+    """Over the rationals: S-polynomials and generators all reduce to zero
+    by the candidate, over the integers (`_IntegerArith`).  The S-pairs
+    are pruned by the Gebauer-Moller criteria (`_update_pairs`)."""
     arith = _IntegerArith(codec)
     reducers = arith.reducers(candidate_int)
     plain_lts = []
@@ -1596,17 +1501,17 @@ class _Certificate:
         return self.bits <= _EXACT_CHECK_BIT_CAP
 
     def member(self, terms):
-        """Whether the polynomial (packed under `codec`) lies in I; None
-        when that cannot be certified."""
+        """Whether the polynomial, integer terms packed under `codec`, lies
+        in I; None when that cannot be certified."""
         if not self.exact():
             return None
         return _IntegerArith(self.codec).reduces_to_zero(
-            _IntegerArith.normalize_fractions(terms), self._reducers
+            terms, self._reducers
         )
 
     def contains(self, p: Polynomial):
         """`member` for a polynomial of the generators' ring."""
-        return self.member({self.codec.pack(m): c for m, c in p.terms.items()})
+        return self.member(_to_engine(p, self.codec))
 
     def covers(self, elems):
         """Whether every element (packed under any codec of the ring) lies
@@ -1823,16 +1728,17 @@ def _modular_chain(certificate, codec, drops=None):
     ideal's intersection with the subring free of that set, under graded
     reverse-lex on the kept variables in reverse ring order.
 
-    The chain plans its tree of stages at its first prime (see `_plan`),
-    and races the root stages of the variables that `_plan` asks about
-    (`_race`): each is a signature run at that prime, stepped by the work
-    it has done, a count of reduction steps, so the tree depends only on
-    the input.  A run that ends keeps its basis and its trace as its
-    node's; a run still suspended when the tree is planned, always one
-    that lost, is dropped with its trace, and no prime runs or replays it
-    again.  Then the first prime runs the rest of the planned tree.  Every
-    output is a unique reduced basis, so the order of the stages is
-    unobservable.
+    Only the outputs are lifted: intermediate stages never leave the
+    modular engine, and a stage stops running once every output below it is
+    lifted.  The chain plans its tree of stages at its first prime (see
+    `_plan`), and races the root stages of the variables that `_plan` asks
+    about (`_race`): each is a signature run at that prime, stepped by the
+    work it has done, a count of reduction steps, so the tree depends only
+    on the input.  A run that ends keeps its basis and its trace as its
+    node's; a run still suspended when the tree is planned, always one that
+    lost, is dropped with its trace, and no prime runs or replays it again.
+    Then the first prime runs the rest of the planned tree.  Every output
+    is a unique reduced basis, so the order of the stages is unobservable.
 
     The first prime is the narrow agenda's first that divides no
     coefficient of the seed, and every later prime the wide agenda's next
@@ -2066,7 +1972,9 @@ def _modular_chain(certificate, codec, drops=None):
 
 def _certificate(ideal: Ideal) -> _Certificate:
     """The ideal's certificate, built on first use and kept on the ideal,
-    so that every question asked of one instance shares it."""
+    so that every question asked of one instance shares it: its dimension
+    (read off the leading monomials of the certificate's basis), its
+    eliminations and their memberships all rest on one exact basis."""
     certificate = ideal.__dict__.get("_certificate")
     if certificate is None:
         certificate = _Certificate(ideal)

@@ -76,14 +76,6 @@ class ValueSet(Record):
         if rho.is_zero():
             raise ValueError("a value set needs a nonzero defining polynomial")
         canonical = squarefree_part(rho)
-        if canonical.degree() < 1:
-            return cls(
-                rho=UnivariatePolynomial.one(),
-                exact_rational_roots=(),
-                approx_roots=(),
-                flags=frozenset(flags),
-                approx_converged=True,
-            )
         # a rational root is its own float, and only the factor left after
         # deflating them, a constant when every root is rational, is
         # approximated; a float beyond the float range is an infinity and
@@ -226,10 +218,6 @@ def fiber_relation(
 
     pair_gb = buchberger(Ideal(pair_ring, [to_pair(p) for p in candidates]))
     elements = pair_gb.elements
-    if not elements:
-        raise NotACurveError(
-            "graph projects dominantly to a coordinate plane; not a curve"
-        )
     best = min(
         range(len(elements)), key=lambda k: (elements[k].degree_in(0), k)
     )

@@ -12,11 +12,15 @@ import cmath
 import math
 from fractions import Fraction
 
+from .polynomials import Polynomial, PolynomialRing
+
 ABERTH_ITERATION_CAP = 200
 ABERTH_ANGLE_OFFSET = 0.4
 # past this binary exponent a coefficient, or a root's power z**deg, may
 # leave the float range
 FLOAT_EXPONENT_CAP = 960
+# the ring a polynomial in the value coordinate z is written in
+_Z = PolynomialRing(("z",))
 
 
 class UnivariatePolynomial:
@@ -86,21 +90,6 @@ class UnivariatePolynomial:
         return UnivariatePolynomial(out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return UnivariatePolynomial([-c for c in self.coefficients])
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -172,28 +161,9 @@ class UnivariatePolynomial:
         """Coefficients of the canonical form as plain ints, ascending."""
         return tuple(int(c) for c in self.canonical().coefficients)
 
-    def __str__(self, var: str = "z"):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[e]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif e == 1:
-                body = var if mag == 1 else "%s*%s" % (mag, var)
-            else:
-                body = (
-                    "%s^%d" % (var, e) if mag == 1 else "%s*%s^%d" % (mag, var, e)
-                )
-            if not parts:
-                parts.append("-" + body if c < 0 else body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+    def __str__(self):
+        terms = {(e,): c for e, c in enumerate(self.coefficients) if c}
+        return str(Polynomial(_Z, terms))
 
     def __repr__(self):
         return "UnivariatePolynomial(%s)" % self

@@ -78,6 +78,19 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_polynomial("x y", VARS)
 
+    @pytest.mark.parametrize("declared", ["y z", "2y", "y'", "y-1", " y"])
+    def test_names_the_grammar_cannot_write(self, declared):
+        # the ring ('x', 'y z') held a variable that no input can mention,
+        # and x parsed in it
+        with pytest.raises(ValueError) as err:
+            parse_polynomial("x", ("x", declared))
+        assert repr(declared) in str(err.value)
+
+    def test_names_are_a_letter_or_underscore_then_word_characters(self):
+        ring = PolynomialRing(("_a1", "λ"))
+        product = ring.variable("_a1") * ring.variable("λ")
+        assert parse_polynomial("_a1*λ", ring.variables) == product
+
 
 class TestRunConfig:
     def test_defaults_valid(self):

@@ -17,6 +17,9 @@ At the default three runs, the two methods must also agree on each
 unshifted map: both final value sets are supersets of the same true
 values, and three runs leave neither a spurious value on these maps.  That
 is an observation on this corpus, not a theorem.
+
+The shift property is exact, so it also runs under hypothesis, on maps
+drawn the same way with any rational c.
 """
 
 import json
@@ -24,6 +27,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polarvalues.cli import main
 from polarvalues.univar import UnivariatePolynomial
@@ -113,10 +117,8 @@ def test_corpus_is_drawn_as_documented():
     assert any(text.startswith("-") for text, _ in CORPUS)
 
 
-@pytest.mark.parametrize(
-    "text, c", CORPUS, ids=["map%02d" % k for k in range(CORPUS_SIZE)]
-)
-def test_random_map_reports_move_with_the_shift(capsys, text, c):
+def _check_shift(capsys, text, c):
+    """The reports of f + c are those of f moved by c."""
     code, report = _report(capsys, text)
     shifted_text = "%s %s %s" % (text, "-" if c < 0 else "+", abs(c))
     shifted_code, shifted = _report(capsys, shifted_text)
@@ -132,6 +134,38 @@ def test_random_map_reports_move_with_the_shift(capsys, text, c):
         assert len(plain_sets) == len(moved_sets)
         for a, b in zip(plain_sets, moved_sets):
             assert _moved(a, c) == _as_is(b)
+
+
+@pytest.mark.parametrize(
+    "text, c", CORPUS, ids=["map%02d" % k for k in range(CORPUS_SIZE)]
+)
+def test_random_map_reports_move_with_the_shift(capsys, text, c):
+    _check_shift(capsys, text, c)
+
+
+@st.composite
+def _drawn_maps(draw):
+    """A map drawn as the corpus draws one, and a rational shift."""
+    monomials = draw(st.lists(
+        st.sampled_from(MONOMIALS), min_size=2, max_size=6, unique=True
+    ))
+    terms = {m: draw(st.sampled_from(COEFFICIENTS)) for m in monomials}
+    c = Fraction(
+        draw(st.integers(min_value=-10**12, max_value=10**12)),
+        draw(st.integers(min_value=1, max_value=1000)),
+    )
+    return _text(terms), c
+
+
+# capsys is drained by every report, so one fixture serves every example
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_drawn_maps())
+def test_drawn_map_reports_move_with_the_shift(capsys, case):
+    _check_shift(capsys, *case)
 
 
 @pytest.mark.parametrize(

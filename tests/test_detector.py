@@ -198,6 +198,39 @@ class TestSuperPolarRuns:
             with pytest.raises(ValueError, match="tolerance"):
                 runner(X + X**2 * Y, seed=0, runs=1, tolerance=tolerance)
 
+    def test_a_vanishing_localizer_is_resampled(self, monkeypatch):
+        # beta = 0 makes h = sum beta_j df/dx_j vanish: the attempt has no
+        # curve, and its resample is recorded with dimension None
+        import polarvalues.detector as detector
+
+        draw = detector.sample_super_polar_coefficients
+        f = X + X**2 * Y
+        monkeypatch.setattr(
+            detector,
+            "sample_super_polar_coefficients",
+            lambda *args: draw(*args).replace(beta=(0, 0)),
+        )
+        with pytest.raises(DimensionGuardError) as err:
+            run_super_polar(f, seed=0, runs=1, force_general=True)
+        assert err.value.dimensions == (None,) * (RETRY_BUDGET + 1)
+
+        draws = []
+
+        def first_vanishes(*args):
+            draws.append(draw(*args))
+            if len(draws) == 1:
+                return draws[0].replace(beta=(0, 0))
+            return draws[-1]
+
+        monkeypatch.setattr(
+            detector, "sample_super_polar_coefficients", first_vanishes
+        )
+        rep = run_super_polar(f, seed=0, runs=1, force_general=True)
+        assert rep.runs[0].attempts == 2
+        assert rep.runs[0].coefficients == draws[1]
+        assert rep.s_final.rho == U(0, 1)
+        assert rep.warnings[0] == "run 0: dimension guard resampled 1 time(s)"
+
     def test_dimension_guard_raises_after_budget(self, monkeypatch):
         import polarvalues.detector as detector
 
@@ -227,6 +260,35 @@ class TestIteratedPolarRuns:
         rep = run_iterated_polar(X**2 + Y**2, seed=1, runs=2)
         assert rep.s_final.is_empty()
 
+    def test_a_vanishing_localizer_is_an_empty_curve_step(self, monkeypatch):
+        # the first slice's beta drawn as 0 makes its h vanish: the slice
+        # has no curve and its step is an empty value set flagged
+        # empty_curve.  The draws stay the same, so the second slice is
+        # the one of the unstubbed run
+        import polarvalues.detector as detector
+
+        f = X3 + X3**2 * Y3
+        plain = run_iterated_polar(f, seed=0, runs=1, coeff_bound=5)
+        draw = detector._nonzero_int
+        count = []
+
+        def first_slice_zero(rng, bound):
+            count.append(draw(rng, bound))
+            return 0 if len(count) <= 3 else count[-1]
+
+        monkeypatch.setattr(detector, "_nonzero_int", first_slice_zero)
+        rep = run_iterated_polar(f, seed=0, runs=1, coeff_bound=5)
+        assert rep.runs[0].attempts == 1
+        steps = rep.runs[0].steps
+        assert steps[0].values.is_empty()
+        assert steps[0].values.flags == {EMPTY_CURVE}
+        assert steps[1] == plain.runs[0].steps[1]
+        drawn = plain.runs[0].coefficients
+        assert rep.runs[0].coefficients == drawn.replace(
+            betas=((0, 0, 0),) + drawn.betas[1:]
+        )
+        assert rep.s_final == plain.s_final
+
 
 class TestCovariance:
     def test_shift_moves_detected_values(self):
@@ -245,6 +307,30 @@ class TestCovariance:
 
 
 class TestReportShape:
+    def test_final_warnings_of_stubbed_values(self, monkeypatch):
+        # every run reads two values, (z - 1)(z - 2), unconverged and
+        # flagged vertical_component, where the superpolar bound of a
+        # cubic in two variables is 1
+        import polarvalues.detector as detector
+
+        values = detector.ValueSet.from_rho(
+            U(2, -3, 1), {VERTICAL_COMPONENT}
+        ).replace(approx_converged=False)
+        monkeypatch.setattr(
+            detector, "nonproperness_values", lambda *a, **k: values
+        )
+        rep = run_super_polar(X + X**2 * Y, seed=0, runs=2)
+        assert rep.bounds.superpolar == 1
+        assert rep.s_final.exact_rational_roots == (1, 2)
+        assert rep.warnings == (
+            "run 0: numeric root refinement did not meet tolerance",
+            "run 1: numeric root refinement did not meet tolerance",
+            "some runs met components where the map is constant; reported "
+            "values are a superset (vertical_component)",
+            "final value count exceeds the curve degree bound; vertical "
+            "components have likely inflated the set",
+        )
+
     def test_report_carries_run_records(self):
         rep = run_super_polar(X + X**2 * Y, seed=9, runs=2)
         assert rep.runs_requested == 2

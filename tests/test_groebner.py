@@ -788,6 +788,17 @@ class TestIntegerReduce:
         # generator reduces to zero in one step, then x^9 is refuted
         assert counted[-1].lookups == 3
 
+    def test_basis_check_refutes_an_s_polynomial(self):
+        # <x^2, xy + y^2> as its own candidate: each generator reduces to
+        # zero by it, but the S-polynomial y*x^2 - x*(xy + y^2) = -xy^2
+        # reduces to y^3, so it is no Groebner basis
+        codec = groebner._Codec((range(2),))
+        gens = [groebner._to_engine(g, codec) for g in (X**2, X * Y + Y**2)]
+        arith = groebner._IntegerArith(codec)
+        assert all(arith.reduces_to_zero(g, arith.reducers(gens))
+                   for g in gens)
+        assert not groebner._exact_basis_check(gens, gens, codec)
+
     def test_content_swell_stays_bounded(self):
         """Each pair of reducers p*m_{2j} - m_{2j+1}, m_{2j+1} -
         p*m_{2j+2}, with m_i = x^(200-i) * y^i and p a prime power of about
@@ -1603,6 +1614,16 @@ _MOVED_LEAD = Ideal(R3, [
     5 * X3**2 - 4 * Y3, 5 * X3 - 4, -3 * X3**2 - 4 * X3 * Y3 * U3**2,
 ])
 
+# <x^2y^2 + 1, 3x^2y^2 + x^2y + y + u>: modulo 3 the term 3x^2y^2 vanishes,
+# so the second generator's leading key and sugar change and the run at 3
+# queues the generators in another order than the run at 5.  The trace
+# recorded at 5 still completes at 3, with the same leading keys, but under
+# 5's module order, and the stage of x returns another basis than the run
+# at 3: the replay must refuse the other seed signatures
+_VANISHING_LEAD = Ideal(R3, [
+    X3**2 * Y3**2 + 1, 3 * X3**2 * Y3**2 + X3**2 * Y3 + Y3 + U3,
+])
+
 
 def _free(basis, var_mask):
     """The elements of a packed basis free of the variable of `var_mask`,
@@ -1633,6 +1654,7 @@ class TestTopReduction:
     @settings(max_examples=40, deadline=None)
     @given(case=_top_reduction_cases())
     @example(case=(_MOVED_LEAD, _SIGNATURE_PRIMES[3:5]))
+    @example(case=(_VANISHING_LEAD, _SIGNATURE_PRIMES[:2]))
     def test_top_reduced_stage_keeps_the_free_elements(self, case):
         # a one-variable stage top-reduces inside its run and
         # inter-reduces only its elements free of its variable, the ones
