@@ -208,10 +208,24 @@ class _CriticalSet:
     them raised are raised again on every call, so each report that reads
     them carries the same warnings as if it had computed them itself.
     `form`, f's integer form, is what this graph and every curve and
-    graph of both methods' reports are built from.
+    graph of both methods' reports are built from; f is checked before
+    it is packed.
     """
 
     def __init__(self, f: Polynomial):
+        if f.ring.nvars < 2:
+            raise ValueError("need a map on at least two variables")
+        if f.is_constant():
+            raise ValueError("f must be non-constant")
+        # a generic coordinate change turns the total degree into an
+        # exponent, and expanding such a power before the engine sees it
+        # outlasts any run
+        degree = f.total_degree()
+        if degree > _MAX_EXPONENT:
+            raise ValueError(
+                "total degree %d exceeds the engine limit of %d"
+                % (degree, _MAX_EXPONENT)
+            )
         self.f = f
         self.form = _IntegerMap.of(f)
         self.graph = _critical_graph(self.form)
@@ -295,21 +309,7 @@ def _bounds_for(degree: int, n: int) -> BoundsSummary:
     return BoundsSummary(nk=nk, superpolar=sp, kinf=ki)
 
 
-def _validate_input(
-    f: Polynomial, runs: int, coeff_bound: int, tolerance: float
-):
-    if f.ring.nvars < 2:
-        raise ValueError("need a map on at least two variables")
-    if f.is_constant():
-        raise ValueError("f must be non-constant")
-    # a generic coordinate change turns the total degree into an exponent,
-    # and expanding such a power before the engine sees it outlasts any run
-    degree = f.total_degree()
-    if degree > _MAX_EXPONENT:
-        raise ValueError(
-            "total degree %d exceeds the engine limit of %d"
-            % (degree, _MAX_EXPONENT)
-        )
+def _validate_input(runs: int, coeff_bound: int, tolerance: float):
     if runs < 1:
         raise ValueError("need at least one run")
     if coeff_bound < 2:
@@ -391,7 +391,7 @@ def _detect_values(
     are computed only once an attempt has passed the dimension guard.
     The critical values come from `critical`, the `_CriticalSet` of f.
     """
-    _validate_input(f, runs, coeff_bound, tolerance)
+    _validate_input(runs, coeff_bound, tolerance)
     n = f.ring.nvars
     degree = int(f.total_degree())
     t_total = time.perf_counter()

@@ -56,6 +56,7 @@ from .polynomials import (
     PolynomialRing,
     _pack,
     _pdegree,
+    _primitive,
     _unpack,
     extend_ring,
     fresh_variable_name,
@@ -279,9 +280,7 @@ def _stage_codec(n: int, var: int) -> _Codec:
 def _to_engine(p: Polynomial, codec):
     """Key-packed coefficient dict, scaled to primitive integers with a
     positive leading coefficient."""
-    return _IntegerArith.normalize_fractions(
-        {codec.pack(m): c for m, c in p.terms.items()}
-    )
+    return _primitive({codec.pack(m): c for m, c in p.terms.items()})
 
 
 def _from_engine(terms, codec, ring: PolynomialRing) -> Polynomial:
@@ -317,21 +316,6 @@ class _IntegerArith:
 
     def __init__(self, codec):
         self.codec = codec
-
-    @staticmethod
-    def normalize(terms):
-        if not terms:
-            return terms
-        g = 0
-        for v in terms.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if terms[max(terms)] < 0:
-            g = -g
-        if g == 1:
-            return terms
-        return {m: v // g for m, v in terms.items()}
 
     @staticmethod
     def reducer_entry(terms):
@@ -455,27 +439,12 @@ class _IntegerArith:
         coefficient has grown (see the class).  `reduces_to_zero` runs the
         same loop up to its first irreducible term.
         """
-        return self.normalize_fractions(
-            dict(self._irreducible(target, reducers))
-        )
+        return _primitive(dict(self._irreducible(target, reducers)))
 
     def reduces_to_zero(self, target, reducers) -> bool:
         """Whether the normal form is zero; stops at the first term that no
         reducer divides."""
         return next(self._irreducible(target, reducers), None) is None
-
-    @staticmethod
-    def normalize_fractions(result):
-        if not result:
-            return result
-        denom = 1
-        for v in result.values():
-            d = v.denominator
-            denom = denom * d // math.gcd(denom, d)
-        return _IntegerArith.normalize(
-            {m: v.numerator * (denom // v.denominator)
-             for m, v in result.items()}
-        )
 
 
 class _ModularArith:
@@ -1248,7 +1217,7 @@ class _CrtState:
         previous, self.reconstruction = self.reconstruction, self.reconstruct()
         if previous is None or self.reconstruction != previous:
             return None
-        return [_IntegerArith.normalize_fractions(e) for e in previous]
+        return [_primitive(e) for e in previous]
 
     def early(self):
         """The reconstruction as primitive integer dicts when its risk is
@@ -1274,7 +1243,7 @@ class _CrtState:
         if (5 * self.modulus.bit_length() * weight * risk.denominator
                 > 6 * self.modulus * risk.numerator):
             return None
-        return [_IntegerArith.normalize_fractions(e) for e in reconstruction]
+        return [_primitive(e) for e in reconstruction]
 
     def add(self, p, modgb):
         if self.elements is None:
@@ -1335,8 +1304,6 @@ class _CrtState:
                 if value:
                     elem[mono] = value
                     den = math.lcm(den, value.denominator)
-            if not elem:
-                return None
             out.append(elem)
         return out
 
@@ -1471,7 +1438,7 @@ class _Certificate:
             lifted = graded_basis(Ideal(ring, homogenized))
         pad = (0,) * (n - k)
         basis = self._basis = [
-            _IntegerArith.normalize_fractions(
+            _primitive(
                 {self.codec.pack(m[:k] + pad): c for m, c in g.terms.items()}
             )
             for g in lifted

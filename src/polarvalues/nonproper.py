@@ -39,6 +39,7 @@ from .polynomials import (
 from .record import Record
 from .univar import (
     UnivariatePolynomial,
+    _horner,
     approx_roots_with_status,
     rational_roots,
     squarefree_part,
@@ -130,12 +131,10 @@ class GraphIdeal(Record):
 
     def to_f(self, rho: UnivariatePolynomial) -> UnivariatePolynomial:
         """rho(z) of the graph's value coordinate as the polynomial
-        rho(scale*(z - shift)) in f's values: their roots correspond."""
+        rho(scale*(z - shift)) in f's values: their roots correspond.  The
+        zero polynomial maps to itself, not to `_horner`'s int 0."""
         line = UnivariatePolynomial((-self.scale * self.shift, self.scale))
-        out = UnivariatePolynomial.zero()
-        for c in reversed(rho.coefficients):
-            out = out * line + c
-        return out
+        return UnivariatePolynomial.zero() + _horner(rho.coefficients, line)
 
 
 def graph_ideal(base: Ideal, f: Polynomial) -> GraphIdeal:
@@ -245,9 +244,6 @@ def leading_coeff_in(p: Polynomial, var_index: int) -> Polynomial:
 
 
 def _univariate_in(p: Polynomial, var_index: int) -> UnivariatePolynomial:
-    support = p.support_variables()
-    if not support <= {var_index}:
-        raise ValueError("polynomial involves more than the chosen variable")
     coeffs = {}
     for m, c in p.terms.items():
         coeffs[m[var_index]] = c

@@ -334,6 +334,30 @@ def _pdegree(m: int) -> int:
     return total
 
 
+def _primitive(values: dict) -> dict:
+    """The primitive integer form of rational values {key: value}, not all
+    zero: their multiple by the rational that makes them coprime integers
+    with a positive value at the largest key.  Zero values stay, so a
+    dense coefficient list keeps its interior zeros."""
+    if not values:
+        return values
+    den = 1
+    for v in values.values():
+        d = v.denominator
+        den = den * d // math.gcd(den, d)
+    ints = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+    g = 0
+    for v in ints.values():
+        g = math.gcd(g, v)
+        if g == 1:
+            break
+    if ints[max(ints)] < 0:
+        g = -g
+    if g == 1:
+        return ints
+    return {k: v // g for k, v in ints.items()}
+
+
 class _IntegerMap:
     """A polynomial as shift + terms/scale, with shift a rational, scale a
     positive rational and terms a primitive integer polynomial on plain

@@ -12,7 +12,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .polynomials import Polynomial, PolynomialRing
+from .polynomials import Polynomial, PolynomialRing, _primitive
 
 ABERTH_ITERATION_CAP = 200
 ABERTH_ANGLE_OFFSET = 0.4
@@ -140,26 +140,11 @@ class UnivariatePolynomial:
 
     def canonical(self) -> "UnivariatePolynomial":
         """Primitive integer form with positive leading coefficient."""
-        if self.is_zero():
-            return self
-        denom_lcm = 1
-        for c in self.coefficients:
-            denom_lcm = denom_lcm * c.denominator // math.gcd(
-                denom_lcm, c.denominator
-            )
-        ints = [int(c * denom_lcm) for c in self.coefficients]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if ints[-1] < 0:
-            g = -g
-        return UnivariatePolynomial([Fraction(v // g) for v in ints])
+        return UnivariatePolynomial(self.integer_coefficients())
 
     def integer_coefficients(self):
         """Coefficients of the canonical form as plain ints, ascending."""
-        return tuple(int(c) for c in self.canonical().coefficients)
+        return tuple(_primitive(dict(enumerate(self.coefficients))).values())
 
     def __str__(self):
         terms = {(e,): c for e, c in enumerate(self.coefficients) if c}
@@ -232,6 +217,9 @@ def rational_roots(p: UnivariatePolynomial):
 
 
 def _horner(coeffs, x, modulus=None):
+    """Horner's rule on ascending coefficients, reduced modulo `modulus`
+    at each step when one is given; x may be an int, a complex number or
+    a polynomial.  No coefficients give the int 0."""
     total = 0
     for c in reversed(coeffs):
         total = total * x + c
@@ -337,12 +325,6 @@ def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
     ]
     scale_coeffs = [abs(c) for c in monic]
 
-    def _eval(cs, x):
-        total = 0j
-        for c in reversed(cs):
-            total = total * x + c
-        return total
-
     def _residual_ok(x):
         scale = 0.0
         ax = abs(x)
@@ -350,15 +332,15 @@ def approx_roots_with_status(p: UnivariatePolynomial, tolerance: float = 1e-10):
         for c in scale_coeffs:
             scale += c * powv
             powv *= ax
-        return abs(_eval(monic, x)) <= tolerance * scale
+        return abs(_horner(monic, x)) <= tolerance * scale
 
     converged = False
     for _ in range(ABERTH_ITERATION_CAP):
         moved = 0.0
         for k in range(deg):
             z = points[k]
-            pv = _eval(monic, z)
-            pd = _eval(dp, z)
+            pv = _horner(monic, z)
+            pd = _horner(dp, z)
             if pd == 0:
                 points[k] = z * (1.0 + 1e-8) + 1e-8
                 moved = math.inf

@@ -170,10 +170,21 @@ class TestSerialization:
 
 class TestMainExitCodes:
     def test_success_text(self, capsys):
-        assert main(["x + x^2*y", "--vars", "x,y"]) == 0
-        out = capsys.readouterr().out
-        assert "s_final" in out
-        assert "rational roots: 0" in out
+        # run 0 of x^2 + x*y's sliced report meets a component where the
+        # map is constant: its flags line and the report's warning line
+        vertical = [
+            "    flags: vertical_component",
+            "warning: some runs met components where the map is constant; "
+            "reported values are a superset (vertical_component)",
+        ]
+        sliced = ["x^2 + x*y", "--method", "iterated_polar", "--runs", "2"]
+        for argv, lines in ((["x + x^2*y"], []), (sliced, vertical)):
+            assert main(argv + ["--vars", "x,y"]) == 0
+            out = capsys.readouterr().out
+            assert "s_final" in out
+            assert "rational roots: 0" in out
+            for line in lines:
+                assert line in out.splitlines()
 
     def test_success_json(self, capsys):
         assert main(["x + x^2*y", "--vars", "x,y", "--json"]) == 0
@@ -181,8 +192,12 @@ class TestMainExitCodes:
         assert payload["s_final"]["roots"]["rational"] == ["0"]
 
     def test_parse_error_is_2(self, capsys):
-        assert main(["x + ", "--vars", "x,y"]) == 2
-        assert "offset 4" in capsys.readouterr().err
+        for text, message in (
+            ("x + ", "offset 4"),
+            ("1/x + y", "expected a denominator at offset 2"),
+        ):
+            assert main([text, "--vars", "x,y"]) == 2
+            assert message in capsys.readouterr().err
 
     def test_undeclared_variable_is_2(self, capsys):
         assert main(["x + w", "--vars", "x,y"]) == 2
@@ -195,6 +210,14 @@ class TestMainExitCodes:
     def test_single_variable_rejected(self, capsys):
         assert main(["x", "--vars", "x"]) == 2
         assert "two variables" in capsys.readouterr().err
+
+    def test_single_variable_checked_before_it_is_packed(self, capsys):
+        # f's integer form packs each exponent below 2**15; a map on one
+        # variable is refused as such before it is packed
+        assert main(["x^40000", "--vars", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "need a map on at least two variables" in err
+        assert "engine limit" not in err
 
     def test_no_source_rejected(self, capsys):
         assert main(["--vars", "x,y"]) == 2

@@ -190,6 +190,15 @@ class TestSuperPolarRuns:
         with pytest.raises(ValueError):
             run_super_polar(one_var.variable("x"), seed=0)
 
+    @pytest.mark.parametrize("runner", [run_super_polar, run_iterated_polar])
+    def test_single_variable_checked_before_it_is_packed(self, runner):
+        # packing x^40000 would fail on its exponent first
+        one_var = PolynomialRing(("x",))
+        with pytest.raises(
+            ValueError, match="^need a map on at least two variables$"
+        ):
+            runner(one_var.variable("x") ** 40000, seed=0)
+
     @pytest.mark.parametrize(
         "tolerance", [0.0, -1.0, 1.0, float("nan"), float("inf")]
     )
@@ -342,10 +351,17 @@ class TestReportShape:
     def test_vertical_component_warning_propagates(self):
         # constant-on-component behavior must surface in warnings when the
         # auxiliary curve contains such a component; exercised through the
-        # iterated method on a product map that is constant on slices
-        rep = run_super_polar(X * Y, seed=0, runs=2)
-        if any(VERTICAL_COMPONENT in rec.values.flags for rec in rep.runs):
-            assert any("vertical" in w for w in rep.warnings)
+        # iterated method on x^2 + x*y, whose first run's slice meets such
+        # a component at the value 0
+        rep = run_iterated_polar(X**2 + X * Y, seed=0, runs=2)
+        assert [rec.values.flags for rec in rep.runs] == [
+            {VERTICAL_COMPONENT}, set(),
+        ]
+        assert [rec.values.rho for rec in rep.runs] == [U(0, 1), U(1)]
+        assert (
+            "some runs met components where the map is constant; reported "
+            "values are a superset (vertical_component)"
+        ) in rep.warnings
 
 
 def _ideal_of(certificate):

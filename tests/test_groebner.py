@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polarvalues import groebner
+from polarvalues import groebner, polynomials
 from polarvalues.groebner import (
     GroebnerBasis,
     Ideal,
@@ -29,6 +29,7 @@ from polarvalues.polynomials import (
     fresh_variable_name,
     monomial_add,
 )
+from polarvalues.univar import UnivariatePolynomial
 
 import oracles
 from oracles import normal_form, s_polynomial
@@ -3211,7 +3212,7 @@ class TestCrtState:
             elem + [Fraction(1)]
             for elem in [[planted, Fraction(7 * p0, 5)]] + drawn
         ]
-        primitive = groebner._IntegerArith.normalize_fractions
+        primitive = polynomials._primitive
         state = groebner._CrtState()
         previous = planted_before = None
         for i in range(nprimes):
@@ -3430,8 +3431,7 @@ class TestCrtState:
             if offered is not None:
                 assert risk <= groebner._EARLY_RISK
                 assert offered == [
-                    groebner._IntegerArith.normalize_fractions(e)
-                    for e in reconstruction
+                    polynomials._primitive(e) for e in reconstruction
                 ]
             if margin:
                 assert offered is not None
@@ -3673,9 +3673,7 @@ class TestModularInverses:
                 wrong = {top: 1, low: (want.get(low, 0) + 1) % p}
                 wrong = {m: c for m, c in wrong.items() if c}
                 value = {top: Fraction(1), low: Fraction(-(p - 1), lc)}
-                assert lifted(value, want) == [
-                    groebner._IntegerArith.normalize_fractions(value)
-                ]
+                assert lifted(value, want) == [polynomials._primitive(value)]
                 assert lifted(value, wrong) is None
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -3702,44 +3700,73 @@ class TestModularInverses:
 
 
 class TestNormalizeFractions:
+    """`polynomials._primitive`, the primitive integer form of the engine's
+    dicts and of `UnivariatePolynomial.canonical`, against math.lcm and
+    math.gcd on the Fraction values."""
+
     @staticmethod
-    def _multiplied(result):
-        # the Fraction path: scale by the common denominator, then divide
-        # out the content
-        denom = math.lcm(*(Fraction(v).denominator for v in result.values()))
-        return groebner._IntegerArith.normalize(
-            {m: int(v * denom) for m, v in result.items()}
-        )
+    def _reference(result):
+        values = {m: Fraction(v) for m, v in result.items()}
+        denom = math.lcm(*(v.denominator for v in values.values()))
+        ints = {m: int(v * denom) for m, v in values.items()}
+        content = math.gcd(*ints.values())
+        if ints[max(ints)] < 0:
+            content = -content
+        return {m: v // content for m, v in ints.items()}
+
+    @staticmethod
+    def _trimmed(values):
+        # a dense coefficient list: interior zeros, a nonzero last value
+        values = list(values)
+        while values and not values[-1]:
+            values.pop()
+        assume(values)
+        return values
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
             st.integers(min_value=-(2**200), max_value=2**200)
-            | mixed_height_fractions(),
+            | mixed_height_fractions()
+            | st.just(0),
             min_size=1,
             max_size=6,
         )
     )
     def test_matches_fraction_products(self, values):
-        result = {k: v for k, v in enumerate(values) if v}
-        got = groebner._IntegerArith.normalize_fractions(result)
-        assert got == self._multiplied(result)
+        result = dict(enumerate(self._trimmed(values)))
+        got = polynomials._primitive(result)
+        assert got == self._reference(result)
         assert all(type(v) is int for v in got.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(mixed_height_fractions() | st.just(Fraction(0)), max_size=6),
+        mixed_height_fractions().filter(bool),
+    )
+    def test_canonical_matches_fraction_arithmetic(self, values, lead):
+        # leading coefficients of both signs, interior zeros, mixed heights
+        p = UnivariatePolynomial(values + [lead])
+        want = self._reference(dict(enumerate(values + [lead]))).values()
+        assert p.integer_coefficients() == tuple(want)
+        assert p.canonical().coefficients == tuple(map(Fraction, want))
 
     def test_fixed_cases(self):
         big = 2**127 - 1
         for result in (
             {0: 6, 1: -4},
             {0: -3, 1: 9},
+            {0: 0, 1: -3, 2: 0, 3: -6},
             {2: Fraction(-1, big), 1: Fraction(2, 3), 0: 5},
             {3: Fraction(1, big * 3**40), 1: Fraction(-7, 2**90)},
         ):
-            assert groebner._IntegerArith.normalize_fractions(result) == (
-                self._multiplied(result)
-            )
-        assert groebner._IntegerArith.normalize_fractions(
-            {1: Fraction(-1, 2), 0: Fraction(1, 3)}
-        ) == {1: 3, 0: -2}
+            assert polynomials._primitive(result) == self._reference(result)
+        assert polynomials._primitive({1: Fraction(-1, 2), 0: Fraction(1, 3)}) == {
+            1: 3, 0: -2,
+        }
+        assert polynomials._primitive({0: 0, 1: -3, 2: 0, 3: -6}) == {
+            0: 0, 1: 1, 2: 0, 3: 2,
+        }
 
 
 class TestLiftCost:

@@ -139,6 +139,8 @@ class TestGraphIdeal:
         assert (g.shift, g.scale) == (5, Fraction(1, 3))
         assert g.to_f(U(-4, 1)).canonical() == U(-17, 1)
         assert g.to_f(U(1)) == U(1)
+        zero = g.to_f(U())
+        assert isinstance(zero, UnivariatePolynomial) and zero.is_zero()
 
     def test_relations_speak_the_graph_coordinate(self):
         # f = 3x + 5 gives z = x = (f - 5)/3: the fiber relation in (y, z)
